@@ -217,10 +217,11 @@ func runServeBench(dir string, seconds float64, clients int, perfettoPath string
 
 // runOverloadPhase drives a deliberately tiny queue (capacity 2, one
 // un-batched worker, slow ill-conditioned solves) with a synchronized
-// burst so admission control must shed. Threads=1 makes the worker's
-// rank execution cooperative — every halo token handoff is a scheduling
-// point — so caller goroutines fill the queue mid-solve even under
-// GOMAXPROCS=1 (previously forced to ≥2 scheduler threads by hand).
+// burst so admission control must shed. Threads=1 keeps the solve on one
+// scheduler thread; the burst's callers are all runnable before the worker
+// is next scheduled, so they fill (and overflow) the queue first — also
+// under GOMAXPROCS=1, where a running solve gives way to other goroutines
+// only through the runtime's asynchronous preemption.
 func runOverloadPhase(out io.Writer) (overloadPhase, error) {
 	svc := pop.NewService(pop.ServiceOptions{
 		Tau:               200000, // ill-conditioned: slow solves hold the queue full

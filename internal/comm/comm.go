@@ -1,12 +1,13 @@
 // Package comm is the communication substrate that stands in for MPI: a
-// virtual-rank runtime executing SPMD rank programs as goroutines, with
-// channel-based halo exchange between decomposition blocks and deterministic
-// binomial-tree global reductions.
+// virtual-rank runtime executing SPMD rank programs as coroutines driven by
+// one worker per hardware thread, with mailbox halo exchange between
+// decomposition blocks and deterministic binomial-tree global reductions,
+// both synchronized by atomic flags.
 //
 // Two properties matter for the reproduction:
 //
 //   - Numerics are bitwise deterministic. Global sums are combined in a
-//     fixed binomial-tree association independent of goroutine scheduling,
+//     fixed binomial-tree association independent of rank scheduling,
 //     so a solve at p ranks is reproducible run to run (and the reduction
 //     pattern matches what the paper's MPI_Allreduce performs).
 //
@@ -26,7 +27,7 @@ package comm
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/decomp"
 	"repro/internal/faults"
@@ -130,13 +131,14 @@ type World struct {
 	// every run of a program remains bitwise identical to the previous one.
 	faultEpoch int64
 
-	// threads is the worker-shard knob (see SetThreads; 0 = GOMAXPROCS) and
-	// sched the cached shard scheduler for the current effective count.
+	// threads is the worker knob (see SetThreads; 0 = GOMAXPROCS) and ex the
+	// cached coroutine executor for the current effective count (sched.go).
 	threads int
-	sched   *sched
+	ex      *executor
 
-	reduceCh []chan []float64 // per-rank outbox for the reduction up-phase
-	bcastCh  []chan []float64 // per-rank inbox for the broadcast down-phase
+	// ranks is the rank table, built once: Run resets the per-run fields and
+	// keeps ID, World and Blocks.
+	ranks []*Rank
 
 	// Steady-state workspaces, sized once from the decomposition so the
 	// per-iteration communication paths allocate nothing (see halo.go and
@@ -144,41 +146,27 @@ type World struct {
 	//
 	//   plans[rank][phase] is the rank's precomputed halo-exchange plan for
 	//   the E/W (0) and N/S (1) phases — send, local-copy, and receive edge
-	//   lists with their channels and buffer pools, replacing the per-call
-	//   neighbour search and per-message allocations.
+	//   lists with their mailboxes, replacing the per-call neighbour search
+	//   and per-message allocations. plans32 is the float32 instantiation.
 	//
 	//   blockPos[blockID] is the block's index within its owning rank's
-	//   Blocks slice (−1 for unowned), replacing the linear blockIndex scan.
+	//   Blocks slice (−1 for unowned), replacing a linear scan per edge.
 	//
-	//   reducePart[rank] is the rank's reduction accumulator, reused across
-	//   AllReduce calls. reduceRoot is the root's pair of broadcast buffers,
-	//   alternated by call parity so the slice every rank returned from
-	//   reduction k stays untouched through reduction k+1 (see AllReduce).
-	//   reduceParent/reduceKids[rank] are the rank's neighbours in the fixed
-	//   binomial reduction tree (parent −1 at the root; children in
-	//   low-step-first fold order), computed once instead of per call.
-	//
-	//   plans32 is the float32 twin of plans (mixed-precision inner solves
-	//   exchange float32 fields over their own channels and pools — see
-	//   halo32.go).
-	plans        [][2]phasePlan
-	plans32      [][2]phasePlan32
-	blockPos     []int
-	reducePart   [][]float64
-	reduceRoot   [2][]float64
-	reduceParent []int
-	reduceKids   [][]int
+	//   reducePart[rank] is the rank's reduction deposit and reduceRoot the
+	//   pair of result buffers alternated by call parity; reduceArrived
+	//   counts the current reduction's deposits and reduceDone the reductions
+	//   completed this Run (see AllReduce).
+	plans         [][2]phasePlan[float64]
+	plans32       [][2]phasePlan[float32]
+	blockPos      []int
+	reducePart    [][]float64
+	reduceRoot    [2][]float64
+	reduceArrived atomic.Int64
+	reduceDone    atomic.Int64
 }
 
-type haloKey struct {
-	dstBlock int
-	side     int // side of the receiving block the data lands on
-}
-
-type haloMsg struct {
-	data  []float64
-	clock float64
-}
+// haloKey names a mailbox by the receiving block and the side it fills.
+type haloKey struct{ dstBlock, side int }
 
 // grow returns (*buf)[:n], reallocating only when the capacity is short —
 // the steady-state path hits the reuse branch and allocates nothing.
@@ -217,27 +205,7 @@ func NewWorld(d *decomp.Decomposition, cost CostModel) (*World, error) {
 		cost = FreeModel{}
 	}
 	w := &World{D: d, Cost: cost, NRank: d.NRanks}
-	w.reduceCh = make([]chan []float64, w.NRank)
-	w.bcastCh = make([]chan []float64, w.NRank)
 	w.reducePart = make([][]float64, w.NRank)
-	w.reduceParent = make([]int, w.NRank)
-	w.reduceKids = make([][]int, w.NRank)
-	for id := 0; id < w.NRank; id++ {
-		w.reduceParent[id] = -1
-		for s := 1; s < w.NRank; s <<= 1 {
-			if id&s != 0 {
-				w.reduceParent[id] = id - s
-				break
-			}
-			if id+s < w.NRank {
-				w.reduceKids[id] = append(w.reduceKids[id], id+s)
-			}
-		}
-	}
-	for r := range w.reduceCh {
-		w.reduceCh[r] = make(chan []float64, 1)
-		w.bcastCh[r] = make(chan []float64, 1)
-	}
 	w.blockPos = make([]int, len(d.Blocks))
 	for i := range w.blockPos {
 		w.blockPos[i] = -1
@@ -247,8 +215,16 @@ func NewWorld(d *decomp.Decomposition, cost CostModel) (*World, error) {
 			w.blockPos[id] = pos
 		}
 	}
-	w.buildPlans()
-	w.buildPlans32()
+	w.ranks = make([]*Rank, w.NRank)
+	for rid, ids := range d.ByRank {
+		blocks := make([]*decomp.Block, len(ids))
+		for i, bid := range ids {
+			blocks[i] = &d.Blocks[bid]
+		}
+		w.ranks[rid] = &Rank{ID: rid, World: w, Blocks: blocks}
+	}
+	w.plans = buildPlans[float64](w)
+	w.plans32 = buildPlans[float32](w)
 	return w, nil
 }
 
@@ -280,19 +256,27 @@ type Rank struct {
 	faultBase int64
 	trace     *obs.RankTrace // nil when the World has no tracer
 
-	// shard is the worker shard this rank executes on; token is the shard's
-	// run token (nil when the run is unsharded — see sched.go). A rank holds
-	// its token while executing and yields it around blocking receives.
+	// Executor state (sched.go): the shard and worker this rank runs on, its
+	// coroutine handles (nil once the program has returned) and yield, and
+	// the flag it is suspended on (runnable once flag ≥ min; site names the
+	// flag for the stall diagnostic).
 	shard int
-	token chan struct{}
+	wk    *worker
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	flag  *atomic.Int64
+	min   int64
+	site  waitSite
 
 	// reduceFailed is set by AllReduce when the fault injector failed the
 	// last reduction; resilient callers poll it via ReduceFailed and retry.
 	reduceFailed bool
 
-	// multi is Exchange's scratch for wrapping a single field set as a
-	// one-level ExchangeMulti call without allocating the wrapper slice.
-	multi [1][][]float64
+	// multi/multi32 are Exchange's and Exchange32's scratch for wrapping a
+	// single field set as a one-level call without allocating the wrapper.
+	multi   [1][][]float64
+	multi32 [1][][]float32
 }
 
 // Counters returns a snapshot of the rank's accumulated counters.
@@ -429,61 +413,43 @@ func (w *World) TraceID() uint64 { return w.traceID }
 
 // Run executes program on every rank concurrently and returns aggregated
 // statistics. Programs must make collective calls (AllReduce, Exchange,
-// Barrier) in the same order on every rank, exactly as MPI requires.
+// Barrier) in the same order on every rank, exactly as MPI requires; a
+// violation that leaves ranks waiting forever, or a panic in any rank's
+// program, stops the run and panics on Run's caller with a diagnostic.
 //
-// Hardware mapping: when the effective thread count (SetThreads, default
-// GOMAXPROCS) is below the rank count, ranks are sharded and at most one
-// rank per shard executes at a time (see sched.go); otherwise every rank
-// gets an unrestricted goroutine as before. Solutions and virtual clocks
-// are bitwise identical either way.
+// Hardware mapping: ranks are coroutines resumed round-robin by one worker
+// per effective thread (SetThreads, default GOMAXPROCS) over contiguous
+// shards (see sched.go). Solutions and virtual clocks are bitwise identical
+// for every thread count.
 func (w *World) Run(program func(*Rank)) Stats {
 	// Fault-draw salt for this run (see World.faultEpoch). The shift leaves
 	// 2³² per-run sequence numbers before epochs could collide — far beyond
 	// any solve's site count.
 	base := w.faultEpoch << 32
 	w.faultEpoch++
-	sc := w.scheduler(w.EffectiveThreads())
-	ranks := make([]*Rank, w.NRank)
-	for rid := 0; rid < w.NRank; rid++ {
-		blocks := make([]*decomp.Block, len(w.D.ByRank[rid]))
-		for i, bid := range w.D.ByRank[rid] {
-			blocks[i] = &w.D.Blocks[bid]
-		}
-		ranks[rid] = &Rank{ID: rid, World: w, Blocks: blocks, faultBase: base,
-			shard: rid}
-		if sc != nil {
-			ranks[rid].shard = sc.shardOf[rid]
-			ranks[rid].token = sc.tokens[ranks[rid].shard]
-		}
+	p := w.EffectiveThreads()
+	ex := w.executor(p)
+	for rid, rk := range w.ranks {
+		shard := rid * p / w.NRank
+		*rk = Rank{ID: rid, World: w, Blocks: rk.Blocks, faultBase: base,
+			shard: shard, wk: &ex.workers[shard], flag: &w.reduceDone}
 		if w.Tracer.Enabled() {
-			ranks[rid].trace = w.Tracer.Rank(rid)
-			ranks[rid].trace.SetTraceID(w.traceID)
-			ranks[rid].trace.Add(obs.Event{Name: obs.EvRunBegin, Point: true,
-				Value: float64(w.NRank), Aux: float64(ranks[rid].shard),
+			rk.trace = w.Tracer.Rank(rid)
+			rk.trace.SetTraceID(w.traceID)
+			rk.trace.Add(obs.Event{Name: obs.EvRunBegin, Point: true,
+				Value: float64(w.NRank), Aux: float64(rk.shard),
 				Iter: -1, Straggler: -1})
 		}
 	}
 	if w.NRank == 1 {
-		program(ranks[0])
+		program(w.ranks[0])
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(w.NRank)
-		for _, rk := range ranks {
-			go func(rk *Rank) {
-				defer wg.Done()
-				if rk.token != nil {
-					<-rk.token
-					program(rk)
-					rk.token <- struct{}{}
-					return
-				}
-				program(rk)
-			}(rk)
-		}
-		wg.Wait()
+		w.reduceArrived.Store(0)
+		w.reduceDone.Store(0)
+		ex.run(program)
 	}
 	st := Stats{PerRank: make([]Counters, w.NRank)}
-	for rid, rk := range ranks {
+	for rid, rk := range w.ranks {
 		st.PerRank[rid] = rk.ctr
 		st.Sum.Add(rk.ctr)
 		if rk.clock > st.MaxClock {

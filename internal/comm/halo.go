@@ -2,7 +2,10 @@ package comm
 
 import (
 	"math"
+	"sync/atomic"
+	"unsafe"
 
+	"repro/internal/decomp"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -16,41 +19,42 @@ import (
 // Steady-state memory discipline: everything the exchange needs per call is
 // precomputed at World construction. Each rank owns two phasePlans (E/W and
 // N/S) listing its send, local-copy, and receive edges in a fixed order, and
-// every cross-rank edge carries a two-buffer pool that cycles
-// sender→receiver→sender over channels:
+// every cross-rank edge is a two-slot mailbox indexed by message sequence
+// number, guarded by two atomic counters:
 //
-//	sender:   buf := <-edge.free; fill buf; edge.ch <- haloMsg{buf, clock}
-//	receiver: m := <-edge.ch; copy halos out of m.data; edge.free <- m.data
+//	sender:   k := sent; await consumed ≥ k−1; fill slot k&1; sent = k+1
+//	receiver: k := consumed; await sent > k; copy slot k&1 out; consumed = k+1
 //
-// The pool channel provides the happens-before edge that makes buffer reuse
-// race-free: a sender writes a buffer only after the receiver's return-send,
-// which the receiver performs only after it finished reading. The data
-// channel's capacity equals the pool size (two), so a send can never block:
-// every in-flight message wraps a pool buffer and channel occupancy is
-// bounded by the pool. The pool acquire is the only send-side wait, and it
-// yields the shard token (sched.go) while parked, so a rank starved of
-// buffers cannot stall its shard. Buffers are sized for single-level
-// exchanges and grow once
-// (amortized) on the first wider multi-level call; after that the exchange
-// path performs zero allocations.
+// The counters carry the happens-before edges that make slot reuse
+// race-free: the sender rewrites slot k&1 only after observing the
+// receiver's consumed-store for message k−2, which the receiver performs
+// only after it finished reading; the receiver reads a slot only after
+// observing the sent-store that follows the fill. Both waits go through
+// Rank.await, so a rank short of a message or a slot yields to its shard
+// siblings instead of blocking (sched.go). Slots are sized for single-level
+// exchanges and grow once (amortized) on the first wider multi-level call;
+// after that the exchange path performs zero allocations. The whole path is
+// generic over the element type: the mixed-precision inner solvers exchange
+// float32 fields through their own plan set, so their wire payload really is
+// 4 bytes per element and the cost model prices the halved bandwidth from
+// the actual message size.
 
-// sendEdge is one outgoing cross-rank message per phase: data leaves from
-// the given side of local block bi.
-type sendEdge struct {
-	bi       int // index into Rank.Blocks of the sending block
-	side     int // side of the sending block the strip is extracted from
-	stripLen int // strip length of one level
-	ch       chan haloMsg
-	free     chan []float64
+// edge is one directed cross-rank mailbox: strips leave rank src and fill a
+// halo of rank dst. The counters are world-lifetime message sequence numbers
+// (a completed Run leaves every edge balanced, sent == consumed).
+type edge[F float32 | float64] struct {
+	sent, consumed atomic.Int64
+	buf            [2][]F
+	clock          [2]float64 // sender's virtual clock at the send
+	src, dst       int
 }
 
-// recvEdge is one incoming cross-rank message per phase: data fills the
-// halo on the given side of local block bi.
-type recvEdge struct {
-	bi   int
-	side int
-	ch   chan haloMsg
-	free chan []float64
+// planEdge is one cross-rank message of a phase, seen from local block bi:
+// as a send, the strip (stripLen per level) is extracted from that block's
+// `side`; as a receive, it fills the halo on that side.
+type planEdge[F float32 | float64] struct {
+	bi, side, stripLen int
+	e                  *edge[F]
 }
 
 // localEdge is a same-rank neighbour pair: the halo on side `side` of block
@@ -64,10 +68,10 @@ type localEdge struct {
 // deterministic (block, side) iteration order the original per-call
 // neighbour search produced — preserving it keeps the virtual-clock
 // arithmetic (max-of-arrivals, ordered cost sums) bitwise identical.
-type phasePlan struct {
-	sends  []sendEdge
+type phasePlan[F float32 | float64] struct {
+	sends  []planEdge[F]
 	locals []localEdge
-	recvs  []recvEdge
+	recvs  []planEdge[F]
 }
 
 // phaseSides lists the two receiving sides of each exchange phase.
@@ -76,17 +80,22 @@ var phaseSides = [2][2]int{
 	{SideN, SideS},
 }
 
-// buildPlans precomputes every rank's per-phase edge lists, the cross-rank
-// channels, and the per-edge buffer pools.
-func (w *World) buildPlans() {
+// buildPlans precomputes every rank's per-phase edge lists and the
+// cross-rank mailboxes with their two slots each.
+func buildPlans[F float32 | float64](w *World) [][2]phasePlan[F] {
 	d := w.D
 	h := d.Halo
-	chans := make(map[haloKey]chan haloMsg)
-	pools := make(map[haloKey]chan []float64)
-	// One data channel and one two-buffer pool per (receiving block, side)
-	// with a live cross-rank neighbour. The strip is extracted from the
-	// sender, but E/W neighbours share NyI and N/S neighbours share NxI, so
-	// the receiver's dimensions size the buffers equally well.
+	stripLen := func(b *decomp.Block, side int) int {
+		if side == SideN || side == SideS {
+			return h * (b.NxI + 2*h)
+		}
+		return h * b.NyI
+	}
+	// One mailbox per (receiving block, side) with a live cross-rank
+	// neighbour. The strip is extracted from the sender, but E/W neighbours
+	// share NyI and N/S neighbours share NxI, so the receiver's dimensions
+	// size the slots equally well.
+	edges := make(map[haloKey]*edge[F])
 	for _, id := range d.OceanBlocks {
 		b := &d.Blocks[id]
 		for side, off := range sideOffsets {
@@ -94,28 +103,16 @@ func (w *World) buildPlans() {
 			if nb < 0 || d.Blocks[nb].Rank == b.Rank {
 				continue
 			}
-			key := haloKey{id, side}
-			// Data-channel capacity equals the pool size: every in-flight
-			// message wraps a pool buffer, so occupancy can never exceed 2
-			// and the data send is non-blocking UNCONDITIONALLY — required
-			// by the shard scheduler, whose liveness argument (sched.go)
-			// needs ranks never to park holding a run token outside the
-			// yielding receives.
-			chans[key] = make(chan haloMsg, 2)
-			pool := make(chan []float64, 2)
-			stripLen := h * b.NyI
-			if side == SideN || side == SideS {
-				stripLen = h * (b.NxI + 2*h)
-			}
-			pool <- make([]float64, stripLen)
-			pool <- make([]float64, stripLen)
-			pools[key] = pool
+			e := &edge[F]{src: d.Blocks[nb].Rank, dst: b.Rank}
+			n := stripLen(b, side)
+			e.buf[0], e.buf[1] = make([]F, n), make([]F, n)
+			edges[haloKey{id, side}] = e
 		}
 	}
-	w.plans = make([][2]phasePlan, w.NRank)
+	plans := make([][2]phasePlan[F], w.NRank)
 	for rid := 0; rid < w.NRank; rid++ {
 		for phase := 0; phase < 2; phase++ {
-			plan := &w.plans[rid][phase]
+			plan := &plans[rid][phase]
 			for i, id := range d.ByRank[rid] {
 				b := &d.Blocks[id]
 				for _, side := range phaseSides[phase] {
@@ -130,24 +127,18 @@ func (w *World) buildPlans() {
 						continue
 					}
 					// Outgoing: my strip on `side` lands in the halo on the
-					// opposite side of the neighbour.
-					skey := haloKey{nb, opposite(side)}
-					stripLen := h * b.NyI
-					if side == SideN || side == SideS {
-						stripLen = h * (b.NxI + 2*h)
-					}
-					plan.sends = append(plan.sends, sendEdge{
-						bi: i, side: side, stripLen: stripLen,
-						ch: chans[skey], free: pools[skey]})
-					// Incoming: my halo on `side` is filled by that same
-					// neighbour's strip.
-					rkey := haloKey{id, side}
-					plan.recvs = append(plan.recvs, recvEdge{
-						bi: i, side: side, ch: chans[rkey], free: pools[rkey]})
+					// opposite side of the neighbour. Incoming: my halo on
+					// `side` is filled by that same neighbour's strip.
+					n := stripLen(b, side)
+					plan.sends = append(plan.sends, planEdge[F]{
+						bi: i, side: side, stripLen: n, e: edges[haloKey{nb, opposite(side)}]})
+					plan.recvs = append(plan.recvs, planEdge[F]{
+						bi: i, side: side, stripLen: n, e: edges[haloKey{id, side}]})
 				}
 			}
 		}
 	}
+	return plans
 }
 
 // Exchange refreshes the halos of one distributed field. fields[i] is the
@@ -161,6 +152,18 @@ func (r *Rank) Exchange(fields [][]float64) {
 	r.multi[0] = nil
 }
 
+// Exchange32 is Exchange for a float32 field — the single-precision
+// boundary update of the mixed-precision inner solvers. It shares haloSeq
+// with the float64 path so fault schedules stay aligned whichever precision
+// a solve runs in.
+//
+//pop:hotpath
+func (r *Rank) Exchange32(fields [][]float32) {
+	r.multi32[0] = fields
+	exchange(r, &r.World.plans32[r.ID], r.multi32[:])
+	r.multi32[0] = nil
+}
+
 // ExchangeMulti refreshes the halos of several fields (e.g. the levels of a
 // 3-D field) in one aggregated update: each neighbour receives a single
 // message carrying every level's strip, paying the latency α once and the
@@ -169,26 +172,30 @@ func (r *Rank) Exchange(fields [][]float64) {
 //
 //pop:hotpath
 func (r *Rank) ExchangeMulti(levels [][][]float64) {
+	exchange(r, &r.World.plans[r.ID], levels)
+}
+
+// exchange is the two-phase update behind every Exchange entry point.
+//
+//pop:hotpath
+func exchange[F float32 | float64](r *Rank, plans *[2]phasePlan[F], levels [][][]F) {
 	for _, fields := range levels {
 		if len(fields) != len(r.Blocks) {
 			panic("comm: Exchange fields/blocks length mismatch")
 		}
 	}
-	r.exchangePhase(levels, 0)
-	r.exchangePhase(levels, 1)
+	exchangePhase(r, &plans[0], levels, 0)
+	exchangePhase(r, &plans[1], levels, 1)
 }
 
-// exchangePhase executes one precomputed phase plan: sends first
-// (non-blocking: data-channel capacity matches the buffer pool, so the
-// channel always has room for every buffer the pool can hand out), then
-// same-rank direct copies (free in the cost model: intra-node), then
-// receives.
+// exchangePhase executes one precomputed phase plan: sends first (a slot is
+// free unless the receiver is two messages behind), then same-rank direct
+// copies (free in the cost model: intra-node), then receives.
 //
 //pop:hotpath
-func (r *Rank) exchangePhase(levels [][][]float64, phase int) {
+func exchangePhase[F float32 | float64](r *Rank, plan *phasePlan[F], levels [][][]F, phase int) {
 	w := r.World
 	h := w.D.Halo
-	plan := &w.plans[r.ID][phase]
 	entry := r.clock
 	nlv := len(levels)
 
@@ -215,19 +222,24 @@ func (r *Rank) exchangePhase(levels [][][]float64, phase int) {
 	}
 
 	for ei := range plan.sends {
-		e := &plan.sends[ei]
-		buf := recvYield(r, e.free)
-		need := nlv * e.stripLen
+		pe := &plan.sends[ei]
+		e := pe.e
+		k := e.sent.Load()
+		r.await(&e.consumed, k-1, waitHaloSend, phase, pe.side)
+		need := nlv * pe.stripLen
+		buf := e.buf[k&1]
 		if cap(buf) < need {
-			buf = make([]float64, need)
+			buf = make([]F, need)
 		}
 		buf = buf[:need]
-		b := r.Blocks[e.bi]
+		b := r.Blocks[pe.bi]
 		for li, fields := range levels {
-			extractStripInto(buf[li*e.stripLen:(li+1)*e.stripLen],
-				fields[e.bi], b.NxI, b.NyI, h, e.side)
+			extractStripInto(buf[li*pe.stripLen:(li+1)*pe.stripLen],
+				fields[pe.bi], b.NxI, b.NyI, h, pe.side)
 		}
-		e.ch <- haloMsg{data: buf, clock: r.clock}
+		e.buf[k&1], e.clock[k&1] = buf, r.clock
+		e.sent.Store(k + 1)
+		r.notify(e.dst)
 	}
 
 	for _, le := range plan.locals {
@@ -243,31 +255,35 @@ func (r *Rank) exchangePhase(levels [][][]float64, phase int) {
 	var charge float64
 	var phaseBytes int64
 	for ei := range plan.recvs {
-		e := &plan.recvs[ei]
-		m := recvYield(r, e.ch)
-		stripLen := len(m.data) / nlv
-		b := r.Blocks[e.bi]
+		pe := &plan.recvs[ei]
+		e := pe.e
+		k := e.consumed.Load()
+		r.await(&e.sent, k+1, waitHaloRecv, phase, pe.side)
+		data, clock := e.buf[k&1], e.clock[k&1]
+		b := r.Blocks[pe.bi]
 		if corrupt && ei == 0 {
 			// Poison the received payload before it lands in the halo — the
 			// whole message, so the NaN reaches ring-1 cells the stencil
-			// actually reads regardless of side and halo depth. The pool
-			// buffer is fully rewritten by the sender's next
-			// extractStripInto, so the NaN does not leak into later phases.
-			for di := range m.data {
-				m.data[di] = math.NaN()
+			// actually reads regardless of side and halo depth. The slot is
+			// fully rewritten by the sender's next extractStripInto, so the
+			// NaN does not leak into later phases.
+			nan := F(math.NaN())
+			for di := range data {
+				data[di] = nan
 			}
 		}
 		if !drop {
 			for li, fields := range levels {
-				insertStrip(fields[e.bi], b.NxI, b.NyI, h, e.side,
-					m.data[li*stripLen:(li+1)*stripLen])
+				insertStrip(fields[pe.bi], b.NxI, b.NyI, h, pe.side,
+					data[li*pe.stripLen:(li+1)*pe.stripLen])
 			}
 		}
-		e.free <- m.data
-		if m.clock > arrival {
-			arrival = m.clock
+		e.consumed.Store(k + 1)
+		r.notify(e.src)
+		if clock > arrival {
+			arrival = clock
 		}
-		bytes := int64(len(m.data) * 8)
+		bytes := int64(len(data)) * int64(unsafe.Sizeof(data[0]))
 		r.ctr.HaloMsgs++
 		r.ctr.HaloBytes += bytes
 		phaseBytes += bytes
@@ -281,48 +297,64 @@ func (r *Rank) exchangePhase(levels [][][]float64, phase int) {
 	}
 }
 
-// opposite maps a receiving side to the sender's receiving side.
-func opposite(side int) int {
+// opposite maps a receiving side to the sender's receiving side (E↔W, N↔S:
+// the side constants pair up as 0/1 and 2/3).
+func opposite(side int) int { return side ^ 1 }
+
+// stripRect locates one strip inside a block's padded array: the offset of
+// its first element, its row width and its row count (rows are nxi+2h
+// apart). With halo set it is the halo on `side`; otherwise the interior
+// cells the neighbour on that side needs. E/W strips cover interior rows
+// only; N/S strips span the full padded width so corners propagate (the
+// two-phase scheme).
+func stripRect(nxi, nyi, h, side int, halo bool) (off, width, rows int) {
+	nxp, nyp := nxi+2*h, nyi+2*h
+	in := h // how far the strip sits from its side's edge of the array
+	if halo {
+		in = 0
+	}
 	switch side {
-	case SideE:
-		return SideW
 	case SideW:
-		return SideE
-	case SideN:
-		return SideS
-	default:
-		return SideN
+		return h*nxp + in, h, nyi
+	case SideE:
+		return h*nxp + nxp - in - h, h, nyi
+	case SideS:
+		return in * nxp, nxp, h
+	default: // SideN
+		return (nyp - in - h) * nxp, nxp, h
 	}
 }
 
-// extractStripInto copies into s the interior edge strip that a neighbour on
-// the given side needs. E/W strips cover interior rows only; N/S strips span
-// the full padded width so corners propagate (two-phase scheme). "side" is
-// the side of THIS block from which data leaves. Generic over the element
-// type so the float32 exchange path (halo32.go) shares the copy logic.
+// shortRun is the row width up to which copyRows moves elements with a
+// plain loop: an E/W strip row is h (typically two) elements, and at that
+// size memmove's call overhead is the whole cost.
+const shortRun = 4
+
+// copyRows copies `rows` runs of `width` elements from src to dst, the runs
+// srcStride and dstStride apart.
+//
+//pop:hotpath
+func copyRows[F float32 | float64](dst []F, dstStride int, src []F, srcStride, width, rows int) {
+	for j := 0; j < rows; j++ {
+		d := dst[j*dstStride : j*dstStride+width]
+		s := src[j*srcStride : j*srcStride+width]
+		if width > shortRun {
+			copy(d, s)
+			continue
+		}
+		for i := range d {
+			d[i] = s[i]
+		}
+	}
+}
+
+// extractStripInto copies into s the interior edge strip that the neighbour
+// on `side` of this block needs.
 //
 //pop:hotpath
 func extractStripInto[F float32 | float64](s, f []F, nxi, nyi, h, side int) {
-	nxp := nxi + 2*h
-	switch side {
-	case SideW: // my west interior columns [h, 2h) → neighbour's east halo
-		for j := 0; j < nyi; j++ {
-			copy(s[j*h:(j+1)*h], f[(j+h)*nxp+h:(j+h)*nxp+2*h])
-		}
-	case SideE: // my east interior columns [nxp-2h, nxp-h)
-		for j := 0; j < nyi; j++ {
-			copy(s[j*h:(j+1)*h], f[(j+h)*nxp+nxp-2*h:(j+h)*nxp+nxp-h])
-		}
-	case SideS: // my south interior rows [h, 2h), full padded width
-		for j := 0; j < h; j++ {
-			copy(s[j*nxp:(j+1)*nxp], f[(j+h)*nxp:(j+h+1)*nxp])
-		}
-	default: // SideN: my north interior rows [nyp-2h, nyp-h)
-		nyp := nyi + 2*h
-		for j := 0; j < h; j++ {
-			copy(s[j*nxp:(j+1)*nxp], f[(nyp-2*h+j)*nxp:(nyp-2*h+j+1)*nxp])
-		}
-	}
+	off, width, rows := stripRect(nxi, nyi, h, side, false)
+	copyRows(s, width, f[off:], nxi+2*h, width, rows)
 }
 
 // insertStrip writes a received strip into the halo on the given side of
@@ -330,26 +362,8 @@ func extractStripInto[F float32 | float64](s, f []F, nxi, nyi, h, side int) {
 //
 //pop:hotpath
 func insertStrip[F float32 | float64](f []F, nxi, nyi, h, side int, s []F) {
-	nxp := nxi + 2*h
-	switch side {
-	case SideE: // east halo columns [nxp-h, nxp)
-		for j := 0; j < nyi; j++ {
-			copy(f[(j+h)*nxp+nxp-h:(j+h)*nxp+nxp], s[j*h:(j+1)*h])
-		}
-	case SideW: // west halo columns [0, h)
-		for j := 0; j < nyi; j++ {
-			copy(f[(j+h)*nxp:(j+h)*nxp+h], s[j*h:(j+1)*h])
-		}
-	case SideN: // north halo rows [nyp-h, nyp)
-		nyp := nyi + 2*h
-		for j := 0; j < h; j++ {
-			copy(f[(nyp-h+j)*nxp:(nyp-h+j+1)*nxp], s[j*nxp:(j+1)*nxp])
-		}
-	default: // SideS: south halo rows [0, h)
-		for j := 0; j < h; j++ {
-			copy(f[j*nxp:(j+1)*nxp], s[j*nxp:(j+1)*nxp])
-		}
-	}
+	off, width, rows := stripRect(nxi, nyi, h, side, true)
+	copyRows(f[off:], nxi+2*h, s, width, width, rows)
 }
 
 // copyStrip fills the halo on side `side` of a block directly from a
@@ -360,39 +374,7 @@ func insertStrip[F float32 | float64](f []F, nxi, nyi, h, side int, s []F) {
 //
 //pop:hotpath
 func copyStrip[F float32 | float64](dst []F, dnxi, dnyi int, src []F, snxi, snyi, h, side int) {
-	dnxp := dnxi + 2*h
-	snxp := snxi + 2*h
-	switch side {
-	case SideE: // dst east halo ← src west interior columns
-		for j := 0; j < dnyi; j++ {
-			copy(dst[(j+h)*dnxp+dnxp-h:(j+h)*dnxp+dnxp],
-				src[(j+h)*snxp+h:(j+h)*snxp+2*h])
-		}
-	case SideW: // dst west halo ← src east interior columns
-		for j := 0; j < dnyi; j++ {
-			copy(dst[(j+h)*dnxp:(j+h)*dnxp+h],
-				src[(j+h)*snxp+snxp-2*h:(j+h)*snxp+snxp-h])
-		}
-	case SideN: // dst north halo ← src south interior rows
-		dnyp := dnyi + 2*h
-		for j := 0; j < h; j++ {
-			copy(dst[(dnyp-h+j)*dnxp:(dnyp-h+j+1)*dnxp],
-				src[(j+h)*snxp:(j+h+1)*snxp])
-		}
-	default: // SideS: dst south halo ← src north interior rows
-		snyp := snyi + 2*h
-		for j := 0; j < h; j++ {
-			copy(dst[j*dnxp:(j+1)*dnxp],
-				src[(snyp-2*h+j)*snxp:(snyp-2*h+j+1)*snxp])
-		}
-	}
-}
-
-// blockIndex returns the position of blockID within r.Blocks, O(1) via the
-// table precomputed at World construction.
-func (r *Rank) blockIndex(blockID int) int {
-	if pos := r.World.blockPos[blockID]; pos >= 0 && r.Blocks[pos].ID == blockID {
-		return pos
-	}
-	panic("comm: block not owned by rank")
+	doff, width, rows := stripRect(dnxi, dnyi, h, side, true)
+	soff, _, _ := stripRect(snxi, snyi, h, opposite(side), false)
+	copyRows(dst[doff:], dnxi+2*h, src[soff:], snxi+2*h, width, rows)
 }

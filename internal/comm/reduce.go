@@ -7,8 +7,8 @@ import (
 
 // Global reductions. The combine order is a fixed binomial tree over rank
 // IDs — the same association an MPI_Allreduce on a power-of-two communicator
-// performs — so results are bitwise reproducible regardless of goroutine
-// scheduling, and the virtual cost grows as log(p)·α exactly like the
+// performs — so results are bitwise reproducible regardless of how ranks are
+// scheduled, and the virtual cost grows as log(p)·α exactly like the
 // paper's Eq. 2 term.
 
 // AllReduce sums vals element-wise across all ranks and returns the global
@@ -30,20 +30,20 @@ import (
 // lets a trace answer "which rank was the critical path of that reduction?"
 // (ties break toward the lowest rank, deterministically).
 //
-// Buffer-reuse safety: each rank accumulates into its own reducePart buffer
-// and publishes it to its parent exactly once per reduction; the parent
-// finishes reading it before it sends the broadcast that unblocks the
-// child, so the child's next-reduction overwrite is ordered after the read.
-// The down phase forwards the ROOT's buffer pointer unchanged — a pure
-// read-only fan-out, so the broadcast costs no copies and no dependent
-// cache-line hand-offs down the tree. The root alternates between two
-// result buffers by call parity: the buffer of reduction k is rewritten at
-// reduction k+2, and the root can only reach k+2 after its up-phase for
-// k+1 completes, which transitively requires every rank to have entered
-// reduction k+1 — i.e. to have passed the collective call that ends the
-// returned slice's documented lifetime. Every hand-off in that chain is a
-// channel operation, so the ordering is a happens-before edge, not just a
-// timing argument.
+// Mechanics: every rank deposits its payload into its own reducePart buffer
+// and bumps one arrival counter; the last arriver folds all deposits in the
+// fixed binomial-tree order (fold), writes the result into the parity root
+// buffer and publishes the reduction's sequence number in reduceDone. Every
+// other rank awaits that number — one yield per rank per reduction (history:
+// a log₂p-deep chain of channel rendezvous up the tree and back down).
+//
+// Buffer-reuse safety: a rank rewrites its reducePart for reduction k+1 only
+// after observing done ≥ k+1, which the folder stores after its last read of
+// the deposits. The root buffers alternate by call parity: the buffer of
+// reduction k is rewritten by the folder of reduction k+2, which runs only
+// after every rank has arrived at k+2 — i.e. has passed the collective call
+// that ends the returned slice's documented lifetime. Arrival (an atomic
+// add) and done (an atomic store/load pair) are the happens-before edges.
 //
 //pop:hotpath
 func (r *Rank) AllReduce(vals []float64) []float64 {
@@ -78,38 +78,18 @@ func (r *Rank) AllReduce(vals []float64) []float64 {
 	partial[n+1] = float64(r.ID)
 
 	var result []float64
-	if p == 1 {
+	switch {
+	case p == 1:
 		result = grow(&w.reduceRoot[seq&1], n+2)
 		copy(result, partial)
-	} else {
-		// Up phase: fold children into this rank in the precomputed
-		// low-step-first order (the tree is a property of the World, not
-		// of the call — see NewWorld).
-		kids := w.reduceKids[r.ID]
-		for _, child := range kids {
-			m := recvYield(r, w.reduceCh[child])
-			for i := 0; i < n; i++ {
-				partial[i] += m[i]
-			}
-			if m[n] > partial[n] || (m[n] == partial[n] && m[n+1] < partial[n+1]) {
-				partial[n] = m[n]
-				partial[n+1] = m[n+1]
-			}
-		}
-		if parent := w.reduceParent[r.ID]; parent >= 0 {
-			w.reduceCh[r.ID] <- partial
-			result = recvYield(r, w.bcastCh[r.ID])
-		} else {
-			// Only the root's result escapes to other ranks, so only the
-			// root needs the parity pair (r.ID == 0 here, so r.reduceSeq
-			// is the root's own call count).
-			result = grow(&w.reduceRoot[seq&1], n+2)
-			copy(result, partial)
-		}
-		// Down phase: forward the root's buffer, largest subtree first.
-		for i := len(kids) - 1; i >= 0; i-- {
-			w.bcastCh[kids[i]] <- result
-		}
+	case w.reduceArrived.Add(1) == int64(p): // arrive; the last one in folds
+		result = w.fold(n, seq)
+		w.reduceArrived.Store(0)
+		w.reduceDone.Store(seq + 1)
+		r.notifyAll()
+	default:
+		r.await(&w.reduceDone, seq+1, waitReduce, 0, 0)
+		result = w.reduceRoot[seq&1][:n+2]
 	}
 
 	newClock := result[n] + w.Cost.ReduceTime(p, seq)
@@ -135,6 +115,30 @@ func (r *Rank) AllReduce(vals []float64) []float64 {
 		}
 	}
 	return result[:n]
+}
+
+// fold combines every rank's deposit in the fixed binomial tree — rank id
+// absorbs id+1, id+2, id+4, … low step first, each already folded over its
+// own subtree — and returns reduction seq's root buffer. Payloads add; the
+// two metadata slots reduce by max-by-clock, ties to the lowest rank.
+//
+//pop:hotpath
+func (w *World) fold(n int, seq int64) []float64 {
+	part := w.reducePart
+	for s := 1; s < len(part); s <<= 1 {
+		for id := 0; id+s < len(part); id += 2 * s {
+			acc, m := part[id][:n+2], part[id+s][:n+2]
+			for i := 0; i < n; i++ {
+				acc[i] += m[i]
+			}
+			if m[n] > acc[n] || (m[n] == acc[n] && m[n+1] < acc[n+1]) {
+				acc[n], acc[n+1] = m[n], m[n+1]
+			}
+		}
+	}
+	result := grow(&w.reduceRoot[seq&1], n+2)
+	copy(result, part[0][:n+2])
+	return result
 }
 
 // Barrier blocks until every rank reaches it (an empty AllReduce).

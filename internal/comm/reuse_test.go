@@ -94,9 +94,11 @@ func TestExchangeMultiBufferReuse(t *testing.T) {
 }
 
 // TestSteadyStateCommAllocFree asserts the per-iteration communication
-// paths — Exchange and AllReduce — allocate nothing once warm. Setup costs
-// (Run's goroutines and Rank structs, first-use buffer growth) are isolated
-// by differencing a 1-iteration run against a many-iteration run.
+// paths — Exchange, ExchangeMulti, Exchange32 and AllReduce — allocate
+// nothing once warm, at every worker count (one worker, several ranks per
+// worker, one rank per worker). Setup costs (Run's coroutines, first-use
+// buffer growth) are isolated by differencing a 1-iteration run against a
+// many-iteration run.
 func TestSteadyStateCommAllocFree(t *testing.T) {
 	g := grid.NewFlatBasin(32, 24, 1000, 1e4, 1e4)
 	d, err := decomp.New(g, 8, 8, decomp.DefaultHalo)
@@ -110,11 +112,15 @@ func TestSteadyStateCommAllocFree(t *testing.T) {
 	}
 
 	fields := make([][][]float64, w.NRank)
+	fields32 := make([][][]float32, w.NRank)
 	multi := make([][][][]float64, w.NRank)
 	w.Run(func(r *Rank) {
 		fs := fillLevels(d, r, nil, 3, 0)
 		fields[r.ID] = fs[0]
 		multi[r.ID] = fs
+		for _, f := range fs[0] {
+			fields32[r.ID] = append(fields32[r.ID], make([]float32, len(f)))
+		}
 	})
 
 	run := func(iters int) func() {
@@ -124,18 +130,22 @@ func TestSteadyStateCommAllocFree(t *testing.T) {
 				for it := 0; it < iters; it++ {
 					r.Exchange(fields[r.ID])
 					r.ExchangeMulti(multi[r.ID])
+					r.Exchange32(fields32[r.ID])
 					payload[0], payload[1] = float64(r.ID), 1
 					r.AllReduce(payload)
 				}
 			})
 		}
 	}
-	run(1)() // warm every pooled buffer
+	for _, threads := range []int{1, 2, 3, w.NRank} {
+		w.SetThreads(threads)
+		run(1)() // warm every mailbox slot and the executor for this count
 
-	base := testing.AllocsPerRun(5, run(1))
-	long := testing.AllocsPerRun(5, run(41))
-	if perIter := (long - base) / 40; perIter > 0 {
-		t.Fatalf("steady-state comm allocates %.2f allocs/iteration (run(1)=%v run(41)=%v), want 0",
-			perIter, base, long)
+		base := testing.AllocsPerRun(5, run(1))
+		long := testing.AllocsPerRun(5, run(41))
+		if perIter := (long - base) / 40; perIter > 0 {
+			t.Fatalf("threads %d: steady-state comm allocates %.2f allocs/iteration (run(1)=%v run(41)=%v), want 0",
+				threads, perIter, base, long)
+		}
 	}
 }

@@ -134,10 +134,12 @@ func TestOverloadShedsNeverBlocks(t *testing.T) {
 		MaxBatch:          1, // one solve per checkout: at most 3 requests in flight
 		MaxWait:           -1,
 		Tau:               200000,
-		// One worker shard: the token handoffs around every halo receive are
-		// scheduling points, so caller goroutines get CPU time mid-solve and
-		// the burst fills the queue even on GOMAXPROCS=1. This replaces the
-		// old ad-hoc runtime.GOMAXPROCS(2) workaround.
+		// One worker, so the solve occupies a single scheduler thread. The
+		// burst needs no CPU mid-solve: all 30 callers are runnable before
+		// the worker is next scheduled, so they are admitted or shed against
+		// the 2-deep queue first — which also holds on GOMAXPROCS=1, where a
+		// running worker yields to other goroutines only through the
+		// runtime's asynchronous preemption (verify.sh runs this test there).
 		Threads: 1,
 		Solver:  core.Options{Tol: 1e-12, MaxIters: 200000},
 	})

@@ -325,10 +325,11 @@ type SolverSpec struct {
 	// otherwise the nearest 3:2-aspect blocking is chosen).
 	Cores int
 	// Threads caps how many virtual ranks execute concurrently on real
-	// cores: ranks are sharded into Threads contiguous groups and at most
-	// one rank per group runs at a time (0 = GOMAXPROCS; ≥ Cores disables
-	// sharding). Solutions are bitwise identical across all settings — only
-	// wall-clock and cache behavior change.
+	// cores: ranks are sharded into Threads contiguous groups, each driven
+	// by one worker that runs its ranks one at a time (0 = GOMAXPROCS;
+	// values above the rank count mean one rank per worker). Solutions are
+	// bitwise identical across all settings — only wall-clock and cache
+	// behavior change.
 	Threads int
 	// MachineName prices virtual time ("" = free).
 	MachineName string

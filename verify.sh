@@ -1,5 +1,5 @@
 #!/bin/sh
-# verify.sh — build, vet, test (with the race detector: the goroutine
+# verify.sh — build, vet, test (with the race detector: the concurrent
 # SPMD runtime is the point of the exercise), then smoke-run popsolve
 # and assert its telemetry outputs are well-formed.
 set -eu
@@ -50,6 +50,20 @@ go test -race -count=1 \
     -run 'TestSteadyStateSolverAllocFree|TestPCSIResidualHistoryBitwiseDeterministic' \
     ./internal/core/
 
+echo "== coroutine executor gates (race) =="
+# The rank runtime itself: Exchange/Exchange32/AllReduce looped over
+# NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5} x GOMAXPROCS {1,2},
+# bitwise equal to Threads=1 and to a sequential reduction tree; a skipped
+# collective or a panicking rank must fail fast on Run's caller instead of
+# hanging. Once more with the whole process on one scheduler thread, where
+# a lost wake-up or a worker that never yields would show as a hang — and
+# the serve overload burst must still shed there.
+go test -race -count=1 \
+    -run 'TestExecutorStress|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast' \
+    ./internal/comm/
+GOMAXPROCS=1 go test -race -count=1 -run 'TestExecutorStress' ./internal/comm/
+GOMAXPROCS=1 go test -count=1 -run 'TestOverloadShedsNeverBlocks' ./internal/serve/
+
 echo "== worker-shard + mixed-precision gates (race) =="
 # Hardware-parallelism invariants: float64 solutions and residual histories
 # are bitwise identical across worker-shard counts (threads 1/2/4/8), the
@@ -59,7 +73,7 @@ echo "== worker-shard + mixed-precision gates (race) =="
 go test -race -count=1 \
     -run 'TestFloat64BitwiseAcrossThreads|TestMixedPrecisionMatchesFloat64|TestMixedPrecisionDeterministic|TestMixedKernelsZeroAlloc|TestMixedSteadyStateAllocFree' \
     ./internal/core/
-# The sharded scheduler end to end: a -threads 1 and a -threads 4 popsolve
+# The executor end to end: a -threads 1 and a -threads 4 popsolve
 # run must print identical numerics (iterations, residual, error digits).
 shard1=$(go run ./cmd/popsolve -grid test -method chrongear -precond evp -cores 12 -threads 1 | grep '^converged=')
 shard4=$(go run ./cmd/popsolve -grid test -method chrongear -precond evp -cores 12 -threads 4 | grep '^converged=')
