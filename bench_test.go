@@ -120,13 +120,10 @@ func BenchmarkStencilApply(b *testing.B) {
 	}
 }
 
-// BenchmarkStencilApply64Local / BenchmarkStencilApply32Local compare the
-// rank-local nine-point kernel across precisions on one padded block: the
-// flop count is identical, the float32 variant moves half the bytes per
-// point. Their ratio is the kernel-level mixed-precision speedup quoted in
-// EXPERIMENTS.md and recorded by bench.sh.
+// BenchmarkStencilApply64Local times the rank-local nine-point kernel on
+// one padded block (recorded by bench.sh).
 func BenchmarkStencilApply64Local(b *testing.B) {
-	loc, _ := benchLocal(b)
+	loc := benchLocal(b)
 	n := loc.NxP * loc.NyP
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -141,23 +138,7 @@ func BenchmarkStencilApply64Local(b *testing.B) {
 	}
 }
 
-func BenchmarkStencilApply32Local(b *testing.B) {
-	_, loc32 := benchLocal(b)
-	n := loc32.NxP * loc32.NyP
-	x := make([]float32, n)
-	y := make([]float32, n)
-	for k := range x {
-		x[k] = float32(k % 7)
-	}
-	b.SetBytes(int64(n * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loc32.Apply(y, x)
-	}
-}
-
-func benchLocal(b *testing.B) (*stencil.Local, *stencil.Local32) {
+func benchLocal(b *testing.B) *stencil.Local {
 	b.Helper()
 	g, op := benchGridOp(b)
 	d, err := decomp.New(g, g.Nx, g.Ny, decomp.DefaultHalo)
@@ -165,8 +146,7 @@ func benchLocal(b *testing.B) (*stencil.Local, *stencil.Local32) {
 		b.Fatal(err)
 	}
 	blk := d.Blocks[d.OceanBlocks[0]]
-	loc := d.LocalOperator(op, &blk)
-	return loc, stencil.NewLocal32(loc)
+	return d.LocalOperator(op, &blk)
 }
 
 // preconditioner application cost: the paper's O(22n²) EVP vs O(n⁴)-setup
@@ -372,12 +352,10 @@ func BenchmarkSolveSteadyStatePCSIEVP(b *testing.B) {
 
 // BenchmarkSolveScaling is the multi-core scaling matrix: fixed-length
 // steady-state solves (60 iterations, tolerance below machine precision)
-// across worker-shard counts × precisions. On a multi-core machine the
-// fp64 curve shows real-core speedup (the ≥2× at 4 workers gate in
-// bench.sh, applied only when NumCPU allows); on any machine the fp32
-// column shows the mixed-precision kernel cost at equal iteration count.
-// Sub-benchmark names are parsed by bench.sh into the BENCH_kernels.json
-// scaling section — keep the fp64/fp32 and threads=N spelling stable.
+// across worker-shard counts. On a multi-core machine the curve shows
+// real-core speedup (bench.sh records the 4-worker ratio). Sub-benchmark
+// names are parsed by bench.sh into the BENCH_kernels.json scaling section
+// — keep the fp64/threads=N spelling stable.
 func BenchmarkSolveScaling(b *testing.B) {
 	g, _ := benchGridOp(b)
 	rhs := make([]float64, g.N())
@@ -387,30 +365,26 @@ func BenchmarkSolveScaling(b *testing.B) {
 		}
 	}
 	x0 := make([]float64, g.N())
-	for _, prec := range []Precision{Float64, Float32} {
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("fp%d/threads=%d", map[Precision]int{Float64: 64, Float32: 32}[prec], threads),
-				func(b *testing.B) {
-					s, err := NewSolver(g, SolverSpec{
-						Method: MethodChronGear, Precond: PrecondEVP,
-						Cores: 16, Threads: threads,
-						Options: SolverOptions{Tol: 1e-300, MaxIters: 60,
-							CheckEvery: 10, Precision: prec}})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := s.Solve(rhs, x0); err != nil { // warm arenas
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := s.Solve(rhs, x0); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-		}
+	for _, threads := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("fp64/threads=%d", threads), func(b *testing.B) {
+			s, err := NewSolver(g, SolverSpec{
+				Method: MethodChronGear, Precond: PrecondEVP,
+				Cores: 16, Threads: threads,
+				Options: SolverOptions{Tol: 1e-300, MaxIters: 60, CheckEvery: 10}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := s.Solve(rhs, x0); err != nil { // warm arenas
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Solve(rhs, x0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

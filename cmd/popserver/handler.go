@@ -38,30 +38,24 @@ type handler struct {
 // thousand points, far under this.
 const maxBody = 64 << 20
 
-// solve returns the POST handler for V1Solve (legacy=false) or the
-// deprecated LegacySolve shim (legacy=true). Both speak JSON and the binary
-// frame, answering in the encoding they were asked in.
-func (h *handler) solve(legacy bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if legacy {
-			w.Header().Set(api.DeprecationHeader, api.DeprecationValue)
-		}
-		isFrame := strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame)
-		if h.draining.Load() {
-			h.writeError(w, isFrame, http.StatusServiceUnavailable, errors.New("draining"))
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
-		if err != nil {
-			h.writeError(w, isFrame, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-			return
-		}
-		if isFrame {
-			h.solveFrame(w, r, body)
-			return
-		}
-		h.solveJSON(w, r, body)
+// solve answers POST V1Solve. It speaks JSON and the binary frame,
+// answering in the encoding it was asked in.
+func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
+	isFrame := strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame)
+	if h.draining.Load() {
+		h.writeError(w, isFrame, http.StatusServiceUnavailable, errors.New("draining"))
+		return
 	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	if err != nil {
+		h.writeError(w, isFrame, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		return
+	}
+	if isFrame {
+		h.solveFrame(w, r, body)
+		return
+	}
+	h.solveJSON(w, r, body)
 }
 
 // solveJSON handles the JSON encoding of a solve request.
@@ -84,13 +78,12 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 		}
 	}
 	sreq := pop.ServeRequest{
-		Grid:      can.Grid,
-		Method:    can.Method,
-		Precond:   can.Precond,
-		Precision: can.Precision,
-		SStep:     can.SStep,
-		B:         b,
-		X0:        can.X0,
+		Grid:    can.Grid,
+		Method:  can.Method,
+		Precond: can.Precond,
+		SStep:   can.SStep,
+		B:       b,
+		X0:      can.X0,
 	}
 	resp, err := h.dispatch(r.Context(), sreq, can.TraceID, req.TimeoutMS, can.NoCache, can.ReturnX)
 	if err != nil {
@@ -108,13 +101,12 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 		return
 	}
 	sreq := pop.ServeRequest{
-		Grid:      freq.Grid,
-		Method:    freq.Method,
-		Precond:   freq.Precond,
-		Precision: freq.Precision,
-		SStep:     freq.SStep,
-		B:         freq.B,
-		X0:        freq.X0,
+		Grid:    freq.Grid,
+		Method:  freq.Method,
+		Precond: freq.Precond,
+		SStep:   freq.SStep,
+		B:       freq.B,
+		X0:      freq.X0,
 	}
 	resp, err := h.dispatch(r.Context(), sreq, freq.TraceID, freq.TimeoutMS, freq.NoCache, freq.ReturnX)
 	if err != nil {
@@ -158,10 +150,8 @@ func (h *handler) dispatch(ctx context.Context, sreq pop.ServeRequest, traceID u
 	}
 	resp.Converged = sres.Result.Converged
 	resp.Iterations = sres.Result.Iterations
-	resp.OuterIters = sres.Result.OuterIters
 	resp.RelResidual = sres.Result.RelResidual
 	resp.Solver = sres.Result.Solver
-	resp.Precision = sres.Result.Precision.String()
 	resp.TraceID = sres.TraceID
 	resp.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
 	if returnX {
@@ -221,40 +211,23 @@ func (h *handler) healthV1(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, api.HealthResponse{Status: status})
 }
 
-// healthLegacy answers the deprecated plain-text GET LegacyHealth shim.
-func (h *handler) healthLegacy(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(api.DeprecationHeader, api.DeprecationValue)
-	if h.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// stats returns the GET handler for V1Stats (legacy=false) or the
-// deprecated LegacyStats shim. Fleet modes aggregate: router counters, one
+// stats answers GET V1Stats. Fleet modes aggregate: router counters, one
 // row per worker, summed totals. Single mode reports itself as one worker.
-func (h *handler) stats(legacy bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if legacy {
-			w.Header().Set(api.DeprecationHeader, api.DeprecationValue)
-		}
-		var resp api.StatsResponse
-		if h.flt != nil {
-			resp = h.flt.Stats(r.Context())
-		} else {
-			c := countersFrom(h.svc.Snapshot())
-			resp.Grids = h.svc.Grids()
-			resp.Workers = []api.WorkerStats{{Worker: 0, Addr: "local", Healthy: true, Counters: c}}
-			resp.Totals = c
-		}
-		resp.GoVersion = runtime.Version()
-		if resp.Grids == nil {
-			resp.Grids = []string{}
-		}
-		writeJSON(w, http.StatusOK, resp)
+func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
+	var resp api.StatsResponse
+	if h.flt != nil {
+		resp = h.flt.Stats(r.Context())
+	} else {
+		c := countersFrom(h.svc.Snapshot())
+		resp.Grids = h.svc.Grids()
+		resp.Workers = []api.WorkerStats{{Worker: 0, Addr: "local", Healthy: true, Counters: c}}
+		resp.Totals = c
 	}
+	resp.GoVersion = runtime.Version()
+	if resp.Grids == nil {
+		resp.Grids = []string{}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // countersFrom flattens a service counter snapshot into its wire form.

@@ -7,8 +7,7 @@
 //	popserver -addr :8080 -routeto http://a:8081,http://b:8081
 //	popserver -probe http://localhost:8080 -frame        # one-shot client
 //
-// The HTTP surface is versioned under /v1; the unversioned legacy paths
-// still answer identically but stamp a Deprecation header:
+// The HTTP surface is versioned under /v1:
 //
 //	POST /v1/solve     solve request — JSON (api.SolveRequest) or the
 //	                   compact binary frame (Content-Type
@@ -16,9 +15,6 @@
 //	GET  /v1/healthz   200 {"status":"ok"} while serving, 503 draining
 //	GET  /v1/stats     fleet-wide counter aggregation (api.StatsResponse):
 //	                   router counters, per-worker rows, summed totals
-//	POST /solve        deprecated shim for /v1/solve
-//	GET  /healthz      deprecated shim (plain-text ok)
-//	GET  /stats        deprecated shim for /v1/stats
 //	GET  /metrics      Prometheus text exposition (single: serve_* metrics;
 //	                   fleet modes: the router's fleet_* metrics — worker
 //	                   counters are aggregated under /v1/stats)
@@ -61,7 +57,7 @@ func main() {
 		cores     = flag.Int("cores", 0, "virtual ranks per session (0 = one per block)")
 		threads   = flag.Int("threads", 0, "worker shards per session: max ranks running concurrently (0 = GOMAXPROCS)")
 		tau       = flag.Float64("tau", 1920, "barotropic time step (s)")
-		sessions  = flag.Int("sessions", 2, "max warmed sessions per (grid,method,precond,precision) key")
+		sessions  = flag.Int("sessions", 2, "max warmed sessions per (grid,method,precond) key")
 		queue     = flag.Int("queue", 64, "per-key queue bound before shedding")
 		batch     = flag.Int("batch", 8, "max requests coalesced per session checkout")
 		wait      = flag.Duration("wait", 2*time.Millisecond, "batching window for stragglers")
@@ -85,13 +81,12 @@ func main() {
 		probeGrid  = flag.String("grid", "test", "probe mode: grid preset")
 		probeMeth  = flag.String("method", "chrongear", "probe mode: solver method")
 		probePrec  = flag.String("precond", "diagonal", "probe mode: preconditioner")
-		probeFloat = flag.String("precision", "", "probe mode: iteration arithmetic")
 		probeSStep = flag.Int("sstep", 0, "probe mode: s-step block size for -method sstep (0 = server default)")
 	)
 	flag.Parse()
 
 	if *probe != "" {
-		os.Exit(runProbe(*probe, *frame, *probeGrid, *probeMeth, *probePrec, *probeFloat, *probeSStep))
+		os.Exit(runProbe(*probe, *frame, *probeGrid, *probeMeth, *probePrec, *probeSStep))
 	}
 
 	obs.ServePprof(*pprofAddr)
@@ -148,12 +143,9 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+api.V1Solve, h.solve(false))
+	mux.HandleFunc("POST "+api.V1Solve, h.solve)
 	mux.HandleFunc("GET "+api.V1Health, h.healthV1)
-	mux.HandleFunc("GET "+api.V1Stats, h.stats(false))
-	mux.HandleFunc("POST "+api.LegacySolve, h.solve(true))
-	mux.HandleFunc("GET "+api.LegacyHealth, h.healthLegacy)
-	mux.HandleFunc("GET "+api.LegacyStats, h.stats(true))
+	mux.HandleFunc("GET "+api.V1Stats, h.stats)
 	mux.HandleFunc("GET /metrics", h.metrics)
 	mux.HandleFunc("GET /debug/trace", h.trace)
 	mux.HandleFunc("GET /debug/flight", h.flight)

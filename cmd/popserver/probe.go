@@ -19,7 +19,7 @@ import (
 // probes content-hash identically and exercise the fleet cache), send one
 // solve in JSON or the binary frame, print the outcome, and exit 0 iff the
 // solve converged. verify.sh uses it as the frame-speaking smoke client.
-func runProbe(base string, frame bool, gridName, method, precond, precision string, sstep int) int {
+func runProbe(base string, frame bool, gridName, method, precond string, sstep int) int {
 	base = strings.TrimRight(base, "/")
 	g, err := pop.NewGrid(gridName)
 	if err != nil {
@@ -31,9 +31,9 @@ func runProbe(base string, frame bool, gridName, method, precond, precision stri
 
 	var resp api.SolveResponse
 	if frame {
-		resp, err = probeFrame(client, base, gridName, method, precond, precision, sstep, b)
+		resp, err = probeFrame(client, base, gridName, method, precond, sstep, b)
 	} else {
-		resp, err = probeJSON(client, base, gridName, method, precond, precision, sstep, b)
+		resp, err = probeJSON(client, base, gridName, method, precond, sstep, b)
 	}
 	if err != nil {
 		log.Printf("probe: %v", err)
@@ -56,14 +56,13 @@ func runProbe(base string, frame bool, gridName, method, precond, precision stri
 }
 
 // probeJSON sends the solve as a JSON SolveRequest to /v1/solve.
-func probeJSON(client *http.Client, base, gridName, method, precond, precision string, sstep int, b []float64) (api.SolveResponse, error) {
+func probeJSON(client *http.Client, base, gridName, method, precond string, sstep int, b []float64) (api.SolveResponse, error) {
 	req := api.SolveRequest{
-		Grid:      gridName,
-		Method:    method,
-		Precond:   precond,
-		Precision: precision,
-		SStep:     sstep,
-		B:         b,
+		Grid:    gridName,
+		Method:  method,
+		Precond: precond,
+		SStep:   sstep,
+		B:       b,
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -94,7 +93,7 @@ func probeJSON(client *http.Client, base, gridName, method, precond, precision s
 
 // probeFrame sends the solve as a binary frame to /v1/solve and decodes the
 // response (or error) frame.
-func probeFrame(client *http.Client, base, gridName, method, precond, precision string, sstep int, b []float64) (api.SolveResponse, error) {
+func probeFrame(client *http.Client, base, gridName, method, precond string, sstep int, b []float64) (api.SolveResponse, error) {
 	m, err := pop.ParseMethod(method)
 	if err != nil {
 		return api.SolveResponse{}, err
@@ -103,17 +102,12 @@ func probeFrame(client *http.Client, base, gridName, method, precond, precision 
 	if err != nil {
 		return api.SolveResponse{}, err
 	}
-	pr, err := pop.ParsePrecision(precision)
-	if err != nil {
-		return api.SolveResponse{}, err
-	}
 	payload := api.AppendFrameRequest(nil, api.FrameRequest{
-		Grid:      gridName,
-		Method:    m,
-		Precond:   pc,
-		Precision: pr,
-		SStep:     sstep,
-		B:         b,
+		Grid:    gridName,
+		Method:  m,
+		Precond: pc,
+		SStep:   sstep,
+		B:       b,
 	})
 	hres, err := client.Post(base+api.V1Solve, api.ContentTypeFrame, bytes.NewReader(payload))
 	if err != nil {

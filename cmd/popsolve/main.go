@@ -26,7 +26,6 @@ func main() {
 		precond    = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, blocklu, none")
 		cores      = flag.Int("cores", 0, "virtual core count (0 = single rank)")
 		threads    = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
-		precision  = flag.String("precision", "float64", "iteration arithmetic: float64, float32 (mixed-precision iterative refinement)")
 		sstep      = flag.Int("sstep", 0, "s-step block size for -method sstep (0 = default 4; matvecs per global reduction)")
 		machine    = flag.String("machine", "yellowstone", "machine model: yellowstone, edison, ideal, or empty")
 		tol        = flag.Float64("tol", 1e-13, "relative convergence tolerance")
@@ -46,17 +45,15 @@ func main() {
 	fatalIf(err)
 	pc, err := pop.ParsePrecond(*precond)
 	fatalIf(err)
-	prec, err := pop.ParsePrecision(*precision)
-	fatalIf(err)
 	solver, err := pop.NewSolver(g, pop.SolverSpec{
 		Method: m, Precond: pc, Cores: *cores, Threads: *threads,
 		MachineName: *machine, Tau: *tau,
-		Options: pop.SolverOptions{Tol: *tol, Precision: prec, SStep: *sstep},
+		Options: pop.SolverOptions{Tol: *tol, SStep: *sstep},
 	})
 	fatalIf(err)
-	fmt.Printf("solver %s+%s on %d virtual cores (%d worker shards, %s)\n",
+	fmt.Printf("solver %s+%s on %d virtual cores (%d worker shards)\n",
 		solver.Spec.Method, solver.Spec.Precond, solver.Cores,
-		solver.Session.W.EffectiveThreads(), prec)
+		solver.Session.W.EffectiveThreads())
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -95,10 +92,6 @@ func main() {
 	}
 	fmt.Printf("converged=%v iterations=%d rel_residual=%.3g max_error=%.3g\n",
 		res.Converged, res.Iterations, res.RelResidual, maxErr)
-	if res.Precision == pop.Float32 {
-		fmt.Printf("mixed precision: %d refinement passes, %d float32 inner iterations\n",
-			res.OuterIters, res.Iterations)
-	}
 	if res.EigSteps > 0 {
 		fmt.Printf("lanczos: %d steps, interval [%.4g, %.4g]\n", res.EigSteps, res.Nu, res.Mu)
 	}

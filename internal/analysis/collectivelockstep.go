@@ -10,9 +10,8 @@ import (
 )
 
 // CollectiveLockstep reports collective communication calls (comm.Rank's
-// AllReduce, AllReduceOverlap, Barrier, Exchange, Exchange32,
-// ExchangeMulti) that are reachable only under a branch conditioned on
-// rank-local state.
+// AllReduce, AllReduceOverlap, Barrier, Exchange, ExchangeMulti) that are
+// reachable only under a branch conditioned on rank-local state.
 //
 // The SPMD contract (comm.World.Run) requires every rank to make collective
 // calls in the same program order, exactly as MPI does; a collective behind

@@ -21,7 +21,6 @@ var collectiveMethods = map[string]bool{
 	"AllReduceOverlap": true,
 	"Barrier":          true,
 	"Exchange":         true,
-	"Exchange32":       true,
 	"ExchangeMulti":    true,
 }
 

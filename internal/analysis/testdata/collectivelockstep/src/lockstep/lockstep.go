@@ -30,12 +30,6 @@ func badRangeOverLocal(r *comm.Rank, fields [][]float64) {
 	}
 }
 
-func badExchange32Guard(r *comm.Rank, fields [][]float32) {
-	if r.ID%2 == 0 {
-		r.Exchange32(fields) // want `guarded by rank-local condition`
-	}
-}
-
 func badSelect(r *comm.Rank, ch chan int) {
 	select {
 	case <-ch:

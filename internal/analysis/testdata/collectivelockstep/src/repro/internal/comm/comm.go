@@ -27,9 +27,6 @@ func (r *Rank) Barrier() {}
 // Exchange is a collective.
 func (r *Rank) Exchange(fields [][]float64) {}
 
-// Exchange32 is the float32 halo collective.
-func (r *Rank) Exchange32(fields [][]float32) {}
-
 // ExchangeMulti is a collective.
 func (r *Rank) ExchangeMulti(levels [][][]float64) {}
 

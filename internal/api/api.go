@@ -6,9 +6,7 @@
 //
 // Before this package, popserver, popbench and every ad-hoc client carried
 // their own copies of the solve JSON structs; they now all import these.
-// The HTTP surface is versioned under /v1 — V1Solve, V1Stats, V1Health —
-// with the legacy unversioned paths kept as shims that answer identically
-// but stamp a Deprecation header (LegacySolve, DeprecationValue).
+// The HTTP surface is versioned under /v1 — V1Solve, V1Stats, V1Health.
 //
 // Two encodings share the same logical schema:
 //
@@ -21,8 +19,7 @@
 //     for the exact layout (documented in DESIGN.md §13).
 package api
 
-// Versioned HTTP paths. The unversioned legacy paths answer identically
-// but carry a Deprecation header pointing at their /v1 replacement.
+// Versioned HTTP paths.
 const (
 	// V1Solve is the versioned solve endpoint (POST, JSON or binary frame).
 	V1Solve = "/v1/solve"
@@ -31,21 +28,7 @@ const (
 	// V1Health is the versioned health endpoint (GET; 200 serving, 503
 	// draining).
 	V1Health = "/v1/healthz"
-	// LegacySolve is the pre-/v1 solve path, kept as a deprecated shim.
-	LegacySolve = "/solve"
-	// LegacyStats is the pre-/v1 stats path, kept as a deprecated shim.
-	LegacyStats = "/stats"
-	// LegacyHealth is the pre-/v1 health path, kept as a deprecated shim.
-	LegacyHealth = "/healthz"
 )
-
-// DeprecationHeader is the response header legacy-path shims set (RFC 8594
-// style); its value is DeprecationValue.
-const DeprecationHeader = "Deprecation"
-
-// DeprecationValue marks a legacy-path response as deprecated and names the
-// versioned replacement prefix clients should migrate to.
-const DeprecationValue = `version="v1"`
 
 // Content types of the two wire encodings.
 const (
@@ -68,9 +51,6 @@ type SolveRequest struct {
 	// Precond names the preconditioner ("" = "diagonal"); see
 	// AcceptedPreconds.
 	Precond string `json:"precond,omitempty"`
-	// Precision names the iteration arithmetic ("" = "float64"); see
-	// AcceptedPrecisions.
-	Precision string `json:"precision,omitempty"`
 	// SStep is the communication-avoiding block size for the "sstep"
 	// method (0 = server default of 4; valid 1..16). Ignored for other
 	// methods.
@@ -112,15 +92,10 @@ type SolveResponse struct {
 	Converged bool `json:"converged"`
 	// Iterations is the solver iteration count.
 	Iterations int `json:"iterations"`
-	// OuterIters counts iterative-refinement outer passes (0 for pure
-	// float64 solves).
-	OuterIters int `json:"outer_iters,omitempty"`
 	// RelResidual is ‖r‖/‖b‖ at the last convergence check.
 	RelResidual float64 `json:"rel_residual"`
 	// Solver names the algorithm that produced the answer.
 	Solver string `json:"solver"`
-	// Precision names the iteration arithmetic the solve ran in.
-	Precision string `json:"precision,omitempty"`
 	// ElapsedMS is the server-side wall time of the request in
 	// milliseconds.
 	ElapsedMS float64 `json:"elapsed_ms"`

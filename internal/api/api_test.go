@@ -15,15 +15,15 @@ func TestParseDefaultsAndSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty request: %v", err)
 	}
-	if c.Method != core.MethodChronGear || c.Precond != core.PrecondDiagonal || c.Precision != core.Float64 {
+	if c.Method != core.MethodChronGear || c.Precond != core.PrecondDiagonal {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 
-	c, err = (&SolveRequest{Method: "pcsi", Precond: "evp", Precision: "fp32"}).Parse()
+	c, err = (&SolveRequest{Method: "pcsi", Precond: "evp"}).Parse()
 	if err != nil {
-		t.Fatalf("pcsi/evp/fp32: %v", err)
+		t.Fatalf("pcsi/evp: %v", err)
 	}
-	if c.Method != core.MethodPCSI || c.Precond != core.PrecondEVP || c.Precision != core.Float32 {
+	if c.Method != core.MethodPCSI || c.Precond != core.PrecondEVP {
 		t.Fatalf("parsed wrong: %+v", c)
 	}
 
@@ -46,7 +46,6 @@ func TestParseBadEnumListsAccepted(t *testing.T) {
 	}{
 		{SolveRequest{Method: "gmres"}, "method", acceptedMethods},
 		{SolveRequest{Precond: "ilu"}, "precond", acceptedPreconds},
-		{SolveRequest{Precision: "fp16"}, "precision", acceptedPrecisions},
 		{SolveRequest{SStep: core.MaxSStep + 1}, "sstep", acceptedSSteps},
 		{SolveRequest{SStep: -1}, "sstep", acceptedSSteps},
 	}
@@ -88,7 +87,6 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 		Grid:      "test",
 		Method:    core.MethodPCSI,
 		Precond:   core.PrecondEVP,
-		Precision: core.Float32,
 		SStep:     8,
 		B:         []float64{1.5, -2.25, math.Pi, 0, math.Copysign(0, -1)},
 		X0:        []float64{0.5, 0.25, 0, 1, 2},
@@ -125,46 +123,12 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameRequestV1Compat: a v1 request frame (no sstep byte) must still
-// decode, with SStep defaulting to 0, so routers and workers can roll
-// independently across the v1→v2 boundary.
-func TestFrameRequestV1Compat(t *testing.T) {
-	in := FrameRequest{
-		Grid:      "test",
-		Method:    core.MethodPCSI,
-		Precond:   core.PrecondEVP,
-		Precision: core.Float64,
-		B:         []float64{1, 2, 3},
-		TimeoutMS: 50,
-		ReturnX:   true,
-		TraceID:   7,
-	}
-	v2 := AppendFrameRequest(nil, in)
-	// Rebuild the v1 layout by hand: same bytes minus the sstep byte at
-	// offset 9 (header 6 + method + precond + precision), version byte 1.
-	v1 := append([]byte(nil), v2[:9]...)
-	v1 = append(v1, v2[10:]...)
-	v1[4] = frameVersionV1
-	out, err := DecodeFrameRequest(v1)
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("v1 round trip mismatch:\n in %+v\nout %+v", in, out)
-	}
-	if out.SStep != 0 {
-		t.Fatalf("v1 frame decoded SStep %d, want 0", out.SStep)
-	}
-}
-
 func TestFrameResponseRoundTrip(t *testing.T) {
 	in := SolveResponse{
 		Converged:   true,
 		Iterations:  42,
-		OuterIters:  3,
 		RelResidual: 7.5e-14,
 		Solver:      "pcsi",
-		Precision:   "float32",
 		ElapsedMS:   1.75,
 		TraceID:     99,
 		Cache:       "dedup",
@@ -180,7 +144,7 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 	}
 
 	// Shard -1 and empty cache state survive.
-	in = SolveResponse{Solver: "chrongear", Precision: "float64", Shard: -1}
+	in = SolveResponse{Solver: "chrongear", Shard: -1}
 	out, err = DecodeFrameResponse(AppendFrameResponse(nil, in))
 	if err != nil {
 		t.Fatalf("decode shardless: %v", err)
@@ -217,10 +181,14 @@ func TestFrameRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	bad = append([]byte(nil), good...)
-	bad[4] = 9
-	if _, err := DecodeFrameRequest(bad); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("bad version: %v", err)
+	// Version 3 is the only schema: the retired v1/v2 bytes and anything
+	// newer are structural damage, not a compatibility path.
+	for _, ver := range []byte{0, 1, 2, FrameVersion + 1, 9} {
+		bad = append([]byte(nil), good...)
+		bad[4] = ver
+		if _, err := DecodeFrameRequest(bad); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("version %d: got %v, want ErrBadFrame", ver, err)
+		}
 	}
 
 	// A response frame handed to the request decoder is a kind mismatch.
@@ -249,7 +217,6 @@ func TestHashSolveDeterminismAndSensitivity(t *testing.T) {
 		HashSolve("small", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, b, nil),
 		HashSolve("test", core.MethodPCG, core.PrecondEVP, core.Float64, 0, 1e-13, b, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondDiagonal, core.Float64, 0, 1e-13, b, nil),
-		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float32, 0, 1e-13, b, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-10, b, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{1, 2, 4}, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, b, []float64{0, 0, 1}),

@@ -13,14 +13,13 @@ import (
 //
 //	offset size field
 //	0      4    magic "POPF"
-//	4      1    version (currently 2; v1 frames still decode)
+//	4      1    version (3; decoders accept no other)
 //	5      1    kind (FrameSolveRequest | FrameSolveResponse | FrameError)
 //	6      …    kind-specific payload
 //
 // Solve-request payload:
 //
-//	u8 method, u8 precond, u8 precision, u8 sstep (v2+ only; v1 frames
-//	omit the byte and decode as sstep 0 = default), u8 flags
+//	u8 method, u8 precond, u8 sstep (0 = default), u8 flags
 //	(bit0 return_x, bit1 has_x0, bit2 no_cache), u32 timeout_ms,
 //	u64 trace_id, u16 len(grid) + grid bytes,
 //	u32 len(b) + b as raw float64,
@@ -30,8 +29,8 @@ import (
 //
 //	u8 flags (bit0 converged, bit1 has_x), u8 cache (0 none, 1 hit,
 //	2 miss, 3 dedup), u16 shard (0xFFFF = none), u32 iterations,
-//	u32 outer_iters, f64 rel_residual, f64 elapsed_ms, u64 trace_id,
-//	u8 precision, u16 len(solver) + solver bytes,
+//	f64 rel_residual, f64 elapsed_ms, u64 trace_id,
+//	u16 len(solver) + solver bytes,
 //	[if has_x] u32 len(x) + x as raw float64
 //
 // Error payload:
@@ -47,15 +46,9 @@ import (
 // FrameMagic is the 4-byte frame preamble.
 const FrameMagic = "POPF"
 
-// FrameVersion is the current frame schema version, written by every
-// encoder. Version 2 added the u8 sstep byte to the solve-request
-// payload; response and error payloads are unchanged from v1.
-const FrameVersion = 2
-
-// frameVersionV1 is the pre-sstep schema. Decoders still accept it (a v1
-// request decodes with SStep 0 = server default) so a fleet can roll
-// routers and workers independently.
-const frameVersionV1 = 1
+// FrameVersion is the frame schema version: written by every encoder and
+// the only one the decoders accept (any other is ErrBadFrame).
+const FrameVersion = 3
 
 // Frame kinds (byte 5).
 const (
@@ -93,8 +86,6 @@ type FrameRequest struct {
 	Method core.Method
 	// Precond is the preconditioner.
 	Precond core.PrecondType
-	// Precision is the iteration arithmetic.
-	Precision core.Precision
 	// B is the right-hand side.
 	B []float64
 	// X0 is the initial guess (nil = zero).
@@ -125,7 +116,7 @@ func AppendFrameRequest(dst []byte, r FrameRequest) []byte {
 	if r.NoCache {
 		flags |= 1 << 2
 	}
-	dst = append(dst, byte(r.Method), byte(r.Precond), byte(r.Precision), byte(r.SStep), flags)
+	dst = append(dst, byte(r.Method), byte(r.Precond), byte(r.SStep), flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.TimeoutMS))
 	dst = binary.LittleEndian.AppendUint64(dst, r.TraceID)
 	dst = appendString16(dst, r.Grid)
@@ -137,7 +128,7 @@ func AppendFrameRequest(dst []byte, r FrameRequest) []byte {
 }
 
 // DecodeFrameRequest parses a solve-request frame. Enum bytes are
-// validated (an out-of-range method/precond/precision is a *FieldError,
+// validated (an out-of-range method/precond/sstep is a *FieldError,
 // exactly like the JSON path), structural damage matches ErrBadFrame.
 func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 	p, err := newParser(raw, FrameSolveRequest)
@@ -145,12 +136,7 @@ func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 		return FrameRequest{}, err
 	}
 	var r FrameRequest
-	m, pc, pr := p.byte(), p.byte(), p.byte()
-	var sstep byte
-	if p.ver >= 2 {
-		sstep = p.byte()
-	}
-	flags := p.byte()
+	m, pc, sstep, flags := p.byte(), p.byte(), p.byte(), p.byte()
 	r.TimeoutMS = int(p.uint32())
 	r.TraceID = p.uint64()
 	r.Grid = p.string16()
@@ -163,15 +149,11 @@ func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 	}
 	r.Method = core.Method(m)
 	r.Precond = core.PrecondType(pc)
-	r.Precision = core.Precision(pr)
 	if !r.Method.Valid() {
 		return FrameRequest{}, &FieldError{Field: "method", Value: fmt.Sprintf("%d", m), Accepted: acceptedMethods}
 	}
 	if !r.Precond.Valid() {
 		return FrameRequest{}, &FieldError{Field: "precond", Value: fmt.Sprintf("%d", pc), Accepted: acceptedPreconds}
-	}
-	if !r.Precision.Valid() {
-		return FrameRequest{}, &FieldError{Field: "precision", Value: fmt.Sprintf("%d", pr), Accepted: acceptedPrecisions}
 	}
 	if int(sstep) > core.MaxSStep {
 		return FrameRequest{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", sstep), Accepted: acceptedSSteps}
@@ -201,11 +183,9 @@ func AppendFrameResponse(dst []byte, resp SolveResponse) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, shard)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.Iterations))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(resp.OuterIters))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(resp.RelResidual))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(resp.ElapsedMS))
 	dst = binary.LittleEndian.AppendUint64(dst, resp.TraceID)
-	dst = append(dst, precisionCode(resp.Precision))
 	dst = appendString16(dst, resp.Solver)
 	if resp.X != nil {
 		dst = appendFloats(dst, resp.X)
@@ -223,11 +203,9 @@ func DecodeFrameResponse(raw []byte) (SolveResponse, error) {
 	flags, cache := p.byte(), p.byte()
 	shard := p.uint16()
 	resp.Iterations = int(p.uint32())
-	resp.OuterIters = int(p.uint32())
 	resp.RelResidual = math.Float64frombits(p.uint64())
 	resp.ElapsedMS = math.Float64frombits(p.uint64())
 	resp.TraceID = p.uint64()
-	prec := p.byte()
 	resp.Solver = p.string16()
 	if flags&(1<<1) != 0 {
 		resp.X = p.floats()
@@ -241,7 +219,6 @@ func DecodeFrameResponse(raw []byte) (SolveResponse, error) {
 	if shard != frameShardNone {
 		resp.Shard = int(shard)
 	}
-	resp.Precision = precisionName(prec)
 	return resp, nil
 }
 
@@ -275,7 +252,7 @@ func FrameKind(raw []byte) (int, error) {
 	if len(raw) < 6 || string(raw[:4]) != FrameMagic {
 		return 0, fmt.Errorf("bad magic or truncated header: %w", ErrBadFrame)
 	}
-	if raw[4] != FrameVersion && raw[4] != frameVersionV1 {
+	if raw[4] != FrameVersion {
 		return 0, fmt.Errorf("unknown frame version %d: %w", raw[4], ErrBadFrame)
 	}
 	return int(raw[5]), nil
@@ -313,7 +290,6 @@ func appendFloats(dst []byte, v []float64) []byte {
 type parser struct {
 	raw []byte
 	off int
-	ver byte
 	err error
 }
 
@@ -326,7 +302,7 @@ func newParser(raw []byte, wantKind byte) (*parser, error) {
 	if byte(kind) != wantKind {
 		return nil, fmt.Errorf("frame kind %d, want %d: %w", kind, wantKind, ErrBadFrame)
 	}
-	return &parser{raw: raw, off: 6, ver: raw[4]}, nil
+	return &parser{raw: raw, off: 6}, nil
 }
 
 // need reserves n bytes, recording a sticky ErrBadFrame on overrun.
@@ -426,20 +402,4 @@ func cacheName(b byte) string {
 	default:
 		return ""
 	}
-}
-
-// precisionCode maps a precision name to its enum byte (unknown → float64).
-func precisionCode(s string) byte {
-	if s == core.Float32.String() {
-		return byte(core.Float32)
-	}
-	return byte(core.Float64)
-}
-
-// precisionName maps a precision enum byte back to its name.
-func precisionName(b byte) string {
-	if core.Precision(b) == core.Float32 {
-		return core.Float32.String()
-	}
-	return core.Float64.String()
 }

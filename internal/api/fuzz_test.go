@@ -10,32 +10,26 @@ import (
 )
 
 // frameFuzzSeeds builds the fuzz corpus from the same frames the
-// round-trip tests exercise: a fully-populated v2 request, a hand-built v1
-// request (no sstep byte), a response with every field set, an error
-// frame, and structurally damaged fragments.
+// round-trip tests exercise: a fully-populated request, a minimal request
+// without x0, a response with every field set, an error frame, and
+// structurally damaged fragments.
 func frameFuzzSeeds() [][]byte {
 	req := AppendFrameRequest(nil, FrameRequest{
-		Grid: "test", Method: core.MethodPCSI, Precond: core.PrecondEVP,
-		Precision: core.Float32, SStep: 8,
+		Grid: "test", Method: core.MethodPCSI, Precond: core.PrecondEVP, SStep: 8,
 		B:         []float64{1.5, -2.25, math.Pi, 0, math.Copysign(0, -1)},
 		X0:        []float64{0.5, 0.25, 0, 1, 2},
 		TimeoutMS: 1234, ReturnX: true, NoCache: true, TraceID: 0xDEADBEEFCAFE,
 	})
-	// v1 layout: the same bytes minus the sstep byte at offset 9 (header 6
-	// + method + precond + precision), version byte 1.
 	noX0 := AppendFrameRequest(nil, FrameRequest{
 		Grid: "test", B: []float64{1, 2, 3}, TimeoutMS: 50, ReturnX: true, TraceID: 7,
 	})
-	v1 := append([]byte(nil), noX0[:9]...)
-	v1 = append(v1, noX0[10:]...)
-	v1[4] = frameVersionV1
 	resp := AppendFrameResponse(nil, SolveResponse{
-		Converged: true, Iterations: 42, OuterIters: 3, RelResidual: 7.5e-14,
-		Solver: "pcsi", Precision: "float32", ElapsedMS: 1.75, TraceID: 99,
+		Converged: true, Iterations: 42, RelResidual: 7.5e-14,
+		Solver: "pcsi", ElapsedMS: 1.75, TraceID: 99,
 		Cache: "dedup", Shard: 2, X: []float64{1, 2, 3},
 	})
 	errFrame := AppendFrameError(nil, 429, "queue full")
-	return [][]byte{req, v1, resp, errFrame, req[:7], []byte(FrameMagic), nil}
+	return [][]byte{req, noX0, resp, errFrame, req[:7], []byte(FrameMagic), nil}
 }
 
 // FuzzFrameDecode feeds arbitrary bytes to all three frame decoders. The

@@ -14,16 +14,21 @@ import (
 type CacheKey [sha256.Size]byte
 
 // HashSolve computes the cache key for one solve: grid preset, method,
-// preconditioner, precision, s-step block size, the effective tolerance,
-// the RHS bits and (when present) the initial-guess bits. Two requests
-// share a key exactly when a fault-free solve of one is bitwise
-// substitutable for the other — the deterministic-solver invariant the
-// cache's replay guarantee rests on. Float64 values are hashed by their
-// IEEE bit patterns, so -0 ≠ +0 and equal-looking decimals that differ in
-// the last ulp get distinct keys: the cache never conflates solves the
-// solver itself would distinguish. Callers pass the normalized sstep (the
-// serve layer's default-applied value, 0 for non-sstep methods) so the
-// same logical solve always hashes identically.
+// preconditioner, s-step block size, the effective tolerance, the RHS bits
+// and (when present) the initial-guess bits. Two requests share a key
+// exactly when a fault-free solve of one is bitwise substitutable for the
+// other — the deterministic-solver invariant the cache's replay guarantee
+// rests on. Float64 values are hashed by their IEEE bit patterns, so -0 ≠
+// +0 and equal-looking decimals that differ in the last ulp get distinct
+// keys: the cache never conflates solves the solver itself would
+// distinguish. Callers pass the normalized sstep (the serve layer's
+// default-applied value, 0 for non-sstep methods) so the same logical solve
+// always hashes identically.
+//
+// The precision parameter and the word it hashes are a vestige pinned by
+// benchmark/ (benchmark/probes_serving.go:26, benchmark/bench_test.go:152
+// call this signature and compare the keys): the only value is
+// core.Float64, and the parameter goes with the next benchmark PR.
 func HashSolve(grid string, method core.Method, precond core.PrecondType, precision core.Precision, sstep int, tol float64, b, x0 []float64) CacheKey {
 	h := sha256.New()
 	var scratch [8]byte

@@ -7,15 +7,14 @@ import (
 )
 
 // Accepted enum spellings, surfaced verbatim in 400 bodies so a rejected
-// request tells the client how to fix itself. All four lists derive from
+// request tells the client how to fix itself. All three lists derive from
 // core — the spelling tables behind the core parsers and core.MaxSStep —
 // so the JSON FieldError bodies here and the frame validation in frame.go
 // (which share these vars) can never drift from what the parsers accept.
 // Order is the tables' order: the default spelling comes first.
 var (
-	acceptedMethods    = core.MethodNames()
-	acceptedPreconds   = core.PrecondNames()
-	acceptedPrecisions = core.PrecisionNames()
+	acceptedMethods  = core.MethodNames()
+	acceptedPreconds = core.PrecondNames()
 	// acceptedSSteps documents the numeric range for the 400 body (the
 	// field is an int, not an enum, so these are range descriptions).
 	acceptedSSteps = []string{"0 (default)", fmt.Sprintf("1..%d", core.MaxSStep)}
@@ -29,16 +28,12 @@ func AcceptedMethods() []string { return append([]string(nil), acceptedMethods..
 // ("" defaults to the first entry).
 func AcceptedPreconds() []string { return append([]string(nil), acceptedPreconds...) }
 
-// AcceptedPrecisions lists the precision names ParsePrecision accepts
-// ("" defaults to the first entry).
-func AcceptedPrecisions() []string { return append([]string(nil), acceptedPrecisions...) }
-
 // FieldError reports a request field whose value failed enum validation.
 // It wraps core.ErrBadSpec (so errors.Is keeps matching the typed-error
 // contract) and carries the accepted spellings for the 400 body.
 type FieldError struct {
 	// Field is the wire name of the failing field ("method", "precond",
-	// "precision").
+	// "sstep").
 	Field string
 	// Value is the rejected input.
 	Value string
@@ -75,8 +70,6 @@ type Canonical struct {
 	Method core.Method
 	// Precond is the parsed preconditioner.
 	Precond core.PrecondType
-	// Precision is the parsed iteration arithmetic.
-	Precision core.Precision
 	// SStep is the validated s-step block size (0 = downstream default).
 	SStep int
 	// B is the explicit right-hand side (nil when RHS named a generator
@@ -106,10 +99,6 @@ func (r *SolveRequest) Parse() (Canonical, error) {
 	if err != nil {
 		return Canonical{}, &FieldError{Field: "precond", Value: r.Precond, Accepted: acceptedPreconds}
 	}
-	precision, err := core.ParsePrecision(r.Precision)
-	if err != nil {
-		return Canonical{}, &FieldError{Field: "precision", Value: r.Precision, Accepted: acceptedPrecisions}
-	}
 	if r.SStep < 0 || r.SStep > core.MaxSStep {
 		return Canonical{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", r.SStep), Accepted: acceptedSSteps}
 	}
@@ -117,15 +106,14 @@ func (r *SolveRequest) Parse() (Canonical, error) {
 		return Canonical{}, fmt.Errorf(`api: "b" and "rhs" are mutually exclusive: %w`, core.ErrBadSpec)
 	}
 	return Canonical{
-		Grid:      r.Grid,
-		Method:    method,
-		Precond:   precond,
-		Precision: precision,
-		SStep:     r.SStep,
-		B:         r.B,
-		X0:        r.X0,
-		ReturnX:   r.ReturnX,
-		TraceID:   r.TraceID,
-		NoCache:   r.NoCache,
+		Grid:    r.Grid,
+		Method:  method,
+		Precond: precond,
+		SStep:   r.SStep,
+		B:       r.B,
+		X0:      r.X0,
+		ReturnX: r.ReturnX,
+		TraceID: r.TraceID,
+		NoCache: r.NoCache,
 	}, nil
 }

@@ -147,7 +147,7 @@ type World struct {
 	//   plans[rank][phase] is the rank's precomputed halo-exchange plan for
 	//   the E/W (0) and N/S (1) phases — send, local-copy, and receive edge
 	//   lists with their mailboxes, replacing the per-call neighbour search
-	//   and per-message allocations. plans32 is the float32 instantiation.
+	//   and per-message allocations.
 	//
 	//   blockPos[blockID] is the block's index within its owning rank's
 	//   Blocks slice (−1 for unowned), replacing a linear scan per edge.
@@ -156,8 +156,7 @@ type World struct {
 	//   pair of result buffers alternated by call parity; reduceArrived
 	//   counts the current reduction's deposits and reduceDone the reductions
 	//   completed this Run (see AllReduce).
-	plans         [][2]phasePlan[float64]
-	plans32       [][2]phasePlan[float32]
+	plans         [][2]phasePlan
 	blockPos      []int
 	reducePart    [][]float64
 	reduceRoot    [2][]float64
@@ -223,8 +222,7 @@ func NewWorld(d *decomp.Decomposition, cost CostModel) (*World, error) {
 		}
 		w.ranks[rid] = &Rank{ID: rid, World: w, Blocks: blocks}
 	}
-	w.plans = buildPlans[float64](w)
-	w.plans32 = buildPlans[float32](w)
+	w.plans = buildPlans(w)
 	return w, nil
 }
 
@@ -273,10 +271,9 @@ type Rank struct {
 	// last reduction; resilient callers poll it via ReduceFailed and retry.
 	reduceFailed bool
 
-	// multi/multi32 are Exchange's and Exchange32's scratch for wrapping a
-	// single field set as a one-level call without allocating the wrapper.
-	multi   [1][][]float64
-	multi32 [1][][]float32
+	// multi is Exchange's scratch for wrapping a single field set as a
+	// one-level call without allocating the wrapper.
+	multi [1][][]float64
 }
 
 // Counters returns a snapshot of the rank's accumulated counters.

@@ -3,7 +3,6 @@ package comm
 import (
 	"math"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/decomp"
 	"repro/internal/faults"
@@ -33,18 +32,14 @@ import (
 // Rank.await, so a rank short of a message or a slot yields to its shard
 // siblings instead of blocking (sched.go). Slots are sized for single-level
 // exchanges and grow once (amortized) on the first wider multi-level call;
-// after that the exchange path performs zero allocations. The whole path is
-// generic over the element type: the mixed-precision inner solvers exchange
-// float32 fields through their own plan set, so their wire payload really is
-// 4 bytes per element and the cost model prices the halved bandwidth from
-// the actual message size.
+// after that the exchange path performs zero allocations.
 
 // edge is one directed cross-rank mailbox: strips leave rank src and fill a
 // halo of rank dst. The counters are world-lifetime message sequence numbers
 // (a completed Run leaves every edge balanced, sent == consumed).
-type edge[F float32 | float64] struct {
+type edge struct {
 	sent, consumed atomic.Int64
-	buf            [2][]F
+	buf            [2][]float64
 	clock          [2]float64 // sender's virtual clock at the send
 	src, dst       int
 }
@@ -52,9 +47,9 @@ type edge[F float32 | float64] struct {
 // planEdge is one cross-rank message of a phase, seen from local block bi:
 // as a send, the strip (stripLen per level) is extracted from that block's
 // `side`; as a receive, it fills the halo on that side.
-type planEdge[F float32 | float64] struct {
+type planEdge struct {
 	bi, side, stripLen int
-	e                  *edge[F]
+	e                  *edge
 }
 
 // localEdge is a same-rank neighbour pair: the halo on side `side` of block
@@ -68,10 +63,10 @@ type localEdge struct {
 // deterministic (block, side) iteration order the original per-call
 // neighbour search produced — preserving it keeps the virtual-clock
 // arithmetic (max-of-arrivals, ordered cost sums) bitwise identical.
-type phasePlan[F float32 | float64] struct {
-	sends  []planEdge[F]
+type phasePlan struct {
+	sends  []planEdge
 	locals []localEdge
-	recvs  []planEdge[F]
+	recvs  []planEdge
 }
 
 // phaseSides lists the two receiving sides of each exchange phase.
@@ -82,7 +77,7 @@ var phaseSides = [2][2]int{
 
 // buildPlans precomputes every rank's per-phase edge lists and the
 // cross-rank mailboxes with their two slots each.
-func buildPlans[F float32 | float64](w *World) [][2]phasePlan[F] {
+func buildPlans(w *World) [][2]phasePlan {
 	d := w.D
 	h := d.Halo
 	stripLen := func(b *decomp.Block, side int) int {
@@ -95,7 +90,7 @@ func buildPlans[F float32 | float64](w *World) [][2]phasePlan[F] {
 	// neighbour. The strip is extracted from the sender, but E/W neighbours
 	// share NyI and N/S neighbours share NxI, so the receiver's dimensions
 	// size the slots equally well.
-	edges := make(map[haloKey]*edge[F])
+	edges := make(map[haloKey]*edge)
 	for _, id := range d.OceanBlocks {
 		b := &d.Blocks[id]
 		for side, off := range sideOffsets {
@@ -103,13 +98,13 @@ func buildPlans[F float32 | float64](w *World) [][2]phasePlan[F] {
 			if nb < 0 || d.Blocks[nb].Rank == b.Rank {
 				continue
 			}
-			e := &edge[F]{src: d.Blocks[nb].Rank, dst: b.Rank}
+			e := &edge{src: d.Blocks[nb].Rank, dst: b.Rank}
 			n := stripLen(b, side)
-			e.buf[0], e.buf[1] = make([]F, n), make([]F, n)
+			e.buf[0], e.buf[1] = make([]float64, n), make([]float64, n)
 			edges[haloKey{id, side}] = e
 		}
 	}
-	plans := make([][2]phasePlan[F], w.NRank)
+	plans := make([][2]phasePlan, w.NRank)
 	for rid := 0; rid < w.NRank; rid++ {
 		for phase := 0; phase < 2; phase++ {
 			plan := &plans[rid][phase]
@@ -130,9 +125,9 @@ func buildPlans[F float32 | float64](w *World) [][2]phasePlan[F] {
 					// opposite side of the neighbour. Incoming: my halo on
 					// `side` is filled by that same neighbour's strip.
 					n := stripLen(b, side)
-					plan.sends = append(plan.sends, planEdge[F]{
+					plan.sends = append(plan.sends, planEdge{
 						bi: i, side: side, stripLen: n, e: edges[haloKey{nb, opposite(side)}]})
-					plan.recvs = append(plan.recvs, planEdge[F]{
+					plan.recvs = append(plan.recvs, planEdge{
 						bi: i, side: side, stripLen: n, e: edges[haloKey{id, side}]})
 				}
 			}
@@ -152,18 +147,6 @@ func (r *Rank) Exchange(fields [][]float64) {
 	r.multi[0] = nil
 }
 
-// Exchange32 is Exchange for a float32 field — the single-precision
-// boundary update of the mixed-precision inner solvers. It shares haloSeq
-// with the float64 path so fault schedules stay aligned whichever precision
-// a solve runs in.
-//
-//pop:hotpath
-func (r *Rank) Exchange32(fields [][]float32) {
-	r.multi32[0] = fields
-	exchange(r, &r.World.plans32[r.ID], r.multi32[:])
-	r.multi32[0] = nil
-}
-
 // ExchangeMulti refreshes the halos of several fields (e.g. the levels of a
 // 3-D field) in one aggregated update: each neighbour receives a single
 // message carrying every level's strip, paying the latency α once and the
@@ -172,13 +155,7 @@ func (r *Rank) Exchange32(fields [][]float32) {
 //
 //pop:hotpath
 func (r *Rank) ExchangeMulti(levels [][][]float64) {
-	exchange(r, &r.World.plans[r.ID], levels)
-}
-
-// exchange is the two-phase update behind every Exchange entry point.
-//
-//pop:hotpath
-func exchange[F float32 | float64](r *Rank, plans *[2]phasePlan[F], levels [][][]F) {
+	plans := &r.World.plans[r.ID]
 	for _, fields := range levels {
 		if len(fields) != len(r.Blocks) {
 			panic("comm: Exchange fields/blocks length mismatch")
@@ -193,7 +170,7 @@ func exchange[F float32 | float64](r *Rank, plans *[2]phasePlan[F], levels [][][
 // copies (free in the cost model: intra-node), then receives.
 //
 //pop:hotpath
-func exchangePhase[F float32 | float64](r *Rank, plan *phasePlan[F], levels [][][]F, phase int) {
+func exchangePhase(r *Rank, plan *phasePlan, levels [][][]float64, phase int) {
 	w := r.World
 	h := w.D.Halo
 	entry := r.clock
@@ -229,7 +206,7 @@ func exchangePhase[F float32 | float64](r *Rank, plan *phasePlan[F], levels [][]
 		need := nlv * pe.stripLen
 		buf := e.buf[k&1]
 		if cap(buf) < need {
-			buf = make([]F, need)
+			buf = make([]float64, need)
 		}
 		buf = buf[:need]
 		b := r.Blocks[pe.bi]
@@ -267,7 +244,7 @@ func exchangePhase[F float32 | float64](r *Rank, plan *phasePlan[F], levels [][]
 			// actually reads regardless of side and halo depth. The slot is
 			// fully rewritten by the sender's next extractStripInto, so the
 			// NaN does not leak into later phases.
-			nan := F(math.NaN())
+			nan := math.NaN()
 			for di := range data {
 				data[di] = nan
 			}
@@ -283,7 +260,7 @@ func exchangePhase[F float32 | float64](r *Rank, plan *phasePlan[F], levels [][]
 		if clock > arrival {
 			arrival = clock
 		}
-		bytes := int64(len(data)) * int64(unsafe.Sizeof(data[0]))
+		bytes := int64(len(data)) * 8 // float64 payload
 		r.ctr.HaloMsgs++
 		r.ctr.HaloBytes += bytes
 		phaseBytes += bytes
@@ -334,7 +311,7 @@ const shortRun = 4
 // srcStride and dstStride apart.
 //
 //pop:hotpath
-func copyRows[F float32 | float64](dst []F, dstStride int, src []F, srcStride, width, rows int) {
+func copyRows(dst []float64, dstStride int, src []float64, srcStride, width, rows int) {
 	for j := 0; j < rows; j++ {
 		d := dst[j*dstStride : j*dstStride+width]
 		s := src[j*srcStride : j*srcStride+width]
@@ -352,7 +329,7 @@ func copyRows[F float32 | float64](dst []F, dstStride int, src []F, srcStride, w
 // on `side` of this block needs.
 //
 //pop:hotpath
-func extractStripInto[F float32 | float64](s, f []F, nxi, nyi, h, side int) {
+func extractStripInto(s, f []float64, nxi, nyi, h, side int) {
 	off, width, rows := stripRect(nxi, nyi, h, side, false)
 	copyRows(s, width, f[off:], nxi+2*h, width, rows)
 }
@@ -361,7 +338,7 @@ func extractStripInto[F float32 | float64](s, f []F, nxi, nyi, h, side int) {
 // this block.
 //
 //pop:hotpath
-func insertStrip[F float32 | float64](f []F, nxi, nyi, h, side int, s []F) {
+func insertStrip(f []float64, nxi, nyi, h, side int, s []float64) {
 	off, width, rows := stripRect(nxi, nyi, h, side, true)
 	copyRows(f[off:], nxi+2*h, s, width, width, rows)
 }
@@ -373,7 +350,7 @@ func insertStrip[F float32 | float64](f []F, nxi, nyi, h, side int, s []F) {
 // by insertStrip would move it.
 //
 //pop:hotpath
-func copyStrip[F float32 | float64](dst []F, dnxi, dnyi int, src []F, snxi, snyi, h, side int) {
+func copyStrip(dst []float64, dnxi, dnyi int, src []float64, snxi, snyi, h, side int) {
 	doff, width, rows := stripRect(dnxi, dnyi, h, side, true)
 	soff, _, _ := stripRect(snxi, snyi, h, opposite(side), false)
 	copyRows(dst[doff:], dnxi+2*h, src[soff:], snxi+2*h, width, rows)

@@ -94,7 +94,7 @@ func TestExchangeMultiBufferReuse(t *testing.T) {
 }
 
 // TestSteadyStateCommAllocFree asserts the per-iteration communication
-// paths — Exchange, ExchangeMulti, Exchange32 and AllReduce — allocate
+// paths — Exchange, ExchangeMulti and AllReduce — allocate
 // nothing once warm, at every worker count (one worker, several ranks per
 // worker, one rank per worker). Setup costs (Run's coroutines, first-use
 // buffer growth) are isolated by differencing a 1-iteration run against a
@@ -112,15 +112,11 @@ func TestSteadyStateCommAllocFree(t *testing.T) {
 	}
 
 	fields := make([][][]float64, w.NRank)
-	fields32 := make([][][]float32, w.NRank)
 	multi := make([][][][]float64, w.NRank)
 	w.Run(func(r *Rank) {
 		fs := fillLevels(d, r, nil, 3, 0)
 		fields[r.ID] = fs[0]
 		multi[r.ID] = fs
-		for _, f := range fs[0] {
-			fields32[r.ID] = append(fields32[r.ID], make([]float32, len(f)))
-		}
 	})
 
 	run := func(iters int) func() {
@@ -130,7 +126,6 @@ func TestSteadyStateCommAllocFree(t *testing.T) {
 				for it := 0; it < iters; it++ {
 					r.Exchange(fields[r.ID])
 					r.ExchangeMulti(multi[r.ID])
-					r.Exchange32(fields32[r.ID])
 					payload[0], payload[1] = float64(r.ID), 1
 					r.AllReduce(payload)
 				}

@@ -164,7 +164,7 @@ func (ex *executor) run(program func(*Rank)) {
 	ex.wg.Wait()
 	if ex.failure != nil {
 		// Only a run that completes leaves the mailboxes balanced.
-		ex.w.plans, ex.w.plans32 = buildPlans[float64](ex.w), buildPlans[float32](ex.w)
+		ex.w.plans = buildPlans(ex.w)
 		panic(ex.failure)
 	}
 }

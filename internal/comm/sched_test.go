@@ -76,7 +76,7 @@ type stressResult struct {
 	stats   Stats
 }
 
-// runStress loops Exchange (float64, aggregated and float32 by turns) and
+// runStress loops Exchange (single-field and aggregated by turns) and
 // AllReduce. Each round's last payload element is a checksum of the rank's
 // freshly exchanged field, so a wrong or stale halo changes reduced values.
 func runStress(d *decomp.Decomposition, w *World, rounds int) stressResult {
@@ -87,11 +87,9 @@ func runStress(d *decomp.Decomposition, w *World, rounds int) stressResult {
 	disagree := make([]bool, w.NRank)
 	res.stats = w.Run(func(r *Rank) {
 		f64 := make([][]float64, len(r.Blocks))
-		f32 := make([][]float32, len(r.Blocks))
 		for i, b := range r.Blocks {
 			nxp, nyp := d.PaddedDims(b)
 			f64[i] = make([]float64, nxp*nyp)
-			f32[i] = make([]float32, nxp*nyp)
 		}
 		levels := [][][]float64{f64, f64}
 		for round := 0; round < rounds; round++ {
@@ -99,21 +97,17 @@ func runStress(d *decomp.Decomposition, w *World, rounds int) stressResult {
 			var sum float64
 			for i, b := range r.Blocks {
 				for k := range f64[i] {
-					v := float64(b.ID*1000+k) + float64(round)*0.125
-					f64[i][k], f32[i][k] = v, float32(v)
+					f64[i][k] = float64(b.ID*1000+k) + float64(round)*0.125
 				}
 			}
-			switch round % 3 {
-			case 0:
+			if round%2 == 0 {
 				r.Exchange(f64)
-			case 1:
+			} else {
 				r.ExchangeMulti(levels)
-			default:
-				r.Exchange32(f32)
 			}
 			for i := range r.Blocks {
 				for k := range f64[i] {
-					sum += f64[i][k] + float64(f32[i][k])
+					sum += f64[i][k]
 				}
 			}
 			res.sums[round][r.ID] = sum

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -554,5 +555,49 @@ func TestPipeCGIterationsCloseToPCGModerateTol(t *testing.T) {
 	lo, hi := rA.Iterations*7/10, rA.Iterations*13/10+20
 	if rB.Iterations < lo || rB.Iterations > hi {
 		t.Fatalf("PCG %d vs pipelined %d iterations (want within ~30%%)", rA.Iterations, rB.Iterations)
+	}
+}
+
+// TestFloat64BitwiseAcrossThreads is the scheduler gate at the solver
+// level: float64 solutions and residual histories are bitwise identical
+// across worker-shard counts, so golden traces stay valid whatever
+// -threads says.
+func TestFloat64BitwiseAcrossThreads(t *testing.T) {
+	f := testFixture(t)
+	type run struct {
+		x    []float64
+		hist []uint64
+	}
+	solve := func(threads int) run {
+		f.w.SetThreads(threads)
+		defer f.w.SetThreads(0)
+		s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-12})
+		res, x, err := s.SolveContext(context.Background(), MethodPCSI, f.b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := run{x: make([]float64, len(x))}
+		copy(r.x, x)
+		for _, p := range res.Trace.Residuals {
+			r.hist = append(r.hist, math.Float64bits(p.RelResidual))
+		}
+		return r
+	}
+	ref := solve(1)
+	for _, threads := range []int{2, 4, 8} {
+		got := solve(threads)
+		for k := range ref.x {
+			if math.Float64bits(got.x[k]) != math.Float64bits(ref.x[k]) {
+				t.Fatalf("threads=%d: solution bit-differs at %d", threads, k)
+			}
+		}
+		if len(got.hist) != len(ref.hist) {
+			t.Fatalf("threads=%d: %d residual checks vs %d", threads, len(got.hist), len(ref.hist))
+		}
+		for i := range ref.hist {
+			if got.hist[i] != ref.hist[i] {
+				t.Fatalf("threads=%d: residual history bit-differs at check %d", threads, i)
+			}
+		}
 	}
 }

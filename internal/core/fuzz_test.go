@@ -55,27 +55,3 @@ func FuzzParsePrecond(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParsePrecision fuzzes the precision parser (float64/fp64/double,
-// float32/fp32/single aliases).
-func FuzzParsePrecision(f *testing.F) {
-	for _, s := range []string{"", "float64", "fp64", "double", "float32", "fp32", "single", "FLOAT32", "half"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePrecision(s)
-		if err != nil {
-			if !errors.Is(err, ErrBadSpec) {
-				t.Fatalf("ParsePrecision(%q) error does not match ErrBadSpec: %v", s, err)
-			}
-			return
-		}
-		if !p.Valid() {
-			t.Fatalf("ParsePrecision(%q) = %v, invalid", s, p)
-		}
-		p2, err := ParsePrecision(p.String())
-		if err != nil || p2 != p {
-			t.Fatalf("canonical %q did not re-parse: %v, %v", p.String(), p2, err)
-		}
-	})
-}

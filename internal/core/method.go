@@ -38,7 +38,7 @@ const (
 	// MethodSStep is the communication-avoiding s-step PCG with a Chebyshev
 	// basis (sstep.go): Options.SStep matrix-vector products batched between
 	// single fused global reductions — at most ceil(iters/s)+1 reductions per
-	// converged solve. Float64 only.
+	// converged solve.
 	//
 	//pop:noresilient fused Gram recurrence has no checkpoint/rollback protocol yet (SOLVERS.md); request-level retry in internal/serve covers it
 	MethodSStep
@@ -68,6 +68,18 @@ func (m Method) String() string {
 func (m Method) Valid() bool {
 	return m >= MethodChronGear && m <= MethodSStep
 }
+
+// Precision is a vestige pinned by benchmark/: the frozen benchmark calls
+// api.HashSolve(grid, method, precond, pop.Float64, …)
+// (benchmark/probes_serving.go:26, benchmark/bench_test.go:152), so the
+// type and its one value outlive the single-precision solve path they once
+// selected against. Nothing else reads them; ROADMAP item 2a drops both
+// with HashSolve's parameter in the next benchmark PR.
+type Precision int
+
+// Float64 is the only Precision: every solve runs in double precision.
+// Pinned by benchmark/ (see Precision).
+const Float64 Precision = 0
 
 // methodSpellings maps every accepted method name onto its enum value, in
 // documentation order with the default spelling first. ParseMethod and
@@ -173,23 +185,6 @@ func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (
 		x   []float64
 		err error
 	)
-	if s.Opts.Precision == Float32 {
-		// Mixed precision routes every method through the iterative-
-		// refinement driver (mixed.go), which runs the method's float32
-		// inner solver inside the float64 outer loop.
-		if !m.Valid() {
-			return Result{}, nil, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
-		}
-		if m == MethodSStep {
-			// The s-step solver's fused Gram reduction has no float32 inner
-			// variant; its value is reduction avoidance, which iterative
-			// refinement's outer float64 residuals would dilute anyway.
-			return Result{}, nil, fmt.Errorf("core: method sstep has no float32 path: %w", ErrBadSpec)
-		}
-		res, x, err = s.solveMixedContext(ctx, m, b, x0)
-		res.TraceID = s.W.TraceID()
-		return res, x, err
-	}
 	switch m {
 	case MethodChronGear:
 		res, x, err = s.SolveChronGearContext(ctx, b, x0)

@@ -85,21 +85,18 @@ func (p *identityPrecond) SetupFlops() int64 { return 0 }
 
 // diagPrecond divides by the operator diagonal (land rows have AC = 1).
 type diagPrecond struct {
-	loc   *stencil.Local
-	inv   []float64 // 1/AC, padded layout
-	inv32 []float32 // float32 image of inv, for the mixed-precision sweep
+	loc *stencil.Local
+	inv []float64 // 1/AC, padded layout
 }
 
 func newDiagPrecond(loc *stencil.Local) *diagPrecond {
 	inv := make([]float64, len(loc.AC))
-	inv32 := make([]float32, len(loc.AC))
 	for k, v := range loc.AC {
 		if v != 0 {
 			inv[k] = 1 / v
-			inv32[k] = float32(inv[k])
 		}
 	}
-	return &diagPrecond{loc: loc, inv: inv, inv32: inv32}
+	return &diagPrecond{loc: loc, inv: inv}
 }
 
 //pop:hotpath

@@ -17,12 +17,6 @@ type Options struct {
 	// Precond selects the preconditioner (default PrecondIdentity).
 	Precond PrecondType
 
-	// Precision selects the iteration arithmetic: Float64 (default, bitwise
-	// reproducible against golden traces) or Float32 (mixed-precision
-	// iterative refinement — float32 kernels and halos inside a float64
-	// outer loop; same Tol, own goldens). See mixed.go.
-	Precision Precision
-
 	// EVPBlockSize is the block-Jacobi sub-block side (both EVP and
 	// block-LU). The paper quotes 12×12 as the stable EVP limit on its
 	// near-isotropic grids; the synthetic grids here are more anisotropic,
@@ -92,7 +86,7 @@ func (o Options) withDefaults() Options {
 		o.CheckEvery = 10
 	}
 	if o.SStep == 0 {
-		o.SStep = 4
+		o.SStep = DefaultSStep
 	}
 	if o.EigTol == 0 {
 		o.EigTol = 0.15
@@ -176,16 +170,11 @@ func (s *Session) solveOut() []float64 {
 }
 
 // rankState is the per-rank persistent state; each rank goroutine builds
-// and mutates only its own entry. The float32 members (locs32, pre32,
-// fields32) are populated only for Precision == Float32 sessions.
+// and mutates only its own entry.
 type rankState struct {
 	locs   []*stencil.Local
 	pre    []Preconditioner
 	fields map[string][][]float64
-
-	locs32   []*stencil.Local32
-	pre32    []Preconditioner32
-	fields32 map[string][][]float32
 }
 
 // NewSession validates the configuration and prepares a session. The
@@ -207,9 +196,6 @@ func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *
 	if !o.Precond.Valid() {
 		return nil, fmt.Errorf("core: unknown preconditioner %v: %w", o.Precond, ErrBadSpec)
 	}
-	if !o.Precision.Valid() {
-		return nil, fmt.Errorf("core: unknown precision %v: %w", o.Precision, ErrBadSpec)
-	}
 	if o.SStep < 1 || o.SStep > MaxSStep {
 		return nil, fmt.Errorf("core: s-step block size %d out of 1..%d: %w", o.SStep, MaxSStep, ErrBadSpec)
 	}
@@ -228,8 +214,7 @@ func (s *Session) Setup() error {
 	var mu sync.Mutex
 	var firstErr error
 	st := s.W.Run(func(r *comm.Rank) {
-		rs := &rankState{fields: make(map[string][][]float64),
-			fields32: make(map[string][][]float32)}
+		rs := &rankState{fields: make(map[string][][]float64)}
 		for _, b := range r.Blocks {
 			loc := s.D.LocalOperator(s.Op, b)
 			rs.locs = append(rs.locs, loc)
@@ -258,23 +243,6 @@ func (s *Session) Setup() error {
 			}
 			r.AddFlops(pre.SetupFlops())
 			rs.pre = append(rs.pre, pre)
-			if s.Opts.Precision == Float32 {
-				// Mixed-precision state: the float32 image of the local
-				// operator and the preconditioner's single-precision
-				// application (every builtin implements Preconditioner32).
-				rs.locs32 = append(rs.locs32, stencil.NewLocal32(loc))
-				p32, ok := pre.(Preconditioner32)
-				if !ok {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: preconditioner %v has no float32 application: %w",
-							s.Opts.Precond, ErrBadSpec)
-					}
-					mu.Unlock()
-					p32 = &identityPrecond{loc: loc}
-				}
-				rs.pre32 = append(rs.pre32, p32)
-			}
 		}
 		s.perRank[r.ID] = rs
 	})
@@ -333,31 +301,6 @@ func (s *Session) field(r *comm.Rank, name string) [][]float64 {
 	return f
 }
 
-// field32 returns (allocating on first use) the named per-block padded
-// float32 field set for this rank (mixed-precision inner-solver state).
-func (s *Session) field32(r *comm.Rank, name string) [][]float32 {
-	rs := s.state(r)
-	f, ok := rs.fields32[name]
-	if !ok {
-		f = make([][]float32, len(r.Blocks))
-		for i, b := range r.Blocks {
-			nxp, nyp := s.D.PaddedDims(b)
-			f[i] = make([]float32, nxp*nyp)
-		}
-		rs.fields32[name] = f
-	}
-	return f
-}
-
-// zeroField32 clears the named float32 field.
-func (s *Session) zeroField32(r *comm.Rank, name string) [][]float32 {
-	f := s.field32(r, name)
-	for _, arr := range f {
-		zeroAll32(arr)
-	}
-	return f
-}
-
 // scatterMasked copies a global field into the named per-block field,
 // zeroing land points (solvers run on the ocean-invariant subspace; land
 // rows are restored at gather time).
@@ -407,12 +350,6 @@ type Result struct {
 	RelResidual float64     // ‖r‖/‖b‖ at the last convergence check
 	BNorm       float64     // ‖b‖ over ocean points
 	Stats       comm.Stats  // per-rank communication/compute counters
-	// Precision is the iteration arithmetic the solve ran in.
-	Precision Precision
-	// OuterIters counts the iterative-refinement outer passes (0 for pure
-	// float64 solves; Iterations then counts inner float32 iterations —
-	// stencil sweeps — directly comparable to a float64 solve's count).
-	OuterIters int
 	// P-CSI extras.
 	Nu, Mu   float64
 	EigSteps int // Lanczos steps behind the interval (0 = none run)

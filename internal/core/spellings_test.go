@@ -40,22 +40,6 @@ func TestSpellingTablesMatchParsers(t *testing.T) {
 			}
 		}
 	})
-	t.Run("precision", func(t *testing.T) {
-		names := PrecisionNames()
-		for _, n := range names {
-			if p, err := ParsePrecision(n); err != nil || !p.Valid() {
-				t.Errorf("PrecisionNames entry %q does not parse: %v, %v", n, p, err)
-			}
-		}
-		if def, err := ParsePrecision(""); err != nil || def.String() != names[0] {
-			t.Errorf("default precision %v is not the first listed spelling %q", def, names[0])
-		}
-		for _, p := range []Precision{Float64, Float32} {
-			if !containsName(names, p.String()) {
-				t.Errorf("precision %v canonical spelling %q missing from PrecisionNames", p, p.String())
-			}
-		}
-	})
 }
 
 func containsName(names []string, want string) bool {

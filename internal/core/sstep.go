@@ -51,6 +51,11 @@ import (
 // probe the downslope.
 const MaxSStep = 16
 
+// DefaultSStep is the block size a zero Options.SStep selects — the one
+// definition the serve pool's key normalizer shares, so a pool label can
+// never disagree with the session it names.
+const DefaultSStep = 4
+
 // Per-direction field names, precomputed so the solve loop never builds a
 // string (the session field map is keyed by name).
 var sstepVName, sstepQName, sstepPName, sstepAName [MaxSStep]string
@@ -84,8 +89,7 @@ func (s *Session) SolveSStep(b, x0 []float64) (Result, []float64, error) {
 //
 // The solver runs the legacy (non-resilient) path even under an active
 // fault injector: the resilience ladder covers the per-iteration solvers,
-// and SOLVERS.md records the gap. Float32 precision is rejected by
-// SolveContext before dispatch.
+// and SOLVERS.md records the gap.
 func (s *Session) SolveSStepContext(ctx context.Context, b, x0 []float64) (Result, []float64, error) {
 	if ctx == nil {
 		ctx = context.Background()

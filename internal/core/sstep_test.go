@@ -154,8 +154,8 @@ func TestSStepRepeatDeterministic(t *testing.T) {
 	}
 }
 
-// TestSStepOptionValidation covers the new public surface's failure modes:
-// out-of-range block sizes and the unsupported float32 pairing.
+// TestSStepOptionValidation covers the new public surface's failure mode:
+// out-of-range block sizes.
 func TestSStepOptionValidation(t *testing.T) {
 	f := testFixture(t)
 	if _, err := NewSession(f.g, f.op, f.d, f.w, Options{SStep: MaxSStep + 1}); !errors.Is(err, ErrBadSpec) {
@@ -163,10 +163,6 @@ func TestSStepOptionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(f.g, f.op, f.d, f.w, Options{SStep: -1}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("SStep=-1: got %v, want ErrBadSpec", err)
-	}
-	s := f.session(t, Options{Precision: Float32})
-	if _, _, err := s.SolveContext(context.Background(), MethodSStep, f.b, nil); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("float32 sstep: got %v, want ErrBadSpec", err)
 	}
 }
 

@@ -16,9 +16,9 @@
 //
 // Three layers answer a request, cheapest first:
 //
-//  1. The result cache (content hash of grid, method, precond, precision,
-//     s-step block size, tolerance, RHS bits, x0 bits) replays a finished
-//     solve bitwise.
+//  1. The result cache (content hash of grid, method, precond, s-step
+//     block size, tolerance, RHS bits, x0 bits) replays a finished solve
+//     bitwise.
 //  2. Singleflight collapses requests identical to one already in flight:
 //     followers wait for the leader's solve instead of duplicating it.
 //  3. The ring routes the miss to its home shard; a shed (overload, open
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -208,7 +209,8 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		f.m.errors.Inc()
 		return Response{Shard: -1}, err
 	}
-	hash := api.HashSolve(key.Grid, key.Method, key.Precond, key.Precision, key.SStep, f.tol, req.B, req.X0)
+	// core.Float64: HashSolve's vestigial argument, pinned by benchmark/.
+	hash := api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, key.SStep, f.tol, req.B, req.X0)
 
 	if f.cache.cap > 0 && !req.NoCache {
 		if res, x, ok := f.cache.get(hash); ok {

@@ -120,15 +120,14 @@ func (w *HTTPWorker) Close(ctx context.Context) error {
 // like a local one.
 func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
 	frame := api.AppendFrameRequest(nil, api.FrameRequest{
-		Grid:      req.Grid,
-		Method:    req.Method,
-		Precond:   req.Precond,
-		Precision: req.Precision,
-		SStep:     req.SStep,
-		B:         req.B,
-		X0:        req.X0,
-		ReturnX:   true,
-		TraceID:   obs.TraceIDFromContext(ctx),
+		Grid:    req.Grid,
+		Method:  req.Method,
+		Precond: req.Precond,
+		SStep:   req.SStep,
+		B:       req.B,
+		X0:      req.X0,
+		ReturnX: true,
+		TraceID: obs.TraceIDFromContext(ctx),
 	})
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+api.V1Solve, bytes.NewReader(frame))
 	if err != nil {
@@ -159,10 +158,6 @@ func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Respon
 	if err != nil {
 		return serve.Response{}, fmt.Errorf("fleet: worker %s: %w", w.base, err)
 	}
-	precision, err := core.ParsePrecision(fr.Precision)
-	if err != nil {
-		precision = core.Float64
-	}
 	// A remote worker's Result is the wire summary: solution bits and
 	// convergence metadata are exact; virtual-time stats and per-iteration
 	// traces stay on the worker (its own flight recorder retains them).
@@ -170,10 +165,8 @@ func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Respon
 		Result: core.Result{
 			Solver:      fr.Solver,
 			Iterations:  fr.Iterations,
-			OuterIters:  fr.OuterIters,
 			Converged:   fr.Converged,
 			RelResidual: fr.RelResidual,
-			Precision:   precision,
 			TraceID:     fr.TraceID,
 		},
 		X:       fr.X,

@@ -174,7 +174,6 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 	o := p.svc.opts
 	opts := o.Solver
 	opts.Precond = p.key.Precond
-	opts.Precision = p.key.Precision
 	if p.key.SStep > 0 {
 		opts.SStep = p.key.SStep
 	}

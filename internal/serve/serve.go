@@ -158,9 +158,7 @@ func (o Options) withDefaults() Options {
 
 // Key identifies a session pool: requests with equal keys share warmed
 // sessions. MethodCSI is normalized to MethodPCSI + PrecondIdentity before
-// keying, so "csi" and "pcsi/none" requests share a pool. Precision is part
-// of the key because mixed-precision sessions carry their own float32
-// arenas — a float32 solve can never reuse a float64 session.
+// keying, so "csi" and "pcsi/none" requests share a pool.
 type Key struct {
 	// Grid is the resolved preset name.
 	Grid string
@@ -168,24 +166,18 @@ type Key struct {
 	Method core.Method
 	// Precond is the normalized preconditioner.
 	Precond core.PrecondType
-	// Precision is the iteration arithmetic (zero value = Float64).
-	Precision core.Precision
 	// SStep is the s-step block size, set only for MethodSStep (normalize
-	// zeroes it for every other method and defaults it to 4 for sstep) —
-	// sessions with different block sizes have different field arenas and
-	// different numerics, so they never share a pool.
+	// zeroes it for every other method and defaults it to
+	// core.DefaultSStep for sstep) — sessions with different block sizes
+	// have different field arenas and different numerics, so they never
+	// share a pool.
 	SStep int
 }
 
-// String renders the key for metric labels: "test/pcsi/evp". Float64 — the
-// overwhelmingly common case — is implicit; float32 keys append a fourth
-// segment ("test/pcsi/evp/float32") so pre-existing float64 labels stay
-// stable. s-step keys append an "s4"-style segment for the same reason.
+// String renders the key for metric labels: "test/pcsi/evp". s-step keys
+// append an "s4"-style segment so the other methods' labels stay stable.
 func (k Key) String() string {
 	s := k.Grid + "/" + k.Method.String() + "/" + k.Precond.String()
-	if k.Precision == core.Float32 {
-		s += "/" + k.Precision.String()
-	}
 	if k.Method == core.MethodSStep {
 		s += fmt.Sprintf("/s%d", k.SStep)
 	}
@@ -202,13 +194,9 @@ type Request struct {
 	// Precond selects the preconditioner; the zero value is diagonal,
 	// POP's default.
 	Precond core.PrecondType
-	// Precision selects the iteration arithmetic; the zero value is
-	// Float64. Float32 requests run mixed-precision solves with iterative
-	// refinement on their own session pool.
-	Precision core.Precision
-	// SStep is the s-step block size for MethodSStep requests (0 = the
-	// default 4; valid 1..core.MaxSStep). Ignored — and normalized to 0 in
-	// the session key — for every other method.
+	// SStep is the s-step block size for MethodSStep requests (0 =
+	// core.DefaultSStep; valid 1..core.MaxSStep). Ignored — and normalized
+	// to 0 in the session key — for every other method.
 	SStep int
 	// B is the right-hand side (length = grid N). X0 is the initial guess
 	// (nil = zero).
@@ -362,10 +350,7 @@ func normalize(req *Request) (Key, error) {
 	if !req.Precond.Valid() {
 		return Key{}, fmt.Errorf("serve: unknown preconditioner %v: %w", req.Precond, core.ErrBadSpec)
 	}
-	if !req.Precision.Valid() {
-		return Key{}, fmt.Errorf("serve: unknown precision %v: %w", req.Precision, core.ErrBadSpec)
-	}
-	k := Key{Grid: req.Grid, Method: req.Method, Precond: req.Precond, Precision: req.Precision}
+	k := Key{Grid: req.Grid, Method: req.Method, Precond: req.Precond}
 	if k.Grid == "" {
 		k.Grid = grid.PresetTest
 	}
@@ -374,12 +359,9 @@ func normalize(req *Request) (Key, error) {
 		k.Precond = core.PrecondIdentity
 	}
 	if k.Method == core.MethodSStep {
-		if k.Precision == core.Float32 {
-			return Key{}, fmt.Errorf("serve: method sstep has no float32 path: %w", core.ErrBadSpec)
-		}
 		k.SStep = req.SStep
 		if k.SStep == 0 {
-			k.SStep = 4
+			k.SStep = core.DefaultSStep
 		}
 		if k.SStep < 1 || k.SStep > core.MaxSStep {
 			return Key{}, fmt.Errorf("serve: s-step block size %d out of 1..%d: %w", k.SStep, core.MaxSStep, core.ErrBadSpec)

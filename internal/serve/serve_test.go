@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -360,47 +361,24 @@ func TestCSIAliasSharesPool(t *testing.T) {
 	}
 }
 
-// TestPrecisionKeyedPools checks float32 requests run on their own session
-// pool (mixed-precision arenas can't be shared with float64 sessions), that
-// both precisions converge, and that key labels keep the float64 spelling
-// stable while float32 grows a fourth segment.
-func TestPrecisionKeyedPools(t *testing.T) {
-	rhs := testRHS(t, 1)
-	s := serve.New(serve.Options{MaxSessionsPerKey: 1, Solver: core.Options{Tol: 1e-6}})
-	defer closeQuietly(t, s)
-
-	for _, p := range []core.Precision{core.Float64, core.Float32} {
-		resp, err := s.Solve(context.Background(), serve.Request{
-			Grid: grid.PresetTest, Method: core.MethodPCSI, Precond: core.PrecondEVP,
-			Precision: p, B: rhs[0],
-		})
+// TestKeyLabels pins the metric-label spelling of normalized pool keys:
+// three segments, the csi alias folded, and an s-step segment carrying the
+// block size core's own default would give the session.
+func TestKeyLabels(t *testing.T) {
+	for _, c := range []struct {
+		req  serve.Request
+		want string
+	}{
+		{serve.Request{Method: core.MethodPCSI, Precond: core.PrecondEVP}, "test/pcsi/evp"},
+		{serve.Request{Method: core.MethodCSI}, "test/pcsi/none"},
+		{serve.Request{Method: core.MethodSStep}, "test/sstep/diagonal/s" + strconv.Itoa(core.DefaultSStep)},
+	} {
+		k, err := serve.NormalizeRequest(c.req)
 		if err != nil {
-			t.Fatalf("%v: %v", p, err)
+			t.Fatal(err)
 		}
-		if !resp.Result.Converged {
-			t.Fatalf("%v: did not converge", p)
+		if k.String() != c.want {
+			t.Errorf("key label = %q, want %q", k.String(), c.want)
 		}
-		if resp.Result.Precision != p {
-			t.Errorf("%v solve reported precision %v", p, resp.Result.Precision)
-		}
-	}
-	if n := s.Snapshot().Sessions; n != 2 {
-		t.Errorf("two precisions built %d sessions, want 2 distinct pools", n)
-	}
-
-	k64, err := serve.NormalizeRequest(serve.Request{Method: core.MethodPCSI, Precond: core.PrecondEVP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k64.String() != "test/pcsi/evp" {
-		t.Errorf("float64 key label = %q, want legacy test/pcsi/evp", k64.String())
-	}
-	k32 := k64
-	k32.Precision = core.Float32
-	if k32.String() != "test/pcsi/evp/float32" {
-		t.Errorf("float32 key label = %q", k32.String())
-	}
-	if _, err := serve.NormalizeRequest(serve.Request{Precision: core.Precision(99)}); !errors.Is(err, core.ErrBadSpec) {
-		t.Errorf("bad precision: got %v, want ErrBadSpec", err)
 	}
 }

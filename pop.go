@@ -64,8 +64,6 @@ type (
 	Method = core.Method
 	// Precond selects the preconditioner (see the Precond* constants).
 	Precond = core.PrecondType
-	// Precision selects the iteration arithmetic (see Float64/Float32).
-	Precision = core.Precision
 	// NotConvergedError carries the iteration count and final residual of
 	// a solve that stopped short of its tolerance; match with
 	// errors.As(err, &nc) or errors.Is(err, ErrNotConverged).
@@ -172,17 +170,12 @@ const (
 	PrecondBlockLU = core.PrecondBlockLU
 )
 
-// Solver precisions. The zero value is Float64, the bitwise-reproducible
-// production arithmetic.
-const (
-	// Float64 runs every solver kernel in double precision.
-	Float64 = core.Float64
-	// Float32 runs the iteration kernels in single precision inside a
-	// float64 iterative-refinement outer loop: same tolerance, roughly half
-	// the memory and halo traffic, deterministic but not bitwise equal to
-	// Float64 solves.
-	Float32 = core.Float32
-)
+// Float64 is a vestige pinned by benchmark/: the frozen benchmark passes
+// pop.Float64 to api.HashSolve (benchmark/probes_serving.go:26,
+// benchmark/bench_test.go:152). Every solve runs in double precision and
+// nothing else reads the constant; it goes with HashSolve's parameter in the
+// next benchmark PR.
+const Float64 = core.Float64
 
 // Typed errors of the public solve path, matchable with errors.Is /
 // errors.As.
@@ -234,11 +227,6 @@ func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 // ParsePrecond maps a preconditioner name ("diagonal", "evp", "blocklu",
 // "none"; "" = diagonal) to its Precond; unknown names match ErrBadSpec.
 func ParsePrecond(s string) (Precond, error) { return core.ParsePrecond(s) }
-
-// ParsePrecision maps a precision name ("float64"/"fp64"/"double",
-// "float32"/"fp32"/"single"; "" = float64) to its Precision; unknown names
-// match ErrBadSpec.
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
 // NewService starts a concurrent solve service: Solve from any number of
 // goroutines; Close drains it. See cmd/popserver for the HTTP front end.
