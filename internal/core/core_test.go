@@ -601,3 +601,31 @@ func TestFloat64BitwiseAcrossThreads(t *testing.T) {
 		}
 	}
 }
+
+// chebStep fused P-CSI's dx update and the x += dx that always followed it;
+// the fused pass must produce the bits the pair did.
+func TestChebStepMatchesUpdateThenAxpy(t *testing.T) {
+	f := testFixture(t)
+	loc := f.d.LocalOperator(f.op, &f.d.Blocks[f.d.OceanBlocks[0]])
+	n := loc.NxP * loc.NyP
+	rng := rand.New(rand.NewSource(3))
+	x, dx, rp := make([]float64, n), make([]float64, n), make([]float64, n)
+	for k := range x {
+		x[k], dx[k], rp[k] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+	}
+	wantX, wantDx := append([]float64(nil), x...), append([]float64(nil), dx...)
+	const omega, c = 0.37, 0.81
+	for j := loc.H; j < loc.NyP-loc.H; j++ {
+		for i := loc.H; i < loc.NxP-loc.H; i++ {
+			k := j*loc.NxP + i
+			wantDx[k] = omega*rp[k] + c*wantDx[k]
+		}
+	}
+	axpy(loc, wantX, wantDx, 1)
+	chebStep(loc, x, dx, rp, omega, c)
+	for k := range x {
+		if math.Float64bits(x[k]) != math.Float64bits(wantX[k]) || math.Float64bits(dx[k]) != math.Float64bits(wantDx[k]) {
+			t.Fatalf("entry %d: x %v want %v, dx %v want %v", k, x[k], wantX[k], dx[k], wantDx[k])
+		}
+	}
+}

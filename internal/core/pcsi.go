@@ -129,8 +129,7 @@ func (s *Session) SolvePCSIContext(ctx context.Context, b, x0 []float64) (Result
 			loc := rs.locs[i]
 			rs.pre[i].Apply(rp[i], rr[i])
 			r.AddFlops(rs.pre[i].ApplyFlops())
-			chebUpdate(loc, dx[i], rp[i], 1/gamma, 0)
-			axpy(loc, xs[i], dx[i], 1)
+			chebStep(loc, xs[i], dx[i], rp[i], 1/gamma, 0)
 			r.AddFlops(3 * int64(loc.InteriorLen()))
 		}
 		r.Exchange(xs)
@@ -157,8 +156,7 @@ func (s *Session) SolvePCSIContext(ctx context.Context, b, x0 []float64) (Result
 				loc := rs.locs[i]
 				rs.pre[i].Apply(rp[i], rr[i]) // r' = M⁻¹r
 				r.AddFlops(rs.pre[i].ApplyFlops())
-				chebUpdate(loc, dx[i], rp[i], omega, gamma*omega-1)
-				axpy(loc, xs[i], dx[i], 1)
+				chebStep(loc, xs[i], dx[i], rp[i], omega, gamma*omega-1)
 				r.AddFlops(3 * int64(loc.InteriorLen()))
 			}
 			r.Exchange(xs) // the iteration's only communication

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/decomp"
 	"repro/internal/evp"
@@ -149,14 +150,20 @@ func partitionInterior(nxi, nyi, size int) []subBlock {
 	return blocks
 }
 
+// evpTile is one sub-block of the EVP partition with its solver.
+type evpTile struct {
+	subBlock
+	sol      *evp.BlockSolver // nil for an all-land tile: identity there
+	allOcean bool             // no land point: rows move by copy, unmasked
+}
+
 // evpPrecond is the paper's block-EVP preconditioner: block-Jacobi over
 // small sub-blocks, each solved exactly by EVP marching on the land-filled
 // operator, with land rows projected back to identity.
 type evpPrecond struct {
 	loc                    *stencil.Local
-	subs                   []subBlock
-	solvers                []*evp.BlockSolver // nil for all-land sub-blocks
-	psi, x                 []float64          // extended-domain scratch (max sub-block)
+	tiles                  []evpTile
+	psi, x                 []float64 // extended-domain scratch (max sub-block)
 	applyFlops, setupFlops int64
 }
 
@@ -169,8 +176,9 @@ type evpPrecond struct {
 const maxMarchGrowth = 1e4
 
 func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Local,
-	size int, simplified bool, fill float64) (*evpPrecond, error) {
+	size int, fill float64) (*evpPrecond, error) {
 	p := &evpPrecond{loc: loc}
+	var sols []*evp.BlockSolver
 	maxExt := 0
 	h := loc.H
 	// Work queue of candidate tiles; tiles whose marching growth is too
@@ -181,40 +189,43 @@ func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Loca
 	for len(queue) > 0 {
 		sb := queue[0]
 		queue = queue[1:]
-		// Skip sub-blocks with no ocean point: identity there.
-		ocean := false
-		for j := 0; j < sb.ny && !ocean; j++ {
-			for i := 0; i < sb.nx; i++ {
-				if loc.Mask[(sb.y0+h+j)*loc.NxP+sb.x0+h+i] {
-					ocean = true
-					break
+		ocean := 0
+		for j := 0; j < sb.ny; j++ {
+			for _, wet := range loc.Mask[(sb.y0+h+j)*loc.NxP+sb.x0+h:][:sb.nx] {
+				if wet {
+					ocean++
 				}
 			}
 		}
-		if !ocean {
-			p.subs = append(p.subs, sb)
-			p.solvers = append(p.solvers, nil)
+		if ocean == 0 {
+			p.tiles = append(p.tiles, evpTile{subBlock: sb})
 			continue
 		}
 		win := stencil.AssembleWindowFilled(g, phi, b.X0+sb.x0, b.Y0+sb.y0, sb.nx, sb.ny, fill)
-		growth, err := evp.MarchGrowth(win, simplified)
-		if err == nil && growth > maxMarchGrowth && (sb.nx > 2 || sb.ny > 2) {
-			queue = append(queue, splitSub(sb)...)
-			continue
+		// The tile is packed once: the growth check and the solver it then
+		// gets share the march records.
+		var sol *evp.BlockSolver
+		pk, err := evp.Pack(win, false)
+		if err == nil {
+			if pk.Growth() > maxMarchGrowth && (sb.nx > 2 || sb.ny > 2) {
+				queue = append(queue, splitSub(sb)...)
+				continue
+			}
+			sol, err = pk.Solver()
 		}
-		sol, err := evp.NewBlockSolver(win, simplified)
 		if err != nil {
 			return nil, fmt.Errorf("core: EVP sub-block at (%d,%d)+(%d,%d): %w",
 				b.X0, b.Y0, sb.x0, sb.y0, err)
 		}
-		p.subs = append(p.subs, sb)
-		p.solvers = append(p.solvers, sol)
+		p.tiles = append(p.tiles, evpTile{subBlock: sb, sol: sol, allOcean: ocean == sb.nx*sb.ny})
+		sols = append(sols, sol)
 		p.applyFlops += sol.SolveFlops()
 		p.setupFlops += sol.SetupFlops()
 		if ext := (sb.nx + 2) * (sb.ny + 2); ext > maxExt {
 			maxExt = ext
 		}
 	}
+	evp.Compact(sols) // in the order Apply visits them
 	p.psi = make([]float64, maxExt)
 	p.x = make([]float64, maxExt)
 	return p, nil
@@ -240,47 +251,64 @@ func splitSub(sb subBlock) []subBlock {
 func (p *evpPrecond) Apply(dst, src []float64) {
 	loc := p.loc
 	nxp, h := loc.NxP, loc.H
-	// Default: identity on the whole interior (covers land rows and
-	// all-land sub-blocks).
-	for j := h; j < loc.NyP-h; j++ {
-		copy(dst[j*nxp+h:(j+1)*nxp-h], src[j*nxp+h:(j+1)*nxp-h])
-	}
-	for si, sb := range p.subs {
-		sol := p.solvers[si]
-		if sol == nil {
+	for ti := range p.tiles {
+		t := &p.tiles[ti]
+		lo := (t.y0+h)*nxp + t.x0 + h // the tile's first point in the block
+		if t.sol == nil {
+			for j := 0; j < t.ny; j++ {
+				copy(dst[lo+j*nxp:][:t.nx], src[lo+j*nxp:][:t.nx])
+			}
 			continue
 		}
-		exw := sb.nx + 2
-		psi := p.psi[:exw*(sb.ny+2)]
-		x := p.x[:exw*(sb.ny+2)]
-		for i := range psi {
-			psi[i] = 0
+		// psi's ring is never cleared: the march reads psi at interior
+		// points only, and every one of those is written below.
+		exw := t.nx + 2
+		psi := p.psi[:exw*(t.ny+2)]
+		x := p.x[:exw*(t.ny+2)]
+		if t.allOcean {
+			for j := 0; j < t.ny; j++ {
+				copy(psi[(j+1)*exw+1:][:t.nx], src[lo+j*nxp:][:t.nx])
+			}
+			t.sol.Solve(x, psi)
+			for j := 0; j < t.ny; j++ {
+				copy(dst[lo+j*nxp:][:t.nx], x[(j+1)*exw+1:][:t.nx])
+			}
+			continue
 		}
 		// Masked gather: land rows contribute zero RHS so the filled
 		// operator's solution is driven by ocean residuals only.
-		for j := 0; j < sb.ny; j++ {
-			lbase := (sb.y0 + h + j) * nxp
-			ebase := (j + 1) * exw
-			for i := 0; i < sb.nx; i++ {
-				lk := lbase + sb.x0 + h + i
-				if loc.Mask[lk] {
-					psi[ebase+1+i] = src[lk]
-				}
+		for j := 0; j < t.ny; j++ {
+			pr := psi[(j+1)*exw+1:][:t.nx]
+			sr := src[lo+j*nxp:][:t.nx]
+			mr := loc.Mask[lo+j*nxp:][:t.nx]
+			for i := range pr {
+				pr[i] = pick(mr[i], sr[i], 0)
 			}
 		}
-		sol.Solve(x, psi)
-		// Masked scatter: land rows keep the identity value set above.
-		for j := 0; j < sb.ny; j++ {
-			lbase := (sb.y0 + h + j) * nxp
-			ebase := (j + 1) * exw
-			for i := 0; i < sb.nx; i++ {
-				lk := lbase + sb.x0 + h + i
-				if loc.Mask[lk] {
-					dst[lk] = x[ebase+1+i]
-				}
+		t.sol.Solve(x, psi)
+		// Masked scatter: land rows are identity.
+		for j := 0; j < t.ny; j++ {
+			xr := x[(j+1)*exw+1:][:t.nx]
+			sr := src[lo+j*nxp:][:t.nx]
+			dr := dst[lo+j*nxp:][:t.nx]
+			mr := loc.Mask[lo+j*nxp:][:t.nx]
+			for i := range dr {
+				dr[i] = pick(mr[i], xr[i], sr[i])
 			}
 		}
 	}
+}
+
+// pick returns a where wet and b elsewhere, bit for bit, without a branch:
+// along a coastline the mask is as good as random, and a mispredicted
+// branch per point cost a mixed tile half as much again as its solve.
+func pick(wet bool, a, b float64) float64 {
+	var m uint64
+	if wet {
+		m = 1
+	}
+	m = -m
+	return math.Float64frombits(math.Float64bits(a)&m | math.Float64bits(b)&^m)
 }
 
 func (p *evpPrecond) ApplyFlops() int64 { return p.applyFlops }

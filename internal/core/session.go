@@ -22,9 +22,6 @@ type Options struct {
 	// near-isotropic grids; the synthetic grids here are more anisotropic,
 	// so the default is 8.
 	EVPBlockSize int
-	// EVPSimplified drops the N/S/E/W couplings from the EVP blocks,
-	// halving preconditioning cost (§4.3 — the paper's production choice).
-	EVPSimplified bool
 	// FillDepth is the artificial depth given to land cells inside EVP
 	// blocks so marching has wet corners everywhere (see
 	// stencil.AssembleWindowFilled). Must be ≤ the grid's minimum wet
@@ -227,7 +224,7 @@ func (s *Session) Setup() error {
 				pre = newDiagPrecond(loc)
 			case PrecondEVP:
 				pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc,
-					s.Opts.EVPBlockSize, s.Opts.EVPSimplified, s.Opts.FillDepth)
+					s.Opts.EVPBlockSize, s.Opts.FillDepth)
 			case PrecondBlockLU:
 				pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
 			default:

@@ -10,7 +10,8 @@ import "repro/internal/stencil"
 //
 // Inner loops run over per-row slice windows of one common length so the
 // compiler's prove pass eliminates the bounds checks (same idiom as
-// stencil.Local.Apply; verify with go build -gcflags=-d=ssa/check_bce).
+// stencil.Local.Apply; verify.sh holds residual's row loop to it with
+// go build -gcflags=-d=ssa/check_bce).
 
 // residual computes r = b − A·x on the interior (fused; charged as one
 // stencil application). x must have valid ring-1 halos.
@@ -128,20 +129,24 @@ func chebBasisNext(loc *stencil.Local, dst, w, v, u []float64, gamma, twoInvDelt
 	}
 }
 
-// chebUpdate computes dx = ω·rp + c·dx on the interior (P-CSI line 7;
-// charged as two vector operations).
+// chebStep advances P-CSI one step in a single pass over the interior:
+// dx = ω·rp + c·dx, then x += dx (Algorithm 2 lines 7–8; charged as three
+// vector operations).
 //
 //pop:hotpath
-func chebUpdate(loc *stencil.Local, dx, rp []float64, omega, c float64) {
+func chebStep(loc *stencil.Local, x, dx, rp []float64, omega, c float64) {
 	nx := loc.NxP
 	h := loc.H
 	for j := h; j < loc.NyP-h; j++ {
 		lo := j*nx + h
 		n := nx - 2*h
+		xr := x[lo:][:n]
 		dr := dx[lo:][:n]
 		rr := rp[lo:][:n]
 		for i := range dr {
-			dr[i] = omega*rr[i] + c*dr[i]
+			d := omega*rr[i] + c*dr[i]
+			dr[i] = d
+			xr[i] += d
 		}
 	}
 }

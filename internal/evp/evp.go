@@ -11,11 +11,9 @@
 // ring that over-marching writes. Both have nx+ny−1 points (the paper's
 // 2n−5 for an n×n extended domain).
 //
-// One solve costs two marches plus a k×k matvec — O(22·n²) for the full
-// nine-coefficient stencil and O(14·n²) for the simplified five-coefficient
-// variant of §4.3 (the N/S/E/W couplings of the POP operator are an order of
-// magnitude smaller than the corner couplings and can be dropped from the
-// preconditioner with no significant convergence impact).
+// One solve is two marches plus a k×k influence correction — the paper's
+// O(22·n²). The marches stream one packed coefficient record per interior
+// point (see Packed); the correction runs between them, in place.
 //
 // Marching amplifies round-off exponentially with block size — the method is
 // only usable on small blocks (≤ ~16; the paper quotes O(1e−8) error at
@@ -35,71 +33,185 @@ import (
 // larger domains.
 const MaxStableSize = 20
 
-// BlockSolver solves Bᵢ·x = ψ on one preconditioner block by EVP marching.
-type BlockSolver struct {
-	nx, ny     int // extended-domain dimensions (block + phantom ring)
-	simplified bool
-
-	// Stencil coefficients per extended-domain point, split per offset for
-	// the marching inner loop: c[o][k] is the coupling of point k to its
-	// neighbour at offset o in [SW,S,SE,W,C,E,NW,N,NE] order.
-	c [9][]float64
-
-	e, f       []int         // flattened extended-domain indices
-	r          *linalg.Dense // inverse influence matrix, |e|×|e|
-	work       []float64     // marching workspace, one extended domain
-	fbuf, ebuf []float64     // |f| and |e| scratch
-}
-
-// offsets in [SW,S,SE,W,C,E,NW,N,NE] order as (di,dj).
-var offsets = [9][2]int{
-	{-1, -1}, {0, -1}, {1, -1},
-	{-1, 0}, {0, 0}, {1, 0},
-	{-1, 1}, {0, 1}, {1, 1},
-}
-
+// Slots of one packed march record: the eight known-neighbour couplings in
+// stencil row order [SW,S,SE,W,C,E,NW,N], each pre-multiplied by 1/c_NE,
+// with 1/c_NE itself in the slot the NE coupling has in a stencil row.
 const (
-	offC  = 4
-	offNE = 8
+	pS, pW, pE, pN = 1, 3, 5, 7
+	pInv           = 8
 )
 
-// NewBlockSolver builds an EVP solver for the block operator described by
-// loc, a padded window with halo 1 whose interior is the preconditioner
-// block (see stencil.AssembleWindowFilled). When simplified is true the
-// N/S/E/W couplings are dropped (§4.3). It fails when the extended domain
-// is too large for stable marching, a north-east coefficient is zero, or
-// the influence matrix is singular.
-func NewBlockSolver(loc *stencil.Local, simplified bool) (*BlockSolver, error) {
+// Packed is a block operator in march form: one record per interior point,
+// in march order (row by row, west to east), solved for the north-east
+// unknown. The equation at (i,j) reads
+//
+//	x(i+1,j+1) = ψ(i,j)/c_NE − Σ (c_o/c_NE)·x(neighbour o),
+//
+// so the march multiplies by the stored reciprocal and never divides. This
+// is the only copy of the block's coefficients a solver keeps: a 1° session
+// holds ≈ 12 MB of them, and a second (unscaled) copy is a tenth of its
+// live heap.
+type Packed struct {
+	nx, ny    int          // extended-domain dimensions (block + phantom ring)
+	coeffsPer int64        // couplings the paper's flop accounting charges per march point
+	p         [][9]float64 // (nx−2)·(ny−2) march records
+}
+
+// Pack splits the halo-1 window loc (see stencil.AssembleWindowFilled) into
+// march records. When simplified is true the N/S/E/W couplings are zeroed
+// (the five-coefficient variant of §4.3). It fails on a degenerate window or
+// a zero north-east coefficient.
+func Pack(loc *stencil.Local, simplified bool) (*Packed, error) {
 	if loc.H != 1 {
 		return nil, fmt.Errorf("evp: block window must have halo 1, got %d", loc.H)
 	}
 	nx, ny := loc.NxP, loc.NyP
-	if nx > MaxStableSize+2 || ny > MaxStableSize+2 {
-		return nil, fmt.Errorf("evp: %d×%d extended domain exceeds stable marching size", nx, ny)
-	}
 	if nx < 3 || ny < 3 {
 		return nil, fmt.Errorf("evp: degenerate %d×%d domain", nx, ny)
 	}
-	s := &BlockSolver{nx: nx, ny: ny, simplified: simplified}
-	n := nx * ny
-	for o := range s.c {
-		s.c[o] = make([]float64, n)
+	pk := &Packed{nx: nx, ny: ny, coeffsPer: 9, p: make([][9]float64, 0, (nx-2)*(ny-2))}
+	if simplified {
+		pk.coeffsPer = 5
 	}
 	for j := 1; j < ny-1; j++ {
 		for i := 1; i < nx-1; i++ {
 			row := loc.Row(i, j)
-			k := j*nx + i
-			for o, v := range row {
-				s.c[o][k] = v
-			}
-			if simplified {
-				s.c[1][k], s.c[3][k], s.c[5][k], s.c[7][k] = 0, 0, 0, 0
-			}
-			if s.c[offNE][k] == 0 {
+			ne := row[pInv]
+			if ne == 0 {
 				return nil, fmt.Errorf("evp: zero north-east coefficient at (%d,%d); block operator must be land-filled", i, j)
 			}
+			inv := 1 / ne
+			for o := range row[:pInv] {
+				row[o] *= inv
+			}
+			row[pInv] = inv
+			if simplified {
+				row[pS], row[pW], row[pE], row[pN] = 0, 0, 0, 0
+			}
+			pk.p = append(pk.p, row)
 		}
 	}
+	return pk, nil
+}
+
+// march propagates x north-eastward: the equation at (i,j) determines
+// x(i+1,j+1). psi is the right-hand side over the extended domain, read at
+// interior points only. On entry x must hold the guess on e and zeros on the
+// south/west boundary; every other point, including the north/east boundary
+// ring (the f points), is overwritten.
+//
+// Row windows of one common length keep the inner loop free of bounds
+// checks (verify.sh gates this), and the row's running value is carried in
+// registers: x(i,j+1) and x(i−1,j+1) were written by the two previous
+// steps, and the N term comes last so the carried chain is one multiply and
+// one subtract.
+//
+//pop:hotpath
+func (pk *Packed) march(x, psi []float64) {
+	nx, n := pk.nx, pk.nx-2
+	for j := 1; j <= pk.ny-2; j++ {
+		lo := j*nx + 1
+		cr := pk.p[(j-1)*n:][:n]
+		pr := psi[lo:][:n]
+		xse := x[lo-nx+1:][:n]
+		xe := x[lo+1:][:n]
+		out := x[lo+nx+1:][:n]
+		sw, s := x[lo-nx-1], x[lo-nx]
+		w, c := x[lo-1], x[lo]
+		nw, north := x[lo+nx-1], x[lo+nx]
+		for i := range out {
+			k := &cr[i]
+			se, e := xse[i], xe[i]
+			t := pr[i]*k[pInv] - (k[0]*sw + k[1]*s + k[2]*se +
+				k[3]*w + k[4]*c + k[5]*e + k[6]*nw)
+			sw, s = s, se
+			w, c = c, e
+			nw, north = north, t-k[pN]*north
+			out[i] = north
+		}
+	}
+}
+
+// marchHomogeneous is march with ψ = 0 — the influence-matrix columns and
+// the growth estimate, i.e. set-up only.
+func (pk *Packed) marchHomogeneous(x []float64) {
+	nx, n := pk.nx, pk.nx-2
+	for j := 1; j <= pk.ny-2; j++ {
+		lo := j*nx + 1
+		cr := pk.p[(j-1)*n:][:n]
+		xse := x[lo-nx+1:][:n]
+		xe := x[lo+1:][:n]
+		out := x[lo+nx+1:][:n]
+		sw, s := x[lo-nx-1], x[lo-nx]
+		w, c := x[lo-1], x[lo]
+		nw, north := x[lo+nx-1], x[lo+nx]
+		for i := range out {
+			k := &cr[i]
+			se, e := xse[i], xe[i]
+			t := -(k[0]*sw + k[1]*s + k[2]*se +
+				k[3]*w + k[4]*c + k[5]*e + k[6]*nw)
+			sw, s = s, se
+			w, c = c, e
+			nw, north = north, t-k[pN]*north
+			out[i] = north
+		}
+	}
+}
+
+// Growth estimates the marching amplification factor: the largest |value|
+// one homogeneous march produces from a unit guess in the middle of the
+// e-ring's south row (representative of the influence-matrix columns). It
+// quantifies the instability that restricts EVP to small blocks.
+func (pk *Packed) Growth() float64 {
+	x := make([]float64, pk.nx*pk.ny)
+	x[1*pk.nx+pk.nx/2] = 1
+	pk.marchHomogeneous(x)
+	var g float64
+	for _, v := range x {
+		if a := math.Abs(v); a > g {
+			g = a
+		}
+	}
+	return g
+}
+
+// MarchGrowth is Pack followed by Growth. It has no size guard: measuring
+// how hot an oversized block marches is what it is for. (Signature pinned by
+// benchmark/.)
+func MarchGrowth(loc *stencil.Local, simplified bool) (float64, error) {
+	pk, err := Pack(loc, simplified)
+	if err != nil {
+		return 0, err
+	}
+	return pk.Growth(), nil
+}
+
+// BlockSolver solves Bᵢ·x = ψ on one preconditioner block by EVP marching.
+type BlockSolver struct {
+	pk   Packed
+	e, f []int        // flattened extended-domain indices
+	r    [][8]float64 // inverse influence matrix, |e|×|e|: r[i/8·k+j][i%8] = R(i,j), zero-padded
+}
+
+// NewBlockSolver is Pack followed by Solver. (Signature pinned by
+// benchmark/.)
+func NewBlockSolver(loc *stencil.Local, simplified bool) (*BlockSolver, error) {
+	pk, err := Pack(loc, simplified)
+	if err != nil {
+		return nil, err
+	}
+	return pk.Solver()
+}
+
+// Solver builds the EVP solver for a packed block, sharing its records. It
+// fails when the extended domain is too large for stable marching or the
+// influence matrix is singular.
+func (pk *Packed) Solver() (*BlockSolver, error) {
+	nx, ny := pk.nx, pk.ny
+	if nx > MaxStableSize+2 || ny > MaxStableSize+2 {
+		return nil, fmt.Errorf("evp: %d×%d extended domain exceeds stable marching size", nx, ny)
+	}
+	s := &BlockSolver{pk: *pk}
 
 	// Initial-guess ring e: interior points hugging the south and west
 	// boundaries; final ring f: the north/east boundary points that
@@ -120,88 +232,78 @@ func NewBlockSolver(loc *stencil.Local, simplified bool) (*BlockSolver, error) {
 		panic("evp: e/f size mismatch")
 	}
 
-	s.work = make([]float64, n)
-	s.fbuf = make([]float64, len(s.f))
-	s.ebuf = make([]float64, len(s.e))
-
 	// Influence matrix: column i is the response at f to a unit guess at
 	// e[i] under the homogeneous equation.
 	k := len(s.e)
 	w := linalg.NewDense(k, k)
-	for col := 0; col < k; col++ {
-		for i := range s.work {
-			s.work[i] = 0
-		}
-		s.work[s.e[col]] = 1
-		s.march(s.work, nil)
-		for rowI, fk := range s.f {
-			w.Set(rowI, col, s.work[fk])
+	work := make([]float64, nx*ny)
+	for col, ek := range s.e {
+		clear(work)
+		work[ek] = 1
+		pk.marchHomogeneous(work)
+		for row, fk := range s.f {
+			w.Set(row, col, work[fk])
 		}
 	}
 	inv, err := linalg.Inverse(w)
 	if err != nil {
 		return nil, fmt.Errorf("evp: influence matrix singular: %w", err)
 	}
-	s.r = inv
+	s.r = make([][8]float64, (k+7)/8*k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			s.r[i/8*k+j][i%8] = inv.At(i, j)
+		}
+	}
 	return s, nil
 }
 
 // Size returns the interior block dimensions.
-func (s *BlockSolver) Size() (nx, ny int) { return s.nx - 2, s.ny - 2 }
-
-// march propagates x north-eastward: the equation at (i,j) determines
-// x(i+1,j+1). psi is the right-hand side over the extended domain (nil
-// means homogeneous). On entry x must hold the guess on e and zeros on the
-// south/west boundary; every other point, including the north/east boundary
-// ring (the f points), is overwritten.
-func (s *BlockSolver) march(x, psi []float64) {
-	nx := s.nx
-	for j := 1; j <= s.ny-2; j++ {
-		base := j * nx
-		for i := 1; i <= s.nx-2; i++ {
-			k := base + i
-			rhs := 0.0
-			if psi != nil {
-				rhs = psi[k]
-			}
-			var sum float64
-			if s.simplified {
-				sum = s.c[0][k]*x[k-nx-1] + s.c[2][k]*x[k-nx+1] +
-					s.c[offC][k]*x[k] + s.c[6][k]*x[k+nx-1]
-			} else {
-				sum = s.c[0][k]*x[k-nx-1] + s.c[1][k]*x[k-nx] + s.c[2][k]*x[k-nx+1] +
-					s.c[3][k]*x[k-1] + s.c[offC][k]*x[k] + s.c[5][k]*x[k+1] +
-					s.c[6][k]*x[k+nx-1] + s.c[7][k]*x[k+nx]
-			}
-			x[k+nx+1] = (rhs - sum) / s.c[offNE][k]
-		}
-	}
-}
+func (s *BlockSolver) Size() (nx, ny int) { return s.pk.nx - 2, s.pk.ny - 2 }
 
 // Solve computes x = Bᵢ⁻¹·ψ on the extended domain: both slices are
-// extended-domain length, ψ is read at interior points only, and x receives
-// the solution at interior points (boundary entries end up ≈0). Following
-// Algorithm 3: march with zero guess, correct the guess ring through the
-// influence inverse, march again.
+// extended-domain length, ψ is read at interior points only (its ring may
+// hold anything), and x receives the solution at interior points with zeros
+// on the ring. Following Algorithm 3: march with zero guess, correct the
+// guess ring through the influence inverse, march again.
+//
+//pop:hotpath
 func (s *BlockSolver) Solve(x, psi []float64) {
-	if len(x) != s.nx*s.ny || len(psi) != s.nx*s.ny {
+	if n := s.pk.nx * s.pk.ny; len(x) != n || len(psi) != n {
 		panic("evp: Solve dimension mismatch")
 	}
-	for i := range x {
-		x[i] = 0
+	clear(x)
+	s.pk.march(x, psi)
+
+	// Guess correction e −= R·F with F = x|f (the Dirichlet boundary value
+	// there is 0). R is stored eight rows to a record, so one pass over F
+	// feeds eight independent accumulators; each row still sums in column
+	// order.
+	e, f, k := s.e, s.f, len(s.f)
+	for i := 0; i < k; i += 8 {
+		rb := s.r[i/8*k:][:k]
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for j, fk := range f {
+			v := x[fk]
+			c := &rb[j]
+			a0 += c[0] * v
+			a1 += c[1] * v
+			a2 += c[2] * v
+			a3 += c[3] * v
+			a4 += c[4] * v
+			a5 += c[5] * v
+			a6 += c[6] * v
+			a7 += c[7] * v
+		}
+		acc := [8]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+		for l, ek := range e[i:min(i+8, k)] {
+			x[ek] -= acc[l]
+		}
 	}
-	s.march(x, psi)
-	for i, fk := range s.f {
-		s.fbuf[i] = x[fk] // F = x|f − 0 (Dirichlet boundary)
-	}
-	s.r.MulVec(s.ebuf, s.fbuf)
-	for i, ek := range s.e {
-		x[s.e[i]] = x[ek] - s.ebuf[i]
-	}
-	// Zero everything the second march does not overwrite cannot have
-	// changed; re-march overwrites all non-e interior points and the f ring.
-	s.march(x, psi)
-	for _, fk := range s.f {
+
+	// The second march overwrites every non-e interior point and the f ring.
+	s.pk.march(x, psi)
+	for _, fk := range f {
 		x[fk] = 0 // residual round-off on the phantom boundary
 	}
 }
@@ -210,68 +312,36 @@ func (s *BlockSolver) Solve(x, psi []float64) {
 // accounting: 2 marches of (9 or 5)·n² plus the k² influence correction —
 // ≈22·n² full, ≈14·n² simplified (§4.3).
 func (s *BlockSolver) SolveFlops() int64 {
-	n2 := int64((s.nx - 2) * (s.ny - 2))
+	n2 := int64((s.pk.nx - 2) * (s.pk.ny - 2))
 	k := int64(len(s.e))
-	per := int64(9)
-	if s.simplified {
-		per = 5
-	}
-	return 2*per*n2 + k*k
+	return 2*s.pk.coeffsPer*n2 + k*k
 }
 
 // SetupFlops returns the preprocessing charge: k homogeneous marches plus
 // the k³ influence-matrix inversion (paper §4.2: C_pre ≈ 26·n³).
 func (s *BlockSolver) SetupFlops() int64 {
-	n2 := int64((s.nx - 2) * (s.ny - 2))
+	n2 := int64((s.pk.nx - 2) * (s.pk.ny - 2))
 	k := int64(len(s.e))
-	per := int64(9)
-	if s.simplified {
-		per = 5
-	}
-	return k*per*n2 + k*k*k
+	return k*s.pk.coeffsPer*n2 + k*k*k
 }
 
-// MarchGrowth estimates the marching amplification factor: the largest
-// |value| produced while building the influence matrix from unit inputs.
-// It quantifies the instability that restricts EVP to small blocks.
-func MarchGrowth(loc *stencil.Local, simplified bool) (float64, error) {
-	if loc.H != 1 {
-		return 0, fmt.Errorf("evp: block window must have halo 1")
+// Compact re-homes the solvers' march records and influence inverses, in
+// slice order, in two contiguous slabs. Built one by one, each solver's
+// arrays sit wherever the allocator's size classes put them, between set-up
+// garbage; a preconditioner sweep visits solvers in a fixed order, and over
+// compacted solvers it streams memory front to back (−9% on a 1° apply,
+// where the coefficients do not fit in L2).
+func Compact(sols []*BlockSolver) {
+	np, nr := 0, 0
+	for _, s := range sols {
+		np += len(s.pk.p)
+		nr += len(s.r)
 	}
-	nx, ny := loc.NxP, loc.NyP
-	if nx < 3 || ny < 3 {
-		return 0, fmt.Errorf("evp: degenerate domain")
+	ps := make([][9]float64, np)
+	rs := make([][8]float64, nr)
+	for _, s := range sols {
+		np, nr = copy(ps, s.pk.p), copy(rs, s.r)
+		s.pk.p, s.r = ps[:np:np], rs[:nr:nr]
+		ps, rs = ps[np:], rs[nr:]
 	}
-	// Build a throwaway solver-like marcher without the size guard.
-	s := &BlockSolver{nx: nx, ny: ny, simplified: simplified}
-	n := nx * ny
-	for o := range s.c {
-		s.c[o] = make([]float64, n)
-	}
-	for j := 1; j < ny-1; j++ {
-		for i := 1; i < nx-1; i++ {
-			row := loc.Row(i, j)
-			k := j*nx + i
-			for o, v := range row {
-				s.c[o][k] = v
-			}
-			if simplified {
-				s.c[1][k], s.c[3][k], s.c[5][k], s.c[7][k] = 0, 0, 0, 0
-			}
-			if s.c[offNE][k] == 0 {
-				return 0, fmt.Errorf("evp: zero north-east coefficient at (%d,%d)", i, j)
-			}
-		}
-	}
-	x := make([]float64, n)
-	// One unit guess in the middle of the e-ring is representative.
-	x[1*nx+nx/2] = 1
-	s.march(x, nil)
-	var g float64
-	for _, v := range x {
-		if a := math.Abs(v); a > g {
-			g = a
-		}
-	}
-	return g, nil
 }

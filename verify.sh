@@ -18,6 +18,31 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== bounds-check-free inner loops (check_bce) =="
+# The row-window idiom of residual (core/solvers.go) and of the EVP march
+# exists so the prove pass can drop every bounds check from the loop over a
+# row. The slicing that sets a row up keeps its checks; the loop itself —
+# the function's first `for i := range` to the brace that closes it — must
+# have none.
+bce=$(go build -gcflags=-d=ssa/check_bce ./internal/evp ./internal/core 2>&1)
+inner_loop_checks() { # <file> <func name>: check_bce reports inside its row loop
+    span=$(awk -v fn="$2" '
+        $0 ~ "^func ([^{]*[ )])?" fn "\\(" { infn = 1 }
+        infn && !first && /for i := range/ { first = NR; last = $0; sub(/for.*/, "}", last) }
+        first && NR > first && $0 == last { print first, NR; exit }' "$1")
+    [ -n "$span" ] || { echo "no row loop found in $2 ($1)"; exit 1; }
+    echo "$bce" | awk -F: -v file="$1" -v span="$span" '
+        BEGIN { split(span, s, " ") }
+        $1 == file && $2 >= s[1] && $2 <= s[2]'
+}
+for loop in "internal/evp/evp.go march" "internal/core/solvers.go residual"; do
+    # shellcheck disable=SC2086
+    found=$(inner_loop_checks $loop)
+    if [ -n "$found" ]; then
+        echo "bounds checks inside the row loop of ${loop#* }:"; echo "$found"; exit 1
+    fi
+done
+
 echo "== poplint static analysis =="
 # The repo's own analyzer suite (SPMD lockstep with interprocedural taint,
 # determinism, hot-path allocation, ctx flow, typed errors — DESIGN.md §10 —
