@@ -229,7 +229,6 @@ func runOverloadPhase(out io.Writer) (overloadPhase, error) {
 		MaxSessionsPerKey: 1,
 		MaxQueue:          2,
 		MaxBatch:          1,
-		MaxWait:           -1,
 		Solver:            pop.SolverOptions{Tol: 1e-12, MaxIters: 200000},
 	})
 	defer closeService(svc)

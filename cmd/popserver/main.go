@@ -60,7 +60,6 @@ func main() {
 		sessions  = flag.Int("sessions", 2, "max warmed sessions per (grid,method,precond) key")
 		queue     = flag.Int("queue", 64, "per-key queue bound before shedding")
 		batch     = flag.Int("batch", 8, "max requests coalesced per session checkout")
-		wait      = flag.Duration("wait", 2*time.Millisecond, "batching window for stragglers")
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 		circuit   = flag.Int("circuit", 0, "open a key's circuit breaker after this many consecutive faulted solves (0 = off)")
@@ -98,7 +97,6 @@ func main() {
 		MaxSessionsPerKey: *sessions,
 		MaxQueue:          *queue,
 		MaxBatch:          *batch,
-		MaxWait:           *wait,
 		CircuitThreshold:  *circuit,
 		CircuitCooldown:   *cooldown,
 		TraceCapacity:     *tracecap,

@@ -120,15 +120,15 @@ func (s *Session) SolveChronGearContext(ctx context.Context, b, x0 []float64) (R
 		for k < o.MaxIters {
 			k++
 			check := k%o.CheckEvery == 0
-			stagePrecond(r, rs, rp, rr) // r' = M⁻¹r
-			var rnL float64
+			// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
+			rhoL, rnL := stagePrecondDots(r, rs, rp, rr, check)
 			if check {
-				rnL = stageDot(r, rs, rr, rr)
+				chargeDot(r, rs)
 			}
 			// z = B·r' fused with δ = ⟨z, r'⟩ — one pass over the operands,
-			// with the iteration's one boundary update inside — then ρ = ⟨r, r'⟩.
+			// with the iteration's one boundary update inside.
 			deltaL := stageFusedMatvecDot(r, rs, zz, rp)
-			rhoL := stageDot(r, rs, rr, rp)
+			chargeDot(r, rs) // ρ
 			payload[0], payload[1] = rhoL, deltaL
 			p := payload[:2]
 			crashed := false
@@ -317,10 +317,8 @@ func (s *Session) SolveChronGearContext(ctx context.Context, b, x0 []float64) (R
 			rhoPrev, sigmaPrev = rho, sigma
 			for i := 0; i < nb; i++ {
 				loc := rs.locs[i]
-				xpay(loc, ss[i], rp[i], beta)   // s = r' + βs
-				xpay(loc, pp[i], zz[i], beta)   // p = z + βp
-				axpy(loc, xs[i], ss[i], alpha)  // x += αs
-				axpy(loc, rr[i], pp[i], -alpha) // r −= αp
+				// s = r' + βs, x += αs and p = z + βp, r −= αp in one pass.
+				fusedUpdate(loc, ss[i], rp[i], xs[i], pp[i], zz[i], rr[i], beta, alpha, -alpha)
 				r.AddFlops(4 * int64(loc.InteriorLen()))
 			}
 		}

@@ -114,8 +114,7 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 			}
 			alpha := rho / delta
 			for i := 0; i < nb; i++ {
-				axpy(rs.locs[i], xs[i], pp[i], alpha)
-				axpy(rs.locs[i], rr[i], zz[i], -alpha)
+				axpy2(rs.locs[i], xs[i], pp[i], alpha, rr[i], zz[i], -alpha)
 				r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
 			}
 

@@ -70,8 +70,10 @@ func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result,
 		for k < o.MaxIters {
 			k++
 			check := k%o.CheckEvery == 0
-			stagePrecond(r, rs, rp, rr) // r' = M⁻¹r
-			payload[0] = stageDot(r, rs, rr, rp)
+			// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
+			rhoL, rnL := stagePrecondDots(r, rs, rp, rr, check)
+			chargeDot(r, rs)
+			payload[0] = rhoL
 			rho := r.AllReduce(payload[:1])[0] // reduction 1 of 2
 			if k == 1 {
 				for i := 0; i < nb; i++ {
@@ -87,9 +89,8 @@ func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result,
 			rhoPrev = rho
 			// z = B·p fused with δ = ⟨p, z⟩ (halo refresh inside).
 			deltaL := stageFusedMatvecDot(r, rs, zz, pp)
-			var rnL float64
 			if check {
-				rnL = stageDot(r, rs, rr, rr)
+				chargeDot(r, rs) // ⟨r, r⟩
 			}
 			payload[0] = deltaL
 			p := payload[:1]
@@ -110,6 +111,9 @@ func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result,
 					converged = true
 					break
 				}
+				if math.IsNaN(rn) { // reduced, so every rank leaves here
+					break
+				}
 				if g[2] != 0 { // some rank saw ctx done — all ranks stop here
 					if r.ID == 0 {
 						cancelled = true
@@ -119,8 +123,7 @@ func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result,
 			}
 			for i := 0; i < nb; i++ {
 				loc := rs.locs[i]
-				axpy(loc, xs[i], pp[i], alpha)
-				axpy(loc, rr[i], zz[i], -alpha)
+				axpy2(loc, xs[i], pp[i], alpha, rr[i], zz[i], -alpha) // x += αp, r −= αz
 				r.AddFlops(2 * int64(loc.InteriorLen()))
 			}
 		}
@@ -135,6 +138,9 @@ func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result,
 	s.restoreLand(out, b)
 	if cancelled {
 		return res, out, ctxSolveErr(ctx, "pcg", res.Iterations)
+	}
+	if !res.Converged && math.IsNaN(res.RelResidual) {
+		return res, out, &NotConvergedError{Solver: "pcg", Iterations: res.Iterations, RelResidual: res.RelResidual}
 	}
 	return res, out, nil
 }

@@ -138,6 +138,9 @@ func (s *Session) SolvePipeCGContext(ctx context.Context, b, x0 []float64) (Resu
 					converged = true
 					break
 				}
+				if math.IsNaN(rn) { // reduced, so every rank leaves here
+					break
+				}
 				if cancelSum != 0 { // some rank saw ctx done — all stop here
 					if r.ID == 0 {
 						cancelled = true
@@ -155,14 +158,11 @@ func (s *Session) SolvePipeCGContext(ctx context.Context, b, x0 []float64) (Resu
 			gammaPrev, alphaPrev = gamma, alpha
 			for i := 0; i < nb; i++ {
 				loc := rs.locs[i]
-				xpay(loc, zz[i], nn[i], beta) // z = n + βz
-				xpay(loc, qq[i], mm[i], beta) // q = m + βq
-				xpay(loc, ss[i], ww[i], beta) // s = w + βs
-				xpay(loc, pp[i], uu[i], beta) // p = u + βp
-				axpy(loc, xs[i], pp[i], alpha)
-				axpy(loc, rr[i], ss[i], -alpha)
-				axpy(loc, uu[i], qq[i], -alpha)
-				axpy(loc, ww[i], zz[i], -alpha)
+				// p = u + βp, x += αp and s = w + βs, r −= αs first: they read
+				// the u and w that the second pass then overwrites with
+				// q = m + βq, u −= αq and z = n + βz, w −= αz.
+				fusedUpdate(loc, pp[i], uu[i], xs[i], ss[i], ww[i], rr[i], beta, alpha, -alpha)
+				fusedUpdate(loc, qq[i], mm[i], uu[i], zz[i], nn[i], ww[i], beta, -alpha, -alpha)
 				r.AddFlops(8 * int64(loc.InteriorLen()))
 			}
 		}
@@ -177,6 +177,9 @@ func (s *Session) SolvePipeCGContext(ctx context.Context, b, x0 []float64) (Resu
 	s.restoreLand(out, b)
 	if cancelled {
 		return res, out, ctxSolveErr(ctx, "pipecg", res.Iterations)
+	}
+	if !res.Converged && math.IsNaN(res.RelResidual) {
+		return res, out, &NotConvergedError{Solver: "pipecg", Iterations: res.Iterations, RelResidual: res.RelResidual}
 	}
 	return res, out, nil
 }

@@ -105,9 +105,11 @@ func (p *diagPrecond) Apply(dst, src []float64) {
 	nx := p.loc.NxP
 	h := p.loc.H
 	for j := h; j < p.loc.NyP-h; j++ {
-		base := j * nx
-		for i := h; i < nx-h; i++ {
-			dst[base+i] = src[base+i] * p.inv[base+i]
+		lo := j*nx + h
+		n := nx - 2*h
+		dr, sr, ir := dst[lo:][:n], src[lo:][:n], p.inv[lo:][:n]
+		for i := range dr {
+			dr[i] = sr[i] * ir[i]
 		}
 	}
 }

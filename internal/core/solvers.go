@@ -20,40 +20,33 @@ import "repro/internal/stencil"
 func residual(loc *stencil.Local, r, b, x []float64) {
 	nx := loc.NxP
 	h := loc.H
+	n := nx - 2*h + 2
 	for j := h; j < loc.NyP-h; j++ {
-		lo := j*nx + h
-		n := nx - 2*h
+		lo := j*nx + h - 1
 		rr := r[lo:][:n]
 		br := b[lo:][:n]
 		xc := x[lo:][:n]
 		xn := x[lo+nx:][:n]
 		xs := x[lo-nx:][:n]
-		xe := x[lo+1:][:n]
-		xw := x[lo-1:][:n]
-		xne := x[lo+nx+1:][:n]
-		xse := x[lo-nx+1:][:n]
-		xnw := x[lo+nx-1:][:n]
-		xsw := x[lo-nx-1:][:n]
 		ac := loc.AC[lo:][:n]
 		an := loc.AN[lo:][:n]
 		ans := loc.AN[lo-nx:][:n]
 		ae := loc.AE[lo:][:n]
-		aw := loc.AE[lo-1:][:n]
 		ane := loc.ANE[lo:][:n]
 		anes := loc.ANE[lo-nx:][:n]
-		anew := loc.ANE[lo-1:][:n]
-		anesw := loc.ANE[lo-nx-1:][:n]
-		for i := range rr {
+		for e := 2; e < len(xc); e++ {
+			i, w := e-1, e-2
 			rr[i] = br[i] - (ac[i]*xc[i] +
 				an[i]*xn[i] + ans[i]*xs[i] +
-				ae[i]*xe[i] + aw[i]*xw[i] +
-				ane[i]*xne[i] + anes[i]*xse[i] +
-				anew[i]*xnw[i] + anesw[i]*xsw[i])
+				ae[i]*xc[e] + ae[w]*xc[w] +
+				ane[i]*xn[e] + anes[i]*xs[e] +
+				ane[w]*xn[w] + anes[w]*xs[w])
 		}
 	}
 }
 
-// xpay computes dst = x + a·dst on the interior (ChronGear's s/p updates).
+// xpay computes dst = x + a·dst on the interior (the direction update of
+// PCG and Lanczos, whose iterate update waits on a reduction).
 //
 //pop:hotpath
 func xpay(loc *stencil.Local, dst, x []float64, a float64) {
@@ -70,19 +63,48 @@ func xpay(loc *stencil.Local, dst, x []float64, a float64) {
 	}
 }
 
-// axpy computes dst += a·x on the interior.
+// fusedUpdate advances two direction/iterate pairs in one pass over the
+// interior: d1 = x1 + β·d1, y1 += a1·d1 and d2 = x2 + β·d2, y2 += a2·d2 —
+// ChronGear's s/x and p/r updates (PipeCG runs it twice), which were four
+// separate xpay/axpy sweeps. Every element sees the arithmetic of xpay
+// followed by axpy, so the fusion is bitwise invisible; it is still charged
+// as four vector operations.
 //
 //pop:hotpath
-func axpy(loc *stencil.Local, dst, x []float64, a float64) {
+func fusedUpdate(loc *stencil.Local, d1, x1, y1, d2, x2, y2 []float64, beta, a1, a2 float64) {
 	nx := loc.NxP
 	h := loc.H
 	for j := h; j < loc.NyP-h; j++ {
 		lo := j*nx + h
 		n := nx - 2*h
-		dr := dst[lo:][:n]
-		xr := x[lo:][:n]
-		for i := range dr {
-			dr[i] += a * xr[i]
+		d1r, x1r, y1r := d1[lo:][:n], x1[lo:][:n], y1[lo:][:n]
+		d2r, x2r, y2r := d2[lo:][:n], x2[lo:][:n], y2[lo:][:n]
+		for i := range d1r {
+			v1 := x1r[i] + beta*d1r[i]
+			v2 := x2r[i] + beta*d2r[i]
+			d1r[i], d2r[i] = v1, v2
+			y1r[i] += a1 * v1
+			y2r[i] += a2 * v2
+		}
+	}
+}
+
+// axpy2 computes y1 += a1·x1 and y2 += a2·x2 on the interior in one pass
+// (the iterate and residual updates of PCG, Lanczos and the s-step solver;
+// charged as two vector operations).
+//
+//pop:hotpath
+func axpy2(loc *stencil.Local, y1, x1 []float64, a1 float64, y2, x2 []float64, a2 float64) {
+	nx := loc.NxP
+	h := loc.H
+	for j := h; j < loc.NyP-h; j++ {
+		lo := j*nx + h
+		n := nx - 2*h
+		y1r, x1r := y1[lo:][:n], x1[lo:][:n]
+		y2r, x2r := y2[lo:][:n], x2[lo:][:n]
+		for i := range y1r {
+			y1r[i] += a1 * x1r[i]
+			y2r[i] += a2 * x2r[i]
 		}
 	}
 }

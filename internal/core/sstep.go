@@ -383,8 +383,7 @@ func (s *Session) SolveSStepContext(ctx context.Context, b, x0 []float64) (Resul
 						c := bm[i*sv+j]
 						for blk := 0; blk < nb; blk++ {
 							loc := rs.locs[blk]
-							axpy(loc, vv[j][blk], pp[i][blk], c)
-							axpy(loc, qq[j][blk], aps[i][blk], c)
+							axpy2(loc, vv[j][blk], pp[i][blk], c, qq[j][blk], aps[i][blk], c)
 							r.AddFlops(2 * int64(loc.InteriorLen()))
 						}
 					}
@@ -398,8 +397,7 @@ func (s *Session) SolveSStepContext(ctx context.Context, b, x0 []float64) (Resul
 			for j := 0; j < sv; j++ { // x += P·a, r −= (A·P)·a
 				for blk := 0; blk < nb; blk++ {
 					loc := rs.locs[blk]
-					axpy(loc, xs[blk], pp[j][blk], avec[j])
-					axpy(loc, rr[blk], aps[j][blk], -avec[j])
+					axpy2(loc, xs[blk], pp[j][blk], avec[j], rr[blk], aps[j][blk], -avec[j])
 					r.AddFlops(2 * int64(loc.InteriorLen()))
 				}
 			}

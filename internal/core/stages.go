@@ -49,6 +49,32 @@ func stagePrecond(r *comm.Rank, rs *rankState, dst, src [][]float64) {
 	}
 }
 
+// stagePrecondDots is stagePrecond plus the rank's local ⟨src, dst⟩ — and
+// ⟨src, src⟩ on a check iteration — taken block by block right behind the
+// preconditioner, while both operands are still in L1. Only the
+// preconditioner is charged here: the callers charge each dot with
+// chargeDot at the program point where its separate stageDot sweep used to
+// run, so the virtual clock, its noise sequence and the traces do not move.
+func stagePrecondDots(r *comm.Rank, rs *rankState, dst, src [][]float64, check bool) (rho, rn float64) {
+	for i, loc := range rs.locs {
+		rs.pre[i].Apply(dst[i], src[i])
+		r.AddFlops(rs.pre[i].ApplyFlops())
+		rho += loc.MaskedDotInterior(src[i], dst[i])
+		if check {
+			rn += loc.MaskedDotInterior(src[i], src[i])
+		}
+	}
+	return rho, rn
+}
+
+// chargeDot charges one blockwise masked inner product (see
+// stagePrecondDots).
+func chargeDot(r *comm.Rank, rs *rankState) {
+	for _, loc := range rs.locs {
+		r.AddFlops(2 * int64(loc.InteriorLen()))
+	}
+}
+
 // stageMatvec refreshes src's halos and applies the operator: dst = A·src.
 func stageMatvec(r *comm.Rank, rs *rankState, dst, src [][]float64) {
 	r.Exchange(src)

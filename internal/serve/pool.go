@@ -298,8 +298,10 @@ func (p *keyPool) worker(sess *core.Session, slot *sessionSlot) {
 	}
 }
 
-// fill coalesces queued requests into the batch: first a non-blocking
-// greedy drain, then up to MaxWait holding the batch open for stragglers.
+// fill coalesces queued requests into the batch with a non-blocking greedy
+// drain: a batch forms whenever a backlog exists, and nothing is held open
+// waiting for one — a batch's members run back-to-back on one session, so a
+// hold would cost every request its length and amortise nothing.
 func (p *keyPool) fill(batch *[]*request) {
 	max := p.svc.opts.MaxBatch
 	for len(*batch) < max {
@@ -310,25 +312,8 @@ func (p *keyPool) fill(batch *[]*request) {
 			}
 			r.dequeued = time.Now()
 			*batch = append(*batch, r)
-			continue
 		default:
-		}
-		break
-	}
-	if wait := p.svc.opts.MaxWait; wait > 0 && len(*batch) < max {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		for len(*batch) < max {
-			select {
-			case r, ok := <-p.queue:
-				if !ok {
-					return
-				}
-				r.dequeued = time.Now()
-				*batch = append(*batch, r)
-			case <-timer.C:
-				return
-			}
+			return
 		}
 	}
 }

@@ -77,9 +77,6 @@ type Options struct {
 	// MaxBatch caps how many requests one worker coalesces into a single
 	// session checkout. Default 8.
 	MaxBatch int
-	// MaxWait is how long a worker holds a non-full batch open for
-	// stragglers once it has at least one request. Default 2ms.
-	MaxWait time.Duration
 
 	// GridProvider resolves grid names to grids; default grid.ByName.
 	// Results are cached per name for the life of the service.
@@ -137,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait == 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.GridProvider == nil {
 		o.GridProvider = grid.ByName

@@ -133,7 +133,6 @@ func TestOverloadShedsNeverBlocks(t *testing.T) {
 		MaxSessionsPerKey: 1,
 		MaxQueue:          2,
 		MaxBatch:          1, // one solve per checkout: at most 3 requests in flight
-		MaxWait:           -1,
 		Tau:               200000,
 		// One worker, so the solve occupies a single scheduler thread. The
 		// burst needs no CPU mid-solve: all 30 callers are runnable before
@@ -191,34 +190,44 @@ func TestOverloadShedsNeverBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces checks the batching window: a burst through a
-// single worker must use fewer session checkouts than solves.
+// TestBatchingCoalesces checks the greedy drain: requests that queue up
+// behind a busy session must leave in fewer checkouts than solves. Nothing
+// holds a batch open, so the backlog is built on purpose — a slow head solve
+// occupies the only session while the followers arrive.
 func TestBatchingCoalesces(t *testing.T) {
-	rhs := testRHS(t, 6)
+	rhs := testRHS(t, 4)
 	s := serve.New(serve.Options{
 		MaxSessionsPerKey: 1,
 		MaxBatch:          8,
-		MaxWait:           20 * time.Millisecond,
+		Tau:               60000, // ill-conditioned and unpreconditioned: tens of ms a solve
+		Solver:            core.Options{Tol: 1e-12, MaxIters: 200000},
 	})
 	defer closeQuietly(t, s)
-
+	solve := func(i int) {
+		_, err := s.Solve(context.Background(), serve.Request{Grid: grid.PresetTest,
+			Method: core.MethodChronGear, Precond: core.PrecondIdentity, B: rhs[i]})
+		if err != nil && !errors.Is(err, core.ErrNotConverged) {
+			t.Errorf("solve %d: %v", i, err)
+		}
+	}
+	solve(0) // warm the pool: checkout 1
 	var wg sync.WaitGroup
-	for i := range rhs {
+	wg.Add(1)
+	go func() { defer wg.Done(); solve(0) }()
+	for s.Snapshot().Batches < 2 { // the head is checked out and solving
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := 1; i < len(rhs); i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := s.Solve(context.Background(), serve.Request{Grid: grid.PresetTest, B: rhs[i]}); err != nil {
-				t.Errorf("solve %d: %v", i, err)
-			}
-		}(i)
+		go func(i int) { defer wg.Done(); solve(i) }(i)
 	}
 	wg.Wait()
 	st := s.Snapshot()
-	if st.Solves != int64(len(rhs)) {
-		t.Fatalf("solves = %d, want %d", st.Solves, len(rhs))
+	if want := int64(len(rhs) + 1); st.Solves != want {
+		t.Fatalf("solves = %d, want %d", st.Solves, want)
 	}
-	if st.Batches >= st.Solves {
-		t.Errorf("batches = %d, solves = %d: burst was not coalesced", st.Batches, st.Solves)
+	if st.Batches >= st.Solves-1 {
+		t.Errorf("batches = %d, solves = %d: the backlog was not coalesced", st.Batches, st.Solves)
 	}
 }
 

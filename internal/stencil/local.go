@@ -32,10 +32,17 @@ func (l *Local) InteriorLen() int { return l.NxI() * l.NyI() }
 // outside the block. Halo entries of y are left untouched; callers refresh
 // them with a halo update when needed. Land rows are identity rows.
 //
-// The inner loop runs over per-row slice windows of one provable common
-// length so the compiler's prove pass eliminates every bounds check (the
-// neighbour windows exist because H ≥ 1 keeps the ±(nx+1) reach inside the
-// padded array); confirm with go build -gcflags=-d=ssa/check_bce.
+// Every row window has one common length and starts one point west of the
+// first interior point, so the loop index e names the east neighbour, e−1
+// the point itself and e−2 the west neighbour: the E/W reach is a constant
+// offset into the three x rows and the AE/ANE rows instead of a window of
+// its own. That is 10 base pointers here (11 with the mask or the
+// right-hand side in ApplyAndMaskedDot and core.residual) where one window
+// per neighbour needed 20 and spilled them; the prove pass still drops
+// every bounds check from the row loop (H ≥ 1 keeps the ±nx reach inside
+// the padded array; verify.sh holds it with -d=ssa/check_bce). The nine
+// products are summed left to right in the order C, N, S, E, W, NE, SE, NW,
+// SW — the order every recorded bit depends on.
 //
 //pop:hotpath
 func (l *Local) Apply(y, x []float64) {
@@ -43,34 +50,26 @@ func (l *Local) Apply(y, x []float64) {
 	if len(x) != nx*l.NyP || len(y) != nx*l.NyP {
 		panic("stencil: Local.Apply dimension mismatch")
 	}
+	n := nx - 2*l.H + 2
 	for j := l.H; j < l.NyP-l.H; j++ {
-		lo := j*nx + l.H
-		n := nx - 2*l.H
+		lo := j*nx + l.H - 1
 		yr := y[lo:][:n]
 		xc := x[lo:][:n]
 		xn := x[lo+nx:][:n]
 		xs := x[lo-nx:][:n]
-		xe := x[lo+1:][:n]
-		xw := x[lo-1:][:n]
-		xne := x[lo+nx+1:][:n]
-		xse := x[lo-nx+1:][:n]
-		xnw := x[lo+nx-1:][:n]
-		xsw := x[lo-nx-1:][:n]
 		ac := l.AC[lo:][:n]
 		an := l.AN[lo:][:n]
 		ans := l.AN[lo-nx:][:n]
 		ae := l.AE[lo:][:n]
-		aw := l.AE[lo-1:][:n]
 		ane := l.ANE[lo:][:n]
 		anes := l.ANE[lo-nx:][:n]
-		anew := l.ANE[lo-1:][:n]
-		anesw := l.ANE[lo-nx-1:][:n]
-		for i := range yr {
+		for e := 2; e < len(xc); e++ {
+			i, w := e-1, e-2
 			yr[i] = ac[i]*xc[i] +
 				an[i]*xn[i] + ans[i]*xs[i] +
-				ae[i]*xe[i] + aw[i]*xw[i] +
-				ane[i]*xne[i] + anes[i]*xse[i] +
-				anew[i]*xnw[i] + anesw[i]*xsw[i]
+				ae[i]*xc[e] + ae[w]*xc[w] +
+				ane[i]*xn[e] + anes[i]*xs[e] +
+				ane[w]*xn[w] + anes[w]*xs[w]
 		}
 	}
 }
@@ -89,35 +88,27 @@ func (l *Local) ApplyAndMaskedDot(y, x []float64) float64 {
 		panic("stencil: Local.Apply dimension mismatch")
 	}
 	var s float64
+	n := nx - 2*l.H + 2
 	for j := l.H; j < l.NyP-l.H; j++ {
-		lo := j*nx + l.H
-		n := nx - 2*l.H
+		lo := j*nx + l.H - 1
 		yr := y[lo:][:n]
 		xc := x[lo:][:n]
 		xn := x[lo+nx:][:n]
 		xs := x[lo-nx:][:n]
-		xe := x[lo+1:][:n]
-		xw := x[lo-1:][:n]
-		xne := x[lo+nx+1:][:n]
-		xse := x[lo-nx+1:][:n]
-		xnw := x[lo+nx-1:][:n]
-		xsw := x[lo-nx-1:][:n]
 		ac := l.AC[lo:][:n]
 		an := l.AN[lo:][:n]
 		ans := l.AN[lo-nx:][:n]
 		ae := l.AE[lo:][:n]
-		aw := l.AE[lo-1:][:n]
 		ane := l.ANE[lo:][:n]
 		anes := l.ANE[lo-nx:][:n]
-		anew := l.ANE[lo-1:][:n]
-		anesw := l.ANE[lo-nx-1:][:n]
 		mask := l.Mask[lo:][:n]
-		for i := range yr {
+		for e := 2; e < len(xc); e++ {
+			i, w := e-1, e-2
 			v := ac[i]*xc[i] +
 				an[i]*xn[i] + ans[i]*xs[i] +
-				ae[i]*xe[i] + aw[i]*xw[i] +
-				ane[i]*xne[i] + anes[i]*xse[i] +
-				anew[i]*xnw[i] + anesw[i]*xsw[i]
+				ae[i]*xc[e] + ae[w]*xc[w] +
+				ane[i]*xn[e] + anes[i]*xs[e] +
+				ane[w]*xn[w] + anes[w]*xs[w]
 			yr[i] = v
 			if mask[i] {
 				s += xc[i] * v

@@ -70,6 +70,44 @@ func TestSolverFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// PipeCG+EVP on the 12-core test decomposition breaks down short of
+// popsolve's 1e-13 tolerance (ROADMAP items 2–3 own the root cause): it must leave at the first NaN convergence check
+// with a typed error, not spin to MaxIters.
+func TestPipeCGEVPBreakdownFailsFast(t *testing.T) {
+	g, err := NewGrid(GridTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(g, SolverSpec{Method: MethodPipeCG, Precond: PrecondEVP, Cores: 12,
+		Options: SolverOptions{Tol: 1e-13}}) // popsolve's default tolerance
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, g.N())
+	for k, ocean := range g.Mask {
+		if ocean {
+			lon, lat := g.TLon[k]*math.Pi/180, g.TLat[k]*math.Pi/180
+			x[k] = math.Sin(2*lon) * math.Cos(3*lat) // popsolve's manufactured solution
+		}
+	}
+	b := make([]float64, g.N())
+	s.Op.Apply(b, x)
+	res, _, err := s.Solve(b, nil)
+	var nc *NotConvergedError
+	if !errors.As(err, &nc) {
+		t.Fatalf("error %v (converged=%v after %d iterations), want *NotConvergedError", err, res.Converged, res.Iterations)
+	}
+	pts := res.Trace.Residuals
+	if res.Iterations >= 500 || len(pts) == 0 || !math.IsNaN(pts[len(pts)-1].RelResidual) {
+		t.Fatalf("left after %d iterations with %d checks", res.Iterations, len(pts))
+	}
+	for _, p := range pts[:len(pts)-1] {
+		if math.IsNaN(p.RelResidual) {
+			t.Fatalf("iterated past the NaN check at iteration %d (left at %d)", p.Iter, res.Iterations)
+		}
+	}
+}
+
 func TestSolverValidation(t *testing.T) {
 	g, _ := NewGrid(GridTest)
 	// Out-of-range enum values must be rejected at construction, not

@@ -19,29 +19,38 @@ echo "== go build =="
 go build ./...
 
 echo "== bounds-check-free inner loops (check_bce) =="
-# The row-window idiom of residual (core/solvers.go) and of the EVP march
-# exists so the prove pass can drop every bounds check from the loop over a
-# row. The slicing that sets a row up keeps its checks; the loop itself —
-# the function's first `for i := range` to the brace that closes it — must
-# have none.
-bce=$(go build -gcflags=-d=ssa/check_bce ./internal/evp ./internal/core 2>&1)
-inner_loop_checks() { # <file> <func name>: check_bce reports inside its row loop
-    span=$(awk -v fn="$2" '
-        $0 ~ "^func ([^{]*[ )])?" fn "\\(" { infn = 1 }
-        infn && !first && /for i := range/ { first = NR; last = $0; sub(/for.*/, "}", last) }
+# The row-window idiom of the per-iteration kernels — the nine-point stencil
+# (Apply, ApplyAndMaskedDot, residual), the fused vector updates, the
+# diagonal preconditioner, the EVP march — exists so the prove pass can drop
+# every bounds check from the loop over a row. The slicing that sets a row
+# up keeps its checks; the loop itself — the function's first row loop
+# (`for i := range`, or the stencil's `for e := 2;`) to the brace that
+# closes it — must have none.
+bce=$(go build -gcflags=-d=ssa/check_bce ./internal/evp ./internal/stencil ./internal/core 2>&1)
+inner_loop_checks() { # <file> <func signature prefix>: check_bce reports inside its row loop
+    span=$(awk -v sig="$2" '
+        index($0, sig) == 1 { infn = 1 }
+        infn && !first && /for (i := range|e := 2;)/ { first = NR; last = $0; sub(/for.*/, "}", last) }
         first && NR > first && $0 == last { print first, NR; exit }' "$1")
-    [ -n "$span" ] || { echo "no row loop found in $2 ($1)"; exit 1; }
+    [ -n "$span" ] || { echo "no row loop found in \"$2\" ($1)"; exit 1; }
     echo "$bce" | awk -F: -v file="$1" -v span="$span" '
         BEGIN { split(span, s, " ") }
         $1 == file && $2 >= s[1] && $2 <= s[2]'
 }
-for loop in "internal/evp/evp.go march" "internal/core/solvers.go residual"; do
-    # shellcheck disable=SC2086
-    found=$(inner_loop_checks $loop)
+while IFS='|' read -r file sig; do
+    found=$(inner_loop_checks "$file" "$sig")
     if [ -n "$found" ]; then
-        echo "bounds checks inside the row loop of ${loop#* }:"; echo "$found"; exit 1
+        echo "bounds checks inside the row loop of \"$sig\":"; echo "$found"; exit 1
     fi
-done
+done <<'EOF_LOOPS'
+internal/evp/evp.go|func (pk *Packed) march(
+internal/stencil/local.go|func (l *Local) Apply(
+internal/stencil/local.go|func (l *Local) ApplyAndMaskedDot(
+internal/core/solvers.go|func residual(
+internal/core/solvers.go|func fusedUpdate(
+internal/core/solvers.go|func axpy2(
+internal/core/precond.go|func (p *diagPrecond) Apply(
+EOF_LOOPS
 
 echo "== poplint static analysis =="
 # The repo's own analyzer suite (SPMD lockstep with interprocedural taint,
