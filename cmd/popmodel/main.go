@@ -21,7 +21,7 @@ func main() {
 		gridName   = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg-scaled")
 		days       = flag.Float64("days", 10, "simulated days")
 		dt         = flag.Float64("dt", 2400, "time step (s)")
-		solver     = flag.String("solver", "chrongear", "barotropic solver: chrongear, pcg, pcsi, sstep")
+		solver     = flag.String("solver", "chrongear", "barotropic solver: chrongear, pcg, pipecg, pcsi, csi, sstep")
 		precond    = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, none, blocklu")
 		sstep      = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
 		every      = flag.Float64("report", 1, "report interval (days)")

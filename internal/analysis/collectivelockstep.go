@@ -42,6 +42,15 @@ import (
 //     behavior: the bare rank handle does not propagate taint, every
 //     other argument does.
 //
+// Taint is also tracked through struct fields of the package's own types,
+// package-wide: an assignment `c.mine = r.ID` in one method taints the
+// field for every function that reads it, so state a solver parks in a
+// struct between hooks (the Krylov driver's loop and its recurrences keep
+// their scalars there, not in closure locals) is followed the way a local
+// variable is. The field set is solved to a fixpoint over every function of
+// the package before any function is checked. It is per field, not per
+// object: which per-rank object a value is read from is not data.
+//
 // The comm package itself — the runtime that implements the collectives out
 // of channels — is exempt.
 var CollectiveLockstep = &analysis.Analyzer{
@@ -72,12 +81,28 @@ func runCollectiveLockstep(pass *analysis.Pass) (any, error) {
 		}
 	})
 
+	// Solve the package-wide field taint first: a field tainted in one
+	// function feeds locals — and through them other fields — elsewhere, so
+	// iterate over the whole package until the set stops growing (each
+	// round moves taint at least one function further; the bound only
+	// guards against a pathological chain).
+	fields := make(map[*types.Var]bool)
+	for range 8 {
+		before := len(fields)
+		for _, fd := range decls {
+			newTaintCtx(pass.TypesInfo, decls, fields).solve(fd.Body)
+		}
+		if len(fields) == before {
+			break
+		}
+	}
+
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
 		if fd.Body == nil || inTestFile(pass.Fset, fd.Pos()) {
 			return
 		}
-		tc := newTaintCtx(pass.TypesInfo, decls)
+		tc := newTaintCtx(pass.TypesInfo, decls, fields)
 		tc.solve(fd.Body)
 		checkLockstep(pass, ig, tc, fd.Body)
 	})
@@ -218,6 +243,9 @@ func checkLockstep(pass *analysis.Pass, ig *ignorer, tc *taintCtx, body ast.Node
 type taintCtx struct {
 	info *types.Info
 	set  map[*types.Var]bool
+	// fields is the package-wide set of tainted struct fields, shared by
+	// every context of one pass (nil disables field tracking).
+	fields map[*types.Var]bool
 	// decls maps the package's own functions to their declarations for
 	// one-level interprocedural summaries (nil disables them — the
 	// reductionwidth analyzer runs the same machinery intra-procedurally).
@@ -238,12 +266,13 @@ type summaryKey struct {
 	mask uint64
 }
 
-func newTaintCtx(info *types.Info, decls map[*types.Func]*ast.FuncDecl) *taintCtx {
+func newTaintCtx(info *types.Info, decls map[*types.Func]*ast.FuncDecl, fields map[*types.Var]bool) *taintCtx {
 	return &taintCtx{
-		info:  info,
-		set:   make(map[*types.Var]bool),
-		decls: decls,
-		memo:  make(map[summaryKey]bool),
+		info:   info,
+		set:    make(map[*types.Var]bool),
+		fields: fields,
+		decls:  decls,
+		memo:   make(map[summaryKey]bool),
 	}
 }
 
@@ -252,6 +281,9 @@ func (tc *taintCtx) solve(body ast.Node) {
 	for range 32 {
 		if !tc.propagate(body) {
 			return
+		}
+		if tc.depth == 0 {
+			clear(tc.memo) // summaries may have read fields that have since grown
 		}
 	}
 }
@@ -262,17 +294,23 @@ func (tc *taintCtx) solve(body ast.Node) {
 func (tc *taintCtx) propagate(body ast.Node) bool {
 	grew := false
 	mark := func(e ast.Expr) {
-		id, ok := e.(*ast.Ident)
-		if !ok {
-			return // writes through fields/indices do not track
-		}
-		obj := tc.info.Defs[id]
-		if obj == nil {
-			obj = tc.info.Uses[id]
-		}
-		if v, ok := obj.(*types.Var); ok && !tc.set[v] {
-			tc.set[v] = true
-			grew = true
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if v, ok := tc.objOf(x).(*types.Var); ok && !tc.set[v] {
+				tc.set[v] = true
+				grew = true
+			}
+		case *ast.SelectorExpr:
+			// A write to a struct field taints the field package-wide.
+			// Writes through indices do not track.
+			sel := tc.info.Selections[x]
+			if tc.fields == nil || sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			if v := sel.Obj().(*types.Var); !tc.fields[v] {
+				tc.fields[v] = true
+				grew = true
+			}
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -369,7 +407,7 @@ func (tc *taintCtx) tainted(e ast.Expr) bool {
 			}
 			return true
 		case *ast.Ident:
-			if v, ok := tc.objOf(x).(*types.Var); ok && tc.set[v] {
+			if v, ok := tc.objOf(x).(*types.Var); ok && (tc.set[v] || tc.fields[v]) {
 				found = true
 			}
 			return false
@@ -427,7 +465,7 @@ func (tc *taintCtx) summaryTainted(fd *ast.FuncDecl, call *ast.CallExpr) bool {
 		return r
 	}
 	tc.memo[key] = false // recursion guard: self-calls answer clean
-	sub := &taintCtx{info: tc.info, set: make(map[*types.Var]bool),
+	sub := &taintCtx{info: tc.info, set: make(map[*types.Var]bool), fields: tc.fields,
 		decls: tc.decls, depth: tc.depth + 1, memo: tc.memo}
 	for _, v := range seed {
 		sub.set[v] = true

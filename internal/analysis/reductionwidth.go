@@ -55,7 +55,7 @@ func runReductionWidth(pass *analysis.Pass) (any, error) {
 		if fd.Body == nil || inTestFile(pass.Fset, fd.Pos()) {
 			return
 		}
-		tc := newTaintCtx(pass.TypesInfo, nil)
+		tc := newTaintCtx(pass.TypesInfo, nil, nil)
 		tc.solve(fd.Body)
 		ast.Inspect(fd.Body, func(c ast.Node) bool {
 			call, ok := c.(*ast.CallExpr)

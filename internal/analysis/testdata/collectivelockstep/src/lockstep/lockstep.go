@@ -142,3 +142,66 @@ func goodHelperClean(r *comm.Rank, fields [][]float64) {
 		r.Exchange(fields)
 	}
 }
+
+// The Krylov driver keeps its scalars in struct fields, and its
+// recurrences are methods that talk to each other only through those
+// fields: taint must follow a field from the method that writes it to the
+// method that guards a collective on it.
+type drv struct {
+	r *comm.Rank
+	k int
+}
+
+type rec struct {
+	mine    int
+	ahead   bool
+	verdict bool
+	fields  [][]float64
+}
+
+// local parks rank-local data in a field …
+func (c *rec) local(l *drv) {
+	c.mine = l.r.ID
+	c.ahead = l.r.Clock() > 1
+}
+
+// … and advance guards an Exchange on it: ranks would disagree.
+func (c *rec) advance(l *drv) {
+	if c.mine == 0 {
+		l.r.Exchange(c.fields) // want `guarded by rank-local condition`
+	}
+}
+
+// The taint survives a hop through a local and a second field.
+func (c *rec) relay(l *drv) {
+	late := c.ahead
+	c.verdict = late
+}
+
+func (c *rec) badRelayed(l *drv) {
+	if c.verdict {
+		l.r.Barrier() // want `guarded by rank-local condition`
+	}
+}
+
+// A field that only ever holds reduced values or shared counters is clean.
+type cleanRec struct {
+	restart bool
+	fields  [][]float64
+}
+
+func (c *cleanRec) observe(l *drv, gram []float64) {
+	g := l.r.AllReduce(gram)
+	c.restart = g[0] <= 0
+	l.k++
+}
+
+func (c *cleanRec) goodAdvance(l *drv, iters int) {
+	if c.restart {
+		l.r.Exchange(c.fields)
+	}
+	for l.k < iters {
+		l.r.Barrier()
+		l.k++
+	}
+}

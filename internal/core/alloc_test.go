@@ -23,11 +23,11 @@ func allocsPerIteration(t *testing.T, f *fixture, solver string, precond Precond
 		return s
 	}
 	sShort, sLong := mk(short), mk(long)
-	solve := allSolvers[solver]
+	m := allSolvers[solver]
 	x0 := make([]float64, f.g.N())
 	run := func(s *Session) func() {
 		return func() {
-			if _, _, err := solve(s, f.b, x0); err != nil {
+			if _, _, err := s.Solve(m, f.b, x0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -73,7 +73,7 @@ func TestSteadyStateSolverAllocFree(t *testing.T) {
 // sequence (bit patterns, not rounded prints).
 func residualHistory(t *testing.T, s *Session, b []float64) []uint64 {
 	t.Helper()
-	res, _, err := s.SolvePCSI(b, make([]float64, len(b)))
+	res, _, err := s.Solve(MethodPCSI, b, make([]float64, len(b)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func chaosSolve(t *testing.T, s *Session, m Method, b []float64) (Result, []floa
 // fault-free traces — the resilience machinery must be invisible when idle.
 func TestInjectorDisabledBitwiseIdentical(t *testing.T) {
 	opts := Options{Precond: PrecondEVP, Tol: 1e-300, MaxIters: 60, CheckEvery: 10}
-	for _, m := range []Method{MethodPCSI, MethodChronGear} {
+	for _, m := range chaosMethods {
 		fGold := testFixture(t)
 		sGold := fGold.session(t, opts)
 		_, xGold, hGold := chaosSolve(t, sGold, m, fGold.b)
@@ -97,66 +97,103 @@ func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, max
 	return res
 }
 
-func TestStragglerRecovery(t *testing.T) {
-	for _, m := range []Method{MethodPCSI, MethodChronGear} {
-		res := chaosCase(t, m,
-			faults.Plan{Seed: 11, StragglerProb: 0.05, StragglerDelay: 2e-3}, faults.Straggler, 0)
-		// Stragglers delay clocks but break nothing: no recovery actions.
-		if res.Recovery.Restores != 0 || res.Recovery.ReduceRetries != 0 {
-			t.Fatalf("%v: stragglers triggered recovery: %+v", m, res.Recovery)
-		}
-		// The injected delay must show up on the virtual clock.
-		if res.Stats.MaxClock <= 0 {
-			t.Fatalf("%v: straggler delays left the virtual clock at zero", m)
-		}
+// chaosMethods is the whole zoo: every method runs under the same check
+// ladder, so every method is held to every fault class.
+var chaosMethods = []Method{MethodChronGear, MethodPCG, MethodPipeCG, MethodPCSI, MethodSStep}
+
+// chaosClasses is the fault-class axis of the 5 × 5 recovery table: the plan
+// that injects the class, the rollback budget it needs, and what — beyond
+// chaosCase's convergence to the true-residual tolerance — must show in the
+// result.
+var chaosClasses = map[faults.Class]struct {
+	plan   func(Method) faults.Plan
+	maxRec int
+	check  func(t *testing.T, m Method, res Result)
+}{
+	faults.Straggler: {
+		plan: func(Method) faults.Plan {
+			return faults.Plan{Seed: 11, StragglerProb: 0.05, StragglerDelay: 2e-3}
+		},
+		check: func(t *testing.T, m Method, res Result) {
+			// Stragglers delay clocks but break nothing: no recovery actions.
+			if res.Recovery.Restores != 0 || res.Recovery.ReduceRetries != 0 {
+				t.Fatalf("%v: stragglers triggered recovery: %+v", m, res.Recovery)
+			}
+			// The injected delay must show up on the virtual clock.
+			if res.Stats.MaxClock <= 0 {
+				t.Fatalf("%v: straggler delays left the virtual clock at zero", m)
+			}
+		},
+	},
+	faults.ReduceFail: {
+		plan: func(Method) faults.Plan { return faults.Plan{Seed: 7, ReduceFailProb: 0.2} },
+		check: func(t *testing.T, m Method, res Result) {
+			if res.Recovery.ReduceRetries == 0 {
+				t.Fatalf("%v: reduce failures injected but no retries recorded", m)
+			}
+		},
+	},
+	faults.HaloDrop: {
+		// Drop rates are per rank per exchange phase (32 draws/iteration on
+		// the 16-rank test decomposition), so these model occasional message
+		// loss, not a dead link. Stationary P-CSI damps the resulting state
+		// errors and tolerates a much higher rate than the CG family, whose
+		// recursive residuals go quietly stale after every drop and rely on
+		// the stagnation tripwire and the confirm-on-converge check to recover.
+		plan: func(m Method) faults.Plan {
+			if m == MethodPCSI {
+				return faults.Plan{Seed: 3, HaloDropProb: 0.02}
+			}
+			return faults.Plan{Seed: 3, HaloDropProb: 1e-3}
+		},
+		maxRec: 200,
+	},
+	faults.HaloCorrupt: {
+		// Every corruption plants a NaN that reaches the residual within one
+		// check interval, so each incident costs one checkpoint restore — the
+		// budget must cover the expected incident count over the solve.
+		plan:   func(Method) faults.Plan { return faults.Plan{Seed: 5, HaloCorruptProb: 1e-3} },
+		maxRec: 200,
+		check: func(t *testing.T, m Method, res Result) {
+			if res.Recovery.Restores == 0 && res.Recovery.Reconverges == 0 {
+				t.Fatalf("%v: corruption injected but no rollback or reconverge recorded: %+v",
+					m, res.Recovery)
+			}
+		},
+	},
+	faults.RankCrash: {
+		plan:   func(Method) faults.Plan { return faults.Plan{Seed: 9, CrashProb: 0.01} },
+		maxRec: 200,
+		check: func(t *testing.T, m Method, res Result) {
+			if res.Recovery.Restores == 0 {
+				t.Fatalf("%v: crashes injected but no checkpoint restores recorded", m)
+			}
+		},
+	},
+}
+
+// chaosClass runs one row of the table: every method under one fault class.
+func chaosClass(t *testing.T, class faults.Class) {
+	row := chaosClasses[class]
+	for _, m := range chaosMethods {
+		t.Run(m.String(), func(t *testing.T) {
+			res := chaosCase(t, m, row.plan(m), class, row.maxRec)
+			if res.Recovery.Degraded != "" {
+				t.Fatalf("%v under %v needed the %q rung; the check ladder alone must recover",
+					m, class, res.Recovery.Degraded)
+			}
+			if row.check != nil {
+				row.check(t, m, res)
+			}
+		})
 	}
 }
 
-func TestReduceFailRecovery(t *testing.T) {
-	for _, m := range []Method{MethodPCSI, MethodChronGear} {
-		res := chaosCase(t, m, faults.Plan{Seed: 7, ReduceFailProb: 0.2}, faults.ReduceFail, 0)
-		if res.Recovery.ReduceRetries == 0 {
-			t.Fatalf("%v: reduce failures injected but no retries recorded", m)
-		}
-	}
-}
-
-func TestHaloDropRecovery(t *testing.T) {
-	// Drop rates are per rank per exchange phase (32 draws/iteration on the
-	// 16-rank test decomposition), so these model occasional message loss,
-	// not a dead link. Stationary P-CSI damps the resulting state errors and
-	// tolerates a much higher rate than ChronGear, whose recursive residual
-	// goes quietly stale after every drop and relies on the stagnation
-	// tripwire and confirm-on-converge check to recover.
-	for _, tc := range []struct {
-		m    Method
-		prob float64
-	}{{MethodPCSI, 0.02}, {MethodChronGear, 1e-3}} {
-		chaosCase(t, tc.m, faults.Plan{Seed: 3, HaloDropProb: tc.prob}, faults.HaloDrop, 200)
-	}
-}
-
-func TestHaloCorruptRecovery(t *testing.T) {
-	// Every corruption plants a NaN that reaches the residual within one
-	// check interval, so each incident costs one checkpoint restore — the
-	// budget must cover the expected incident count over the solve.
-	for _, m := range []Method{MethodPCSI, MethodChronGear} {
-		res := chaosCase(t, m, faults.Plan{Seed: 5, HaloCorruptProb: 1e-3}, faults.HaloCorrupt, 200)
-		if res.Recovery.Restores == 0 && res.Recovery.Reconverges == 0 {
-			t.Fatalf("%v: corruption injected but no rollback or reconverge recorded: %+v",
-				m, res.Recovery)
-		}
-	}
-}
-
-func TestRankCrashRecovery(t *testing.T) {
-	for _, m := range []Method{MethodPCSI, MethodChronGear} {
-		res := chaosCase(t, m, faults.Plan{Seed: 9, CrashProb: 0.01}, faults.RankCrash, 200)
-		if res.Recovery.Restores == 0 {
-			t.Fatalf("%v: crashes injected but no checkpoint restores recorded", m)
-		}
-	}
-}
+func TestStragglerRecovery(t *testing.T)   { chaosClass(t, faults.Straggler) }
+func TestReduceFailRecovery(t *testing.T)  { chaosClass(t, faults.ReduceFail) }
+func TestHaloDropRecovery(t *testing.T)    { chaosClass(t, faults.HaloDrop) }
+func TestHaloCorruptRecovery(t *testing.T) { chaosClass(t, faults.HaloCorrupt) }
+func TestRankCrashRecovery(t *testing.T)   { chaosClass(t, faults.RankCrash) }
 
 // Exhausting the recovery budget must surrender with a typed ErrFaulted
 // carrying the recovery counts.

@@ -27,21 +27,21 @@ func (c *flipCtx) Err() error {
 	return nil
 }
 
-var contextSolvers = map[string]func(s *Session, ctx context.Context, b, x0 []float64) (Result, []float64, error){
-	"chrongear": (*Session).SolveChronGearContext,
-	"pcg":       (*Session).SolvePCGContext,
-	"pipecg":    (*Session).SolvePipeCGContext,
-	"pcsi":      (*Session).SolvePCSIContext,
+var contextSolvers = map[string]Method{
+	"chrongear": MethodChronGear,
+	"pcg":       MethodPCG,
+	"pipecg":    MethodPipeCG,
+	"pcsi":      MethodPCSI,
 }
 
 func TestSolvePreCancelledContext(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
-	for name, solve := range contextSolvers {
+	for name, m := range contextSolvers {
 		s := f.session(t, Options{Precond: PrecondDiagonal})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, _, err := solve(s, ctx, f.b, x0)
+		_, _, err := s.SolveContext(ctx, m, f.b, x0)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: pre-cancelled ctx: err = %v, want context.Canceled", name, err)
 		}
@@ -53,7 +53,7 @@ func TestSolveExpiredDeadline(t *testing.T) {
 	s := f.session(t, Options{Precond: PrecondDiagonal})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err := s.SolveChronGearContext(ctx, f.b, make([]float64, f.g.N()))
+	_, _, err := s.SolveContext(ctx, MethodChronGear, f.b, make([]float64, f.g.N()))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("expired deadline: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -66,9 +66,9 @@ func TestSolveExpiredDeadline(t *testing.T) {
 func TestCancelledSolveResidualPrefix(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
-	for name, solve := range contextSolvers {
+	for name, m := range contextSolvers {
 		full := f.session(t, Options{Precond: PrecondDiagonal})
-		res, _, err := solve(full, context.Background(), f.b, x0)
+		res, _, err := full.Solve(m, f.b, x0)
 		if err != nil || !res.Converged {
 			t.Fatalf("%s: uncancelled solve failed: converged=%v err=%v", name, res.Converged, err)
 		}
@@ -81,7 +81,7 @@ func TestCancelledSolveResidualPrefix(t *testing.T) {
 		// the reduction arbitrates.
 		ctx := &flipCtx{Context: context.Background(), after: int64(1 + 2*f.d.NRanks)}
 		cs := f.session(t, Options{Precond: PrecondDiagonal})
-		cres, _, cerr := solve(cs, ctx, f.b, x0)
+		cres, _, cerr := cs.SolveContext(ctx, m, f.b, x0)
 		if !errors.Is(cerr, context.Canceled) {
 			t.Fatalf("%s: cancelled solve: err = %v, want context.Canceled", name, cerr)
 		}
@@ -203,7 +203,7 @@ func TestPCSIDivergenceTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Nu, s.Mu = 1e-9, 2e-9 // spectrum of the diagonally-scaled operator is O(1)
-	res, _, err := s.SolvePCSI(f.b, make([]float64, f.g.N()))
+	res, _, err := s.Solve(MethodPCSI, f.b, make([]float64, f.g.N()))
 	if res.Converged {
 		t.Skip("bogus interval unexpectedly converged")
 	}

@@ -94,13 +94,11 @@ func maxOceanErr(g *grid.Grid, got, want []float64) float64 {
 	return m / scale
 }
 
-type solveFunc func(s *Session, b, x0 []float64) (Result, []float64, error)
-
-var allSolvers = map[string]solveFunc{
-	"chrongear": (*Session).SolveChronGear,
-	"pcg":       (*Session).SolvePCG,
-	"pcsi":      (*Session).SolvePCSI,
-	"sstep":     (*Session).SolveSStep,
+var allSolvers = map[string]Method{
+	"chrongear": MethodChronGear,
+	"pcg":       MethodPCG,
+	"pcsi":      MethodPCSI,
+	"sstep":     MethodSStep,
 }
 
 func TestSolversMatchDenseReference(t *testing.T) {
@@ -109,7 +107,7 @@ func TestSolversMatchDenseReference(t *testing.T) {
 	f := newFixture(t, grid.Generate(spec), 10, 8, 20000)
 	want := f.denseReference(t)
 	x0 := make([]float64, f.g.N())
-	for name, solve := range allSolvers {
+	for name, m := range allSolvers {
 		for _, pc := range []PrecondType{PrecondIdentity, PrecondDiagonal, PrecondEVP, PrecondBlockLU} {
 			if (name == "pcsi" || name == "sstep") && pc == PrecondIdentity {
 				// Plain CSI on the raw operator is impractical: the
@@ -122,7 +120,7 @@ func TestSolversMatchDenseReference(t *testing.T) {
 				continue
 			}
 			s := f.session(t, Options{Precond: pc, Tol: 1e-12})
-			res, x, err := solve(s, f.b, x0)
+			res, x, err := s.Solve(m, f.b, x0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, pc, err)
 			}
@@ -150,7 +148,7 @@ func TestPreconditioningReducesIterations(t *testing.T) {
 	x0 := make([]float64, f.g.N())
 	iters := func(name string, pc PrecondType) int {
 		s := f.session(t, Options{Precond: pc})
-		res, _, err := allSolvers[name](s, f.b, x0)
+		res, _, err := s.Solve(allSolvers[name], f.b, x0)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", name, pc, err)
 		}
@@ -182,7 +180,7 @@ func TestUnpreconditionedCSIIsImpractical(t *testing.T) {
 	// budget that is ample for every preconditioned configuration.
 	f := testFixture(t)
 	s := f.session(t, Options{Precond: PrecondIdentity, MaxIters: 300})
-	res, _, err := s.SolvePCSI(f.b, make([]float64, f.g.N()))
+	res, _, err := s.Solve(MethodPCSI, f.b, make([]float64, f.g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +197,12 @@ func TestPCSINeedsMoreIterationsThanChronGear(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
 	sCG := f.session(t, Options{Precond: PrecondDiagonal})
-	rCG, _, err := sCG.SolveChronGear(f.b, x0)
+	rCG, _, err := sCG.Solve(MethodChronGear, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sCSI := f.session(t, Options{Precond: PrecondDiagonal})
-	rCSI, _, err := sCSI.SolvePCSI(f.b, x0)
+	rCSI, _, err := sCSI.Solve(MethodPCSI, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +218,12 @@ func TestChronGearEquivalentToPCG(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
 	sA := f.session(t, Options{Precond: PrecondDiagonal})
-	rA, xA, err := sA.SolveChronGear(f.b, x0)
+	rA, xA, err := sA.Solve(MethodChronGear, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sB := f.session(t, Options{Precond: PrecondDiagonal})
-	rB, xB, err := sB.SolvePCG(f.b, x0)
+	rB, xB, err := sB.Solve(MethodPCG, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +240,7 @@ func TestSolveDeterministic(t *testing.T) {
 	x0 := make([]float64, f.g.N())
 	run := func() []float64 {
 		s := f.session(t, Options{Precond: PrecondEVP})
-		_, x, err := s.SolvePCSI(f.b, x0)
+		_, x, err := s.Solve(MethodPCSI, f.b, x0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +262,7 @@ func TestRankCountInvariance(t *testing.T) {
 	for _, blocking := range [][2]int{{64, 48}, {16, 12}, {8, 8}} {
 		f := newFixture(t, g, blocking[0], blocking[1], 20000)
 		s := f.session(t, Options{Precond: PrecondDiagonal})
-		res, x, err := s.SolveChronGear(f.b, make([]float64, g.N()))
+		res, x, err := s.Solve(MethodChronGear, f.b, make([]float64, g.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +282,7 @@ func TestRankCountInvariance(t *testing.T) {
 func TestZeroRHS(t *testing.T) {
 	f := testFixture(t)
 	zero := make([]float64, f.g.N())
-	for name, solve := range allSolvers {
+	for name, m := range allSolvers {
 		s := f.session(t, Options{Precond: PrecondDiagonal})
 		if name == "pcsi" || name == "sstep" {
 			// P-CSI and s-step need eigenvalue bounds, which cannot come
@@ -293,7 +291,7 @@ func TestZeroRHS(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, x, err := solve(s, zero, zero)
+		res, x, err := s.Solve(m, zero, zero)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -410,19 +408,19 @@ func TestReductionCounts(t *testing.T) {
 	}
 
 	sCG := f.session(t, Options{Precond: PrecondDiagonal})
-	rCG, _, _ := sCG.SolveChronGear(f.b, x0)
+	rCG, _, _ := sCG.Solve(MethodChronGear, f.b, x0)
 	if got, want := perRank(rCG), int64(rCG.Iterations+1); got != want {
 		t.Fatalf("ChronGear reductions %d, want %d", got, want)
 	}
 
 	sPCG := f.session(t, Options{Precond: PrecondDiagonal})
-	rPCG, _, _ := sPCG.SolvePCG(f.b, x0)
+	rPCG, _, _ := sPCG.Solve(MethodPCG, f.b, x0)
 	if got, want := perRank(rPCG), int64(2*rPCG.Iterations+1); got != want {
 		t.Fatalf("PCG reductions %d, want %d", got, want)
 	}
 
 	sCSI := f.session(t, Options{Precond: PrecondDiagonal})
-	rCSI, _, _ := sCSI.SolvePCSI(f.b, x0)
+	rCSI, _, _ := sCSI.Solve(MethodPCSI, f.b, x0)
 	checks := rCSI.Iterations / sCSI.Opts.CheckEvery
 	if got, want := perRank(rCSI), int64(checks+1); got != want {
 		t.Fatalf("P-CSI reductions %d, want %d (K=%d)", got, want, rCSI.Iterations)
@@ -505,7 +503,7 @@ func TestPipeCGMatchesReference(t *testing.T) {
 		err float64
 	}{{PrecondDiagonal, 1e-12, 1e-8}, {PrecondEVP, 1e-9, 1e-5}} {
 		s := f.session(t, Options{Precond: c.pc, Tol: c.tol})
-		res, x, err := s.SolvePipeCG(f.b, x0)
+		res, x, err := s.Solve(MethodPipeCG, f.b, x0)
 		if err != nil {
 			t.Fatalf("%v: %v", c.pc, err)
 		}
@@ -521,7 +519,7 @@ func TestPipeCGMatchesReference(t *testing.T) {
 func TestPipeCGSingleReductionPerIteration(t *testing.T) {
 	f := testFixture(t)
 	s := f.session(t, Options{Precond: PrecondDiagonal})
-	res, _, err := s.SolvePipeCG(f.b, make([]float64, f.g.N()))
+	res, _, err := s.Solve(MethodPipeCG, f.b, make([]float64, f.g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,12 +538,12 @@ func TestPipeCGIterationsCloseToPCGModerateTol(t *testing.T) {
 	// latency hiding for P-CSI's latency elimination.
 	f := testFixture(t)
 	sA := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-9})
-	rA, _, err := sA.SolvePCG(f.b, make([]float64, f.g.N()))
+	rA, _, err := sA.Solve(MethodPCG, f.b, make([]float64, f.g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sB := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-9})
-	rB, _, err := sB.SolvePipeCG(f.b, make([]float64, f.g.N()))
+	rB, _, err := sB.Solve(MethodPipeCG, f.b, make([]float64, f.g.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,10 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 	}
 }
 
-// A NaN in the reduced check residual can never clear: PCG and PipeCG must
+// A NaN in the reduced check residual can never clear: every method must
 // leave at that check — every rank sees the same reduced value — with a
-// typed error instead of iterating to MaxIters.
+// typed error instead of iterating to MaxIters. The exit is the driver's,
+// so no method can be without it.
 func TestNaNResidualFailsFastAtFirstCheck(t *testing.T) {
 	f := testFixture(t)
 	b := append([]float64(nil), f.b...)
@@ -164,16 +165,23 @@ func TestNaNResidualFailsFastAtFirstCheck(t *testing.T) {
 			break
 		}
 	}
-	for _, m := range []Method{MethodPCG, MethodPipeCG} {
+	for _, m := range []Method{MethodChronGear, MethodPCG, MethodPipeCG, MethodPCSI, MethodSStep} {
 		s := f.session(t, Options{Precond: PrecondDiagonal})
+		if _, _, _, err := s.EstimateEigenvalues(f.b, 0); err != nil { // not from the NaN vector
+			t.Fatal(err)
+		}
 		res, _, err := s.SolveContext(context.Background(), m, b, nil)
 		var nc *NotConvergedError
 		if !errors.As(err, &nc) {
 			t.Fatalf("%v: error %v, want *NotConvergedError", m, err)
 		}
-		if res.Converged || res.Iterations != s.Opts.CheckEvery || !math.IsNaN(nc.RelResidual) {
-			t.Fatalf("%v: converged=%v after %d iterations (CheckEvery %d), residual %v",
-				m, res.Converged, res.Iterations, s.Opts.CheckEvery, nc.RelResidual)
+		want := s.Opts.CheckEvery
+		if m == MethodSStep {
+			want = 0 // the first block's entering residual
+		}
+		if res.Converged || res.Iterations != want || len(res.Trace.Residuals) != 1 || !math.IsNaN(nc.RelResidual) {
+			t.Fatalf("%v: converged=%v after %d iterations and %d checks (want %d and 1), residual %v",
+				m, res.Converged, res.Iterations, len(res.Trace.Residuals), want, nc.RelResidual)
 		}
 	}
 }

@@ -19,13 +19,9 @@ const (
 	MethodChronGear Method = iota
 	// MethodPCG is classic preconditioned conjugate gradients, with two
 	// global reductions per iteration.
-	//
-	//pop:noresilient reference baseline with no degraded mode by design; request-level retry in internal/serve covers it
 	MethodPCG
 	// MethodPipeCG is the Ghysels–Vanroose pipelined CG, overlapping its
 	// single reduction with the preconditioner and matvec.
-	//
-	//pop:noresilient pipelined recurrence has no checkpoint/rollback protocol; request-level retry in internal/serve covers it
 	MethodPipeCG
 	// MethodPCSI is the paper's preconditioned Classical Stiefel Iteration
 	// (Algorithm 2): no reductions outside convergence checks.
@@ -33,16 +29,45 @@ const (
 	// MethodCSI is the plain Stiefel iteration of Hu et al. 2013 — P-CSI
 	// run with identity preconditioning. Construction-time code (pop's
 	// NewSolver, the solve service) maps it to MethodPCSI plus
-	// PrecondIdentity; the Session dispatcher treats it as MethodPCSI.
+	// PrecondIdentity; the methods table gives it MethodPCSI's row.
 	MethodCSI
 	// MethodSStep is the communication-avoiding s-step PCG with a Chebyshev
 	// basis (sstep.go): Options.SStep matrix-vector products batched between
 	// single fused global reductions — at most ceil(iters/s)+1 reductions per
 	// converged solve.
-	//
-	//pop:noresilient fused Gram recurrence has no checkpoint/rollback protocol yet (SOLVERS.md); request-level retry in internal/serve covers it
 	MethodSStep
 )
+
+// methodSpec is one row of the methods table: everything the Krylov driver
+// (driver.go) needs to run a method, as data. Adding a method is one
+// recurrence and one row here.
+type methodSpec struct {
+	name string // Result.Solver and error texts
+	// diverged is set for the methods that lean on the session's Lanczos
+	// estimate [ν, μ] (the driver estimates it when absent): how the error
+	// of a diverged solve introduces the interval it blames.
+	diverged string
+	shape    func(Options) shape // what the driver must know about a step
+	new      func() recurrence   // one per rank, made on the rank's first solve
+}
+
+// methods is the table, indexed by Method.
+var methods = [...]methodSpec{
+	MethodChronGear: {name: "chrongear", new: func() recurrence { return new(chronGear) },
+		shape: func(o Options) shape { return shape{width: 2, span: o.CheckEvery, recursive: true} }},
+	MethodPCG: {name: "pcg", new: func() recurrence { return new(pcg) },
+		shape: func(o Options) shape { return shape{width: 1, span: o.CheckEvery, recursive: true} }},
+	MethodPipeCG: {name: "pipecg", new: func() recurrence { return new(pipeCG) },
+		shape: func(o Options) shape { return shape{width: 2, span: o.CheckEvery, recursive: true, drift: true} }},
+	MethodPCSI: pcsiSpec,
+	MethodCSI:  pcsiSpec,
+	MethodSStep: {name: "sstep", diverged: "s-step PCG diverged; Chebyshev basis interval",
+		new: func() recurrence { return new(sstep) }, shape: sstepShape},
+}
+
+var pcsiSpec = methodSpec{name: "pcsi", diverged: "P-CSI diverged; Chebyshev interval",
+	new:   func() recurrence { return new(pcsi) },
+	shape: func(o Options) shape { return shape{span: o.CheckEvery} }}
 
 // String returns the name used in CLI flags and experiment tables.
 func (m Method) String() string {
@@ -156,19 +181,29 @@ func ParsePrecond(s string) (PrecondType, error) {
 	return parseSpelling(precondSpellings, s, "preconditioner")
 }
 
+// Solve is SolveContext with a background context.
+func (s *Session) Solve(m Method, b, x0 []float64) (Result, []float64, error) {
+	return s.SolveContext(context.Background(), m, b, x0)
+}
+
 // SolveContext runs the selected method on right-hand side b with initial
 // guess x0 (nil = zero), honouring ctx: cancellation is observed at every
-// convergence-check boundary (each CheckEvery iterations), so an
-// interrupted solve never perturbs the numerics between checks — the
-// residual history of a cancelled solve is a bitwise prefix of the
-// uncancelled one. The returned solution slice is the session's reusable
-// output arena, valid until the next solve on this session.
+// convergence-check boundary (each CheckEvery iterations, each block for
+// s-step), so an interrupted solve never perturbs the numerics between
+// checks — the residual history of a cancelled solve is a bitwise prefix of
+// the uncancelled one, and the solve returns the current iterate together
+// with an error matching ctx.Err(). x0 is not modified; the returned
+// solution slice is the session's reusable output arena, valid until the
+// next solve on this session.
 //
 // When ctx carries a request-scoped trace ID (obs.ContextWithTraceID), the
 // solve adopts it: the session world's ID is set before dispatch, so every
 // rank-level span the solve emits — and the returned Result — carries the
 // request's ID.
 func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (Result, []float64, error) {
+	if !m.Valid() {
+		return Result{}, nil, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
+	}
 	if len(b) != s.G.N() {
 		return Result{}, nil, fmt.Errorf("core: rhs length %d, want %d: %w", len(b), s.G.N(), ErrBadSpec)
 	}
@@ -180,25 +215,7 @@ func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (
 	if id := obs.TraceIDFromContext(ctx); id != 0 {
 		s.W.SetTraceID(id)
 	}
-	var (
-		res Result
-		x   []float64
-		err error
-	)
-	switch m {
-	case MethodChronGear:
-		res, x, err = s.SolveChronGearContext(ctx, b, x0)
-	case MethodPCG:
-		res, x, err = s.SolvePCGContext(ctx, b, x0)
-	case MethodPipeCG:
-		res, x, err = s.SolvePipeCGContext(ctx, b, x0)
-	case MethodPCSI, MethodCSI:
-		res, x, err = s.SolvePCSIContext(ctx, b, x0)
-	case MethodSStep:
-		res, x, err = s.SolveSStepContext(ctx, b, x0)
-	default:
-		return Result{}, nil, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
-	}
+	res, x, err := s.solve(ctx, m, b, x0)
 	res.TraceID = s.W.TraceID()
 	return res, x, err
 }

@@ -1,146 +1,72 @@
 package core
 
-import (
-	"context"
-	"math"
-
-	"repro/internal/comm"
-)
-
-// SolvePCG runs the classic preconditioned conjugate gradient method with
-// a background context; see SolvePCGContext.
-func (s *Session) SolvePCG(b, x0 []float64) (Result, []float64, error) {
-	return s.SolvePCGContext(context.Background(), b, x0)
+// pcg is classic preconditioned conjugate gradients — the textbook
+// formulation POP used before ChronGear, kept as the baseline that shows
+// why merging its two global reductions per iteration into one (ChronGear)
+// and then into none (P-CSI) matters at scale. The two reductions are two
+// steps of the driver: the first half reduces ρ = ⟨r, M⁻¹r⟩ and updates the
+// direction, the second reduces δ = ⟨p, A·p⟩ (with the check's tail) and
+// updates x and r.
+type pcg struct {
+	rp, zz, pp   [][]float64 // r' = M⁻¹r, z = A·p, direction p
+	rho, rhoPrev float64
+	rn2          float64 // the check's local ‖r‖², taken in the first half
+	half         bool    // the next step is the iteration's second half
+	check        bool    // the iteration in flight carries a check
+	fresh        bool    // no direction yet: p = r'
 }
 
-// SolvePCGContext runs the classic preconditioned conjugate gradient
-// method — the textbook formulation POP used before ChronGear, kept as the
-// baseline that shows why merging its *two* global reductions per
-// iteration into one (ChronGear) and then into none (P-CSI) matters at
-// scale. Cancellation is observed at convergence-check boundaries only
-// (see the session-level cancellation protocol).
-func (s *Session) SolvePCGContext(ctx context.Context, b, x0 []float64) (Result, []float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.Setup(); err != nil {
-		return Result{}, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, nil, ctxSolveErr(ctx, "pcg", 0)
-	}
-	o := s.Opts
-	out := s.solveOut()
-	res := Result{Solver: "pcg", Precond: o.Precond}
-	trace := &SolveTrace{
-		Residuals: make([]ResidualPoint, 0, o.MaxIters/o.CheckEvery+1)}
-	cancelled := false // written by rank 0 only, read after Run
+func (c *pcg) bind(l *loop) {
+	c.rp, c.zz, c.pp = l.field("pcg.rp"), l.field("pcg.z"), l.zeroField("pcg.p")
+	c.restart(l)
+}
 
-	st := s.W.Run(func(r *comm.Rank) {
-		rs := s.state(r)
-		nb := len(r.Blocks)
-		xs := s.scatterMasked(r, "pcg.x", x0)
-		bs := s.scatterMasked(r, "pcg.b", b)
-		rr := s.field(r, "pcg.r")
-		rp := s.field(r, "pcg.rp")
-		zz := s.field(r, "pcg.z")
-		pp := s.zeroField(r, "pcg.p")
-		// Reduction payload reused by every collective in this program —
-		// hoisted so the steady-state loop allocates nothing. Checks append
-		// the residual norm and the cancellation flag.
-		payload := make([]float64, 3)
+func (c *pcg) begin(l *loop) {}
 
-		payload[0] = stageInitResidual(r, rs, rr, bs, xs)
-		bnorm := math.Sqrt(r.AllReduce(payload[:1])[0])
-		if r.ID == 0 {
-			res.BNorm = bnorm
-		}
-		if bnorm == 0 {
-			s.zeroSolutionExit(r, out, xs)
-			if r.ID == 0 {
-				res.Converged = true
-			}
-			return
-		}
-		target := o.Tol * bnorm
+func (c *pcg) local(l *loop, p []float64) (bool, float64) {
+	if !c.half {
+		c.check = (l.k+1)%l.s.Opts.CheckEvery == 0
+		// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
+		p[0], c.rn2 = stagePrecondDots(l.r, l.rs, c.rp, l.rr, c.check)
+		chargeDot(l.r, l.rs)
+		return false, 0
+	}
+	l.k++
+	// z = A·p fused with δ = ⟨p, z⟩ (halo refresh inside).
+	p[0] = stageFusedMatvecDot(l.r, l.rs, c.zz, c.pp)
+	if c.check {
+		chargeDot(l.r, l.rs) // ⟨r, r⟩
+	}
+	return c.check, c.rn2
+}
 
-		rhoPrev := 0.0
-		converged := false
-		k := 0
-		for k < o.MaxIters {
-			k++
-			check := k%o.CheckEvery == 0
-			// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
-			rhoL, rnL := stagePrecondDots(r, rs, rp, rr, check)
-			chargeDot(r, rs)
-			payload[0] = rhoL
-			rho := r.AllReduce(payload[:1])[0] // reduction 1 of 2
-			if k == 1 {
-				for i := 0; i < nb; i++ {
-					copy(pp[i], rp[i])
-				}
-			} else {
-				beta := rho / rhoPrev
-				for i := 0; i < nb; i++ {
-					xpay(rs.locs[i], pp[i], rp[i], beta)
-					r.AddFlops(int64(rs.locs[i].InteriorLen()))
-				}
+func (c *pcg) observe(l *loop, g []float64, rn float64) verdict { return proceed }
+
+func (c *pcg) advance(l *loop, g []float64) {
+	if !c.half {
+		c.rho = g[0]
+		if c.fresh {
+			for i := range c.pp {
+				copy(c.pp[i], c.rp[i])
 			}
-			rhoPrev = rho
-			// z = B·p fused with δ = ⟨p, z⟩ (halo refresh inside).
-			deltaL := stageFusedMatvecDot(r, rs, zz, pp)
-			if check {
-				chargeDot(r, rs) // ⟨r, r⟩
-			}
-			payload[0] = deltaL
-			p := payload[:1]
-			if check {
-				payload[1] = rnL
-				payload[2] = cancelFlag(ctx)
-				p = payload[:3]
-			}
-			g := r.AllReduce(p) // reduction 2 of 2
-			alpha := rho / g[0]
-			if check {
-				rn := math.Sqrt(g[1])
-				if r.ID == 0 {
-					res.RelResidual = rn / bnorm
-				}
-				traceResidual(r, trace, k, rn/bnorm)
-				if rn <= target {
-					converged = true
-					break
-				}
-				if math.IsNaN(rn) { // reduced, so every rank leaves here
-					break
-				}
-				if g[2] != 0 { // some rank saw ctx done — all ranks stop here
-					if r.ID == 0 {
-						cancelled = true
-					}
-					break
-				}
-			}
-			for i := 0; i < nb; i++ {
-				loc := rs.locs[i]
-				axpy2(loc, xs[i], pp[i], alpha, rr[i], zz[i], -alpha) // x += αp, r −= αz
-				r.AddFlops(2 * int64(loc.InteriorLen()))
+		} else {
+			beta := c.rho / c.rhoPrev
+			for i, loc := range l.rs.locs {
+				xpay(loc, c.pp[i], c.rp[i], beta)
+				l.r.AddFlops(int64(loc.InteriorLen()))
 			}
 		}
-		if r.ID == 0 {
-			res.Iterations = k
-			res.Converged = converged
-		}
-		s.gatherSolution(r, out, xs)
-	})
-	res.Stats = st
-	res.Trace = trace
-	s.restoreLand(out, b)
-	if cancelled {
-		return res, out, ctxSolveErr(ctx, "pcg", res.Iterations)
+		c.rhoPrev, c.fresh, c.half = c.rho, false, true
+		return
 	}
-	if !res.Converged && math.IsNaN(res.RelResidual) {
-		return res, out, &NotConvergedError{Solver: "pcg", Iterations: res.Iterations, RelResidual: res.RelResidual}
+	alpha := c.rho / g[0]
+	for i, loc := range l.rs.locs {
+		axpy2(loc, l.x[i], c.pp[i], alpha, l.rr[i], c.zz[i], -alpha) // x += αp, r −= αz
+		l.r.AddFlops(2 * int64(loc.InteriorLen()))
 	}
-	return res, out, nil
+	c.half = false
+}
+
+func (c *pcg) restart(l *loop) {
+	c.half, c.fresh = false, true
 }

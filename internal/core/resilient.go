@@ -3,36 +3,23 @@ package core
 import (
 	"context"
 	"errors"
-
-	"repro/internal/comm"
-	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // Solver resilience. When the session's World carries an active
-// faults.Injector (and Options.MaxRecoveries ≥ 0) the ChronGear and P-CSI
-// solvers run in resilient mode:
+// faults.Injector (and Options.MaxRecoveries ≥ 0) the Krylov driver runs
+// every method in resilient mode — the check ladder of loop.iterate
+// (driver.go): failed reductions are re-entered with bounded backoff; x is
+// checkpointed at every clean check, and a rank crash, a NaN, a recursive
+// residual stalled for cgStallChecks checks or a recurrence's own dead end
+// rolls every rank back in lockstep; a convergence verdict is confirmed on
+// fresh halos before it is trusted. This file holds the ladder's constants
+// and what comes after it: a solve whose budgets are exhausted surrenders
+// with ErrFaulted, which SolveResilient escalates down the degraded-mode
+// ladder — re-estimated eigenvalue bounds for the methods that use them,
+// then ChronGear.
 //
-//   - every global reduction is re-entered with bounded exponential backoff
-//     when the injector fails it (reduceRetry below);
-//
-//   - the iteration state (the solution field x) is checkpointed at every
-//     clean convergence check, and a rank crash or a NaN in the reduced
-//     residual rolls every rank back to the checkpoint in lockstep — the
-//     crash/NaN verdict rides the check reduction exactly like the
-//     cancellation flag, so no rank can disagree about whether to restore;
-//
-//   - a convergence verdict is confirmed on fresh halos before it is
-//     trusted (a halo dropped right before a check could fake convergence
-//     through a stale residual), and a failed confirmation resets the
-//     recurrence and keeps iterating ("reconverge");
-//
-//   - exhausted budgets surrender with ErrFaulted, which SolveResilient
-//     escalates down the degraded-mode ladder: P-CSI → re-estimated
-//     eigenvalue bounds → ChronGear.
-//
-// Without an active injector none of this code runs and the solvers take
-// their exact legacy paths — fault-free traces stay bitwise identical.
+// Without an active injector none of this runs and the solvers take their
+// exact plain paths — fault-free traces stay bitwise identical.
 
 const (
 	// reduceRetryLimit bounds consecutive re-entries of one failed
@@ -44,13 +31,11 @@ const (
 	// reduceBackoffBase is the virtual-clock backoff (seconds) before the
 	// first retry; each further retry doubles it.
 	reduceBackoffBase = 1e-4
-	// cgStallChecks is ChronGear's silent-corruption tripwire: a dropped
-	// halo leaves the CG recursion quietly inconsistent with the true
-	// residual, so the recursive check norm stops improving without ever
-	// reaching the convergence verdict (where confirm-on-converge would
-	// catch it). After this many consecutive checks without improvement the
-	// solver restores the checkpoint and restarts the recurrence from an
-	// honestly recomputed residual.
+	// cgStallChecks is the silent-corruption tripwire of every method whose
+	// residual is maintained recursively (all but P-CSI): after this many
+	// consecutive checks without a 0.1% improvement the driver restores the
+	// checkpoint and restarts the recurrence from an honestly recomputed
+	// residual (loop.tripwire).
 	cgStallChecks = 3
 )
 
@@ -61,64 +46,21 @@ const (
 	recKindReconverge
 )
 
-// reduceRetry is AllReduce plus the detect-and-retry protocol: when the
-// injector failed the reduction (a verdict every rank shares), back off on
-// the virtual clock and re-enter the collective, up to reduceRetryLimit
-// times. Returns the reduced values, the number of retries paid, and
-// whether the reduction ultimately succeeded — all identical on every rank.
-func reduceRetry(r *comm.Rank, inj *faults.Injector, vals []float64) ([]float64, int, bool) {
-	g := r.AllReduce(vals)
-	retries := 0
-	for r.ReduceFailed() {
-		if retries == reduceRetryLimit {
-			return g, retries, false
-		}
-		retries++
-		r.AddDelay(reduceBackoffBase * float64(int64(1)<<retries))
-		g = r.AllReduce(vals)
-	}
-	if retries > 0 {
-		if rt := r.Trace(); rt != nil {
-			rt.Add(obs.Event{Name: obs.EvRecover, Point: true, T0: r.Clock(),
-				Value: recKindReduceRetry, Iter: -1, Straggler: -1})
-		}
-		if r.ID == 0 {
-			inj.Recovered("reduce-retry")
-		}
-	}
-	return g, retries, true
-}
-
-// copyFields copies a per-block field set (checkpoint save and restore).
-func copyFields(dst, src [][]float64) {
-	for i := range src {
-		copy(dst[i], src[i])
-	}
-}
-
-// traceRecover emits one recovery point event on the rank's trace.
-func traceRecover(r *comm.Rank, iter, kind int) {
-	if rt := r.Trace(); rt != nil {
-		rt.Add(obs.Event{Name: obs.EvRecover, Point: true, T0: r.Clock(),
-			Value: float64(kind), Iter: iter, Straggler: -1})
-	}
-}
-
 // SolveResilient is SolveContext plus the degraded-mode ladder. A clean
 // solve returns as-is. Context cancellation passes through untouched. When
 // the solve surrenders (ErrFaulted) or fails to converge under an active
-// injector, P-CSI (and CSI) descend the ladder:
+// injector, it descends the ladder:
 //
-//  1. re-estimate the eigenvalue bounds from a fresh Lanczos run and retry
-//     (an interval knocked loose by injected corruption is the most likely
-//     culprit for P-CSI divergence);
-//  2. fall back to the ChronGear solver — slower per iteration but
-//     self-correcting, the degraded mode of last resort.
+//  1. for the methods that lean on the Lanczos interval (P-CSI, CSI,
+//     s-step): re-estimate the eigenvalue bounds from a fresh Lanczos run
+//     and retry — an interval knocked loose by injected corruption is the
+//     most likely culprit for their divergence;
+//  2. for every method but ChronGear itself: fall back to the ChronGear
+//     solver — slower per iteration at scale but self-correcting, the
+//     degraded mode of last resort.
 //
 // The rung that produced the result is recorded in Result.Recovery.Degraded
-// and counted on the injector. Methods without a ladder (ChronGear itself,
-// PCG, PipeCG) return their error unchanged; request-level retry lives in
-// internal/serve.
+// and counted on the injector; request-level retry lives in internal/serve.
 func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64) (Result, []float64, error) {
 	res, x, err := s.SolveContext(ctx, m, b, x0)
 	if err == nil && res.Converged {
@@ -137,34 +79,37 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 	if err != nil && !errors.Is(err, ErrFaulted) && !errors.Is(err, ErrNotConverged) {
 		return res, x, err
 	}
-	if m != MethodPCSI && m != MethodCSI {
-		return res, x, err
+
+	switch m {
+	case MethodPCSI, MethodCSI, MethodSStep:
+		// Rung 1: re-estimate the Chebyshev interval and retry.
+		if _, _, _, eerr := s.EstimateEigenvalues(nil, 0); eerr == nil {
+			res2, x2, err2 := s.SolveContext(ctx, m, b, x0)
+			if err2 == nil && res2.Converged {
+				res2.Recovery.Degraded = "re-eig"
+				inj.Recovered("re-eig")
+				return res2, x2, nil
+			}
+			if ctx != nil && ctx.Err() != nil {
+				return res2, x2, err2
+			}
+		}
 	}
 
-	// Rung 1: re-estimate the Chebyshev interval and retry P-CSI.
-	if _, _, _, eerr := s.EstimateEigenvalues(nil, 0); eerr == nil {
-		res2, x2, err2 := s.SolveContext(ctx, m, b, x0)
-		if err2 == nil && res2.Converged {
-			res2.Recovery.Degraded = "re-eig"
-			inj.Recovered("re-eig")
-			return res2, x2, nil
+	switch m {
+	case MethodPCG, MethodPipeCG, MethodPCSI, MethodCSI, MethodSStep:
+		// Rung 2: ChronGear degraded mode.
+		res3, x3, err3 := s.SolveContext(ctx, MethodChronGear, b, x0)
+		if err3 == nil && res3.Converged {
+			res3.Recovery.Degraded = "chrongear"
+			inj.Recovered("chrongear")
+			return res3, x3, nil
 		}
-		if ctx != nil && ctx.Err() != nil {
-			return res2, x2, err2
+		if err3 == nil {
+			err3 = &NotConvergedError{Solver: "chrongear",
+				Iterations: res3.Iterations, RelResidual: res3.RelResidual}
 		}
+		return res3, x3, err3
 	}
-
-	// Rung 2: ChronGear degraded mode (through the dispatcher, which
-	// normalizes a nil initial guess).
-	res3, x3, err3 := s.SolveContext(ctx, MethodChronGear, b, x0)
-	if err3 == nil && res3.Converged {
-		res3.Recovery.Degraded = "chrongear"
-		inj.Recovered("chrongear")
-		return res3, x3, nil
-	}
-	if err3 == nil {
-		err3 = &NotConvergedError{Solver: "chrongear",
-			Iterations: res3.Iterations, RelResidual: res3.RelResidual}
-	}
-	return res3, x3, err3
+	return res, x, err // ChronGear is the last rung: nothing below it
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -62,7 +61,7 @@ type Options struct {
 	// ErrFaulted. Default 8; negative disables the resilience machinery
 	// entirely even when the world carries an active fault injector. It
 	// only takes effect when the session's World has an active
-	// faults.Injector — without one, solves run the exact legacy path.
+	// faults.Injector — without one, solves run the plain algorithm.
 	MaxRecoveries int
 }
 
@@ -172,6 +171,7 @@ type rankState struct {
 	locs   []*stencil.Local
 	pre    []Preconditioner
 	fields map[string][][]float64
+	loop   loop // the rank's Krylov driver state (driver.go)
 }
 
 // NewSession validates the configuration and prepares a session. The
@@ -251,32 +251,6 @@ func (s *Session) Setup() error {
 	return nil
 }
 
-// Cancellation protocol. A context passed into a solve is observed only at
-// convergence-check boundaries, and only through the check's global
-// reduction: each rank sums its local observation of ctx (cancelFlag) into
-// one extra payload entry, so every rank sees the identical reduced verdict
-// and leaves the iteration loop at the same check. Ranks observing ctx
-// directly could disagree — cancellation racing the check would strand some
-// ranks in the next collective. Riding the existing reduction adds no
-// communication and cannot perturb the numerics between checks: the
-// residual entries reduce exactly as before, so a cancelled solve's
-// residual history is a bitwise prefix of the uncancelled one.
-
-// cancelFlag returns 1 when ctx is cancelled or past its deadline.
-func cancelFlag(ctx context.Context) float64 {
-	if ctx != nil && ctx.Err() != nil {
-		return 1
-	}
-	return 0
-}
-
-// ctxSolveErr wraps the context's error with solve position for a solve
-// stopped by cancellation; errors.Is matches context.Canceled or
-// context.DeadlineExceeded.
-func ctxSolveErr(ctx context.Context, solver string, iter int) error {
-	return fmt.Errorf("core: %s solve cancelled at iteration %d: %w", solver, iter, context.Cause(ctx))
-}
-
 // state returns the rank's persistent state (Setup must have run).
 func (s *Session) state(r *comm.Rank) *rankState {
 	return s.perRank[r.ID]
@@ -319,12 +293,17 @@ func (s *Session) scatterMasked(r *comm.Rank, name string, global []float64) [][
 // zeroField clears the named field.
 func (s *Session) zeroField(r *comm.Rank, name string) [][]float64 {
 	f := s.field(r, name)
-	for _, arr := range f {
-		for k := range arr {
-			arr[k] = 0
+	zeroFields(f)
+	return f
+}
+
+// zeroFields clears per-block field sets.
+func zeroFields(fields ...[][]float64) {
+	for _, f := range fields {
+		for _, arr := range f {
+			clear(arr)
 		}
 	}
-	return f
 }
 
 // restoreLand sets the identity land rows x = b everywhere, including
@@ -373,7 +352,8 @@ type RecoveryInfo struct {
 	// (each retry pays a bounded virtual-clock backoff).
 	ReduceRetries int
 	// Restores is how many times the iteration state was rolled back to the
-	// last checkpoint (rank crash or NaN tripwire).
+	// last checkpoint (rank crash, NaN, stalled recursive residual, or a
+	// recurrence's dead end).
 	Restores int
 	// Reconverges counts convergence confirmations that failed — the check
 	// reduction said "converged" but a fresh-halo residual disagreed (stale
@@ -383,7 +363,7 @@ type RecoveryInfo struct {
 	// only the initial state was checkpointed).
 	CheckpointIter int
 	// Degraded names the fallback rung that produced the result: "" (none),
-	// "re-eig" (P-CSI retried with re-estimated eigenvalue bounds), or
-	// "chrongear" (P-CSI fell back to the ChronGear solver).
+	// "re-eig" (retried with re-estimated eigenvalue bounds), or
+	// "chrongear" (fell back to the ChronGear solver).
 	Degraded string
 }

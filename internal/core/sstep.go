@@ -1,13 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"math"
-	"strconv"
-
-	"repro/internal/comm"
-)
+import "strconv"
 
 // Communication-avoiding s-step PCG with a Chebyshev basis.
 //
@@ -69,356 +62,229 @@ func init() {
 	}
 }
 
-// SolveSStep runs the communication-avoiding s-step PCG with a background
-// context; see SolveSStepContext.
-func (s *Session) SolveSStep(b, x0 []float64) (Result, []float64, error) {
-	return s.SolveSStepContext(context.Background(), b, x0)
+// sstep is the s-step recurrence: blocks of Options.SStep Chebyshev-basis
+// matrix-vector products between single fused global reductions. Its step
+// is a block of s iterations and every step carries a check, on the block's
+// *entering* residual — the check rides the block's one mandatory
+// reduction, so detection lags the true convergence point by up to s−1
+// iterations but costs zero extra communication. ‖b‖² rides the first
+// block's reduction too.
+//
+// The block recurrence's attainable accuracy is bounded by the basis
+// conditioning: in finite precision the recursive residual drifts from
+// b − A·x and can plateau above the target (seen at s=8 with the diagonal
+// preconditioner on warm-started model steps). The driver's drift watch
+// answers with a residual replacement (s+1 halo'd matvecs, zero extra
+// reductions, and k still advances so the ceil(iters/s)+1 reduction bound
+// holds), and when even the replaced residual cannot improve the solve
+// gives up rather than spinning to MaxIters.
+type sstep struct {
+	s                            int
+	gamma, invDelta, twoInvDelta float64 // Chebyshev basis: centre γ, half-width δ of [ν, μ]
+	offC, offM                   int     // payload layout, see sstepShape
+
+	ww [][]float64
+	// Direction-block field groups. vv/qq double as the basis (V, Q=AV)
+	// during the build and as the *next* P/AP during the update — the
+	// update writes P = V + P_prev·B into the vv slots, then the slices
+	// swap, so no block-sized copies happen anywhere in the loop.
+	vv, qq, pp, aps [][][]float64
+
+	first bool // no previous direction block yet
+	force bool // the next block must restart the recurrence (P = V)
+	fromV bool // this block restarts it: P = V (decided in observe, applied in advance)
+
+	// Dense rank-local scratch for the (s×s) Gram arithmetic; tiny
+	// (≤ MaxSStep² doubles each) and identical on every rank because it is
+	// computed from reduced values only.
+	gm, cm, bm, um, tm, wPrev, wFac []float64 // G, C, B, W_prev·B, W_new, W_prev and its factor
+	mvec, avec, col                 []float64
 }
 
-// SolveSStepContext runs the communication-avoiding s-step PCG: blocks of
-// Options.SStep Chebyshev-basis matrix-vector products between single fused
-// global reductions, so a converged solve performs at most
-// ceil(Iterations/SStep)+1 reductions. The Chebyshev basis interval comes
-// from the Session's eigenvalue estimates; when absent, EstimateEigenvalues
-// runs first (charged to the Session's EigenStats, exactly as for P-CSI).
+// sstepShape lays out the block's fused reduction:
 //
-// Convergence is checked on each block's *entering* residual — the check
-// rides the block's one mandatory reduction, so detection lags the true
-// convergence point by up to s−1 iterations but costs zero extra
-// communication. Cancellation likewise rides the block reduction.
+//	[0    : offC)      upper triangle of G, row-major, G[i][j] = ⟨v_i, q_j⟩
+//	[offC : offM)      C[i][j] = ⟨A·p_i, v_j⟩ (zero on the first block)
+//	[offM : offM+s)    m[i] = ⟨v_i, r⟩
 //
-// The solver runs the legacy (non-resilient) path even under an active
-// fault injector: the resilience ladder covers the per-iteration solvers,
-// and SOLVERS.md records the gap.
-func (s *Session) SolveSStepContext(ctx context.Context, b, x0 []float64) (Result, []float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := s.Setup(); err != nil {
-		return Result{}, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, nil, ctxSolveErr(ctx, "sstep", 0)
-	}
-	if s.Mu == 0 {
-		if _, _, _, err := s.EstimateEigenvalues(nil, 0); err != nil {
-			return Result{}, nil, err
-		}
-	}
-	if !(s.Nu > 0 && s.Mu > s.Nu) {
-		return Result{}, nil, fmt.Errorf("core: invalid Chebyshev interval [%g, %g]: %w", s.Nu, s.Mu, ErrBadSpec)
-	}
-	o := s.Opts
+// followed by the driver's tail.
+func sstepShape(o Options) shape {
 	sv := o.SStep
-	out := s.solveOut()
-	res := Result{Solver: "sstep", Precond: o.Precond, Nu: s.Nu, Mu: s.Mu, EigSteps: s.EigSteps}
-	trace := &SolveTrace{EigBounds: s.EigTrace,
-		Residuals: make([]ResidualPoint, 0, o.MaxIters/sv+1)}
-	cancelled := false // written by rank 0 only, read after Run
+	return shape{width: sv*(sv+1)/2 + sv*sv + sv, span: sv,
+		rides: true, recursive: true, drift: true, giveUp: true}
+}
 
-	// Chebyshev basis parameters: centre γ and half-width δ of [ν, μ].
-	gamma := (s.Mu + s.Nu) / 2
-	delta := (s.Mu - s.Nu) / 2
-	invDelta := 1 / delta
-	twoInvDelta := 2 / delta
+func (c *sstep) bind(l *loop) {
+	sv := l.s.Opts.SStep
+	if c.s != sv { // first bind on this rank: the session's s never changes
+		c.s = sv
+		c.offC = sv * (sv + 1) / 2
+		c.offM = c.offC + sv*sv
+		group := func() [][][]float64 { return make([][][]float64, sv) }
+		c.vv, c.qq, c.pp, c.aps = group(), group(), group(), group()
+		mat := func() []float64 { return make([]float64, sv*sv) }
+		c.gm, c.cm, c.bm, c.um, c.tm, c.wPrev, c.wFac = mat(), mat(), mat(), mat(), mat(), mat(), mat()
+		c.mvec, c.avec, c.col = make([]float64, sv), make([]float64, sv), make([]float64, sv)
+	}
+	c.gamma = (l.s.Mu + l.s.Nu) / 2
+	delta := (l.s.Mu - l.s.Nu) / 2
+	c.invDelta, c.twoInvDelta = 1/delta, 2/delta
+	c.ww = l.field("sstep.w")
+	for j := 0; j < sv; j++ {
+		c.vv[j] = l.field(sstepVName[j])
+		c.qq[j] = l.field(sstepQName[j])
+		c.pp[j] = l.field(sstepPName[j])
+		c.aps[j] = l.field(sstepAName[j])
+	}
+	c.first, c.force = true, false
+}
 
-	// Fused reduction payload layout (one AllReduce per block):
-	//   [offG  : offG+nG)   upper triangle of G, row-major, G[i][j]=⟨v_i,q_j⟩
-	//   [offC  : offC+s²)   C[i][j] = ⟨A·p_i, v_j⟩ (zero on the first block)
-	//   [offM  : offM+s)    m[i] = ⟨v_i, r⟩
-	//   [offRn]             ‖r‖² entering the block (the convergence check)
-	//   [offBn]             ‖b‖² (first block only; rides along, no own reduce)
-	//   [offCancel]         cancellation flag sum
-	nG := sv * (sv + 1) / 2
-	offC := nG
-	offM := offC + sv*sv
-	offRn := offM + sv
-	offBn := offRn + 1
-	offCancel := offBn + 1
-	width := offCancel + 1
+func (c *sstep) begin(l *loop) {}
 
-	st := s.W.Run(func(r *comm.Rank) {
-		rs := s.state(r)
-		nb := len(r.Blocks)
-		xs := s.scatterMasked(r, "sstep.x", x0)
-		bs := s.scatterMasked(r, "sstep.b", b)
-		rr := s.field(r, "sstep.r")
-		ww := s.field(r, "sstep.w")
-		// Direction-block field groups. vv/qq double as the basis (V, Q=AV)
-		// during the build and as the *next* P/AP during the update — the
-		// update writes P = V + P_prev·B into the vv slots, then the slices
-		// swap, so no block-sized copies happen anywhere in the loop.
-		vv := make([][][]float64, sv)
-		qq := make([][][]float64, sv)
-		pp := make([][][]float64, sv)
-		aps := make([][][]float64, sv)
-		for j := 0; j < sv; j++ {
-			vv[j] = s.field(r, sstepVName[j])
-			qq[j] = s.field(r, sstepQName[j])
-			pp[j] = s.field(r, sstepPName[j])
-			aps[j] = s.field(r, sstepAName[j])
-		}
-		payload := make([]float64, width)
-		// Dense rank-local scratch for the (s×s) Gram arithmetic; tiny
-		// (≤ MaxSStep² doubles each) and identical on every rank because it
-		// is computed from reduced values only.
-		gm := make([]float64, sv*sv) // G
-		cm := make([]float64, sv*sv) // C
-		bm := make([]float64, sv*sv) // B
-		um := make([]float64, sv*sv) // W_prev·B
-		tm := make([]float64, sv*sv) // W_new accumulator
-		wPrev := make([]float64, sv*sv)
-		wFac := make([]float64, sv*sv)
-		mvec := make([]float64, sv)
-		avec := make([]float64, sv)
-		col := make([]float64, sv)
-
-		bn2 := stageInitResidual(r, rs, rr, bs, xs)
-
-		var bnorm, target float64
-		first := true
-		converged := false
-		// Stagnation watch state; all derived from reduced values, so
-		// lockstep on every rank.
-		bestRn := math.Inf(1)
-		stall := 0
-		replaced := false
-		forceRestart := false
-		k := 0
-		for {
-			if k >= o.MaxIters {
-				break
-			}
-			// Basis build: v₀ = M⁻¹r, then the Chebyshev three-term
-			// recurrence on the preconditioned operator. s halo exchanges
-			// (inside stageMatvec), zero reductions.
-			stagePrecond(r, rs, vv[0], rr)
-			for j := 0; j < sv; j++ {
-				stageMatvec(r, rs, qq[j], vv[j])
-				if j+1 < sv {
-					stagePrecond(r, rs, ww, qq[j])
-					for i := 0; i < nb; i++ {
-						loc := rs.locs[i]
-						if j == 0 {
-							chebBasisFirst(loc, vv[1][i], ww[i], vv[0][i], gamma, invDelta)
-							r.AddFlops(2 * int64(loc.InteriorLen()))
-						} else {
-							chebBasisNext(loc, vv[j+1][i], ww[i], vv[j][i], vv[j-1][i], gamma, twoInvDelta)
-							r.AddFlops(3 * int64(loc.InteriorLen()))
-						}
-					}
-				}
-			}
-			// Gram assembly: every inner product the block recurrence needs,
-			// packed into the one payload.
-			idx := 0
-			for i := 0; i < sv; i++ {
-				for j := i; j < sv; j++ {
-					payload[idx] = stageDot(r, rs, vv[i], qq[j])
-					idx++
-				}
-			}
-			if first {
-				for i := offC; i < offM; i++ {
-					payload[i] = 0
-				}
-			} else {
-				for i := 0; i < sv; i++ {
-					for j := 0; j < sv; j++ {
-						payload[offC+i*sv+j] = stageDot(r, rs, aps[i], vv[j])
-					}
-				}
-			}
-			for i := 0; i < sv; i++ {
-				payload[offM+i] = stageDot(r, rs, vv[i], rr)
-			}
-			payload[offRn] = stageDot(r, rs, rr, rr)
-			payload[offBn] = 0
-			if first {
-				payload[offBn] = bn2
-			}
-			payload[offCancel] = cancelFlag(ctx)
-			g := r.AllReduce(payload) // the block's ONLY reduction
-
-			rn := math.Sqrt(g[offRn])
-			if first {
-				bnorm = math.Sqrt(g[offBn])
-				if r.ID == 0 {
-					res.BNorm = bnorm
-				}
-				if bnorm == 0 {
-					s.zeroSolutionExit(r, out, xs)
-					if r.ID == 0 {
-						res.Converged = true
-					}
-					return
-				}
-				target = o.Tol * bnorm
-			}
-			if r.ID == 0 {
-				res.RelResidual = rn / bnorm
-			}
-			traceResidual(r, trace, k, rn/bnorm)
-			if rn <= target {
-				converged = true
-				break
-			}
-			if math.IsNaN(rn) {
-				break
-			}
-			if g[offCancel] != 0 { // some rank saw ctx done — all stop here
-				if r.ID == 0 {
-					cancelled = true
-				}
-				break
-			}
-
-			// Stagnation watch on the reduced entering residual. The block
-			// recurrence's attainable accuracy is bounded by the basis
-			// conditioning: in finite precision the recurrence residual
-			// drifts from b − A·x and can plateau above the target (seen at
-			// s=8 with the diagonal preconditioner on warm-started model
-			// steps). The watch arms only near the round-off floor
-			// (rel residual ≤ 1e-6) — far from it, a non-improving block is
-			// ordinary non-monotone CG behaviour, not drift. Sixteen
-			// stalled iterations (counted in iterations, not blocks, so the
-			// patience is the same at every s) trigger a residual
-			// replacement — recompute the true residual and restart the
-			// recurrence from it (van der Vorst-style reliable updates; s+1
-			// halo'd matvecs, zero extra reductions, and k still advances
-			// so the ceil(iters/s)+1 reduction bound holds) — and when even
-			// the replaced residual cannot improve across another sixteen,
-			// the solve gives up rather than spinning to MaxIters.
-			if rn < 0.99*bestRn {
-				bestRn = rn
-				stall = 0
-				replaced = false
-			} else if rn <= 1e-6*bnorm {
-				stall += sv
-				if stall >= 16 {
-					if replaced {
-						break
-					}
-					r.Exchange(xs)
-					for i := 0; i < nb; i++ {
-						loc := rs.locs[i]
-						residual(loc, rr[i], bs[i], xs[i])
-						r.AddFlops(9 * int64(loc.InteriorLen()))
-					}
-					replaced = true
-					forceRestart = true
-					stall = 0
-					k += sv // this block's basis matvecs were spent
-					continue
-				}
-			}
-
-			// Unpack the reduced Gram system before the next collective (g
-			// is the communicator's pooled buffer, valid only until then).
-			idx = 0
-			for i := 0; i < sv; i++ {
-				for j := i; j < sv; j++ {
-					gm[i*sv+j] = g[idx]
-					gm[j*sv+i] = g[idx]
-					idx++
-				}
-			}
-			copy(cm, g[offC:offM])
-			copy(mvec, g[offM:offRn])
-
-			// Block recurrence on reduced values: rank-local, identical on
-			// every rank. A failed Cholesky factorization of W_new means the
-			// previous direction block has degenerated — restart the
-			// recurrence (P = V, W = G) rather than divide through it.
-			restart := first || forceRestart
-			forceRestart = false
-			if !restart {
-				for j := 0; j < sv; j++ { // B = −W_prev⁻¹·C, column by column
-					for i := 0; i < sv; i++ {
-						col[i] = cm[i*sv+j]
-					}
-					cholSolve(wFac, sv, col)
-					for i := 0; i < sv; i++ {
-						bm[i*sv+j] = -col[i]
-					}
-				}
-				for i := 0; i < sv; i++ { // um = W_prev·B
-					for j := 0; j < sv; j++ {
-						var v float64
-						for l := 0; l < sv; l++ {
-							v += wPrev[i*sv+l] * bm[l*sv+j]
-						}
-						um[i*sv+j] = v
-					}
-				}
-				for i := 0; i < sv; i++ { // W_new = G + BᵀC + CᵀB + Bᵀ(W_prev·B)
-					for j := 0; j < sv; j++ {
-						v := gm[i*sv+j]
-						for l := 0; l < sv; l++ {
-							v += bm[l*sv+i]*cm[l*sv+j] + cm[l*sv+i]*bm[l*sv+j] + bm[l*sv+i]*um[l*sv+j]
-						}
-						tm[i*sv+j] = v
-					}
-				}
-				copy(wFac, tm)
-				if cholFactor(wFac, sv) {
-					copy(wPrev, tm)
-				} else {
-					restart = true
-				}
-			}
-			if restart {
-				copy(wFac, gm)
-				if !cholFactor(wFac, sv) {
-					// Even the fresh basis is degenerate (r at rounding level
-					// or non-finite) — no further progress is possible.
-					break
-				}
-				copy(wPrev, gm)
-				pp, vv = vv, pp // P = V, AP = Q (slice-header swap, no copy)
-				aps, qq = qq, aps
-			} else {
-				for j := 0; j < sv; j++ { // P = V + P_prev·B into the vv slots
-					for i := 0; i < sv; i++ {
-						c := bm[i*sv+j]
-						for blk := 0; blk < nb; blk++ {
-							loc := rs.locs[blk]
-							axpy2(loc, vv[j][blk], pp[i][blk], c, qq[j][blk], aps[i][blk], c)
-							r.AddFlops(2 * int64(loc.InteriorLen()))
-						}
-					}
-				}
-				pp, vv = vv, pp
-				aps, qq = qq, aps
-			}
-
-			copy(avec, mvec) // a = W⁻¹·m
-			cholSolve(wFac, sv, avec)
-			for j := 0; j < sv; j++ { // x += P·a, r −= (A·P)·a
-				for blk := 0; blk < nb; blk++ {
-					loc := rs.locs[blk]
-					axpy2(loc, xs[blk], pp[j][blk], avec[j], rr[blk], aps[j][blk], -avec[j])
+func (c *sstep) local(l *loop, p []float64) (bool, float64) {
+	r, rs, sv := l.r, l.rs, c.s
+	vv, qq := c.vv, c.qq
+	// Basis build: v₀ = M⁻¹r, then the Chebyshev three-term recurrence on
+	// the preconditioned operator. s halo exchanges (inside stageMatvec),
+	// zero reductions.
+	stagePrecond(r, rs, vv[0], l.rr)
+	for j := 0; j < sv; j++ {
+		stageMatvec(r, rs, qq[j], vv[j])
+		if j+1 < sv {
+			stagePrecond(r, rs, c.ww, qq[j])
+			for i, loc := range rs.locs {
+				if j == 0 {
+					chebBasisFirst(loc, vv[1][i], c.ww[i], vv[0][i], c.gamma, c.invDelta)
 					r.AddFlops(2 * int64(loc.InteriorLen()))
+				} else {
+					chebBasisNext(loc, vv[j+1][i], c.ww[i], vv[j][i], vv[j-1][i], c.gamma, c.twoInvDelta)
+					r.AddFlops(3 * int64(loc.InteriorLen()))
 				}
 			}
-			k += sv
-			first = false
 		}
-		if r.ID == 0 {
-			res.Iterations = k
-			res.Converged = converged
+	}
+	// Gram assembly: every inner product the block recurrence needs, packed
+	// into the one payload.
+	idx := 0
+	for i := 0; i < sv; i++ {
+		for j := i; j < sv; j++ {
+			p[idx] = stageDot(r, rs, vv[i], qq[j])
+			idx++
 		}
-		s.gatherSolution(r, out, xs)
-	})
-	res.Stats = st
-	res.Trace = trace
-	s.restoreLand(out, b)
-	if cancelled {
-		return res, out, ctxSolveErr(ctx, "sstep", res.Iterations)
 	}
-	if !res.Converged && (math.IsNaN(res.RelResidual) || res.RelResidual > 1e6) {
-		return res, out, fmt.Errorf("core: s-step PCG diverged; Chebyshev basis interval [%g, %g] may not bracket the spectrum: %w", s.Nu, s.Mu,
-			&NotConvergedError{Solver: "sstep", Iterations: res.Iterations, RelResidual: res.RelResidual})
+	if c.first {
+		clear(p[c.offC:c.offM])
+	} else {
+		for i := 0; i < sv; i++ {
+			for j := 0; j < sv; j++ {
+				p[c.offC+i*sv+j] = stageDot(r, rs, c.aps[i], vv[j])
+			}
+		}
 	}
-	return res, out, nil
+	for i := 0; i < sv; i++ {
+		p[c.offM+i] = stageDot(r, rs, vv[i], l.rr)
+	}
+	return true, stageDot(r, rs, l.rr, l.rr)
+}
+
+// observe is the block recurrence on reduced values: rank-local, identical
+// on every rank. A failed Cholesky factorization of W_new means the
+// previous direction block has degenerated — restart the recurrence (P = V,
+// W = G) rather than divide through it.
+func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
+	sv := c.s
+	gm, cm, bm, um, tm := c.gm, c.cm, c.bm, c.um, c.tm
+	idx := 0
+	for i := 0; i < sv; i++ {
+		for j := i; j < sv; j++ {
+			gm[i*sv+j] = g[idx]
+			gm[j*sv+i] = g[idx]
+			idx++
+		}
+	}
+	copy(cm, g[c.offC:c.offM])
+	copy(c.mvec, g[c.offM:])
+
+	c.fromV = c.first || c.force
+	c.force = false
+	if !c.fromV {
+		for j := 0; j < sv; j++ { // B = −W_prev⁻¹·C, column by column
+			for i := 0; i < sv; i++ {
+				c.col[i] = cm[i*sv+j]
+			}
+			cholSolve(c.wFac, sv, c.col)
+			for i := 0; i < sv; i++ {
+				bm[i*sv+j] = -c.col[i]
+			}
+		}
+		for i := 0; i < sv; i++ { // um = W_prev·B
+			for j := 0; j < sv; j++ {
+				var v float64
+				for k := 0; k < sv; k++ {
+					v += c.wPrev[i*sv+k] * bm[k*sv+j]
+				}
+				um[i*sv+j] = v
+			}
+		}
+		for i := 0; i < sv; i++ { // W_new = G + BᵀC + CᵀB + Bᵀ(W_prev·B)
+			for j := 0; j < sv; j++ {
+				v := gm[i*sv+j]
+				for k := 0; k < sv; k++ {
+					v += bm[k*sv+i]*cm[k*sv+j] + cm[k*sv+i]*bm[k*sv+j] + bm[k*sv+i]*um[k*sv+j]
+				}
+				tm[i*sv+j] = v
+			}
+		}
+		copy(c.wFac, tm)
+		if cholFactor(c.wFac, sv) {
+			copy(c.wPrev, tm)
+		} else {
+			c.fromV = true
+		}
+	}
+	if c.fromV {
+		copy(c.wFac, gm)
+		if !cholFactor(c.wFac, sv) {
+			// Even the fresh basis is degenerate (r at rounding level or
+			// non-finite) — no further progress is possible.
+			return stop
+		}
+		copy(c.wPrev, gm)
+	}
+	copy(c.avec, c.mvec) // a = W⁻¹·m
+	cholSolve(c.wFac, sv, c.avec)
+	return proceed
+}
+
+func (c *sstep) advance(l *loop, g []float64) {
+	sv := c.s
+	if !c.fromV {
+		for j := 0; j < sv; j++ { // P = V + P_prev·B into the vv slots
+			for i := 0; i < sv; i++ {
+				b := c.bm[i*sv+j]
+				for blk, loc := range l.rs.locs {
+					axpy2(loc, c.vv[j][blk], c.pp[i][blk], b, c.qq[j][blk], c.aps[i][blk], b)
+					l.r.AddFlops(2 * int64(loc.InteriorLen()))
+				}
+			}
+		}
+	}
+	c.pp, c.vv = c.vv, c.pp // P = V (+ P_prev·B), AP = Q: slice-header swaps, no copy
+	c.aps, c.qq = c.qq, c.aps
+	for j := 0; j < sv; j++ { // x += P·a, r −= (A·P)·a
+		for blk, loc := range l.rs.locs {
+			axpy2(loc, l.x[blk], c.pp[j][blk], c.avec[j], l.rr[blk], c.aps[j][blk], -c.avec[j])
+			l.r.AddFlops(2 * int64(loc.InteriorLen()))
+		}
+	}
+	l.k += sv
+	c.first = false
+}
+
+// restart discards the block in flight — its basis matvecs were spent, so
+// its s iterations still count and the ceil(iters/s)+1 reduction bound
+// holds — and makes the next block start from P = V.
+func (c *sstep) restart(l *loop) {
+	c.force = true
+	l.k += c.s
 }

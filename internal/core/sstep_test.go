@@ -17,7 +17,7 @@ func TestSStepMatchesChronGear(t *testing.T) {
 	x0 := make([]float64, f.g.N())
 	for _, pc := range []PrecondType{PrecondIdentity, PrecondDiagonal, PrecondEVP, PrecondBlockLU} {
 		sCG := f.session(t, Options{Precond: pc, Tol: 1e-12})
-		rCG, xCG, err := sCG.SolveChronGear(f.b, x0)
+		rCG, xCG, err := sCG.Solve(MethodChronGear, f.b, x0)
 		if err != nil {
 			t.Fatalf("chrongear/%v: %v", pc, err)
 		}
@@ -29,7 +29,7 @@ func TestSStepMatchesChronGear(t *testing.T) {
 		for _, sv := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("%v-s%d", pc, sv), func(t *testing.T) {
 				s := f.session(t, Options{Precond: pc, Tol: 1e-12, SStep: sv})
-				res, x, err := s.SolveSStep(f.b, x0)
+				res, x, err := s.Solve(MethodSStep, f.b, x0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +61,7 @@ func TestSStepReductionBound(t *testing.T) {
 		if _, _, _, err := s.EstimateEigenvalues(f.b, 0); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := s.SolveSStep(f.b, x0)
+		res, _, err := s.Solve(MethodSStep, f.b, x0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSStepBitwiseAcrossThreads(t *testing.T) {
 		f.w.SetThreads(threads)
 		defer f.w.SetThreads(0)
 		s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-12, SStep: 4})
-		res, x, err := s.SolveSStep(f.b, x0)
+		res, x, err := s.Solve(MethodSStep, f.b, x0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,13 +137,13 @@ func TestSStepRepeatDeterministic(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
 	s := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-12, SStep: 4})
-	_, xa, err := s.SolveSStep(f.b, x0)
+	_, xa, err := s.Solve(MethodSStep, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := make([]float64, len(xa))
 	copy(ref, xa)
-	_, xb, err := s.SolveSStep(f.b, x0)
+	_, xb, err := s.Solve(MethodSStep, f.b, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSStepCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := s.SolveSStepContext(ctx, f.b, make([]float64, f.g.N()))
+	_, _, err := s.SolveContext(ctx, MethodSStep, f.b, make([]float64, f.g.N()))
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

@@ -6,26 +6,22 @@ import (
 	"repro/internal/comm"
 )
 
-// Composable solver stages. Every Krylov solver in this package is built
+// Composable solver stages. Every Krylov method in this package is built
 // from the same handful of per-iteration phases — compute the residual,
 // apply the preconditioner, refresh halos and apply the operator, take
-// masked inner products — and this file factors them into shared stage
-// helpers so chrongear/pcg/pipecg/pcsi/sstep assemble the identical
-// kernels instead of repeating them. Each helper preserves the exact
-// arithmetic order and flop accounting of the inlined code it replaced, so
-// the refactor is invisible to the golden bitwise traces: identical
-// per-scalar accumulation order, identical collective sequence, identical
-// flop totals between collectives.
+// masked inner products — factored here so the five recurrences and the
+// driver assemble the identical kernels, with one arithmetic order and one
+// flop accounting (the order and size of the AddFlops calls is what the
+// priced virtual clock and the golden traces pin).
 //
 // Every helper takes the whole *comm.Rank handle, which is the
 // collectivelockstep analyzer's trusted-helper idiom: the helper's own body
 // is analyzed for lockstep violations instead of its results being treated
 // as rank-local taint.
 //
-// The s-step solver adds two stages with no single-vector counterpart: the
-// Chebyshev basis build (see sstep.go) and the Gram-system assembly whose
-// small dense factorization lives in the cholFactor/cholSolve helpers
-// below.
+// The s-step recurrence adds two stages with no single-vector counterpart:
+// the Chebyshev basis build (sstep.go) and the Gram-system assembly, whose
+// small dense factorization lives in cholFactor/cholSolve below.
 
 // stageInitResidual computes r = b − A·x blockwise (x must carry valid
 // ring-1 halos, as it does immediately after scatterMasked) and returns the
@@ -107,18 +103,6 @@ func stageDot(r *comm.Rank, rs *rankState, a, b [][]float64) float64 {
 		r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
 	}
 	return d
-}
-
-// zeroSolutionExit writes the exact x = 0 answer of a zero right-hand side
-// into the rank's blocks and gathers it (the ‖b‖ = 0 early exit every
-// solver shares).
-func (s *Session) zeroSolutionExit(r *comm.Rank, out []float64, xs [][]float64) {
-	for i, blk := range r.Blocks {
-		for k := range xs[i] {
-			xs[i][k] = 0
-		}
-		s.D.GatherInto(out, xs[i], blk)
-	}
 }
 
 // gatherSolution assembles the rank's blocks of the iterate into the global

@@ -44,7 +44,7 @@ func TestSolveTraceJSONLGolden(t *testing.T) {
 	f.w.Tracer = tracer
 	defer func() { f.w.Tracer = nil; f.w.Cost = nil }()
 
-	res, _, err := s.SolvePCSI(f.b, make([]float64, len(f.b)))
+	res, _, err := s.Solve(MethodPCSI, f.b, make([]float64, len(f.b)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSolveTraceJSONLGolden(t *testing.T) {
 func TestSolveTraceWithoutTracer(t *testing.T) {
 	f := testFixture(t)
 	s := f.session(t, Options{Precond: PrecondDiagonal})
-	res, _, err := s.SolveChronGear(f.b, make([]float64, len(f.b)))
+	res, _, err := s.Solve(MethodChronGear, f.b, make([]float64, len(f.b)))
 	if err != nil {
 		t.Fatal(err)
 	}

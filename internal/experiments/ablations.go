@@ -34,7 +34,7 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 	}
 	for _, every := range []int{1, 5, 10, 20, 50} {
 		row := []string{fmt.Sprint(every)}
-		for _, solver := range []string{"chrongear", "pcsi"} {
+		for _, method := range []core.Method{core.MethodChronGear, core.MethodPCSI} {
 			d, err := decomp.New(g, bx, by, decomp.DefaultHalo)
 			if err != nil {
 				return nil, err
@@ -49,12 +49,7 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var res2 core.Result
-			if solver == "chrongear" {
-				res2, _, err = sess.SolveChronGear(b, make([]float64, g.N()))
-			} else {
-				res2, _, err = sess.SolvePCSI(b, make([]float64, g.N()))
-			}
+			res2, _, err := sess.Solve(method, b, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -44,7 +44,7 @@ func (c *Config) Fig03() (*Table, error) {
 		if err != nil {
 			return core.Result{}, 0, 0, 0, err
 		}
-		res, _, err := sess.SolvePCSI(b, make([]float64, g.N()))
+		res, _, err := sess.Solve(core.MethodPCSI, b, nil)
 		return res, nu, mu, got, err
 	}
 	for _, steps := range []int{2, 3, 4, 6, 8, 12, 20, 30} {

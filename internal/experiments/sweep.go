@@ -82,6 +82,10 @@ func (c *Config) measure(res string, g *grid.Grid, op *stencil.Operator, b []flo
 // caller across configurations.
 func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op *stencil.Operator, b []float64,
 	target int, sc SolverConfig) (Measurement, error) {
+	method, err := core.ParseMethod(sc.Solver)
+	if err != nil {
+		return Measurement{}, err
+	}
 	bx, by, cores, err := decomp.ChooseBlocking(g, target, 3, 2)
 	if err != nil {
 		return Measurement{}, err
@@ -122,17 +126,7 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 	x0 := make([]float64, g.N())
 	var iters int
 	for s := 0; s < solves; s++ {
-		var res2 core.Result
-		switch sc.Solver {
-		case "chrongear":
-			res2, _, err = sess.SolveChronGear(b, x0)
-		case "pcg":
-			res2, _, err = sess.SolvePCG(b, x0)
-		case "pcsi":
-			res2, _, err = sess.SolvePCSI(b, x0)
-		default:
-			err = fmt.Errorf("experiments: unknown solver %q", sc.Solver)
-		}
+		res2, _, err := sess.Solve(method, b, x0)
 		if err != nil {
 			return Measurement{}, err
 		}

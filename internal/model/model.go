@@ -42,7 +42,8 @@ import (
 	"repro/internal/stencil"
 )
 
-// SolverName picks the barotropic solver for the model.
+// SolverName picks the barotropic solver for the model: any spelling
+// core.ParseMethod accepts.
 type SolverName string
 
 const (
@@ -366,21 +367,11 @@ func (m *Model) Step() error {
 	}
 
 	// 3. Implicit free-surface solve.
-	var res core.Result
-	var eta []float64
-	var err error
-	switch cfg.Solver {
-	case SolverChronGear:
-		res, eta, err = m.Sess.SolveChronGear(m.psi, m.Eta)
-	case SolverPCG:
-		res, eta, err = m.Sess.SolvePCG(m.psi, m.Eta)
-	case SolverPCSI:
-		res, eta, err = m.Sess.SolvePCSI(m.psi, m.Eta)
-	case SolverSStep:
-		res, eta, err = m.Sess.SolveSStep(m.psi, m.Eta)
-	default:
-		return fmt.Errorf("model: unknown solver %q", cfg.Solver)
+	method, err := core.ParseMethod(string(cfg.Solver))
+	if err != nil {
+		return fmt.Errorf("model: %w", err)
 	}
+	res, eta, err := m.Sess.Solve(method, m.psi, m.Eta)
 	if err != nil {
 		return fmt.Errorf("model step %d: %w", m.StepCount, err)
 	}

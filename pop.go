@@ -426,10 +426,11 @@ func (s *Solver) SolveContext(ctx context.Context, b, x0 []float64) (Result, []f
 	return s.Session.SolveContext(ctx, s.Spec.Method, b, x0)
 }
 
-// SolveResilient is SolveContext under fault injection: solves checkpoint
-// at clean convergence checks, retry failed reductions, roll back on
-// crashes and corruption tripwires, and — for P-CSI — descend a degraded-mode
-// ladder (re-estimated eigenvalue bounds, then ChronGear) before giving up.
+// SolveResilient is SolveContext under fault injection: solves of every
+// method checkpoint at clean convergence checks, retry failed reductions,
+// roll back on crashes and corruption tripwires, and descend a
+// degraded-mode ladder (re-estimated eigenvalue bounds for the methods that
+// use them, then ChronGear) before giving up.
 // A solve that still fails beyond Options.MaxRecoveries returns an error
 // matching ErrFaulted; Result.Recovery counts what the machinery did.
 // Without an active injector this is exactly SolveContext.

@@ -70,10 +70,11 @@ func TestSolverFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// PipeCG+EVP on the 12-core test decomposition breaks down short of
-// popsolve's 1e-13 tolerance (ROADMAP items 2–3 own the root cause): it must leave at the first NaN convergence check
-// with a typed error, not spin to MaxIters.
-func TestPipeCGEVPBreakdownFailsFast(t *testing.T) {
+// PipeCG+EVP on the 12-core test decomposition used to break down short of
+// popsolve's 1e-13 tolerance: the pipelined recurrences drifted until the
+// recursive residual grew into NaN. The driver's drift watch replaces the
+// residual once it stalls near the round-off floor, and the solve converges.
+func TestPipeCGEVPConverges(t *testing.T) {
 	g, err := NewGrid(GridTest)
 	if err != nil {
 		t.Fatal(err)
@@ -92,18 +93,16 @@ func TestPipeCGEVPBreakdownFailsFast(t *testing.T) {
 	}
 	b := make([]float64, g.N())
 	s.Op.Apply(b, x)
-	res, _, err := s.Solve(b, nil)
-	var nc *NotConvergedError
-	if !errors.As(err, &nc) {
-		t.Fatalf("error %v (converged=%v after %d iterations), want *NotConvergedError", err, res.Converged, res.Iterations)
+	res, got, err := s.Solve(b, nil)
+	if err != nil || !res.Converged {
+		t.Fatalf("converged=%v after %d iterations (rel residual %g): %v", res.Converged, res.Iterations, res.RelResidual, err)
 	}
-	pts := res.Trace.Residuals
-	if res.Iterations >= 500 || len(pts) == 0 || !math.IsNaN(pts[len(pts)-1].RelResidual) {
-		t.Fatalf("left after %d iterations with %d checks", res.Iterations, len(pts))
+	if res.Iterations > 200 {
+		t.Fatalf("needed %d iterations; ChronGear+EVP takes 30 here", res.Iterations)
 	}
-	for _, p := range pts[:len(pts)-1] {
-		if math.IsNaN(p.RelResidual) {
-			t.Fatalf("iterated past the NaN check at iteration %d (left at %d)", p.Iter, res.Iterations)
+	for k, ocean := range g.Mask {
+		if ocean && math.Abs(got[k]-x[k]) > 1e-12 {
+			t.Fatalf("point %d: %g, manufactured solution %g", k, got[k], x[k])
 		}
 	}
 }

@@ -18,6 +18,15 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== one Krylov driver =="
+# The solve loop exists once (internal/core/driver.go). Every rank program
+# starts at a World.Run call, so internal/core has exactly three outside its
+# tests — Setup, EstimateEigenvalues, the driver — and a sixth hand-rolled
+# loop cannot come back unnoticed.
+runs=$(grep -n 'W\.Run(' internal/core/*.go | grep -v '_test\.go:' || true)
+[ "$(printf '%s\n' "$runs" | grep -c .)" = 3 ] || {
+    echo "internal/core must have exactly 3 W.Run( call sites outside tests, found:"; echo "$runs"; exit 1; }
+
 echo "== bounds-check-free inner loops (check_bce) =="
 # The row-window idiom of the per-iteration kernels — the nine-point stencil
 # (Apply, ApplyAndMaskedDot, residual), the fused vector updates, the
@@ -124,6 +133,12 @@ ss4=$(go run ./cmd/popsolve -grid test -method sstep -precond evp -cores 12 -thr
     echo "popsolve sstep numerics differ across -threads:"; echo "  1: $ss1"; echo "  4: $ss4"; exit 1; }
 echo "$ss1" | grep -q 'converged=true'
 
+echo "== PipeCG residual replacement =="
+# pipecg+evp at popsolve's default 1e-13 used to drift into NaN at iteration
+# 140; the driver's drift watch replaces the residual and it converges.
+pipe=$(go run ./cmd/popsolve -grid test -cores 12 -method pipecg -precond evp | grep '^converged=')
+echo "$pipe" | grep -q 'converged=true'
+
 echo "== wire-surface fuzz smoke (10s per target) =="
 # Short-budget native fuzzing of the two places network bytes meet
 # hand-written parsing: the binary frame decoders (totality + byte-level
@@ -141,10 +156,11 @@ echo "== doc coverage + examples =="
 go test -count=1 -run 'TestPublicSurfaceDocumented|Example' .
 
 echo "== chaos / resilience gates (race) =="
-# Fault injection must be bitwise invisible when disabled, every fault
-# class must recover, the degraded-mode ladder must engage, and the serve
-# layer must honor retry budgets and the circuit breaker — all under the
-# race detector.
+# Fault injection must be bitwise invisible when disabled for every method,
+# all 25 cells of the {five methods} x {five fault classes} table must
+# recover to the true-residual tolerance on the check ladder alone, the
+# degraded-mode ladder must engage, and the serve layer must honor retry
+# budgets and the circuit breaker — all under the race detector.
 go test -race -count=1 \
     -run 'TestInjectorDisabledBitwiseIdentical|Recovery$|TestRecoveryBudgetExhaustionFaults|TestLadder|TestChaosRunsDeterministic' \
     ./internal/core/
