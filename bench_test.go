@@ -1,34 +1,26 @@
 package pop
 
-// Benchmark harness. Two tiers:
+// BenchmarkFig*/BenchmarkTab* regenerate each of the paper's tables and
+// figures end-to-end (solvers, virtual ranks, machine pricing) at
+// bench-friendly grid sizes, so `go test -bench=.` exercises every
+// experiment pipeline in minutes. The full-scale numbers in EXPERIMENTS.md
+// come from `popbench -exp all` on the real 320×384 and 3600×2400 grids.
 //
-//   - BenchmarkFig*/BenchmarkTab* regenerate each of the paper's tables and
-//     figures end-to-end (solvers, virtual ranks, machine pricing) at
-//     bench-friendly grid sizes, so `go test -bench=.` exercises every
-//     experiment pipeline in minutes. The full-scale numbers in
-//     EXPERIMENTS.md come from `popbench -exp all` on the real 320×384 and
-//     3600×2400 grids.
-//
-//   - Benchmark{Matvec,EVP,...} measure the computational kernels the
-//     paper's cost model prices (stencil application, preconditioner
-//     application, halo exchange, tree reduction).
+// Per-layer costs — stencil, EVP block solve, halo round, allreduce,
+// fixed-length solves, thread scaling — are measured at 1° by
+// `go run ./benchmark` (BENCHMARK.json), not here.
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sync"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
-	"repro/internal/evp"
 	"repro/internal/experiments"
 	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/stencil"
 )
 
 // Bench-size grids are generated once: grid generation (bathymetry, metric
@@ -95,8 +87,6 @@ func BenchmarkFig13RMSZEnsemble(b *testing.B) {
 	benchExperiment(b, "fig13")
 }
 
-// ---- kernel benchmarks ----
-
 func benchGridOp(b *testing.B) (*Grid, *Operator) {
 	b.Helper()
 	g, err := NewGrid(GridTest)
@@ -104,285 +94,6 @@ func benchGridOp(b *testing.B) (*Grid, *Operator) {
 		b.Fatal(err)
 	}
 	return g, AssembleOperator(g, 1920)
-}
-
-func BenchmarkStencilApply(b *testing.B) {
-	g, op := benchGridOp(b)
-	x := make([]float64, g.N())
-	y := make([]float64, g.N())
-	for k := range x {
-		x[k] = float64(k % 7)
-	}
-	b.SetBytes(int64(g.N() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		op.Apply(y, x)
-	}
-}
-
-// BenchmarkStencilApply64Local times the rank-local nine-point kernel on
-// one padded block (recorded by bench.sh).
-func BenchmarkStencilApply64Local(b *testing.B) {
-	loc := benchLocal(b)
-	n := loc.NxP * loc.NyP
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for k := range x {
-		x[k] = float64(k % 7)
-	}
-	b.SetBytes(int64(n * 8))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		loc.Apply(y, x)
-	}
-}
-
-func benchLocal(b *testing.B) *stencil.Local {
-	b.Helper()
-	g, op := benchGridOp(b)
-	d, err := decomp.New(g, g.Nx, g.Ny, decomp.DefaultHalo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blk := d.Blocks[d.OceanBlocks[0]]
-	return d.LocalOperator(op, &blk)
-}
-
-// BenchmarkEVPBlockSolve times the paper's O(22n²) EVP block solve on one
-// in-cache 8×8 block.
-func BenchmarkEVPBlockSolve(b *testing.B) {
-	g := grid.NewFlatBasin(32, 32, 3000, 1e4, 1.1e4)
-	win := stencil.AssembleWindowFilled(g, stencil.PhiFromTimeStep(600), 8, 8, 8, 8, 50)
-	sol, err := evp.NewBlockSolver(win, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := win.NxP * win.NyP
-	psi := make([]float64, n)
-	x := make([]float64, n)
-	for k := range psi {
-		psi[k] = float64(k % 5)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol.Solve(x, psi)
-	}
-}
-
-func BenchmarkHaloExchange(b *testing.B) {
-	g := grid.NewFlatBasin(64, 48, 1000, 1e4, 1e4)
-	d, err := decomp.New(g, 16, 12, decomp.DefaultHalo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Fields persist across exchanges, as in the solver steady state.
-	fields := make([][][]float64, w.NRank)
-	w.Run(func(r *comm.Rank) {
-		fs := make([][]float64, len(r.Blocks))
-		for bi, blk := range r.Blocks {
-			nxp, nyp := d.PaddedDims(blk)
-			fs[bi] = make([]float64, nxp*nyp)
-		}
-		fields[r.ID] = fs
-		r.Exchange(fs) // warm the pooled strip buffers
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Run(func(r *comm.Rank) {
-			r.Exchange(fields[r.ID])
-		})
-	}
-}
-
-func BenchmarkAllReduce64Ranks(b *testing.B) {
-	g := grid.NewFlatBasin(64, 64, 1000, 1e4, 1e4)
-	d, err := decomp.New(g, 8, 8, decomp.DefaultHalo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Run(func(r *comm.Rank) {
-			payload := [2]float64{1, 2}
-			r.AllReduce(payload[:])
-		})
-	}
-}
-
-// BenchmarkReduce measures the steady-state reduction path alone: one Run
-// amortized over many binomial-tree AllReduce calls with a hoisted payload,
-// mirroring how the solver iteration loop performs reductions.
-func BenchmarkReduce(b *testing.B) {
-	g := grid.NewFlatBasin(64, 64, 1000, 1e4, 1e4)
-	d, err := decomp.New(g, 8, 8, decomp.DefaultHalo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const reductionsPerRun = 64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += reductionsPerRun {
-		w.Run(func(r *comm.Rank) {
-			payload := [3]float64{1, 2, 3}
-			for j := 0; j < reductionsPerRun; j++ {
-				payload[0] = float64(j)
-				r.AllReduce(payload[:])
-			}
-		})
-	}
-}
-
-func benchSolve(b *testing.B, method, precond string) {
-	g, op := benchGridOp(b)
-	xTrue := make([]float64, g.N())
-	for k, ocean := range g.Mask {
-		if ocean {
-			xTrue[k] = math.Sin(float64(k))
-		}
-	}
-	rhs := make([]float64, g.N())
-	op.Apply(rhs, xTrue)
-	for k, ocean := range g.Mask {
-		if !ocean {
-			rhs[k] = 0
-		}
-	}
-	m, err := ParseMethod(method)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pc, err := ParsePrecond(precond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := NewSolver(g, SolverSpec{Method: m, Precond: pc, Cores: 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := s.Solve(rhs, nil); err != nil { // setup outside timer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Solve(rhs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveChronGearDiag(b *testing.B) { benchSolve(b, "chrongear", "diagonal") }
-func BenchmarkSolveChronGearEVP(b *testing.B)  { benchSolve(b, "chrongear", "evp") }
-func BenchmarkSolvePipeCGDiag(b *testing.B)    { benchSolve(b, "pipecg", "diagonal") }
-func BenchmarkSolvePCSIDiag(b *testing.B)      { benchSolve(b, "pcsi", "diagonal") }
-func BenchmarkSolvePCSIEVP(b *testing.B)       { benchSolve(b, "pcsi", "evp") }
-
-// benchSolveSteadyState measures the steady-state iteration cost in
-// isolation: a warm session runs fixed-length solves (tolerance far below
-// machine precision, so exactly MaxIters iterations execute every time) and
-// the per-op numbers divide down to per-iteration cost. With the workspace
-// arenas and pooled comm buffers, allocs/op stays flat as MaxIters grows.
-func benchSolveSteadyState(b *testing.B, method, precond string) {
-	g, _ := benchGridOp(b)
-	rhs := make([]float64, g.N())
-	for k, ocean := range g.Mask {
-		if ocean {
-			rhs[k] = math.Sin(float64(k) / 11)
-		}
-	}
-	m, err := ParseMethod(method)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pc, err := ParsePrecond(precond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := NewSolver(g, SolverSpec{Method: m, Precond: pc, Cores: 12,
-		Options: SolverOptions{Tol: 1e-300, MaxIters: 60, CheckEvery: 10}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x0 := make([]float64, g.N())
-	if _, _, err := s.Solve(rhs, x0); err != nil { // warm arenas outside timer
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Solve(rhs, x0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSolveSteadyStateChronGearDiag(b *testing.B) {
-	benchSolveSteadyState(b, "chrongear", "diagonal")
-}
-func BenchmarkSolveSteadyStateChronGearEVP(b *testing.B) {
-	benchSolveSteadyState(b, "chrongear", "evp")
-}
-func BenchmarkSolveSteadyStatePCSIDiag(b *testing.B) {
-	benchSolveSteadyState(b, "pcsi", "diagonal")
-}
-func BenchmarkSolveSteadyStatePCSIEVP(b *testing.B) {
-	benchSolveSteadyState(b, "pcsi", "evp")
-}
-
-// BenchmarkSolveScaling is the multi-core scaling matrix: fixed-length
-// steady-state solves (60 iterations, tolerance below machine precision)
-// across worker-shard counts. On a multi-core machine the curve shows
-// real-core speedup (bench.sh records the 4-worker ratio). Sub-benchmark
-// names are parsed by bench.sh into the BENCH_kernels.json scaling section
-// — keep the fp64/threads=N spelling stable.
-func BenchmarkSolveScaling(b *testing.B) {
-	g, _ := benchGridOp(b)
-	rhs := make([]float64, g.N())
-	for k, ocean := range g.Mask {
-		if ocean {
-			rhs[k] = math.Sin(float64(k) / 11)
-		}
-	}
-	x0 := make([]float64, g.N())
-	for _, threads := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("fp64/threads=%d", threads), func(b *testing.B) {
-			s, err := NewSolver(g, SolverSpec{
-				Method: MethodChronGear, Precond: PrecondEVP,
-				Cores: 16, Threads: threads,
-				Options: SolverOptions{Tol: 1e-300, MaxIters: 60, CheckEvery: 10}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := s.Solve(rhs, x0); err != nil { // warm arenas
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Solve(rhs, x0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkModelStep(b *testing.B) {

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +52,50 @@ type chaosPhase struct {
 	Injected       map[string]int64 `json:"injected,omitempty"`
 	Recoveries     map[string]int64 `json:"recoveries,omitempty"`
 	ServiceCounter pop.ServiceStats `json:"service_counters"`
+}
+
+// latency summarizes one phase's per-request latencies in milliseconds.
+type latency struct {
+	P50 float64 `json:"p50"`
+	P90 float64 `json:"p90"`
+	P99 float64 `json:"p99"`
+	Max float64 `json:"max"`
+}
+
+// percentiles summarizes latencies (ms) without interpolation: pN is the
+// smallest observation ≥ N% of the sample.
+func percentiles(ms []float64) latency {
+	if len(ms) == 0 {
+		return latency{}
+	}
+	sort.Float64s(ms)
+	at := func(q float64) float64 {
+		i := int(math.Ceil(q*float64(len(ms)))) - 1
+		if i < 0 {
+			i = 0
+		}
+		return ms[i]
+	}
+	return latency{P50: at(0.50), P90: at(0.90), P99: at(0.99), Max: ms[len(ms)-1]}
+}
+
+// benchRHS is the smooth right-hand side the -chaos and -sstep runs solve.
+func benchRHS(g *pop.Grid) []float64 {
+	b := make([]float64, g.N())
+	for k, ocean := range g.Mask {
+		if ocean {
+			b[k] = math.Sin(g.TLon[k]/20) * math.Cos(g.TLat[k]/15)
+		}
+	}
+	return b
+}
+
+func closeService(svc *pop.Service) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Close(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "popbench: service drain: %v\n", err)
+	}
 }
 
 // chaosRecoveryFloor is the acceptance gate: under each class's plan at

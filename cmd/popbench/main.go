@@ -4,9 +4,7 @@
 //
 //	popbench -exp fig8 -machine yellowstone        # one experiment, full scale
 //	popbench -exp all -quick                       # everything, reduced scale
-//	popbench -serve                                # solve-service load test
 //	popbench -chaos                                # per-fault-class resilience loop
-//	popbench -fleet                                # fleet router vs single service
 //	popbench -sstep                                # s-step reduction-crossover sweep
 //	popbench -list                                 # available experiment ids
 //
@@ -40,18 +38,9 @@ func main() {
 		reportDir = flag.String("reportdir", "", "write per-experiment BENCH_<exp>.json run reports here")
 		traceOut  = flag.String("trace", "", "write JSONL span/event trace of all runs to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		serveLoad = flag.Bool("serve", false, "load-test the concurrent solve service, write BENCH_serve.json")
-		serveSec  = flag.Float64("servesec", 3, "closed-loop duration for -serve (seconds)")
-		serveCli  = flag.Int("serveclients", 8, "closed-loop client count for -serve")
-		perfetto  = flag.String("perfetto", "", "with -serve: write a Perfetto trace export of the load phase here (feed to cmd/poptrace)")
 		chaos     = flag.Bool("chaos", false, "fault-injection closed loop per fault class, write BENCH_chaos.json")
 		chaosSec  = flag.Float64("chaossec", 2, "closed-loop duration per -chaos phase (seconds)")
 		chaosCli  = flag.Int("chaosclients", 8, "closed-loop client count for -chaos")
-		fleetLoad = flag.Bool("fleet", false, "benchmark the fleet router vs a single service, write BENCH_fleet.json")
-		fleetSec  = flag.Float64("fleetsec", 3, "closed-loop duration per -fleet phase (seconds)")
-		fleetCli  = flag.Int("fleetclients", 8, "closed-loop client count for -fleet")
-		fleetWk   = flag.Int("fleetworkers", 4, "worker-shard count for -fleet")
-		fleetRHS  = flag.Int("fleetrhs", 16, "distinct right-hand sides the -fleet workload cycles through")
 		sstepRun  = flag.Bool("sstep", false, "sweep the s-step solver's reduction-count crossover, write BENCH_sstep.json")
 	)
 	flag.Parse()
@@ -59,13 +48,6 @@ func main() {
 
 	if *list {
 		fmt.Println(strings.Join(experiments.Names(), "\n"))
-		return
-	}
-	if *serveLoad {
-		if err := runServeBench(*reportDir, *serveSec, *serveCli, *perfetto, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *chaos {
@@ -77,13 +59,6 @@ func main() {
 	}
 	if *sstepRun {
 		if err := runSStepBench(*reportDir, *machine, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fleetLoad {
-		if err := runFleetBench(*reportDir, *fleetSec, *fleetCli, *fleetWk, *fleetRHS, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
 			os.Exit(1)
 		}

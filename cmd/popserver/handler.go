@@ -18,6 +18,7 @@ import (
 
 	"repro"
 	"repro/internal/api"
+	"repro/internal/fleet"
 )
 
 // handler serves the HTTP surface over either a single solve service or a
@@ -43,7 +44,8 @@ const maxBody = 64 << 20
 func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
 	isFrame := strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame)
 	if h.draining.Load() {
-		h.writeError(w, isFrame, http.StatusServiceUnavailable, errors.New("draining"))
+		err := fmt.Errorf("draining: %w", pop.ErrServiceClosed)
+		h.writeError(w, isFrame, fleet.StatusFor(err), err)
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
@@ -67,13 +69,13 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 	}
 	can, err := req.Parse()
 	if err != nil {
-		h.writeError(w, false, statusFor(err), err)
+		h.writeError(w, false, fleet.StatusFor(err), err)
 		return
 	}
 	b := can.B
 	if len(b) == 0 {
 		if b, err = h.syntheticRHS(can.Grid, req.RHS); err != nil {
-			h.writeError(w, false, statusFor(err), err)
+			h.writeError(w, false, fleet.StatusFor(err), err)
 			return
 		}
 	}
@@ -87,7 +89,7 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 	}
 	resp, err := h.dispatch(r.Context(), sreq, can.TraceID, req.TimeoutMS, can.NoCache, can.ReturnX)
 	if err != nil {
-		h.writeError(w, false, statusFor(err), err)
+		h.writeError(w, false, fleet.StatusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -97,7 +99,7 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte) {
 	freq, err := api.DecodeFrameRequest(body)
 	if err != nil {
-		h.writeError(w, true, statusFor(err), err)
+		h.writeError(w, true, fleet.StatusFor(err), err)
 		return
 	}
 	sreq := pop.ServeRequest{
@@ -110,7 +112,7 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 	}
 	resp, err := h.dispatch(r.Context(), sreq, freq.TraceID, freq.TimeoutMS, freq.NoCache, freq.ReturnX)
 	if err != nil {
-		h.writeError(w, true, statusFor(err), err)
+		h.writeError(w, true, fleet.StatusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", api.ContentTypeFrame)
@@ -218,7 +220,7 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	if h.flt != nil {
 		resp = h.flt.Stats(r.Context())
 	} else {
-		c := countersFrom(h.svc.Snapshot())
+		c := h.svc.Snapshot()
 		resp.Grids = h.svc.Grids()
 		resp.Workers = []api.WorkerStats{{Worker: 0, Addr: "local", Healthy: true, Counters: c}}
 		resp.Totals = c
@@ -228,23 +230,6 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 		resp.Grids = []string{}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// countersFrom flattens a service counter snapshot into its wire form.
-func countersFrom(s pop.ServiceStats) api.ServiceCounters {
-	return api.ServiceCounters{
-		Requests:    s.Requests,
-		Shed:        s.Shed,
-		Expired:     s.Expired,
-		Solves:      s.Solves,
-		Batches:     s.Batches,
-		Errors:      s.Errors,
-		Sessions:    s.Sessions,
-		Retried:     s.Retried,
-		Faulted:     s.Faulted,
-		Recovered:   s.Recovered,
-		CircuitShed: s.CircuitShed,
-	}
 }
 
 // metrics serves the Prometheus text exposition: the service registry in
@@ -314,28 +299,6 @@ func (h *handler) writeTraceFile(path string) error {
 		werr = cerr
 	}
 	return werr
-}
-
-// statusFor maps solve errors onto HTTP statuses: shed load is 429 (retry
-// elsewhere/later), bad specs are the client's 400, deadlines are 504,
-// shutdown and open circuits are 503, honest non-convergence is 422.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, pop.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, pop.ErrBadSpec), errors.Is(err, api.ErrBadFrame):
-		return http.StatusBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled), errors.Is(err, pop.ErrServiceClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pop.ErrCircuitOpen):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pop.ErrNotConverged):
-		return http.StatusUnprocessableEntity
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // writeError replies in the encoding the request spoke: a JSON ErrorBody

@@ -1,6 +1,6 @@
 // Command poptrace analyzes Perfetto trace exports produced by this repo
-// (popserver /debug/trace, popserver -traceout, popbench -serve -perfetto,
-// or serve.Service.WritePerfetto) and prints the paper-style critical-path
+// (popserver /debug/trace, popserver -traceout, or
+// serve.Service.WritePerfetto) and prints the paper-style critical-path
 // attribution the SC15 analysis rests on: where each request's wall time
 // went — queue, batch wait, compute, halo exchange, global reduction, and
 // straggler slack — plus a per-rank straggler league table identifying

@@ -7,6 +7,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -130,4 +132,95 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 			return true
 		}
 	}
+}
+
+// commandDocs are the files whose command lines are checked against the
+// commands themselves: the user-facing docs and the gate script.
+var commandDocs = []string{"README.md", "ARCHITECTURE.md", "SOLVERS.md", "verify.sh"}
+
+// docCommands are the commands whose flags the docs may name.
+var docCommands = []string{"popbench", "popserver", "popsolve", "popmodel", "poptrace"}
+
+var (
+	docCommand  = regexp.MustCompile(`\b(` + strings.Join(docCommands, "|") + `)\b`)
+	docFlag     = regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9]*)`)
+	docArtifact = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json\b`)
+)
+
+// TestDocsNameRealFlagsAndArtifacts fails on a documented command line that
+// no longer runs: every `-flag` written after one of docCommands in
+// commandDocs must be a flag that command defines,
+// and every BENCH_*.json they name must exist at the repo root. A command
+// line runs from the command's name to the end of its (backslash-continued)
+// line or the first backtick, pipe, redirect, `;`, `&` or `)`; alternatives
+// written `-a/-b` are each checked.
+func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
+	defined := make(map[string]map[string]bool)
+	for _, cmd := range docCommands {
+		defined[cmd] = definedFlags(t, filepath.Join("cmd", cmd))
+	}
+	for _, doc := range commandDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(raw), "\\\n", " ")
+		for _, line := range strings.Split(text, "\n") {
+			for _, m := range docCommand.FindAllStringSubmatchIndex(line, -1) {
+				cmd, rest := line[m[2]:m[3]], line[m[1]:]
+				if end := strings.IndexAny(rest, "`|><;&)"); end >= 0 {
+					rest = rest[:end]
+				}
+				for _, f := range docFlag.FindAllStringSubmatch(rest, -1) {
+					if !defined[cmd][f[1]] {
+						t.Errorf("%s: `%s -%s`: %s defines no such flag", doc, cmd, f[1], cmd)
+					}
+				}
+			}
+			for _, name := range docArtifact.FindAllString(line, -1) {
+				if _, err := os.Stat(name); err != nil {
+					t.Errorf("%s names %s, which is not at the repo root", doc, name)
+				}
+			}
+		}
+	}
+}
+
+// definedFlags parses a command's source for flag.<Kind>("name", …) and
+// flag.<Kind>Var(&v, "name", …) calls and returns the names.
+func definedFlags(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if arg < len(call.Args) {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						names[name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return names
 }

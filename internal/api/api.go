@@ -131,9 +131,9 @@ type HealthResponse struct {
 	Status string `json:"status"`
 }
 
-// ServiceCounters is the wire form of one solve service's counter
-// snapshot (serve.Stats flattened with JSON names; the struct is mirrored
-// here so the wire surface has no dependency on the serving internals).
+// ServiceCounters is one solve service's counter snapshot, in memory and on
+// the wire: serve.Stats is an alias of it (declared here so the wire surface
+// has no dependency on the serving internals).
 type ServiceCounters struct {
 	// Requests counts solve admissions attempted.
 	Requests int64 `json:"requests"`

@@ -6,7 +6,10 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/decomp"
+	"repro/internal/faults"
 	"repro/internal/grid"
+	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 )
 
@@ -198,6 +201,50 @@ func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *
 	}
 	return &Session{G: g, Op: op, D: d, W: w, Opts: o,
 		perRank: make([]*rankState, d.NRanks)}, nil
+}
+
+// BuildSession assembles everything under a session on g and returns
+// NewSession over it: the blocking nearest to cores virtual ranks at 3:2
+// aspect (cores 0 = the whole grid as one block), one block per rank, the
+// machineName cost model ("" = free), and a world of threads worker shards
+// with inj and tracer attached (either may be nil — a nil injector leaves
+// every communication path bitwise identical, and sessions never share a
+// tracer: its rings are single-writer per rank and every session has a
+// rank 0). The realized rank count is Session.W.NRank. pop.NewSolver and the
+// serve pool both build through here, so a served solve runs on a world
+// constructed exactly like a CLI solve's.
+func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machineName string,
+	inj *faults.Injector, tracer *obs.Tracer, opts Options) (*Session, error) {
+	bx, by := g.Nx, g.Ny
+	if cores > 0 {
+		var err error
+		if bx, by, _, err = decomp.ChooseBlocking(g, cores, 3, 2); err != nil {
+			return nil, err
+		}
+	}
+	d, err := decomp.New(g, bx, by, decomp.DefaultHalo)
+	if err != nil {
+		return nil, err
+	}
+	d.AssignOnePerRank()
+	machine, err := perfmodel.ByName(machineName)
+	if err != nil {
+		return nil, err
+	}
+	var cost comm.CostModel
+	if machine != nil {
+		cost = machine
+	}
+	w, err := comm.NewWorld(d, cost)
+	if err != nil {
+		return nil, err
+	}
+	w.Faults = inj
+	w.SetThreads(threads)
+	// Attached before any Run, so setup and Lanczos spans are captured too
+	// (with trace ID 0 — not tied to any request).
+	w.Tracer = tracer
+	return NewSession(g, op, d, w, opts)
 }
 
 // Setup builds per-rank local operators and preconditioners, charging the

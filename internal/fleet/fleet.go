@@ -65,9 +65,6 @@ type Options struct {
 	CacheTTL time.Duration
 	// Clock overrides the cache's time source (tests); nil = time.Now.
 	Clock func() time.Time
-	// DisableDedup turns off singleflight collapsing (benchmark honesty
-	// switch; production fleets leave it on).
-	DisableDedup bool
 
 	// Registry receives the fleet_* router metrics; nil creates a private
 	// one. Worker metrics live in each worker's own registry.
@@ -102,7 +99,6 @@ type Response struct {
 // Fleet is the router. Create with New, submit with Solve from any number
 // of goroutines, stop with Close.
 type Fleet struct {
-	opts    Options
 	workers []Worker
 	ring    *ring
 	cache   *resultCache
@@ -166,7 +162,6 @@ func New(opts Options) (*Fleet, error) {
 		r = obs.NewRegistry()
 	}
 	f := &Fleet{
-		opts:    opts,
 		workers: workers,
 		ring:    newRing(len(workers)),
 		cache:   newResultCache(capacity, ttl, opts.Clock),
@@ -225,16 +220,9 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		}
 	}
 
-	dispatch := func() (dispatched, error) {
+	out, err, shared := f.group.do(ctx, hash, func() (dispatched, error) {
 		return f.dispatch(ctx, key, req.Request)
-	}
-	var out dispatched
-	var shared bool
-	if f.opts.DisableDedup {
-		out, err = dispatch()
-	} else {
-		out, err, shared = f.group.do(ctx, hash, dispatch)
-	}
+	})
 	if err != nil {
 		f.m.errors.Inc()
 		f.noteRouterRecord(traceID, key, start, "", err.Error())

@@ -426,6 +426,18 @@ func TestCacheLRUDeterministic(t *testing.T) {
 	if st := c.stats(); st.evictions != 1 || st.entries != 3 {
 		t.Fatalf("stats after eviction: %+v", st)
 	}
+
+	// The sizing rule the cache documents: a cyclic walk over capacity+1
+	// keys evicts each entry just before it is asked for again, so the hit
+	// ratio is 0, not capacity/(capacity+1).
+	for round := 0; round < 3; round++ {
+		for i, k := range keys {
+			if _, _, ok := c.get(k); ok && round > 0 {
+				t.Fatalf("round %d: key%d hit while cycling 4 keys through 3 entries", round, i)
+			}
+			c.put(k, core.Result{Iterations: i}, []float64{float64(i)})
+		}
+	}
 }
 
 // TestRingProperties checks the consistent-hash ring's contract: total

@@ -36,23 +36,6 @@ type Worker interface {
 	Close(ctx context.Context) error
 }
 
-// countersFromStats converts a serve counter snapshot to its wire form.
-func countersFromStats(s serve.Stats) api.ServiceCounters {
-	return api.ServiceCounters{
-		Requests:    s.Requests,
-		Shed:        s.Shed,
-		Expired:     s.Expired,
-		Solves:      s.Solves,
-		Batches:     s.Batches,
-		Errors:      s.Errors,
-		Sessions:    s.Sessions,
-		Retried:     s.Retried,
-		Faulted:     s.Faulted,
-		Recovered:   s.Recovered,
-		CircuitShed: s.CircuitShed,
-	}
-}
-
 // LocalWorker is an in-process shard: its own serve.Service with its own
 // session pools, queues, circuit breakers and retry budget — the same
 // isolation a separate popserver process would have, minus the wire.
@@ -74,7 +57,7 @@ func (w *LocalWorker) Solve(ctx context.Context, req serve.Request) (serve.Respo
 // Counters snapshots the wrapped service's counters and grids.
 func (w *LocalWorker) Counters(ctx context.Context) (api.ServiceCounters, []string, error) {
 	_ = ctx // local snapshot; the ctx exists for interface symmetry with HTTPWorker
-	return countersFromStats(w.svc.Snapshot()), w.svc.Grids(), nil
+	return w.svc.Snapshot(), w.svc.Grids(), nil
 }
 
 // Addr returns "local".
@@ -115,9 +98,8 @@ func (w *HTTPWorker) Close(ctx context.Context) error {
 
 // Solve encodes the request as a binary frame, POSTs it to the worker's
 // /v1/solve, and decodes the reply. Remote error frames are mapped back to
-// the service's typed errors (429 → ErrOverloaded and 503 → ErrCircuitOpen
-// / ErrClosed) so the router's failover logic treats a remote shed exactly
-// like a local one.
+// the service's typed errors through wireErrors, so the router's failover
+// logic treats a remote shed exactly like a local one.
 func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
 	frame := api.AppendFrameRequest(nil, api.FrameRequest{
 		Grid:    req.Grid,
@@ -174,25 +156,53 @@ func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Respon
 	}, nil
 }
 
-// remoteError reconstructs a typed error from a worker's error frame so
-// errors.Is keeps working across the wire.
-func remoteError(base string, status int, msg string) error {
-	var cause error
-	switch status {
-	case http.StatusTooManyRequests:
-		cause = serve.ErrOverloaded
-	case http.StatusBadRequest:
-		cause = core.ErrBadSpec
-	case http.StatusServiceUnavailable:
-		cause = serve.ErrCircuitOpen
-	case http.StatusGatewayTimeout:
-		cause = context.DeadlineExceeded
-	case http.StatusUnprocessableEntity:
-		cause = core.ErrNotConverged
-	default:
-		cause = fmt.Errorf("status %d: %w", status, ErrRemote)
+// wireErrors is the one error ↔ HTTP-status table of the /v1 surface, kept
+// here because fleet is the package that sees serve, core and api errors.
+// Both directions read it: StatusFor (popserver, for a JSON error body or an
+// error frame) takes the first row the error matches, remoteError (an
+// HTTPWorker decoding an error frame) the first row carrying the frame's
+// status — so a typed error crosses the frame hop as itself, and the
+// router's failover and a caller's errors.Is see what a local worker would
+// have returned. A status appears once, with one exception: a malformed
+// frame is a bad request like any other, so api.ErrBadFrame shares 400 and
+// comes back as core.ErrBadSpec. Errors no row matches (session build
+// failures, core.ErrEigEstimate, a router's own ErrRemote) go out as 500
+// and come back wrapping ErrRemote, message intact.
+var wireErrors = []struct {
+	target error
+	status int
+}{
+	{serve.ErrOverloaded, http.StatusTooManyRequests}, // queue full: retry later or elsewhere
+	{core.ErrBadSpec, http.StatusBadRequest},
+	{api.ErrBadFrame, http.StatusBadRequest},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout},
+	{context.Canceled, 499},                          // client closed request
+	{serve.ErrClosed, http.StatusServiceUnavailable}, // draining: try another instance
+	{serve.ErrCircuitOpen, http.StatusLocked},        // key quarantined: back off this key
+	{core.ErrNotConverged, http.StatusUnprocessableEntity},
+	{core.ErrFaulted, http.StatusBadGateway}, // the solve's virtual machine failed, not the server
+}
+
+// StatusFor maps an error from the solve path onto the HTTP status of its
+// error reply (see wireErrors); an error no row matches is a 500.
+func StatusFor(err error) int {
+	for _, row := range wireErrors {
+		if errors.Is(err, row.target) {
+			return row.status
+		}
 	}
-	return fmt.Errorf("fleet: worker %s: %s: %w", base, msg, cause)
+	return http.StatusInternalServerError
+}
+
+// remoteError reconstructs a typed error from a worker's error frame — the
+// inverse of StatusFor — so errors.Is keeps working across the wire.
+func remoteError(base string, status int, msg string) error {
+	for _, row := range wireErrors {
+		if row.status == status {
+			return fmt.Errorf("fleet: worker %s: %s: %w", base, msg, row.target)
+		}
+	}
+	return fmt.Errorf("fleet: worker %s: %s: status %d: %w", base, msg, status, ErrRemote)
 }
 
 // Counters fetches the worker's /v1/stats and returns its own counters and

@@ -1,8 +1,8 @@
 // Package obs is the observability layer: a metrics registry (counters,
-// gauges, fixed-bucket histograms) with Prometheus-style text exposition and
-// JSON export, plus a low-overhead ring-buffered tracer that the virtual-rank
-// runtime feeds with per-phase events (compute, halo exchange, global
-// reduction) carrying virtual-clock timestamps.
+// gauges, fixed-bucket histograms) with Prometheus-style text exposition,
+// plus a low-overhead ring-buffered tracer that the virtual-rank runtime
+// feeds with per-phase events (compute, halo exchange, global reduction)
+// carrying virtual-clock timestamps.
 //
 // The package mirrors the instrumentation the paper's analysis rests on:
 // POP's computation / boundary-update / global-reduction timers (§2.2) and
@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -91,9 +90,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // BucketCount returns the count in bucket i (i == len(bounds) is +Inf).
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // Registry holds named metrics. Metric names may carry Prometheus-style
 // labels inline ('pop_phase_seconds{phase="comp"}'); exposition splits the
@@ -314,43 +310,4 @@ func writePromHistogram(w io.Writer, name string, h *Histogram) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, suffix, h.Count())
 	return err
-}
-
-// jsonHistogram is the JSON shape of one histogram.
-type jsonHistogram struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // per-bucket, last entry is +Inf overflow
-	Sum    float64   `json:"sum"`
-	Count  int64     `json:"count"`
-}
-
-// WriteJSON renders the registry as one JSON object keyed by metric kind.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := struct {
-		Counters   map[string]int64         `json:"counters"`
-		Gauges     map[string]float64       `json:"gauges"`
-		Histograms map[string]jsonHistogram `json:"histograms"`
-	}{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
-		Histograms: make(map[string]jsonHistogram, len(r.hists)),
-	}
-	for n, c := range r.counters {
-		out.Counters[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		out.Gauges[n] = g.Value()
-	}
-	for n, h := range r.hists {
-		jh := jsonHistogram{Bounds: h.Bounds(), Sum: h.Sum(), Count: h.Count()}
-		for i := 0; i <= len(h.bounds); i++ {
-			jh.Counts = append(jh.Counts, h.BucketCount(i))
-		}
-		out.Histograms[n] = jh
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

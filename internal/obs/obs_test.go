@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -96,28 +95,6 @@ func TestRegistryExposition(t *testing.T) {
 	// The TYPE header for a labeled family must appear exactly once.
 	if n := strings.Count(text, "# TYPE pop_phase_seconds gauge"); n != 1 {
 		t.Errorf("pop_phase_seconds TYPE line appears %d times", n)
-	}
-
-	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]float64
-		Histograms map[string]struct {
-			Counts []int64 `json:"counts"`
-			Count  int64   `json:"count"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(js.Bytes(), &decoded); err != nil {
-		t.Fatalf("JSON export does not parse: %v", err)
-	}
-	if decoded.Counters["pop_reductions_total"] != 42 {
-		t.Errorf("JSON counter = %d, want 42", decoded.Counters["pop_reductions_total"])
-	}
-	if decoded.Histograms["pop_reduce_wait_seconds"].Count != 1 {
-		t.Errorf("JSON histogram count wrong")
 	}
 }
 

@@ -68,22 +68,3 @@ func (s *ReduceSummary) Fprint(w io.Writer) {
 			id, s.StragglerCount[id], s.WaitByRank[id], mean)
 	}
 }
-
-// PhaseTotals sums span durations per event name per rank — a trace-derived
-// cross-check of the runtime's Counters (the two agree when the ring has
-// not wrapped).
-func PhaseTotals(events []Event) map[string]map[int]float64 {
-	out := make(map[string]map[int]float64)
-	for _, e := range events {
-		if e.IsPoint() {
-			continue
-		}
-		m, ok := out[e.Name]
-		if !ok {
-			m = make(map[int]float64)
-			out[e.Name] = m
-		}
-		m[e.Rank] += e.T1 - e.T0
-	}
-	return out
-}

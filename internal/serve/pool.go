@@ -7,12 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 )
 
@@ -51,7 +48,7 @@ func (s *Service) gridFor(name string) (*gridEntry, error) {
 	if ge := s.grids[name]; ge != nil {
 		return ge, nil
 	}
-	g, err := s.opts.GridProvider(name)
+	g, err := grid.ByName(name)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w: %w", err, core.ErrBadSpec)
 	}
@@ -178,49 +175,11 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 		opts.SStep = p.key.SStep
 	}
 
-	var d *decomp.Decomposition
-	if o.Cores > 0 {
-		bx, by, _, err := decomp.ChooseBlocking(ge.g, o.Cores, 3, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err = decomp.New(ge.g, bx, by, decomp.DefaultHalo)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		d, err = decomp.New(ge.g, ge.g.Nx, ge.g.Ny, decomp.DefaultHalo)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	d.AssignOnePerRank()
-	machine, err := perfmodel.ByName(o.MachineName)
-	if err != nil {
-		return nil, nil, err
-	}
-	var cost comm.CostModel
-	if machine != nil {
-		cost = machine
-	}
-	w, err := comm.NewWorld(d, cost)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Wire the fault injector (if any) into the session's world; a nil
-	// injector leaves every communication path bitwise identical.
-	w.Faults = o.Injector
-	// Cap concurrent rank execution at the configured worker-shard count
-	// (0 = GOMAXPROCS); sharding is pure scheduling, never numerics.
-	w.SetThreads(o.Threads)
-	// Attach the per-session tracer before warm-up so setup and Lanczos
-	// spans are captured too (with trace ID 0 — not tied to any request).
-	// Sessions deliberately do not share a tracer: each ring is
-	// single-writer per rank goroutine, and two sessions both have a rank 0.
+	var tracer *obs.Tracer
 	if o.TraceCapacity > 0 {
-		w.Tracer = obs.NewTracer(o.TraceCapacity)
+		tracer = obs.NewTracer(o.TraceCapacity)
 	}
-	sess, err := core.NewSession(ge.g, ge.op, d, w, opts)
+	sess, err := core.BuildSession(ge.g, ge.op, o.Cores, o.Threads, o.MachineName, o.Injector, tracer, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,7 +191,7 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 			return nil, nil, err
 		}
 	}
-	slot := p.svc.registerSession(p.key, w.Tracer, w.NRank)
+	slot := p.svc.registerSession(p.key, tracer, sess.W.NRank)
 	n := p.svc.sessCount.Add(1)
 	p.svc.m.sessions.Set(float64(n))
 	return sess, slot, nil

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/grid"
@@ -78,9 +79,6 @@ type Options struct {
 	// session checkout. Default 8.
 	MaxBatch int
 
-	// GridProvider resolves grid names to grids; default grid.ByName.
-	// Results are cached per name for the life of the service.
-	GridProvider func(name string) (*grid.Grid, error)
 	// Registry receives the serve_* metrics; nil creates a private one.
 	Registry *obs.Registry
 
@@ -134,9 +132,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 8
-	}
-	if o.GridProvider == nil {
-		o.GridProvider = grid.ByName
 	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 1
@@ -211,20 +206,10 @@ type Response struct {
 	TraceID uint64
 }
 
-// Stats is a point-in-time snapshot of the service counters.
-type Stats struct {
-	Requests    int64 // admissions attempted
-	Shed        int64 // rejected with ErrOverloaded
-	Expired     int64 // expired in queue before their solve started
-	Solves      int64 // solves executed
-	Batches     int64 // session checkouts (≤ Solves when coalescing works)
-	Errors      int64 // solves that returned an error
-	Sessions    int64 // sessions built across all keys
-	Retried     int64 // request re-runs after a faulted resilient solve
-	Faulted     int64 // requests whose solve faulted beyond the retry budget
-	Recovered   int64 // requests rescued by a retry after a faulted solve
-	CircuitShed int64 // requests rejected with ErrCircuitOpen
-}
+// Stats is a point-in-time snapshot of the service counters — the wire
+// struct itself, so /v1/stats and the fleet's aggregation carry a snapshot
+// without a field-by-field copy.
+type Stats = api.ServiceCounters
 
 // Service is the concurrent solve front end. Create with New, submit with
 // Solve from any number of goroutines, stop with Close.

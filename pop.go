@@ -22,9 +22,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
@@ -373,40 +371,11 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	opts.Precond = spec.Precond
 
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(spec.Tau))
-	var d *decomp.Decomposition
-	var err error
-	if spec.Cores > 0 {
-		bx, by, _, cerr := decomp.ChooseBlocking(g, spec.Cores, 3, 2)
-		if cerr != nil {
-			return nil, cerr
-		}
-		d, err = decomp.New(g, bx, by, decomp.DefaultHalo)
-	} else {
-		d, err = decomp.New(g, g.Nx, g.Ny, decomp.DefaultHalo)
-	}
+	sess, err := core.BuildSession(g, op, spec.Cores, spec.Threads, spec.MachineName, spec.Faults, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	cores := d.AssignOnePerRank()
-	machine, err := MachineByName(spec.MachineName)
-	if err != nil {
-		return nil, err
-	}
-	var cost comm.CostModel
-	if machine != nil {
-		cost = machine
-	}
-	w, err := comm.NewWorld(d, cost)
-	if err != nil {
-		return nil, err
-	}
-	w.Faults = spec.Faults
-	w.SetThreads(spec.Threads)
-	sess, err := core.NewSession(g, op, d, w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Solver{Spec: spec, G: g, Op: op, Session: sess, Cores: cores}, nil
+	return &Solver{Spec: spec, G: g, Op: op, Session: sess, Cores: sess.W.NRank}, nil
 }
 
 // Solve runs the configured method on right-hand side b with initial guess

@@ -152,8 +152,10 @@ go test -run=NONE -fuzz=FuzzParsePrecond -fuzztime=10s ./internal/core/
 echo "== doc coverage + examples =="
 # Every exported identifier of the public surface (pop, serve, faults, obs,
 # analysis + its harness, api, fleet, core, comm, decomp, grid, stencil)
-# must carry a doc comment, and the runnable Example* functions must pass.
-go test -count=1 -run 'TestPublicSurfaceDocumented|Example' .
+# must carry a doc comment, every command line and BENCH_*.json that README,
+# ARCHITECTURE, SOLVERS and this script name must still exist, and the
+# runnable Example* functions must pass.
+go test -count=1 -run 'TestPublicSurfaceDocumented|TestDocsNameRealFlagsAndArtifacts|Example' .
 
 echo "== chaos / resilience gates (race) =="
 # Fault injection must be bitwise invisible when disabled for every method,
@@ -218,21 +220,7 @@ grep -q '^# TYPE popsolve_iterations_total counter' "$tmp/m.prom"
 grep -q '^popsolve_converged 1' "$tmp/m.prom"
 grep -q 'popsolve_reduce_wait_seconds_bucket{le="+Inf"}' "$tmp/m.prom"
 
-echo "== traced serve -> Perfetto -> poptrace smoke run =="
-# The full observability pipeline: a traced service load phase exports a
-# Perfetto file that poptrace decomposes into a non-empty critical path.
-go run ./cmd/popbench -serve -servesec 2 -reportdir "$tmp" \
-    -perfetto "$tmp/trace.json" > "$tmp/serve.txt"
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$tmp/trace.json"
-go run ./cmd/poptrace "$tmp/trace.json" > "$tmp/poptrace.txt"
-grep -q 'per-request critical path' "$tmp/poptrace.txt"
-grep -q 'aggregate critical path' "$tmp/poptrace.txt"
-grep -q 'straggler league' "$tmp/poptrace.txt"
-# The aggregate line must attribute a nonzero number of requests.
-grep -q 'aggregate critical path (0 requests' "$tmp/poptrace.txt" && {
-    echo "poptrace saw no requests"; exit 1; }
-
-echo "== popserver HTTP smoke run =="
+echo "== popserver HTTP smoke run (+ /debug/trace -> poptrace) =="
 addr=127.0.0.1:18411
 go build -o "$tmp/popserver" ./cmd/popserver
 "$tmp/popserver" -addr "$addr" > "$tmp/server.log" 2>&1 &
@@ -257,6 +245,14 @@ curl -fs "http://$addr/metrics" | grep -q '^serve_queue_depth '
 curl -fs "http://$addr/debug/trace" > "$tmp/server-trace.json"
 python3 -c 'import json,sys; t=json.load(open(sys.argv[1])); assert t["popRequests"], "no request records"' \
     "$tmp/server-trace.json"
+# The full observability pipeline: poptrace decomposes that export into a
+# critical path that attributes a nonzero number of requests.
+go run ./cmd/poptrace "$tmp/server-trace.json" > "$tmp/poptrace.txt"
+grep -q 'per-request critical path' "$tmp/poptrace.txt"
+grep -q 'aggregate critical path' "$tmp/poptrace.txt"
+grep -q 'straggler league' "$tmp/poptrace.txt"
+grep -q 'aggregate critical path (0 requests' "$tmp/poptrace.txt" && {
+    echo "poptrace saw no requests"; exit 1; }
 curl -fs "http://$addr/debug/flight" | grep -q '"recent"'
 # /v1/stats reports build + capability info alongside the counters.
 curl -fs "http://$addr/v1/stats" > "$tmp/stats.json"
