@@ -36,7 +36,6 @@ func main() {
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		targets   = flag.String("targets", "", "comma-separated 0.1deg core-count targets overriding the paper axis")
 		reportDir = flag.String("reportdir", "", "write per-experiment BENCH_<exp>.json run reports here")
-		traceOut  = flag.String("trace", "", "write JSONL span/event trace of all runs to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 		chaos     = flag.Bool("chaos", false, "fault-injection closed loop per fault class, write BENCH_chaos.json")
 		chaosSec  = flag.Float64("chaossec", 2, "closed-loop duration per -chaos phase (seconds)")
@@ -84,11 +83,6 @@ func main() {
 
 	cfg := experiments.NewConfig(m, *quick, os.Stderr)
 	cfg.Verbose = *verbose
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(obs.DefaultCapacity)
-		cfg.Tracer = tracer
-	}
 	if *targets != "" {
 		var ts []int
 		for _, part := range strings.Split(*targets, ",") {
@@ -122,15 +116,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "report %s: %v\n", id, err)
 				failed = true
 			}
-		}
-	}
-	if tracer != nil {
-		if d := tracer.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "# trace ring dropped %d events (oldest lost)\n", d)
-		}
-		if err := obs.DumpTrace(tracer, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			failed = true
 		}
 	}
 	if failed {

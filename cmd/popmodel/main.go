@@ -2,11 +2,15 @@
 // periodic diagnostics (kinetic energy, SSH extrema, solver iterations).
 //
 //	popmodel -grid test -days 30 -solver pcsi -precond evp
+//
+// -trace writes every step's per-rank solver events as one Perfetto file
+// (ui.perfetto.dev, poptrace), a run_begin marker opening each solve.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -18,17 +22,16 @@ import (
 
 func main() {
 	var (
-		gridName   = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg-scaled")
-		days       = flag.Float64("days", 10, "simulated days")
-		dt         = flag.Float64("dt", 2400, "time step (s)")
-		solver     = flag.String("solver", "chrongear", "barotropic solver: chrongear, pcg, pipecg, pcsi, csi, sstep")
-		precond    = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, none, blocklu")
-		sstep      = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
-		every      = flag.Float64("report", 1, "report interval (days)")
-		threads    = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
-		traceOut   = flag.String("trace", "", "write JSONL span/event trace to this file")
-		metricsOut = flag.String("metrics", "", "write Prometheus-style metrics to this file")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+		gridName  = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg-scaled")
+		days      = flag.Float64("days", 10, "simulated days")
+		dt        = flag.Float64("dt", 2400, "time step (s)")
+		solver    = flag.String("solver", "chrongear", "barotropic solver: chrongear, pcg, pipecg, pcsi, csi, sstep")
+		precond   = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, none, blocklu")
+		sstep     = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
+		every     = flag.Float64("report", 1, "report interval (days)")
+		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
+		traceOut  = flag.String("trace", "", "write the run's Perfetto trace (ui.perfetto.dev, poptrace) to this file")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
 	flag.Parse()
 	obs.ServePprof(*pprofAddr)
@@ -78,29 +81,21 @@ func main() {
 			float64(done)**dt/86400, m.KineticEnergy(), etaMin, etaMax, m.MeanSSH(), iters)
 	}
 
+	var iterSum int
+	for _, it := range m.IterHistory {
+		iterSum += it
+	}
+	fmt.Printf("solver iterations: %d over %d steps\n", iterSum, totalSteps)
+
 	if tracer != nil {
 		if d := tracer.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "popmodel: trace ring dropped %d events (oldest lost)\n", d)
 		}
-		fatalIf(obs.DumpTrace(tracer, *traceOut))
+		tracks := tracer.Tracks(fmt.Sprintf("popmodel %s/%s/%s", g.Name, *solver, *precond), 1)
+		fatalIf(obs.WriteFile(*traceOut, func(w io.Writer) error {
+			return obs.WritePerfetto(w, tracks, nil, tracer.Dropped())
+		}))
 		fmt.Printf("trace: %s\n", *traceOut)
-	}
-	if *metricsOut != "" {
-		reg := obs.NewRegistry()
-		reg.Counter("popmodel_steps_total", "model time steps integrated").Add(int64(totalSteps))
-		var iterSum int64
-		for _, it := range m.IterHistory {
-			iterSum += int64(it)
-		}
-		reg.Counter("popmodel_solver_iterations_total", "barotropic solver iterations across steps").Add(iterSum)
-		reg.Gauge("popmodel_kinetic_energy", "final kinetic energy").Set(m.KineticEnergy())
-		reg.Gauge("popmodel_mean_ssh_meters", "final mean sea-surface height").Set(m.MeanSSH())
-		if tracer != nil {
-			reg.Counter("popmodel_trace_dropped_events_total",
-				"events lost to trace ring wraparound").Add(tracer.Dropped())
-		}
-		fatalIf(obs.DumpMetrics(reg, *metricsOut))
-		fmt.Printf("metrics: %s\n", *metricsOut)
 	}
 }
 

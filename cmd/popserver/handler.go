@@ -9,7 +9,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -67,27 +66,15 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 		h.writeError(w, false, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
 		return
 	}
-	can, err := req.Parse()
+	freq, err := req.Parse()
+	if err == nil && len(freq.B) == 0 {
+		freq.B, err = h.syntheticRHS(freq.Grid, req.RHS)
+	}
 	if err != nil {
 		h.writeError(w, false, fleet.StatusFor(err), err)
 		return
 	}
-	b := can.B
-	if len(b) == 0 {
-		if b, err = h.syntheticRHS(can.Grid, req.RHS); err != nil {
-			h.writeError(w, false, fleet.StatusFor(err), err)
-			return
-		}
-	}
-	sreq := pop.ServeRequest{
-		Grid:    can.Grid,
-		Method:  can.Method,
-		Precond: can.Precond,
-		SStep:   can.SStep,
-		B:       b,
-		X0:      can.X0,
-	}
-	resp, err := h.dispatch(r.Context(), sreq, can.TraceID, req.TimeoutMS, can.NoCache, can.ReturnX)
+	resp, err := h.dispatch(r.Context(), freq)
 	if err != nil {
 		h.writeError(w, false, fleet.StatusFor(err), err)
 		return
@@ -102,15 +89,7 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 		h.writeError(w, true, fleet.StatusFor(err), err)
 		return
 	}
-	sreq := pop.ServeRequest{
-		Grid:    freq.Grid,
-		Method:  freq.Method,
-		Precond: freq.Precond,
-		SStep:   freq.SStep,
-		B:       freq.B,
-		X0:      freq.X0,
-	}
-	resp, err := h.dispatch(r.Context(), sreq, freq.TraceID, freq.TimeoutMS, freq.NoCache, freq.ReturnX)
+	resp, err := h.dispatch(r.Context(), freq)
 	if err != nil {
 		h.writeError(w, true, fleet.StatusFor(err), err)
 		return
@@ -122,22 +101,29 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 	}
 }
 
-// dispatch runs one canonical solve through the fleet router or the single
-// service and shapes the wire response.
-func (h *handler) dispatch(ctx context.Context, sreq pop.ServeRequest, traceID uint64, timeoutMS int, noCache, returnX bool) (api.SolveResponse, error) {
-	if traceID != 0 {
-		ctx = pop.ContextWithTraceID(ctx, traceID)
+// dispatch is the tail both encodings share: it runs one typed request
+// through the fleet router or the single service and shapes the wire
+// response.
+func (h *handler) dispatch(ctx context.Context, freq api.FrameRequest) (api.SolveResponse, error) {
+	sreq := pop.ServeRequest{
+		Grid:    freq.Grid,
+		Method:  freq.Method,
+		Precond: freq.Precond,
+		SStep:   freq.SStep,
+		B:       freq.B,
+		X0:      freq.X0,
 	}
-	if timeoutMS > 0 {
+	ctx = pop.ContextWithTraceID(ctx, freq.TraceID)
+	if freq.TimeoutMS > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(freq.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
 	start := time.Now()
 	resp := api.SolveResponse{Shard: -1}
 	var sres pop.ServeResponse
 	if h.flt != nil {
-		fres, err := h.flt.Solve(ctx, pop.FleetRequest{Request: sreq, NoCache: noCache})
+		fres, err := h.flt.Solve(ctx, pop.FleetRequest{Request: sreq, NoCache: freq.NoCache})
 		if err != nil {
 			return api.SolveResponse{}, err
 		}
@@ -156,7 +142,7 @@ func (h *handler) dispatch(ctx context.Context, sreq pop.ServeRequest, traceID u
 	resp.Solver = sres.Result.Solver
 	resp.TraceID = sres.TraceID
 	resp.ElapsedMS = float64(time.Since(start).Nanoseconds()) / 1e6
-	if returnX {
+	if freq.ReturnX {
 		resp.X = sres.X
 	}
 	return resp, nil
@@ -245,23 +231,26 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// trace serves the Perfetto export: all sessions' rank spans plus request
-// records, merged fleet-wide in fleet modes.
+// writePerfetto renders the Perfetto export: all sessions' rank spans plus
+// request records, merged fleet-wide in fleet modes.
+func (h *handler) writePerfetto(w io.Writer) error {
+	if h.flt != nil {
+		return h.flt.WritePerfetto(w)
+	}
+	return h.svc.WritePerfetto(w)
+}
+
+// trace serves the Perfetto export.
 func (h *handler) trace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	var err error
-	if h.flt != nil {
-		err = h.flt.WritePerfetto(w)
-	} else {
-		err = h.svc.WritePerfetto(w)
-	}
-	if err != nil {
+	if err := h.writePerfetto(w); err != nil {
 		log.Printf("popserver: trace write: %v", err)
 	}
 }
 
-// flight serves the flight-recorder snapshot as a JSON array of request
-// records (fleet modes merge the router's and every local worker's rings).
+// flight serves the flight-recorder snapshot: a JSON object whose one key,
+// "recent", holds the ring's request records, oldest first (fleet modes
+// merge the router's and every local worker's rings).
 func (h *handler) flight(w http.ResponseWriter, r *http.Request) {
 	var recs []pop.RequestRecord
 	if h.flt != nil {
@@ -281,24 +270,6 @@ func (h *handler) close(ctx context.Context) error {
 		return h.flt.Close(ctx)
 	}
 	return h.svc.Close(ctx)
-}
-
-// writeTraceFile writes the final Perfetto export on shutdown.
-func (h *handler) writeTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if h.flt != nil {
-		werr = h.flt.WritePerfetto(f)
-	} else {
-		werr = h.svc.WritePerfetto(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // writeError replies in the encoding the request spoke: a JSON ErrorBody

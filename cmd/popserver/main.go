@@ -20,7 +20,7 @@
 //	                   counters are aggregated under /v1/stats)
 //	GET  /debug/trace  Perfetto trace export (fleet modes merge every local
 //	                   worker's session tracks, re-homed per worker)
-//	GET  /debug/flight JSON flight-recorder snapshot
+//	GET  /debug/flight flight-recorder ring: {"recent":[request records]}
 //
 // In fleet modes, requests are consistent-hashed on their session-pool key
 // so each shard keeps its own warm sessions, concurrent identical requests
@@ -165,7 +165,7 @@ func main() {
 			log.Printf("popserver: drain incomplete: %v", err)
 		}
 		if *traceout != "" {
-			if err := h.writeTraceFile(*traceout); err != nil {
+			if err := obs.WriteFile(*traceout, h.writePerfetto); err != nil {
 				log.Printf("popserver: trace export: %v", err)
 			} else {
 				log.Printf("popserver: trace written to %s", *traceout)

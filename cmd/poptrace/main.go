@@ -1,12 +1,14 @@
-// Command poptrace analyzes Perfetto trace exports produced by this repo
-// (popserver /debug/trace, popserver -traceout, or
-// serve.Service.WritePerfetto) and prints the paper-style critical-path
-// attribution the SC15 analysis rests on: where each request's wall time
-// went — queue, batch wait, compute, halo exchange, global reduction, and
-// straggler slack — plus a per-rank straggler league table identifying
-// which ranks set the reductions' critical paths, annotated with the worker
-// shard each rank executed on and rolled up per shard (the hardware-
-// parallelism view: how virtual ranks were packed onto worker shards).
+// Command poptrace analyzes the Perfetto trace files this repo writes — the
+// one format every solve's events leave a process in (popsolve -trace,
+// popmodel -trace, popserver /debug/trace and -traceout, Fleet.WritePerfetto)
+// — and prints the paper-style critical-path attribution the SC15 analysis
+// rests on: where each request's wall time went — queue, batch wait,
+// compute, halo exchange, global reduction, and straggler slack — plus a
+// per-rank straggler league table identifying which ranks set the
+// reductions' critical paths, annotated with the worker shard each rank
+// executed on and rolled up per shard (the hardware-parallelism view: how
+// virtual ranks were packed onto worker shards). A trace from a one-shot
+// command has no request records; it gets the event counts and the league.
 //
 //	poptrace trace.json
 //	poptrace -top 5 -league 8 trace.json
@@ -59,20 +61,42 @@ func run(path string, top, league int) error {
 		return err
 	}
 
+	kinds, sessions := make(map[string]int), make(map[int]bool)
+	for _, tr := range pt.Tracks {
+		sessions[tr.PID] = true
+		for _, e := range tr.Events {
+			kinds[e.Name]++
+		}
+	}
 	fmt.Printf("trace: %s\n", path)
-	fmt.Printf("  events %d, processes %d, requests %d\n",
-		len(pt.Events), len(pt.ProcessNames), len(pt.Requests))
+	fmt.Printf("  %d rank tracks in %d sessions, %d requests\n",
+		len(pt.Tracks), len(sessions), len(pt.Requests))
+	names := make([]string, 0, len(kinds))
+	for name := range kinds {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("  %-16s %d events\n", name, kinds[name])
+	}
 	if pt.Dropped > 0 {
 		fmt.Printf("  WARNING: trace truncated — %d events lost to ring-buffer wraparound;\n"+
 			"  oldest spans are missing and per-rank totals undercount\n", pt.Dropped)
 	}
 	if len(pt.Requests) == 0 {
 		fmt.Println("  no request records in trace (serve layer not traced)")
-		return reportLeague(pt, league)
+	} else {
+		reportRequests(pt.Requests, top)
 	}
+	obs.FprintLeague(os.Stdout, obs.StragglerLeague(pt.Tracks), league)
+	return nil
+}
 
-	atts := make([]obs.Attribution, 0, len(pt.Requests))
-	for _, rec := range pt.Requests {
+// reportRequests prints the per-request critical-path table (top rows by
+// latency, 0 = all) and its sum over every request.
+func reportRequests(reqs []obs.RequestRecord, top int) {
+	atts := make([]obs.Attribution, 0, len(reqs))
+	for _, rec := range reqs {
 		atts = append(atts, obs.AttributeRecord(rec))
 	}
 	sort.Slice(atts, func(i, j int) bool { return atts[i].Total > atts[j].Total })
@@ -120,79 +144,5 @@ func run(path string, top, league int) error {
 			pct = ph.v / agg.Total * 100
 		}
 		fmt.Printf("  %-16s %10.3f ms  %5.1f%%\n", ph.name, ph.v*1e3, pct)
-	}
-
-	return reportLeague(pt, league)
-}
-
-// reportLeague prints the per-rank straggler league from the trace's reduce
-// spans (silent when the trace has none — e.g. rank tracing was disabled).
-func reportLeague(pt *obs.PerfettoTrace, limit int) error {
-	rows := obs.StragglerLeague(pt.Events)
-	if len(rows) == 0 {
-		return nil
-	}
-	n := len(rows)
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	fmt.Printf("\nstraggler league (top %d of %d ranks by reductions straggled):\n", n, len(rows))
-	fmt.Printf("  %-6s %-6s %9s %10s %7s %12s %12s\n",
-		"rank", "shard", "reduces", "straggled", "share", "wait-mean", "wait-total")
-	for _, r := range rows[:n] {
-		share := 0.0
-		if r.Reduces > 0 {
-			share = float64(r.Straggled) / float64(r.Reduces) * 100
-		}
-		shard := "-"
-		if r.Shard >= 0 {
-			shard = fmt.Sprintf("%d", r.Shard)
-		}
-		fmt.Printf("  %-6d %-6s %9d %10d %6.1f%% %10.3fµs %10.3fms\n",
-			r.Rank, shard, r.Reduces, r.Straggled, share, r.WaitMean*1e6, r.WaitTotal*1e3)
-	}
-	reportShards(rows)
-	return nil
-}
-
-// reportShards rolls the league up by worker shard: how the virtual ranks
-// were packed onto hardware shards and where the reduction wait concentrated.
-// Silent when the trace carries no shard attribution (run_begin markers
-// absent or unstamped).
-func reportShards(rows []obs.LeagueRow) {
-	type agg struct {
-		ranks, reduces, straggled int
-		wait                      float64
-	}
-	byShard := make(map[int]*agg)
-	for _, r := range rows {
-		if r.Shard < 0 {
-			return
-		}
-		a := byShard[r.Shard]
-		if a == nil {
-			a = &agg{}
-			byShard[r.Shard] = a
-		}
-		a.ranks++
-		a.reduces += r.Reduces
-		a.straggled += r.Straggled
-		a.wait += r.WaitTotal
-	}
-	if len(byShard) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(byShard))
-	for id := range byShard {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	fmt.Printf("\nworker-shard rollup (%d shards):\n", len(ids))
-	fmt.Printf("  %-6s %6s %9s %10s %12s\n",
-		"shard", "ranks", "reduces", "straggled", "wait-total")
-	for _, id := range ids {
-		a := byShard[id]
-		fmt.Printf("  %-6d %6d %9d %10d %10.3fms\n",
-			id, a.ranks, a.reduces, a.straggled, a.wait*1e3)
 	}
 }

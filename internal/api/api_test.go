@@ -36,6 +36,18 @@ func TestParseDefaultsAndSpellings(t *testing.T) {
 	if c.Method != core.MethodCSI {
 		t.Fatalf("csi parse wrong: %+v", c)
 	}
+
+	// JSON and the binary frame continue as one typed request: everything a
+	// frame carries arrives from a JSON body too.
+	c, err = (&SolveRequest{Grid: "1deg", Method: "sstep", Precond: "blocklu", SStep: 8,
+		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
+		TraceID: 77, NoCache: true}).Parse()
+	want := FrameRequest{Grid: "1deg", Method: core.MethodSStep, Precond: core.PrecondBlockLU, SStep: 8,
+		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
+		TraceID: 77, NoCache: true}
+	if err != nil || !reflect.DeepEqual(c, want) {
+		t.Fatalf("full request parsed to %+v (%v), want %+v", c, err, want)
+	}
 }
 
 func TestParseBadEnumListsAccepted(t *testing.T) {

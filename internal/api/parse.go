@@ -61,59 +61,38 @@ func joinNames(names []string) string {
 	return out
 }
 
-// Canonical is a SolveRequest after boundary normalization: enums parsed
-// exactly once, right here — nothing downstream re-parses strings.
-type Canonical struct {
-	// Grid is the preset name ("" normalized downstream to the default).
-	Grid string
-	// Method is the parsed solver algorithm.
-	Method core.Method
-	// Precond is the parsed preconditioner.
-	Precond core.PrecondType
-	// SStep is the validated s-step block size (0 = downstream default).
-	SStep int
-	// B is the explicit right-hand side (nil when RHS named a generator
-	// still to be resolved by the server).
-	B []float64
-	// X0 is the initial guess (nil = zero).
-	X0 []float64
-	// ReturnX mirrors SolveRequest.ReturnX.
-	ReturnX bool
-	// TraceID mirrors SolveRequest.TraceID.
-	TraceID uint64
-	// NoCache mirrors SolveRequest.NoCache.
-	NoCache bool
-}
-
 // Parse normalizes the request's enum fields through the core parsers —
-// the single place wire strings become typed values. A bad spelling
-// returns a *FieldError listing the accepted names (HTTP layers render it
-// as a 400 with ErrorBody.Accepted populated); B/RHS mutual exclusion is
-// also enforced here.
-func (r *SolveRequest) Parse() (Canonical, error) {
+// the single place wire strings become typed values — into the request
+// form the binary frame carries, so both encodings continue as one
+// FrameRequest. A bad spelling returns a *FieldError listing the accepted
+// names (HTTP layers render it as a 400 with ErrorBody.Accepted populated);
+// B/RHS mutual exclusion is also enforced here. B is nil when RHS names a
+// generator the server has still to resolve.
+func (r *SolveRequest) Parse() (FrameRequest, error) {
 	method, err := core.ParseMethod(r.Method)
 	if err != nil {
-		return Canonical{}, &FieldError{Field: "method", Value: r.Method, Accepted: acceptedMethods}
+		return FrameRequest{}, &FieldError{Field: "method", Value: r.Method, Accepted: acceptedMethods}
 	}
 	precond, err := core.ParsePrecond(r.Precond)
 	if err != nil {
-		return Canonical{}, &FieldError{Field: "precond", Value: r.Precond, Accepted: acceptedPreconds}
+		return FrameRequest{}, &FieldError{Field: "precond", Value: r.Precond, Accepted: acceptedPreconds}
 	}
 	if r.SStep < 0 || r.SStep > core.MaxSStep {
-		return Canonical{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", r.SStep), Accepted: acceptedSSteps}
+		return FrameRequest{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", r.SStep), Accepted: acceptedSSteps}
 	}
 	if r.RHS != "" && len(r.B) > 0 {
-		return Canonical{}, fmt.Errorf(`api: "b" and "rhs" are mutually exclusive: %w`, core.ErrBadSpec)
+		return FrameRequest{}, fmt.Errorf(`api: "b" and "rhs" are mutually exclusive: %w`, core.ErrBadSpec)
 	}
-	return Canonical{
-		Grid:    r.Grid,
-		Method:  method,
-		Precond: precond,
-		SStep:   r.SStep,
-		B:       r.B,
-		X0:      r.X0,
-		ReturnX: r.ReturnX,
-		TraceID: r.TraceID,
-		NoCache: r.NoCache,
+	return FrameRequest{
+		Grid:      r.Grid,
+		Method:    method,
+		Precond:   precond,
+		SStep:     r.SStep,
+		B:         r.B,
+		X0:        r.X0,
+		TimeoutMS: r.TimeoutMS,
+		ReturnX:   r.ReturnX,
+		TraceID:   r.TraceID,
+		NoCache:   r.NoCache,
 	}, nil
 }

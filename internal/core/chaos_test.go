@@ -48,7 +48,7 @@ func TestInjectorDisabledBitwiseIdentical(t *testing.T) {
 		_, xGold, hGold := chaosSolve(t, sGold, m, fGold.b)
 
 		fZero := testFixture(t)
-		fZero.w.Faults = faults.New(faults.Plan{Seed: 1}, nil) // wired in, inert
+		fZero.w.Faults = faults.New(faults.Plan{Seed: 1}) // wired in, inert
 		sZero := fZero.session(t, opts)
 		_, xZero, hZero := chaosSolve(t, sZero, m, fZero.b)
 
@@ -76,7 +76,7 @@ func TestInjectorDisabledBitwiseIdentical(t *testing.T) {
 func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, maxRec int) Result {
 	t.Helper()
 	f := testFixture(t)
-	inj := faults.New(plan, nil)
+	inj := faults.New(plan)
 	f.w.Faults = inj
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 4000,
 		MaxRecoveries: maxRec})
@@ -199,7 +199,7 @@ func TestRankCrashRecovery(t *testing.T)   { chaosClass(t, faults.RankCrash) }
 // carrying the recovery counts.
 func TestRecoveryBudgetExhaustionFaults(t *testing.T) {
 	f := testFixture(t)
-	f.w.Faults = faults.New(faults.Plan{Seed: 2, CrashProb: 0.9}, nil)
+	f.w.Faults = faults.New(faults.Plan{Seed: 2, CrashProb: 0.9})
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 2000, MaxRecoveries: 2})
 	_, _, err := s.SolveContext(context.Background(), MethodPCSI, f.b, nil)
 	if !errors.Is(err, ErrFaulted) {
@@ -218,7 +218,7 @@ func TestRecoveryBudgetExhaustionFaults(t *testing.T) {
 // injector: the legacy NaN tripwire path runs instead.
 func TestNegativeMaxRecoveriesDisables(t *testing.T) {
 	f := testFixture(t)
-	f.w.Faults = faults.New(faults.Plan{Seed: 2, CrashProb: 0.9}, nil)
+	f.w.Faults = faults.New(faults.Plan{Seed: 2, CrashProb: 0.9})
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 200, MaxRecoveries: -1})
 	res, _, err := s.SolveContext(context.Background(), MethodPCSI, f.b, nil)
 	if errors.Is(err, ErrFaulted) {
@@ -234,7 +234,7 @@ func TestNegativeMaxRecoveriesDisables(t *testing.T) {
 // retry converges.
 func TestLadderReEstimatesEigenvalues(t *testing.T) {
 	f := testFixture(t)
-	inj := faults.New(faults.Plan{Seed: 1, HaloDropProb: 1e-12}, nil) // active, ~never fires
+	inj := faults.New(faults.Plan{Seed: 1, HaloDropProb: 1e-12}) // active, ~never fires
 	f.w.Faults = inj
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 3000})
 	if err := s.Setup(); err != nil {
@@ -260,7 +260,7 @@ func TestLadderReEstimatesEigenvalues(t *testing.T) {
 // useless (sabotaged safety factors), P-CSI falls back to ChronGear.
 func TestLadderFallsBackToChronGear(t *testing.T) {
 	f := testFixture(t)
-	inj := faults.New(faults.Plan{Seed: 1, HaloDropProb: 1e-12}, nil)
+	inj := faults.New(faults.Plan{Seed: 1, HaloDropProb: 1e-12})
 	f.w.Faults = inj
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 3000,
 		EigSafetyLow: 1e-6, EigSafetyHigh: 2e-6}) // re-estimation lands on garbage too
@@ -292,7 +292,7 @@ func TestChaosRunsDeterministic(t *testing.T) {
 	run := func() (Result, []uint64) {
 		f := testFixture(t)
 		f.w.Faults = faults.New(faults.Plan{Seed: 21, HaloCorruptProb: 1e-4,
-			ReduceFailProb: 0.05, CrashProb: 0.002}, nil)
+			ReduceFailProb: 0.05, CrashProb: 0.002})
 		s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 4000,
 			MaxRecoveries: 200})
 		res, _, err := s.SolveContext(context.Background(), MethodPCSI, f.b, nil)

@@ -196,10 +196,11 @@ func (s *Session) Solve(m Method, b, x0 []float64) (Result, []float64, error) {
 // solution slice is the session's reusable output arena, valid until the
 // next solve on this session.
 //
-// When ctx carries a request-scoped trace ID (obs.ContextWithTraceID), the
-// solve adopts it: the session world's ID is set before dispatch, so every
-// rank-level span the solve emits — and the returned Result — carries the
-// request's ID.
+// The solve adopts ctx's request-scoped trace ID (obs.ContextWithTraceID; 0
+// when ctx carries none): the session world's ID is set before dispatch, so
+// every rank-level span the solve emits — and the returned Result — carries
+// this request's ID, never a previous solve's. This is the one place the
+// world's ID is set.
 func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (Result, []float64, error) {
 	if !m.Valid() {
 		return Result{}, nil, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
@@ -212,9 +213,7 @@ func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (
 	} else if len(x0) != s.G.N() {
 		return Result{}, nil, fmt.Errorf("core: x0 length %d, want %d: %w", len(x0), s.G.N(), ErrBadSpec)
 	}
-	if id := obs.TraceIDFromContext(ctx); id != 0 {
-		s.W.SetTraceID(id)
-	}
+	s.W.SetTraceID(obs.TraceIDFromContext(ctx))
 	res, x, err := s.solve(ctx, m, b, x0)
 	res.TraceID = s.W.TraceID()
 	return res, x, err

@@ -142,13 +142,6 @@ type Session struct {
 	zeroBuf []float64
 }
 
-// SetTraceID stamps the request-scoped trace ID onto the session's world:
-// every rank-level span of subsequent solves carries it, correlating the
-// solve's trace tree with the serve request it works for (0 clears it).
-// Sessions are single-solve at a time (the serve layer serializes solves per
-// session), so the caller sets it immediately before each solve.
-func (s *Session) SetTraceID(id uint64) { s.W.SetTraceID(id) }
-
 // zeroX0 returns the session-owned all-zeros initial guess (allocated on
 // first use, never written afterwards).
 func (s *Session) zeroX0() []float64 {

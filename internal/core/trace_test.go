@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"context"
+	"math"
 	"testing"
 
 	"repro/internal/obs"
@@ -19,24 +19,72 @@ func (skewedCost) FlopTime(n int64, rank int, _ int64) float64 {
 func (skewedCost) P2PTime(bytes int64) float64   { return 1e-6 + float64(bytes)*1e-9 }
 func (skewedCost) ReduceTime(int, int64) float64 { return 2e-6 }
 
-// traceLine mirrors the obs JSONL schema.
-type traceLine struct {
-	Ev        string   `json:"ev"`
-	Rank      int      `json:"rank"`
-	Name      string   `json:"name"`
-	T         float64  `json:"t"`
-	Iter      *int     `json:"iter"`
-	Value     *float64 `json:"value"`
-	Straggler *int     `json:"straggler"`
-	Wait      *float64 `json:"wait"`
+// checkTracks holds one solve's rank tracks to the trace contract: one track
+// per rank; within each run_begin segment the rank's clock never runs
+// backwards and every span closes after it opens and before the next event
+// starts, so no span straddles a segment boundary (tol absorbs the µs
+// round-trip of a file); every reduce span names a valid straggler and a
+// non-negative wait; every residual point carries its iteration and value;
+// and the solver events the paper's figures need are all present.
+func checkTracks(t *testing.T, tracks []obs.Track, nranks int, tol float64) {
+	t.Helper()
+	if len(tracks) != nranks {
+		t.Errorf("trace has %d tracks, want one per rank (%d)", len(tracks), nranks)
+	}
+	seen := make(map[string]int)
+	for rank, tr := range tracks {
+		if tr.TID != rank {
+			t.Errorf("track %d is rank %d", rank, tr.TID)
+		}
+		if len(tr.Events) == 0 || tr.Events[0].Name != obs.EvRunBegin {
+			t.Fatalf("rank %d: track does not open with run_begin", rank)
+		}
+		lastT := 0.0
+		for i, e := range tr.Events {
+			seen[e.Name]++
+			if e.Rank != rank {
+				t.Fatalf("rank %d event %d: stamped rank %d", rank, i, e.Rank)
+			}
+			if e.Name == obs.EvRunBegin {
+				lastT = 0 // new run segment: the virtual clock restarts
+			}
+			end := e.T0
+			if !e.Point {
+				end = e.T1
+			}
+			if e.T0 < lastT-tol || end < e.T0 {
+				t.Fatalf("rank %d event %d (%s): clock ran backwards ([%g, %g] after %g)",
+					rank, i, e.Name, e.T0, end, lastT)
+			}
+			lastT = end
+			switch e.Name {
+			case obs.EvReduce:
+				if e.Point || e.Straggler < 0 || e.Straggler >= nranks || e.Wait < 0 {
+					t.Fatalf("rank %d event %d: reduce span without valid straggler/wait: %+v", rank, i, e)
+				}
+			case obs.EvResidual:
+				if !e.Point || e.Iter < 1 || !(e.Value >= 0) {
+					t.Fatalf("rank %d event %d: residual point without iter/value: %+v", rank, i, e)
+				}
+			}
+		}
+	}
+	for _, name := range []string{obs.EvCompute, obs.EvHalo, obs.EvReduce, obs.EvResidual, obs.EvEigBound, obs.EvRunBegin} {
+		if seen[name] == 0 {
+			t.Errorf("trace has no %q events (saw %v)", name, seen)
+		}
+	}
 }
 
-// The golden trace contract: a tiny solve's JSONL trace parses line by
-// line, timestamps are monotone non-decreasing per rank within each run
-// segment, span begin/end pairs balance, and the solver events the paper's
-// figures need (per-iteration residuals, per-reduction straggler
-// attribution, Lanczos bounds) are all present.
-func TestSolveTraceJSONLGolden(t *testing.T) {
+// near reports a == b up to the rounding of a seconds → µs → seconds trip.
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-12+1e-12*math.Abs(b) }
+
+// The golden trace contract, held on the tracer's own tracks and again on
+// what ReadPerfetto rebuilds from the file WritePerfetto wrote for the same
+// solve — the one pipeline every command's trace leaves through. The file
+// must carry every event back field for field, and the straggler league
+// poptrace computes from it must be the league computed in process.
+func TestSolveTracePerfettoGolden(t *testing.T) {
 	f := testFixture(t)
 	s := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-10})
 	tracer := obs.NewTracer(1 << 16)
@@ -77,93 +125,90 @@ func TestSolveTraceJSONLGolden(t *testing.T) {
 	if tracer.Dropped() > 0 {
 		t.Fatalf("ring dropped %d events; raise the test capacity", tracer.Dropped())
 	}
+	tracks := tracer.Tracks("golden", 1)
+	checkTracks(t, tracks, f.d.NRanks, 0)
+
 	var buf bytes.Buffer
-	if err := tracer.WriteJSONL(&buf); err != nil {
+	if err := obs.WritePerfetto(&buf, tracks, nil, 0); err != nil {
 		t.Fatal(err)
+	}
+	pt, err := obs.ReadPerfetto(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTracks(t, pt.Tracks, f.d.NRanks, 1e-12)
+	for r, want := range tracks {
+		got := pt.Tracks[r]
+		if got.Process != want.Process || got.Thread != want.Thread || got.PID != want.PID ||
+			len(got.Events) != len(want.Events) {
+			t.Fatalf("track %d came back as %q/%q pid %d with %d events, want %q/%q pid %d with %d",
+				r, got.Process, got.Thread, got.PID, len(got.Events),
+				want.Process, want.Thread, want.PID, len(want.Events))
+		}
+		for i, w := range want.Events {
+			g := got.Events[i]
+			if w.Point {
+				w.T1 = w.T0 // a point has no end; the file carries its timestamp only
+			}
+			if !near(g.T0, w.T0) || !near(g.T1, w.T1) || !near(g.Wait, w.Wait) {
+				t.Fatalf("track %d event %d: times came back as %+v, want %+v", r, i, g, w)
+			}
+			g.T0, g.T1, g.Wait = w.T0, w.T1, w.Wait
+			if g != w {
+				t.Fatalf("track %d event %d: came back as %+v, want %+v", r, i, g, w)
+			}
+		}
 	}
 
-	type rankState struct {
-		lastT float64
-		depth int
-		began int
-		ended int
+	// One straggler league, two inputs. The skewed cost model makes the
+	// standings non-trivial: somebody arrives last, everybody else waits.
+	inProc, fromFile := obs.StragglerLeague(tracks), obs.StragglerLeague(pt.Tracks)
+	if len(inProc) != f.d.NRanks || len(fromFile) != len(inProc) {
+		t.Fatalf("league has %d rows in process, %d from the file, want %d", len(inProc), len(fromFile), f.d.NRanks)
 	}
-	states := make(map[int]*rankState)
-	seen := make(map[string]int)
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		var l traceLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("line %d does not parse: %v: %s", lineNo, err, sc.Text())
+	if inProc[0].Straggled == 0 || inProc[len(inProc)-1].WaitTotal <= 0 {
+		t.Errorf("skewed cost produced no straggler: top %+v, bottom %+v", inProc[0], inProc[len(inProc)-1])
+	}
+	for i, w := range inProc {
+		g := fromFile[i]
+		if !near(g.WaitTotal, w.WaitTotal) || !near(g.WaitMean, w.WaitMean) {
+			t.Errorf("league row %d: waits from the file %+v, in process %+v", i, g, w)
 		}
-		seen[l.Name]++
-		st, ok := states[l.Rank]
-		if !ok {
-			st = &rankState{}
-			states[l.Rank] = st
-		}
-		if l.Name == obs.EvRunBegin {
-			// New run segment: the virtual clock restarts; spans must not
-			// straddle the boundary.
-			if st.depth != 0 {
-				t.Fatalf("line %d: run_begin with %d open spans on rank %d", lineNo, st.depth, l.Rank)
-			}
-			st.lastT = 0
-			continue
-		}
-		if l.T < st.lastT {
-			t.Fatalf("line %d: rank %d clock ran backwards (%g after %g)", lineNo, l.Rank, l.T, st.lastT)
-		}
-		st.lastT = l.T
-		switch l.Ev {
-		case "B":
-			st.depth++
-			st.began++
-		case "E":
-			st.depth--
-			st.ended++
-			if st.depth < 0 {
-				t.Fatalf("line %d: rank %d span end without begin", lineNo, l.Rank)
-			}
-		case "P":
-		default:
-			t.Fatalf("line %d: unknown ev %q", lineNo, l.Ev)
-		}
-		if l.Name == obs.EvReduce && l.Ev == "E" {
-			if l.Straggler == nil || *l.Straggler < 0 || *l.Straggler >= f.d.NRanks {
-				t.Fatalf("line %d: reduce span without valid straggler: %s", lineNo, sc.Text())
-			}
-			if l.Wait == nil || *l.Wait < 0 {
-				t.Fatalf("line %d: reduce span without wait: %s", lineNo, sc.Text())
-			}
-		}
-		if l.Name == obs.EvResidual {
-			if l.Iter == nil || l.Value == nil {
-				t.Fatalf("line %d: residual point without iter/value: %s", lineNo, sc.Text())
-			}
+		g.WaitTotal, g.WaitMean = w.WaitTotal, w.WaitMean
+		if g != w {
+			t.Errorf("league row %d: from the file %+v, in process %+v", i, g, w)
 		}
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// A solve carries its own context's trace ID, never the previous solve's: a
+// plain Solve after a traced SolveContext on the same session reports ID 0
+// and stamps none of its events with the earlier request's ID.
+func TestTraceIDNotInheritedAcrossSolves(t *testing.T) {
+	f := testFixture(t)
+	s := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-10})
+	tracer := obs.NewTracer(1 << 16)
+	f.w.Tracer = tracer
+	defer func() { f.w.Tracer = nil }()
+
+	const id = 4242
+	res, _, err := s.SolveContext(obs.ContextWithTraceID(context.Background(), id), MethodChronGear, f.b, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for rank, st := range states {
-		if st.depth != 0 {
-			t.Errorf("rank %d: %d unbalanced spans", rank, st.depth)
-		}
-		if st.began != st.ended {
-			t.Errorf("rank %d: %d begins vs %d ends", rank, st.began, st.ended)
-		}
+	traced := len(tracer.EventsFor(id))
+	if res.TraceID != id || traced == 0 {
+		t.Fatalf("traced solve: Result.TraceID %d with %d events stamped, want %d and some", res.TraceID, traced, id)
 	}
-	if len(states) != f.d.NRanks {
-		t.Errorf("trace covers %d ranks, want %d", len(states), f.d.NRanks)
+	res, _, err = s.Solve(MethodChronGear, f.b, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, name := range []string{obs.EvCompute, obs.EvHalo, obs.EvReduce, obs.EvResidual, obs.EvEigBound, obs.EvRunBegin} {
-		if seen[name] == 0 {
-			t.Errorf("trace has no %q events (saw %v)", name, seen)
-		}
+	if res.TraceID != 0 {
+		t.Errorf("untraced solve after a traced one: Result.TraceID %d, want 0", res.TraceID)
+	}
+	if n := len(tracer.EventsFor(id)); n != traced {
+		t.Errorf("untraced solve stamped %d of its events with the previous request's ID", n-traced)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/obs"
 	"repro/internal/perfmodel"
 )
 
@@ -61,12 +60,6 @@ type Config struct {
 	// TargetOverride, when non-nil for a resolution key, replaces the
 	// paper's core-count axis (used to trim very long full-scale runs).
 	TargetOverride map[string][]int
-
-	// Tracer, when non-nil, is attached to every World the experiment
-	// drivers create, so sweeps emit per-phase span events like popsolve
-	// runs do. Large sweeps generate many events; size the ring
-	// accordingly or accept drops.
-	Tracer *obs.Tracer
 
 	grids  map[string]*grid.Grid
 	sweeps map[string][]Measurement

@@ -99,7 +99,6 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 	if err != nil {
 		return Measurement{}, err
 	}
-	w.Tracer = c.Tracer
 	sess, err := core.NewSession(g, op, d, w, core.Options{Precond: sc.Precond})
 	if err != nil {
 		return Measurement{}, err
@@ -236,7 +235,6 @@ func (c *Config) BaroclinicStepTime(res string, target int) (cores int, stepTime
 	if err != nil {
 		return 0, 0, err
 	}
-	w.Tracer = c.Tracer
 	wl, err := baroclinic.New(d, w, 0)
 	if err != nil {
 		return 0, 0, err

@@ -22,17 +22,15 @@
 //     comparison, so a fault-free run with no injector wired in is bitwise
 //     identical to a build that never heard of this package.
 //
-// Injection and recovery counts flow into an obs.Registry
-// (fault_injected_total / fault_recovered_total, labelled by class and
-// recovery kind) so chaos runs are observable with the same machinery as
-// everything else.
+// Injection and recovery counts, by class and by recovery kind, are read
+// back with Injected and Recoveries.
 package faults
 
 import (
 	"fmt"
+	"maps"
 	"sync"
-
-	"repro/internal/obs"
+	"sync/atomic"
 )
 
 // Class enumerates the injectable fault classes.
@@ -115,29 +113,18 @@ func (p Plan) Active() bool {
 // by rank goroutines; a nil *Injector injects nothing.
 type Injector struct {
 	plan     Plan
-	reg      *obs.Registry
-	injected [numClasses]*obs.Counter
+	injected [numClasses]atomic.Int64
 
 	recMu sync.Mutex
-	rec   map[string]*obs.Counter
+	rec   map[string]int64
 }
 
-// New builds an injector for the plan, reporting its counters into reg (nil
-// creates a private registry, readable via Registry).
-func New(plan Plan, reg *obs.Registry) *Injector {
+// New builds an injector for the plan.
+func New(plan Plan) *Injector {
 	if plan.StragglerProb > 0 && plan.StragglerDelay == 0 {
 		plan.StragglerDelay = 1e-3
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	i := &Injector{plan: plan, reg: reg, rec: make(map[string]*obs.Counter)}
-	for _, c := range Classes() {
-		i.injected[c] = reg.Counter(
-			fmt.Sprintf("fault_injected_total{class=%q}", c.String()),
-			"faults injected, by class")
-	}
-	return i
+	return &Injector{plan: plan, rec: make(map[string]int64)}
 }
 
 // Enabled reports whether the injector exists and its plan can fire.
@@ -149,15 +136,6 @@ func (i *Injector) Plan() Plan {
 		return Plan{}
 	}
 	return i.plan
-}
-
-// Registry returns the registry the injector's counters live in (nil when
-// the injector is nil).
-func (i *Injector) Registry() *obs.Registry {
-	if i == nil {
-		return nil
-	}
-	return i.reg
 }
 
 // hit draws the deterministic verdict for one site and counts a hit. The
@@ -179,7 +157,7 @@ func (i *Injector) hit(c Class, rank int, seq int64, prob float64) bool {
 	if float64(x>>11)/(1<<53) >= prob {
 		return false
 	}
-	i.injected[c].Inc()
+	i.injected[c].Add(1)
 	return true
 }
 
@@ -251,19 +229,9 @@ func (i *Injector) Recovered(kind string) {
 	if i == nil {
 		return
 	}
-	i.recoveredCounter(kind).Inc()
-}
-
-func (i *Injector) recoveredCounter(kind string) *obs.Counter {
 	i.recMu.Lock()
-	defer i.recMu.Unlock()
-	c, ok := i.rec[kind]
-	if !ok {
-		c = i.reg.Counter(fmt.Sprintf("fault_recovered_total{kind=%q}", kind),
-			"fault recoveries, by kind")
-		i.rec[kind] = c
-	}
-	return c
+	i.rec[kind]++
+	i.recMu.Unlock()
 }
 
 // InjectedCount returns how many faults of class c have fired (0 when nil).
@@ -271,7 +239,7 @@ func (i *Injector) InjectedCount(c Class) int64 {
 	if i == nil || c < 0 || c >= numClasses {
 		return 0
 	}
-	return i.injected[c].Value()
+	return i.injected[c].Load()
 }
 
 // Injected returns the per-class injection counts, keyed by class name.
@@ -285,14 +253,10 @@ func (i *Injector) Injected() map[string]int64 {
 
 // Recoveries returns the per-kind recovery counts recorded so far.
 func (i *Injector) Recoveries() map[string]int64 {
-	out := make(map[string]int64)
 	if i == nil {
-		return out
+		return map[string]int64{}
 	}
 	i.recMu.Lock()
 	defer i.recMu.Unlock()
-	for kind, c := range i.rec {
-		out[kind] = c.Value()
-	}
-	return out
+	return maps.Clone(i.rec)
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // A nil injector must be safe to consult from every hook and must never
@@ -29,9 +27,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if len(inj.Recoveries()) != 0 {
 		t.Fatal("nil Recoveries non-empty")
 	}
-	if inj.Registry() != nil {
-		t.Fatal("nil Registry non-nil")
-	}
 	if inj.Plan().Active() {
 		t.Fatal("nil Plan active")
 	}
@@ -40,7 +35,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 // A zero plan (no probabilities) must never fire even through a live
 // injector, so wiring a disabled injector into the runtime is a no-op.
 func TestZeroPlanNeverFires(t *testing.T) {
-	inj := New(Plan{Seed: 42}, nil)
+	inj := New(Plan{Seed: 42})
 	if inj.Enabled() {
 		t.Fatal("zero plan reports Enabled")
 	}
@@ -59,8 +54,8 @@ func TestZeroPlanNeverFires(t *testing.T) {
 // schedule (overwhelmingly).
 func TestScheduleDeterministicInSeed(t *testing.T) {
 	plan := Plan{Seed: 7, HaloDropProb: 0.1, ReduceFailProb: 0.05, CrashProb: 0.02}
-	a, b := New(plan, nil), New(plan, nil)
-	diff := New(Plan{Seed: 8, HaloDropProb: 0.1, ReduceFailProb: 0.05, CrashProb: 0.02}, nil)
+	a, b := New(plan), New(plan)
+	diff := New(Plan{Seed: 8, HaloDropProb: 0.1, ReduceFailProb: 0.05, CrashProb: 0.02})
 	same, mismatch := 0, 0
 	for rank := 0; rank < 4; rank++ {
 		for seq := int64(0); seq < 500; seq++ {
@@ -87,7 +82,7 @@ func TestScheduleDeterministicInSeed(t *testing.T) {
 // The reduce-failure verdict must not depend on the caller's rank: every
 // rank of the collective has to agree or retry loops deadlock.
 func TestReduceVerdictRankIndependent(t *testing.T) {
-	inj := New(Plan{Seed: 99, ReduceFailProb: 0.2}, nil)
+	inj := New(Plan{Seed: 99, ReduceFailProb: 0.2})
 	for seq := int64(0); seq < 400; seq++ {
 		v0 := inj.FailReduce(0, seq)
 		for rank := 1; rank < 16; rank++ {
@@ -118,7 +113,7 @@ func TestInjectionRatesApproximateProbabilities(t *testing.T) {
 		n     = 40000
 		slack = 0.02
 	)
-	inj := New(Plan{Seed: 1234, HaloDropProb: prob}, nil)
+	inj := New(Plan{Seed: 1234, HaloDropProb: prob})
 	hits := 0
 	for seq := int64(0); seq < n; seq++ {
 		if inj.DropHalo(int(seq%13), seq) {
@@ -137,7 +132,7 @@ func TestInjectionRatesApproximateProbabilities(t *testing.T) {
 // Straggler delay defaults to 1ms when only a probability is given, and the
 // returned delay matches the plan when the draw fires.
 func TestStragglerDelayDefaultsAndValue(t *testing.T) {
-	inj := New(Plan{Seed: 5, StragglerProb: 0.5}, nil)
+	inj := New(Plan{Seed: 5, StragglerProb: 0.5})
 	if inj.Plan().StragglerDelay != 1e-3 {
 		t.Fatalf("default StragglerDelay = %v, want 1e-3", inj.Plan().StragglerDelay)
 	}
@@ -155,11 +150,10 @@ func TestStragglerDelayDefaultsAndValue(t *testing.T) {
 	}
 }
 
-// Injected/recovered counters must be race-safe and visible through both the
-// snapshot accessors and the shared registry.
+// Injected/recovered counters must be race-safe and visible through the
+// snapshot accessors.
 func TestCountersConcurrentAndExported(t *testing.T) {
-	reg := obs.NewRegistry()
-	inj := New(Plan{Seed: 3, CrashProb: 1.0}, reg)
+	inj := New(Plan{Seed: 3, CrashProb: 1.0})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -180,10 +174,6 @@ func TestCountersConcurrentAndExported(t *testing.T) {
 	}
 	if got := inj.Injected()["rank-crash"]; got != 800 {
 		t.Fatalf(`Injected()["rank-crash"] = %d, want 800`, got)
-	}
-	c := reg.Counter(`fault_injected_total{class="rank-crash"}`, "")
-	if c.Value() != 800 {
-		t.Fatalf("shared-registry counter = %d, want 800", c.Value())
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
@@ -21,36 +22,18 @@ func ServePprof(addr string) {
 	}()
 }
 
-// DumpTrace writes the tracer's retained events as JSONL to path.
-// A nil tracer or empty path is a no-op.
-func DumpTrace(t *Tracer, path string) error {
-	if t == nil || path == "" {
-		return nil
-	}
+// WriteFile creates path and hands the file to write — the one
+// create/write/close sequence behind every trace file the commands leave
+// (popsolve and popmodel -trace, popserver -traceout). It returns write's
+// error, else Close's.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
-}
-
-// DumpMetrics writes the registry in Prometheus text exposition to path.
-// A nil registry or empty path is a no-op.
-func DumpMetrics(r *Registry, path string) error {
-	if r == nil || path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return err
 }

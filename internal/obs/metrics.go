@@ -2,7 +2,10 @@
 // gauges, fixed-bucket histograms) with Prometheus-style text exposition,
 // plus a low-overhead ring-buffered tracer that the virtual-rank runtime
 // feeds with per-phase events (compute, halo exchange, global reduction)
-// carrying virtual-clock timestamps.
+// carrying virtual-clock timestamps. Those events leave a process one way —
+// Tracer.Tracks → WritePerfetto — and come back one way — ReadPerfetto →
+// the same []Track — whichever command recorded them; StragglerLeague and
+// AttributeRecord are the analyses over them.
 //
 // The package mirrors the instrumentation the paper's analysis rests on:
 // POP's computation / boundary-update / global-reduction timers (§2.2) and
@@ -46,6 +49,17 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// SetMax raises the gauge to v if v is larger — a high-water mark that
+// concurrent callers can never lower.
+func (g *Gauge) SetMax(v float64) {
+	for {
+		old := g.bits.Load()
+		if v <= math.Float64frombits(old) || g.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
 
 // Value returns the stored value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -66,6 +67,32 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 	}
 }
 
+// SetMax is a high-water mark: concurrent raises in any order end at the
+// maximum, and no raise is ever undone by a smaller one landing later.
+func TestGaugeSetMaxConcurrent(t *testing.T) {
+	const workers, per = 8, 500
+	vals := rand.New(rand.NewSource(1)).Perm(workers * per)
+	var g Gauge
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(mine []int) {
+			defer wg.Done()
+			for _, v := range mine {
+				g.SetMax(float64(v))
+			}
+		}(vals[w*per : (w+1)*per])
+	}
+	wg.Wait()
+	if got, want := g.Value(), float64(workers*per-1); got != want {
+		t.Errorf("gauge = %g after concurrent SetMax, want the maximum %g", got, want)
+	}
+	g.SetMax(3)
+	if got, want := g.Value(), float64(workers*per-1); got != want {
+		t.Errorf("a smaller SetMax lowered the gauge to %g", got)
+	}
+}
+
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pop_reductions_total", "global reductions").Add(42)
@@ -125,33 +152,5 @@ func TestNilTracerDisabled(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
 		t.Fatal("nil tracer must report disabled")
-	}
-}
-
-func TestSummarizeReduces(t *testing.T) {
-	events := []Event{
-		{Rank: 0, Name: EvReduce, T0: 0, T1: 1, Iter: -1, Straggler: 1, Wait: 0.5},
-		{Rank: 1, Name: EvReduce, T0: 0.5, T1: 1, Iter: -1, Straggler: 1, Wait: 0},
-		{Rank: 0, Name: EvReduce, T0: 1, T1: 2, Iter: -1, Straggler: 0, Wait: 0},
-		{Rank: 1, Name: EvReduce, T0: 1, T1: 2, Iter: -1, Straggler: 0, Wait: 0.25},
-		{Rank: 0, Name: EvCompute, T0: 2, T1: 3, Iter: -1, Straggler: -1},
-	}
-	s := SummarizeReduces(events)
-	if s.Reductions != 2 {
-		t.Errorf("reductions = %d, want 2", s.Reductions)
-	}
-	if s.StragglerCount[1] != 1 || s.StragglerCount[0] != 1 {
-		t.Errorf("straggler counts = %v", s.StragglerCount)
-	}
-	if s.WaitByRank[0] != 0.5 || s.WaitByRank[1] != 0.25 {
-		t.Errorf("waits = %v", s.WaitByRank)
-	}
-	if s.MaxWait != 0.5 {
-		t.Errorf("max wait = %g", s.MaxWait)
-	}
-	var buf bytes.Buffer
-	s.Fprint(&buf)
-	if !strings.Contains(buf.String(), "straggler attribution") {
-		t.Errorf("Fprint output: %s", buf.String())
 	}
 }

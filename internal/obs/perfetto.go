@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Perfetto / Chrome trace-event export. One export renders a set of
@@ -110,14 +109,71 @@ const ServePID = 0
 
 // chromeEvent is one entry of the "traceEvents" array.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  *float64       `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant-event scope
-	Args map[string]any `json:"args,omitempty"`
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Ts   float64  `json:"ts"` // microseconds
+	Dur  *float64 `json:"dur,omitempty"`
+	PID  int      `json:"pid"`
+	TID  int      `json:"tid"`
+	S    string   `json:"s,omitempty"` // instant-event scope
+	Args any      `json:"args,omitempty"`
+}
+
+// rankArgs is the args payload of one rank event — the Event fields that
+// have no Chrome trace-event slot of their own, written by rankArgsOf and
+// applied back by ReadPerfetto. A field is present only when the event set
+// it; keys are in alphabetical order, as encoding/json writes a map.
+type rankArgs struct {
+	Aux float64 `json:"aux,omitempty"`
+	// Iter is absent for Event.Iter −1.
+	Iter *int `json:"iter,omitempty"`
+	// Shard is a run_begin marker's Aux (the worker shard), written
+	// unconditionally — shard 0 included — so consumers can tell "shard 0"
+	// from "unattributed".
+	Shard *float64 `json:"shard,omitempty"`
+	// Straggler and WaitUS (Event.Wait in µs) ride together on reduce spans.
+	Straggler *int     `json:"straggler,omitempty"`
+	Trace     uint64   `json:"trace,omitempty"`
+	Value     float64  `json:"value,omitempty"`
+	WaitUS    *float64 `json:"wait_us,omitempty"`
+}
+
+// rankArgsOf builds e's args payload, nil when e set none of the fields.
+func rankArgsOf(e *Event) any {
+	a := rankArgs{Trace: e.Trace, Value: e.Value}
+	if e.Iter >= 0 {
+		a.Iter = &e.Iter
+	}
+	if e.Name == EvRunBegin {
+		a.Shard = &e.Aux
+	} else {
+		a.Aux = e.Aux
+	}
+	if e.Straggler >= 0 {
+		us := e.Wait * 1e6
+		a.Straggler, a.WaitUS = &e.Straggler, &us
+	}
+	if a == (rankArgs{}) {
+		return nil
+	}
+	return a
+}
+
+// apply sets the fields of e that a carries — rankArgsOf's inverse.
+func (a *rankArgs) apply(e *Event) {
+	e.Trace, e.Value, e.Aux = a.Trace, a.Value, a.Aux
+	if a.Iter != nil {
+		e.Iter = *a.Iter
+	}
+	if a.Shard != nil {
+		e.Aux = *a.Shard
+	}
+	if a.Straggler != nil {
+		e.Straggler = *a.Straggler
+	}
+	if a.WaitUS != nil {
+		e.Wait = *a.WaitUS / 1e6
+	}
 }
 
 // WritePerfetto renders tracks and request records as Chrome trace-event
@@ -218,7 +274,7 @@ func WritePerfetto(w io.Writer, tracks []Track, reqs []RequestRecord, dropped in
 			if ts < last {
 				ts = last // clamp: monotone per track even if a ring wrapped mid-run
 			}
-			args := eventArgs(&e)
+			args := rankArgsOf(&e)
 			if e.IsPoint() {
 				if err := emit(chromeEvent{Name: e.Name, Ph: "i", Ts: ts,
 					PID: tr.PID, TID: tr.TID, S: "t", Args: args}); err != nil {
@@ -265,60 +321,14 @@ func WritePerfetto(w io.Writer, tracks []Track, reqs []RequestRecord, dropped in
 	return bw.Flush()
 }
 
-// eventArgs builds the args payload of one rank event, carrying only the
-// fields the event actually set (keeps exports compact).
-func eventArgs(e *Event) map[string]any {
-	args := make(map[string]any, 4)
-	if e.Trace != 0 {
-		args["trace"] = e.Trace
-	}
-	if e.Iter >= 0 {
-		args["iter"] = e.Iter
-	}
-	if e.Value != 0 {
-		args["value"] = e.Value
-	}
-	if e.Name == EvRunBegin {
-		// Worker-shard attribution: emitted unconditionally (shard 0
-		// included) so consumers can group a segment's spans by the shard
-		// that executed them.
-		args["shard"] = e.Aux
-	} else if e.Aux != 0 {
-		args["aux"] = e.Aux
-	}
-	if e.Straggler >= 0 {
-		args["straggler"] = e.Straggler
-		args["wait_us"] = e.Wait * 1e6
-	}
-	if len(args) == 0 {
-		return nil
-	}
-	return args
-}
-
-// PerfEvent is one parsed trace event (metadata events are folded into
-// PerfettoTrace's name maps instead).
-type PerfEvent struct {
-	// Name is the event name ("compute", "halo", "reduce", "request", ...).
-	Name string
-	// Ph is the Chrome phase ("X" complete, "i" instant).
-	Ph string
-	// Ts is the start timestamp in microseconds; Dur the duration.
-	Ts, Dur float64
-	// PID and TID locate the event's track.
-	PID, TID int
-	// Args holds the numeric args (trace, iter, value, straggler, wait_us).
-	Args map[string]float64
-}
-
 // PerfettoTrace is a parsed Perfetto export.
 type PerfettoTrace struct {
-	// Events are the non-metadata trace events, in file order.
-	Events []PerfEvent
-	// ProcessNames maps pid → process_name metadata.
-	ProcessNames map[int]string
-	// ThreadNames maps pid → tid → thread_name metadata.
-	ThreadNames map[int]map[int]string
+	// Tracks are the rank timelines, rebuilt as the inverse of what
+	// WritePerfetto rendered: one Track per (pid, tid) in file order, each
+	// event back on its run segment's virtual clock (seconds since the
+	// track's last run_begin marker). The serve process is not among them —
+	// it only renders Requests.
+	Tracks []Track
 	// Requests are the serve-layer request records.
 	Requests []RequestRecord
 	// Dropped is the ring-buffer drop count at export time; a nonzero value
@@ -326,74 +336,71 @@ type PerfettoTrace struct {
 	Dropped int64
 }
 
-// rawChromeEvent defers args decoding: metadata args carry strings, span
-// args numbers.
-type rawChromeEvent struct {
-	Name string          `json:"name"`
-	Ph   string          `json:"ph"`
-	Ts   float64         `json:"ts"`
-	Dur  float64         `json:"dur"`
-	PID  int             `json:"pid"`
-	TID  int             `json:"tid"`
-	Args json.RawMessage `json:"args"`
-}
-
 // ReadPerfetto parses a Perfetto/Chrome trace-event JSON export produced by
 // WritePerfetto (tolerating files from other producers: unknown phases and
-// non-numeric args are skipped, missing pop extensions default to empty).
+// foreign args are skipped, missing pop extensions default to empty).
 func ReadPerfetto(r io.Reader) (*PerfettoTrace, error) {
 	var file struct {
-		TraceEvents []rawChromeEvent `json:"traceEvents"`
-		OtherData   struct {
+		TraceEvents []struct {
+			Name string          `json:"name"`
+			Ph   string          `json:"ph"`
+			Ts   float64         `json:"ts"`
+			Dur  float64         `json:"dur"`
+			PID  int             `json:"pid"`
+			TID  int             `json:"tid"`
+			Args json.RawMessage `json:"args"` // metadata args carry a string, rank args numbers
+		} `json:"traceEvents"`
+		OtherData struct {
 			Dropped int64 `json:"dropped_events"`
 		} `json:"otherData"`
 		PopRequests []RequestRecord `json:"popRequests"`
 	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&file); err != nil {
+	if err := json.NewDecoder(r).Decode(&file); err != nil {
 		return nil, fmt.Errorf("obs: parse perfetto trace: %w", err)
 	}
-	pt := &PerfettoTrace{
-		ProcessNames: make(map[int]string),
-		ThreadNames:  make(map[int]map[int]string),
-		Requests:     file.PopRequests,
-		Dropped:      file.OtherData.Dropped,
-	}
+	pt := &PerfettoTrace{Requests: file.PopRequests, Dropped: file.OtherData.Dropped}
+	type trackID struct{ pid, tid int }
+	index := make(map[trackID]int)      // into pt.Tracks
+	origin := make(map[trackID]float64) // ts (µs) of the track's last run_begin
 	for _, raw := range file.TraceEvents {
-		if raw.Ph == "M" {
-			var args struct {
+		if raw.PID == ServePID {
+			continue
+		}
+		id := trackID{raw.PID, raw.TID}
+		i, ok := index[id]
+		if !ok {
+			i = len(pt.Tracks)
+			index[id] = i
+			pt.Tracks = append(pt.Tracks, Track{PID: raw.PID, TID: raw.TID})
+		}
+		tr := &pt.Tracks[i]
+		switch raw.Ph {
+		case "M":
+			var meta struct {
 				Name string `json:"name"`
 			}
-			if err := json.Unmarshal(raw.Args, &args); err != nil {
+			if json.Unmarshal(raw.Args, &meta) != nil {
 				continue
 			}
 			switch raw.Name {
 			case "process_name":
-				pt.ProcessNames[raw.PID] = args.Name
+				tr.Process = meta.Name
 			case "thread_name":
-				tm := pt.ThreadNames[raw.PID]
-				if tm == nil {
-					tm = make(map[int]string)
-					pt.ThreadNames[raw.PID] = tm
-				}
-				tm[raw.TID] = args.Name
+				tr.Thread = meta.Name
 			}
-			continue
-		}
-		ev := PerfEvent{Name: raw.Name, Ph: raw.Ph, Ts: raw.Ts, Dur: raw.Dur,
-			PID: raw.PID, TID: raw.TID}
-		if len(raw.Args) > 0 {
-			var nums map[string]json.Number
-			if err := json.Unmarshal(raw.Args, &nums); err == nil {
-				ev.Args = make(map[string]float64, len(nums))
-				for k, v := range nums {
-					if f, err := v.Float64(); err == nil {
-						ev.Args[k] = f
-					}
-				}
+		case "X", "i":
+			e := Event{Rank: raw.TID, Name: raw.Name, Point: raw.Ph == "i", Iter: -1, Straggler: -1}
+			var a rankArgs
+			if len(raw.Args) > 0 && json.Unmarshal(raw.Args, &a) == nil {
+				a.apply(&e)
 			}
+			if e.Name == EvRunBegin {
+				origin[id] = raw.Ts
+			}
+			e.T0 = (raw.Ts - origin[id]) / 1e6
+			e.T1 = e.T0 + raw.Dur/1e6
+			tr.Events = append(tr.Events, e)
 		}
-		pt.Events = append(pt.Events, ev)
 	}
 	return pt, nil
 }
@@ -465,81 +472,4 @@ func AttributeRecord(rec RequestRecord) Attribution {
 		a.Compute = solve
 	}
 	return a
-}
-
-// LeagueRow is one rank's standing in the straggler league: how often its
-// late arrival set a reduction's critical path, and how long it spent
-// waiting for others (a rank that straggles often and waits little is the
-// load-imbalance hot spot the paper's §5.2 analysis hunts).
-type LeagueRow struct {
-	// Rank is the virtual rank (the track TID).
-	Rank int
-	// Shard is the worker shard the rank last executed on, taken from the
-	// trace's run_begin markers; −1 when the trace carries none (rank
-	// tracing predates shard stamping, or the run was unattributed).
-	Shard int
-	// Reduces is how many reduce spans the rank's track retained.
-	Reduces int
-	// Straggled is how many of those reductions this rank arrived last at.
-	Straggled int
-	// WaitTotal is the rank's summed reduction wait in seconds; WaitMean
-	// the per-reduction mean.
-	WaitTotal, WaitMean float64
-}
-
-// ShardMap extracts the worker-shard attribution from a parsed trace's
-// run_begin markers: track TID → the shard stamped on the track's last
-// run_begin event. Tracks without a marker are absent from the map.
-func ShardMap(events []PerfEvent) map[int]int {
-	m := make(map[int]int)
-	for _, e := range events {
-		if e.Name != EvRunBegin {
-			continue
-		}
-		if s, ok := e.Args["shard"]; ok {
-			m[e.TID] = int(s)
-		}
-	}
-	return m
-}
-
-// StragglerLeague aggregates reduce spans from a parsed trace into per-rank
-// standings, sorted by straggle count descending (ties by rank). Ranks are
-// identified by track TID, so multi-session exports aggregate same-numbered
-// ranks across sessions.
-func StragglerLeague(events []PerfEvent) []LeagueRow {
-	shards := ShardMap(events)
-	byRank := make(map[int]*LeagueRow)
-	for _, e := range events {
-		if e.Name != EvReduce || e.Ph != "X" {
-			continue
-		}
-		row := byRank[e.TID]
-		if row == nil {
-			row = &LeagueRow{Rank: e.TID, Shard: -1}
-			if s, ok := shards[e.TID]; ok {
-				row.Shard = s
-			}
-			byRank[e.TID] = row
-		}
-		row.Reduces++
-		row.WaitTotal += e.Args["wait_us"] / 1e6
-		if s, ok := e.Args["straggler"]; ok && int(s) == e.TID {
-			row.Straggled++
-		}
-	}
-	rows := make([]LeagueRow, 0, len(byRank))
-	for _, row := range byRank {
-		if row.Reduces > 0 {
-			row.WaitMean = row.WaitTotal / float64(row.Reduces)
-		}
-		rows = append(rows, *row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Straggled != rows[j].Straggled {
-			return rows[i].Straggled > rows[j].Straggled
-		}
-		return rows[i].Rank < rows[j].Rank
-	})
-	return rows
 }

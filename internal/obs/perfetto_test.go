@@ -75,27 +75,40 @@ func TestPerfettoRoundTrip(t *testing.T) {
 	if got, want := pt.Requests[0], sampleRequests()[0]; got != want {
 		t.Errorf("request record did not round-trip:\ngot  %+v\nwant %+v", got, want)
 	}
-	if pt.ProcessNames[1] != "session 0 test" {
-		t.Errorf("process name lost: %q", pt.ProcessNames[1])
-	}
-	if pt.ThreadNames[1][0] != "rank" {
-		t.Errorf("thread name lost: %q", pt.ThreadNames[1][0])
+	if len(pt.Tracks) != 2 || pt.Tracks[1].Process != "session 0 test" ||
+		pt.Tracks[1].Thread != "rank" || pt.Tracks[1].PID != 1 || pt.Tracks[1].TID != 1 {
+		t.Fatalf("rank tracks did not round-trip: %+v", pt.Tracks)
 	}
 
-	// Monotonicity per track: ts (start) must never decrease in file order.
+	// The file itself: timestamps monotone non-decreasing per (pid, tid)
+	// track in file order despite the virtual-clock restarts, no negative
+	// duration, and every span present.
+	var file struct {
+		TraceEvents []struct {
+			Ph       string
+			Ts, Dur  float64
+			PID, TID int
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
 	type trackID struct{ pid, tid int }
 	last := map[trackID]float64{}
 	spans := 0
-	for _, e := range pt.Events {
+	for _, e := range file.TraceEvents {
+		if e.Ph == "M" {
+			continue
+		}
 		k := trackID{e.PID, e.TID}
-		if prev, ok := last[k]; ok && e.Ts < prev-1e-9 {
-			t.Fatalf("track %v: ts %g < previous %g (%s)", k, e.Ts, prev, e.Name)
+		if e.Ts < last[k] {
+			t.Fatalf("track %v: ts %g < previous %g", k, e.Ts, last[k])
 		}
 		last[k] = e.Ts
 		if e.Ph == "X" {
 			spans++
 			if e.Dur < 0 {
-				t.Fatalf("negative duration on %s", e.Name)
+				t.Fatalf("negative duration on track %v", k)
 			}
 		}
 	}
@@ -104,22 +117,25 @@ func TestPerfettoRoundTrip(t *testing.T) {
 		t.Errorf("span count: got %d, want %d", spans, want)
 	}
 
-	// Reduce spans keep their straggler attribution through the round-trip.
-	found := false
-	for _, e := range pt.Events {
-		if e.Name == obs.EvReduce && e.TID == 1 {
-			if s, ok := e.Args["straggler"]; !ok || int(s) != 1 {
-				t.Fatalf("reduce span lost straggler arg: %+v", e.Args)
-			}
-			if w := e.Args["wait_us"]; math.Abs(w-30) > 1e-9 {
-				t.Fatalf("reduce span wait: got %gµs, want 30µs", w)
-			}
-			found = true
-			break
+	// ReadPerfetto is WritePerfetto's inverse: every event comes back on its
+	// run segment's own clock with its attribution (straggler, wait, trace
+	// ID, and the run_begin shard — shard 0 included).
+	for r, want := range buildTracks() {
+		got := pt.Tracks[r].Events
+		if len(got) != len(want.Events) {
+			t.Fatalf("track %d: %d events came back, want %d", r, len(got), len(want.Events))
 		}
-	}
-	if !found {
-		t.Error("no reduce span found on rank 1")
+		for i, w := range want.Events {
+			g := got[i]
+			if math.Abs(g.T0-w.T0) > 1e-12 || math.Abs(g.Wait-w.Wait) > 1e-12 ||
+				(!w.Point && math.Abs(g.T1-w.T1) > 1e-12) {
+				t.Fatalf("track %d event %d: times came back as %+v, want %+v", r, i, g, w)
+			}
+			g.T0, g.T1, g.Wait = w.T0, w.T1, w.Wait
+			if g != w {
+				t.Fatalf("track %d event %d: came back as %+v, want %+v", r, i, g, w)
+			}
+		}
 	}
 }
 
@@ -137,9 +153,9 @@ func TestPerfettoEmptyExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pt.Events) != 0 || len(pt.Requests) != 0 {
-		t.Errorf("empty export parsed non-empty: %d events, %d requests",
-			len(pt.Events), len(pt.Requests))
+	if len(pt.Tracks) != 0 || len(pt.Requests) != 0 {
+		t.Errorf("empty export parsed non-empty: %d tracks, %d requests",
+			len(pt.Tracks), len(pt.Requests))
 	}
 }
 
@@ -179,8 +195,36 @@ func TestAttributeRecordFreeModel(t *testing.T) {
 	}
 }
 
-// TestStragglerLeague aggregates reduce spans into per-rank standings.
+// TestStragglerLeague aggregates reduce spans into per-rank standings — the
+// same standings from tracks built in process and from tracks read back from
+// their Perfetto file.
 func TestStragglerLeague(t *testing.T) {
+	// Two reductions over two ranks: rank 1 arrives last at the first (rank
+	// 0 waits 0.5 s for it), rank 0 at the second (rank 1 waits 0.25 s).
+	// Compute spans and a track without reduce spans do not count.
+	reduce := func(t0 float64, straggler int, wait float64) obs.Event {
+		return obs.Event{Name: obs.EvReduce, T0: t0, T1: t0 + 1, Iter: -1, Straggler: straggler, Wait: wait}
+	}
+	rows := obs.StragglerLeague([]obs.Track{
+		{TID: 0, Events: []obs.Event{reduce(0, 1, 0.5), reduce(1, 0, 0),
+			{Name: obs.EvCompute, T0: 2, T1: 3, Iter: -1, Straggler: -1}}},
+		{TID: 1, Events: []obs.Event{reduce(0.5, 1, 0), reduce(1, 0, 0.25)}},
+		{TID: 2, Events: []obs.Event{{Name: obs.EvCompute, Iter: -1, Straggler: -1}}},
+	})
+	want := []obs.LeagueRow{
+		{Rank: 0, Shard: -1, Reduces: 2, Straggled: 1, WaitTotal: 0.5, WaitMean: 0.25},
+		{Rank: 1, Shard: -1, Reduces: 2, Straggled: 1, WaitTotal: 0.25, WaitMean: 0.125},
+	}
+	if len(rows) != 2 || rows[0] != want[0] || rows[1] != want[1] {
+		t.Errorf("league: got %+v, want %+v", rows, want)
+	}
+	var out strings.Builder
+	obs.FprintLeague(&out, rows, 1)
+	if !strings.Contains(out.String(), "straggler league (top 1 of 2 ranks") ||
+		strings.Contains(out.String(), "worker-shard rollup") {
+		t.Errorf("FprintLeague of an unsharded league:\n%s", out.String())
+	}
+
 	var buf bytes.Buffer
 	if err := obs.WritePerfetto(&buf, buildTracks(), nil, 0); err != nil {
 		t.Fatal(err)
@@ -189,7 +233,7 @@ func TestStragglerLeague(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := obs.StragglerLeague(pt.Events)
+	rows = obs.StragglerLeague(pt.Tracks)
 	if len(rows) != 2 {
 		t.Fatalf("league rows: got %d, want 2", len(rows))
 	}
@@ -208,8 +252,10 @@ func TestStragglerLeague(t *testing.T) {
 			t.Errorf("rank %d shard: got %d, want %d", r.Rank, r.Shard, r.Rank)
 		}
 	}
-	if sm := obs.ShardMap(pt.Events); len(sm) != 2 || sm[0] != 0 || sm[1] != 1 {
-		t.Errorf("ShardMap: got %v, want {0:0 1:1}", sm)
+	out.Reset()
+	obs.FprintLeague(&out, rows, 0)
+	if !strings.Contains(out.String(), "worker-shard rollup (2 shards)") {
+		t.Errorf("FprintLeague of a sharded league has no rollup:\n%s", out.String())
 	}
 }
 

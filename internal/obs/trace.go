@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
+	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -188,19 +187,32 @@ func (t *Tracer) Rank(id int) *RankTrace {
 	return rt
 }
 
-// Events returns every retained event, grouped by rank (ascending) and in
-// record order within each rank.
-func (t *Tracer) Events() []Event {
+// Tracks returns one Track per rank ring, ascending by rank, each holding
+// the ring's retained events in record order — the form WritePerfetto
+// renders and StragglerLeague aggregates. process and pid label the Perfetto
+// process the tracks render under (one process per solver session).
+func (t *Tracer) Tracks(process string, pid int) []Track {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ids := make([]int, 0, len(t.ranks))
 	for id := range t.ranks {
 		ids = append(ids, id)
 	}
-	sortInts(ids)
+	sort.Ints(ids)
+	tracks := make([]Track, len(ids))
+	for i, id := range ids {
+		tracks[i] = Track{Process: process, PID: pid,
+			Thread: fmt.Sprintf("rank %d", id), TID: id, Events: t.ranks[id].Events()}
+	}
+	return tracks
+}
+
+// Events returns every retained event, grouped by rank (ascending) and in
+// record order within each rank.
+func (t *Tracer) Events() []Event {
 	var out []Event
-	for _, id := range ids {
-		out = append(out, t.ranks[id].Events()...)
+	for _, tr := range t.Tracks("", 0) {
+		out = append(out, tr.Events...)
 	}
 	return out
 }
@@ -252,75 +264,4 @@ func (t *Tracer) EventsFor(id uint64) []Event {
 		}
 	}
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-// jsonLine is one JSONL trace record. Ev is "B"/"E" (span begin/end) or "P"
-// (point). Optional fields ride on the "E" and "P" lines.
-type jsonLine struct {
-	Ev        string   `json:"ev"`
-	Rank      int      `json:"rank"`
-	Name      string   `json:"name"`
-	T         float64  `json:"t"`
-	Trace     uint64   `json:"trace,omitempty"`
-	Iter      *int     `json:"iter,omitempty"`
-	Value     *float64 `json:"value,omitempty"`
-	Aux       *float64 `json:"aux,omitempty"`
-	Straggler *int     `json:"straggler,omitempty"`
-	Wait      *float64 `json:"wait,omitempty"`
-}
-
-func payload(l *jsonLine, e *Event) {
-	if e.Iter >= 0 {
-		l.Iter = &e.Iter
-	}
-	v := e.Value
-	l.Value = &v
-	// run_begin's Aux is the worker shard: always emitted, shard 0 included,
-	// so consumers can tell "shard 0" from "unattributed".
-	if e.Aux != 0 || e.Name == EvRunBegin {
-		a := e.Aux
-		l.Aux = &a
-	}
-	if e.Straggler >= 0 {
-		l.Straggler = &e.Straggler
-		w := e.Wait
-		l.Wait = &w
-	}
-}
-
-// WriteJSONL renders the trace as JSON Lines: each span becomes a balanced
-// "B"/"E" pair, each point event a single "P" line, grouped per rank in
-// virtual-clock order (timestamps are monotone non-decreasing within a
-// rank — the virtual clock never runs backwards).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range t.Events() {
-		e := e
-		if e.IsPoint() {
-			l := jsonLine{Ev: "P", Rank: e.Rank, Name: e.Name, T: e.T0, Trace: e.Trace}
-			payload(&l, &e)
-			if err := enc.Encode(l); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := enc.Encode(jsonLine{Ev: "B", Rank: e.Rank, Name: e.Name, T: e.T0, Trace: e.Trace}); err != nil {
-			return err
-		}
-		l := jsonLine{Ev: "E", Rank: e.Rank, Name: e.Name, T: e.T1, Trace: e.Trace}
-		payload(&l, &e)
-		if err := enc.Encode(l); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

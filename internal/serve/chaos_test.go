@@ -51,7 +51,7 @@ func chaosService(t *testing.T, inj *faults.Injector, opts Options) *Service {
 // work in its stats.
 func TestServeRecoversUnderFaults(t *testing.T) {
 	inj := faults.New(faults.Plan{Seed: 41, ReduceFailProb: 0.05,
-		StragglerProb: 0.02, StragglerDelay: 1e-3, CrashProb: 0.005}, nil)
+		StragglerProb: 0.02, StragglerDelay: 1e-3, CrashProb: 0.005})
 	svc := chaosService(t, inj, Options{
 		Solver: core.Options{Tol: 1e-8, MaxRecoveries: 200},
 	})
@@ -98,7 +98,7 @@ func TestServeRecoversUnderFaults(t *testing.T) {
 // retry budget then re-runs the request (drawing fresh schedule slices) and
 // requests that still fault surface a typed ErrFaulted.
 func TestServeRetryBudgetAndFaultSurface(t *testing.T) {
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95}, nil)
+	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
 	svc := chaosService(t, inj, Options{
 		RetryBudget: 1,
 		Solver:      core.Options{Tol: 1e-8, MaxIters: 300, MaxRecoveries: 2},
@@ -122,7 +122,7 @@ func TestServeRetryBudgetAndFaultSurface(t *testing.T) {
 // shed with ErrCircuitOpen without touching a session, and after the
 // cooldown one probe is admitted again (half-open).
 func TestServeCircuitBreaker(t *testing.T) {
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95}, nil)
+	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
 	cooldown := 200 * time.Millisecond
 	svc := chaosService(t, inj, Options{
 		RetryBudget:      -1, // isolate the breaker from request retries

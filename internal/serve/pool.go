@@ -369,28 +369,18 @@ func (p *keyPool) dumpFlight(reason string, rec obs.RequestRecord, slot *session
 	_, _ = p.svc.flight.Dump(reason, rec, events, p.svc.opts.Registry)
 }
 
-// solveOnce runs one request on the session. Without an injector this is a
-// plain SolveContext. With one, the solve runs resiliently (checkpointed,
-// retrying reductions, degraded-mode ladder) and a solve that still faults
-// beyond recovery is re-run up to the service retry budget — a fresh run
-// draws a disjoint slice of the fault schedule, so transient storms clear.
+// solveOnce runs one request on the session, resiliently: with an injector
+// wired in that means checkpoints, retried reductions and the degraded-mode
+// ladder, without one SolveResilient is a plain SolveContext. A solve that
+// still faults beyond recovery is re-run up to the service retry budget — a
+// fresh run draws a disjoint slice of the fault schedule, so transient
+// storms clear. The request's context carries its trace ID, which every
+// attempt's rank-level spans adopt.
 func (p *keyPool) solveOnce(sess *core.Session, r *request) (core.Result, []float64, error) {
 	m := &p.svc.m
-	// Stamp the request's trace ID onto the session world: every rank-level
-	// span of this solve (and of resilient retries) carries it.
-	sess.SetTraceID(r.traceID)
-	if p.svc.opts.Injector == nil {
-		res, x, err := sess.SolveContext(r.ctx, r.key.Method, r.req.B, r.req.X0)
-		m.solves.Inc()
-		return res, x, err
-	}
-	budget := p.svc.opts.RetryBudget
-	if budget < 0 {
-		budget = 0
-	}
 	res, x, err := sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
 	m.solves.Inc()
-	for attempt := 0; attempt < budget && err != nil && errors.Is(err, core.ErrFaulted); attempt++ {
+	for attempt := 0; attempt < p.svc.opts.RetryBudget && errors.Is(err, core.ErrFaulted); attempt++ {
 		m.retried.Inc()
 		res, x, err = sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
 		m.solves.Inc()
@@ -399,7 +389,7 @@ func (p *keyPool) solveOnce(sess *core.Session, r *request) (core.Result, []floa
 			p.svc.opts.Injector.Recovered("request-retry")
 		}
 	}
-	if err != nil && errors.Is(err, core.ErrFaulted) {
+	if errors.Is(err, core.ErrFaulted) {
 		m.faulted.Inc()
 	}
 	return res, x, err

@@ -83,14 +83,14 @@ type Options struct {
 	Registry *obs.Registry
 
 	// Injector, when non-nil, is wired into every session's communication
-	// world: solves run under deterministic fault injection and the workers
-	// switch to resilient solving (core.Session.SolveResilient) with the
-	// retry budget below. Nil (the default) leaves the solve path bitwise
-	// identical to a service that never heard of fault injection.
+	// world: solves run under deterministic fault injection, which is what
+	// arms core.Session.SolveResilient's ladder and the retry budget below.
+	// Nil (the default) leaves the solve path bitwise identical to a service
+	// that never heard of fault injection.
 	Injector *faults.Injector
 	// RetryBudget is how many times a worker re-runs one request whose
 	// resilient solve still faulted beyond recovery (default 1, negative
-	// disables). Only consulted when Injector is set.
+	// disables). Only an injected fault can make a solve fault.
 	RetryBudget int
 	// CircuitThreshold opens a key's circuit breaker after this many
 	// consecutive faulted solves on the key; an open circuit sheds requests
@@ -371,6 +371,7 @@ func (s *Service) Solve(ctx context.Context, req Request) (Response, error) {
 	traceID := obs.TraceIDFromContext(ctx)
 	if traceID == 0 {
 		traceID = obs.NewTraceID()
+		ctx = obs.ContextWithTraceID(ctx, traceID)
 	}
 	s.m.requests.Inc()
 	key, err := normalize(&req)
@@ -418,9 +419,7 @@ func (s *Service) Solve(ctx context.Context, req Request) (Response, error) {
 	depth := len(p.queue)
 	s.mu.RUnlock()
 	s.m.queueDepth.Set(float64(depth))
-	if float64(depth) > s.m.queueMax.Value() {
-		s.m.queueMax.Set(float64(depth))
-	}
+	s.m.queueMax.SetMax(float64(depth))
 	// A backlog deeper than one batch means the current workers are
 	// saturated; warm another session if the key has headroom.
 	if depth > s.opts.MaxBatch {
@@ -429,7 +428,7 @@ func (s *Service) Solve(ctx context.Context, req Request) (Response, error) {
 
 	select {
 	case out := <-r.resp:
-		s.m.latency.Observe(time.Since(r.enqueued).Seconds())
+		s.m.latency.Observe(time.Since(r.start).Seconds())
 		return out.resp, out.err
 	case <-ctx.Done():
 		// The worker may still run or skip this request; either way it
@@ -534,15 +533,7 @@ func (s *Service) ExportTracks() ([]obs.Track, int64) {
 		sl.mu.Lock()
 		sl.tracer.ExportDropped(s.opts.Registry)
 		dropped += sl.tracer.Dropped()
-		for rid := 0; rid < sl.ranks; rid++ {
-			tracks = append(tracks, obs.Track{
-				Process: fmt.Sprintf("session %d %s", sl.idx, sl.key),
-				PID:     sl.idx + 1,
-				Thread:  fmt.Sprintf("rank %d", rid),
-				TID:     rid,
-				Events:  sl.tracer.Rank(rid).Events(),
-			})
-		}
+		tracks = append(tracks, sl.tracer.Tracks(fmt.Sprintf("session %d %s", sl.idx, sl.key), sl.idx+1)...)
 		sl.mu.Unlock()
 	}
 	return tracks, dropped

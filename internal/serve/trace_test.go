@@ -42,7 +42,9 @@ func TestTracedRequestAttribution(t *testing.T) {
 	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: b}
 
 	// Warm the pool so the measured requests pay steady-state latency only.
-	if _, err := svc.Solve(context.Background(), req); err != nil {
+	// The warm-up carries no trace ID, so the service mints one.
+	warm, err := svc.Solve(context.Background(), req)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,18 +116,32 @@ func TestTracedRequestAttribution(t *testing.T) {
 	if want < 2 {
 		t.Fatalf("expected a multi-rank session, got %d ranks", want)
 	}
-	ranksSeen := map[int]bool{}
-	for _, e := range pt.Events {
-		if e.PID != obs.ServePID && uint64(e.Args["trace"]) == samples[0].id {
-			ranksSeen[e.TID] = true
+	for _, id := range []uint64{samples[0].id, warm.TraceID} {
+		ranksSeen := map[int]bool{}
+		for _, tr := range pt.Tracks {
+			for _, e := range tr.Events {
+				if e.Trace == id {
+					ranksSeen[tr.TID] = true
+				}
+			}
+		}
+		if id == 0 || len(ranksSeen) != want {
+			t.Errorf("trace %d spans cover %d ranks, want %d", id, len(ranksSeen), want)
 		}
 	}
-	if len(ranksSeen) != want {
-		t.Errorf("trace %d spans cover %d ranks, want %d", samples[0].id, len(ranksSeen), want)
+	// And the file renders the request's serve-layer phases on the serve
+	// process, on the thread named by the same ID.
+	var file struct {
+		TraceEvents []struct {
+			Ph       string
+			PID, TID int
+		}
 	}
-	// And the serve-layer phase spans are on the serve track under the same ID.
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
 	serveSpans := 0
-	for _, e := range pt.Events {
+	for _, e := range file.TraceEvents {
 		if e.PID == obs.ServePID && e.TID == int(samples[0].id) && e.Ph == "X" {
 			serveSpans++
 		}
@@ -198,7 +214,7 @@ func globDumps(t *testing.T, dir, reason string) []string {
 // rank-level spans carry that request's trace ID.
 func TestFlightDumpOnFaultRecovery(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95}, nil)
+	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
 	svc := tracedService(t, Options{
 		Injector:    inj,
 		RetryBudget: 1,
@@ -251,7 +267,7 @@ func TestFlightDumpOnFaultRecovery(t *testing.T) {
 // shed requests never reach a session).
 func TestFlightDumpOnCircuitOpen(t *testing.T) {
 	dir := t.TempDir()
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95}, nil)
+	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
 	svc := tracedService(t, Options{
 		Injector:         inj,
 		RetryBudget:      -1,
@@ -380,6 +396,26 @@ func TestQueueDepthMetrics(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestLatencyCoversAdmission: serve_latency_seconds is admission to response,
+// so a key's first request — whose admission builds the session — lands in
+// the histogram with at least the latency its own flight record measured
+// (admission included), not the queue-to-response remainder.
+func TestLatencyCoversAdmission(t *testing.T) {
+	svc := chaosService(t, nil, Options{Solver: core.Options{Tol: 1e-8}})
+	if _, err := svc.Solve(context.Background(),
+		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: chaosRHS(t)}); err != nil {
+		t.Fatal(err)
+	}
+	rec := svc.Flight().Recent()[0]
+	if rec.AdmitNS <= 0 || rec.TotalNS < rec.AdmitNS {
+		t.Fatalf("first request's record has no admission phase: %+v", rec)
+	}
+	if got := svc.m.latency.Sum(); svc.m.latency.Count() != 1 || got < float64(rec.TotalNS)/1e9 {
+		t.Errorf("latency histogram holds %d samples summing to %gs; the request's record measured %gs (admission %gs)",
+			svc.m.latency.Count(), got, float64(rec.TotalNS)/1e9, float64(rec.AdmitNS)/1e9)
 	}
 }
 

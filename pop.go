@@ -129,8 +129,9 @@ type (
 	// Attribution is a request's critical-path decomposition (admit, queue,
 	// batch wait, compute, halo, reduce, straggler slack).
 	Attribution = obs.Attribution
-	// PerfettoTrace is a parsed Perfetto/Chrome trace-event export
-	// (Service.WritePerfetto output, read back with ReadPerfetto).
+	// PerfettoTrace is a parsed Perfetto/Chrome trace-event export: the
+	// rank tracks and request records ReadPerfetto rebuilds from the file
+	// Service.WritePerfetto, popsolve -trace or popmodel -trace wrote.
 	PerfettoTrace = obs.PerfettoTrace
 )
 
@@ -215,7 +216,7 @@ const (
 // replay equal fault schedules for equal operation sequences; injection and
 // recovery counts are readable via the injector's Injected and Recoveries
 // methods.
-func NewFaultInjector(plan FaultPlan) *FaultInjector { return faults.New(plan, nil) }
+func NewFaultInjector(plan FaultPlan) *FaultInjector { return faults.New(plan) }
 
 // ParseMethod maps a method name ("chrongear", "pcg", "pipecg", "pcsi",
 // "csi", "sstep"; "" = chrongear) to its Method; unknown names match
@@ -255,7 +256,8 @@ func ContextWithTraceID(ctx context.Context, id uint64) context.Context {
 func TraceIDFromContext(ctx context.Context) uint64 { return obs.TraceIDFromContext(ctx) }
 
 // ReadPerfetto parses a Perfetto/Chrome trace-event export produced by
-// Service.WritePerfetto (or popserver's /debug/trace endpoint).
+// Service.WritePerfetto (popserver's /debug/trace endpoint) or a command's
+// -trace flag.
 func ReadPerfetto(r io.Reader) (*PerfettoTrace, error) { return obs.ReadPerfetto(r) }
 
 // AttributeRecord decomposes one request record into its critical-path
