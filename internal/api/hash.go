@@ -42,11 +42,20 @@ func HashSolve(grid string, method core.Method, precond core.PrecondType, precis
 		binary.LittleEndian.PutUint64(scratch[:], v)
 		h.Write(scratch[:])
 	}
+	// Vectors are most of the bytes (3,072 words per request on the test
+	// grid), so they are encoded a chunk at a time: one Write per 128 words
+	// instead of one per word.
+	var chunk [128 * 8]byte
 	writeVec := func(v []float64) {
 		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v)))
 		h.Write(scratch[:4])
-		for _, f := range v {
-			writeU64(math.Float64bits(f))
+		for len(v) > 0 {
+			n := min(len(v), len(chunk)/8)
+			for i, f := range v[:n] {
+				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(f))
+			}
+			h.Write(chunk[:8*n])
+			v = v[n:]
 		}
 	}
 

@@ -1,8 +1,9 @@
 // Package comm is the communication substrate that stands in for MPI: a
 // virtual-rank runtime executing SPMD rank programs as coroutines driven by
-// one worker per hardware thread, with mailbox halo exchange between
-// decomposition blocks and deterministic binomial-tree global reductions,
-// both synchronized by atomic flags.
+// one worker per hardware thread, with halo exchange between decomposition
+// blocks — a direct copy inside a worker's shard, a mailbox across shards —
+// and deterministic binomial-tree global reductions, both collectives
+// synchronized by atomic flags.
 //
 // Two properties matter for the reproduction:
 //
@@ -147,7 +148,8 @@ type World struct {
 	//   plans[rank][phase] is the rank's precomputed halo-exchange plan for
 	//   the E/W (0) and N/S (1) phases — send, local-copy, and receive edge
 	//   lists with their mailboxes, replacing the per-call neighbour search
-	//   and per-message allocations.
+	//   and per-message allocations. Built with the executor: which edges
+	//   need a mailbox depends on the worker count.
 	//
 	//   blockPos[blockID] is the block's index within its owning rank's
 	//   Blocks slice (−1 for unowned), replacing a linear scan per edge.
@@ -222,7 +224,6 @@ func NewWorld(d *decomp.Decomposition, cost CostModel) (*World, error) {
 		}
 		w.ranks[rid] = &Rank{ID: rid, World: w, Blocks: blocks}
 	}
-	w.plans = buildPlans(w)
 	return w, nil
 }
 
@@ -248,6 +249,11 @@ type Rank struct {
 	reduceSeq int64
 	flopSeq   int64
 	haloSeq   int64 // exchange-phase sequence number (fault-draw site key)
+	// levels is what the rank passed to the halo exchange it is inside, and
+	// sendClock its clock at the current phase's sends: what a sibling served
+	// by the same worker copies and is charged from (halo.go).
+	levels    [][][]float64
+	sendClock float64
 	// faultBase is the run's fault-draw salt (World.faultEpoch << 32 at Run
 	// entry): added to the per-site sequence numbers for injector draws
 	// only, never for cost-model draws.
@@ -427,7 +433,7 @@ func (w *World) Run(program func(*Rank)) Stats {
 	p := w.EffectiveThreads()
 	ex := w.executor(p)
 	for rid, rk := range w.ranks {
-		shard := rid * p / w.NRank
+		shard := w.shardOf(rid, p)
 		*rk = Rank{ID: rid, World: w, Blocks: rk.Blocks, faultBase: base,
 			shard: shard, wk: &ex.workers[shard], flag: &w.reduceDone}
 		if w.Tracer.Enabled() {
@@ -437,6 +443,10 @@ func (w *World) Run(program func(*Rank)) Stats {
 				Value: float64(w.NRank), Aux: float64(rk.shard),
 				Iter: -1, Straggler: -1})
 		}
+	}
+	for i := range ex.workers {
+		ex.workers[i].haloArrived = 0
+		ex.workers[i].haloDone.Store(0)
 	}
 	if w.NRank == 1 {
 		program(w.ranks[0])

@@ -138,48 +138,52 @@ func TestHaloExchangeFlatBasin(t *testing.T) {
 	for k := range global {
 		global[k] = float64(k + 1)
 	}
-	var mu sync.Mutex
-	failures := 0
-	w.Run(func(r *Rank) {
-		fields := make([][]float64, len(r.Blocks))
-		for i, b := range r.Blocks {
-			// Interior only; halos start at zero.
-			full := d.Scatter(global, b)
-			f := make([]float64, len(full))
-			nxp, nyp := d.PaddedDims(b)
-			for j := d.Halo; j < nyp-d.Halo; j++ {
-				for i2 := d.Halo; i2 < nxp-d.Halo; i2++ {
-					f[j*nxp+i2] = full[j*nxp+i2]
+	// All direct copies, a shard seam through the middle, all mailboxes.
+	for _, threads := range []int{1, 2, w.NRank} {
+		w.SetThreads(threads)
+		var mu sync.Mutex
+		failures := 0
+		w.Run(func(r *Rank) {
+			fields := make([][]float64, len(r.Blocks))
+			for i, b := range r.Blocks {
+				// Interior only; halos start at zero.
+				full := d.Scatter(global, b)
+				f := make([]float64, len(full))
+				nxp, nyp := d.PaddedDims(b)
+				for j := d.Halo; j < nyp-d.Halo; j++ {
+					for i2 := d.Halo; i2 < nxp-d.Halo; i2++ {
+						f[j*nxp+i2] = full[j*nxp+i2]
+					}
 				}
+				fields[i] = f
 			}
-			fields[i] = f
-		}
-		r.Exchange(fields)
-		for i, b := range r.Blocks {
-			want := d.Scatter(global, b)
-			nxp, nyp := d.PaddedDims(b)
-			for j := 0; j < nyp; j++ {
-				gj := b.Y0 - d.Halo + j
-				if gj < 0 || gj >= g.Ny {
-					continue
-				}
-				for i2 := 0; i2 < nxp; i2++ {
-					gi := b.X0 - d.Halo + i2
-					if gi < 0 || gi >= g.Nx {
+			r.Exchange(fields)
+			for i, b := range r.Blocks {
+				want := d.Scatter(global, b)
+				nxp, nyp := d.PaddedDims(b)
+				for j := 0; j < nyp; j++ {
+					gj := b.Y0 - d.Halo + j
+					if gj < 0 || gj >= g.Ny {
 						continue
 					}
-					if fields[i][j*nxp+i2] != want[j*nxp+i2] {
-						mu.Lock()
-						failures++
-						mu.Unlock()
-						return
+					for i2 := 0; i2 < nxp; i2++ {
+						gi := b.X0 - d.Halo + i2
+						if gi < 0 || gi >= g.Nx {
+							continue
+						}
+						if fields[i][j*nxp+i2] != want[j*nxp+i2] {
+							mu.Lock()
+							failures++
+							mu.Unlock()
+							return
+						}
 					}
 				}
 			}
+		})
+		if failures > 0 {
+			t.Fatalf("threads %d: %d ranks saw halo mismatches", threads, failures)
 		}
-	})
-	if failures > 0 {
-		t.Fatalf("%d ranks saw halo mismatches", failures)
 	}
 }
 

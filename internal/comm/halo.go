@@ -1,10 +1,10 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"sync/atomic"
 
-	"repro/internal/decomp"
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -15,11 +15,15 @@ import (
 // arrive in two hops and each block sends/receives only four messages per
 // update, the 4α term in the paper's boundary-cost model (§2.2).
 //
-// Steady-state memory discipline: everything the exchange needs per call is
-// precomputed at World construction. Each rank owns two phasePlans (E/W and
-// N/S) listing its send, local-copy, and receive edges in a fixed order, and
-// every cross-rank edge is a two-slot mailbox indexed by message sequence
-// number, guarded by two atomic counters:
+// The exchange is a collective executed per worker shard, the way AllReduce
+// is one per world: a rank records its levels, counts itself into its worker
+// and awaits the worker's haloDone number; the shard's last arriver runs both
+// phases for every rank of the shard (worker.exchange). One thread drives all
+// of a shard's coroutines, so between two ranks of one shard a strip is a
+// single copy from the neighbour's field into the halo — no slot, no atomic,
+// no wake-up. Only an edge whose ranks sit on different workers is a message:
+// a two-slot mailbox indexed by message sequence number, guarded by two
+// atomic counters:
 //
 //	sender:   k := sent; await consumed ≥ k−1; fill slot k&1; sent = k+1
 //	receiver: k := consumed; await sent > k; copy slot k&1 out; consumed = k+1
@@ -29,14 +33,30 @@ import (
 // receiver's consumed-store for message k−2, which the receiver performs
 // only after it finished reading; the receiver reads a slot only after
 // observing the sent-store that follows the fill. Both waits go through
-// Rank.await, so a rank short of a message or a slot yields to its shard
-// siblings instead of blocking (sched.go). Slots are sized for single-level
-// exchanges and grow once (amortized) on the first wider multi-level call;
-// after that the exchange path performs zero allocations.
+// Rank.await on the last arriver's coroutine, so a shard short of a message
+// or a slot yields its thread instead of blocking (sched.go). Pulling the
+// strip across threads instead would need an exit handshake — the reader must
+// finish before the owner computes on — turning every exchange into a barrier
+// between shards; the mailbox keeps a shard one message of slack.
+//
+// Within a phase no copy reads what another writes (halos are written,
+// interiors and — in phase 1 — the E/W halo columns phase 0 finished are
+// read), so the order of ranks inside a phase is free; a phase starts only
+// after the previous one has landed for the whole shard, mailbox receives
+// included, which is what carries the corners.
+//
+// Steady-state memory discipline: everything the exchange needs per call is
+// precomputed when the executor is built (which is where co-residency is
+// known). Each rank owns two phasePlans (E/W and N/S) listing its mailbox
+// sends, local copies and receives in a fixed order. Mailbox slots are
+// allocated by an edge's first send and grow once (amortized) on the first
+// wider multi-level call; after that the exchange path performs zero
+// allocations, and an edge inside a shard owns no buffer at all.
 
-// edge is one directed cross-rank mailbox: strips leave rank src and fill a
-// halo of rank dst. The counters are world-lifetime message sequence numbers
-// (a completed Run leaves every edge balanced, sent == consumed).
+// edge is one directed cross-shard mailbox: strips leave rank src and fill a
+// halo of rank dst. The counters are message sequence numbers over the
+// lifetime of the plans (a completed Run leaves every edge balanced,
+// sent == consumed).
 type edge struct {
 	sent, consumed atomic.Int64
 	buf            [2][]float64
@@ -44,16 +64,21 @@ type edge struct {
 	src, dst       int
 }
 
-// planEdge is one cross-rank message of a phase, seen from local block bi:
-// as a send, the strip (stripLen per level) is extracted from that block's
-// `side`; as a receive, it fills the halo on that side. The strip's
-// rectangle inside the block's padded array — offset of its first element,
-// row width, row count, row stride — is resolved here once, so the exchange
-// touches neither the decomp.Block nor stripRect per message.
+// planEdge is one cross-rank strip of a phase, seen from local block bi: as
+// a send, the strip (stripLen per level) is extracted from that block's
+// `side` into mailbox e; as a receive, it fills the halo on that side — from
+// e, or when e is nil straight from block fromBI of rank `from`, which runs on
+// the same worker. A strip's rectangle inside a block's padded array — offset
+// of its first element, row width, row count, row stride — is resolved here
+// once, so the exchange touches neither the decomp.Block nor stripRect per
+// message.
 type planEdge struct {
 	bi, side, stripLen       int
 	off, width, rows, stride int
 	e                        *edge
+	from                     *Rank
+	fromBI, fromOff          int
+	fromStride               int
 }
 
 // localEdge is a same-rank neighbour pair: the halo on side `side` of block
@@ -66,7 +91,8 @@ type localEdge struct {
 // phasePlan is one rank's complete edge list for one exchange phase, in the
 // deterministic (block, side) iteration order the original per-call
 // neighbour search produced — preserving it keeps the virtual-clock
-// arithmetic (max-of-arrivals, ordered cost sums) bitwise identical.
+// arithmetic (max-of-arrivals, ordered cost sums) bitwise identical. recvs
+// lists every cross-rank strip, sends only the ones that leave the shard.
 type phasePlan struct {
 	sends  []planEdge
 	locals []localEdge
@@ -79,33 +105,25 @@ var phaseSides = [2][2]int{
 	{SideN, SideS},
 }
 
-// buildPlans precomputes every rank's per-phase edge lists and the
-// cross-rank mailboxes with their two slots each.
-func buildPlans(w *World) [][2]phasePlan {
+// buildPlans precomputes every rank's per-phase edge lists for p worker
+// shards: a mailbox for each strip that crosses a shard seam, a direct
+// receive for every other cross-rank strip.
+func buildPlans(w *World, p int) [][2]phasePlan {
 	d := w.D
 	h := d.Halo
-	stripLen := func(b *decomp.Block, side int) int {
-		if side == SideN || side == SideS {
-			return h * (b.NxI + 2*h)
-		}
-		return h * b.NyI
-	}
-	// One mailbox per (receiving block, side) with a live cross-rank
-	// neighbour. The strip is extracted from the sender, but E/W neighbours
-	// share NyI and N/S neighbours share NxI, so the receiver's dimensions
-	// size the slots equally well.
+	// One mailbox per (receiving block, side) whose sender runs on another
+	// worker.
 	edges := make(map[haloKey]*edge)
 	for _, id := range d.OceanBlocks {
 		b := &d.Blocks[id]
 		for side, off := range sideOffsets {
 			nb := d.NeighborID(b, off[0], off[1])
-			if nb < 0 || d.Blocks[nb].Rank == b.Rank {
+			if nb < 0 {
 				continue
 			}
-			e := &edge{src: d.Blocks[nb].Rank, dst: b.Rank}
-			n := stripLen(b, side)
-			e.buf[0], e.buf[1] = make([]float64, n), make([]float64, n)
-			edges[haloKey{id, side}] = e
+			if src := d.Blocks[nb].Rank; w.shardOf(src, p) != w.shardOf(b.Rank, p) {
+				edges[haloKey{id, side}] = &edge{src: src, dst: b.Rank}
+			}
 		}
 	}
 	plans := make([][2]phasePlan, w.NRank)
@@ -120,22 +138,31 @@ func buildPlans(w *World) [][2]phasePlan {
 					if nb < 0 {
 						continue // domain edge or land: halo keeps zeros
 					}
-					if d.Blocks[nb].Rank == rid {
+					nbb := &d.Blocks[nb]
+					if nbb.Rank == rid {
 						plan.locals = append(plan.locals, localEdge{
 							dstBI: i, srcBI: w.blockPos[nb], side: side})
 						continue
 					}
-					// Outgoing: my strip on `side` lands in the halo on the
-					// opposite side of the neighbour. Incoming: my halo on
-					// `side` is filled by that same neighbour's strip.
+					// Incoming: my halo on `side` is filled by the
+					// neighbour's strip on its opposite side (E/W neighbours
+					// share NyI and N/S neighbours NxI, so the receiver's
+					// dimensions describe the strip equally well). Outgoing:
+					// my strip on `side` lands in that neighbour's halo.
 					pe := planEdge{bi: i, side: side, stride: b.NxI + 2*h}
-					pe.off, pe.width, pe.rows = stripRect(b.NxI, b.NyI, h, side, false)
+					pe.off, pe.width, pe.rows = stripRect(b.NxI, b.NyI, h, side, true)
 					pe.stripLen = pe.width * pe.rows
-					pe.e = edges[haloKey{nb, opposite(side)}]
-					plan.sends = append(plan.sends, pe)
-					pe.off, _, _ = stripRect(b.NxI, b.NyI, h, side, true)
-					pe.e = edges[haloKey{id, side}]
+					if pe.e = edges[haloKey{id, side}]; pe.e == nil {
+						pe.from, pe.fromBI = w.ranks[nbb.Rank], w.blockPos[nb]
+						pe.fromOff, _, _ = stripRect(nbb.NxI, nbb.NyI, h, opposite(side), false)
+						pe.fromStride = nbb.NxI + 2*h
+					}
 					plan.recvs = append(plan.recvs, pe)
+					if e := edges[haloKey{nb, opposite(side)}]; e != nil {
+						pe.e, pe.from = e, nil
+						pe.off, _, _ = stripRect(b.NxI, b.NyI, h, side, false)
+						plan.sends = append(plan.sends, pe)
+					}
 				}
 			}
 		}
@@ -158,121 +185,191 @@ func (r *Rank) Exchange(fields [][]float64) {
 // 3-D field) in one aggregated update: each neighbour receives a single
 // message carrying every level's strip, paying the latency α once and the
 // bandwidth β per level — exactly how POP aggregates its 3-D halo updates.
-// levels[L][i] is level L's padded array for r.Blocks[i].
+// levels[L][i] is level L's padded array for r.Blocks[i]; every rank must
+// pass the same number of levels.
 //
 //pop:hotpath
 func (r *Rank) ExchangeMulti(levels [][][]float64) {
-	plans := &r.World.plans[r.ID]
 	for _, fields := range levels {
 		if len(fields) != len(r.Blocks) {
 			panic("comm: Exchange fields/blocks length mismatch")
 		}
 	}
-	exchangePhase(r, &plans[0], levels, 0)
-	exchangePhase(r, &plans[1], levels, 1)
+	// Every rank of the shard arrives at exchange n having left exchange n−1,
+	// so haloDone reads n−1 for all of them.
+	wk := r.wk
+	seq := wk.haloDone.Load()
+	r.levels = levels
+	if wk.haloArrived++; wk.haloArrived == len(wk.ranks) {
+		wk.haloArrived = 0
+		wk.exchange(r)
+		wk.haloDone.Store(seq + 1)
+	} else {
+		r.await(&wk.haloDone, seq+1, waitSite{kind: waitHalo})
+	}
+	r.levels = nil
 }
 
-// exchangePhase executes one precomputed phase plan: sends first (a slot is
-// free unless the receiver is two messages behind), then same-rank direct
-// copies (free in the cost model: intra-node), then receives.
+// exchange runs one halo update for every rank of the shard on the coroutine
+// of r, the last of them to arrive; the others are suspended inside
+// ExchangeMulti with their levels recorded. Per phase it first takes every
+// rank's entry clock and posts the strips that leave the shard, then serves
+// the ranks one by one — so a strip read straight from a sibling carries the
+// clock that sibling had at its send, not one its own receives advanced.
 //
 //pop:hotpath
-func exchangePhase(r *Rank, plan *phasePlan, levels [][][]float64, phase int) {
+func (wk *worker) exchange(r *Rank) {
+	plans := r.World.plans
+	for _, rk := range wk.ranks {
+		if len(rk.levels) != len(r.levels) {
+			levelMismatch(r.ID, len(r.levels), rk.ID, len(rk.levels))
+		}
+	}
+	for phase := 0; phase < 2; phase++ {
+		for _, rk := range wk.ranks {
+			rk.sendClock = rk.clock
+			plan := &plans[rk.ID][phase]
+			for ei := range plan.sends {
+				r.send(rk, &plan.sends[ei], phase)
+			}
+		}
+		for _, rk := range wk.ranks {
+			r.receive(rk, &plans[rk.ID][phase], phase)
+		}
+	}
+}
+
+// levelMismatch reports two ranks of one exchange disagreeing on the number
+// of levels: a direct copy would index past the shorter list or leave the
+// longer one's halos stale. Kept out of the hot path because it formats.
+func levelMismatch(a, na, b, nb int) {
+	panic(fmt.Sprintf("comm: ExchangeMulti level counts differ: rank %d passes %d, rank %d passes %d",
+		a, na, b, nb))
+}
+
+// send posts rank rk's strip pe into its mailbox (a slot is free unless the
+// receiver is two messages behind).
+//
+//pop:hotpath
+func (r *Rank) send(rk *Rank, pe *planEdge, phase int) {
+	e := pe.e
+	k := e.sent.Load()
+	r.await(&e.consumed, k-1, waitSite{waitHaloSend, phase, pe.side, rk.ID})
+	need := len(rk.levels) * pe.stripLen
+	buf := e.buf[k&1]
+	if cap(buf) < need {
+		buf = make([]float64, need)
+	}
+	buf = buf[:need]
+	for li, fields := range rk.levels {
+		copyRows(buf[li*pe.stripLen:], pe.width, fields[pe.bi][pe.off:], pe.stride, pe.width, pe.rows)
+	}
+	e.buf[k&1], e.clock[k&1] = buf, rk.sendClock
+	e.sent.Store(k + 1)
+	r.notify(e.dst)
+}
+
+// receive executes one phase plan for rank rk: same-rank copies (free in the
+// cost model: intra-node), then every cross-rank strip in plan order, priced
+// and counted as the message it stands for whether it came through a mailbox
+// or straight from a sibling's field.
+//
+//pop:hotpath
+func (r *Rank) receive(rk *Rank, plan *phasePlan, phase int) {
 	w := r.World
 	h := w.D.Halo
-	entry := r.clock
-	nlv := len(levels)
+	levels := rk.levels
+	entry := rk.clock
 
 	// Fault injection, halo classes. One draw per (rank, phase sequence):
 	// "drop" discards everything this rank receives this phase (its halos go
 	// stale), "corrupt" NaN-poisons the first received strip. The sequence
 	// number advances regardless so schedules stay aligned across plans.
-	haloSeq := r.faultBase + r.haloSeq
-	r.haloSeq++
+	haloSeq := rk.faultBase + rk.haloSeq
+	rk.haloSeq++
 	var drop, corrupt bool
 	if w.Faults.Enabled() {
-		drop = w.Faults.DropHalo(r.ID, haloSeq)
+		drop = w.Faults.DropHalo(rk.ID, haloSeq)
 		if !drop {
-			corrupt = w.Faults.CorruptHalo(r.ID, haloSeq)
+			corrupt = w.Faults.CorruptHalo(rk.ID, haloSeq)
 		}
-		if (drop || corrupt) && r.trace != nil {
+		if (drop || corrupt) && rk.trace != nil {
 			class := faults.HaloDrop
 			if corrupt {
 				class = faults.HaloCorrupt
 			}
-			r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: entry,
+			rk.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: entry,
 				Value: float64(haloSeq), Aux: float64(class), Iter: -1, Straggler: -1})
 		}
 	}
 
-	for ei := range plan.sends {
-		pe := &plan.sends[ei]
-		e := pe.e
-		k := e.sent.Load()
-		r.await(&e.consumed, k-1, waitHaloSend, phase, pe.side)
-		need := nlv * pe.stripLen
-		buf := e.buf[k&1]
-		if cap(buf) < need {
-			buf = make([]float64, need)
-		}
-		buf = buf[:need]
-		for li, fields := range levels {
-			copyRows(buf[li*pe.stripLen:], pe.width, fields[pe.bi][pe.off:], pe.stride, pe.width, pe.rows)
-		}
-		e.buf[k&1], e.clock[k&1] = buf, r.clock
-		e.sent.Store(k + 1)
-		r.notify(e.dst)
-	}
-
 	for _, le := range plan.locals {
-		dst := r.Blocks[le.dstBI]
-		src := r.Blocks[le.srcBI]
+		dst := rk.Blocks[le.dstBI]
+		src := rk.Blocks[le.srcBI]
 		for _, fields := range levels {
 			copyStrip(fields[le.dstBI], dst.NxI, dst.NyI,
 				fields[le.srcBI], src.NxI, src.NyI, h, le.side)
 		}
 	}
 
-	arrival := r.clock
+	arrival := entry
 	var charge float64
 	var phaseBytes int64
 	for ei := range plan.recvs {
 		pe := &plan.recvs[ei]
 		e := pe.e
-		k := e.consumed.Load()
-		r.await(&e.sent, k+1, waitHaloRecv, phase, pe.side)
-		data, clock := e.buf[k&1], e.clock[k&1]
-		if corrupt && ei == 0 {
-			// Poison the received payload before it lands in the halo — the
-			// whole message, so the NaN reaches ring-1 cells the stencil
-			// actually reads regardless of side and halo depth. The slot is
-			// fully rewritten by the sender's next strip copy, so the
-			// NaN does not leak into later phases.
-			nan := math.NaN()
-			for di := range data {
-				data[di] = nan
+		need := len(levels) * pe.stripLen
+		var (
+			data  []float64
+			k     int64
+			clock float64 // the sender's at its send
+		)
+		if e == nil {
+			clock = pe.from.sendClock
+		} else {
+			k = e.consumed.Load()
+			r.await(&e.sent, k+1, waitSite{waitHaloRecv, phase, pe.side, rk.ID})
+			data, clock = e.buf[k&1], e.clock[k&1]
+			if len(data) != need {
+				levelMismatch(rk.ID, len(levels), e.src, len(data)/pe.stripLen)
 			}
 		}
-		if !drop {
+		switch {
+		case drop:
+		case corrupt && ei == 0:
+			// Poison the whole strip, every level, so the NaN reaches ring-1
+			// cells the stencil actually reads regardless of side and halo
+			// depth.
+			for _, fields := range levels {
+				fillRows(fields[pe.bi][pe.off:], pe.stride, pe.width, pe.rows, math.NaN())
+			}
+		case e == nil:
+			for li, fields := range levels {
+				copyRows(fields[pe.bi][pe.off:], pe.stride,
+					pe.from.levels[li][pe.fromBI][pe.fromOff:], pe.fromStride, pe.width, pe.rows)
+			}
+		default:
 			for li, fields := range levels {
 				copyRows(fields[pe.bi][pe.off:], pe.stride, data[li*pe.stripLen:], pe.width, pe.width, pe.rows)
 			}
 		}
-		e.consumed.Store(k + 1)
-		r.notify(e.src)
+		if e != nil {
+			e.consumed.Store(k + 1)
+			r.notify(e.src)
+		}
 		if clock > arrival {
 			arrival = clock
 		}
-		bytes := int64(len(data)) * 8 // float64 payload
-		r.ctr.HaloMsgs++
-		r.ctr.HaloBytes += bytes
+		bytes := int64(need) * 8 // float64 payload
+		rk.ctr.HaloMsgs++
+		rk.ctr.HaloBytes += bytes
 		phaseBytes += bytes
 		charge += w.Cost.P2PTime(bytes)
 	}
-	r.clock = arrival + charge
-	r.ctr.THalo += r.clock - entry
-	if r.trace != nil {
-		r.trace.Add(obs.Event{Name: obs.EvHalo, T0: entry, T1: r.clock,
+	rk.clock = arrival + charge
+	rk.ctr.THalo += rk.clock - entry
+	if rk.trace != nil {
+		rk.trace.Add(obs.Event{Name: obs.EvHalo, T0: entry, T1: rk.clock,
 			Value: float64(phaseBytes), Iter: -1, Straggler: -1})
 	}
 }
@@ -310,8 +407,8 @@ func stripRect(nxi, nyi, h, side int, halo bool) (off, width, rows int) {
 // and moves as one block; an E/W strip row is h (typically two) elements,
 // where memmove's call overhead — or even setting a slice up per row — is
 // the whole cost, so those move with a plain indexed loop. Kept out of
-// line: inlined into exchangePhase, whose registers are all spoken for, the
-// two loops spill and a 676-rank halo round goes from 250 to 292 µs.
+// line: inlined into the exchange loop, whose registers are all spoken for,
+// the two loops spill (measured at +17% on a 676-rank halo round).
 //
 //pop:hotpath
 //go:noinline
@@ -323,6 +420,15 @@ func copyRows(dst []float64, dstStride int, src []float64, srcStride, width, row
 	for d, s, end := 0, 0, rows*dstStride; d < end; d, s = d+dstStride, s+srcStride {
 		for i := 0; i < width; i++ {
 			dst[d+i] = src[s+i]
+		}
+	}
+}
+
+// fillRows stores v into `rows` runs of `width` elements, stride apart.
+func fillRows(dst []float64, stride, width, rows int, v float64) {
+	for d, end := 0, rows*stride; d < end; d += stride {
+		for i := 0; i < width; i++ {
+			dst[d+i] = v
 		}
 	}
 }

@@ -88,7 +88,7 @@ func (r *Rank) AllReduce(vals []float64) []float64 {
 		w.reduceDone.Store(seq + 1)
 		r.notifyAll()
 	default:
-		r.await(&w.reduceDone, seq+1, waitReduce, 0, 0)
+		r.await(&w.reduceDone, seq+1, waitSite{kind: waitReduce})
 		result = w.reduceRoot[seq&1][:n+2]
 	}
 

@@ -22,8 +22,10 @@ import (
 // temporal locality over one patch instead of the whole domain.
 //
 // Every blocking point of a collective is "check an atomic flag, else
-// yield" (Rank.await): the halo edges' sent/consumed counters and the
-// reduction's done sequence number (halo.go, reduce.go). A coroutine switch
+// yield" (Rank.await): the reduction's done sequence number, the shard's
+// halo-exchange done number, and — for the one rank per shard that runs the
+// exchange — the sent/consumed counters of the mailboxes on the shard's seams
+// (reduce.go, halo.go). A coroutine switch
 // costs tens of nanoseconds and involves neither the Go scheduler nor a
 // lock, which is what makes hundreds of ranks on a handful of cores cheap
 // (history: ranks used to be goroutines wired by per-edge and per-rank
@@ -37,7 +39,8 @@ import (
 // (runtime.Gosched between them), then announces itself asleep, rechecks
 // once, and parks on its condition variable. Whoever publishes a flag checks
 // the sleeping mark of the worker that may be waiting on it (the edge peer's
-// worker; every worker for the reduction) and wakes it — announce-then-
+// worker; every worker for the reduction; nobody for a shard's own halo-done
+// number, which only its own thread reads) and wakes it — announce-then-
 // recheck against publish-then-check closes the lost-wake-up window. Mutex
 // critical sections in rank programs (e.g. error recording in Setup) contain
 // no collective calls, so a running rank never blocks on a lock held by a
@@ -65,22 +68,29 @@ var errStopped = errors.New("comm: run aborted")
 
 // Wait-site kinds recorded for the stall diagnostic.
 const (
-	waitReduce = iota
-	waitHaloSend
-	waitHaloRecv
+	waitReduce   = iota
+	waitHalo     // the shard's exchange to be run by its last arriver
+	waitHaloSend // last arriver: a free mailbox slot
+	waitHaloRecv // last arriver: a mailbox message
 )
 
-// waitSite names the flag a suspended rank is waiting on (with Rank.min).
-type waitSite struct{ kind, phase, side int }
+// waitSite names the flag a suspended rank is waiting on (with Rank.min); a
+// mailbox wait also names the edge and the rank whose strip it carries.
+type waitSite struct{ kind, phase, side, serving int }
 
 // worker drives one shard's ranks. sleeping is the lock-free mark publishers
 // test; parked (under executor.mu) counts the worker into executor.asleep.
+// haloArrived counts the ranks waiting in the current halo exchange — a plain
+// int, only this worker's thread runs them — and haloDone the exchanges the
+// shard has completed this Run (halo.go).
 type worker struct {
-	ex       *executor
-	ranks    []*Rank
-	sleeping atomic.Bool
-	parked   bool
-	cond     sync.Cond
+	ex          *executor
+	ranks       []*Rank
+	sleeping    atomic.Bool
+	parked      bool
+	cond        sync.Cond
+	haloArrived int
+	haloDone    atomic.Int64
 }
 
 // executor is one World's set of workers, cached across Runs and rebuilt
@@ -128,9 +138,13 @@ func (w *World) EffectiveThreads() int {
 // effective threads.
 func (r *Rank) Shard() int { return r.shard }
 
-// executor returns the cached executor for p workers, each owning the
-// contiguous shard [s·NRank/p, (s+1)·NRank/p) — the ranks whose
-// rank·p/NRank is s.
+// shardOf is the worker shard rank rid runs on when there are p workers:
+// contiguous runs of ranks, shard s owning [s·NRank/p, (s+1)·NRank/p).
+func (w *World) shardOf(rid, p int) int { return rid * p / w.NRank }
+
+// executor returns the cached executor for p workers. Building one decides
+// which halo edges are direct copies and which are mailboxes (two ranks on
+// one worker or not), so the exchange plans are built with it.
 func (w *World) executor(p int) *executor {
 	if w.ex != nil && len(w.ex.workers) == p {
 		return w.ex
@@ -139,14 +153,14 @@ func (w *World) executor(p int) *executor {
 	lo := 0
 	for s := range ex.workers {
 		hi := lo
-		for hi < w.NRank && hi*p/w.NRank == s {
+		for hi < w.NRank && w.shardOf(hi, p) == s {
 			hi++
 		}
 		wk := &ex.workers[s]
 		wk.ex, wk.ranks, wk.cond.L = ex, w.ranks[lo:hi], &ex.mu
 		lo = hi
 	}
-	w.ex = ex
+	w.ex, w.plans = ex, buildPlans(w, p)
 	return ex
 }
 
@@ -164,7 +178,7 @@ func (ex *executor) run(program func(*Rank)) {
 	ex.wg.Wait()
 	if ex.failure != nil {
 		// Only a run that completes leaves the mailboxes balanced.
-		ex.w.plans = buildPlans(ex.w)
+		ex.w.plans = buildPlans(ex.w, len(ex.workers))
 		panic(ex.failure)
 	}
 }
@@ -267,12 +281,15 @@ func (ex *executor) checkStall() {
 		case waitReduce:
 			fmt.Fprintf(&b, "\n  rank %d: allreduce #%d, %d/%d arrived", rk.ID, rk.min-1,
 				ex.w.reduceArrived.Load(), ex.w.NRank)
+		case waitHalo:
+			fmt.Fprintf(&b, "\n  rank %d: halo exchange #%d, %d/%d of shard %d arrived", rk.ID,
+				rk.min-1, rk.wk.haloArrived, len(rk.wk.ranks), rk.shard)
 		case waitHaloSend:
-			fmt.Fprintf(&b, "\n  rank %d: halo phase %d edge %c slot for seq %d", rk.ID,
-				s.phase, "EWNS"[s.side], rk.min+1)
+			fmt.Fprintf(&b, "\n  rank %d: halo phase %d edge %c slot for seq %d (serving rank %d)", rk.ID,
+				s.phase, "EWNS"[s.side], rk.min+1, s.serving)
 		default:
-			fmt.Fprintf(&b, "\n  rank %d: halo phase %d edge %c seq %d", rk.ID,
-				s.phase, "EWNS"[s.side], rk.min-1)
+			fmt.Fprintf(&b, "\n  rank %d: halo phase %d edge %c seq %d (serving rank %d)", rk.ID,
+				s.phase, "EWNS"[s.side], rk.min-1, s.serving)
 		}
 	}
 	if waiting > maxShown {
@@ -348,11 +365,11 @@ func (r *Rank) halt() {
 // false one means the run is being aborted.
 //
 //pop:hotpath
-func (r *Rank) await(flag *atomic.Int64, min int64, kind, phase, side int) {
+func (r *Rank) await(flag *atomic.Int64, min int64, site waitSite) {
 	if flag.Load() >= min {
 		return
 	}
-	r.flag, r.min, r.site = flag, min, waitSite{kind: kind, phase: phase, side: side}
+	r.flag, r.min, r.site = flag, min, site
 	if !r.yield(struct{}{}) {
 		panic(errStopped)
 	}

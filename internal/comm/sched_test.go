@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -283,17 +284,30 @@ func TestLockstepViolationFailsFast(t *testing.T) {
 }
 
 // TestHaloStallNamesEdge: a rank that leaves before a halo exchange strands
-// its neighbours on an edge, and the diagnostic names it.
+// its shard at the arrival count — and, when its neighbours run on other
+// workers, strands their shards' last arrivers on the mailbox it never
+// filled. The diagnostic names whichever it is.
 func TestHaloStallNamesEdge(t *testing.T) {
 	_, d, w := testWorld(t, 8, 8, nil)
-	msg := runExpectingPanic(t, w, func(r *Rank) {
-		if r.ID == 0 {
-			return
+	p := d.NRanks
+	for threads, want := range map[int]string{
+		1: fmt.Sprintf(`rank 1: halo exchange #0, %d/%d of shard 0 arrived`, p-1, p),
+		p: `rank (\d+): halo phase [01] edge [EWNS] seq 0 \(serving rank (\d+)\)`,
+	} {
+		w.SetThreads(threads)
+		msg := runExpectingPanic(t, w, func(r *Rank) {
+			if r.ID == 0 {
+				return
+			}
+			r.Exchange(fillLevels(d, r, nil, 1, 0)[0])
+		})
+		m := regexp.MustCompile(want).FindStringSubmatch(msg)
+		if !strings.Contains(msg, "stalled") || m == nil {
+			t.Fatalf("threads %d: diagnostic %q lacks %q", threads, msg, want)
 		}
-		r.Exchange(fillLevels(d, r, nil, 1, 0)[0])
-	})
-	if !strings.Contains(msg, "halo phase") || !strings.Contains(msg, " seq 0") {
-		t.Fatalf("diagnostic %q does not name a halo edge", msg)
+		if len(m) == 3 && m[1] != m[2] {
+			t.Fatalf("threads %d: one rank per worker, yet %q serves another rank", threads, m[0])
+		}
 	}
 }
 

@@ -72,10 +72,11 @@ func TestInjectorDisabledBitwiseIdentical(t *testing.T) {
 // chaosCase runs one solver under one fault class and asserts recovery: the
 // solve converges, the independently recomputed residual honours the
 // configured tolerance (same tolerance as a fault-free solve), and the
-// injector actually fired.
-func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, maxRec int) Result {
+// injector actually fired. threads is the world's worker knob (0 = default).
+func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, maxRec, threads int) (Result, []float64) {
 	t.Helper()
 	f := testFixture(t)
+	f.w.SetThreads(threads)
 	inj := faults.New(plan)
 	f.w.Faults = inj
 	s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 4000,
@@ -94,7 +95,7 @@ func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, max
 	if rel := trueRelResidual(f, x); rel > 1e-10 {
 		t.Fatalf("%v under %v: recovered solve residual %g exceeds tolerance 1e-10", m, class, rel)
 	}
-	return res
+	return res, x
 }
 
 // chaosMethods is the whole zoo: every method runs under the same check
@@ -177,7 +178,7 @@ func chaosClass(t *testing.T, class faults.Class) {
 	row := chaosClasses[class]
 	for _, m := range chaosMethods {
 		t.Run(m.String(), func(t *testing.T) {
-			res := chaosCase(t, m, row.plan(m), class, row.maxRec)
+			res, _ := chaosCase(t, m, row.plan(m), class, row.maxRec, 0)
 			if res.Recovery.Degraded != "" {
 				t.Fatalf("%v under %v needed the %q rung; the check ladder alone must recover",
 					m, class, res.Recovery.Degraded)
@@ -194,6 +195,37 @@ func TestReduceFailRecovery(t *testing.T)  { chaosClass(t, faults.ReduceFail) }
 func TestHaloDropRecovery(t *testing.T)    { chaosClass(t, faults.HaloDrop) }
 func TestHaloCorruptRecovery(t *testing.T) { chaosClass(t, faults.HaloCorrupt) }
 func TestRankCrashRecovery(t *testing.T)   { chaosClass(t, faults.RankCrash) }
+
+// TestChaosAcrossThreads: a fault lands the same whether the halo edge it
+// hits is a direct copy inside a worker's shard (Threads = 1: every edge), a
+// mailbox (Threads = NRank: every edge) or either — one resilient ChronGear
+// solve per fault class, recovery counts, solution bits and the priced clock
+// equal across the three.
+func TestChaosAcrossThreads(t *testing.T) {
+	const m = MethodChronGear
+	nrank := testFixture(t).w.NRank
+	for _, class := range faults.Classes() {
+		row := chaosClasses[class]
+		t.Run(class.String(), func(t *testing.T) {
+			ref, xRef := chaosCase(t, m, row.plan(m), class, row.maxRec, 1)
+			for _, threads := range []int{2, nrank} {
+				got, x := chaosCase(t, m, row.plan(m), class, row.maxRec, threads)
+				if got.Recovery != ref.Recovery || got.Iterations != ref.Iterations {
+					t.Fatalf("threads %d: %d iterations, recovery %+v; Threads=1 took %d, %+v",
+						threads, got.Iterations, got.Recovery, ref.Iterations, ref.Recovery)
+				}
+				if math.Float64bits(got.Stats.MaxClock) != math.Float64bits(ref.Stats.MaxClock) {
+					t.Fatalf("threads %d: MaxClock %v, Threads=1 gave %v", threads, got.Stats.MaxClock, ref.Stats.MaxClock)
+				}
+				for k := range xRef {
+					if math.Float64bits(x[k]) != math.Float64bits(xRef[k]) {
+						t.Fatalf("threads %d: solution bit-differs at %d", threads, k)
+					}
+				}
+			}
+		})
+	}
+}
 
 // Exhausting the recovery budget must surrender with a typed ErrFaulted
 // carrying the recovery counts.

@@ -96,15 +96,20 @@ go test -race -count=1 \
 echo "== coroutine executor gates (race) =="
 # The rank runtime itself: Exchange/ExchangeMulti/AllReduce looped over
 # NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5} x GOMAXPROCS {1,2},
-# bitwise equal to Threads=1 and to a sequential reduction tree; a skipped
-# collective or a panicking rank must fail fast on Run's caller instead of
-# hanging. Once more with the whole process on one scheduler thread, where
-# a lost wake-up or a worker that never yields would show as a hang — and
-# the serve overload burst must still shed there.
-go test -race -count=1 \
-    -run 'TestExecutorStress|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast' \
-    ./internal/comm/
-GOMAXPROCS=1 go test -race -count=1 -run 'TestExecutorStress' ./internal/comm/
+# bitwise equal to Threads=1 and to a sequential reduction tree — which
+# holds the shard exchange's direct copies (Threads=1: every halo edge) to
+# its mailboxes (Threads=NRank: every edge) — and the same with halo drops
+# and corruptions injected, against a sequential model; a skipped
+# collective, a level-count mismatch or a panicking rank must fail fast on
+# Run's caller instead of hanging. Once more with the whole process on one
+# scheduler thread, where a lost wake-up or a worker that never yields —
+# a shard whose last arriver waits on another shard's mailbox must park and
+# be woken, not spin — would show as a hang; and the serve overload burst
+# must still shed there.
+executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
+go test -race -count=1 -run "$executor_gates" ./internal/comm/
+GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
+go test -race -count=1 -run 'TestChaosAcrossThreads' ./internal/core/
 GOMAXPROCS=1 go test -count=1 -run 'TestOverloadShedsNeverBlocks' ./internal/serve/
 
 echo "== worker-shard gate (race) =="
