@@ -101,11 +101,11 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 	}
 }
 
-// dispatch is the tail both encodings share: it runs one typed request
-// through the fleet router or the single service and shapes the wire
-// response.
-func (h *handler) dispatch(ctx context.Context, freq api.FrameRequest) (api.SolveResponse, error) {
-	sreq := pop.ServeRequest{
+// serveRequest is the frame → serve hop: everything of a wire request that
+// says what to solve. The rest — deadline, trace ID, response shape, cache
+// policy — is dispatch's to act on, not the service's.
+func serveRequest(freq api.FrameRequest) pop.ServeRequest {
+	return pop.ServeRequest{
 		Grid:    freq.Grid,
 		Method:  freq.Method,
 		Precond: freq.Precond,
@@ -113,6 +113,13 @@ func (h *handler) dispatch(ctx context.Context, freq api.FrameRequest) (api.Solv
 		B:       freq.B,
 		X0:      freq.X0,
 	}
+}
+
+// dispatch is the tail both encodings share: it runs one typed request
+// through the fleet router or the single service and shapes the wire
+// response.
+func (h *handler) dispatch(ctx context.Context, freq api.FrameRequest) (api.SolveResponse, error) {
+	sreq := serveRequest(freq)
 	ctx = pop.ContextWithTraceID(ctx, freq.TraceID)
 	if freq.TimeoutMS > 0 {
 		var cancel context.CancelFunc

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // docPackages is the documented public surface: the facade package plus the
@@ -145,6 +147,16 @@ var (
 	docCommand  = regexp.MustCompile(`\b(` + strings.Join(docCommands, "|") + `)\b`)
 	docFlag     = regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9]*)`)
 	docArtifact = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json\b`)
+	// The three ways the docs attribute an analyzer to poplint: a row of the
+	// table headed "Analyzer" (README), a DESIGN §10.1 entry (**`name`** — …),
+	// and prose of the shape "the `a`, `b` and `c` analyzers" (the list may
+	// wrap across lines, and across verify.sh's comment markers).
+	docAnalyzerTable = regexp.MustCompile("(?m)^\\| Analyzer \\|.*\n\\|[-|]+\\|\n((?:\\|.*\n)+)")
+	docAnalyzerRow   = regexp.MustCompile("(?m)^\\| `([a-z]+)` \\|")
+	docAnalyzerEntry = regexp.MustCompile("\\*\\*`([a-z]+)`\\*\\*")
+	docAnalyzerList  = regexp.MustCompile("((?:`[a-z]+`(?:,| and|, and)?[\\s#]+)+)analyzers?\\b")
+	docBacktickWord  = regexp.MustCompile("`([a-z]+)`")
+	docDirective     = regexp.MustCompile(`//pop[a-z]*:[a-z]+`)
 )
 
 // TestDocsNameRealFlagsAndArtifacts fails on a documented command line that
@@ -153,11 +165,46 @@ var (
 // and every BENCH_*.json they name must exist at the repo root. A command
 // line runs from the command's name to the end of its (backslash-continued)
 // line or the first backtick, pipe, redirect, `;`, `&` or `)`; alternatives
-// written `-a/-b` are each checked.
+// written `-a/-b` are each checked. The same files and DESIGN.md may
+// attribute to poplint only analyzers analysis.All() registers (README's
+// table must list every one), and may name no comment directive but
+// //pop:hotpath.
 func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 	defined := make(map[string]map[string]bool)
 	for _, cmd := range docCommands {
 		defined[cmd] = definedFlags(t, filepath.Join("cmd", cmd))
+	}
+	analyzers := make(map[string]bool)
+	for _, a := range analysis.All() {
+		analyzers[a.Name] = true
+	}
+	for _, doc := range append([]string{"DESIGN.md"}, commandDocs...) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		named := docAnalyzerEntry.FindAllStringSubmatch(text, -1)
+		for _, list := range docAnalyzerList.FindAllStringSubmatch(text, -1) {
+			named = append(named, docBacktickWord.FindAllStringSubmatch(list[1], -1)...)
+		}
+		if doc == "README.md" {
+			rows := docAnalyzerRow.FindAllStringSubmatch(docAnalyzerTable.FindString(text), -1)
+			if len(rows) != len(analyzers) {
+				t.Errorf("README.md: the analyzer table has %d rows for %d analyzers", len(rows), len(analyzers))
+			}
+			named = append(named, rows...)
+		}
+		for _, name := range named {
+			if !analyzers[name[1]] {
+				t.Errorf("%s attributes `%s` to poplint, which registers no such analyzer", doc, name[1])
+			}
+		}
+		for _, d := range docDirective.FindAllString(text, -1) {
+			if d != "//pop:hotpath" {
+				t.Errorf("%s names the directive %s; //pop:hotpath is the only one", doc, d)
+			}
+		}
 	}
 	for _, doc := range commandDocs {
 		raw, err := os.ReadFile(doc)

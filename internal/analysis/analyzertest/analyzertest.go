@@ -9,23 +9,12 @@
 // packages itself: files are parsed with go/parser, intra-testdata imports
 // resolve GOPATH-style under <dir>/src/<importpath>, and standard-library
 // imports resolve through go/importer's source importer. Analyzer
-// dependencies (Requires) are run first, in dependency order.
-//
-// Fact-using analyzers are supported the way go vet supports them: before
-// the analyzer runs on the target package, it runs on every testdata-local
-// import (transitively, in dependency order), and the facts those runs
-// export are visible through the pass's Import*/All* fact accessors —
-// exactly the import-edge visibility rule the unitchecker enforces. Each
-// exported fact is round-tripped through encoding/gob so a fact type that
-// would fail under the real vet driver fails here first. Diagnostics
-// reported while analyzing an import are discarded; `// want` matching
-// covers the target package only (point Run at each package whose
-// diagnostics you assert on).
+// dependencies (Requires) are run first. No poplint analyzer exports facts,
+// so the pass has no fact accessors: one that started to would fail here on
+// its first Export call.
 package analyzertest
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -34,7 +23,6 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -49,41 +37,35 @@ import (
 // diagnostic must match a want on its line and every want must be matched.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, importPath string) {
 	t.Helper()
-	ld := newLoader(dir)
-	pkg, err := ld.load(importPath)
-	if err != nil {
-		t.Fatalf("loading %s: %v", importPath, err)
-	}
-
-	rn := newRunner(ld)
-	diags, err := rn.analyze(a, pkg)
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, importPath, err)
-	}
-	checkWants(t, ld.fset, pkg.files, diags)
+	pkg, diags := analyze(t, dir, a, importPath)
+	checkWants(t, pkg.fset, pkg.files, diags)
 }
 
 // Diagnostics runs a over dir/src/importPath and returns the raw diagnostic
-// messages without // want matching — for tests that assert on diagnostics
-// whose positions cannot carry a want comment (e.g. the malformed-directive
-// report, which lands on a line the directive comment itself occupies).
+// messages without // want matching — for tests that assert an analyzer
+// stays silent on a package written for another one.
 func Diagnostics(t *testing.T, dir string, a *analysis.Analyzer, importPath string) []string {
 	t.Helper()
-	ld := newLoader(dir)
-	pkg, err := ld.load(importPath)
-	if err != nil {
-		t.Fatalf("loading %s: %v", importPath, err)
-	}
-	rn := newRunner(ld)
-	diags, err := rn.analyze(a, pkg)
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, importPath, err)
-	}
+	_, diags := analyze(t, dir, a, importPath)
 	msgs := make([]string, len(diags))
 	for i, d := range diags {
 		msgs[i] = d.Message
 	}
 	return msgs
+}
+
+// analyze loads dir/src/importPath and returns it with a's diagnostics.
+func analyze(t *testing.T, dir string, a *analysis.Analyzer, importPath string) (*loadedPkg, []analysis.Diagnostic) {
+	t.Helper()
+	pkg, err := newLoader(dir).load(importPath)
+	if err != nil {
+		t.Fatalf("loading %s: %v", importPath, err)
+	}
+	var diags []analysis.Diagnostic
+	if _, err := run(a, pkg, &diags); err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, importPath, err)
+	}
+	return pkg, diags
 }
 
 // loadedPkg is one type-checked testdata package.
@@ -174,69 +156,16 @@ func (ld *loader) load(path string) (*loadedPkg, error) {
 	return p, nil
 }
 
-// runner executes analyzers over the testdata import graph, carrying
-// exported facts across packages the way the vet driver does.
-type runner struct {
-	ld *loader
-	// pkgFacts / objFacts are the fact stores, keyed the way the analysis
-	// framework looks facts up: by package or object, then concrete fact
-	// type. One store per runner — facts cross package runs, never tests.
-	pkgFacts map[*types.Package]map[reflect.Type]analysis.Fact
-	objFacts map[types.Object]map[reflect.Type]analysis.Fact
-	// done memoizes completed (analyzer, package) runs; results holds
-	// per-package Requires outputs.
-	done    map[runKey]bool
-	results map[runKey]any
-}
-
-type runKey struct {
-	a   *analysis.Analyzer
-	pkg *loadedPkg
-}
-
-func newRunner(ld *loader) *runner {
-	return &runner{
-		ld:       ld,
-		pkgFacts: make(map[*types.Package]map[reflect.Type]analysis.Fact),
-		objFacts: make(map[types.Object]map[reflect.Type]analysis.Fact),
-		done:     make(map[runKey]bool),
-		results:  make(map[runKey]any),
-	}
-}
-
-// analyze runs a (and its Requires) on pkg, first visiting every
-// testdata-local import in dependency order when a uses facts, and returns
-// the diagnostics reported for pkg itself.
-func (rn *runner) analyze(a *analysis.Analyzer, pkg *loadedPkg) ([]analysis.Diagnostic, error) {
-	var diags []analysis.Diagnostic
-	if err := rn.run(a, pkg, &diags); err != nil {
-		return nil, err
-	}
-	return diags, nil
-}
-
-func (rn *runner) run(a *analysis.Analyzer, pkg *loadedPkg, diags *[]analysis.Diagnostic) error {
-	key := runKey{a, pkg}
-	if rn.done[key] {
-		return nil
-	}
-	rn.done[key] = true
-	// Fact-using analyzers see facts only along import edges, so the
-	// analyzer must have run on every local import before this package —
-	// the unitchecker's dependency order, reproduced in miniature.
-	if len(a.FactTypes) > 0 {
-		for _, imp := range pkg.pkg.Imports() {
-			if dep, ok := rn.ld.loaded[imp.Path()]; ok {
-				if err := rn.run(a, dep, nil); err != nil {
-					return err
-				}
-			}
-		}
-	}
+// run applies a to pkg after its Requires (whose diagnostics are dropped)
+// and returns a's result.
+func run(a *analysis.Analyzer, pkg *loadedPkg, diags *[]analysis.Diagnostic) (any, error) {
+	results := make(map[*analysis.Analyzer]any)
 	for _, req := range a.Requires {
-		if err := rn.run(req, pkg, nil); err != nil {
-			return err
+		res, err := run(req, pkg, nil)
+		if err != nil {
+			return nil, err
 		}
+		results[req] = res
 	}
 	pass := &analysis.Pass{
 		Analyzer:   a,
@@ -245,108 +174,19 @@ func (rn *runner) run(a *analysis.Analyzer, pkg *loadedPkg, diags *[]analysis.Di
 		Pkg:        pkg.pkg,
 		TypesInfo:  pkg.info,
 		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   rn.resultsFor(pkg),
+		ResultOf:   results,
 		Report: func(d analysis.Diagnostic) {
 			if diags != nil {
 				*diags = append(*diags, d)
 			}
 		},
-		ReadFile:          os.ReadFile,
-		ImportPackageFact: rn.importPackageFact,
-		ExportPackageFact: rn.exportPackageFactFor(pkg.pkg),
-		ImportObjectFact:  rn.importObjectFact,
-		ExportObjectFact:  rn.exportObjectFact,
-		AllPackageFacts:   rn.allPackageFacts,
-		AllObjectFacts:    rn.allObjectFacts,
+		ReadFile: os.ReadFile,
 	}
 	res, err := a.Run(pass)
 	if err != nil {
-		return fmt.Errorf("%s: %w", a.Name, err)
+		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	rn.results[key] = res
-	return nil
-}
-
-// resultsFor assembles the ResultOf map for one package from the memoized
-// per-package Requires outputs.
-func (rn *runner) resultsFor(pkg *loadedPkg) map[*analysis.Analyzer]any {
-	out := make(map[*analysis.Analyzer]any)
-	for key, res := range rn.results {
-		if key.pkg == pkg {
-			out[key.a] = res
-		}
-	}
-	return out
-}
-
-// gobRoundTrip pushes a fact through encoding/gob, so a fact type the real
-// vet driver could not serialize fails loudly in the harness.
-func gobRoundTrip(fact analysis.Fact) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		return fmt.Errorf("fact %T not gob-encodable: %w", fact, err)
-	}
-	return gob.NewDecoder(&buf).Decode(fact)
-}
-
-func (rn *runner) importPackageFact(pkg *types.Package, fact analysis.Fact) bool {
-	stored, ok := rn.pkgFacts[pkg][reflect.TypeOf(fact)]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-func (rn *runner) exportPackageFactFor(pkg *types.Package) func(analysis.Fact) {
-	return func(fact analysis.Fact) {
-		if err := gobRoundTrip(fact); err != nil {
-			panic(err)
-		}
-		if rn.pkgFacts[pkg] == nil {
-			rn.pkgFacts[pkg] = make(map[reflect.Type]analysis.Fact)
-		}
-		rn.pkgFacts[pkg][reflect.TypeOf(fact)] = fact
-	}
-}
-
-func (rn *runner) importObjectFact(obj types.Object, fact analysis.Fact) bool {
-	stored, ok := rn.objFacts[obj][reflect.TypeOf(fact)]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-func (rn *runner) exportObjectFact(obj types.Object, fact analysis.Fact) {
-	if err := gobRoundTrip(fact); err != nil {
-		panic(err)
-	}
-	if rn.objFacts[obj] == nil {
-		rn.objFacts[obj] = make(map[reflect.Type]analysis.Fact)
-	}
-	rn.objFacts[obj][reflect.TypeOf(fact)] = fact
-}
-
-func (rn *runner) allPackageFacts() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for pkg, facts := range rn.pkgFacts {
-		for _, f := range facts {
-			out = append(out, analysis.PackageFact{Package: pkg, Fact: f})
-		}
-	}
-	return out
-}
-
-func (rn *runner) allObjectFacts() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for obj, facts := range rn.objFacts {
-		for _, f := range facts {
-			out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-		}
-	}
-	return out
+	return res, nil
 }
 
 // wantRe extracts the expectation list of a // want comment.

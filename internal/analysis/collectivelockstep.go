@@ -65,7 +65,6 @@ func runCollectiveLockstep(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Path() == commRankPath || !libraryScope(pass) {
 		return nil, nil
 	}
-	ig := newIgnorer(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Index the package's own function declarations so the taint analysis
@@ -104,7 +103,7 @@ func runCollectiveLockstep(pass *analysis.Pass) (any, error) {
 		}
 		tc := newTaintCtx(pass.TypesInfo, decls, fields)
 		tc.solve(fd.Body)
-		checkLockstep(pass, ig, tc, fd.Body)
+		checkLockstep(pass, tc, fd.Body)
 	})
 	return nil, nil
 }
@@ -119,7 +118,7 @@ func libraryScope(pass *analysis.Pass) bool {
 
 // checkLockstep walks body keeping the enclosing control-flow conditions,
 // and reports collective calls governed by a tainted (rank-local) one.
-func checkLockstep(pass *analysis.Pass, ig *ignorer, tc *taintCtx, body ast.Node) {
+func checkLockstep(pass *analysis.Pass, tc *taintCtx, body ast.Node) {
 	// guards is the stack of (condition, description) pairs governing the
 	// node currently being visited.
 	type guard struct {
@@ -202,11 +201,11 @@ func checkLockstep(pass *analysis.Pass, ig *ignorer, tc *taintCtx, body ast.Node
 			if name := rankMethodName(pass.TypesInfo, x); collectiveMethods[name] {
 				for _, g := range guards {
 					if g.kind == "select" {
-						ig.reportf(x.Pos(), "collective %s inside select: case choice is scheduling-dependent, ranks will diverge", name)
+						pass.Reportf(x.Pos(), "collective %s inside select: case choice is scheduling-dependent, ranks will diverge", name)
 						break
 					}
 					if g.cond != nil && tc.tainted(g.cond) {
-						ig.reportf(x.Pos(),
+						pass.Reportf(x.Pos(),
 							"collective %s is guarded by rank-local condition %q (%s); collectives must be reached in lockstep on every rank — condition only on data that rode a prior reduction",
 							name, types.ExprString(g.cond), g.kind)
 						break
@@ -244,11 +243,10 @@ type taintCtx struct {
 	info *types.Info
 	set  map[*types.Var]bool
 	// fields is the package-wide set of tainted struct fields, shared by
-	// every context of one pass (nil disables field tracking).
+	// every context of one pass.
 	fields map[*types.Var]bool
 	// decls maps the package's own functions to their declarations for
-	// one-level interprocedural summaries (nil disables them — the
-	// reductionwidth analyzer runs the same machinery intra-procedurally).
+	// one-level interprocedural summaries.
 	decls map[*types.Func]*ast.FuncDecl
 	// depth is the summary nesting level: helper bodies are solved at
 	// depth 1, where further helper calls fall back to the syntactic rule,
@@ -304,7 +302,7 @@ func (tc *taintCtx) propagate(body ast.Node) bool {
 			// A write to a struct field taints the field package-wide.
 			// Writes through indices do not track.
 			sel := tc.info.Selections[x]
-			if tc.fields == nil || sel == nil || sel.Kind() != types.FieldVal {
+			if sel == nil || sel.Kind() != types.FieldVal {
 				return
 			}
 			if v := sel.Obj().(*types.Var); !tc.fields[v] {
@@ -375,7 +373,7 @@ func (tc *taintCtx) tainted(e ast.Expr) bool {
 			// same-package declaration is summarized — its result is tainted
 			// exactly when the callee's returns are, given this call's
 			// argument taint.
-			if tc.depth == 0 && tc.decls != nil {
+			if tc.depth == 0 {
 				if f := calleeFunc(tc.info, x); f != nil {
 					if fd, ok := tc.decls[f]; ok {
 						if tc.summaryTainted(fd, x) {

@@ -27,9 +27,6 @@ import (
 //   - the stdlib's Context-suffix wrapper pattern: a function F whose body
 //     immediately delegates to FContext(context.Background(), …) — the
 //     documented "background entrypoint" shape (database/sql, net).
-//
-// Anything else is either a bug to fix or a deliberate decision to record
-// with a //poplint:ignore ctxflow <reason> directive.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "library code must thread incoming contexts, not mint" +
@@ -42,7 +39,6 @@ func runCtxFlow(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Name() == "main" || !libraryScope(pass) {
 		return nil, nil
 	}
-	ig := newIgnorer(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
@@ -50,15 +46,15 @@ func runCtxFlow(pass *analysis.Pass) (any, error) {
 		if fd.Body == nil || inTestFile(pass.Fset, fd.Pos()) {
 			return
 		}
-		checkCtxParamUsed(pass, ig, fd)
-		checkBackgroundCalls(pass, ig, fd)
+		checkCtxParamUsed(pass, fd)
+		checkBackgroundCalls(pass, fd)
 	})
 	return nil, nil
 }
 
 // checkBackgroundCalls reports context.Background/TODO calls in fd's body,
 // excepting the nil-default and Context-suffix-wrapper idioms.
-func checkBackgroundCalls(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
+func checkBackgroundCalls(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -72,7 +68,7 @@ func checkBackgroundCalls(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
 		if nilDefaultAssign(info, fd.Body, call) || contextWrapperCall(fd, call) {
 			return true
 		}
-		ig.reportf(call.Pos(), "context.%s() minted in library function %s detaches callees from cancellation and deadlines; thread the caller's ctx instead", f.Name(), fd.Name.Name)
+		pass.Reportf(call.Pos(), "context.%s() minted in library function %s detaches callees from cancellation and deadlines; thread the caller's ctx instead", f.Name(), fd.Name.Name)
 		return true
 	})
 }
@@ -149,7 +145,7 @@ func contextWrapperCall(fd *ast.FuncDecl, call *ast.CallExpr) bool {
 // checkCtxParamUsed reports a named context.Context parameter that the body
 // never references: the incoming context is dropped on the floor, so
 // everything below runs detached.
-func checkCtxParamUsed(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
+func checkCtxParamUsed(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	if fd.Type.Params == nil {
 		return
@@ -174,7 +170,7 @@ func checkCtxParamUsed(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
 				return !used
 			})
 			if !used {
-				ig.reportf(name.Pos(), "%s has a ctx parameter it never threads: callees run detached from the caller's cancellation and deadlines", fd.Name.Name)
+				pass.Reportf(name.Pos(), "%s has a ctx parameter it never threads: callees run detached from the caller's cancellation and deadlines", fd.Name.Name)
 			}
 		}
 	}

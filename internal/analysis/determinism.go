@@ -46,7 +46,6 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 	if !pkgInScope(pass, determinismScope...) {
 		return nil, nil
 	}
-	ig := newIgnorer(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	info := pass.TypesInfo
 
@@ -67,7 +66,7 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 				return
 			}
 			if isPkgFunc(f, "time", "Now") || isPkgFunc(f, "time", "Since") || isPkgFunc(f, "time", "Until") {
-				ig.reportf(x.Pos(), "wall-clock read time.%s in deterministic package %s: virtual time comes from the CostModel, never the host clock", f.Name(), pass.Pkg.Name())
+				pass.Reportf(x.Pos(), "wall-clock read time.%s in deterministic package %s: virtual time comes from the CostModel, never the host clock", f.Name(), pass.Pkg.Name())
 			}
 		case *ast.SelectorExpr:
 			// Any use of math/rand (v1 or v2): the only sanctioned
@@ -76,14 +75,14 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 				if pn, ok := info.Uses[id].(*types.PkgName); ok {
 					p := pn.Imported().Path()
 					if p == "math/rand" || p == "math/rand/v2" {
-						ig.reportf(x.Pos(), "use of %s.%s in deterministic package %s: draw from the seeded splitmix64 streams instead", p, x.Sel.Name, pass.Pkg.Name())
+						pass.Reportf(x.Pos(), "use of %s.%s in deterministic package %s: draw from the seeded splitmix64 streams instead", p, x.Sel.Name, pass.Pkg.Name())
 					}
 				}
 			}
 		case *ast.RangeStmt:
-			checkMapRange(pass, ig, x)
+			checkMapRange(pass, x)
 		case *ast.GoStmt:
-			checkGoAccumulation(pass, ig, x)
+			checkGoAccumulation(pass, x)
 		}
 	})
 	return nil, nil
@@ -92,7 +91,7 @@ func runDeterminism(pass *analysis.Pass) (any, error) {
 // checkMapRange reports a range over a map whose body performs
 // floating-point accumulation or reaches a collective: Go randomizes map
 // iteration order, so such loops sum in a different association every run.
-func checkMapRange(pass *analysis.Pass, ig *ignorer, rng *ast.RangeStmt) {
+func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	t := pass.TypesInfo.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -105,13 +104,13 @@ func checkMapRange(pass *analysis.Pass, ig *ignorer, rng *ast.RangeStmt) {
 		case *ast.AssignStmt:
 			for _, l := range x.Lhs {
 				if isFloat(pass.TypesInfo.TypeOf(l)) {
-					ig.reportf(rng.Pos(), "map-range body writes floating-point data (%s): map iteration order is randomized, so the accumulation order differs every run", types.ExprString(l))
+					pass.Reportf(rng.Pos(), "map-range body writes floating-point data (%s): map iteration order is randomized, so the accumulation order differs every run", types.ExprString(l))
 					return false
 				}
 			}
 		case *ast.CallExpr:
 			if name := rankMethodName(pass.TypesInfo, x); collectiveMethods[name] {
-				ig.reportf(rng.Pos(), "map-range body reaches collective %s: map iteration order is randomized, so ranks would issue collectives in differing orders", name)
+				pass.Reportf(rng.Pos(), "map-range body reaches collective %s: map iteration order is randomized, so ranks would issue collectives in differing orders", name)
 				return false
 			}
 		}
@@ -123,7 +122,7 @@ func checkMapRange(pass *analysis.Pass, ig *ignorer, rng *ast.RangeStmt) {
 // variables captured from the enclosing function: completion order is
 // scheduler-dependent, so such writes are exactly the nondeterministic
 // accumulation the binomial reduction tree exists to avoid.
-func checkGoAccumulation(pass *analysis.Pass, ig *ignorer, g *ast.GoStmt) {
+func checkGoAccumulation(pass *analysis.Pass, g *ast.GoStmt) {
 	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
 	if !ok {
 		return
@@ -139,7 +138,7 @@ func checkGoAccumulation(pass *analysis.Pass, ig *ignorer, g *ast.GoStmt) {
 			}
 			if root := rootIdent(l); root != nil {
 				if v, ok := pass.TypesInfo.Uses[root].(*types.Var); ok && capturedBy(v, lit) {
-					ig.reportf(as.Pos(), "goroutine writes captured floating-point state %s: spawn/completion order is scheduler-dependent, making the accumulation nondeterministic", types.ExprString(l))
+					pass.Reportf(as.Pos(), "goroutine writes captured floating-point state %s: spawn/completion order is scheduler-dependent, making the accumulation nondeterministic", types.ExprString(l))
 					return false
 				}
 			}

@@ -115,29 +115,11 @@ func isTestPkgPath(path string) bool {
 	return strings.HasSuffix(path, ".test") || strings.HasSuffix(path, "_test")
 }
 
-// popDirective scans comment groups for one `//pop:` annotation directive
-// (//pop:nonsemantic, //pop:noresilient, …). It returns the directive's
-// reason text, whether the directive is present at all, and — when it is
-// present without a reason — the malformed directive's position, so the
-// caller can report it (an exclusion without a recorded justification is
-// rot waiting to happen, exactly like a reasonless //poplint:ignore).
-func popDirective(directive string, groups ...*ast.CommentGroup) (reason string, found bool, malformed token.Pos) {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if c.Text != directive && !strings.HasPrefix(c.Text, directive+" ") {
-				continue
-			}
-			found = true
-			reason = strings.TrimSpace(strings.TrimPrefix(c.Text, directive))
-			if reason == "" {
-				malformed = c.Pos()
-			}
-		}
-	}
-	return reason, found, malformed
+// inTestFile reports whether pos lies in a _test.go file. The invariants
+// poplint enforces bind production code; tests deliberately use rand
+// fixtures, wall clocks, and ad-hoc errors.
+func inTestFile(fset *token.FileSet, pos token.Pos) bool {
+	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
 
 // builtinName returns the name of the builtin a call invokes ("make",

@@ -44,14 +44,13 @@ var HotPathAlloc = &analysis.Analyzer{
 }
 
 func runHotPathAlloc(pass *analysis.Pass) (any, error) {
-	ig := newIgnorer(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
 		if fd.Body == nil || !isHotPath(fd) || inTestFile(pass.Fset, fd.Pos()) {
 			return
 		}
-		checkHotBody(pass, ig, fd)
+		checkHotBody(pass, fd)
 	})
 	return nil, nil
 }
@@ -73,7 +72,7 @@ func isHotPath(fd *ast.FuncDecl) bool {
 // checkHotBody walks one annotated function body, tracking whether the
 // current node sits under a capacity-check branch (the amortized-growth
 // exemption).
-func checkHotBody(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
+func checkHotBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.TypesInfo
 	name := fd.Name.Name
 	var capGuarded int // depth of enclosing `if` conditions that call cap()
@@ -102,17 +101,17 @@ func checkHotBody(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
 			switch builtinName(info, x) {
 			case "make":
 				if capGuarded == 0 {
-					ig.reportf(x.Pos(), "make in hot path %s allocates every call; preallocate in the session/world arenas (cap-guarded amortized growth is exempt)", name)
+					pass.Reportf(x.Pos(), "make in hot path %s allocates every call; preallocate in the session/world arenas (cap-guarded amortized growth is exempt)", name)
 				}
 			case "append":
-				ig.reportf(x.Pos(), "append in hot path %s may grow and allocate; size the buffer once at setup", name)
+				pass.Reportf(x.Pos(), "append in hot path %s may grow and allocate; size the buffer once at setup", name)
 			case "new":
-				ig.reportf(x.Pos(), "new in hot path %s allocates; hoist to the enclosing session state", name)
+				pass.Reportf(x.Pos(), "new in hot path %s allocates; hoist to the enclosing session state", name)
 			case "panic", "cap", "len", "copy", "min", "max", "delete", "clear", "real", "imag", "complex", "print", "println":
 				// panic is the failure path, not steady state; the rest do
 				// not allocate.
 			default:
-				checkBoxing(pass, ig, x, name)
+				checkBoxing(pass, x, name)
 			}
 			for _, a := range x.Args {
 				walk(a)
@@ -122,25 +121,25 @@ func checkHotBody(pass *analysis.Pass, ig *ignorer, fd *ast.FuncDecl) {
 		case *ast.CompositeLit:
 			switch info.TypeOf(x).Underlying().(type) {
 			case *types.Slice, *types.Map:
-				ig.reportf(x.Pos(), "%s literal in hot path %s allocates; hoist to setup", typeKindWord(info.TypeOf(x)), name)
+				pass.Reportf(x.Pos(), "%s literal in hot path %s allocates; hoist to setup", typeKindWord(info.TypeOf(x)), name)
 			}
 		case *ast.UnaryExpr:
 			if x.Op.String() == "&" {
 				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					ig.reportf(x.Pos(), "&composite-literal in hot path %s escapes to the heap; reuse a preallocated value", name)
+					pass.Reportf(x.Pos(), "&composite-literal in hot path %s escapes to the heap; reuse a preallocated value", name)
 				}
 			}
 		case *ast.BinaryExpr:
 			if x.Op.String() == "+" {
 				if t := info.TypeOf(x); t != nil {
 					if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						ig.reportf(x.Pos(), "string concatenation in hot path %s allocates; hot paths must not build strings", name)
+						pass.Reportf(x.Pos(), "string concatenation in hot path %s allocates; hot paths must not build strings", name)
 					}
 				}
 			}
 		case *ast.FuncLit:
 			if cap := firstCapture(info, x); cap != "" {
-				ig.reportf(x.Pos(), "capturing closure in hot path %s (captures %s) allocates its environment; pass state explicitly or hoist the closure", name, cap)
+				pass.Reportf(x.Pos(), "capturing closure in hot path %s (captures %s) allocates its environment; pass state explicitly or hoist the closure", name, cap)
 			}
 			// Still walk the body: allocations inside the literal run on
 			// the hot path too.
@@ -179,11 +178,11 @@ func condCallsCap(info *types.Info, cond ast.Expr) bool {
 // parameters: the conversion boxes the value on the heap. Constants convert
 // to static interface data and are exempt; fmt calls are reported outright
 // (their variadic boxing is the least of their cost).
-func checkBoxing(pass *analysis.Pass, ig *ignorer, call *ast.CallExpr, hot string) {
+func checkBoxing(pass *analysis.Pass, call *ast.CallExpr, hot string) {
 	info := pass.TypesInfo
 	f := calleeFunc(info, call)
 	if f != nil && f.Pkg() != nil && f.Pkg().Path() == "fmt" {
-		ig.reportf(call.Pos(), "fmt.%s in hot path %s allocates (formatting state and boxed operands); format outside the iteration", f.Name(), hot)
+		pass.Reportf(call.Pos(), "fmt.%s in hot path %s allocates (formatting state and boxed operands); format outside the iteration", f.Name(), hot)
 		return
 	}
 	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
@@ -214,7 +213,7 @@ func checkBoxing(pass *analysis.Pass, ig *ignorer, call *ast.CallExpr, hot strin
 		if _, argIface := tv.Type.Underlying().(*types.Interface); argIface {
 			continue
 		}
-		ig.reportf(arg.Pos(), "argument %s boxes a %s into an interface in hot path %s; interface conversion of non-constant values allocates", types.ExprString(arg), tv.Type.String(), hot)
+		pass.Reportf(arg.Pos(), "argument %s boxes a %s into an interface in hot path %s; interface conversion of non-constant values allocates", types.ExprString(arg), tv.Type.String(), hot)
 	}
 }
 

@@ -94,13 +94,6 @@ func goodFixedBound(r *comm.Rank, payload []float64, iters int) {
 	}
 }
 
-func suppressed(r *comm.Rank) {
-	if r.ID == 0 {
-		//poplint:ignore collectivelockstep single-rank diagnostic path exercised by the harness
-		r.Barrier()
-	}
-}
-
 // rankOwnID leaks rank-local data through a helper return: v1's
 // trusted-helper rule let this slip because the helper takes the bare
 // handle; the interprocedural summary follows the return value.

@@ -43,11 +43,5 @@ func API(ctx context.Context, b []float64) error {
 	return work(ctx)
 }
 
-// Detached records a deliberate detach with a suppression directive.
-func Detached() error {
-	//poplint:ignore ctxflow fire-and-forget telemetry flush, deliberately unscoped
-	return work(context.Background())
-}
-
 // blank discards its context explicitly, which is legal.
 func blank(_ context.Context, n int) int { return n }

@@ -31,8 +31,3 @@ func goodWrapSentinel() error {
 func goodDynamicFormat(format string, n int) error {
 	return fmt.Errorf(format, n) // non-constant format: nothing to check
 }
-
-func suppressed() error {
-	//poplint:ignore typederr boundary message intentionally opaque to callers
-	return errors.New("opaque")
-}

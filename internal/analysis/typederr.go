@@ -48,7 +48,6 @@ func runTypedErr(pass *analysis.Pass) (any, error) {
 	if !pkgInScope(pass, typedErrScope...) {
 		return nil, nil
 	}
-	ig := newIgnorer(pass)
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Only calls inside function bodies: package-level `var ErrX =
@@ -66,10 +65,10 @@ func runTypedErr(pass *analysis.Pass) (any, error) {
 			f := calleeFunc(pass.TypesInfo, call)
 			switch {
 			case isPkgFunc(f, "errors", "New"):
-				ig.reportf(call.Pos(), "errors.New inside %s creates an unmatchable one-off error; declare a package-level Err* sentinel or a typed *Error and wrap it with %%w", fd.Name.Name)
+				pass.Reportf(call.Pos(), "errors.New inside %s creates an unmatchable one-off error; declare a package-level Err* sentinel or a typed *Error and wrap it with %%w", fd.Name.Name)
 			case isPkgFunc(f, "fmt", "Errorf"):
 				if format, ok := constFormat(pass, call); ok && !strings.Contains(format, "%w") {
-					ig.reportf(call.Pos(), "fmt.Errorf without %%w in %s breaks errors.Is/As matching; wrap the cause or a typed Err* sentinel", fd.Name.Name)
+					pass.Reportf(call.Pos(), "fmt.Errorf without %%w in %s breaks errors.Is/As matching; wrap the cause or a typed Err* sentinel", fd.Name.Name)
 				}
 			}
 			return true

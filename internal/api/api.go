@@ -59,30 +59,26 @@ type SolveRequest struct {
 	// exclusive with RHS.
 	B []float64 `json:"b,omitempty"`
 	// RHS names a synthetic right-hand-side generator; mutually exclusive
-	// with B.
-	//
-	//pop:nonsemantic resolved to an explicit B at the boundary before hashing; frames never carry generator names
+	// with B. It is resolved to an explicit B at the boundary before
+	// hashing; frames never carry generator names.
 	RHS string `json:"rhs,omitempty"`
 	// X0 is the initial guess (nil = zero vector).
 	X0 []float64 `json:"x0,omitempty"`
-	// TimeoutMS bounds the solve in milliseconds (0 = no request deadline).
-	//
-	//pop:nonsemantic request deadline; bounds when the solve may run, not what it computes
+	// TimeoutMS bounds the solve in milliseconds (0 = no request deadline):
+	// when the solve may run, not what it computes.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// ReturnX asks for the solution vector in the response.
-	//
-	//pop:nonsemantic response-shape preference; the cached numerics are identical either way
+	// ReturnX asks for the solution vector in the response — a
+	// response-shape preference; the cached numerics are identical either way.
 	ReturnX bool `json:"return_x,omitempty"`
 	// TraceID lets the client supply its own request-scoped trace ID
 	// (e.g. propagated from an upstream system); 0 assigns a fresh one.
-	//
-	//pop:nonsemantic observability correlation only; hashing it would defeat the result cache
+	// Observability correlation only: hashing it would defeat the result
+	// cache.
 	TraceID uint64 `json:"trace_id,omitempty"`
 	// NoCache asks the fleet router to bypass its result cache for this
 	// request (the solve still populates it). Single-process servers
-	// ignore it.
-	//
-	//pop:nonsemantic cache-policy hint; changes where the answer comes from, not the answer
+	// ignore it. A cache-policy hint: it changes where the answer comes
+	// from, not the answer.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

@@ -36,17 +36,68 @@ func TestParseDefaultsAndSpellings(t *testing.T) {
 	if c.Method != core.MethodCSI {
 		t.Fatalf("csi parse wrong: %+v", c)
 	}
+}
 
+// zeroFields names the fields of struct v holding their zero value: a hop
+// fixture must have none, so a field added to a wire struct fails the hop
+// tests by name until the fixture — and then the hop — carries it.
+func zeroFields(v any) []string {
+	var zero []string
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Field(i).IsZero() {
+			zero = append(zero, rv.Type().Field(i).Name)
+		}
+	}
+	return zero
+}
+
+// TestParseCarriesEveryField is the JSON → frame hop, field by field: every
+// SolveRequest field has a FrameRequest namesake, and clearing it in a fully
+// set request changes that namesake in what Parse returns. RHS is the one
+// exception: generator names are resolved to an explicit B by the server
+// (popserver's syntheticRHS) and never reach a frame.
+func TestParseCarriesEveryField(t *testing.T) {
+	full := SolveRequest{Grid: "1deg", Method: "sstep", Precond: "blocklu", SStep: 8,
+		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
+		TraceID: 77, NoCache: true}
+	if z := zeroFields(full); !reflect.DeepEqual(z, []string{"RHS"}) {
+		t.Fatalf("zero-valued fields in the fixture: %v, want only RHS (exclusive with B)", z)
+	}
 	// JSON and the binary frame continue as one typed request: everything a
 	// frame carries arrives from a JSON body too.
-	c, err = (&SolveRequest{Grid: "1deg", Method: "sstep", Precond: "blocklu", SStep: 8,
-		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
-		TraceID: 77, NoCache: true}).Parse()
 	want := FrameRequest{Grid: "1deg", Method: core.MethodSStep, Precond: core.PrecondBlockLU, SStep: 8,
 		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
 		TraceID: 77, NoCache: true}
-	if err != nil || !reflect.DeepEqual(c, want) {
-		t.Fatalf("full request parsed to %+v (%v), want %+v", c, err, want)
+	if got, err := full.Parse(); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("full request parsed to %+v (%v), want %+v", got, err, want)
+	}
+	st := reflect.TypeOf(full)
+	for i := 0; i < st.NumField(); i++ {
+		name := st.Field(i).Name
+		if name == "RHS" {
+			continue
+		}
+		if _, ok := reflect.TypeOf(want).FieldByName(name); !ok {
+			t.Errorf("SolveRequest.%s has no FrameRequest namesake: the frame cannot carry it", name)
+			continue
+		}
+		cleared := full
+		reflect.ValueOf(&cleared).Elem().Field(i).SetZero()
+		got, err := cleared.Parse()
+		if err != nil {
+			t.Errorf("%s cleared: %v", name, err)
+			continue
+		}
+		if reflect.DeepEqual(reflect.ValueOf(got).FieldByName(name).Interface(),
+			reflect.ValueOf(want).FieldByName(name).Interface()) {
+			t.Errorf("Parse drops SolveRequest.%s: clearing it leaves FrameRequest.%s unchanged", name, name)
+		}
+	}
+	for i, ft := 0, reflect.TypeOf(want); i < ft.NumField(); i++ {
+		if _, ok := st.FieldByName(ft.Field(i).Name); !ok {
+			t.Errorf("FrameRequest.%s has no SolveRequest namesake: JSON clients cannot set it", ft.Field(i).Name)
+		}
 	}
 }
 
@@ -106,6 +157,9 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 		ReturnX:   true,
 		NoCache:   true,
 		TraceID:   0xDEADBEEFCAFE,
+	}
+	if z := zeroFields(in); len(z) > 0 {
+		t.Fatalf("zero-valued fields in the fixture: %v — a field the codec dropped would round-trip unnoticed", z)
 	}
 	raw := AppendFrameRequest(nil, in)
 	kind, err := FrameKind(raw)

@@ -155,9 +155,10 @@ type World struct {
 	//   Blocks slice (−1 for unowned), replacing a linear scan per edge.
 	//
 	//   reducePart[rank] is the rank's reduction deposit and reduceRoot the
-	//   pair of result buffers alternated by call parity; reduceArrived
-	//   counts the current reduction's deposits and reduceDone the reductions
-	//   completed this Run (see AllReduce).
+	//   pair of result buffers alternated by call parity, each left at the
+	//   length its last reduction was folded at; reduceArrived counts the
+	//   current reduction's deposits and reduceDone the reductions completed
+	//   this Run (see AllReduce).
 	plans         [][2]phasePlan
 	blockPos      []int
 	reducePart    [][]float64

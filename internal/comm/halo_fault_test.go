@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -263,5 +264,32 @@ func TestExchangeMultiLevelCountMismatch(t *testing.T) {
 			!strings.Contains(msg, "passes 2") {
 			t.Fatalf("threads %d: panic %q does not name rank 1's 3 levels against a neighbour's 2", threads, msg)
 		}
+	}
+}
+
+// TestAllReduceWidthMismatch: ranks entering one reduction with payloads of
+// different widths would otherwise return sums over misaligned deposits.
+// Whichever rank folds, a rank whose width is not the folded one panics on
+// Run's caller naming itself and both widths — at every worker count, after
+// a matching reduction, and leaving the world usable for the next run.
+func TestAllReduceWidthMismatch(t *testing.T) {
+	_, d, w := testWorld(t, 8, 8, nil)
+	p := d.NRanks
+	odd := fmt.Sprintf("rank %d passes 2 values, the reduction was folded at 1", p-1)
+	rest := regexp.MustCompile(`rank \d+ passes 1 values, the reduction was folded at 2`)
+	for _, threads := range []int{1, 2, p} {
+		w.SetThreads(threads)
+		msg := runExpectingPanic(t, w, func(r *Rank) {
+			r.AllReduce([]float64{1})
+			r.AllReduce(make([]float64, 1+r.ID/(p-1)))
+		})
+		if !strings.Contains(msg, "AllReduce widths differ") || !strings.Contains(msg, odd) && !rest.MatchString(msg) {
+			t.Fatalf("threads %d: panic %q does not set rank %d's 2 values against the others' 1", threads, msg, p-1)
+		}
+		w.Run(func(r *Rank) {
+			if got := r.AllReduce([]float64{1, 2})[1]; got != float64(2*p) {
+				panic("wrong sum after an aborted run")
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"fmt"
+
 	"repro/internal/faults"
 	"repro/internal/obs"
 )
@@ -14,7 +16,9 @@ import (
 // AllReduce sums vals element-wise across all ranks and returns the global
 // result. It also synchronizes virtual clocks: every rank leaves at
 // max(entry clocks) + ReduceTime. Collective: every rank must call it the
-// same number of times with equal-length arguments.
+// same number of times with equal-length arguments — a rank whose width
+// differs from the one the reduction was folded at panics (on Run's caller)
+// instead of returning sums over misaligned deposits.
 //
 // The returned slice is a persistent reduction workspace shared read-only
 // by all ranks: it stays valid until the rank's next collective call, then
@@ -32,18 +36,21 @@ import (
 //
 // Mechanics: every rank deposits its payload into its own reducePart buffer
 // and bumps one arrival counter; the last arriver folds all deposits in the
-// fixed binomial-tree order (fold), writes the result into the parity root
-// buffer and publishes the reduction's sequence number in reduceDone. Every
-// other rank awaits that number — one yield per rank per reduction (history:
-// a log₂p-deep chain of channel rendezvous up the tree and back down).
+// fixed binomial-tree order (fold), leaves the result in the parity root
+// buffer — resliced to the width it folded at — and publishes the
+// reduction's sequence number in reduceDone. Every other rank awaits that number — one
+// yield per rank per reduction (history: a log₂p-deep chain of channel
+// rendezvous up the tree and back down) — and checks its own width against
+// the root buffer's on the way out: one store per reduction, none per rank.
 //
 // Buffer-reuse safety: a rank rewrites its reducePart for reduction k+1 only
 // after observing done ≥ k+1, which the folder stores after its last read of
 // the deposits. The root buffers alternate by call parity: the buffer of
-// reduction k is rewritten by the folder of reduction k+2, which runs only
-// after every rank has arrived at k+2 — i.e. has passed the collective call
-// that ends the returned slice's documented lifetime. Arrival (an atomic
-// add) and done (an atomic store/load pair) are the happens-before edges.
+// reduction k (and its length) is rewritten by the folder of reduction k+2,
+// which runs only after every rank has arrived at k+2 — i.e. has passed the
+// collective call that ends the returned slice's documented lifetime.
+// Arrival (an atomic add) and done (an atomic store/load pair) are the
+// happens-before edges.
 //
 //pop:hotpath
 func (r *Rank) AllReduce(vals []float64) []float64 {
@@ -89,7 +96,10 @@ func (r *Rank) AllReduce(vals []float64) []float64 {
 		r.notifyAll()
 	default:
 		r.await(&w.reduceDone, seq+1, waitSite{kind: waitReduce})
-		result = w.reduceRoot[seq&1][:n+2]
+		result = w.reduceRoot[seq&1]
+		if len(result) != n+2 {
+			widthMismatch(r.ID, n, len(result)-2)
+		}
 	}
 
 	newClock := result[n] + w.Cost.ReduceTime(p, seq)
@@ -138,7 +148,17 @@ func (w *World) fold(n int, seq int64) []float64 {
 	}
 	result := grow(&w.reduceRoot[seq&1], n+2)
 	copy(result, part[0][:n+2])
+	w.reduceRoot[seq&1] = result // its length is the width this reduction was folded at
 	return result
+}
+
+// widthMismatch reports a rank that entered a reduction with a payload width
+// other than the one the last arriver folded every deposit at (whichever of
+// the two is the odd one out, the sums are garbage). Kept out of the hot path
+// because it formats.
+func widthMismatch(rank, n, folded int) {
+	panic(fmt.Sprintf("comm: AllReduce widths differ: rank %d passes %d values, the reduction was folded at %d",
+		rank, n, folded))
 }
 
 // Barrier blocks until every rank reaches it (an empty AllReduce).

@@ -12,7 +12,7 @@ import (
 // the steady-state iteration body — halo exchange, matvec, preconditioner,
 // reduction, convergence check — from per-solve costs (Run's goroutines and
 // Rank structs, scatters, the Result/trace records).
-func allocsPerIteration(t *testing.T, f *fixture, solver string, precond PrecondType, short, long int) float64 {
+func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType, short, long int) float64 {
 	t.Helper()
 	mk := func(iters int) *Session {
 		s, err := NewSession(f.g, f.op, f.d, f.w, Options{
@@ -23,7 +23,6 @@ func allocsPerIteration(t *testing.T, f *fixture, solver string, precond Precond
 		return s
 	}
 	sShort, sLong := mk(short), mk(long)
-	m := allSolvers[solver]
 	x0 := make([]float64, f.g.N())
 	run := func(s *Session) func() {
 		return func() {
@@ -44,28 +43,22 @@ func allocsPerIteration(t *testing.T, f *fixture, solver string, precond Precond
 
 // TestSteadyStateSolverAllocFree asserts the acceptance criterion of the
 // zero-allocation refactor: once a session is warm, a solver iteration
-// allocates nothing, for both the production ChronGear solver and P-CSI on
-// a multi-rank virtual run.
+// allocates nothing — for every row of the methods table under every
+// preconditioner, on a multi-rank virtual run.
 func TestSteadyStateSolverAllocFree(t *testing.T) {
 	f := testFixture(t)
 	if f.d.NRanks < 2 {
 		t.Fatalf("fixture is not multi-rank (%d ranks)", f.d.NRanks)
 	}
-	for _, tc := range []struct {
-		solver  string
-		precond PrecondType
-	}{
-		{"chrongear", PrecondDiagonal},
-		{"chrongear", PrecondEVP},
-		{"pcsi", PrecondDiagonal},
-		{"pcsi", PrecondEVP},
-	} {
-		t.Run(fmt.Sprintf("%s-%v", tc.solver, tc.precond), func(t *testing.T) {
-			per := allocsPerIteration(t, f, tc.solver, tc.precond, 1, 51)
-			if per > 0 {
-				t.Fatalf("%.3f allocations per steady-state iteration, want 0", per)
-			}
-		})
+	for i := range methods {
+		for _, pc := range precondSpellings {
+			t.Run(fmt.Sprintf("%v-%v", Method(i), pc.value), func(t *testing.T) {
+				per := allocsPerIteration(t, f, Method(i), pc.value, 1, 51)
+				if per > 0 {
+					t.Fatalf("%.3f allocations per steady-state iteration, want 0", per)
+				}
+			})
+		}
 	}
 }
 

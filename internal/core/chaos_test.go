@@ -318,6 +318,46 @@ func TestLadderFallsBackToChronGear(t *testing.T) {
 	}
 }
 
+// The ladder's membership comes from the methods table, and so does this
+// test's: with an active injector that never fires and an iteration cap no
+// method converges under, every row must descend exactly the rungs its table
+// entry implies — Lanczos re-run first for the rows that lean on the
+// interval, then ChronGear (whose own non-convergence is what comes back) for
+// every row but ChronGear itself. A row added to methods is held to this
+// without being listed anywhere.
+func TestLadderCoversMethodsTable(t *testing.T) {
+	for i, spec := range methods {
+		m := Method(i)
+		t.Run(m.String(), func(t *testing.T) {
+			f := testFixture(t)
+			f.w.Faults = faults.New(faults.Plan{Seed: 1, HaloDropProb: 1e-12})
+			s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-13, MaxIters: 5})
+			if _, _, _, err := s.EstimateEigenvalues(nil, 0); err != nil {
+				t.Fatal(err)
+			}
+			s.EigenStats = nil // set again only by a fresh Lanczos run
+			res, _, err := s.SolveResilient(context.Background(), m, f.b, nil)
+			if res.Converged {
+				t.Fatalf("%v converged in 5 iterations; the test exercised no rung", m)
+			}
+			if reEig := s.EigenStats != nil; reEig != (spec.diverged != "") {
+				t.Errorf("%v: Lanczos re-ran = %v, but its methods row says leans-on-interval = %v",
+					m, reEig, spec.diverged != "")
+			}
+			if m == MethodChronGear {
+				if err != nil {
+					t.Errorf("chrongear is the last rung, got %v", err)
+				}
+				return
+			}
+			var nc *NotConvergedError
+			if !errors.As(err, &nc) || nc.Solver != "chrongear" {
+				t.Errorf("%v skipped the ChronGear rung: got %v, want a *NotConvergedError naming chrongear", m, err)
+			}
+		})
+	}
+}
+
 // Chaos schedules replay: the same plan yields the same recovery counts and
 // the same residual history, bit for bit.
 func TestChaosRunsDeterministic(t *testing.T) {

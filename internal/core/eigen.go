@@ -8,6 +8,13 @@ import (
 	"repro/internal/linalg"
 )
 
+// The adaptive Lanczos stop: both extreme Ritz values within eigTol relative
+// change of the previous step's (the paper's ε, §3), or eigMaxSteps steps.
+const (
+	eigTol      = 0.15
+	eigMaxSteps = 40
+)
+
 // EstimateEigenvalues estimates the extreme eigenvalues of M⁻¹A — the
 // bounds P-CSI's Chebyshev interval needs — with the Lanczos process
 // realized through preconditioned CG (the classic CG–Lanczos connection:
@@ -17,10 +24,10 @@ import (
 // calling the ChronGear solver a few times" (§3).
 //
 // When maxSteps ≤ 0 the iteration stops adaptively: both extreme Ritz
-// values must change by less than EigTol relative (the paper uses ε = 0.15),
-// capped at EigMaxSteps. When maxSteps > 0 exactly that many steps run —
-// the knob the Fig. 3 sweep turns. The estimates (with safety factors
-// applied) are stored on the Session.
+// values must change by less than eigTol relative, capped at eigMaxSteps.
+// When maxSteps > 0 exactly that many steps run — the knob the Fig. 3 sweep
+// turns. The estimates (with safety factors applied) are stored on the
+// Session.
 //
 // b selects the Lanczos starting vector; pass nil for a deterministic
 // random probe, which is the robust default — a smooth right-hand side has
@@ -33,10 +40,9 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	if b == nil {
 		b = s.eigenProbe()
 	}
-	o := s.Opts
 	forced := maxSteps > 0
 	if !forced {
-		maxSteps = o.EigMaxSteps
+		maxSteps = eigMaxSteps
 	}
 
 	var nSteps int
@@ -133,8 +139,8 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 			}
 			nuK, muK := tri.ExtremeEigenvalues(0)
 			conv := k > 1 && prevNu > 0 &&
-				math.Abs(nuK-prevNu) <= o.EigTol*prevNu &&
-				math.Abs(muK-prevMu) <= o.EigTol*prevMu
+				math.Abs(nuK-prevNu) <= eigTol*prevNu &&
+				math.Abs(muK-prevMu) <= eigTol*prevMu
 			prevNu, prevMu = nuK, muK
 			if r.ID == 0 {
 				lastNu, lastMu = nuK, muK

@@ -39,13 +39,15 @@ const (
 )
 
 // methodSpec is one row of the methods table: everything the Krylov driver
-// (driver.go) needs to run a method, as data. Adding a method is one
-// recurrence and one row here.
+// (driver.go) and the degraded-mode ladder (resilient.go) need to know about
+// a method, as data. Adding a method is a recurrence, a constant, a row here
+// and a spelling in methodSpellings.
 type methodSpec struct {
 	name string // Result.Solver and error texts
 	// diverged is set for the methods that lean on the session's Lanczos
-	// estimate [ν, μ] (the driver estimates it when absent): how the error
-	// of a diverged solve introduces the interval it blames.
+	// estimate [ν, μ] (the driver estimates it when absent, SolveResilient
+	// re-estimates it as its first rung): how the error of a diverged solve
+	// introduces the interval it blames.
 	diverged string
 	shape    func(Options) shape // what the driver must know about a step
 	new      func() recurrence   // one per rank, made on the rank's first solve
@@ -69,29 +71,19 @@ var pcsiSpec = methodSpec{name: "pcsi", diverged: "P-CSI diverged; Chebyshev int
 	new:   func() recurrence { return new(pcsi) },
 	shape: func(o Options) shape { return shape{span: o.CheckEvery} }}
 
-// String returns the name used in CLI flags and experiment tables.
+// String returns the name used in CLI flags and experiment tables: m's
+// first spelling in methodSpellings.
 func (m Method) String() string {
-	switch m {
-	case MethodChronGear:
-		return "chrongear"
-	case MethodPCG:
-		return "pcg"
-	case MethodPipeCG:
-		return "pipecg"
-	case MethodPCSI:
-		return "pcsi"
-	case MethodCSI:
-		return "csi"
-	case MethodSStep:
-		return "sstep"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
+	if name, ok := spellingOf(methodSpellings, m); ok {
+		return name
 	}
+	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// Valid reports whether m is one of the defined solver methods.
+// Valid reports whether m is one of the defined solver methods — a row of
+// the methods table.
 func (m Method) Valid() bool {
-	return m >= MethodChronGear && m <= MethodSStep
+	return m >= 0 && int(m) < len(methods)
 }
 
 // Precision is a vestige pinned by benchmark/: the frozen benchmark calls
@@ -130,13 +122,23 @@ var precondSpellings = []enumSpelling[PrecondType]{
 }
 
 // enumSpelling is one accepted wire spelling of an enum value.
-type enumSpelling[T any] struct {
+type enumSpelling[T comparable] struct {
 	name  string
 	value T
 }
 
+// spellingOf returns the first (canonical) spelling of v in table.
+func spellingOf[T comparable](table []enumSpelling[T], v T) (string, bool) {
+	for _, sp := range table {
+		if sp.value == v {
+			return sp.name, true
+		}
+	}
+	return "", false
+}
+
 // spellingNames flattens a spelling table to its accepted names, in order.
-func spellingNames[T any](table []enumSpelling[T]) []string {
+func spellingNames[T comparable](table []enumSpelling[T]) []string {
 	out := make([]string, len(table))
 	for i, sp := range table {
 		out[i] = sp.name
@@ -146,7 +148,7 @@ func spellingNames[T any](table []enumSpelling[T]) []string {
 
 // parseSpelling resolves s against a spelling table ("" selects the first
 // entry's value, the documented default).
-func parseSpelling[T any](table []enumSpelling[T], s, kind string) (T, error) {
+func parseSpelling[T comparable](table []enumSpelling[T], s, kind string) (T, error) {
 	if s == "" {
 		return table[0].value, nil
 	}

@@ -37,25 +37,20 @@ const (
 	PrecondBlockLU
 )
 
-// String returns the name used in experiment tables.
+// String returns the name used in experiment tables: p's first spelling in
+// precondSpellings.
 func (p PrecondType) String() string {
-	switch p {
-	case PrecondIdentity:
-		return "none"
-	case PrecondDiagonal:
-		return "diagonal"
-	case PrecondEVP:
-		return "evp"
-	case PrecondBlockLU:
-		return "blocklu"
-	default:
-		return fmt.Sprintf("PrecondType(%d)", int(p))
+	if name, ok := spellingOf(precondSpellings, p); ok {
+		return name
 	}
+	return fmt.Sprintf("PrecondType(%d)", int(p))
 }
 
-// Valid reports whether p is one of the defined preconditioner types.
+// Valid reports whether p is one of the defined preconditioner types — a
+// value precondSpellings spells.
 func (p PrecondType) Valid() bool {
-	return p >= PrecondDiagonal && p <= PrecondBlockLU
+	_, ok := spellingOf(precondSpellings, p)
+	return ok
 }
 
 // Preconditioner applies M⁻¹ to the interior of one block's padded array.
@@ -177,8 +172,13 @@ type evpPrecond struct {
 // link.) Tiles that march hotter are split adaptively.
 const maxMarchGrowth = 1e4
 
+// evpFillDepth is the artificial depth (m) given to land cells inside EVP
+// blocks so marching has wet corners everywhere (see
+// stencil.AssembleWindowFilled); it must be ≤ the grid's minimum wet depth.
+const evpFillDepth = 50
+
 func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Local,
-	size int, fill float64) (*evpPrecond, error) {
+	size int) (*evpPrecond, error) {
 	p := &evpPrecond{loc: loc}
 	var sols []*evp.BlockSolver
 	maxExt := 0
@@ -203,7 +203,7 @@ func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Loca
 			p.tiles = append(p.tiles, evpTile{subBlock: sb})
 			continue
 		}
-		win := stencil.AssembleWindowFilled(g, phi, b.X0+sb.x0, b.Y0+sb.y0, sb.nx, sb.ny, fill)
+		win := stencil.AssembleWindowFilled(g, phi, b.X0+sb.x0, b.Y0+sb.y0, sb.nx, sb.ny, evpFillDepth)
 		// The tile is packed once: the growth check and the solver it then
 		// gets share the march records.
 		var sol *evp.BlockSolver

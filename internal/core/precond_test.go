@@ -24,7 +24,7 @@ func TestEVPApplyTileKinds(t *testing.T) {
 	blk := &d.Blocks[d.OceanBlocks[0]]
 	loc := d.LocalOperator(op, blk)
 	const size = 8
-	p, err := newEVPPrecond(g, op.Phi, blk, loc, size, 50)
+	p, err := newEVPPrecond(g, op.Phi, blk, loc, size)
 	if err != nil {
 		t.Fatal(err)
 	}

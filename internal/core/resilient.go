@@ -51,15 +51,17 @@ const (
 // the solve surrenders (ErrFaulted) or fails to converge under an active
 // injector, it descends the ladder:
 //
-//  1. for the methods that lean on the Lanczos interval (P-CSI, CSI,
-//     s-step): re-estimate the eigenvalue bounds from a fresh Lanczos run
-//     and retry — an interval knocked loose by injected corruption is the
-//     most likely culprit for their divergence;
+//  1. for the methods that lean on the Lanczos interval — every row of the
+//     methods table whose diverged text is set: re-estimate the eigenvalue
+//     bounds from a fresh Lanczos run and retry — an interval knocked loose
+//     by injected corruption is the most likely culprit for their
+//     divergence;
 //  2. for every method but ChronGear itself: fall back to the ChronGear
 //     solver — slower per iteration at scale but self-correcting, the
 //     degraded mode of last resort.
 //
-// The rung that produced the result is recorded in Result.Recovery.Degraded
+// Membership of both rungs is read from the table, so a new method cannot
+// be missing from a list. The rung that produced the result is recorded in Result.Recovery.Degraded
 // and counted on the injector; request-level retry lives in internal/serve.
 func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64) (Result, []float64, error) {
 	res, x, err := s.SolveContext(ctx, m, b, x0)
@@ -80,8 +82,7 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 		return res, x, err
 	}
 
-	switch m {
-	case MethodPCSI, MethodCSI, MethodSStep:
+	if methods[m].diverged != "" {
 		// Rung 1: re-estimate the Chebyshev interval and retry.
 		if _, _, _, eerr := s.EstimateEigenvalues(nil, 0); eerr == nil {
 			res2, x2, err2 := s.SolveContext(ctx, m, b, x0)
@@ -96,8 +97,7 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 		}
 	}
 
-	switch m {
-	case MethodPCG, MethodPipeCG, MethodPCSI, MethodCSI, MethodSStep:
+	if m != MethodChronGear {
 		// Rung 2: ChronGear degraded mode.
 		res3, x3, err3 := s.SolveContext(ctx, MethodChronGear, b, x0)
 		if err3 == nil && res3.Converged {

@@ -24,11 +24,6 @@ type Options struct {
 	// near-isotropic grids; the synthetic grids here are more anisotropic,
 	// so the default is 8.
 	EVPBlockSize int
-	// FillDepth is the artificial depth given to land cells inside EVP
-	// blocks so marching has wet corners everywhere (see
-	// stencil.AssembleWindowFilled). Must be ≤ the grid's minimum wet
-	// depth; default 50 m.
-	FillDepth float64
 
 	// Tol is the relative convergence tolerance: ‖r‖ ≤ Tol·‖b‖ over ocean
 	// points. POP's default corresponds to 1e−13.
@@ -48,9 +43,6 @@ type Options struct {
 	// SOLVERS.md for the crossover guidance.
 	SStep int
 
-	// Lanczos (eigenvalue estimation) controls for P-CSI.
-	EigTol      float64 // relative change tolerance; paper: 0.15
-	EigMaxSteps int     // cap on Lanczos steps (default 40)
 	// Safety factors widening the estimated spectrum [ν, μ]: Lanczos
 	// approaches λ_min from above and λ_max from below, and Chebyshev
 	// iteration wants the true spectrum inside the interval. The defaults
@@ -72,9 +64,6 @@ func (o Options) withDefaults() Options {
 	if o.EVPBlockSize == 0 {
 		o.EVPBlockSize = 8
 	}
-	if o.FillDepth == 0 {
-		o.FillDepth = 50
-	}
 	if o.Tol == 0 {
 		o.Tol = 1e-13
 	}
@@ -86,12 +75,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SStep == 0 {
 		o.SStep = DefaultSStep
-	}
-	if o.EigTol == 0 {
-		o.EigTol = 0.15
-	}
-	if o.EigMaxSteps == 0 {
-		o.EigMaxSteps = 40
 	}
 	if o.EigSafetyLow == 0 {
 		o.EigSafetyLow = 0.85
@@ -263,8 +246,7 @@ func (s *Session) Setup() error {
 			case PrecondDiagonal:
 				pre = newDiagPrecond(loc)
 			case PrecondEVP:
-				pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc,
-					s.Opts.EVPBlockSize, s.Opts.FillDepth)
+				pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc, s.Opts.EVPBlockSize)
 			case PrecondBlockLU:
 				pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
 			default:

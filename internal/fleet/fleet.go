@@ -199,13 +199,11 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		ctx = obs.ContextWithTraceID(ctx, traceID)
 	}
 
-	key, err := serve.NormalizeRequest(req.Request)
+	key, hash, err := f.cacheKey(req.Request)
 	if err != nil {
 		f.m.errors.Inc()
 		return Response{Shard: -1}, err
 	}
-	// core.Float64: HashSolve's vestigial argument, pinned by benchmark/.
-	hash := api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, key.SStep, f.tol, req.B, req.X0)
 
 	if f.cache.cap > 0 && !req.NoCache {
 		if res, x, ok := f.cache.get(hash); ok {
@@ -244,6 +242,18 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		f.cache.put(hash, out.resp.Result, out.resp.X)
 	}
 	return Response{Response: out.resp, Cache: state, Shard: out.shard}, nil
+}
+
+// cacheKey normalizes the request to its pool key and content-hashes
+// everything that determines the solve's bits: the key's scalars, the
+// fleet's tolerance and both vectors.
+func (f *Fleet) cacheKey(req serve.Request) (serve.Key, api.CacheKey, error) {
+	key, err := serve.NormalizeRequest(req)
+	if err != nil {
+		return serve.Key{}, api.CacheKey{}, err
+	}
+	// core.Float64: HashSolve's vestigial argument, pinned by benchmark/.
+	return key, api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, key.SStep, f.tol, req.B, req.X0), nil
 }
 
 // dispatch sends the request to its home shard, failing over clockwise on

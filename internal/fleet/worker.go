@@ -96,12 +96,12 @@ func (w *HTTPWorker) Close(ctx context.Context) error {
 	return nil
 }
 
-// Solve encodes the request as a binary frame, POSTs it to the worker's
-// /v1/solve, and decodes the reply. Remote error frames are mapped back to
-// the service's typed errors through wireErrors, so the router's failover
-// logic treats a remote shed exactly like a local one.
-func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
-	frame := api.AppendFrameRequest(nil, api.FrameRequest{
+// frameRequest is the serve → frame hop: the solve a remote worker is asked
+// for, always with its solution vector, under the router's trace ID. The
+// deadline travels as the HTTP request's context and the cache is the
+// router's own, so the frame's TimeoutMS and NoCache stay zero.
+func frameRequest(req serve.Request, traceID uint64) api.FrameRequest {
+	return api.FrameRequest{
 		Grid:    req.Grid,
 		Method:  req.Method,
 		Precond: req.Precond,
@@ -109,8 +109,16 @@ func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Respon
 		B:       req.B,
 		X0:      req.X0,
 		ReturnX: true,
-		TraceID: obs.TraceIDFromContext(ctx),
-	})
+		TraceID: traceID,
+	}
+}
+
+// Solve encodes the request as a binary frame, POSTs it to the worker's
+// /v1/solve, and decodes the reply. Remote error frames are mapped back to
+// the service's typed errors through wireErrors, so the router's failover
+// logic treats a remote shed exactly like a local one.
+func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
+	frame := api.AppendFrameRequest(nil, frameRequest(req, obs.TraceIDFromContext(ctx)))
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+api.V1Solve, bytes.NewReader(frame))
 	if err != nil {
 		return serve.Response{}, fmt.Errorf("fleet: worker %s: %w", w.base, err)

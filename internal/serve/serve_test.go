@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -389,5 +390,67 @@ func TestKeyLabels(t *testing.T) {
 		if k.String() != c.want {
 			t.Errorf("key label = %q, want %q", k.String(), c.want)
 		}
+	}
+}
+
+// TestKeyCoversRequestScalars: changing any scalar field of a request changes
+// the pool key it is served under (and the fleet shards and hashes on), so a
+// field normalize forgot cannot silently share another configuration's
+// sessions. The two vectors are what a pool's sessions are reused across.
+func TestKeyCoversRequestScalars(t *testing.T) {
+	base := serve.Request{Grid: "test", Method: core.MethodSStep, Precond: core.PrecondEVP,
+		SStep: 8, B: []float64{1}, X0: []float64{2}}
+	other := serve.Request{Grid: "1deg", Method: core.MethodPCG, Precond: core.PrecondDiagonal,
+		SStep: 4, B: []float64{3}, X0: []float64{4}}
+	vectors := map[string]bool{"B": true, "X0": true}
+	want, err := serve.NormalizeRequest(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < reflect.TypeOf(base).NumField(); i++ {
+		name := reflect.TypeOf(base).Field(i).Name
+		req := base
+		reflect.ValueOf(&req).Elem().Field(i).Set(reflect.ValueOf(other).Field(i))
+		if reflect.DeepEqual(req, base) {
+			t.Errorf("serve.Request.%s: the perturbed fixture does not differ", name)
+		}
+		got, err := serve.NormalizeRequest(req)
+		if err != nil {
+			t.Errorf("%s perturbed: %v", name, err)
+		} else if (got != want) == vectors[name] {
+			t.Errorf("serve.Request.%s: pool key changed = %v, want %v", name, got != want, !vectors[name])
+		}
+	}
+}
+
+// TestServeSStepReachesSession: the block size a request asks for is the one
+// its session solves with. The same right-hand side served with s = 2 and
+// s = 8 lands in two pools, and each solve's reduction count — from the
+// communicator's own counters — honours its own ceil(iters/s)+1 bound and
+// differs from the other's.
+func TestServeSStepReachesSession(t *testing.T) {
+	rhs := testRHS(t, 1)
+	s := serve.New(serve.Options{MaxSessionsPerKey: 1, Solver: core.Options{Tol: 1e-10}})
+	defer closeQuietly(t, s)
+
+	reductions := map[int]int64{}
+	for _, sv := range []int{2, 8} {
+		resp, err := s.Solve(context.Background(), serve.Request{Grid: grid.PresetTest,
+			Method: core.MethodSStep, Precond: core.PrecondEVP, SStep: sv, B: rhs[0]})
+		if err != nil || !resp.Result.Converged {
+			t.Fatalf("s=%d: err %v, converged %v", sv, err, resp.Result.Converged)
+		}
+		n, iters := resp.Result.Stats.PerRank[0].Reductions, resp.Result.Iterations
+		if bound := int64((iters+sv-1)/sv) + 1; n > bound {
+			t.Errorf("s=%d: %d reductions for %d iterations, bound ceil(%d/%d)+1 = %d — the session ran another block size",
+				sv, n, iters, iters, sv, bound)
+		}
+		reductions[sv] = n
+	}
+	if reductions[2] == reductions[8] {
+		t.Errorf("s=2 and s=8 both took %d reductions: the block size did not reach the session", reductions[2])
+	}
+	if n := s.Snapshot().Sessions; n != 2 {
+		t.Errorf("s=2 and s=8 built %d sessions, want one pool each", n)
 	}
 }

@@ -62,20 +62,20 @@ internal/core/precond.go|func (p *diagPrecond) Apply(
 EOF_LOOPS
 
 echo "== poplint static analysis =="
-# The repo's own analyzer suite (SPMD lockstep with interprocedural taint,
-# determinism, hot-path allocation, ctx flow, typed errors — DESIGN.md §10 —
-# plus the protocol-drift trio: wiredrift field parity, faultladder
-# coverage, reductionwidth — DESIGN.md §14) must run clean: go vet exits
-# nonzero on any diagnostic.
+# The `collectivelockstep`, `determinism`, `hotpathalloc`, `ctxflow` and
+# `typederr` analyzers — SPMD lockstep with interprocedural taint, no clocks
+# or unordered sums in the numerics, no allocation in a hot path, contexts
+# threaded, errors typed: the five invariants only a static check holds
+# (DESIGN.md §10) — must run clean: go vet exits nonzero on any diagnostic.
 poplint_tmp=$(mktemp -d)
 go build -o "$poplint_tmp/poplint" ./cmd/poplint
 go vet -vettool="$poplint_tmp/poplint" ./...
 rm -rf "$poplint_tmp"
 
 echo "== poplint analyzer suite (race) =="
-# The analyzers' own tests — the wiredrift seeded-drift fixture, the
-# faultladder true-positive fixture, the interprocedural lockstep testdata
-# and the harness — with the test cache defeated so the gate always runs.
+# The five analyzers' own tests — a violation+clean fixture each, the
+# interprocedural lockstep testdata and the harness — with the test cache
+# defeated so the gate always runs.
 go test -race -count=1 ./internal/analysis/...
 
 echo "== go test -race =="
@@ -100,13 +100,14 @@ echo "== coroutine executor gates (race) =="
 # holds the shard exchange's direct copies (Threads=1: every halo edge) to
 # its mailboxes (Threads=NRank: every edge) — and the same with halo drops
 # and corruptions injected, against a sequential model; a skipped
-# collective, a level-count mismatch or a panicking rank must fail fast on
-# Run's caller instead of hanging. Once more with the whole process on one
+# collective, a level-count mismatch, ranks entering one reduction with
+# different payload widths or a panicking rank must fail fast on Run's
+# caller instead of hanging or summing misaligned deposits. Once more with the whole process on one
 # scheduler thread, where a lost wake-up or a worker that never yields —
 # a shard whose last arriver waits on another shard's mailbox must park and
 # be woken, not spin — would show as a hang; and the serve overload burst
 # must still shed there.
-executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
+executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 go test -race -count=1 -run 'TestChaosAcrossThreads' ./internal/core/
@@ -166,8 +167,10 @@ echo "== chaos / resilience gates (race) =="
 # Fault injection must be bitwise invisible when disabled for every method,
 # all 25 cells of the {five methods} x {five fault classes} table must
 # recover to the true-residual tolerance on the check ladder alone, the
-# degraded-mode ladder must engage, and the serve layer must honor retry
-# budgets and the circuit breaker — all under the race detector.
+# degraded-mode ladder must engage and hold every row of the methods table
+# to its rungs (TestLadderCoversMethodsTable), and the serve layer must
+# honor retry budgets and the circuit breaker and hand a request's s-step
+# block size to its session — all under the race detector.
 go test -race -count=1 \
     -run 'TestInjectorDisabledBitwiseIdentical|Recovery$|TestRecoveryBudgetExhaustionFaults|TestLadder|TestChaosRunsDeterministic' \
     ./internal/core/
@@ -268,6 +271,16 @@ done
 if kill -0 "$server_pid" 2>/dev/null; then
     echo "popserver did not exit after SIGTERM"; exit 1
 fi
+
+echo "== wire hops, field by field =="
+# A request field crosses five hops — JSON -> frame (Parse), the frame codec,
+# frame -> serve (popserver's dispatch), serve -> frame (HTTPWorker), and the
+# pool and cache keys. One reflective test per hop enumerates the struct's
+# fields, so a field a hop forgot fails by name (DESIGN.md §14.1).
+go test -count=1 -run 'TestParseCarriesEveryField|TestFrameRequestRoundTrip|TestHashSolve' ./internal/api/
+go test -count=1 -run 'TestServeRequestCarriesEveryFrameField' ./cmd/popserver/
+go test -count=1 -run 'TestFrameRequestCarriesEveryServeField|TestCacheKeyCoversEveryServeField' ./internal/fleet/
+go test -count=1 -run 'TestKeyCoversRequestScalars' ./internal/serve/
 
 echo "== fleet smoke run (router + 2 workers over the binary frame) =="
 # Two worker popservers, a router consistent-hashing onto them over the
