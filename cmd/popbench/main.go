@@ -1,11 +1,10 @@
-// Command popbench regenerates the paper's tables and figures.
+// Command popbench regenerates the paper's tables, figures and ablations.
 //
 // Usage:
 //
 //	popbench -exp fig8 -machine yellowstone        # one experiment, full scale
+//	popbench -exp sstep                            # s-step crossover at 1°, 676 ranks
 //	popbench -exp all -quick                       # everything, reduced scale
-//	popbench -chaos                                # per-fault-class resilience loop
-//	popbench -sstep                                # s-step reduction-crossover sweep
 //	popbench -list                                 # available experiment ids
 //
 // Full-scale 0.1° sweeps execute millions of real solver iterations across
@@ -29,7 +28,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "experiment id (fig1..fig13, tab1, evpsetup, or 'all')")
+		exp       = flag.String("exp", "", "comma-separated experiment ids (see -list), or 'all'")
 		machine   = flag.String("machine", "yellowstone", "machine model: yellowstone, edison, ideal")
 		quick     = flag.Bool("quick", false, "reduced-scale grids and core counts")
 		verbose   = flag.Bool("v", true, "progress logging")
@@ -37,30 +36,12 @@ func main() {
 		targets   = flag.String("targets", "", "comma-separated 0.1deg core-count targets overriding the paper axis")
 		reportDir = flag.String("reportdir", "", "write per-experiment BENCH_<exp>.json run reports here")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		chaos     = flag.Bool("chaos", false, "fault-injection closed loop per fault class, write BENCH_chaos.json")
-		chaosSec  = flag.Float64("chaossec", 2, "closed-loop duration per -chaos phase (seconds)")
-		chaosCli  = flag.Int("chaosclients", 8, "closed-loop client count for -chaos")
-		sstepRun  = flag.Bool("sstep", false, "sweep the s-step solver's reduction-count crossover, write BENCH_sstep.json")
 	)
 	flag.Parse()
 	obs.ServePprof(*pprofAddr)
 
 	if *list {
 		fmt.Println(strings.Join(experiments.Names(), "\n"))
-		return
-	}
-	if *chaos {
-		if err := runChaosBench(*reportDir, *chaosSec, *chaosCli, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sstepRun {
-		if err := runSStepBench(*reportDir, *machine, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "popbench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 	if *exp == "" {

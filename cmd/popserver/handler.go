@@ -188,7 +188,7 @@ func (h *handler) syntheticRHS(gridName, gen string) ([]float64, error) {
 
 // smoothRHS builds the deterministic smooth forcing used when a request
 // names the "smooth" generator: a low-wavenumber field over the grid
-// coordinates, the same shape popbench drives.
+// coordinates.
 func smoothRHS(g *pop.Grid) []float64 {
 	b := make([]float64, len(g.TLon))
 	for k := range b {

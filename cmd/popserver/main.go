@@ -62,8 +62,6 @@ func main() {
 		batch     = flag.Int("batch", 8, "max requests coalesced per session checkout")
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful drain budget on shutdown")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		circuit   = flag.Int("circuit", 0, "open a key's circuit breaker after this many consecutive faulted solves (0 = off)")
-		cooldown  = flag.Duration("cooldown", time.Second, "how long an open circuit quarantines its key")
 		tracecap  = flag.Int("tracecap", 4096, "per-rank trace ring capacity (0 = rank-level tracing off)")
 		traceout  = flag.String("traceout", "", "write a Perfetto trace export here on shutdown")
 		flightdir = flag.String("flightdir", "", "directory for flight-recorder incident dumps (\"\" = in-memory only)")
@@ -97,8 +95,6 @@ func main() {
 		MaxSessionsPerKey: *sessions,
 		MaxQueue:          *queue,
 		MaxBatch:          *batch,
-		CircuitThreshold:  *circuit,
-		CircuitCooldown:   *cooldown,
 		TraceCapacity:     *tracecap,
 		FlightRing:        *flightlen,
 		FlightDir:         *flightdir,

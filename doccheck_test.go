@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/experiments"
 )
 
 // docPackages is the documented public surface: the facade package plus the
@@ -147,6 +148,7 @@ var (
 	docCommand  = regexp.MustCompile(`\b(` + strings.Join(docCommands, "|") + `)\b`)
 	docFlag     = regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9]*)`)
 	docArtifact = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json\b`)
+	docExpIDs   = regexp.MustCompile(`(?:^|\s)-exp[ =]+([A-Za-z0-9_.,]+)`)
 	// The three ways the docs attribute an analyzer to poplint: a row of the
 	// table headed "Analyzer" (README), a DESIGN §10.1 entry (**`name`** — …),
 	// and prose of the shape "the `a`, `b` and `c` analyzers" (the list may
@@ -161,8 +163,9 @@ var (
 
 // TestDocsNameRealFlagsAndArtifacts fails on a documented command line that
 // no longer runs: every `-flag` written after one of docCommands in
-// commandDocs must be a flag that command defines,
-// and every BENCH_*.json they name must exist at the repo root. A command
+// commandDocs must be a flag that command defines, every `popbench -exp`
+// id must be one experiments.Names() registers (or "all"), and every
+// BENCH_*.json they name must exist at the repo root. A command
 // line runs from the command's name to the end of its (backslash-continued)
 // line or the first backtick, pipe, redirect, `;`, `&` or `)`; alternatives
 // written `-a/-b` are each checked. The same files and DESIGN.md may
@@ -177,6 +180,10 @@ func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 	analyzers := make(map[string]bool)
 	for _, a := range analysis.All() {
 		analyzers[a.Name] = true
+	}
+	expIDs := map[string]bool{"all": true}
+	for _, id := range experiments.Names() {
+		expIDs[id] = true
 	}
 	for _, doc := range append([]string{"DESIGN.md"}, commandDocs...) {
 		raw, err := os.ReadFile(doc)
@@ -221,6 +228,16 @@ func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 				for _, f := range docFlag.FindAllStringSubmatch(rest, -1) {
 					if !defined[cmd][f[1]] {
 						t.Errorf("%s: `%s -%s`: %s defines no such flag", doc, cmd, f[1], cmd)
+					}
+				}
+				if cmd != "popbench" {
+					continue
+				}
+				for _, ids := range docExpIDs.FindAllStringSubmatch(rest, -1) {
+					for _, id := range strings.Split(ids[1], ",") {
+						if !expIDs[id] {
+							t.Errorf("%s: `popbench -exp %s`: no experiment %q (have %v)", doc, ids[1], id, experiments.Names())
+						}
 					}
 				}
 			}

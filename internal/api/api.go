@@ -52,7 +52,7 @@ type SolveRequest struct {
 	// AcceptedPreconds.
 	Precond string `json:"precond,omitempty"`
 	// SStep is the communication-avoiding block size for the "sstep"
-	// method (0 = server default of 4; valid 1..16). Ignored for other
+	// method (0 = server default of 4; valid 1..8). Ignored for other
 	// methods.
 	SStep int `json:"sstep,omitempty"`
 	// B is the explicit right-hand side (length = grid N); mutually
@@ -151,8 +151,6 @@ type ServiceCounters struct {
 	Faulted int64 `json:"faulted"`
 	// Recovered counts requests rescued by a retry after a faulted solve.
 	Recovered int64 `json:"recovered"`
-	// CircuitShed counts requests rejected because a circuit was open.
-	CircuitShed int64 `json:"circuit_shed"`
 }
 
 // Add accumulates o into c field by field (the fleet's /v1/stats
@@ -168,7 +166,6 @@ func (c *ServiceCounters) Add(o ServiceCounters) {
 	c.Retried += o.Retried
 	c.Faulted += o.Faulted
 	c.Recovered += o.Recovered
-	c.CircuitShed += o.CircuitShed
 }
 
 // FleetCounters is the router-level slice of a fleet's /v1/stats: what the
@@ -184,7 +181,7 @@ type FleetCounters struct {
 	// Deduped counts requests collapsed onto an identical in-flight solve.
 	Deduped int64 `json:"deduped"`
 	// Failovers counts requests re-routed to the ring's next worker after
-	// a shed (overload or open circuit) on their home shard.
+	// a shed (a full queue) on their home shard.
 	Failovers int64 `json:"failovers"`
 	// Errors counts requests that left the router with an error.
 	Errors int64 `json:"errors"`

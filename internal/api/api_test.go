@@ -311,10 +311,10 @@ func TestHashSolveDeterminismAndSensitivity(t *testing.T) {
 }
 
 func TestServiceCountersAdd(t *testing.T) {
-	a := ServiceCounters{Requests: 1, Shed: 2, Expired: 3, Solves: 4, Batches: 5, Errors: 6, Sessions: 7, Retried: 8, Faulted: 9, Recovered: 10, CircuitShed: 11}
+	a := ServiceCounters{Requests: 1, Shed: 2, Expired: 3, Solves: 4, Batches: 5, Errors: 6, Sessions: 7, Retried: 8, Faulted: 9, Recovered: 10}
 	b := a
 	b.Add(a)
-	want := ServiceCounters{Requests: 2, Shed: 4, Expired: 6, Solves: 8, Batches: 10, Errors: 12, Sessions: 14, Retried: 16, Faulted: 18, Recovered: 20, CircuitShed: 22}
+	want := ServiceCounters{Requests: 2, Shed: 4, Expired: 6, Solves: 8, Batches: 10, Errors: 12, Sessions: 14, Retried: 16, Faulted: 18, Recovered: 20}
 	if b != want {
 		t.Fatalf("Add: got %+v, want %+v", b, want)
 	}

@@ -37,12 +37,14 @@ import "strconv"
 // every rank by construction — no rank-local verdict ever steers a
 // collective (the collectivelockstep contract).
 
-// MaxSStep is the largest supported s-step block size. Sixteen is far past
-// the practical crossover (the Gram assembly's s² dots and the block
-// update's s² axpys overtake the saved reduction latency well before), but
-// the field tables and payload widths are sized for it so experiments can
-// probe the downslope.
-const MaxSStep = 16
+// MaxSStep is the largest supported s-step block size, and every boundary
+// (NewSession, the api parser, the frame decoder, the serve key normalizer)
+// rejects a larger one with ErrBadSpec. Eight is the largest s whose
+// Chebyshev-basis Gram solve still reaches POP's 1e-13 here with both the
+// diagonal and EVP preconditioners; at s = 16 the Gram matrix loses the
+// digits (D'Ambra et al., 2603.09790) and the solve stalls at 1e-11 to
+// 1e-9, so it is refused rather than accepted and left to fail.
+const MaxSStep = 8
 
 // DefaultSStep is the block size a zero Options.SStep selects — the one
 // definition the serve pool's key normalizer shares, so a pool label can

@@ -48,42 +48,47 @@ func TestSStepMatchesChronGear(t *testing.T) {
 	}
 }
 
-// TestSStepReductionBound asserts the solver's whole point: a converged
-// solve performs at most ceil(iters/s)+1 global reductions — counted from
-// the communicator's own per-rank reduction counters, not inferred.
+// TestSStepReductionBound asserts the solver's whole point: every accepted
+// block size converges to POP's 1e-13 with both production preconditioners,
+// and a converged solve performs at most ceil(iters/s)+1 global reductions —
+// counted from the communicator's own per-rank reduction counters, not
+// inferred.
 func TestSStepReductionBound(t *testing.T) {
 	f := testFixture(t)
 	x0 := make([]float64, f.g.N())
-	for _, sv := range []int{1, 2, 4, 8} {
-		s := f.session(t, Options{Precond: PrecondEVP, Tol: 1e-12, SStep: sv})
-		// Pre-estimate the spectrum so its own reductions (charged to
-		// EigenStats, a separate Run) cannot be confused with the solve's.
-		if _, _, _, err := s.EstimateEigenvalues(f.b, 0); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := s.Solve(MethodSStep, f.b, x0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Converged {
-			t.Fatalf("s=%d did not converge", sv)
-		}
-		nrank := int64(len(res.Stats.PerRank))
-		if res.Stats.Sum.Reductions%nrank != 0 {
-			t.Fatalf("s=%d: reduction total %d not divisible by %d ranks",
-				sv, res.Stats.Sum.Reductions, nrank)
-		}
-		perRank := res.Stats.Sum.Reductions / nrank
-		bound := int64((res.Iterations+sv-1)/sv) + 1
-		if perRank > bound {
-			t.Fatalf("s=%d: %d reductions per rank for %d iterations, bound ceil(%d/%d)+1 = %d",
-				sv, perRank, res.Iterations, res.Iterations, sv, bound)
-		}
-		// Sanity: ChronGear at the same tolerance pays ~1 reduction per
-		// iteration, so the s-step count must undercut it for s > 1.
-		if sv > 1 && perRank >= int64(res.Iterations) {
-			t.Fatalf("s=%d: %d reductions did not undercut the %d iterations",
-				sv, perRank, res.Iterations)
+	for _, pc := range []PrecondType{PrecondDiagonal, PrecondEVP} {
+		for _, sv := range []int{1, 2, 4, 8} {
+			s := f.session(t, Options{Precond: pc, Tol: 1e-13, SStep: sv})
+			// Pre-estimate the spectrum so its own reductions (charged to
+			// EigenStats, a separate Run) cannot be confused with the solve's.
+			if _, _, _, err := s.EstimateEigenvalues(f.b, 0); err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := s.Solve(MethodSStep, f.b, x0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged || res.RelResidual > 1e-13 {
+				t.Fatalf("%v s=%d did not converge to 1e-13 (rel res %g after %d iterations)",
+					pc, sv, res.RelResidual, res.Iterations)
+			}
+			nrank := int64(len(res.Stats.PerRank))
+			if res.Stats.Sum.Reductions%nrank != 0 {
+				t.Fatalf("%v s=%d: reduction total %d not divisible by %d ranks",
+					pc, sv, res.Stats.Sum.Reductions, nrank)
+			}
+			perRank := res.Stats.Sum.Reductions / nrank
+			bound := int64((res.Iterations+sv-1)/sv) + 1
+			if perRank > bound {
+				t.Fatalf("%v s=%d: %d reductions per rank for %d iterations, bound ceil(%d/%d)+1 = %d",
+					pc, sv, perRank, res.Iterations, res.Iterations, sv, bound)
+			}
+			// Sanity: ChronGear at the same tolerance pays ~1 reduction per
+			// iteration, so the s-step count must undercut it for s > 1.
+			if sv > 1 && perRank >= int64(res.Iterations) {
+				t.Fatalf("%v s=%d: %d reductions did not undercut the %d iterations",
+					pc, sv, perRank, res.Iterations)
+			}
 		}
 	}
 }
@@ -155,14 +160,14 @@ func TestSStepRepeatDeterministic(t *testing.T) {
 }
 
 // TestSStepOptionValidation covers the new public surface's failure mode:
-// out-of-range block sizes.
+// out-of-range block sizes, including s = 16, which is refused rather than
+// left to stall short of the tolerance.
 func TestSStepOptionValidation(t *testing.T) {
 	f := testFixture(t)
-	if _, err := NewSession(f.g, f.op, f.d, f.w, Options{SStep: MaxSStep + 1}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("SStep=%d: got %v, want ErrBadSpec", MaxSStep+1, err)
-	}
-	if _, err := NewSession(f.g, f.op, f.d, f.w, Options{SStep: -1}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("SStep=-1: got %v, want ErrBadSpec", err)
+	for _, sv := range []int{MaxSStep + 1, 16, -1} {
+		if _, err := NewSession(f.g, f.op, f.d, f.w, Options{SStep: sv}); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("SStep=%d: got %v, want ErrBadSpec", sv, err)
+		}
 	}
 }
 

@@ -114,7 +114,7 @@ func (s *Session) gatherSolution(r *comm.Rank, out []float64, xs [][]float64) {
 }
 
 // Small dense symmetric-positive-definite helpers for the s-step Gram
-// systems (order ≤ MaxSStep, so n² ≤ 256 doubles — rank-local arithmetic on
+// systems (order ≤ MaxSStep, so n² ≤ 64 doubles — rank-local arithmetic on
 // reduced values, identical on every rank by construction).
 
 // cholFactor overwrites the lower triangle of the n×n row-major matrix a

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -214,6 +215,35 @@ func TestCheckFreqAblation(t *testing.T) {
 	t50 := cellFloat(t, tab.Rows[len(tab.Rows)-1][4])
 	if t1 < t50 {
 		t.Fatalf("P-CSI should benefit from sparser checks: interval1=%g interval50=%g", t1, t50)
+	}
+}
+
+func TestSStepAblation(t *testing.T) {
+	c := tinyConfig()
+	tab, err := c.SStepAblation("1deg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows %d", len(tab.Rows))
+	}
+	reductions := map[string]float64{}
+	for _, row := range tab.Rows {
+		if row[3] != "true" {
+			t.Fatalf("%s s=%s did not converge: %v", row[0], row[1], row)
+		}
+		label := row[0] + row[1]
+		reductions[label] = cellFloat(t, row[4])
+		if row[0] != "sstep" {
+			continue
+		}
+		k, s := cellFloat(t, row[2]), cellFloat(t, row[1])
+		if bound := math.Ceil(k/s) + 1; reductions[label] > bound {
+			t.Fatalf("s=%s: %g reductions per rank for %g iterations, bound %g", row[1], reductions[label], k, bound)
+		}
+	}
+	if reductions["sstep8"] >= reductions["chrongear-"] {
+		t.Fatalf("s=8 (%g reductions) should undercut ChronGear (%g)", reductions["sstep8"], reductions["chrongear-"])
 	}
 }
 

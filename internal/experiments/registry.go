@@ -132,6 +132,14 @@ var Registry = map[string]Runner{
 		printTables(w, t)
 		return nil
 	},
+	"sstep": func(c *Config, w io.Writer) error {
+		t, err := c.SStepAblation("1deg")
+		if err != nil {
+			return err
+		}
+		printTables(w, t)
+		return nil
+	},
 	"eqcheck": func(c *Config, w io.Writer) error {
 		t, err := c.EqCheck("0.1deg")
 		if err != nil {

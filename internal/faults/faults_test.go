@@ -177,7 +177,7 @@ func TestCountersConcurrentAndExported(t *testing.T) {
 	}
 }
 
-// Class names are stable — they appear in metric labels and BENCH_chaos.json.
+// Class names are stable — they key Injected() and the chaos test names.
 func TestClassNames(t *testing.T) {
 	want := []string{"straggler", "halo-drop", "halo-corrupt", "reduce-fail", "rank-crash"}
 	cs := Classes()

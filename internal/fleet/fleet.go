@@ -21,11 +21,11 @@
 //     bitwise.
 //  2. Singleflight collapses requests identical to one already in flight:
 //     followers wait for the leader's solve instead of duplicating it.
-//  3. The ring routes the miss to its home shard; a shed (overload, open
-//     circuit) fails over to the next distinct shard clockwise.
+//  3. The ring routes the miss to its home shard; a shed (a full queue)
+//     fails over to the next distinct shard clockwise.
 //
-// Workers are serve.Services — each with its own queues, batching, circuit
-// breakers, retry budgets and flight recorder — either in-process
+// Workers are serve.Services — each with its own queues, batching, request
+// retry and flight recorder — either in-process
 // (LocalWorker) or remote popservers spoken to in the compact binary frame
 // (HTTPWorker).
 package fleet
@@ -257,8 +257,8 @@ func (f *Fleet) cacheKey(req serve.Request) (serve.Key, api.CacheKey, error) {
 }
 
 // dispatch sends the request to its home shard, failing over clockwise on
-// sheds (full queue, open circuit) so a struggling shard degrades into
-// spillover instead of errors.
+// sheds (a full queue) so a struggling shard degrades into spillover instead
+// of errors.
 func (f *Fleet) dispatch(ctx context.Context, key serve.Key, req serve.Request) (dispatched, error) {
 	order := f.ring.successors(key.String())
 	var lastErr error
@@ -271,7 +271,7 @@ func (f *Fleet) dispatch(ctx context.Context, key serve.Key, req serve.Request) 
 			return dispatched{resp: resp, shard: shard}, nil
 		}
 		lastErr = err
-		if !errors.Is(err, serve.ErrOverloaded) && !errors.Is(err, serve.ErrCircuitOpen) {
+		if !errors.Is(err, serve.ErrOverloaded) {
 			return dispatched{}, err
 		}
 	}

@@ -516,12 +516,12 @@ func (w *errWorker) Close(ctx context.Context) error {
 	return nil
 }
 
-// TestFleetFailoverOnShed checks a shed home shard (overload, open
-// circuit) fails over to the ring's next shard, while hard errors do not.
+// TestFleetFailoverOnShed checks a shed home shard (a full queue) fails
+// over to the ring's next shard, while hard errors do not.
 func TestFleetFailoverOnShed(t *testing.T) {
 	req := Request{Request: serve.Request{Grid: grid.PresetTest, Method: core.MethodPCSI, Precond: core.PrecondEVP, B: []float64{1}}}
 
-	for _, shedErr := range []error{serve.ErrOverloaded, serve.ErrCircuitOpen} {
+	for _, shedErr := range []error{serve.ErrOverloaded} {
 		f, err := New(Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)

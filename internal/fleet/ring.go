@@ -76,7 +76,7 @@ func (r *ring) search(h uint64) int {
 
 // successors returns the key's home shard followed by the remaining shards
 // in clockwise-first-appearance order — the failover sequence: when the
-// home shard sheds (overload, open circuit), the request walks this list so
+// home shard sheds (a full queue), the request walks this list so
 // a hot key's spillover lands on a stable second shard instead of a random
 // one.
 func (r *ring) successors(key string) []int {

@@ -27,14 +27,13 @@ func TestTypedErrorsSurviveTheFrameHop(t *testing.T) {
 	}{
 		{"overloaded", serve.ErrOverloaded, serve.ErrOverloaded},
 		{"closed", serve.ErrClosed, serve.ErrClosed},
-		{"circuit open", fmt.Errorf("serve: key test/pcsi/evp quarantined: %w", serve.ErrCircuitOpen), serve.ErrCircuitOpen},
 		{"bad spec", fmt.Errorf("serve: rhs length 3, want 3072: %w", core.ErrBadSpec), core.ErrBadSpec},
 		{"field error", &api.FieldError{Field: "method", Value: "warp"}, core.ErrBadSpec},
 		{"not converged", &core.NotConvergedError{Solver: "pcsi", Iterations: 9}, core.ErrNotConverged},
 		{"faulted", &core.FaultedError{Solver: "pcsi", Restores: 200}, core.ErrFaulted},
 		{"deadline", fmt.Errorf("serve: expired in queue: %w", context.DeadlineExceeded), context.DeadlineExceeded},
 		{"cancelled", fmt.Errorf("serve: request abandoned: %w", context.Canceled), context.Canceled},
-		{"all shards shed", fmt.Errorf("fleet: all 2 shards shed the request: %w", serve.ErrCircuitOpen), serve.ErrCircuitOpen},
+		{"all shards shed", fmt.Errorf("fleet: all 2 shards shed the request: %w", serve.ErrOverloaded), serve.ErrOverloaded},
 		// Collapses, by design (see wireErrors).
 		{"bad frame", fmt.Errorf("truncated: %w", api.ErrBadFrame), core.ErrBadSpec},
 		{"untyped", core.ErrEigEstimate, ErrRemote},

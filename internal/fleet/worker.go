@@ -37,7 +37,7 @@ type Worker interface {
 }
 
 // LocalWorker is an in-process shard: its own serve.Service with its own
-// session pools, queues, circuit breakers and retry budget — the same
+// session pools, queues and request retry — the same
 // isolation a separate popserver process would have, minus the wire.
 type LocalWorker struct {
 	svc *serve.Service
@@ -186,7 +186,6 @@ var wireErrors = []struct {
 	{context.DeadlineExceeded, http.StatusGatewayTimeout},
 	{context.Canceled, 499},                          // client closed request
 	{serve.ErrClosed, http.StatusServiceUnavailable}, // draining: try another instance
-	{serve.ErrCircuitOpen, http.StatusLocked},        // key quarantined: back off this key
 	{core.ErrNotConverged, http.StatusUnprocessableEntity},
 	{core.ErrFaulted, http.StatusBadGateway}, // the solve's virtual machine failed, not the server
 }

@@ -12,11 +12,11 @@ import (
 // FlightRecorder is the serving layer's black box: an always-on bounded ring
 // of recent request span summaries that costs one mutexed struct copy per
 // request and is dumped to disk automatically when something goes wrong — a
-// fault recovery beyond budget, a circuit breaker opening, a latency-SLO
-// breach. The dump carries the offending request's record and rank-level
-// spans, the recent-request ring (the context leading up to the incident),
-// and a metrics snapshot, so a post-hoc diagnosis never depends on having
-// had verbose tracing enabled before the incident.
+// fault beyond the serve layer's retry, or a latency-SLO breach. The dump
+// carries the offending request's record and rank-level spans, the
+// recent-request ring (the context leading up to the incident), and a
+// metrics snapshot, so a post-hoc diagnosis never depends on having had
+// verbose tracing enabled before the incident.
 //
 // A nil *FlightRecorder is a valid disabled recorder: every method is a
 // nil-safe no-op.
@@ -27,21 +27,19 @@ type FlightRecorder struct {
 	total  int64
 	dir    string
 	maxDmp int
-	dumps  int64
-	capped int64 // dumps suppressed by the cap
+	dumps  int64 // triggers fired; numbers the dump files
 }
 
 // DefaultFlightRing is the ring capacity when NewFlightRecorder is given ≤ 0.
 const DefaultFlightRing = 256
 
 // DefaultFlightDumps caps how many incident files one recorder writes
-// (incident storms must not fill the disk); later triggers still count via
-// Dumps() but write nothing.
+// (incident storms must not fill the disk); later triggers write nothing.
 const DefaultFlightDumps = 16
 
 // NewFlightRecorder builds a recorder retaining the last capacity request
 // records. dir is where incident dumps are written; an empty dir keeps the
-// recorder purely in-memory (triggers are counted, Recent() works, no files).
+// recorder purely in-memory (Recent() works, no files).
 func NewFlightRecorder(capacity int, dir string) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightRing
@@ -76,6 +74,11 @@ func (f *FlightRecorder) Recent() []RequestRecord {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.recentLocked()
+}
+
+// recentLocked copies the ring oldest first; f.mu must be held.
+func (f *FlightRecorder) recentLocked() []RequestRecord {
 	n := f.total
 	if n > int64(len(f.ring)) {
 		n = int64(len(f.ring))
@@ -87,21 +90,9 @@ func (f *FlightRecorder) Recent() []RequestRecord {
 	return append(out, f.ring[:f.next]...)
 }
 
-// Dumps returns how many incident triggers fired (including any suppressed
-// by the dump cap).
-func (f *FlightRecorder) Dumps() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dumps
-}
-
 // FlightDump is the JSON document one incident dump file holds.
 type FlightDump struct {
-	// Reason names the trigger: "fault_recovery", "circuit_open",
-	// "slo_breach".
+	// Reason names the trigger: "fault_recovery" or "slo_breach".
 	Reason string `json:"reason"`
 	// Offending is the request that fired the trigger.
 	Offending RequestRecord `json:"offending"`
@@ -119,8 +110,8 @@ type FlightDump struct {
 // request's record and spans plus a metrics snapshot from reg (both
 // optional), and writes the bundle to the recorder's dump directory as
 // flight-NNN-<reason>.json. It returns the file path, or "" when no file
-// was written (no dump directory, or the dump cap was reached — the trigger
-// is still counted). A nil recorder is a no-op.
+// was written (no dump directory, or the dump cap was reached). A nil
+// recorder is a no-op.
 func (f *FlightRecorder) Dump(reason string, offending RequestRecord, events []Event, reg *Registry) (string, error) {
 	if f == nil {
 		return "", nil
@@ -130,19 +121,8 @@ func (f *FlightRecorder) Dump(reason string, offending RequestRecord, events []E
 	seq := f.dumps
 	dir := f.dir
 	write := dir != "" && seq <= int64(f.maxDmp)
-	if !write {
-		f.capped++
-	}
 	// Snapshot the ring under the lock; render and write outside it.
-	n := f.total
-	if n > int64(len(f.ring)) {
-		n = int64(len(f.ring))
-	}
-	recent := make([]RequestRecord, 0, n)
-	if f.total > int64(len(f.ring)) {
-		recent = append(recent, f.ring[f.next:]...)
-	}
-	recent = append(recent, f.ring[:f.next]...)
+	recent := f.recentLocked()
 	f.mu.Unlock()
 
 	if !write {

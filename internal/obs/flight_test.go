@@ -84,13 +84,23 @@ func TestFlightDumpFileContents(t *testing.T) {
 	if !strings.Contains(dump.Metrics, "faults_total 3") {
 		t.Errorf("metrics snapshot missing counter:\n%s", dump.Metrics)
 	}
-	if f.Dumps() != 1 {
-		t.Errorf("Dumps(): got %d, want 1", f.Dumps())
+	if n := countDumps(t, dir); n != 1 {
+		t.Errorf("dump files: got %d, want 1", n)
 	}
 }
 
-// TestFlightDumpCap: after DefaultFlightDumps files, triggers still count
-// but write nothing — an incident storm must not fill the disk.
+// countDumps counts the incident files a recorder wrote into dir.
+func countDumps(t *testing.T, dir string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
+}
+
+// TestFlightDumpCap: after DefaultFlightDumps files, triggers write nothing
+// — an incident storm must not fill the disk.
 func TestFlightDumpCap(t *testing.T) {
 	dir := t.TempDir()
 	f := obs.NewFlightRecorder(2, dir)
@@ -106,15 +116,8 @@ func TestFlightDumpCap(t *testing.T) {
 			t.Fatalf("dump %d over the cap wrote %s", i, path)
 		}
 	}
-	if got := f.Dumps(); got != int64(obs.DefaultFlightDumps+5) {
-		t.Errorf("Dumps(): got %d, want %d", got, obs.DefaultFlightDumps+5)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != obs.DefaultFlightDumps {
-		t.Errorf("files written: got %d, want %d", len(files), obs.DefaultFlightDumps)
+	if n := countDumps(t, dir); n != obs.DefaultFlightDumps {
+		t.Errorf("files written: got %d, want exactly %d", n, obs.DefaultFlightDumps)
 	}
 }
 
@@ -148,8 +151,8 @@ func TestFlightDumpUnderLoad(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := f.Dumps(); got != 20 {
-		t.Errorf("Dumps(): got %d, want 20", got)
+	if n := countDumps(t, dir); n != obs.DefaultFlightDumps {
+		t.Errorf("dump files: got %d, want %d (20 triggers, capped)", n, obs.DefaultFlightDumps)
 	}
 	recent := f.Recent()
 	if len(recent) != 32 {
@@ -164,26 +167,20 @@ func TestFlightNilSafe(t *testing.T) {
 	if f.Recent() != nil {
 		t.Error("nil Recent() must be nil")
 	}
-	if f.Dumps() != 0 {
-		t.Error("nil Dumps() must be 0")
-	}
 	if path, err := f.Dump("x", obs.RequestRecord{}, nil, nil); path != "" || err != nil {
 		t.Errorf("nil Dump: %q, %v", path, err)
 	}
 }
 
 // TestFlightRecorderInMemory: an empty dump dir keeps the recorder purely
-// in-memory — triggers counted, no files attempted.
+// in-memory — no files attempted.
 func TestFlightRecorderInMemory(t *testing.T) {
 	f := obs.NewFlightRecorder(0, "")
-	path, err := f.Dump("circuit_open", obs.RequestRecord{TraceID: 7}, nil, nil)
+	path, err := f.Dump("slo_breach", obs.RequestRecord{TraceID: 7}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != "" {
 		t.Errorf("in-memory recorder wrote %s", path)
-	}
-	if f.Dumps() != 1 {
-		t.Errorf("Dumps(): got %d, want 1", f.Dumps())
 	}
 }

@@ -100,8 +100,7 @@ func TestServeRecoversUnderFaults(t *testing.T) {
 func TestServeRetryBudgetAndFaultSurface(t *testing.T) {
 	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
 	svc := chaosService(t, inj, Options{
-		RetryBudget: 1,
-		Solver:      core.Options{Tol: 1e-8, MaxIters: 300, MaxRecoveries: 2},
+		Solver: core.Options{Tol: 1e-8, MaxIters: 300, MaxRecoveries: 2},
 	})
 	b := chaosRHS(t)
 	_, err := svc.Solve(context.Background(),
@@ -118,44 +117,8 @@ func TestServeRetryBudgetAndFaultSurface(t *testing.T) {
 	}
 }
 
-// Consecutive faulted solves open the key's circuit: later requests are
-// shed with ErrCircuitOpen without touching a session, and after the
-// cooldown one probe is admitted again (half-open).
-func TestServeCircuitBreaker(t *testing.T) {
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
-	cooldown := 200 * time.Millisecond
-	svc := chaosService(t, inj, Options{
-		RetryBudget:      -1, // isolate the breaker from request retries
-		CircuitThreshold: 2,
-		CircuitCooldown:  cooldown,
-		Solver:           core.Options{Tol: 1e-8, MaxIters: 300, MaxRecoveries: 2},
-	})
-	req := Request{Method: core.MethodChronGear, Precond: core.PrecondDiagonal, B: chaosRHS(t)}
-
-	for i := 0; i < 2; i++ {
-		if _, err := svc.Solve(context.Background(), req); !errors.Is(err, core.ErrFaulted) {
-			t.Fatalf("solve %d: got %v, want ErrFaulted", i, err)
-		}
-	}
-	if _, err := svc.Solve(context.Background(), req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("circuit did not open after threshold: %v", err)
-	}
-	if st := svc.Snapshot(); st.CircuitShed == 0 {
-		t.Fatalf("circuit shed not counted: %+v", st)
-	}
-
-	time.Sleep(cooldown + 50*time.Millisecond)
-	// Half-open: the probe is admitted (and faults again, re-opening).
-	if _, err := svc.Solve(context.Background(), req); !errors.Is(err, core.ErrFaulted) {
-		t.Fatalf("half-open probe was not admitted: %v", err)
-	}
-	if _, err := svc.Solve(context.Background(), req); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("failed probe did not re-open the circuit: %v", err)
-	}
-}
-
-// A nil injector must leave the service exactly as before: no retries, no
-// breaker activity, and the resilient path never engaged.
+// A nil injector must leave the service exactly as before: no retries and
+// the resilient path never engaged.
 func TestServeNilInjectorInert(t *testing.T) {
 	svc := chaosService(t, nil, Options{Solver: core.Options{Tol: 1e-8}})
 	resp, err := svc.Solve(context.Background(),
@@ -164,7 +127,7 @@ func TestServeNilInjectorInert(t *testing.T) {
 		t.Fatalf("solve: err=%v converged=%v", err, resp.Result.Converged)
 	}
 	st := svc.Snapshot()
-	if st.Retried != 0 || st.Faulted != 0 || st.Recovered != 0 || st.CircuitShed != 0 {
+	if st.Retried != 0 || st.Faulted != 0 || st.Recovered != 0 {
 		t.Fatalf("resilience counters moved without an injector: %+v", st)
 	}
 }

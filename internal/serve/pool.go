@@ -70,59 +70,6 @@ type keyPool struct {
 	growing  bool  // a background build is in flight
 	buildErr error // sticky first-build failure, returned at admission
 	gridN    int   // grid point count, for request validation
-
-	// Circuit breaker (active only when Options.CircuitThreshold > 0):
-	// consecutive faulted solves open the circuit, quarantining the key for
-	// CircuitCooldown; the first admission after the cooldown is a half-open
-	// probe whose failure re-opens the circuit immediately.
-	cbMu     sync.Mutex
-	cbFails  int
-	cbOpenAt time.Time // zero = circuit closed
-}
-
-// circuitAllow reports whether admission may proceed for this key.
-func (p *keyPool) circuitAllow() bool {
-	th := p.svc.opts.CircuitThreshold
-	if th <= 0 {
-		return true
-	}
-	p.cbMu.Lock()
-	defer p.cbMu.Unlock()
-	if p.cbOpenAt.IsZero() {
-		return true
-	}
-	if time.Since(p.cbOpenAt) < p.svc.opts.CircuitCooldown {
-		return false
-	}
-	// Half-open: admit one probe; one more faulted solve re-opens.
-	p.cbOpenAt = time.Time{}
-	p.cbFails = th - 1
-	return true
-}
-
-// recordOutcome feeds the circuit breaker and reports whether this outcome
-// transitioned the circuit to open (the flight-recorder trigger). Only
-// solver faults count against the key; context cancellations and spec
-// errors say nothing about its health, and a successful solve closes the
-// window.
-func (p *keyPool) recordOutcome(err error) (opened bool) {
-	th := p.svc.opts.CircuitThreshold
-	if th <= 0 {
-		return false
-	}
-	p.cbMu.Lock()
-	defer p.cbMu.Unlock()
-	switch {
-	case err == nil:
-		p.cbFails = 0
-	case errors.Is(err, core.ErrFaulted):
-		p.cbFails++
-		if p.cbFails >= th && p.cbOpenAt.IsZero() {
-			p.cbOpenAt = time.Now()
-			opened = true
-		}
-	}
-	return opened
 }
 
 // ensureBuilt warms the pool's first session synchronously. Build failures
@@ -283,9 +230,9 @@ func (p *keyPool) fill(batch *[]*request) {
 // a solve at its next convergence check.
 //
 // Every finished request — solved, errored, or expired — leaves a
-// RequestRecord in the flight recorder, and the three incident triggers
-// (fault beyond the retry budget, circuit-breaker opening, latency-SLO
-// breach) dump the recorder with the offending request's spans attached.
+// RequestRecord in the flight recorder, and the two incident triggers
+// (fault beyond the retry, latency-SLO breach) dump the recorder with the
+// offending request's spans attached.
 func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*request) {
 	m := &p.svc.m
 	m.batches.Inc()
@@ -319,7 +266,6 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 			err = &core.NotConvergedError{
 				Solver: res.Solver, Iterations: res.Iterations, RelResidual: res.RelResidual}
 		}
-		opened := p.recordOutcome(err)
 		rec.Iterations = res.Iterations
 		rec.Converged = res.Converged
 		mc := res.Stats.MeanCounters()
@@ -333,14 +279,9 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 		rec.TotalNS = time.Since(r.start).Nanoseconds()
 		p.svc.flight.Note(rec)
 		// Incident triggers. The worker owns the session between solves, so
-		// reading its trace rings here cannot race rank goroutines. A fault
-		// that also opens the circuit dumps twice — each incident class gets
-		// its own black box.
+		// reading its trace rings here cannot race rank goroutines.
 		if err != nil && errors.Is(err, core.ErrFaulted) {
 			p.dumpFlight("fault_recovery", rec, slot)
-		}
-		if opened {
-			p.dumpFlight("circuit_open", rec, slot)
 		}
 		if p.svc.opts.LatencySLO > 0 && rec.TotalNS > p.svc.opts.LatencySLO.Nanoseconds() {
 			p.dumpFlight("slo_breach", rec, slot)
@@ -369,18 +310,23 @@ func (p *keyPool) dumpFlight(reason string, rec obs.RequestRecord, slot *session
 	_, _ = p.svc.flight.Dump(reason, rec, events, p.svc.opts.Registry)
 }
 
+// retryBudget is how many times a worker re-runs one request whose
+// resilient solve still faulted beyond recovery. Only an injected fault can
+// make a solve fault, and one fresh run already draws a disjoint slice of
+// the fault schedule, so transient storms clear.
+const retryBudget = 1
+
 // solveOnce runs one request on the session, resiliently: with an injector
 // wired in that means checkpoints, retried reductions and the degraded-mode
 // ladder, without one SolveResilient is a plain SolveContext. A solve that
-// still faults beyond recovery is re-run up to the service retry budget — a
-// fresh run draws a disjoint slice of the fault schedule, so transient
-// storms clear. The request's context carries its trace ID, which every
-// attempt's rank-level spans adopt.
+// still faults beyond recovery is re-run up to retryBudget times. The
+// request's context carries its trace ID, which every attempt's rank-level
+// spans adopt.
 func (p *keyPool) solveOnce(sess *core.Session, r *request) (core.Result, []float64, error) {
 	m := &p.svc.m
 	res, x, err := sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
 	m.solves.Inc()
-	for attempt := 0; attempt < p.svc.opts.RetryBudget && errors.Is(err, core.ErrFaulted); attempt++ {
+	for attempt := 0; attempt < retryBudget && errors.Is(err, core.ErrFaulted); attempt++ {
 		m.retried.Inc()
 		res, x, err = sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
 		m.solves.Inc()

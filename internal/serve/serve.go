@@ -43,11 +43,6 @@ var (
 	// ErrClosed reports a request rejected because the service is
 	// draining or closed.
 	ErrClosed = errors.New("serve: service closed")
-	// ErrCircuitOpen reports a request rejected because its session key's
-	// circuit breaker is open: recent solves on the key faulted beyond
-	// recovery, and the service is quarantining the key until the cooldown
-	// elapses rather than burning sessions on a failing configuration.
-	ErrCircuitOpen = errors.New("serve: circuit open for session key")
 )
 
 // Options configures a Service. The zero value serves the default grid set
@@ -84,22 +79,10 @@ type Options struct {
 
 	// Injector, when non-nil, is wired into every session's communication
 	// world: solves run under deterministic fault injection, which is what
-	// arms core.Session.SolveResilient's ladder and the retry budget below.
-	// Nil (the default) leaves the solve path bitwise identical to a service
-	// that never heard of fault injection.
+	// arms core.Session.SolveResilient's ladder and the one request retry
+	// (retryBudget). Nil (the default) leaves the solve path bitwise
+	// identical to a service that never heard of fault injection.
 	Injector *faults.Injector
-	// RetryBudget is how many times a worker re-runs one request whose
-	// resilient solve still faulted beyond recovery (default 1, negative
-	// disables). Only an injected fault can make a solve fault.
-	RetryBudget int
-	// CircuitThreshold opens a key's circuit breaker after this many
-	// consecutive faulted solves on the key; an open circuit sheds requests
-	// with ErrCircuitOpen until CircuitCooldown elapses, then admits one
-	// probe (half-open). 0 (the default) disables the breaker.
-	CircuitThreshold int
-	// CircuitCooldown is how long an open circuit quarantines its key
-	// (default 1s).
-	CircuitCooldown time.Duration
 
 	// TraceCapacity, when > 0, attaches a tracer to every session's world
 	// retaining this many events per rank, enabling request-scoped span
@@ -110,9 +93,8 @@ type Options struct {
 	// request records (0 = obs.DefaultFlightRing).
 	FlightRing int
 	// FlightDir is the directory flight-recorder incident dumps are written
-	// to when a trigger fires (fault beyond budget, circuit opening, SLO
-	// breach). "" keeps the recorder purely in-memory: triggers are counted
-	// but no files are written.
+	// to when a trigger fires (fault beyond the retry, SLO breach). "" keeps
+	// the recorder purely in-memory: no files are written.
 	FlightDir string
 	// LatencySLO, when > 0, is the per-request latency objective; a request
 	// finishing slower triggers a flight-recorder dump with reason
@@ -132,12 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 8
-	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 1
-	}
-	if o.CircuitCooldown == 0 {
-		o.CircuitCooldown = time.Second
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
@@ -264,22 +240,21 @@ func (s *Service) registerSession(key Key, tr *obs.Tracer, ranks int) *sessionSl
 }
 
 type metrics struct {
-	requests    *obs.Counter
-	shed        *obs.Counter
-	expired     *obs.Counter
-	solves      *obs.Counter
-	batches     *obs.Counter
-	errors      *obs.Counter
-	retried     *obs.Counter
-	faulted     *obs.Counter
-	recovered   *obs.Counter
-	circuitShed *obs.Counter
-	sessions    *obs.Gauge
-	queueMax    *obs.Gauge
-	queueDepth  *obs.Gauge
-	latency     *obs.Histogram
-	queueWait   *obs.Histogram
-	batchSize   *obs.Histogram
+	requests   *obs.Counter
+	shed       *obs.Counter
+	expired    *obs.Counter
+	solves     *obs.Counter
+	batches    *obs.Counter
+	errors     *obs.Counter
+	retried    *obs.Counter
+	faulted    *obs.Counter
+	recovered  *obs.Counter
+	sessions   *obs.Gauge
+	queueMax   *obs.Gauge
+	queueDepth *obs.Gauge
+	latency    *obs.Histogram
+	queueWait  *obs.Histogram
+	batchSize  *obs.Histogram
 }
 
 // New builds a Service. No sessions are warmed until the first request for
@@ -293,17 +268,16 @@ func New(opts Options) *Service {
 		pools: make(map[Key]*keyPool),
 		grids: make(map[string]*gridEntry),
 		m: metrics{
-			requests:    r.Counter("serve_requests_total", "solve admissions attempted"),
-			shed:        r.Counter("serve_shed_total", "requests shed with ErrOverloaded"),
-			expired:     r.Counter("serve_expired_total", "requests expired in queue before solving"),
-			solves:      r.Counter("serve_solves_total", "solves executed"),
-			batches:     r.Counter("serve_batches_total", "session checkouts (batches)"),
-			errors:      r.Counter("serve_errors_total", "solves returning an error"),
-			retried:     r.Counter("serve_retried_total", "request re-runs after a faulted solve"),
-			faulted:     r.Counter("serve_faulted_total", "requests faulted beyond the retry budget"),
-			recovered:   r.Counter("serve_recovered_total", "requests rescued by a retry"),
-			circuitShed: r.Counter("serve_circuit_shed_total", "requests rejected with ErrCircuitOpen"),
-			sessions:    r.Gauge("serve_sessions", "warmed sessions across all keys"),
+			requests:  r.Counter("serve_requests_total", "solve admissions attempted"),
+			shed:      r.Counter("serve_shed_total", "requests shed with ErrOverloaded"),
+			expired:   r.Counter("serve_expired_total", "requests expired in queue before solving"),
+			solves:    r.Counter("serve_solves_total", "solves executed"),
+			batches:   r.Counter("serve_batches_total", "session checkouts (batches)"),
+			errors:    r.Counter("serve_errors_total", "solves returning an error"),
+			retried:   r.Counter("serve_retried_total", "request re-runs after a faulted solve"),
+			faulted:   r.Counter("serve_faulted_total", "requests faulted beyond the retry budget"),
+			recovered: r.Counter("serve_recovered_total", "requests rescued by a retry"),
+			sessions:  r.Gauge("serve_sessions", "warmed sessions across all keys"),
 			queueMax: r.Gauge("serve_queue_depth_peak",
 				"deepest queue observed at admission since service start; high-water mark only, never resets or decays"),
 			queueDepth: r.Gauge("serve_queue_depth",
@@ -382,10 +356,6 @@ func (s *Service) Solve(ctx context.Context, req Request) (Response, error) {
 	p, err := s.pool(key)
 	if err != nil {
 		return Response{}, err
-	}
-	if !p.circuitAllow() {
-		s.m.circuitShed.Inc()
-		return Response{}, fmt.Errorf("serve: key %s quarantined: %w", key, ErrCircuitOpen)
 	}
 	// Warm the first session synchronously so build errors (unknown grid,
 	// bad options) surface here rather than poisoning the queue.
@@ -468,17 +438,16 @@ func (s *Service) pool(key Key) (*keyPool, error) {
 // Snapshot returns the current counter values.
 func (s *Service) Snapshot() Stats {
 	return Stats{
-		Requests:    s.m.requests.Value(),
-		Shed:        s.m.shed.Value(),
-		Expired:     s.m.expired.Value(),
-		Solves:      s.m.solves.Value(),
-		Batches:     s.m.batches.Value(),
-		Errors:      s.m.errors.Value(),
-		Sessions:    int64(s.m.sessions.Value()),
-		Retried:     s.m.retried.Value(),
-		Faulted:     s.m.faulted.Value(),
-		Recovered:   s.m.recovered.Value(),
-		CircuitShed: s.m.circuitShed.Value(),
+		Requests:  s.m.requests.Value(),
+		Shed:      s.m.shed.Value(),
+		Expired:   s.m.expired.Value(),
+		Solves:    s.m.solves.Value(),
+		Batches:   s.m.batches.Value(),
+		Errors:    s.m.errors.Value(),
+		Sessions:  int64(s.m.sessions.Value()),
+		Retried:   s.m.retried.Value(),
+		Faulted:   s.m.faulted.Value(),
+		Recovered: s.m.recovered.Value(),
 	}
 }
 

@@ -193,9 +193,6 @@ var (
 	// ErrFaulted marks solves that failed beyond their recovery budget
 	// under fault injection; concrete errors carry a *FaultedError.
 	ErrFaulted = core.ErrFaulted
-	// ErrCircuitOpen marks Service requests shed because their session
-	// key's circuit breaker is open after consecutive faulted solves.
-	ErrCircuitOpen = serve.ErrCircuitOpen
 )
 
 // Injectable fault classes, in FaultPlan field order.

@@ -158,9 +158,9 @@ go test -run=NONE -fuzz=FuzzParsePrecond -fuzztime=10s ./internal/core/
 echo "== doc coverage + examples =="
 # Every exported identifier of the public surface (pop, serve, faults, obs,
 # analysis + its harness, api, fleet, core, comm, decomp, grid, stencil)
-# must carry a doc comment, every command line and BENCH_*.json that README,
-# ARCHITECTURE, SOLVERS and this script name must still exist, and the
-# runnable Example* functions must pass.
+# must carry a doc comment, every command line, `popbench -exp` id and
+# BENCH_*.json that README, ARCHITECTURE, SOLVERS and this script name must
+# still exist, and the runnable Example* functions must pass.
 go test -count=1 -run 'TestPublicSurfaceDocumented|TestDocsNameRealFlagsAndArtifacts|Example' .
 
 echo "== chaos / resilience gates (race) =="
@@ -169,8 +169,9 @@ echo "== chaos / resilience gates (race) =="
 # recover to the true-residual tolerance on the check ladder alone, the
 # degraded-mode ladder must engage and hold every row of the methods table
 # to its rungs (TestLadderCoversMethodsTable), and the serve layer must
-# honor retry budgets and the circuit breaker and hand a request's s-step
-# block size to its session — all under the race detector.
+# retry a faulted request once, surface one that faults again as a typed
+# ErrFaulted, and hand a request's s-step block size to its session — all
+# under the race detector.
 go test -race -count=1 \
     -run 'TestInjectorDisabledBitwiseIdentical|Recovery$|TestRecoveryBudgetExhaustionFaults|TestLadder|TestChaosRunsDeterministic' \
     ./internal/core/
