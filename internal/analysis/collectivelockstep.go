@@ -10,19 +10,24 @@ import (
 )
 
 // CollectiveLockstep reports collective communication calls (comm.Rank's
-// AllReduce, AllReduceOverlap, Barrier, Exchange, ExchangeMulti) that are
-// reachable only under a branch conditioned on rank-local state.
+// AllReduce, AllReduceOverlap, Barrier, Exchange, ExchangeMulti and
+// comm.Shard's AllReduce, AllReduceOverlap, Exchange, ExchangeMulti) that
+// are reachable only under a branch conditioned on rank-local state, or
+// inside a per-rank pass (a range over Shard.Each) where a shard would
+// enter them once per rank.
 //
-// The SPMD contract (comm.World.Run) requires every rank to make collective
+// The SPMD contract (comm.World.RunShards for shard programs, World.Run for
+// rank programs) requires every shard — every rank — to make collective
 // calls in the same program order, exactly as MPI does; a collective behind
 // `if somethingOnlyThisRankKnows { … }` deadlocks the ranks that skip it, or
 // silently misaligns the reduction sequence — the failure mode the paper's
 // P-CSI depends on never happening (one misordered global_sum and the
 // Chebyshev iteration is no longer comparing the same residual on every
 // rank). The analyzer computes, per function, the set of values tainted by
-// rank-local data — anything derived from the rank handle's own fields
-// (r.ID, r.Blocks, r.Clock(), …) — and reports collectives whose enclosing
-// if/for/switch/select conditions mention tainted values.
+// rank-local data — anything derived from a rank handle's own fields
+// (r.ID, r.Blocks, r.Clock(), …) or a shard handle's (sh.ID, sh.Ranks) —
+// and reports collectives whose enclosing if/for/switch/select conditions
+// mention tainted values.
 //
 // Two escapes keep the rule aligned with the SPMD idioms the solvers use:
 //
@@ -39,7 +44,7 @@ import (
 //     returning `r.ID` taints its callers — the hole the v1 rule left
 //     open by trusting any function handed the bare *comm.Rank. Calls
 //     that do not resolve to a same-package declaration keep the v1
-//     behavior: the bare rank handle does not propagate taint, every
+//     behavior: a bare rank or shard handle does not propagate taint, every
 //     other argument does.
 //
 // Taint is also tracked through struct fields of the package's own types,
@@ -160,7 +165,12 @@ func checkLockstep(pass *analysis.Pass, tc *taintCtx, body ast.Node) {
 			walk(x.Body)
 			pop()
 		case *ast.RangeStmt:
-			push(x.X, "range")
+			kind := "range"
+			if sel, ok := ast.Unparen(x.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Each" &&
+				isShardType(pass.TypesInfo.TypeOf(sel.X)) {
+				kind = "pass"
+			}
+			push(x.X, kind)
 			walk(x.Body)
 			pop()
 		case *ast.SwitchStmt:
@@ -204,6 +214,10 @@ func checkLockstep(pass *analysis.Pass, tc *taintCtx, body ast.Node) {
 						pass.Reportf(x.Pos(), "collective %s inside select: case choice is scheduling-dependent, ranks will diverge", name)
 						break
 					}
+					if g.kind == "pass" {
+						pass.Reportf(x.Pos(), "collective %s inside a per-rank pass (range over Shard.Each): the shard would enter it once per rank", name)
+						break
+					}
 					if g.cond != nil && tc.tainted(g.cond) {
 						pass.Reportf(x.Pos(),
 							"collective %s is guarded by rank-local condition %q (%s); collectives must be reached in lockstep on every rank — condition only on data that rode a prior reduction",
@@ -238,7 +252,7 @@ func checkLockstep(pass *analysis.Pass, tc *taintCtx, body ast.Node) {
 // taintCtx tracks which local variables carry rank-local data within one
 // top-level function (nested function literals included: captured variables
 // share the same *types.Var objects, so taint flows into the SPMD program
-// closures the solvers pass to World.Run).
+// closures the solvers pass to World.RunShards).
 type taintCtx struct {
 	info *types.Info
 	set  map[*types.Var]bool
@@ -544,13 +558,13 @@ func returnsTainted(sub *taintCtx, fd *ast.FuncDecl) bool {
 	return tainted
 }
 
-// isBareRank reports whether e is a plain reference of type comm.Rank or
-// *comm.Rank (the whole handle, not data extracted from it).
+// isBareRank reports whether e is a plain reference to a rank or shard
+// handle (the whole handle, not data extracted from it).
 func (tc *taintCtx) isBareRank(e ast.Expr) bool {
 	switch ast.Unparen(e).(type) {
 	case *ast.Ident, *ast.SelectorExpr:
 		t := tc.info.TypeOf(e)
-		return t != nil && isRankType(t)
+		return t != nil && isHandleType(t)
 	}
 	return false
 }

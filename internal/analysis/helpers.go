@@ -11,11 +11,12 @@ import (
 )
 
 // commRankPath is the import path of the communication substrate whose
-// *Rank methods are the collective operations.
+// *Rank and *Shard methods are the collective operations.
 const commRankPath = "repro/internal/comm"
 
-// collectiveMethods are the comm.Rank methods every rank must call in the
-// same program order (the SPMD collectives).
+// collectiveMethods are the comm.Rank and comm.Shard methods every rank —
+// every shard, for a shard program — must call in the same program order
+// (the SPMD collectives).
 var collectiveMethods = map[string]bool{
 	"AllReduce":        true,
 	"AllReduceOverlap": true,
@@ -33,7 +34,18 @@ var lockstepRankMethods = map[string]bool{
 }
 
 // isRankType reports whether t is comm.Rank or *comm.Rank.
-func isRankType(t types.Type) bool {
+func isRankType(t types.Type) bool { return isCommType(t, "Rank") }
+
+// isShardType reports whether t is comm.Shard or *comm.Shard.
+func isShardType(t types.Type) bool { return isCommType(t, "Shard") }
+
+// isHandleType reports whether t is one of the two handles a program gets
+// from the runtime — a rank or a shard — whose own fields are rank-local
+// (or shard-local) data and whose collectives must run in lockstep.
+func isHandleType(t types.Type) bool { return isRankType(t) || isShardType(t) }
+
+// isCommType reports whether t is comm.<name> or a pointer to it.
+func isCommType(t types.Type, name string) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -42,7 +54,7 @@ func isRankType(t types.Type) bool {
 		return false
 	}
 	obj := n.Obj()
-	return obj.Name() == "Rank" && obj.Pkg() != nil && obj.Pkg().Path() == commRankPath
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == commRankPath
 }
 
 // calleeFunc resolves the *types.Func a call invokes (method or function),
@@ -58,7 +70,7 @@ func isPkgFunc(f *types.Func, path, name string) bool {
 }
 
 // rankMethodName returns the method name when call is a method call on
-// comm.Rank (or *comm.Rank), else "".
+// comm.Rank or comm.Shard (or a pointer to either), else "".
 func rankMethodName(info *types.Info, call *ast.CallExpr) string {
 	f := calleeFunc(info, call)
 	if f == nil {
@@ -68,7 +80,7 @@ func rankMethodName(info *types.Info, call *ast.CallExpr) string {
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	if !isRankType(sig.Recv().Type()) {
+	if !isHandleType(sig.Recv().Type()) {
 		return ""
 	}
 	return f.Name()

@@ -198,3 +198,28 @@ func (c *cleanRec) goodAdvance(l *drv, iters int) {
 		l.k++
 	}
 }
+
+// A shard program: shard-local data (sh.ID, sh.Ranks and everything of a
+// rank reached through them) is taint like a rank's own …
+func badShardGuard(sh *comm.Shard, vals [][]float64) {
+	if sh.Ranks[0].ID == 0 {
+		_ = sh.AllReduce(vals) // want `guarded by rank-local condition`
+	}
+}
+
+// … a collective inside a per-rank pass would be entered once per rank …
+func badCollectiveInPass(sh *comm.Shard, fields [][][]float64) {
+	for range sh.Each {
+		sh.Exchange(fields) // want `inside a per-rank pass`
+	}
+}
+
+// … and a verdict reduced over every shard steers collectives safely.
+func goodShardReducedVerdict(sh *comm.Shard, vals [][]float64, fields [][][]float64) {
+	for _, r := range sh.Each {
+		vals[r.ID%len(vals)][0] = 1
+	}
+	if g := sh.AllReduce(vals); g[0] > 0 {
+		sh.Exchange(fields)
+	}
+}

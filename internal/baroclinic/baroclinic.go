@@ -113,10 +113,26 @@ func chunk(flat [][]float64, per int) [][][]float64 {
 	return out
 }
 
-// StepRank executes one baroclinic step for one rank inside a World.Run
-// program: the level-sweep kernel, the flop charge for the full NZ levels,
-// and the aggregated 3-D halo updates.
-func (b *Workload) StepRank(r *comm.Rank) {
+// Step runs one baroclinic step across all ranks and returns the stats: per
+// shard, one pass running the level-sweep kernel and the flop charge for the
+// full NZ levels on every rank, then the aggregated 3-D halo updates.
+func (b *Workload) Step() comm.Stats {
+	return b.W.RunShards(func(sh *comm.Shard) {
+		multis := make([][][][]float64, len(sh.Ranks))
+		for i, r := range sh.Each {
+			b.sweep(r)
+			multis[i] = b.multis[r.ID]
+		}
+		// Aggregated 3-D halo updates: each carries NZ levels of strips.
+		for e := 0; e < b.Exchanges; e++ {
+			sh.ExchangeMulti(multis)
+		}
+	})
+}
+
+// sweep is one rank's compute of a step: the level-sweep kernel on the
+// executed levels and the charge for all NZ of them.
+func (b *Workload) sweep(r *comm.Rank) {
 	levels := b.ensure(r)
 	var interior int64
 	for i, blk := range r.Blocks {
@@ -137,15 +153,4 @@ func (b *Workload) StepRank(r *comm.Rank) {
 	}
 	// Charge the full-physics cost for all NZ levels.
 	r.AddFlops(interior * int64(b.NZ) * b.LevelFlops)
-
-	// Aggregated 3-D halo updates: each carries NZ levels of strips.
-	multi := b.multis[r.ID]
-	for e := 0; e < b.Exchanges; e++ {
-		r.ExchangeMulti(multi)
-	}
-}
-
-// Step runs one baroclinic step across all ranks and returns the stats.
-func (b *Workload) Step() comm.Stats {
-	return b.W.Run(b.StepRank)
 }

@@ -1,9 +1,10 @@
 // Package comm is the communication substrate that stands in for MPI: a
-// virtual-rank runtime executing SPMD rank programs as coroutines driven by
-// one worker per hardware thread, with halo exchange between decomposition
-// blocks — a direct copy inside a worker's shard, a mailbox across shards —
-// and deterministic binomial-tree global reductions, both collectives
-// synchronized by atomic flags.
+// virtual-rank runtime executing bulk-synchronous shard programs — one
+// worker per hardware thread runs the per-rank passes of its contiguous
+// shard of ranks as plain loops and performs each collective once for the
+// whole shard — with halo exchange between decomposition blocks (a direct
+// copy inside a shard, a mailbox across shards) and deterministic
+// binomial-tree global reductions.
 //
 // Two properties matter for the reproduction:
 //
@@ -17,13 +18,19 @@
 //     bandwidth β, tree-reduction cost with optional contention noise).
 //     The real algorithms run and real event counts are priced, which is
 //     how this repo regenerates the paper's Yellowstone/Edison scaling
-//     figures on a single machine (see DESIGN.md §2).
+//     figures on a single machine (see DESIGN.md §2). A shard collective
+//     still prices, counts, draws faults for and traces every rank of the
+//     shard separately, in the arithmetic of a per-rank collective.
 //
 // Reductions synchronize virtual clocks exactly like MPI_Allreduce
 // synchronizes real ones: the reduced payload carries the maximum entry
 // clock, and every rank leaves the reduction at max + tree cost. Halo
 // exchanges advance the receiver to max(own, sender) plus per-message
 // latency/bandwidth charges.
+//
+// World.RunShards is the executor's entry point and every solve path uses
+// it. World.Run, with Rank's own Exchange / AllReduce, is a coroutine
+// adapter over the same workers for free-form rank programs (sched.go).
 package comm
 
 import (
@@ -121,11 +128,11 @@ type World struct {
 	Faults *faults.Injector
 
 	// traceID is the request-scoped trace ID stamped onto every rank trace
-	// at Run entry (see SetTraceID).
+	// at run entry (see SetTraceID).
 	traceID uint64
 
-	// faultEpoch counts Run invocations on this world. Each run salts its
-	// fault-draw sequence numbers with the epoch (see Run), so successive
+	// faultEpoch counts runs on this world. Each run salts its fault-draw
+	// sequence numbers with the epoch (see RunShards), so successive
 	// solves on one session draw disjoint slices of the injector's schedule
 	// instead of replaying the first solve's verdicts forever. Cost-model
 	// draw keys are deliberately NOT salted: with the injector disabled,
@@ -133,11 +140,11 @@ type World struct {
 	faultEpoch int64
 
 	// threads is the worker knob (see SetThreads; 0 = GOMAXPROCS) and ex the
-	// cached coroutine executor for the current effective count (sched.go).
+	// cached shard executor for the current effective count (sched.go).
 	threads int
 	ex      *executor
 
-	// ranks is the rank table, built once: Run resets the per-run fields and
+	// ranks is the rank table, built once: a run resets the per-run fields and
 	// keeps ID, World and Blocks.
 	ranks []*Rank
 
@@ -157,8 +164,8 @@ type World struct {
 	//   reducePart[rank] is the rank's reduction deposit and reduceRoot the
 	//   pair of result buffers alternated by call parity, each left at the
 	//   length its last reduction was folded at; reduceArrived counts the
-	//   current reduction's deposits and reduceDone the reductions completed
-	//   this Run (see AllReduce).
+	//   ranks deposited in the current reduction and reduceDone the
+	//   reductions completed this run (see Shard.AllReduce).
 	plans         [][2]phasePlan
 	blockPos      []int
 	reducePart    [][]float64
@@ -236,7 +243,8 @@ var sideOffsets = [4][2]int{
 	SideS: {0, -1},
 }
 
-// Rank is the per-rank handle passed to SPMD programs.
+// Rank is the per-rank handle: a shard program reaches its ranks through
+// Shard.Ranks and Shard.Each, a World.Run program receives one.
 type Rank struct {
 	// ID is the rank's index in [0, World.NRank).
 	ID int
@@ -250,32 +258,39 @@ type Rank struct {
 	reduceSeq int64
 	flopSeq   int64
 	haloSeq   int64 // exchange-phase sequence number (fault-draw site key)
-	// levels is what the rank passed to the halo exchange it is inside, and
-	// sendClock its clock at the current phase's sends: what a sibling served
-	// by the same worker copies and is charged from (halo.go).
+	// levels is what the rank passed to the halo exchange in flight, and
+	// sendClock its clock at the current phase's sends: what a sibling of the
+	// same shard copies and is charged from (halo.go).
 	levels    [][][]float64
 	sendClock float64
-	// faultBase is the run's fault-draw salt (World.faultEpoch << 32 at Run
+	// entry is the rank's clock entering the reduction in flight; ovEntry and
+	// ovFlop the clock and compute time of the work an overlapped reduction
+	// hides (reduce.go).
+	entry, ovEntry, ovFlop float64
+	// faultBase is the run's fault-draw salt (World.faultEpoch << 32 at run
 	// entry): added to the per-site sequence numbers for injector draws
 	// only, never for cost-model draws.
 	faultBase int64
 	trace     *obs.RankTrace // nil when the World has no tracer
 
-	// Executor state (sched.go): the shard and worker this rank runs on, its
-	// coroutine handles (nil once the program has returned) and yield, and
-	// the flag it is suspended on (runnable once flag ≥ min; site names the
-	// flag for the stall diagnostic).
+	// The shard and worker this rank runs on.
 	shard int
 	wk    *worker
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-	flag  *atomic.Int64
-	min   int64
-	site  waitSite
 
-	// reduceFailed is set by AllReduce when the fault injector failed the
-	// last reduction; resilient callers poll it via ReduceFailed and retry.
+	// World.Run adapter state (sched.go): the coroutine handles (nil once
+	// the program has returned) and yield, and the collective the rank is
+	// suspended at — its kind and arguments, then its result.
+	next   func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	op     int
+	vals   []float64
+	hide   int64
+	out    []float64
+	multis [][][]float64
+
+	// reduceFailed is set by a reduction the fault injector failed;
+	// resilient callers poll it via ReduceFailed and retry.
 	reduceFailed bool
 
 	// multi is Exchange's scratch for wrapping a single field set as a
@@ -346,7 +361,7 @@ func (r *Rank) AddDelay(dt float64) {
 	r.clock += dt
 }
 
-// Stats is the aggregate result of one World.Run.
+// Stats is the aggregate result of one run (RunShards or Run).
 type Stats struct {
 	MaxClock float64    // completion time: slowest rank's virtual clock
 	Sum      Counters   // counters summed over ranks
@@ -404,28 +419,29 @@ func (s *Stats) Breakdown() (comp, halo, reduce PhaseStat) {
 	return
 }
 
-// SetTraceID sets the request-scoped trace ID for subsequent Runs: each run
+// SetTraceID sets the request-scoped trace ID for subsequent runs: each run
 // stamps it onto every rank's trace buffer before the run's first event, so
 // all rank-level spans of the run carry the ID of the serve request the run
 // is working for (0 — the default — marks runs not tied to a request). The
 // caller owning the world sets it between solves; it must not be called
-// while a Run is in flight.
+// while a run is in flight.
 func (w *World) SetTraceID(id uint64) { w.traceID = id }
 
 // TraceID returns the world's current request-scoped trace ID.
 func (w *World) TraceID() uint64 { return w.traceID }
 
-// Run executes program on every rank concurrently and returns aggregated
-// statistics. Programs must make collective calls (AllReduce, Exchange,
-// Barrier) in the same order on every rank, exactly as MPI requires; a
-// violation that leaves ranks waiting forever, or a panic in any rank's
-// program, stops the run and panics on Run's caller with a diagnostic.
+// RunShards executes program once per worker shard, concurrently, and
+// returns aggregated statistics. A shard program alternates per-rank passes
+// (Shard.Each) with the Shard collectives, which every shard must call in
+// the same order with the same payload widths and level counts, exactly as
+// MPI requires of ranks; a violation that leaves shards waiting forever, or
+// a panic in any shard's program, stops the run and panics on RunShards'
+// caller with a diagnostic.
 //
-// Hardware mapping: ranks are coroutines resumed round-robin by one worker
-// per effective thread (SetThreads, default GOMAXPROCS) over contiguous
-// shards (see sched.go). Solutions and virtual clocks are bitwise identical
-// for every thread count.
-func (w *World) Run(program func(*Rank)) Stats {
+// Hardware mapping: one worker per effective thread (SetThreads, default
+// GOMAXPROCS), each over a contiguous shard of ranks (see sched.go).
+// Solutions and virtual clocks are bitwise identical for every thread count.
+func (w *World) RunShards(program func(*Shard)) Stats {
 	// Fault-draw salt for this run (see World.faultEpoch). The shift leaves
 	// 2³² per-run sequence numbers before epochs could collide — far beyond
 	// any solve's site count.
@@ -436,7 +452,7 @@ func (w *World) Run(program func(*Rank)) Stats {
 	for rid, rk := range w.ranks {
 		shard := w.shardOf(rid, p)
 		*rk = Rank{ID: rid, World: w, Blocks: rk.Blocks, faultBase: base,
-			shard: shard, wk: &ex.workers[shard], flag: &w.reduceDone}
+			shard: shard, wk: &ex.workers[shard]}
 		if w.Tracer.Enabled() {
 			rk.trace = w.Tracer.Rank(rid)
 			rk.trace.SetTraceID(w.traceID)
@@ -445,17 +461,9 @@ func (w *World) Run(program func(*Rank)) Stats {
 				Iter: -1, Straggler: -1})
 		}
 	}
-	for i := range ex.workers {
-		ex.workers[i].haloArrived = 0
-		ex.workers[i].haloDone.Store(0)
-	}
-	if w.NRank == 1 {
-		program(w.ranks[0])
-	} else {
-		w.reduceArrived.Store(0)
-		w.reduceDone.Store(0)
-		ex.run(program)
-	}
+	w.reduceArrived.Store(0)
+	w.reduceDone.Store(0)
+	ex.run(program)
 	st := Stats{PerRank: make([]Counters, w.NRank)}
 	for rid, rk := range w.ranks {
 		st.PerRank[rid] = rk.ctr
@@ -465,4 +473,18 @@ func (w *World) Run(program func(*Rank)) Stats {
 		}
 	}
 	return st
+}
+
+// Run executes program on every rank and returns aggregated statistics: the
+// coroutine adapter for free-form rank programs that call Rank's own
+// collectives (AllReduce, AllReduceOverlap, Barrier, Exchange,
+// ExchangeMulti), in the same order on every rank. Each rank is a coroutine
+// on its shard's worker, suspended at every collective until the whole shard
+// has arrived, which the worker then performs through the Shard API — so
+// numerics, clocks, counters and traces are those of RunShards. A lockstep
+// violation or a panic in a rank's program panics on Run's caller with a
+// diagnostic naming the ranks. Solve paths are shard programs; this form
+// serves the runtime's own tests and probes.
+func (w *World) Run(program func(*Rank)) Stats {
+	return w.RunShards(func(sh *Shard) { sh.coroutines(program) })
 }

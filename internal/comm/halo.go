@@ -15,13 +15,12 @@ import (
 // arrive in two hops and each block sends/receives only four messages per
 // update, the 4α term in the paper's boundary-cost model (§2.2).
 //
-// The exchange is a collective executed per worker shard, the way AllReduce
-// is one per world: a rank records its levels, counts itself into its worker
-// and awaits the worker's haloDone number; the shard's last arriver runs both
-// phases for every rank of the shard (worker.exchange). One thread drives all
-// of a shard's coroutines, so between two ranks of one shard a strip is a
-// single copy from the neighbour's field into the halo — no slot, no atomic,
-// no wake-up. Only an edge whose ranks sit on different workers is a message:
+// The exchange is a collective executed once per worker shard, the way
+// AllReduce is: Shard.Exchange records every rank's levels and runs both
+// phases for the whole shard (Shard.exchange). One thread serves all of a
+// shard's ranks, so between two ranks of one shard a strip is a single copy
+// from the neighbour's field into the halo — no slot, no atomic, no
+// wake-up. Only an edge whose ranks sit on different workers is a message:
 // a two-slot mailbox indexed by message sequence number, guarded by two
 // atomic counters:
 //
@@ -33,10 +32,10 @@ import (
 // receiver's consumed-store for message k−2, which the receiver performs
 // only after it finished reading; the receiver reads a slot only after
 // observing the sent-store that follows the fill. Both waits go through
-// Rank.await on the last arriver's coroutine, so a shard short of a message
-// or a slot yields its thread instead of blocking (sched.go). Pulling the
-// strip across threads instead would need an exit handshake — the reader must
-// finish before the owner computes on — turning every exchange into a barrier
+// worker.await, so a shard short of a message or a slot spins and then
+// parks until the peer shard publishes (sched.go). Pulling the strip across
+// threads instead would need an exit handshake — the reader must finish
+// before the owner computes on — turning every exchange into a barrier
 // between shards; the mailbox keeps a shard one message of slack.
 //
 // Within a phase no copy reads what another writes (halos are written,
@@ -55,7 +54,7 @@ import (
 
 // edge is one directed cross-shard mailbox: strips leave rank src and fill a
 // halo of rank dst. The counters are message sequence numbers over the
-// lifetime of the plans (a completed Run leaves every edge balanced,
+// lifetime of the plans (a completed run leaves every edge balanced,
 // sent == consumed).
 type edge struct {
 	sent, consumed atomic.Int64
@@ -170,73 +169,77 @@ func buildPlans(w *World, p int) [][2]phasePlan {
 	return plans
 }
 
-// Exchange refreshes the halos of one distributed field. fields[i] is the
-// padded local array for r.Blocks[i]. Collective: every rank must call
-// Exchange in the same program order.
+// Exchange refreshes the halos of one distributed field for every rank of
+// the shard: fields[i] is the field set of Ranks[i], fields[i][j] the padded
+// local array of its block j. Collective: every shard must call Exchange in
+// the same program order.
 //
 //pop:hotpath
-func (r *Rank) Exchange(fields [][]float64) {
-	r.multi[0] = fields
-	r.ExchangeMulti(r.multi[:])
-	r.multi[0] = nil
+func (sh *Shard) Exchange(fields [][][]float64) {
+	if len(fields) != len(sh.Ranks) {
+		payloadCount(sh.ID, len(fields), len(sh.Ranks))
+	}
+	for i, r := range sh.Ranks {
+		r.multi[0] = fields[i]
+		r.levels = r.multi[:]
+	}
+	sh.exchange()
 }
 
 // ExchangeMulti refreshes the halos of several fields (e.g. the levels of a
 // 3-D field) in one aggregated update: each neighbour receives a single
 // message carrying every level's strip, paying the latency α once and the
 // bandwidth β per level — exactly how POP aggregates its 3-D halo updates.
-// levels[L][i] is level L's padded array for r.Blocks[i]; every rank must
-// pass the same number of levels.
+// levels[i] is the level list of Ranks[i], levels[i][L][j] level L's padded
+// array for its block j; every rank must pass the same number of levels.
 //
 //pop:hotpath
-func (r *Rank) ExchangeMulti(levels [][][]float64) {
-	for _, fields := range levels {
-		if len(fields) != len(r.Blocks) {
-			panic("comm: Exchange fields/blocks length mismatch")
-		}
+func (sh *Shard) ExchangeMulti(levels [][][][]float64) {
+	if len(levels) != len(sh.Ranks) {
+		payloadCount(sh.ID, len(levels), len(sh.Ranks))
 	}
-	// Every rank of the shard arrives at exchange n having left exchange n−1,
-	// so haloDone reads n−1 for all of them.
-	wk := r.wk
-	seq := wk.haloDone.Load()
-	r.levels = levels
-	if wk.haloArrived++; wk.haloArrived == len(wk.ranks) {
-		wk.haloArrived = 0
-		wk.exchange(r)
-		wk.haloDone.Store(seq + 1)
-	} else {
-		r.await(&wk.haloDone, seq+1, waitSite{kind: waitHalo})
+	for i, r := range sh.Ranks {
+		r.levels = levels[i]
 	}
-	r.levels = nil
+	sh.exchange()
 }
 
-// exchange runs one halo update for every rank of the shard on the coroutine
-// of r, the last of them to arrive; the others are suspended inside
-// ExchangeMulti with their levels recorded. Per phase it first takes every
-// rank's entry clock and posts the strips that leave the shard, then serves
-// the ranks one by one — so a strip read straight from a sibling carries the
+// exchange runs one halo update for every rank of the shard, each rank's
+// levels recorded in Rank.levels. Per phase it first takes every rank's
+// entry clock and posts the strips that leave the shard, then serves the
+// ranks one by one — so a strip read straight from a sibling carries the
 // clock that sibling had at its send, not one its own receives advanced.
 //
 //pop:hotpath
-func (wk *worker) exchange(r *Rank) {
-	plans := r.World.plans
-	for _, rk := range wk.ranks {
-		if len(rk.levels) != len(r.levels) {
-			levelMismatch(r.ID, len(r.levels), rk.ID, len(rk.levels))
+func (sh *Shard) exchange() {
+	plans := sh.w.plans
+	nlv := len(sh.Ranks[0].levels)
+	for _, rk := range sh.Ranks {
+		if len(rk.levels) != nlv {
+			levelMismatch(sh.Ranks[0].ID, nlv, rk.ID, len(rk.levels))
+		}
+		for _, fields := range rk.levels {
+			if len(fields) != len(rk.Blocks) {
+				panic("comm: Exchange fields/blocks length mismatch")
+			}
 		}
 	}
 	for phase := 0; phase < 2; phase++ {
-		for _, rk := range wk.ranks {
+		for _, rk := range sh.Ranks {
 			rk.sendClock = rk.clock
 			plan := &plans[rk.ID][phase]
 			for ei := range plan.sends {
-				r.send(rk, &plan.sends[ei], phase)
+				sh.send(rk, &plan.sends[ei], phase)
 			}
 		}
-		for _, rk := range wk.ranks {
-			r.receive(rk, &plans[rk.ID][phase], phase)
+		for _, rk := range sh.Ranks {
+			sh.receive(rk, &plans[rk.ID][phase], phase)
 		}
 	}
+	for _, rk := range sh.Ranks {
+		rk.levels, rk.multi[0] = nil, nil
+	}
+	sh.wk.exchanges++
 }
 
 // levelMismatch reports two ranks of one exchange disagreeing on the number
@@ -251,10 +254,10 @@ func levelMismatch(a, na, b, nb int) {
 // receiver is two messages behind).
 //
 //pop:hotpath
-func (r *Rank) send(rk *Rank, pe *planEdge, phase int) {
+func (sh *Shard) send(rk *Rank, pe *planEdge, phase int) {
 	e := pe.e
 	k := e.sent.Load()
-	r.await(&e.consumed, k-1, waitSite{waitHaloSend, phase, pe.side, rk.ID})
+	sh.wk.await(&e.consumed, k-1, waitSite{kind: waitHaloSend, seq: k, phase: phase, side: pe.side, serve: rk.ID})
 	need := len(rk.levels) * pe.stripLen
 	buf := e.buf[k&1]
 	if cap(buf) < need {
@@ -266,7 +269,7 @@ func (r *Rank) send(rk *Rank, pe *planEdge, phase int) {
 	}
 	e.buf[k&1], e.clock[k&1] = buf, rk.sendClock
 	e.sent.Store(k + 1)
-	r.notify(e.dst)
+	sh.wk.notify(e.dst)
 }
 
 // receive executes one phase plan for rank rk: same-rank copies (free in the
@@ -275,8 +278,8 @@ func (r *Rank) send(rk *Rank, pe *planEdge, phase int) {
 // or straight from a sibling's field.
 //
 //pop:hotpath
-func (r *Rank) receive(rk *Rank, plan *phasePlan, phase int) {
-	w := r.World
+func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
+	w := sh.w
 	h := w.D.Halo
 	levels := rk.levels
 	entry := rk.clock
@@ -328,7 +331,7 @@ func (r *Rank) receive(rk *Rank, plan *phasePlan, phase int) {
 			clock = pe.from.sendClock
 		} else {
 			k = e.consumed.Load()
-			r.await(&e.sent, k+1, waitSite{waitHaloRecv, phase, pe.side, rk.ID})
+			sh.wk.await(&e.sent, k+1, waitSite{kind: waitHaloRecv, seq: k, phase: phase, side: pe.side, serve: rk.ID})
 			data, clock = e.buf[k&1], e.clock[k&1]
 			if len(data) != need {
 				levelMismatch(rk.ID, len(levels), e.src, len(data)/pe.stripLen)
@@ -355,7 +358,7 @@ func (r *Rank) receive(rk *Rank, plan *phasePlan, phase int) {
 		}
 		if e != nil {
 			e.consumed.Store(k + 1)
-			r.notify(e.src)
+			sh.wk.notify(e.src)
 		}
 		if clock > arrival {
 			arrival = clock
@@ -431,6 +434,27 @@ func fillRows(dst []float64, stride, width, rows int, v float64) {
 			dst[d+i] = v
 		}
 	}
+}
+
+// Exchange is the per-rank form of Shard.Exchange for World.Run programs:
+// fields[i] is the padded local array for r.Blocks[i]. Collective: every
+// rank must call Exchange in the same program order.
+//
+//pop:hotpath
+func (r *Rank) Exchange(fields [][]float64) {
+	r.multi[0] = fields
+	r.ExchangeMulti(r.multi[:])
+}
+
+// ExchangeMulti is the per-rank form of Shard.ExchangeMulti for World.Run
+// programs: levels[L][i] is level L's padded array for r.Blocks[i]; every
+// rank must pass the same number of levels.
+//
+//pop:hotpath
+func (r *Rank) ExchangeMulti(levels [][][]float64) {
+	r.op, r.multis = opExchange, levels
+	r.suspend()
+	r.multis = nil
 }
 
 // copyStrip fills the halo on side `side` of a block directly from a

@@ -13,15 +13,16 @@ import (
 // scheduled, and the virtual cost grows as log(p)·α exactly like the
 // paper's Eq. 2 term.
 
-// AllReduce sums vals element-wise across all ranks and returns the global
-// result. It also synchronizes virtual clocks: every rank leaves at
-// max(entry clocks) + ReduceTime. Collective: every rank must call it the
-// same number of times with equal-length arguments — a rank whose width
-// differs from the one the reduction was folded at panics (on Run's caller)
-// instead of returning sums over misaligned deposits.
+// AllReduce sums the shard's payloads element-wise across all ranks of the
+// world and returns the global result; vals[i] is the payload of Ranks[i].
+// It also synchronizes virtual clocks: every rank leaves at max(entry
+// clocks) + ReduceTime. Collective: every shard must call it the same number
+// of times with payloads of one width — a payload whose width differs from
+// the one the reduction was folded at panics (on the run's caller) instead of
+// returning sums over misaligned deposits.
 //
 // The returned slice is a persistent reduction workspace shared read-only
-// by all ranks: it stays valid until the rank's next collective call, then
+// by all ranks: it stays valid until the shard's next collective call, then
 // may be overwritten. Callers must not write to it, and callers needing the
 // values longer must copy them out — the solvers all consume the result
 // immediately, which is what lets the steady-state reduction path allocate
@@ -34,94 +35,136 @@ import (
 // lets a trace answer "which rank was the critical path of that reduction?"
 // (ties break toward the lowest rank, deterministically).
 //
-// Mechanics: every rank deposits its payload into its own reducePart buffer
-// and bumps one arrival counter; the last arriver folds all deposits in the
-// fixed binomial-tree order (fold), leaves the result in the parity root
-// buffer — resliced to the width it folded at — and publishes the
-// reduction's sequence number in reduceDone. Every other rank awaits that number — one
-// yield per rank per reduction (history: a log₂p-deep chain of channel
-// rendezvous up the tree and back down) — and checks its own width against
-// the root buffer's on the way out: one store per reduction, none per rank.
+// Mechanics: each rank's payload is deposited into its own reducePart
+// buffer and the shard bumps one arrival counter by its rank count; the
+// shard whose add completes the world folds all deposits in the fixed
+// binomial-tree order (fold), leaves the result in the parity root buffer —
+// resliced to the width it folded at — and publishes the reduction's
+// sequence number in reduceDone. Every other shard awaits that number and
+// checks its width against the root buffer's on the way out.
 //
-// Buffer-reuse safety: a rank rewrites its reducePart for reduction k+1 only
-// after observing done ≥ k+1, which the folder stores after its last read of
-// the deposits. The root buffers alternate by call parity: the buffer of
-// reduction k (and its length) is rewritten by the folder of reduction k+2,
-// which runs only after every rank has arrived at k+2 — i.e. has passed the
-// collective call that ends the returned slice's documented lifetime.
-// Arrival (an atomic add) and done (an atomic store/load pair) are the
-// happens-before edges.
+// Buffer-reuse safety: a shard rewrites its ranks' reducePart for reduction
+// k+1 only after observing done ≥ k+1, which the folder stores after its
+// last read of the deposits. The root buffers alternate by call parity: the
+// buffer of reduction k (and its length) is rewritten by the folder of
+// reduction k+2, which runs only after every shard has arrived at k+2 —
+// i.e. has passed the collective call that ends the returned slice's
+// documented lifetime. Arrival (an atomic add) and done (an atomic
+// store/load pair) are the happens-before edges.
 //
 //pop:hotpath
-func (r *Rank) AllReduce(vals []float64) []float64 {
-	w := r.World
+func (sh *Shard) AllReduce(vals [][]float64) []float64 { return sh.allReduce(vals, nil) }
+
+// AllReduceOverlap is AllReduce with communication/computation overlap
+// pricing: overlapFlops[i] flops of Ranks[i]'s local work proceed *during*
+// the reduction (the pipelined-CG trick of Ghysels & Vanroose, paper §7), so
+// each rank leaves at max(reduction completion, own clock + compute time).
+// The caller must perform the overlapped arithmetic right after this
+// returns, without charging it again through AddFlops.
+//
+//pop:hotpath
+func (sh *Shard) AllReduceOverlap(vals [][]float64, overlapFlops []int64) []float64 {
+	return sh.allReduce(vals, overlapFlops)
+}
+
+// allReduce is both reductions; hide is nil for a plain one.
+//
+//pop:hotpath
+func (sh *Shard) allReduce(vals [][]float64, hide []int64) []float64 {
+	w := sh.w
 	p := w.NRank
-	// Fault injection, straggler class: delay this rank's entry. The delay
-	// lands on the clock *before* the entry snapshot, so it propagates into
-	// the reduction's max-entry clock and every other rank waits for it —
-	// the amplification mechanism of the paper's §5.2 jitter analysis.
-	if w.Faults.Enabled() {
-		if d := w.Faults.StragglerDelay(r.ID, r.faultBase+r.reduceSeq); d > 0 {
-			r.ctr.TComp += d
-			r.clock += d
-			if r.trace != nil {
-				r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: r.clock,
-					Value: d, Aux: float64(faults.Straggler), Iter: -1, Straggler: -1})
+	if len(vals) != len(sh.Ranks) {
+		payloadCount(sh.ID, len(vals), len(sh.Ranks))
+	}
+	n := len(vals[0])
+	for i, r := range sh.Ranks {
+		if hide != nil {
+			r.ovEntry = r.clock
+			r.ovFlop = w.Cost.FlopTime(hide[i], r.ID, r.flopSeq)
+			r.flopSeq++
+			r.ctr.Flops += hide[i]
+		}
+		// Fault injection, straggler class: delay this rank's entry. The
+		// delay lands on the clock *before* the entry snapshot, so it
+		// propagates into the reduction's max-entry clock and every other rank
+		// waits for it — the amplification mechanism of the paper's §5.2
+		// jitter analysis.
+		if w.Faults.Enabled() {
+			if d := w.Faults.StragglerDelay(r.ID, r.faultBase+r.reduceSeq); d > 0 {
+				r.ctr.TComp += d
+				r.clock += d
+				if r.trace != nil {
+					r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: r.clock,
+						Value: d, Aux: float64(faults.Straggler), Iter: -1, Straggler: -1})
+				}
 			}
 		}
+		r.entry = r.clock
+		r.reduceSeq++
+		r.ctr.Reductions++
+		if len(vals[i]) != n {
+			widthMismatch(r.ID, len(vals[i]), n)
+		}
+		// Two metadata slots ride behind the payload: [n] the max entry
+		// clock, [n+1] the rank owning it. Both reduce with max-by-clock, so
+		// the payload sum below is untouched.
+		partial := grow(&w.reducePart[r.ID], n+2)
+		copy(partial, vals[i])
+		partial[n] = r.clock
+		partial[n+1] = float64(r.ID)
 	}
-	entry := r.clock
-	seq := r.reduceSeq
-	r.reduceSeq++
-	r.ctr.Reductions++
-
-	// Two metadata slots ride behind the payload: [n] the max entry clock,
-	// [n+1] the rank owning it. Both reduce with max-by-clock, so the
-	// payload sum below is untouched.
-	n := len(vals)
-	partial := grow(&w.reducePart[r.ID], n+2)
-	copy(partial, vals)
-	partial[n] = r.clock
-	partial[n+1] = float64(r.ID)
+	seq := sh.Ranks[0].reduceSeq - 1
 
 	var result []float64
-	switch {
-	case p == 1:
-		result = grow(&w.reduceRoot[seq&1], n+2)
-		copy(result, partial)
-	case w.reduceArrived.Add(1) == int64(p): // arrive; the last one in folds
+	if w.reduceArrived.Add(int64(len(sh.Ranks))) == int64(p) { // the last shard in folds
 		result = w.fold(n, seq)
 		w.reduceArrived.Store(0)
 		w.reduceDone.Store(seq + 1)
-		r.notifyAll()
-	default:
-		r.await(&w.reduceDone, seq+1, waitSite{kind: waitReduce})
+		sh.wk.notifyAll()
+	} else {
+		sh.wk.await(&w.reduceDone, seq+1, waitSite{kind: waitReduce, seq: seq})
 		result = w.reduceRoot[seq&1]
 		if len(result) != n+2 {
-			widthMismatch(r.ID, n, len(result)-2)
+			widthMismatch(sh.Ranks[0].ID, n, len(result)-2)
 		}
 	}
 
-	newClock := result[n] + w.Cost.ReduceTime(p, seq)
-	r.ctr.TReduce += newClock - entry
-	r.clock = newClock
-	if r.trace != nil {
-		r.trace.Add(obs.Event{Name: obs.EvReduce, T0: entry, T1: newClock,
-			Value: float64(n), Straggler: int(result[n+1]), Wait: result[n] - entry,
-			Iter: -1})
-	}
-	// Fault injection, reduce-fail class: the collective "failed" — every
-	// rank draws the identical verdict from seq alone, sets its flag, and
-	// resilient callers re-enter the reduction in lockstep. The reduced
-	// values are still returned (callers that don't check the flag behave
-	// exactly as before).
-	r.reduceFailed = false
-	if w.Faults.Enabled() && w.Faults.FailReduce(r.ID, r.faultBase+seq) {
-		r.reduceFailed = true
+	for _, r := range sh.Ranks {
+		newClock := result[n] + w.Cost.ReduceTime(p, seq)
+		r.ctr.TReduce += newClock - r.entry
+		r.clock = newClock
 		if r.trace != nil {
-			r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: newClock,
-				Value: float64(seq), Aux: float64(faults.ReduceFail), Iter: -1,
-				Straggler: -1})
+			r.trace.Add(obs.Event{Name: obs.EvReduce, T0: r.entry, T1: newClock,
+				Value: float64(n), Straggler: int(result[n+1]), Wait: result[n] - r.entry,
+				Iter: -1})
+		}
+		// Fault injection, reduce-fail class: the collective "failed" — every
+		// rank draws the identical verdict from seq alone, sets its flag, and
+		// resilient callers re-enter the reduction in lockstep. The reduced
+		// values are still returned (callers that don't check the flag behave
+		// exactly as before).
+		r.reduceFailed = false
+		if w.Faults.Enabled() && w.Faults.FailReduce(r.ID, r.faultBase+seq) {
+			r.reduceFailed = true
+			if r.trace != nil {
+				r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: newClock,
+					Value: float64(seq), Aux: float64(faults.ReduceFail), Iter: -1,
+					Straggler: -1})
+			}
+		}
+		if hide != nil {
+			// The reduction advanced the clock to maxEntry+tree and charged
+			// the whole gap to TReduce; re-attribute: compute hides under it.
+			exit := newClock
+			if r.ovEntry+r.ovFlop > exit {
+				exit = r.ovEntry + r.ovFlop
+			}
+			r.ctr.TComp += r.ovFlop
+			r.ctr.TReduce -= newClock - r.ovEntry // undo the plain attribution
+			if red := exit - r.ovEntry - r.ovFlop; red > 0 {
+				r.ctr.TReduce += red
+			}
+			r.clock = exit
 		}
 	}
 	return result[:n]
@@ -153,45 +196,47 @@ func (w *World) fold(n int, seq int64) []float64 {
 }
 
 // widthMismatch reports a rank that entered a reduction with a payload width
-// other than the one the last arriver folded every deposit at (whichever of
-// the two is the odd one out, the sums are garbage). Kept out of the hot path
-// because it formats.
+// other than the one the reduction was folded at (whichever of the two is
+// the odd one out, the sums are garbage). Kept out of the hot path because
+// it formats.
 func widthMismatch(rank, n, folded int) {
 	panic(fmt.Sprintf("comm: AllReduce widths differ: rank %d passes %d values, the reduction was folded at %d",
 		rank, n, folded))
 }
 
-// Barrier blocks until every rank reaches it (an empty AllReduce).
-func (r *Rank) Barrier() { r.AllReduce(nil) }
+// payloadCount reports a shard collective handed a number of payloads or
+// field sets other than its rank count.
+func payloadCount(shard, got, want int) {
+	panic(fmt.Sprintf("comm: shard %d passes %d per-rank arguments to a collective, it has %d ranks",
+		shard, got, want))
+}
 
-// AllReduceOverlap is AllReduce with communication/computation overlap
-// pricing: overlapFlops of local work proceed *during* the reduction (the
-// pipelined-CG trick of Ghysels & Vanroose, paper §7), so the rank leaves
-// at max(reduction completion, own clock + compute time). The caller must
-// perform the overlapped arithmetic right after this returns, without
-// charging it again through AddFlops.
+// AllReduce is the per-rank form of Shard.AllReduce for World.Run programs:
+// vals is this rank's payload, the result is shared by every rank and valid
+// until the rank's next collective call. Collective: every rank must call it
+// the same number of times with equal-length arguments.
+//
+//pop:hotpath
+func (r *Rank) AllReduce(vals []float64) []float64 {
+	r.op, r.vals = opReduce, vals
+	r.suspend()
+	out := r.out
+	r.vals, r.out = nil, nil
+	return out
+}
+
+// AllReduceOverlap is the per-rank form of Shard.AllReduceOverlap for
+// World.Run programs: overlapFlops of this rank's local work hide under the
+// reduction.
 //
 //pop:hotpath
 func (r *Rank) AllReduceOverlap(vals []float64, overlapFlops int64) []float64 {
-	w := r.World
-	entry := r.clock
-	flopT := w.Cost.FlopTime(overlapFlops, r.ID, r.flopSeq)
-	r.flopSeq++
-	r.ctr.Flops += overlapFlops
-
-	out := r.AllReduce(vals)
-	// AllReduce advanced the clock to maxEntry+tree and charged the whole
-	// gap to TReduce; re-attribute: compute hides under the reduction.
-	reduceExit := r.clock
-	exit := reduceExit
-	if entry+flopT > exit {
-		exit = entry + flopT
-	}
-	r.ctr.TComp += flopT
-	r.ctr.TReduce -= reduceExit - entry // undo AllReduce's attribution
-	if red := exit - entry - flopT; red > 0 {
-		r.ctr.TReduce += red
-	}
-	r.clock = exit
+	r.op, r.vals, r.hide = opOverlap, vals, overlapFlops
+	r.suspend()
+	out := r.out
+	r.vals, r.out = nil, nil
 	return out
 }
+
+// Barrier blocks until every rank reaches it (an empty AllReduce).
+func (r *Rank) Barrier() { r.AllReduce(nil) }

@@ -228,19 +228,32 @@ func TestExecutorStress(t *testing.T) {
 // within a second.
 func runExpectingPanic(t *testing.T, w *World, program func(*Rank)) string {
 	t.Helper()
+	return expectPanic(t, func() { w.Run(program) })
+}
+
+// shardsExpectingPanic is runExpectingPanic for a shard program.
+func shardsExpectingPanic(t *testing.T, w *World, program func(*Shard)) string {
+	t.Helper()
+	return expectPanic(t, func() { w.RunShards(program) })
+}
+
+// expectPanic returns the value run panicked with, failing the test when it
+// neither panics nor returns within a second.
+func expectPanic(t *testing.T, run func()) string {
+	t.Helper()
 	got := make(chan any, 1)
 	go func() {
 		defer func() { got <- recover() }()
-		w.Run(program)
+		run()
 	}()
 	select {
 	case p := <-got:
 		if p == nil {
-			t.Fatal("Run returned normally, want a panic")
+			t.Fatal("the run returned normally, want a panic")
 		}
 		return fmt.Sprint(p)
 	case <-time.After(time.Second):
-		t.Fatal("Run still blocked after 1s, want a fail-fast panic")
+		t.Fatal("the run still blocked after 1s, want a fail-fast panic")
 	}
 	return ""
 }
@@ -281,6 +294,49 @@ func TestLockstepViolationFailsFast(t *testing.T) {
 			t.Fatalf("threads %d: %d reductions after an aborted run, want %d", threads, st.Sum.Reductions, p)
 		}
 	}
+	// The shard-program row: shard 0 skips the second reduction, so the
+	// others wait in it for ranks that never arrive.
+	shardFields := func(sh *Shard) [][][]float64 {
+		fs := make([][][]float64, len(sh.Ranks))
+		for i, r := range sh.Ranks {
+			if fields[r.ID] == nil {
+				fields[r.ID] = fillLevels(d, r, nil, 1, 0)[0]
+			}
+			fs[i] = fields[r.ID]
+		}
+		return fs
+	}
+	payloads := func(sh *Shard, v float64) [][]float64 {
+		vals := make([][]float64, len(sh.Ranks))
+		for i := range vals {
+			vals[i] = []float64{v}
+		}
+		return vals
+	}
+	want := regexp.MustCompile(fmt.Sprintf(`shard [1-9]\d*: allreduce #1, \d+/%d ranks arrived`, p))
+	for _, threads := range []int{2, p} {
+		w.SetThreads(threads)
+		msg := shardsExpectingPanic(t, w, func(sh *Shard) {
+			sh.Exchange(shardFields(sh))
+			sh.AllReduce(payloads(sh, 1))
+			if sh.ID != 0 {
+				sh.AllReduce(payloads(sh, 2))
+			}
+		})
+		if !strings.Contains(msg, "stalled") || !want.MatchString(msg) {
+			t.Fatalf("shard program, threads %d: diagnostic %q lacks %q", threads, msg, want)
+		}
+		st := w.RunShards(func(sh *Shard) {
+			sh.Exchange(shardFields(sh))
+			if got := sh.AllReduce(payloads(sh, 1))[0]; got != float64(p) {
+				panic("wrong sum after an aborted run")
+			}
+		})
+		if st.Sum.Reductions != int64(p) {
+			t.Fatalf("shard program, threads %d: %d reductions after an aborted run, want %d",
+				threads, st.Sum.Reductions, p)
+		}
+	}
 }
 
 // TestHaloStallNamesEdge: a rank that leaves before a halo exchange strands
@@ -308,6 +364,23 @@ func TestHaloStallNamesEdge(t *testing.T) {
 		if len(m) == 3 && m[1] != m[2] {
 			t.Fatalf("threads %d: one rank per worker, yet %q serves another rank", threads, m[0])
 		}
+	}
+	// The shard-program row: shard 0 leaves before the exchange, so the
+	// shard beside it waits on a seam mailbox shard 0 never fills.
+	w.SetThreads(2)
+	msg := shardsExpectingPanic(t, w, func(sh *Shard) {
+		if sh.ID == 0 {
+			return
+		}
+		fs := make([][][]float64, len(sh.Ranks))
+		for i, r := range sh.Ranks {
+			fs[i] = fillLevels(d, r, nil, 1, 0)[0]
+		}
+		sh.Exchange(fs)
+	})
+	want := regexp.MustCompile(`shard 1: halo phase [01] edge [EWNS] seq 0 \(serving rank \d+\)`)
+	if !strings.Contains(msg, "stalled") || !want.MatchString(msg) {
+		t.Fatalf("shard program: diagnostic %q lacks %q", msg, want)
 	}
 }
 
@@ -339,6 +412,39 @@ func TestRankPanicFailsFast(t *testing.T) {
 		for rid, ok := range unwound {
 			if !ok {
 				t.Fatalf("threads %d: rank %d's deferred calls did not run", threads, rid)
+			}
+		}
+	}
+	// The shard-program row: rank 5's pass panics; the other shards, waiting
+	// in the next collective, must unwind too.
+	for _, threads := range []int{1, 2, d.NRanks} {
+		w.SetThreads(threads)
+		unwound := make([]bool, w.EffectiveThreads())
+		msg := shardsExpectingPanic(t, w, func(sh *Shard) {
+			defer func() { unwound[sh.ID] = true }()
+			fs := make([][][]float64, len(sh.Ranks))
+			vals := make([][]float64, len(sh.Ranks))
+			for i, r := range sh.Each {
+				fs[i] = fillLevels(d, r, nil, 1, 0)[0]
+			}
+			sh.Exchange(fs)
+			sh.AllReduce(vals) // every shard has started before one fails
+			for _, r := range sh.Each {
+				if r.ID == 5 {
+					panic("boom")
+				}
+			}
+			sh.Exchange(fs)
+			sh.AllReduce(vals)
+		})
+		for _, want := range []string{"rank 5 panicked: boom", "TestRankPanicFailsFast"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("shard program, threads %d: panic %q lacks %q", threads, msg, want)
+			}
+		}
+		for id, ok := range unwound {
+			if !ok {
+				t.Fatalf("shard program, threads %d: shard %d's deferred calls did not run", threads, id)
 			}
 		}
 	}

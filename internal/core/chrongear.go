@@ -11,30 +11,34 @@ package core
 type chronGear struct {
 	rp, zz, ss, pp     [][]float64 // r' = M⁻¹r, z = A·r', directions s and p
 	rhoPrev, sigmaPrev float64
+	rho, rn2           float64 // the step's local ρ and ‖r‖², between its stages
+	check              bool
 }
 
 func (c *chronGear) bind(l *loop) {
 	c.rp, c.zz = l.field("cg.rp"), l.field("cg.z")
 	c.ss, c.pp = l.field("cg.s"), l.field("cg.p")
-	c.restart(l)
+	c.restart(l, 0)
 }
 
-func (c *chronGear) begin(l *loop) {}
+func (c *chronGear) begin(l *loop, st int) [][]float64 { return nil }
 
-func (c *chronGear) local(l *loop, p []float64) (bool, float64) {
-	l.k++
-	check := l.k%l.s.Opts.CheckEvery == 0
-	// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
-	rho, rn2 := stagePrecondDots(l.r, l.rs, c.rp, l.rr, check)
-	if check {
-		chargeDot(l.r, l.rs)
+func (c *chronGear) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
+	if st == 0 {
+		l.k++
+		c.check = l.k%l.s.Opts.CheckEvery == 0
+		// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
+		c.rho, c.rn2 = stagePrecondDots(l.r, l.rs, c.rp, l.rr, c.check)
+		if c.check {
+			chargeDot(l.r, l.rs)
+		}
+		return c.rp, false, 0 // the iteration's one boundary update
 	}
-	// z = A·r' fused with δ = ⟨z, r'⟩ — one pass over the operands, with the
-	// iteration's one boundary update inside.
-	delta := stageFusedMatvecDot(l.r, l.rs, c.zz, c.rp)
+	// z = A·r' fused with δ = ⟨z, r'⟩ — one pass over the operands.
+	delta := stageApplyDot(l.r, l.rs, c.zz, c.rp)
 	chargeDot(l.r, l.rs) // ρ
-	p[0], p[1] = rho, delta
-	return check, rn2
+	p[0], p[1] = c.rho, delta
+	return nil, c.check, c.rn2
 }
 
 func (c *chronGear) observe(l *loop, g []float64, rn float64) verdict { return proceed }
@@ -54,7 +58,8 @@ func (c *chronGear) advance(l *loop, g []float64) {
 
 // restart zeroes s and p, which makes the next β irrelevant — exactly the
 // state of the first iteration.
-func (c *chronGear) restart(l *loop) {
+func (c *chronGear) restart(l *loop, st int) [][]float64 {
 	zeroFields(c.ss, c.pp)
 	c.rhoPrev, c.sigmaPrev = 1, 0
+	return nil
 }

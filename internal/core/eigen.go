@@ -48,81 +48,111 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	var nSteps int
 	var lastNu, lastMu float64
 	var failure error
-	var eigTrace []EigBound // appended by rank 0 only
+	var eigTrace []EigBound // appended by shard 0 only
 
-	st := s.W.Run(func(r *comm.Rank) {
-		rs := s.state(r)
-		nb := len(r.Blocks)
-		xs := s.zeroField(r, "eig.x")
-		bs := s.scatterMasked(r, "eig.b", b)
-		rr := s.field(r, "eig.r")
-		rp := s.field(r, "eig.rp")
-		zz := s.field(r, "eig.z")
-		pp := s.zeroField(r, "eig.p")
-		payload := make([]float64, 1)
-
-		var bn2 float64
-		for i := 0; i < nb; i++ {
-			copy(rr[i], bs[i]) // x₀ = 0 ⇒ r₀ = b
-			bn2 += rs.locs[i].MaskedDotInterior(bs[i], bs[i])
-			r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
+	st := s.W.RunShards(func(sh *comm.Shard) {
+		// Per rank: the CG vectors, and the payload of the reduction in flight.
+		type lanczosRank struct{ xs, bs, rr, rp, zz, pp [][]float64 }
+		lr := make([]lanczosRank, len(sh.Ranks))
+		pay := make([][]float64, len(sh.Ranks))
+		halo := make([][][]float64, len(sh.Ranks)) // the p of every rank
+		for i, r := range sh.Each {
+			rs := s.state(r)
+			e := &lr[i]
+			e.xs = s.zeroField(r, "eig.x")
+			e.bs = s.scatterMasked(r, "eig.b", b)
+			e.rr = s.field(r, "eig.r")
+			e.rp = s.field(r, "eig.rp")
+			e.zz = s.field(r, "eig.z")
+			e.pp = s.zeroField(r, "eig.p")
+			halo[i] = e.pp
+			var bn2 float64
+			for j := range r.Blocks {
+				copy(e.rr[j], e.bs[j]) // x₀ = 0 ⇒ r₀ = b
+				bn2 += rs.locs[j].MaskedDotInterior(e.bs[j], e.bs[j])
+				r.AddFlops(2 * int64(rs.locs[j].InteriorLen()))
+			}
+			pay[i] = []float64{bn2}
 		}
-		payload[0] = bn2
-		if r.AllReduce(payload)[0] == 0 {
-			if r.ID == 0 {
+		if sh.AllReduce(pay)[0] == 0 {
+			if sh.ID == 0 {
 				failure = fmt.Errorf("core: cannot estimate eigenvalues from a zero right-hand side: %w", ErrBadSpec)
 			}
 			return
 		}
 
-		var aL, bL []float64 // local copies of the CG coefficients
-		rhoPrev := 0.0
-		alphaPrev := 0.0
+		// The Lanczos tridiagonal and its Ritz values are scalar arithmetic
+		// on reduced values: computed once per shard, identical on all.
+		var aL, bL []float64
+		rhoPrev, alpha, alphaPrev := 0.0, 0.0, 0.0
 		prevNu, prevMu := 0.0, 0.0
-		for k := 1; k <= maxSteps; k++ {
-			var rhoL float64
-			for i := 0; i < nb; i++ {
-				rs.pre[i].Apply(rp[i], rr[i])
-				r.AddFlops(rs.pre[i].ApplyFlops())
-				rhoL += rs.locs[i].MaskedDotInterior(rr[i], rp[i])
-				r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
+		stop, bounded := false, false // the estimate is done; the last step formed a bound
+		for k := 1; ; k++ {
+			// One pass: the previous step's x/r update and its bound event,
+			// then — unless the estimate is done — r' = M⁻¹r with ρ = ⟨r, r'⟩.
+			for i, r := range sh.Each {
+				e, rs := &lr[i], s.state(r)
+				if k > 1 {
+					for j := range r.Blocks {
+						axpy2(rs.locs[j], e.xs[j], e.pp[j], alpha, e.rr[j], e.zz[j], -alpha)
+						r.AddFlops(2 * int64(rs.locs[j].InteriorLen()))
+					}
+					if bounded {
+						traceEigBound(r, len(aL), prevNu, prevMu)
+					}
+				}
+				if stop {
+					continue
+				}
+				var rhoL float64
+				for j := range r.Blocks {
+					rs.pre[j].Apply(e.rp[j], e.rr[j])
+					r.AddFlops(rs.pre[j].ApplyFlops())
+					rhoL += rs.locs[j].MaskedDotInterior(e.rr[j], e.rp[j])
+					r.AddFlops(2 * int64(rs.locs[j].InteriorLen()))
+				}
+				pay[i][0] = rhoL
 			}
-			payload[0] = rhoL
-			rho := r.AllReduce(payload)[0]
+			if stop {
+				return
+			}
+			rho := sh.AllReduce(pay)[0]
 			if rho <= 0 {
-				break // Krylov space exhausted (or M indefinite)
+				return // Krylov space exhausted (or M indefinite)
 			}
 			beta := 0.0
-			if k == 1 {
-				for i := 0; i < nb; i++ {
-					copy(pp[i], rp[i])
-				}
-			} else {
+			if k > 1 {
 				beta = rho / rhoPrev
-				for i := 0; i < nb; i++ {
-					xpay(rs.locs[i], pp[i], rp[i], beta)
-					r.AddFlops(int64(rs.locs[i].InteriorLen()))
-				}
 			}
 			rhoPrev = rho
-			r.Exchange(pp)
-			var deltaL float64
-			for i := 0; i < nb; i++ {
-				// z = B·p fused with δ += ⟨p, z⟩.
-				deltaL += rs.locs[i].ApplyAndMaskedDot(zz[i], pp[i])
-				r.AddFlops(9 * int64(rs.locs[i].InteriorLen()))
-				r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
+			for i, r := range sh.Each {
+				e, rs := &lr[i], s.state(r)
+				for j := range r.Blocks {
+					if k == 1 {
+						copy(e.pp[j], e.rp[j])
+					} else {
+						xpay(rs.locs[j], e.pp[j], e.rp[j], beta)
+						r.AddFlops(int64(rs.locs[j].InteriorLen()))
+					}
+				}
 			}
-			payload[0] = deltaL
-			delta := r.AllReduce(payload)[0]
+			sh.Exchange(halo)
+			for i, r := range sh.Each {
+				e, rs := &lr[i], s.state(r)
+				var deltaL float64
+				for j := range r.Blocks {
+					// z = B·p fused with δ += ⟨p, z⟩.
+					deltaL += rs.locs[j].ApplyAndMaskedDot(e.zz[j], e.pp[j])
+					r.AddFlops(9 * int64(rs.locs[j].InteriorLen()))
+					r.AddFlops(2 * int64(rs.locs[j].InteriorLen()))
+				}
+				pay[i][0] = deltaL
+			}
+			delta := sh.AllReduce(pay)[0]
 			if delta <= 0 {
-				break
+				return
 			}
-			alpha := rho / delta
-			for i := 0; i < nb; i++ {
-				axpy2(rs.locs[i], xs[i], pp[i], alpha, rr[i], zz[i], -alpha)
-				r.AddFlops(2 * int64(rs.locs[i].InteriorLen()))
-			}
+			alpha = rho / delta
 
 			// Lanczos tridiagonal entry from the CG coefficients.
 			if k == 1 {
@@ -132,24 +162,21 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 				bL = append(bL, math.Sqrt(beta)/alphaPrev)
 			}
 			alphaPrev = alpha
-
 			tri, terr := linalg.NewSymTridiag(aL, bL)
-			if terr != nil {
-				break
-			}
-			nuK, muK := tri.ExtremeEigenvalues(0)
-			conv := k > 1 && prevNu > 0 &&
-				math.Abs(nuK-prevNu) <= eigTol*prevNu &&
-				math.Abs(muK-prevMu) <= eigTol*prevMu
-			prevNu, prevMu = nuK, muK
-			if r.ID == 0 {
-				lastNu, lastMu = nuK, muK
-				nSteps = len(aL)
-				eigTrace = append(eigTrace, EigBound{Step: len(aL), Nu: nuK, Mu: muK})
-			}
-			traceEigBound(r, len(aL), nuK, muK)
-			if conv && !forced {
-				break
+			bounded = terr == nil
+			stop = !bounded
+			if bounded {
+				nuK, muK := tri.ExtremeEigenvalues(0)
+				conv := k > 1 && prevNu > 0 &&
+					math.Abs(nuK-prevNu) <= eigTol*prevNu &&
+					math.Abs(muK-prevMu) <= eigTol*prevMu
+				prevNu, prevMu = nuK, muK
+				if sh.ID == 0 {
+					lastNu, lastMu = nuK, muK
+					nSteps = len(aL)
+					eigTrace = append(eigTrace, EigBound{Step: len(aL), Nu: nuK, Mu: muK})
+				}
+				stop = conv && !forced || k == maxSteps
 			}
 		}
 	})

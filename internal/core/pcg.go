@@ -18,26 +18,29 @@ type pcg struct {
 
 func (c *pcg) bind(l *loop) {
 	c.rp, c.zz, c.pp = l.field("pcg.rp"), l.field("pcg.z"), l.zeroField("pcg.p")
-	c.restart(l)
+	c.restart(l, 0)
 }
 
-func (c *pcg) begin(l *loop) {}
+func (c *pcg) begin(l *loop, st int) [][]float64 { return nil }
 
-func (c *pcg) local(l *loop, p []float64) (bool, float64) {
-	if !c.half {
+func (c *pcg) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
+	switch {
+	case !c.half:
 		c.check = (l.k+1)%l.s.Opts.CheckEvery == 0
 		// r' = M⁻¹r with ρ = ⟨r, r'⟩ (and the check's ⟨r, r⟩) behind it.
 		p[0], c.rn2 = stagePrecondDots(l.r, l.rs, c.rp, l.rr, c.check)
 		chargeDot(l.r, l.rs)
-		return false, 0
+		return nil, false, 0
+	case st == 0:
+		l.k++
+		return c.pp, false, 0 // refresh p's halos
 	}
-	l.k++
-	// z = A·p fused with δ = ⟨p, z⟩ (halo refresh inside).
-	p[0] = stageFusedMatvecDot(l.r, l.rs, c.zz, c.pp)
+	// z = A·p fused with δ = ⟨p, z⟩.
+	p[0] = stageApplyDot(l.r, l.rs, c.zz, c.pp)
 	if c.check {
 		chargeDot(l.r, l.rs) // ⟨r, r⟩
 	}
-	return c.check, c.rn2
+	return nil, c.check, c.rn2
 }
 
 func (c *pcg) observe(l *loop, g []float64, rn float64) verdict { return proceed }
@@ -67,6 +70,7 @@ func (c *pcg) advance(l *loop, g []float64) {
 	c.half = false
 }
 
-func (c *pcg) restart(l *loop) {
+func (c *pcg) restart(l *loop, st int) [][]float64 {
 	c.half, c.fresh = false, true
+	return nil
 }

@@ -50,29 +50,40 @@ func (c *pcsi) setInterval(nu, mu float64) {
 	c.omega = 2 / c.gamma
 }
 
-// begin is Algorithm 2's initialization: Δx₀ = γ⁻¹M⁻¹r₀, x₁ = x₀ + Δx₀.
-func (c *pcsi) begin(l *loop) { c.step(l, 1/c.gamma, 0) }
+// begin is Algorithm 2's initialization: Δx₀ = γ⁻¹M⁻¹r₀, x₁ = x₀ + Δx₀,
+// then r = b − A·x₁.
+func (c *pcsi) begin(l *loop, st int) [][]float64 {
+	if st == 0 {
+		return c.step(l, 1/c.gamma, 0)
+	}
+	l.residual()
+	return nil
+}
 
-// step is one Stiefel update with its residual: r' = M⁻¹r, Δx = ω·r' + c·Δx,
-// x += Δx, then r = b − A·x on the refreshed halos.
-func (c *pcsi) step(l *loop, omega, coef float64) {
+// step is one Stiefel update: r' = M⁻¹r, Δx = ω·r' + c·Δx, x += Δx. It
+// returns x, whose refreshed halos the residual r = b − A·x needs — the
+// iteration's only communication.
+func (c *pcsi) step(l *loop, omega, coef float64) [][]float64 {
 	for i, loc := range l.rs.locs {
 		l.rs.pre[i].Apply(c.rp[i], l.rr[i])
 		l.r.AddFlops(l.rs.pre[i].ApplyFlops())
 		chebStep(loc, l.x[i], c.dx[i], c.rp[i], omega, coef)
 		l.r.AddFlops(3 * int64(loc.InteriorLen()))
 	}
-	l.recompute() // the iteration's only communication
+	return l.x
 }
 
-func (c *pcsi) local(l *loop, p []float64) (bool, float64) {
-	l.k++
-	c.omega = 1 / (c.gamma - c.inv4a2*c.omega)
-	c.step(l, c.omega, c.gamma*c.omega-1)
-	if l.k%l.s.Opts.CheckEvery != 0 {
-		return false, 0
+func (c *pcsi) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
+	if st == 0 {
+		l.k++
+		c.omega = 1 / (c.gamma - c.inv4a2*c.omega)
+		return c.step(l, c.omega, c.gamma*c.omega-1), false, 0
 	}
-	return true, stageDot(l.r, l.rs, l.rr, l.rr)
+	l.residual()
+	if l.k%l.s.Opts.CheckEvery != 0 {
+		return nil, false, 0
+	}
+	return nil, true, stageDot(l.r, l.rs, l.rr, l.rr)
 }
 
 // observe holds P-CSI's two interval guards, both driven entirely by the
@@ -82,7 +93,7 @@ func (c *pcsi) observe(l *loop, g []float64, rn float64) verdict {
 	// μ (Lanczos approaches λ_max from below, and approximate EVP block
 	// solves can push eigenvalues slightly past the estimate). Raise μ and
 	// restart the recurrence; give up after a few attempts.
-	if rn > 2*c.prevRn || rn > 1e8*l.bnorm {
+	if rn > 2*c.prevRn || rn > 1e8*l.d.bnorm {
 		if c.raises >= 8 {
 			return stop
 		}
@@ -120,8 +131,9 @@ func (c *pcsi) advance(l *loop, g []float64) {}
 // restart puts the recurrence back at ω₀ on the current interval. The
 // update direction may carry the NaN that tripped a rollback; the restarted
 // recurrence must not see it.
-func (c *pcsi) restart(l *loop) {
+func (c *pcsi) restart(l *loop, st int) [][]float64 {
 	zeroFields(c.dx)
 	c.omega = 2 / c.gamma
 	c.prevRn, c.slowChecks = math.Inf(1), 0
+	return nil
 }

@@ -28,9 +28,9 @@ func (c *pipeCG) bind(l *loop) {
 	c.ss, c.pp = l.field("pcg2.s"), l.field("pcg2.p")
 }
 
-func (c *pipeCG) begin(l *loop) { c.restart(l) }
+func (c *pipeCG) begin(l *loop, st int) [][]float64 { return c.restart(l, st) }
 
-func (c *pipeCG) local(l *loop, p []float64) (bool, float64) {
+func (c *pipeCG) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
 	l.k++
 	check := l.k%l.s.Opts.CheckEvery == 0
 	var gL, dL, rn2 float64
@@ -47,19 +47,22 @@ func (c *pipeCG) local(l *loop, p []float64) (bool, float64) {
 		l.hide += l.rs.pre[i].ApplyFlops() + 9*n
 	}
 	p[0], p[1] = gL, dL
-	return check, rn2
+	return nil, check, rn2
 }
 
-// overlapped is the work the reduction hides: m = M⁻¹w and n = A·m, already
-// charged through AllReduceOverlap.
-func (c *pipeCG) overlapped(l *loop) {
-	for i := range l.rs.locs {
-		l.rs.pre[i].Apply(c.mm[i], c.ww[i])
+// overlapped is the work the reduction hides: m = M⁻¹w and, on m's
+// refreshed halos, n = A·m — already charged through AllReduceOverlap.
+func (c *pipeCG) overlapped(l *loop, st int) [][]float64 {
+	if st == 0 {
+		for i := range l.rs.locs {
+			l.rs.pre[i].Apply(c.mm[i], c.ww[i])
+		}
+		return c.mm
 	}
-	l.r.Exchange(c.mm)
 	for i, loc := range l.rs.locs {
 		loc.Apply(c.nn[i], c.mm[i])
 	}
+	return nil
 }
 
 func (c *pipeCG) observe(l *loop, g []float64, rn float64) verdict { return proceed }
@@ -84,9 +87,13 @@ func (c *pipeCG) advance(l *loop, g []float64) {
 
 // restart drops the four directions and rebuilds u = M⁻¹r, w = A·u from the
 // residual the driver just (re)computed.
-func (c *pipeCG) restart(l *loop) {
-	zeroFields(c.zz, c.qq, c.ss, c.pp)
-	stagePrecond(l.r, l.rs, c.uu, l.rr)
-	stageMatvec(l.r, l.rs, c.ww, c.uu)
+func (c *pipeCG) restart(l *loop, st int) [][]float64 {
+	if st == 0 {
+		zeroFields(c.zz, c.qq, c.ss, c.pp)
+		stagePrecond(l.r, l.rs, c.uu, l.rr)
+		return c.uu
+	}
+	stageApply(l.r, l.rs, c.ww, c.uu)
 	c.gammaPrev, c.alphaPrev, c.fresh = 0, 0, true
+	return nil
 }

@@ -100,6 +100,9 @@ type Session struct {
 
 	perRank []*rankState
 	ready   bool
+	// drivers[shard] is the shard's Krylov driver (driver.go), kept across
+	// solves.
+	drivers []*driver
 
 	// SetupStats records the preconditioner preprocessing run.
 	SetupStats *comm.Stats
@@ -144,8 +147,8 @@ func (s *Session) solveOut() []float64 {
 	return s.outBuf
 }
 
-// rankState is the per-rank persistent state; each rank goroutine builds
-// and mutates only its own entry.
+// rankState is the per-rank persistent state; only the worker running the
+// rank's shard builds and mutates its entry.
 type rankState struct {
 	locs   []*stencil.Local
 	pre    []Preconditioner
@@ -233,37 +236,16 @@ func (s *Session) Setup() error {
 	}
 	var mu sync.Mutex
 	var firstErr error
-	st := s.W.Run(func(r *comm.Rank) {
-		rs := &rankState{fields: make(map[string][][]float64)}
-		for _, b := range r.Blocks {
-			loc := s.D.LocalOperator(s.Op, b)
-			rs.locs = append(rs.locs, loc)
-			var pre Preconditioner
-			var err error
-			switch s.Opts.Precond {
-			case PrecondIdentity:
-				pre = &identityPrecond{loc: loc}
-			case PrecondDiagonal:
-				pre = newDiagPrecond(loc)
-			case PrecondEVP:
-				pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc, s.Opts.EVPBlockSize)
-			case PrecondBlockLU:
-				pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
-			default:
-				err = fmt.Errorf("core: unknown preconditioner %v: %w", s.Opts.Precond, ErrBadSpec)
-			}
-			if err != nil {
+	st := s.W.RunShards(func(sh *comm.Shard) {
+		for _, r := range sh.Each {
+			if err := s.setupRank(r); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = err
 				}
 				mu.Unlock()
-				pre = &identityPrecond{loc: loc}
 			}
-			r.AddFlops(pre.SetupFlops())
-			rs.pre = append(rs.pre, pre)
 		}
-		s.perRank[r.ID] = rs
 	})
 	if firstErr != nil {
 		return firstErr
@@ -271,6 +253,42 @@ func (s *Session) Setup() error {
 	s.SetupStats = &st
 	s.ready = true
 	return nil
+}
+
+// setupRank builds one rank's local operators and preconditioners. A block
+// whose preconditioner cannot be built falls back to identity and the first
+// such error is returned.
+func (s *Session) setupRank(r *comm.Rank) error {
+	rs := &rankState{fields: make(map[string][][]float64)}
+	var firstErr error
+	for _, b := range r.Blocks {
+		loc := s.D.LocalOperator(s.Op, b)
+		rs.locs = append(rs.locs, loc)
+		var pre Preconditioner
+		var err error
+		switch s.Opts.Precond {
+		case PrecondIdentity:
+			pre = &identityPrecond{loc: loc}
+		case PrecondDiagonal:
+			pre = newDiagPrecond(loc)
+		case PrecondEVP:
+			pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc, s.Opts.EVPBlockSize)
+		case PrecondBlockLU:
+			pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
+		default:
+			err = fmt.Errorf("core: unknown preconditioner %v: %w", s.Opts.Precond, ErrBadSpec)
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			pre = &identityPrecond{loc: loc}
+		}
+		r.AddFlops(pre.SetupFlops())
+		rs.pre = append(rs.pre, pre)
+	}
+	s.perRank[r.ID] = rs
+	return firstErr
 }
 
 // state returns the rank's persistent state (Setup must have run).

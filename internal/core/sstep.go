@@ -141,17 +141,21 @@ func (c *sstep) bind(l *loop) {
 	c.first, c.force = true, false
 }
 
-func (c *sstep) begin(l *loop) {}
+func (c *sstep) begin(l *loop, st int) [][]float64 { return nil }
 
-func (c *sstep) local(l *loop, p []float64) (bool, float64) {
+// local builds the basis — v₀ = M⁻¹r, then the Chebyshev three-term
+// recurrence on the preconditioned operator: s halo exchanges (one before
+// each matvec, stage j+1 computing q_j = A·v_j), zero reductions — and then
+// packs every inner product of the block into the one payload.
+func (c *sstep) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
 	r, rs, sv := l.r, l.rs, c.s
 	vv, qq := c.vv, c.qq
-	// Basis build: v₀ = M⁻¹r, then the Chebyshev three-term recurrence on
-	// the preconditioned operator. s halo exchanges (inside stageMatvec),
-	// zero reductions.
-	stagePrecond(r, rs, vv[0], l.rr)
-	for j := 0; j < sv; j++ {
-		stageMatvec(r, rs, qq[j], vv[j])
+	if st == 0 {
+		stagePrecond(r, rs, vv[0], l.rr)
+		return vv[0], false, 0
+	}
+	if j := st - 1; j < sv {
+		stageApply(r, rs, qq[j], vv[j])
 		if j+1 < sv {
 			stagePrecond(r, rs, c.ww, qq[j])
 			for i, loc := range rs.locs {
@@ -163,6 +167,7 @@ func (c *sstep) local(l *loop, p []float64) (bool, float64) {
 					r.AddFlops(3 * int64(loc.InteriorLen()))
 				}
 			}
+			return vv[j+1], false, 0
 		}
 	}
 	// Gram assembly: every inner product the block recurrence needs, packed
@@ -186,7 +191,7 @@ func (c *sstep) local(l *loop, p []float64) (bool, float64) {
 	for i := 0; i < sv; i++ {
 		p[c.offM+i] = stageDot(r, rs, vv[i], l.rr)
 	}
-	return true, stageDot(r, rs, l.rr, l.rr)
+	return nil, true, stageDot(r, rs, l.rr, l.rr)
 }
 
 // observe is the block recurrence on reduced values: rank-local, identical
@@ -286,7 +291,8 @@ func (c *sstep) advance(l *loop, g []float64) {
 // restart discards the block in flight — its basis matvecs were spent, so
 // its s iterations still count and the ceil(iters/s)+1 reduction bound
 // holds — and makes the next block start from P = V.
-func (c *sstep) restart(l *loop) {
+func (c *sstep) restart(l *loop, st int) [][]float64 {
 	c.force = true
 	l.k += c.s
+	return nil
 }

@@ -8,16 +8,16 @@ import (
 
 // Composable solver stages. Every Krylov method in this package is built
 // from the same handful of per-iteration phases — compute the residual,
-// apply the preconditioner, refresh halos and apply the operator, take
-// masked inner products — factored here so the five recurrences and the
-// driver assemble the identical kernels, with one arithmetic order and one
-// flop accounting (the order and size of the AddFlops calls is what the
-// priced virtual clock and the golden traces pin).
+// apply the preconditioner, apply the operator, take masked inner products —
+// factored here so the five recurrences and the driver assemble the
+// identical kernels, with one arithmetic order and one flop accounting (the
+// order and size of the AddFlops calls is what the priced virtual clock and
+// the golden traces pin). The stages are rank-local: halo exchanges are the
+// driver's, between a recurrence's stages.
 //
 // Every helper takes the whole *comm.Rank handle, which is the
 // collectivelockstep analyzer's trusted-helper idiom: the helper's own body
-// is analyzed for lockstep violations instead of its results being treated
-// as rank-local taint.
+// is analyzed instead of its results being treated as rank-local taint.
 //
 // The s-step recurrence adds two stages with no single-vector counterpart:
 // the Chebyshev basis build (sstep.go) and the Gram-system assembly, whose
@@ -71,21 +71,20 @@ func chargeDot(r *comm.Rank, rs *rankState) {
 	}
 }
 
-// stageMatvec refreshes src's halos and applies the operator: dst = A·src.
-func stageMatvec(r *comm.Rank, rs *rankState, dst, src [][]float64) {
-	r.Exchange(src)
+// stageApply applies the operator, dst = A·src; src's halos must be fresh
+// (the exchange is the driver's, between a recurrence's stages).
+func stageApply(r *comm.Rank, rs *rankState, dst, src [][]float64) {
 	for i := range rs.locs {
 		rs.locs[i].Apply(dst[i], src[i])
 		r.AddFlops(9 * int64(rs.locs[i].InteriorLen()))
 	}
 }
 
-// stageFusedMatvecDot refreshes src's halos and applies the operator fused
-// with the inner product: dst = A·src, returning the rank's local ⟨src, dst⟩
-// contribution (one pass over the operands instead of a matvec followed by
-// a dot).
-func stageFusedMatvecDot(r *comm.Rank, rs *rankState, dst, src [][]float64) float64 {
-	r.Exchange(src)
+// stageApplyDot applies the operator fused with the inner product: dst =
+// A·src, returning the rank's local ⟨src, dst⟩ contribution (one pass over
+// the operands instead of a matvec followed by a dot). src's halos must be
+// fresh.
+func stageApplyDot(r *comm.Rank, rs *rankState, dst, src [][]float64) float64 {
 	var d float64
 	for i := range rs.locs {
 		d += rs.locs[i].ApplyAndMaskedDot(dst[i], src[i])

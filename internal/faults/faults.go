@@ -110,7 +110,7 @@ func (p Plan) Active() bool {
 
 // Injector draws deterministic per-site fault verdicts and counts what it
 // injected and what the resilience layers recovered. Safe for concurrent use
-// by rank goroutines; a nil *Injector injects nothing.
+// by the runtime's workers; a nil *Injector injects nothing.
 type Injector struct {
 	plan     Plan
 	injected [numClasses]atomic.Int64
@@ -223,8 +223,8 @@ func (i *Injector) CrashRank(rank int, seq int64) bool {
 
 // Recovered counts one successful recovery action of the given kind
 // ("reduce-retry", "restore", "reconverge", "re-eig", "chrongear",
-// "request-retry"). Nil-safe; callers inside rank programs must invoke it
-// from one rank only to keep counts per event rather than per rank.
+// "request-retry"). Nil-safe; callers inside shard programs must invoke it
+// from one shard only to keep counts per event rather than per shard.
 func (i *Injector) Recovered(kind string) {
 	if i == nil {
 		return

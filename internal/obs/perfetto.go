@@ -15,7 +15,7 @@ import (
 // reasons about: compute / halo / reduction spans per rank, with the serve
 // layer's queueing and batching above them.
 //
-// Virtual clocks restart at zero on every World.Run, so the exporter keeps
+// Virtual clocks restart at zero on every run, so the exporter keeps
 // a per-track segment offset: each EvRunBegin marker shifts the segment's
 // origin to the end of the previous segment, keeping timestamps monotone
 // non-decreasing per track (a Perfetto requirement for sane rendering).

@@ -41,7 +41,7 @@ const (
 	// solver iteration it happened at, Value encodes the recovery kind
 	// ordinal (see internal/core: reduce-retry=0, restore=1, reconverge=2).
 	EvRecover = "fault_recover"
-	// EvRunBegin marks the start of one World.Run on a rank. Every run
+	// EvRunBegin marks the start of one run (comm.World.RunShards) on a rank. Every run
 	// restarts the virtual clock at zero, so timestamps are monotone
 	// non-decreasing per rank *within* a run segment; consumers must treat
 	// this marker as a segment boundary. Value is the run's rank count and
@@ -89,9 +89,9 @@ type Event struct {
 func (e *Event) IsPoint() bool { return e.Point }
 
 // RankTrace is one rank's ring buffer. It is written by exactly one
-// goroutine (the rank's SPMD program) — the runtime hands each rank its own
-// buffer — so writes need no synchronization; reading happens after the
-// rank program returns.
+// goroutine (the worker running the rank's shard) — the runtime hands each
+// rank its own buffer — so writes need no synchronization; reading happens
+// after the run returns.
 type RankTrace struct {
 	rank  int
 	trace uint64 // current request trace ID, stamped onto every Add
@@ -101,7 +101,7 @@ type RankTrace struct {
 }
 
 // SetTraceID sets the request-scoped trace ID stamped onto every subsequent
-// Add (0 clears it). The runtime calls it at each World.Run entry, before
+// Add (0 clears it). The runtime calls it at each run's entry, before
 // the run's first event, so every event of a run carries the ID of the
 // request that run is serving.
 func (rt *RankTrace) SetTraceID(id uint64) { rt.trace = id }
@@ -151,7 +151,7 @@ func (rt *RankTrace) Events() []Event {
 }
 
 // Tracer owns the per-rank ring buffers. A nil *Tracer is a valid disabled
-// tracer: the runtime checks Enabled() once per World.Run and leaves the
+// tracer: the runtime checks Enabled() once per run and leaves the
 // per-rank hook pointers nil, so a disabled tracer costs one pointer
 // comparison per instrumentation site and allocates nothing.
 type Tracer struct {

@@ -279,7 +279,7 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 		rec.TotalNS = time.Since(r.start).Nanoseconds()
 		p.svc.flight.Note(rec)
 		// Incident triggers. The worker owns the session between solves, so
-		// reading its trace rings here cannot race rank goroutines.
+		// reading its trace rings here cannot race the solve's workers.
 		if err != nil && errors.Is(err, core.ErrFaulted) {
 			p.dumpFlight("fault_recovery", rec, slot)
 		}

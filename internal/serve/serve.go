@@ -10,8 +10,8 @@
 // bounded queue with load shedding keeps the service responsive under
 // overload instead of letting latency grow without bound.
 //
-// Determinism survives pooling: every solve runs its rank programs on a
-// fresh virtual-machine schedule, so a solve's residual history depends only
+// Determinism survives pooling: every solve runs fresh shard programs on
+// its session's virtual machine, so a solve's residual history depends only
 // on (grid, method, preconditioner, rhs) — never on which pooled session ran
 // it or what that session solved before. Concurrent pooled solves are
 // bitwise-identical to serial ones.

@@ -19,13 +19,18 @@ echo "== go build =="
 go build ./...
 
 echo "== one Krylov driver =="
-# The solve loop exists once (internal/core/driver.go). Every rank program
-# starts at a World.Run call, so internal/core has exactly three outside its
-# tests — Setup, EstimateEigenvalues, the driver — and a sixth hand-rolled
-# loop cannot come back unnoticed.
-runs=$(grep -n 'W\.Run(' internal/core/*.go | grep -v '_test\.go:' || true)
+# The solve loop exists once (internal/core/driver.go). Every solve path is
+# a shard program started by World.RunShards, so internal/core has exactly
+# three outside its tests — Setup, EstimateEigenvalues, the driver — and a
+# sixth hand-rolled loop cannot come back unnoticed; and neither it nor the
+# baroclinic workload runs a rank program through the World.Run coroutine
+# adapter.
+runs=$(grep -n 'W\.RunShards(' internal/core/*.go | grep -v '_test\.go:' || true)
 [ "$(printf '%s\n' "$runs" | grep -c .)" = 3 ] || {
-    echo "internal/core must have exactly 3 W.Run( call sites outside tests, found:"; echo "$runs"; exit 1; }
+    echo "internal/core must have exactly 3 W.RunShards( call sites outside tests, found:"; echo "$runs"; exit 1; }
+adapter=$(grep -n 'W\.Run(' internal/core/*.go internal/baroclinic/*.go | grep -v '_test\.go:' || true)
+[ -z "$adapter" ] || {
+    echo "solve paths must not use the World.Run adapter:"; echo "$adapter"; exit 1; }
 
 echo "== bounds-check-free inner loops (check_bce) =="
 # The row-window idiom of the per-iteration kernels — the nine-point stencil
@@ -93,7 +98,7 @@ go test -race -count=1 \
     -run 'TestSteadyStateSolverAllocFree|TestPCSIResidualHistoryBitwiseDeterministic' \
     ./internal/core/
 
-echo "== coroutine executor gates (race) =="
+echo "== shard executor gates (race) =="
 # The rank runtime itself: Exchange/ExchangeMulti/AllReduce looped over
 # NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5} x GOMAXPROCS {1,2},
 # bitwise equal to Threads=1 and to a sequential reduction tree — which
@@ -101,16 +106,23 @@ echo "== coroutine executor gates (race) =="
 # its mailboxes (Threads=NRank: every edge) — and the same with halo drops
 # and corruptions injected, against a sequential model; a skipped
 # collective, a level-count mismatch, ranks entering one reduction with
-# different payload widths or a panicking rank must fail fast on Run's
-# caller instead of hanging or summing misaligned deposits. Once more with the whole process on one
-# scheduler thread, where a lost wake-up or a worker that never yields —
-# a shard whose last arriver waits on another shard's mailbox must park and
-# be woken, not spin — would show as a hang; and the serve overload burst
-# must still shed there.
+# different payload widths or a panicking rank must fail fast on the run's
+# caller instead of hanging or summing misaligned deposits — each of the
+# three fail-fast tests with a World.Run row and a shard-program row (a
+# shard skipping a collective, leaving before an exchange, panicking in a
+# per-rank pass). Once more with the whole process on one scheduler thread,
+# where a lost wake-up or a worker that never yields — a shard waiting on
+# another shard's reduction or mailbox must park and be woken, not spin —
+# would show as a hang; and the serve overload burst must still shed there.
 executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 go test -race -count=1 -run 'TestChaosAcrossThreads' ./internal/core/
+# Every solve is a shard program whose workers park and wake on each other's
+# reductions and seam mailboxes: the fingerprints, the allocation gate and
+# the cross-thread bitwise gate on one scheduler thread, where a lost
+# wake-up would hang.
+GOMAXPROCS=1 go test -count=1 -run 'TestSolveFingerprints|TestSteadyStateSolverAllocFree|TestFloat64BitwiseAcrossThreads' ./internal/core/
 GOMAXPROCS=1 go test -count=1 -run 'TestOverloadShedsNeverBlocks' ./internal/serve/
 
 echo "== worker-shard gate (race) =="
