@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"repro"
 	"repro/internal/core"
@@ -25,8 +26,8 @@ func main() {
 		gridName  = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg-scaled")
 		days      = flag.Float64("days", 10, "simulated days")
 		dt        = flag.Float64("dt", 2400, "time step (s)")
-		solver    = flag.String("solver", "chrongear", "barotropic solver: chrongear, pcg, pipecg, pcsi, csi, sstep")
-		precond   = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, none, blocklu")
+		solver    = flag.String("solver", "chrongear", "barotropic solver: "+strings.Join(core.MethodNames(), ", "))
+		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		sstep     = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
 		every     = flag.Float64("report", 1, "report interval (days)")
 		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")

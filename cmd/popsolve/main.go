@@ -16,17 +16,19 @@ import (
 	"io"
 	"math"
 	"os"
+	"strings"
 
 	"repro"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 func main() {
 	var (
 		gridName  = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg, 0.1deg-scaled")
-		method    = flag.String("method", "chrongear", "solver: chrongear, pcg, pipecg, pcsi, csi, sstep")
-		precond   = flag.String("precond", "diagonal", "preconditioner: diagonal, evp, blocklu, none")
+		method    = flag.String("method", "chrongear", "solver: "+strings.Join(core.MethodNames(), ", "))
+		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		cores     = flag.Int("cores", 0, "virtual core count (0 = single rank)")
 		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
 		sstep     = flag.Int("sstep", 0, "s-step block size for -method sstep (0 = default 4; matvecs per global reduction)")

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -139,7 +140,7 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 
 // commandDocs are the files whose command lines are checked against the
 // commands themselves: the user-facing docs and the gate script.
-var commandDocs = []string{"README.md", "ARCHITECTURE.md", "SOLVERS.md", "verify.sh"}
+var commandDocs = []string{"README.md", "ARCHITECTURE.md", "SOLVERS.md", "DESIGN.md", "verify.sh"}
 
 // docCommands are the commands whose flags the docs may name.
 var docCommands = []string{"popbench", "popserver", "popsolve", "popmodel", "poptrace"}
@@ -149,6 +150,7 @@ var (
 	docFlag     = regexp.MustCompile(`(?:^|[\s/])-([a-z][a-z0-9]*)`)
 	docArtifact = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json\b`)
 	docExpIDs   = regexp.MustCompile(`(?:^|\s)-exp[ =]+([A-Za-z0-9_.,]+)`)
+	docSpelling = regexp.MustCompile(`(?:^|\s)-(method|solver|precond)[ =]+([A-Za-z0-9_.-]+)`)
 	// The three ways the docs attribute an analyzer to poplint: a row of the
 	// table headed "Analyzer" (README), a DESIGN §10.1 entry (**`name`** — …),
 	// and prose of the shape "the `a`, `b` and `c` analyzers" (the list may
@@ -164,14 +166,14 @@ var (
 // TestDocsNameRealFlagsAndArtifacts fails on a documented command line that
 // no longer runs: every `-flag` written after one of docCommands in
 // commandDocs must be a flag that command defines, every `popbench -exp`
-// id must be one experiments.Names() registers (or "all"), and every
-// BENCH_*.json they name must exist at the repo root. A command
-// line runs from the command's name to the end of its (backslash-continued)
-// line or the first backtick, pipe, redirect, `;`, `&` or `)`; alternatives
-// written `-a/-b` are each checked. The same files and DESIGN.md may
-// attribute to poplint only analyzers analysis.All() registers (README's
-// table must list every one), and may name no comment directive but
-// //pop:hotpath.
+// id must be one experiments.Names() registers (or "all"), every
+// -method / -solver / -precond value must be a spelling core.ParseMethod /
+// ParsePrecond accepts, and every BENCH_*.json they name must exist at the
+// repo root. A command line runs from the command's name to the end of its
+// (backslash-continued) line or the first backtick, pipe, redirect, `;`, `&`
+// or `)`; alternatives written `-a/-b` are each checked. The same files may attribute to
+// poplint only analyzers analysis.All() registers (README's table must list
+// every one), and may name no comment directive but //pop:hotpath.
 func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 	defined := make(map[string]map[string]bool)
 	for _, cmd := range docCommands {
@@ -185,7 +187,16 @@ func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 	for _, id := range experiments.Names() {
 		expIDs[id] = true
 	}
-	for _, doc := range append([]string{"DESIGN.md"}, commandDocs...) {
+	set := func(names []string) map[string]bool {
+		m := make(map[string]bool)
+		for _, n := range names {
+			m[n] = true
+		}
+		return m
+	}
+	spellings := map[string]map[string]bool{"method": set(core.MethodNames()),
+		"solver": set(core.MethodNames()), "precond": set(core.PrecondNames())}
+	for _, doc := range commandDocs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -228,6 +239,11 @@ func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 				for _, f := range docFlag.FindAllStringSubmatch(rest, -1) {
 					if !defined[cmd][f[1]] {
 						t.Errorf("%s: `%s -%s`: %s defines no such flag", doc, cmd, f[1], cmd)
+					}
+				}
+				for _, v := range docSpelling.FindAllStringSubmatch(rest, -1) {
+					if !spellings[v[1]][v[2]] {
+						t.Errorf("%s: `%s -%s %s`: not a spelling the parser accepts", doc, cmd, v[1], v[2])
 					}
 				}
 				if cmd != "popbench" {

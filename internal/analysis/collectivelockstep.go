@@ -10,11 +10,10 @@ import (
 )
 
 // CollectiveLockstep reports collective communication calls (comm.Rank's
-// AllReduce, AllReduceOverlap, Barrier, Exchange, ExchangeMulti and
-// comm.Shard's AllReduce, AllReduceOverlap, Exchange, ExchangeMulti) that
-// are reachable only under a branch conditioned on rank-local state, or
-// inside a per-rank pass (a range over Shard.Each) where a shard would
-// enter them once per rank.
+// AllReduce, Barrier, Exchange, ExchangeMulti and comm.Shard's AllReduce,
+// Exchange, ExchangeMulti) that are reachable only under a branch
+// conditioned on rank-local state, or inside a per-rank pass (a range over
+// Shard.Each) where a shard would enter them once per rank.
 //
 // The SPMD contract (comm.World.RunShards for shard programs, World.Run for
 // rank programs) requires every shard — every rank — to make collective

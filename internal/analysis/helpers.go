@@ -18,11 +18,10 @@ const commRankPath = "repro/internal/comm"
 // every shard, for a shard program — must call in the same program order
 // (the SPMD collectives).
 var collectiveMethods = map[string]bool{
-	"AllReduce":        true,
-	"AllReduceOverlap": true,
-	"Barrier":          true,
-	"Exchange":         true,
-	"ExchangeMulti":    true,
+	"AllReduce":     true,
+	"Barrier":       true,
+	"Exchange":      true,
+	"ExchangeMulti": true,
 }
 
 // lockstepRankMethods are comm.Rank methods whose results are documented to

@@ -19,9 +19,6 @@ type Rank struct {
 // AllReduce is a collective.
 func (r *Rank) AllReduce(vals []float64) []float64 { return vals }
 
-// AllReduceOverlap is a collective.
-func (r *Rank) AllReduceOverlap(vals []float64, flops int64) []float64 { return vals }
-
 // Barrier is a collective.
 func (r *Rank) Barrier() {}
 
@@ -57,9 +54,6 @@ func (sh *Shard) Each(yield func(int, *Rank) bool) {
 
 // AllReduce is a collective.
 func (sh *Shard) AllReduce(vals [][]float64) []float64 { return vals[0] }
-
-// AllReduceOverlap is a collective.
-func (sh *Shard) AllReduceOverlap(vals [][]float64, flops []int64) []float64 { return vals[0] }
 
 // Exchange is a collective.
 func (sh *Shard) Exchange(fields [][][]float64) {}

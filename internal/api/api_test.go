@@ -108,6 +108,7 @@ func TestParseBadEnumListsAccepted(t *testing.T) {
 		names []string
 	}{
 		{SolveRequest{Method: "gmres"}, "method", acceptedMethods},
+		{SolveRequest{Method: "pipecg"}, "method", acceptedMethods},
 		{SolveRequest{Precond: "ilu"}, "precond", acceptedPreconds},
 		{SolveRequest{SStep: core.MaxSStep + 1}, "sstep", acceptedSSteps},
 		{SolveRequest{SStep: -1}, "sstep", acceptedSSteps},
@@ -247,9 +248,11 @@ func TestFrameRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	// Version 3 is the only schema: the retired v1/v2 bytes and anything
-	// newer are structural damage, not a compatibility path.
-	for _, ver := range []byte{0, 1, 2, FrameVersion + 1, 9} {
+	// Version 4 is the only schema: the retired v1–v3 bytes and anything
+	// newer are structural damage, not a compatibility path. (v3 numbered
+	// the method byte with one more method, so its pcsi byte would read as
+	// csi.)
+	for _, ver := range []byte{0, 1, 2, 3, FrameVersion + 1, 9} {
 		bad = append([]byte(nil), good...)
 		bad[4] = ver
 		if _, err := DecodeFrameRequest(bad); !errors.Is(err, ErrBadFrame) {

@@ -13,7 +13,7 @@ import (
 //
 //	offset size field
 //	0      4    magic "POPF"
-//	4      1    version (3; decoders accept no other)
+//	4      1    version (4; decoders accept no other)
 //	5      1    kind (FrameSolveRequest | FrameSolveResponse | FrameError)
 //	6      …    kind-specific payload
 //
@@ -48,7 +48,7 @@ const FrameMagic = "POPF"
 
 // FrameVersion is the frame schema version: written by every encoder and
 // the only one the decoders accept (any other is ErrBadFrame).
-const FrameVersion = 3
+const FrameVersion = 4
 
 // Frame kinds (byte 5).
 const (

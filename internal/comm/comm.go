@@ -263,10 +263,8 @@ type Rank struct {
 	// same shard copies and is charged from (halo.go).
 	levels    [][][]float64
 	sendClock float64
-	// entry is the rank's clock entering the reduction in flight; ovEntry and
-	// ovFlop the clock and compute time of the work an overlapped reduction
-	// hides (reduce.go).
-	entry, ovEntry, ovFlop float64
+	// entry is the rank's clock entering the reduction in flight.
+	entry float64
 	// faultBase is the run's fault-draw salt (World.faultEpoch << 32 at run
 	// entry): added to the per-site sequence numbers for injector draws
 	// only, never for cost-model draws.
@@ -285,7 +283,6 @@ type Rank struct {
 	yield  func(struct{}) bool
 	op     int
 	vals   []float64
-	hide   int64
 	out    []float64
 	multis [][][]float64
 
@@ -477,13 +474,12 @@ func (w *World) RunShards(program func(*Shard)) Stats {
 
 // Run executes program on every rank and returns aggregated statistics: the
 // coroutine adapter for free-form rank programs that call Rank's own
-// collectives (AllReduce, AllReduceOverlap, Barrier, Exchange,
-// ExchangeMulti), in the same order on every rank. Each rank is a coroutine
-// on its shard's worker, suspended at every collective until the whole shard
-// has arrived, which the worker then performs through the Shard API — so
-// numerics, clocks, counters and traces are those of RunShards. A lockstep
-// violation or a panic in a rank's program panics on Run's caller with a
-// diagnostic naming the ranks. Solve paths are shard programs; this form
+// collectives (AllReduce, Barrier, Exchange, ExchangeMulti), in the same
+// order on every rank. Each rank is a coroutine on its shard's worker,
+// suspended at every collective until the whole shard has arrived, which the
+// worker then performs through the Shard API — so numerics, clocks, counters
+// and traces are those of RunShards. A lockstep violation or a panic in a
+// rank's program panics on Run's caller with a diagnostic naming the ranks. Solve paths are shard programs; this form
 // serves the runtime's own tests and probes.
 func (w *World) Run(program func(*Rank)) Stats {
 	return w.RunShards(func(sh *Shard) { sh.coroutines(program) })

@@ -397,45 +397,6 @@ func TestExchangeMultiAggregates(t *testing.T) {
 	}
 }
 
-func TestAllReduceOverlapPricing(t *testing.T) {
-	_, _, w := testWorld(t, 8, 8, fixedCost{})
-	// Every rank enters at clock 0; the reduce costs 7. Overlapping 3 units
-	// of compute hides entirely (exit 7); overlapping 20 dominates (exit 20).
-	st := w.Run(func(r *Rank) {
-		r.AllReduceOverlap([]float64{1}, 3)
-	})
-	for rid, c := range st.PerRank {
-		if c.Clock() != 7 {
-			t.Fatalf("rank %d: overlapped clock %v, want 7", rid, c.Clock())
-		}
-		if c.TComp != 3 || c.TReduce != 4 {
-			t.Fatalf("rank %d: attribution comp=%v reduce=%v", rid, c.TComp, c.TReduce)
-		}
-	}
-	st = w.Run(func(r *Rank) {
-		r.AllReduceOverlap([]float64{1}, 20)
-	})
-	for rid, c := range st.PerRank {
-		if c.Clock() != 20 {
-			t.Fatalf("rank %d: compute-bound overlap clock %v, want 20", rid, c.Clock())
-		}
-		if c.TComp != 20 || c.TReduce != 0 {
-			t.Fatalf("rank %d: attribution comp=%v reduce=%v", rid, c.TComp, c.TReduce)
-		}
-	}
-}
-
-func TestAllReduceOverlapValues(t *testing.T) {
-	_, d, w := testWorld(t, 8, 8, nil)
-	p := d.NRanks
-	w.Run(func(r *Rank) {
-		got := r.AllReduceOverlap([]float64{2}, 1000)
-		if got[0] != float64(2*p) {
-			panic("wrong overlapped allreduce sum")
-		}
-	})
-}
-
 // MeanCounters on an empty Stats must return zeros, not NaN (division by a
 // zero-length PerRank slice).
 func TestMeanCountersEmptyStats(t *testing.T) {

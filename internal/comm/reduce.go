@@ -53,24 +53,7 @@ import (
 // store/load pair) are the happens-before edges.
 //
 //pop:hotpath
-func (sh *Shard) AllReduce(vals [][]float64) []float64 { return sh.allReduce(vals, nil) }
-
-// AllReduceOverlap is AllReduce with communication/computation overlap
-// pricing: overlapFlops[i] flops of Ranks[i]'s local work proceed *during*
-// the reduction (the pipelined-CG trick of Ghysels & Vanroose, paper §7), so
-// each rank leaves at max(reduction completion, own clock + compute time).
-// The caller must perform the overlapped arithmetic right after this
-// returns, without charging it again through AddFlops.
-//
-//pop:hotpath
-func (sh *Shard) AllReduceOverlap(vals [][]float64, overlapFlops []int64) []float64 {
-	return sh.allReduce(vals, overlapFlops)
-}
-
-// allReduce is both reductions; hide is nil for a plain one.
-//
-//pop:hotpath
-func (sh *Shard) allReduce(vals [][]float64, hide []int64) []float64 {
+func (sh *Shard) AllReduce(vals [][]float64) []float64 {
 	w := sh.w
 	p := w.NRank
 	if len(vals) != len(sh.Ranks) {
@@ -78,12 +61,6 @@ func (sh *Shard) allReduce(vals [][]float64, hide []int64) []float64 {
 	}
 	n := len(vals[0])
 	for i, r := range sh.Ranks {
-		if hide != nil {
-			r.ovEntry = r.clock
-			r.ovFlop = w.Cost.FlopTime(hide[i], r.ID, r.flopSeq)
-			r.flopSeq++
-			r.ctr.Flops += hide[i]
-		}
 		// Fault injection, straggler class: delay this rank's entry. The
 		// delay lands on the clock *before* the entry snapshot, so it
 		// propagates into the reduction's max-entry clock and every other rank
@@ -152,20 +129,6 @@ func (sh *Shard) allReduce(vals [][]float64, hide []int64) []float64 {
 					Straggler: -1})
 			}
 		}
-		if hide != nil {
-			// The reduction advanced the clock to maxEntry+tree and charged
-			// the whole gap to TReduce; re-attribute: compute hides under it.
-			exit := newClock
-			if r.ovEntry+r.ovFlop > exit {
-				exit = r.ovEntry + r.ovFlop
-			}
-			r.ctr.TComp += r.ovFlop
-			r.ctr.TReduce -= newClock - r.ovEntry // undo the plain attribution
-			if red := exit - r.ovEntry - r.ovFlop; red > 0 {
-				r.ctr.TReduce += red
-			}
-			r.clock = exit
-		}
 	}
 	return result[:n]
 }
@@ -219,19 +182,6 @@ func payloadCount(shard, got, want int) {
 //pop:hotpath
 func (r *Rank) AllReduce(vals []float64) []float64 {
 	r.op, r.vals = opReduce, vals
-	r.suspend()
-	out := r.out
-	r.vals, r.out = nil, nil
-	return out
-}
-
-// AllReduceOverlap is the per-rank form of Shard.AllReduceOverlap for
-// World.Run programs: overlapFlops of this rank's local work hide under the
-// reduction.
-//
-//pop:hotpath
-func (r *Rank) AllReduceOverlap(vals []float64, overlapFlops int64) []float64 {
-	r.op, r.vals, r.hide = opOverlap, vals, overlapFlops
 	r.suspend()
 	out := r.out
 	r.vals, r.out = nil, nil

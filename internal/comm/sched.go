@@ -19,11 +19,11 @@ import (
 // A shard program is bulk-synchronous, the way the paper's solvers are: a
 // per-rank pass over the shard (Shard.Each) does the rank-local work between
 // two collectives, then one call of a Shard collective (Exchange,
-// ExchangeMulti, AllReduce, AllReduceOverlap) performs that collective for
-// every rank of the shard at once. Contiguity matters — ByRank assigns
-// neighbouring blocks to neighbouring ranks, so a shard's working set is a
-// connected patch of the grid and each core keeps temporal locality over
-// one patch instead of the whole domain.
+// ExchangeMulti, AllReduce) performs that collective for every rank of the
+// shard at once. Contiguity matters — ByRank assigns neighbouring blocks to
+// neighbouring ranks, so a shard's working set is a connected patch of the
+// grid and each core keeps temporal locality over one patch instead of the
+// whole domain.
 //
 // Nothing is suspended per rank: a reduction costs the shard one arrival
 // add, a halo exchange one pass of direct copies plus the mailboxes on the
@@ -99,7 +99,6 @@ type Shard struct {
 
 	// Scratch for the World.Run adapter's gathered collective arguments.
 	vals   [][]float64
-	hides  []int64
 	levels [][][][]float64
 }
 
@@ -364,7 +363,7 @@ func (ex *executor) checkStall() {
 	for i := range ex.workers {
 		if wk := &ex.workers[i]; wk.parked && wk.site.kind == waitLocal {
 			for _, r := range wk.sh.Ranks {
-				if r.next != nil && (r.op == opReduce || r.op == opOverlap) {
+				if r.next != nil && r.op == opReduce {
 					arrived++
 				}
 			}
@@ -444,7 +443,6 @@ func (ex *executor) abortLocked(failure any) {
 const (
 	opNone = iota
 	opReduce
-	opOverlap
 	opExchange
 )
 
@@ -468,9 +466,9 @@ func (sh *Shard) coroutines(program func(*Rank)) {
 	}()
 	n := len(sh.Ranks)
 	if cap(sh.vals) < n {
-		sh.vals, sh.hides, sh.levels = make([][]float64, n), make([]int64, n), make([][][][]float64, n)
+		sh.vals, sh.levels = make([][]float64, n), make([][][][]float64, n)
 	}
-	vals, hides, levels := sh.vals[:n], sh.hides[:n], sh.levels[:n]
+	vals, levels := sh.vals[:n], sh.levels[:n]
 	live := n
 	for {
 		for _, r := range sh.Ranks {
@@ -493,15 +491,11 @@ func (sh *Shard) coroutines(program func(*Rank)) {
 			}
 		}
 		for i, r := range sh.Ranks {
-			vals[i], hides[i], levels[i] = r.vals, r.hide, r.multis
+			vals[i], levels[i] = r.vals, r.multis
 		}
 		switch op {
-		case opReduce, opOverlap:
-			h := hides
-			if op == opReduce {
-				h = nil
-			}
-			out := sh.allReduce(vals, h)
+		case opReduce:
+			out := sh.AllReduce(vals)
 			for _, r := range sh.Ranks {
 				r.out = out
 			}

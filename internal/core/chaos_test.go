@@ -100,9 +100,9 @@ func chaosCase(t *testing.T, m Method, plan faults.Plan, class faults.Class, max
 
 // chaosMethods is the whole zoo: every method runs under the same check
 // ladder, so every method is held to every fault class.
-var chaosMethods = []Method{MethodChronGear, MethodPCG, MethodPipeCG, MethodPCSI, MethodSStep}
+var chaosMethods = []Method{MethodChronGear, MethodPCG, MethodPCSI, MethodSStep}
 
-// chaosClasses is the fault-class axis of the 5 × 5 recovery table: the plan
+// chaosClasses is the fault-class axis of the 4 × 5 recovery table: the plan
 // that injects the class, the rollback budget it needs, and what — beyond
 // chaosCase's convergence to the true-residual tolerance — must show in the
 // result.

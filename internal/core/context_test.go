@@ -30,7 +30,6 @@ func (c *flipCtx) Err() error {
 var contextSolvers = map[string]Method{
 	"chrongear": MethodChronGear,
 	"pcg":       MethodPCG,
-	"pipecg":    MethodPipeCG,
 	"pcsi":      MethodPCSI,
 }
 
@@ -143,7 +142,7 @@ func TestSolveContextCSIAlias(t *testing.T) {
 }
 
 func TestParseMethodRoundTrip(t *testing.T) {
-	for _, m := range []Method{MethodChronGear, MethodPCG, MethodPipeCG, MethodPCSI, MethodCSI} {
+	for _, m := range []Method{MethodChronGear, MethodPCG, MethodPCSI, MethodCSI} {
 		got, err := ParseMethod(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", m.String(), got, err, m)

@@ -84,16 +84,6 @@ type recurrence interface {
 	restart(l *loop, st int) [][]float64
 }
 
-// overlapper is the optional hook of a recurrence that hides work behind
-// its step reduction (PipeCG): local sets l.hide to the flops of that work,
-// the driver prices the reduction with them (comm.Shard.AllReduceOverlap)
-// and runs overlapped right after it, before the check's per-rank work. The
-// hidden work is already charged, so it moves no clock; the check's verdict
-// (observe) may be taken before it.
-type overlapper interface {
-	overlapped(l *loop, st int) [][]float64
-}
-
 // shape is what the driver needs to know about a method's step, as data.
 type shape struct {
 	width int // partial sums the recurrence reduces per step (0: none between checks)
@@ -104,10 +94,10 @@ type shape struct {
 	// injection it can go quietly stale — the cgStallChecks tripwire applies.
 	recursive bool
 	// drift: the recursion drifts from b − A·x near the round-off floor; the
-	// drift watch answers with residual replacement. giveUp stops the solve
-	// when a replacement did not help either (s-step: its floor is set by
-	// the basis conditioning, not by the drift).
-	drift, giveUp bool
+	// drift watch answers with one residual replacement and stops the solve
+	// when that did not help either (s-step: its floor is set by the basis
+	// conditioning, not by the drift).
+	drift bool
 }
 
 // verdict is what a convergence check decides about the step that carried
@@ -161,7 +151,6 @@ type loop struct {
 	sr   *solveRun
 	recs [MethodSStep + 1]recurrence
 	rec  recurrence
-	ov   overlapper // rec's overlap hook, nil for most
 
 	x, b, rr [][]float64 // iterate, right-hand side, residual
 	ck       [][]float64 // checkpoint of x (resilient mode)
@@ -169,7 +158,6 @@ type loop struct {
 
 	k       int     // iterations so far
 	bn2     float64 // local ‖b‖², until it has been reduced
-	hide    int64   // flops hidden behind the next step reduction
 	crashed bool    // the fault injector crashed this rank at this check
 
 	// What the last pass ended on (resume): the cursor into the driver's
@@ -187,7 +175,6 @@ const (
 	qInit       = iota // scatter, bind, r₀ = b − A·x₀ and the local ‖b‖²
 	qBegin             // the recurrence's begin
 	qCheckpoint        // ck = x (arg 1: record the iteration)
-	qOverlap           // the work hidden behind the step reduction
 	qResidual          // the check's residual point on the traces
 	qZeroX             // x = 0: a zero right-hand side's exact answer (arg 1: a crashed rank's lost iterate)
 	qRestore           // x = ck
@@ -213,7 +200,6 @@ type driver struct {
 
 	ls    []*loop
 	pays  [][]float64   // the ranks' payloads of the reduction in flight
-	hides []int64       // and the flops they hide behind it
 	halos [][][]float64 // the ranks' field sets of the exchange in flight
 	g     []float64     // the last reduction's result
 
@@ -301,8 +287,7 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 func (s *Session) driver(sh *comm.Shard, sr *solveRun) *driver {
 	d := s.drivers[sh.ID]
 	if n := len(sh.Ranks); d == nil || len(d.ls) != n || d.ls[0] != &s.state(sh.Ranks[0]).loop {
-		d = &driver{s: s, ls: make([]*loop, n), pays: make([][]float64, n),
-			hides: make([]int64, n), halos: make([][][]float64, n)}
+		d = &driver{s: s, ls: make([]*loop, n), pays: make([][]float64, n), halos: make([][][]float64, n)}
 		s.drivers[sh.ID] = d
 	}
 	d.sh, d.sr = sh, sr
@@ -325,7 +310,7 @@ func (d *driver) run() {
 	d.qi, d.qst, d.st, d.stepping = 0, 0, 0, false
 	d.restores, d.pending = 0, sr.sh.rides
 	d.rearm()
-	if !sr.sh.rides && !d.reduceRetry(d.collect(), false) { // ‖b‖² on its own
+	if !sr.sh.rides && !d.reduceRetry(d.collect()) { // ‖b‖² on its own
 		return
 	}
 	converged := true // x = 0 solves a zero right-hand side exactly
@@ -400,11 +385,8 @@ func (d *driver) iterate() bool {
 		if n == 0 {
 			return false // out of iterations
 		}
-		if !d.reduceRetry(n, d.ls[0].ov != nil) {
+		if !d.reduceRetry(n) {
 			return false
-		}
-		if d.ls[0].ov != nil {
-			d.push(item{kind: qOverlap})
 		}
 		if !d.ls[0].check {
 			d.push(item{kind: qAdvance})
@@ -440,7 +422,7 @@ func (d *driver) iterate() bool {
 			// Confirm on fresh halos before trusting the verdict: a dropped
 			// halo leaves a stale residual that can fake it.
 			d.push(item{kind: qRecompute}, item{kind: qConfirm})
-			if !d.reduceRetry(d.collect(), false) {
+			if !d.reduceRetry(d.collect()) {
 				return false
 			}
 			crn := math.Sqrt(d.g[0])
@@ -527,19 +509,13 @@ func (d *driver) observe(rn float64) verdict {
 // reduction the injector failed — a verdict every rank shares — is
 // re-entered after a bounded exponential backoff on the virtual clock, up to
 // reduceRetryLimit times; past that the solve surrenders and reduceRetry
-// reports false. overlap prices the first attempt with the ranks' l.hide
-// flops hidden behind it.
-func (d *driver) reduceRetry(n int, overlap bool) bool {
+// reports false.
+func (d *driver) reduceRetry(n int) bool {
 	sh, sr := d.sh, d.sr
 	for i, l := range d.ls {
-		d.pays[i], d.hides[i] = l.pay[:n], l.hide
+		d.pays[i] = l.pay[:n]
 	}
-	var g []float64
-	if overlap {
-		g = sh.AllReduceOverlap(d.pays, d.hides)
-	} else {
-		g = sh.AllReduce(d.pays)
-	}
+	g := sh.AllReduce(d.pays)
 	retries := 0
 	for ; sr.resilient && sh.Ranks[0].ReduceFailed() && retries < reduceRetryLimit; retries++ {
 		for _, r := range sh.Each {
@@ -592,12 +568,12 @@ func (d *driver) tripwire(rn float64) verdict {
 }
 
 // driftWatch answers recursive-residual drift with residual replacement
-// (van der Vorst-style reliable updates). Long recurrences — PipeCG's eight
-// vectors, the s-step block recurrence — drift from b − A·x in finite
-// precision and can plateau above the target; once the reduced residual is
-// within driftFloor of ‖b‖, driftPatience iterations without a 1%
-// improvement replace the residual by the true one and restart the
-// recurrence from it: a halo exchange and a stencil sweep, no reduction.
+// (van der Vorst-style reliable updates). The s-step block recurrence
+// drifts from b − A·x in finite precision and can plateau above the target;
+// once the reduced residual is within driftFloor of ‖b‖, driftPatience
+// iterations without a 1% improvement replace the residual by the true one
+// and restart the recurrence from it: a halo exchange and a stencil sweep,
+// no reduction. A second such stall after a replacement stops the solve.
 func (d *driver) driftWatch(rn float64) verdict {
 	dw, sh := &d.drift, d.sr.sh
 	if rn < 0.99*dw.best {
@@ -610,7 +586,7 @@ func (d *driver) driftWatch(rn float64) verdict {
 	if dw.stall += sh.span; dw.stall < driftPatience {
 		return proceed
 	}
-	if dw.replaced && sh.giveUp {
+	if dw.replaced {
 		return stop
 	}
 	dw.replaced, dw.stall = true, 0
@@ -732,8 +708,6 @@ func (l *loop) item(it item, st int) (halo [][]float64, n int) {
 		if it.arg == 1 && l.r.ID == 0 {
 			l.sr.res.Recovery.CheckpointIter = l.k
 		}
-	case qOverlap:
-		return l.ov.overlapped(l, st), 0
 	case qResidual:
 		traceResidual(l.r, l.sr.trace, l.k, l.d.rel)
 	case qZeroX:
@@ -777,12 +751,11 @@ func (l *loop) start() bool {
 		l.recs[sr.m] = sr.spec.new()
 	}
 	l.rec = l.recs[sr.m]
-	l.ov, _ = l.rec.(overlapper)
 	l.rec.bind(l)
 	if n := sr.sh.width + 4; len(l.pay) < n {
 		l.pay = make([]float64, n)
 	}
-	l.k, l.hide = 0, 0
+	l.k = 0
 	l.bn2 = stageInitResidual(r, l.rs, l.rr, l.b, l.x)
 	if sr.sh.rides {
 		return false

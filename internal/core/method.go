@@ -20,9 +20,6 @@ const (
 	// MethodPCG is classic preconditioned conjugate gradients, with two
 	// global reductions per iteration.
 	MethodPCG
-	// MethodPipeCG is the Ghysels–Vanroose pipelined CG, overlapping its
-	// single reduction with the preconditioner and matvec.
-	MethodPipeCG
 	// MethodPCSI is the paper's preconditioned Classical Stiefel Iteration
 	// (Algorithm 2): no reductions outside convergence checks.
 	MethodPCSI
@@ -59,8 +56,6 @@ var methods = [...]methodSpec{
 		shape: func(o Options) shape { return shape{width: 2, span: o.CheckEvery, recursive: true} }},
 	MethodPCG: {name: "pcg", new: func() recurrence { return new(pcg) },
 		shape: func(o Options) shape { return shape{width: 1, span: o.CheckEvery, recursive: true} }},
-	MethodPipeCG: {name: "pipecg", new: func() recurrence { return new(pipeCG) },
-		shape: func(o Options) shape { return shape{width: 2, span: o.CheckEvery, recursive: true, drift: true} }},
 	MethodPCSI: pcsiSpec,
 	MethodCSI:  pcsiSpec,
 	MethodSStep: {name: "sstep", diverged: "s-step PCG diverged; Chebyshev basis interval",
@@ -106,7 +101,6 @@ const Float64 Precision = 0
 var methodSpellings = []enumSpelling[Method]{
 	{"chrongear", MethodChronGear},
 	{"pcg", MethodPCG},
-	{"pipecg", MethodPipeCG},
 	{"pcsi", MethodPCSI},
 	{"csi", MethodCSI},
 	{"sstep", MethodSStep},
@@ -169,8 +163,8 @@ func MethodNames() []string { return spellingNames(methodSpellings) }
 // first entry). The returned slice is a copy.
 func PrecondNames() []string { return spellingNames(precondSpellings) }
 
-// ParseMethod maps a method name ("chrongear", "pcg", "pipecg", "pcsi",
-// "csi", "sstep"; "" selects the ChronGear default) onto its enum value.
+// ParseMethod maps a method name ("chrongear", "pcg", "pcsi", "csi",
+// "sstep"; "" selects the ChronGear default) onto its enum value.
 // Unknown names return an error matching errors.Is(err, ErrBadSpec).
 func ParseMethod(s string) (Method, error) {
 	return parseSpelling(methodSpellings, s, "method")

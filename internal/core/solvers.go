@@ -65,8 +65,8 @@ func xpay(loc *stencil.Local, dst, x []float64, a float64) {
 
 // fusedUpdate advances two direction/iterate pairs in one pass over the
 // interior: d1 = x1 + β·d1, y1 += a1·d1 and d2 = x2 + β·d2, y2 += a2·d2 —
-// ChronGear's s/x and p/r updates (PipeCG runs it twice), which were four
-// separate xpay/axpy sweeps. Every element sees the arithmetic of xpay
+// ChronGear's s/x and p/r updates, which were four separate xpay/axpy
+// sweeps. Every element sees the arithmetic of xpay
 // followed by axpy, so the fusion is bitwise invisible; it is still charged
 // as four vector operations.
 //

@@ -76,7 +76,7 @@ func init() {
 // conditioning: in finite precision the recursive residual drifts from
 // b − A·x and can plateau above the target (seen at s=8 with the diagonal
 // preconditioner on warm-started model steps). The driver's drift watch
-// answers with a residual replacement (s+1 halo'd matvecs, zero extra
+// answers with one residual replacement (s+1 halo'd matvecs, zero extra
 // reductions, and k still advances so the ceil(iters/s)+1 reduction bound
 // holds), and when even the replaced residual cannot improve the solve
 // gives up rather than spinning to MaxIters.
@@ -113,7 +113,7 @@ type sstep struct {
 func sstepShape(o Options) shape {
 	sv := o.SStep
 	return shape{width: sv*(sv+1)/2 + sv*sv + sv, span: sv,
-		rides: true, recursive: true, drift: true, giveUp: true}
+		rides: true, recursive: true, drift: true}
 }
 
 func (c *sstep) bind(l *loop) {

@@ -142,8 +142,6 @@ const (
 	MethodChronGear = core.MethodChronGear
 	// MethodPCG is classic preconditioned conjugate gradients.
 	MethodPCG = core.MethodPCG
-	// MethodPipeCG is the Ghysels–Vanroose pipelined CG.
-	MethodPipeCG = core.MethodPipeCG
 	// MethodPCSI is the paper's preconditioned Stiefel iteration
 	// (Algorithm 2): no reductions outside convergence checks.
 	MethodPCSI = core.MethodPCSI
@@ -215,9 +213,8 @@ const (
 // methods.
 func NewFaultInjector(plan FaultPlan) *FaultInjector { return faults.New(plan) }
 
-// ParseMethod maps a method name ("chrongear", "pcg", "pipecg", "pcsi",
-// "csi", "sstep"; "" = chrongear) to its Method; unknown names match
-// ErrBadSpec.
+// ParseMethod maps a method name ("chrongear", "pcg", "pcsi", "csi",
+// "sstep"; "" = chrongear) to its Method; unknown names match ErrBadSpec.
 func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 
 // ParsePrecond maps a preconditioner name ("diagonal", "evp", "blocklu",

@@ -70,43 +70,6 @@ func TestSolverFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// PipeCG+EVP on the 12-core test decomposition used to break down short of
-// popsolve's 1e-13 tolerance: the pipelined recurrences drifted until the
-// recursive residual grew into NaN. The driver's drift watch replaces the
-// residual once it stalls near the round-off floor, and the solve converges.
-func TestPipeCGEVPConverges(t *testing.T) {
-	g, err := NewGrid(GridTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSolver(g, SolverSpec{Method: MethodPipeCG, Precond: PrecondEVP, Cores: 12,
-		Options: SolverOptions{Tol: 1e-13}}) // popsolve's default tolerance
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, g.N())
-	for k, ocean := range g.Mask {
-		if ocean {
-			lon, lat := g.TLon[k]*math.Pi/180, g.TLat[k]*math.Pi/180
-			x[k] = math.Sin(2*lon) * math.Cos(3*lat) // popsolve's manufactured solution
-		}
-	}
-	b := make([]float64, g.N())
-	s.Op.Apply(b, x)
-	res, got, err := s.Solve(b, nil)
-	if err != nil || !res.Converged {
-		t.Fatalf("converged=%v after %d iterations (rel residual %g): %v", res.Converged, res.Iterations, res.RelResidual, err)
-	}
-	if res.Iterations > 200 {
-		t.Fatalf("needed %d iterations; ChronGear+EVP takes 30 here", res.Iterations)
-	}
-	for k, ocean := range g.Mask {
-		if ocean && math.Abs(got[k]-x[k]) > 1e-12 {
-			t.Fatalf("point %d: %g, manufactured solution %g", k, got[k], x[k])
-		}
-	}
-}
-
 func TestSolverValidation(t *testing.T) {
 	g, _ := NewGrid(GridTest)
 	// Out-of-range enum values must be rejected at construction, not
