@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/api"
 	"repro/internal/fleet"
+	"repro/internal/grid"
 )
 
 // handler serves the HTTP surface over either a single solve service or a
@@ -34,9 +35,16 @@ type handler struct {
 	rhsCache map[string][]float64
 }
 
-// maxBody bounds request bodies: the largest preset RHS is ~a hundred
-// thousand points, far under this.
-const maxBody = 64 << 20
+// maxBody bounds request bodies at the largest frame a preset takes: the
+// 0.1° grid's B and X0 (8.64 M points each) as raw float64s plus the header
+// and grid name, ≈ 138 MB. A larger body is answered 413. JSON spells a
+// vector in decimal, several times its frame bytes, so explicit 0.1° vectors
+// travel as frames — as the router always forwards them.
+var maxBody = func() int64 {
+	s := grid.TenthDegreeSpec()
+	empty := api.AppendFrameRequest(nil, api.FrameRequest{Grid: grid.PresetTenthDegree, X0: []float64{}})
+	return int64(len(empty)) + 2*8*int64(s.Nx*s.Ny)
+}()
 
 // solve answers POST V1Solve. It speaks JSON and the binary frame,
 // answering in the encoding it was asked in.
@@ -47,9 +55,19 @@ func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
 		h.writeError(w, isFrame, fleet.StatusFor(err), err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	if r.ContentLength > maxBody {
+		h.writeError(w, isFrame, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxBody))
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		h.writeError(w, isFrame, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		h.writeError(w, isFrame, status, fmt.Errorf("read body: %w", err))
 		return
 	}
 	if isFrame {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/api"
+	"repro/internal/grid"
 )
 
 // TestServeRequestCarriesEveryFrameField is the frame → serve hop, field by
@@ -78,5 +80,41 @@ func TestFlightEndpointShape(t *testing.T) {
 	}
 	if len(recent) != 1 || recent[0].TraceID != 7 || recent[0].Key != "test/pcsi/evp" {
 		t.Errorf("recent = %+v, want the one solve under trace ID 7", recent)
+	}
+}
+
+// zeros is an endless reader of zero bytes: a large body that costs no
+// memory until someone reads it.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// The body limit admits the largest request a preset can need — a 0.1°
+// frame carrying B and X0, as a router forwards it — and answers a body one
+// byte over the limit 413 in either encoding, instead of truncating it into
+// a malformed request.
+func TestBodyLimitFitsLargestFrame(t *testing.T) {
+	s := grid.TenthDegreeSpec()
+	n := int64(s.Nx * s.Ny)
+	one := api.AppendFrameRequest(nil, api.FrameRequest{Grid: grid.PresetTenthDegree,
+		B: []float64{1}, X0: []float64{1}, TimeoutMS: 1, ReturnX: true, TraceID: 1})
+	if size := int64(len(one)) + 16*(n-1); size > maxBody {
+		t.Fatalf("a 0.1° frame with B and X0 is %d bytes, over the %d-byte body limit", size, maxBody)
+	}
+
+	h := &handler{svc: pop.NewService(pop.ServiceOptions{})}
+	defer h.close(context.Background())
+	for _, contentType := range []string{api.ContentTypeJSON, api.ContentTypeFrame} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", io.LimitReader(zeros{}, maxBody+1))
+		req.ContentLength = maxBody + 1
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.solve(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s body of %d bytes: status %d, want 413", contentType, maxBody+1, rec.Code)
+		}
 	}
 }

@@ -23,10 +23,12 @@
 //	GET  /debug/flight flight-recorder ring: {"recent":[request records]}
 //
 // In fleet modes, requests are consistent-hashed on their session-pool key
-// so each shard keeps its own warm sessions, concurrent identical requests
-// collapse onto one solve, and completed solves replay bitwise from a
-// content-addressed cache ("cache":"hit" in the response). Bad enum values
-// return a 400 whose body lists the accepted spellings.
+// so each shard keeps its own warm sessions, and completed solves replay
+// bitwise from a content-addressed LRU cache ("cache":"hit" in the
+// response). A shard whose queue is full answers 429, as a single service
+// does; the router does not retry it elsewhere. Bad enum values return a
+// 400 whose body lists the accepted spellings, and a body larger than the
+// largest preset's frame (the 0.1° B and X0) a 413.
 //
 // Every request carries a trace ID (client-supplied via "trace_id" or
 // assigned at admission) correlating its response with its rank-level spans
@@ -64,14 +66,10 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 		tracecap  = flag.Int("tracecap", 4096, "per-rank trace ring capacity (0 = rank-level tracing off)")
 		traceout  = flag.String("traceout", "", "write a Perfetto trace export here on shutdown")
-		flightdir = flag.String("flightdir", "", "directory for flight-recorder incident dumps (\"\" = in-memory only)")
-		flightlen = flag.Int("flightring", 0, "flight-recorder ring capacity (0 = default)")
-		slo       = flag.Duration("slo", 0, "per-request latency SLO; breaches dump the flight recorder (0 = off)")
 
 		fleetN   = flag.Int("fleet", 0, "run an in-process fleet with this many worker shards (0 = single service)")
 		routeTo  = flag.String("routeto", "", "comma-separated remote worker base URLs; run as a router over them")
 		cacheCap = flag.Int("cache", 0, "fleet result-cache capacity in entries (0 = default 4096, negative = off)")
-		cacheTTL = flag.Duration("cachettl", 0, "fleet result-cache entry TTL (0 = default 10m, negative = no expiry)")
 
 		probe      = flag.String("probe", "", "client mode: send one solve to this base URL and exit (0 = converged)")
 		frame      = flag.Bool("frame", false, "probe mode: speak the binary frame instead of JSON")
@@ -96,9 +94,6 @@ func main() {
 		MaxQueue:          *queue,
 		MaxBatch:          *batch,
 		TraceCapacity:     *tracecap,
-		FlightRing:        *flightlen,
-		FlightDir:         *flightdir,
-		LatencySLO:        *slo,
 	}
 
 	h := &handler{}
@@ -108,9 +103,7 @@ func main() {
 		flt, err := pop.NewFleet(pop.FleetOptions{
 			Remotes:       splitURLs(*routeTo),
 			CacheCapacity: *cacheCap,
-			CacheTTL:      *cacheTTL,
 			Registry:      reg,
-			FlightRing:    *flightlen,
 		})
 		if err != nil {
 			log.Fatalf("popserver: %v", err)
@@ -123,9 +116,7 @@ func main() {
 			Workers:       *fleetN,
 			Worker:        workerOpts,
 			CacheCapacity: *cacheCap,
-			CacheTTL:      *cacheTTL,
 			Registry:      reg,
-			FlightRing:    *flightlen,
 		})
 		if err != nil {
 			log.Fatalf("popserver: %v", err)

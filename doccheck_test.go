@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,6 +162,11 @@ var (
 	docAnalyzerList  = regexp.MustCompile("((?:`[a-z]+`(?:,| and|, and)?[\\s#]+)+)analyzers?\\b")
 	docBacktickWord  = regexp.MustCompile("`([a-z]+)`")
 	docDirective     = regexp.MustCompile(`//pop[a-z]*:[a-z]+`)
+	// verify.sh's test gates: shell assignments of a quoted pattern, and a
+	// `go test` line's -run / -fuzz argument (quoted or bare).
+	gateAssign = regexp.MustCompile(`(?m)^([a-z_]+)='([^']*)'$`)
+	gateRun    = regexp.MustCompile(`\s-run[ =](?:'([^']*)'|"([^"]*)"|(\S+))`)
+	gateFuzz   = regexp.MustCompile(`\s-fuzz[ =](\S+)`)
 )
 
 // TestDocsNameRealFlagsAndArtifacts fails on a documented command line that
@@ -173,7 +179,8 @@ var (
 // (backslash-continued) line or the first backtick, pipe, redirect, `;`, `&`
 // or `)`; alternatives written `-a/-b` are each checked. The same files may attribute to
 // poplint only analyzers analysis.All() registers (README's table must list
-// every one), and may name no comment directive but //pop:hotpath.
+// every one), and may name no comment directive but //pop:hotpath. And no
+// verify.sh gate may select nothing: see checkVerifyGates.
 func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 	defined := make(map[string]map[string]bool)
 	for _, cmd := range docCommands {
@@ -264,6 +271,118 @@ func TestDocsNameRealFlagsAndArtifacts(t *testing.T) {
 			}
 		}
 	}
+	checkVerifyGates(t)
+}
+
+// checkVerifyGates holds verify.sh's `go test` lines to the tests they name:
+// `go test -run` exits 0 when its pattern matches nothing, so a gate whose
+// test was renamed or deleted would pass silently. Every |-alternative of a
+// -run pattern must match a Test…, Fuzz… or Example… function of the
+// packages the line names, and every -fuzz name a Fuzz… function; a
+// "$name" pattern resolves from the script's name='…' assignment, and
+// -run=NONE, the documented no-match, must match nothing.
+func checkVerifyGates(t *testing.T) {
+	raw, err := os.ReadFile("verify.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.ReplaceAll(string(raw), "\\\n", " ")
+	vars := make(map[string]string)
+	for _, m := range gateAssign.FindAllStringSubmatch(text, -1) {
+		vars[m[1]] = m[2]
+	}
+	gates := 0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "#") || !strings.Contains(line, "go test") {
+			continue
+		}
+		var funcs []string
+		for _, arg := range strings.Fields(line) {
+			if arg == "." || strings.HasPrefix(arg, "./") {
+				funcs = append(funcs, testFuncs(t, arg)...)
+			}
+		}
+		matching := func(alt string, kinds ...string) int {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("verify.sh: pattern %q: %v", alt, err)
+				return 0
+			}
+			n := 0
+			for _, f := range funcs {
+				isKind := func(k string) bool { return strings.HasPrefix(f, k) }
+				if re.MatchString(f) && slices.ContainsFunc(kinds, isKind) {
+					n++
+				}
+			}
+			return n
+		}
+		if m := gateRun.FindStringSubmatch(line); m != nil {
+			gates++
+			pattern := m[1] + m[2] + m[3]
+			if name, ok := strings.CutPrefix(pattern, "$"); ok {
+				if pattern, ok = vars[name]; !ok {
+					t.Errorf("verify.sh: -run $%s has no %s='…' assignment", name, name)
+				}
+			}
+			if pattern == "NONE" {
+				if n := matching(pattern, "Test", "Fuzz", "Example"); n != 0 {
+					t.Errorf("verify.sh: -run=NONE matches %d functions: %s", n, line)
+				}
+			} else {
+				for _, alt := range strings.Split(pattern, "|") {
+					if matching(alt, "Test", "Fuzz", "Example") == 0 {
+						t.Errorf("verify.sh: -run alternative %q matches no test in %s", alt, strings.TrimSpace(line))
+					}
+				}
+			}
+		}
+		if m := gateFuzz.FindStringSubmatch(line); m != nil && matching(m[1], "Fuzz") == 0 {
+			t.Errorf("verify.sh: -fuzz %q matches no fuzz target in %s", m[1], strings.TrimSpace(line))
+		}
+	}
+	if gates == 0 {
+		t.Error("verify.sh: found no `go test -run` gates; the scan is broken")
+	}
+}
+
+// testFuncs lists the Test…, Fuzz… and Example… functions declared in the
+// _test.go files of one `go test` package argument (a trailing /... walks
+// its subdirectories).
+func testFuncs(t *testing.T, pkg string) []string {
+	t.Helper()
+	dirs := []string{strings.TrimSuffix(pkg, "/")}
+	if root, ok := strings.CutSuffix(pkg, "/..."); ok {
+		dirs = nil
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if d != nil && d.IsDir() && d.Name() != "testdata" {
+				dirs = append(dirs, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var names []string
+	for _, dir := range dirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					names = append(names, fn.Name.Name)
+				}
+			}
+		}
+	}
+	return names
 }
 
 // definedFlags parses a command's source for flag.<Kind>("name", …) and

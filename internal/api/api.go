@@ -97,8 +97,8 @@ type SolveResponse struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// TraceID correlates the response with its rank-level spans.
 	TraceID uint64 `json:"trace_id"`
-	// Cache reports how a fleet router satisfied the request: "hit",
-	// "miss", "dedup" — or "" when the request never crossed a router.
+	// Cache reports how a fleet router satisfied the request: "hit" or
+	// "miss" — or "" when the request never crossed a router.
 	Cache string `json:"cache,omitempty"`
 	// Shard is the fleet worker index that ran the solve (-1 when the
 	// request was answered without dispatching to a worker: cache hits,
@@ -169,8 +169,7 @@ func (c *ServiceCounters) Add(o ServiceCounters) {
 }
 
 // FleetCounters is the router-level slice of a fleet's /v1/stats: what the
-// routing, caching and deduplication layers did, above the per-worker
-// serving counters.
+// routing and caching layers did, above the per-worker serving counters.
 type FleetCounters struct {
 	// Requests counts requests entering the router.
 	Requests int64 `json:"requests"`
@@ -178,10 +177,13 @@ type FleetCounters struct {
 	CacheHits int64 `json:"cache_hits"`
 	// CacheMisses counts requests that went to a worker.
 	CacheMisses int64 `json:"cache_misses"`
-	// Deduped counts requests collapsed onto an identical in-flight solve.
+	// Deduped is always 0: the router no longer collapses identical
+	// in-flight solves (singleflight was removed). A vestige pinned by
+	// `benchmark/probes_serving.go:95–96`, like pop.Float64.
 	Deduped int64 `json:"deduped"`
-	// Failovers counts requests re-routed to the ring's next worker after
-	// a shed (a full queue) on their home shard.
+	// Failovers is always 0: a shed home shard answers ErrOverloaded and
+	// the router no longer walks the ring's successors. A vestige pinned by
+	// `benchmark/probes_serving.go:95–96`, like pop.Float64.
 	Failovers int64 `json:"failovers"`
 	// Errors counts requests that left the router with an error.
 	Errors int64 `json:"errors"`
@@ -189,8 +191,6 @@ type FleetCounters struct {
 	CacheEntries int64 `json:"cache_entries"`
 	// CacheEvictions counts LRU evictions.
 	CacheEvictions int64 `json:"cache_evictions"`
-	// CacheExpirations counts TTL expirations observed at lookup.
-	CacheExpirations int64 `json:"cache_expirations"`
 }
 
 // WorkerStats is one fleet worker's row in the /v1/stats aggregation.

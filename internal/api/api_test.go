@@ -198,7 +198,7 @@ func TestFrameResponseRoundTrip(t *testing.T) {
 		Solver:      "pcsi",
 		ElapsedMS:   1.75,
 		TraceID:     99,
-		Cache:       "dedup",
+		Cache:       "miss",
 		Shard:       2,
 		X:           []float64{1, 2, 3},
 	}

@@ -28,7 +28,7 @@ import (
 // Solve-response payload:
 //
 //	u8 flags (bit0 converged, bit1 has_x), u8 cache (0 none, 1 hit,
-//	2 miss, 3 dedup), u16 shard (0xFFFF = none), u32 iterations,
+//	2 miss), u16 shard (0xFFFF = none), u32 iterations,
 //	f64 rel_residual, f64 elapsed_ms, u64 trace_id,
 //	u16 len(solver) + solver bytes,
 //	[if has_x] u32 len(x) + x as raw float64
@@ -62,10 +62,9 @@ const (
 
 // Cache-state wire codes (SolveResponse.Cache ↔ one byte).
 const (
-	frameCacheNone  = 0
-	frameCacheHit   = 1
-	frameCacheMiss  = 2
-	frameCacheDedup = 3
+	frameCacheNone = 0
+	frameCacheHit  = 1
+	frameCacheMiss = 2
 )
 
 // frameShardNone is the u16 sentinel for "no shard" (Shard -1).
@@ -383,8 +382,6 @@ func cacheCode(s string) byte {
 		return frameCacheHit
 	case "miss":
 		return frameCacheMiss
-	case "dedup":
-		return frameCacheDedup
 	default:
 		return frameCacheNone
 	}
@@ -397,8 +394,6 @@ func cacheName(b byte) string {
 		return "hit"
 	case frameCacheMiss:
 		return "miss"
-	case frameCacheDedup:
-		return "dedup"
 	default:
 		return ""
 	}

@@ -26,7 +26,7 @@ func frameFuzzSeeds() [][]byte {
 	resp := AppendFrameResponse(nil, SolveResponse{
 		Converged: true, Iterations: 42, RelResidual: 7.5e-14,
 		Solver: "pcsi", ElapsedMS: 1.75, TraceID: 99,
-		Cache: "dedup", Shard: 2, X: []float64{1, 2, 3},
+		Cache: "miss", Shard: 2, X: []float64{1, 2, 3},
 	})
 	errFrame := AppendFrameError(nil, 429, "queue full")
 	return [][]byte{req, noX0, resp, errFrame, req[:7], []byte(FrameMagic), nil}

@@ -1,7 +1,6 @@
 // Package fleet is the sharded serving layer: N solve workers behind a
-// router that consistent-hashes requests onto shards, deduplicates
-// concurrent identical solves, and replays completed solves from a
-// content-addressed result cache.
+// router that consistent-hashes requests onto shards and replays completed
+// solves from a content-addressed result cache.
 //
 // The paper's diagnosis — a barotropic solver stops scaling when one
 // execution context saturates — has a serving-layer analog: one popserver
@@ -14,15 +13,14 @@
 // reusable: identical inputs produce bitwise-identical outputs, so a cache
 // hit IS the solve.
 //
-// Three layers answer a request, cheapest first:
+// Two layers answer a request, cheapest first:
 //
 //  1. The result cache (content hash of grid, method, precond, s-step
 //     block size, tolerance, RHS bits, x0 bits) replays a finished solve
-//     bitwise.
-//  2. Singleflight collapses requests identical to one already in flight:
-//     followers wait for the leader's solve instead of duplicating it.
-//  3. The ring routes the miss to its home shard; a shed (a full queue)
-//     fails over to the next distinct shard clockwise.
+//     bitwise. It is an LRU bounded by Options.CacheCapacity.
+//  2. The ring routes the miss to its home shard, exactly once: a shed (a
+//     full queue) comes back as serve.ErrOverloaded, as it would from a
+//     single service.
 //
 // Workers are serve.Services — each with its own queues, batching, request
 // retry and flight recorder — either in-process
@@ -32,7 +30,6 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -61,17 +58,10 @@ type Options struct {
 	// CacheCapacity bounds the result cache (entries); 0 = 4096, negative
 	// disables caching.
 	CacheCapacity int
-	// CacheTTL bounds entry lifetime; 0 = 10 minutes, negative = no expiry.
-	CacheTTL time.Duration
-	// Clock overrides the cache's time source (tests); nil = time.Now.
-	Clock func() time.Time
 
 	// Registry receives the fleet_* router metrics; nil creates a private
 	// one. Worker metrics live in each worker's own registry.
 	Registry *obs.Registry
-	// FlightRing sizes the router's flight recorder (records for requests
-	// answered without dispatching to a worker); 0 = obs.DefaultFlightRing.
-	FlightRing int
 }
 
 // Request is one fleet solve submission: a serve request plus router
@@ -88,8 +78,7 @@ type Request struct {
 type Response struct {
 	// Response is the worker-level response (Result, X, TraceID).
 	serve.Response
-	// Cache reports how the router satisfied the request: "hit", "miss",
-	// or "dedup".
+	// Cache reports how the router satisfied the request: "hit" or "miss".
 	Cache string
 	// Shard is the worker that ran the solve (-1 for cache hits — no
 	// worker was consulted).
@@ -102,8 +91,7 @@ type Fleet struct {
 	workers []Worker
 	ring    *ring
 	cache   *resultCache
-	group   *flightGroup
-	flight  *obs.FlightRecorder
+	flight  obs.FlightRecorder
 	tol     float64
 	m       fleetMetrics
 }
@@ -112,15 +100,13 @@ type fleetMetrics struct {
 	requests  *obs.Counter
 	hits      *obs.Counter
 	misses    *obs.Counter
-	deduped   *obs.Counter
-	failovers *obs.Counter
 	errors    *obs.Counter
 	routerLat *obs.Histogram
 }
 
 // New builds a fleet: local workers (Options.Workers services with private
 // registries) or remote ones (Options.Remotes), the hash ring over them,
-// and the cache/dedup layers.
+// and the result cache.
 func New(opts Options) (*Fleet, error) {
 	if len(opts.Remotes) == 0 && opts.Workers == 0 {
 		opts.Workers = 2
@@ -145,13 +131,6 @@ func New(opts Options) (*Fleet, error) {
 	case capacity < 0:
 		capacity = 0
 	}
-	ttl := opts.CacheTTL
-	switch {
-	case ttl == 0:
-		ttl = 10 * time.Minute
-	case ttl < 0:
-		ttl = 0
-	}
 	tol := opts.Worker.Solver.Tol
 	if tol == 0 {
 		tol = 1e-13 // core.Options default; keep the hash honest about it
@@ -164,17 +143,13 @@ func New(opts Options) (*Fleet, error) {
 	f := &Fleet{
 		workers: workers,
 		ring:    newRing(len(workers)),
-		cache:   newResultCache(capacity, ttl, opts.Clock),
-		group:   newFlightGroup(),
-		flight:  obs.NewFlightRecorder(opts.FlightRing, ""),
+		cache:   newResultCache(capacity),
 		tol:     tol,
 		m: fleetMetrics{
-			requests:  r.Counter("fleet_requests_total", "requests entering the router"),
-			hits:      r.Counter("fleet_cache_hits_total", "requests answered from the result cache"),
-			misses:    r.Counter("fleet_cache_misses_total", "requests dispatched to a worker"),
-			deduped:   r.Counter("fleet_deduped_total", "requests collapsed onto an in-flight identical solve"),
-			failovers: r.Counter("fleet_failovers_total", "requests re-routed after a shed on their home shard"),
-			errors:    r.Counter("fleet_errors_total", "requests leaving the router with an error"),
+			requests: r.Counter("fleet_requests_total", "requests entering the router"),
+			hits:     r.Counter("fleet_cache_hits_total", "requests answered from the result cache"),
+			misses:   r.Counter("fleet_cache_misses_total", "requests dispatched to a worker"),
+			errors:   r.Counter("fleet_errors_total", "requests leaving the router with an error"),
 			routerLat: r.Histogram("fleet_router_seconds", "router time before dispatch or cache reply",
 				[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1}),
 		},
@@ -182,11 +157,11 @@ func New(opts Options) (*Fleet, error) {
 	return f, nil
 }
 
-// Solve routes one request: cache, then singleflight, then the ring.
+// Solve routes one request: the cache, then the home shard the ring names.
 // Responses are bitwise identical to a direct core solve of the same
 // request — on miss because workers are deterministic, on hit because the
-// cache replays the stored bits, on dedup because followers share the
-// leader's solve.
+// cache replays the stored bits. A shed home shard is not retried
+// elsewhere: its serve.ErrOverloaded is the caller's answer.
 func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -218,30 +193,16 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		}
 	}
 
-	out, err, shared := f.group.do(ctx, hash, func() (dispatched, error) {
-		return f.dispatch(ctx, key, req.Request)
-	})
+	shard := f.ring.lookup(key.String())
+	resp, err := f.workers[shard].Solve(ctx, req.Request)
 	if err != nil {
 		f.m.errors.Inc()
 		f.noteRouterRecord(traceID, key, start, "", err.Error())
 		return Response{Shard: -1}, err
 	}
-
-	state := "miss"
-	if shared {
-		state = "dedup"
-		f.m.deduped.Inc()
-		// Followers share the leader's backing arrays; give this caller its
-		// own copy, like every other path does.
-		x := make([]float64, len(out.resp.X))
-		copy(x, out.resp.X)
-		out.resp.X = x
-		out.resp.TraceID = traceID
-	} else {
-		f.m.misses.Inc()
-		f.cache.put(hash, out.resp.Result, out.resp.X)
-	}
-	return Response{Response: out.resp, Cache: state, Shard: out.shard}, nil
+	f.m.misses.Inc()
+	f.cache.put(hash, resp.Result, resp.X)
+	return Response{Response: resp, Cache: "miss", Shard: shard}, nil
 }
 
 // cacheKey normalizes the request to its pool key and content-hashes
@@ -254,28 +215,6 @@ func (f *Fleet) cacheKey(req serve.Request) (serve.Key, api.CacheKey, error) {
 	}
 	// core.Float64: HashSolve's vestigial argument, pinned by benchmark/.
 	return key, api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, key.SStep, f.tol, req.B, req.X0), nil
-}
-
-// dispatch sends the request to its home shard, failing over clockwise on
-// sheds (a full queue) so a struggling shard degrades into spillover instead
-// of errors.
-func (f *Fleet) dispatch(ctx context.Context, key serve.Key, req serve.Request) (dispatched, error) {
-	order := f.ring.successors(key.String())
-	var lastErr error
-	for i, shard := range order {
-		if i > 0 {
-			f.m.failovers.Inc()
-		}
-		resp, err := f.workers[shard].Solve(ctx, req)
-		if err == nil {
-			return dispatched{resp: resp, shard: shard}, nil
-		}
-		lastErr = err
-		if !errors.Is(err, serve.ErrOverloaded) {
-			return dispatched{}, err
-		}
-	}
-	return dispatched{}, fmt.Errorf("fleet: all %d shards shed the request: %w", len(order), lastErr)
 }
 
 // noteRouterRecord files a flight record for a request the router answered
@@ -307,15 +246,12 @@ func (f *Fleet) Stats(ctx context.Context) api.StatsResponse {
 	}
 	cs := f.cache.stats()
 	fc := &api.FleetCounters{
-		Requests:         f.m.requests.Value(),
-		CacheHits:        f.m.hits.Value(),
-		CacheMisses:      f.m.misses.Value(),
-		Deduped:          f.m.deduped.Value(),
-		Failovers:        f.m.failovers.Value(),
-		Errors:           f.m.errors.Value(),
-		CacheEntries:     cs.entries,
-		CacheEvictions:   cs.evictions,
-		CacheExpirations: cs.expirations,
+		Requests:       f.m.requests.Value(),
+		CacheHits:      f.m.hits.Value(),
+		CacheMisses:    f.m.misses.Value(),
+		Errors:         f.m.errors.Value(),
+		CacheEntries:   cs.entries,
+		CacheEvictions: cs.evictions,
 	}
 	out := api.StatsResponse{Fleet: fc}
 	gridSet := make(map[string]bool)
@@ -342,7 +278,7 @@ func (f *Fleet) Stats(ctx context.Context) api.StatsResponse {
 
 // Flight returns the router's flight recorder (records for requests that
 // never reached a worker).
-func (f *Fleet) Flight() *obs.FlightRecorder { return f.flight }
+func (f *Fleet) Flight() *obs.FlightRecorder { return &f.flight }
 
 // FlightRecords merges the fleet's flight-recorder view: the router's own
 // records plus every local worker's, with worker records stamped with their

@@ -213,113 +213,9 @@ func TestFleetNoCacheBypassesLookup(t *testing.T) {
 	}
 }
 
-// TestSingleflightCollapsesConcurrentIdentical drives the flight group
-// directly with a leader that blocks until every follower has arrived —
-// deterministic collapse, meaningful under -race.
-func TestSingleflightCollapsesConcurrentIdentical(t *testing.T) {
-	g := newFlightGroup()
-	key := api.HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{1}, nil)
-
-	const followers = 8
-	leaderIn := make(chan struct{})  // closed when all followers are waiting
-	var started, done sync.WaitGroup // started: followers launched
-	calls := 0                       // leader executions (no atomics: proves the collapse)
-	results := make([]dispatched, followers+1)
-	errs := make([]error, followers+1)
-	sharedFlags := make([]bool, followers+1)
-
-	started.Add(1)
-	done.Add(1)
-	go func() {
-		defer done.Done()
-		results[0], errs[0], sharedFlags[0] = g.do(context.Background(), key, func() (dispatched, error) {
-			started.Done() // leader is inside fn; followers may now pile on
-			<-leaderIn
-			calls++
-			return dispatched{resp: serve.Response{X: []float64{42}}, shard: 3}, nil
-		})
-	}()
-	started.Wait()
-
-	var waiting sync.WaitGroup
-	for i := 1; i <= followers; i++ {
-		done.Add(1)
-		waiting.Add(1)
-		go func(i int) {
-			defer done.Done()
-			waiting.Done()
-			results[i], errs[i], sharedFlags[i] = g.do(context.Background(), key, func() (dispatched, error) {
-				t.Error("follower executed fn: singleflight failed to collapse")
-				return dispatched{}, nil
-			})
-		}(i)
-	}
-	waiting.Wait()
-	// Followers are registered or about to be; give their g.do entries a
-	// moment, then release the leader. A follower that misses the in-flight
-	// window would run fn and fail the test above.
-	time.Sleep(10 * time.Millisecond)
-	close(leaderIn)
-	done.Wait()
-
-	if calls != 1 {
-		t.Fatalf("leader fn ran %d times, want 1", calls)
-	}
-	if sharedFlags[0] {
-		t.Fatal("leader reported shared=true")
-	}
-	for i := 1; i <= followers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("follower %d: %v", i, errs[i])
-		}
-		if !sharedFlags[i] {
-			t.Fatalf("follower %d not marked shared", i)
-		}
-		if results[i].shard != 3 || len(results[i].resp.X) != 1 || results[i].resp.X[0] != 42 {
-			t.Fatalf("follower %d got %+v", i, results[i])
-		}
-	}
-
-	// The completed call must be gone: a late caller becomes a fresh leader.
-	_, _, shared := g.do(context.Background(), key, func() (dispatched, error) {
-		return dispatched{}, nil
-	})
-	if shared {
-		t.Fatal("completed call still registered as in-flight")
-	}
-}
-
-// TestSingleflightFollowerContextAbandons checks a follower whose context
-// ends leaves the wait without cancelling the leader.
-func TestSingleflightFollowerContextAbandons(t *testing.T) {
-	g := newFlightGroup()
-	key := api.HashSolve("test", core.MethodPCG, core.PrecondDiagonal, core.Float64, 0, 1e-13, []float64{2}, nil)
-	block := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		g.do(context.Background(), key, func() (dispatched, error) {
-			close(block)
-			<-release
-			return dispatched{}, nil
-		})
-	}()
-	<-block
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err, shared := g.do(ctx, key, func() (dispatched, error) {
-		t.Error("cancelled follower executed fn")
-		return dispatched{}, nil
-	})
-	if !shared || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled follower: shared=%v err=%v", shared, err)
-	}
-	close(release)
-}
-
 // TestFleetConcurrentIdenticalRequests is the end-to-end -race exercise:
 // many goroutines fire the same request; every response must be bitwise
-// identical and the router books each request as exactly one of
-// hit/miss/dedup.
+// identical and the router books each request as exactly one of hit/miss.
 func TestFleetConcurrentIdenticalRequests(t *testing.T) {
 	rhs := fleetRHS(t, 1)
 	f, err := New(Options{Workers: 2, Worker: serve.Options{Solver: core.Options{Tol: 1e-6}}})
@@ -350,59 +246,24 @@ func TestFleetConcurrentIdenticalRequests(t *testing.T) {
 			t.Fatalf("request %d solution differs bitwise", i)
 		}
 		switch resps[i].Cache {
-		case "hit", "miss", "dedup":
+		case "hit", "miss":
 		default:
 			t.Fatalf("request %d Cache = %q", i, resps[i].Cache)
 		}
 	}
 	st := f.Stats(context.Background())
-	booked := st.Fleet.CacheHits + st.Fleet.CacheMisses + st.Fleet.Deduped
-	if booked != n {
-		t.Fatalf("hits+misses+deduped = %d, want %d", booked, n)
+	if booked := st.Fleet.CacheHits + st.Fleet.CacheMisses; booked != n {
+		t.Fatalf("hits+misses = %d, want %d", booked, n)
 	}
 	if st.Fleet.CacheMisses < 1 {
 		t.Fatal("no cache miss booked — someone must have solved it")
 	}
 }
 
-// TestCacheTTLDeterministic drives expiry with an injected clock.
-func TestCacheTTLDeterministic(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := newResultCache(8, time.Minute, clock)
-	key := api.HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{1}, nil)
-	c.put(key, core.Result{Iterations: 7}, []float64{1, 2})
-
-	if _, _, ok := c.get(key); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	now = now.Add(time.Minute - time.Nanosecond)
-	if _, _, ok := c.get(key); !ok {
-		t.Fatal("entry expired before TTL")
-	}
-	now = now.Add(time.Nanosecond)
-	if _, _, ok := c.get(key); ok {
-		t.Fatal("entry survived past TTL")
-	}
-	st := c.stats()
-	if st.expirations != 1 || st.entries != 0 {
-		t.Fatalf("stats after expiry: %+v", st)
-	}
-
-	// Re-putting restarts the TTL clock.
-	c.put(key, core.Result{Iterations: 7}, []float64{1, 2})
-	now = now.Add(30 * time.Second)
-	c.put(key, core.Result{Iterations: 7}, []float64{1, 2})
-	now = now.Add(45 * time.Second) // 75s after first put, 45s after refresh
-	if _, _, ok := c.get(key); !ok {
-		t.Fatal("refreshed entry expired on the original clock")
-	}
-}
-
 // TestCacheLRUDeterministic checks eviction order is exactly
 // least-recently-used, with gets refreshing recency.
 func TestCacheLRUDeterministic(t *testing.T) {
-	c := newResultCache(3, 0, func() time.Time { return time.Unix(0, 0) })
+	c := newResultCache(3)
 	keys := make([]api.CacheKey, 4)
 	for i := range keys {
 		keys[i] = api.HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{float64(i)}, nil)
@@ -441,8 +302,8 @@ func TestCacheLRUDeterministic(t *testing.T) {
 }
 
 // TestRingProperties checks the consistent-hash ring's contract: total
-// coverage, deterministic lookups, successor lists that are permutations
-// starting at the home shard, and bounded remapping when the fleet grows.
+// coverage, deterministic lookups, and bounded remapping when the fleet
+// grows.
 func TestRingProperties(t *testing.T) {
 	r4 := newRing(4)
 	keys := make([]string, 0, 400)
@@ -457,17 +318,6 @@ func TestRingProperties(t *testing.T) {
 		counts[w]++
 		if w2 := r4.lookup(k); w2 != w {
 			t.Fatalf("lookup(%q) unstable: %d then %d", k, w, w2)
-		}
-		succ := r4.successors(k)
-		if len(succ) != 4 || succ[0] != w {
-			t.Fatalf("successors(%q) = %v, home %d", k, succ, w)
-		}
-		seen := make(map[int]bool)
-		for _, s := range succ {
-			if seen[s] {
-				t.Fatalf("successors(%q) = %v repeats a shard", k, succ)
-			}
-			seen[s] = true
 		}
 	}
 	for w, n := range counts {
@@ -489,7 +339,7 @@ func TestRingProperties(t *testing.T) {
 	}
 }
 
-// errWorker is a scripted Worker for failover tests.
+// errWorker is a scripted Worker for dispatch tests.
 type errWorker struct {
 	err    error
 	solves int
@@ -516,12 +366,13 @@ func (w *errWorker) Close(ctx context.Context) error {
 	return nil
 }
 
-// TestFleetFailoverOnShed checks a shed home shard (a full queue) fails
-// over to the ring's next shard, while hard errors do not.
+// TestFleetFailoverOnShed checks the router does not fail over: a shed
+// home shard (a full queue) answers serve.ErrOverloaded — 429 on the wire,
+// what an overloaded single service returns — and the other shard is never
+// called. Hard errors propagate the same way.
 func TestFleetFailoverOnShed(t *testing.T) {
 	req := Request{Request: serve.Request{Grid: grid.PresetTest, Method: core.MethodPCSI, Precond: core.PrecondEVP, B: []float64{1}}}
-
-	for _, shedErr := range []error{serve.ErrOverloaded} {
+	for scripted, status := range map[error]int{serve.ErrOverloaded: 429, core.ErrBadSpec: 400} {
 		f, err := New(Options{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -531,53 +382,21 @@ func TestFleetFailoverOnShed(t *testing.T) {
 			t.Fatal(err)
 		}
 		workers := []*errWorker{{}, {}}
-		workers[home].err = fmt.Errorf("scripted shed: %w", shedErr)
+		workers[home].err = fmt.Errorf("scripted: %w", scripted)
 		f.workers = []Worker{workers[0], workers[1]}
 
-		resp, err := f.Solve(context.Background(), req)
-		if err != nil {
-			t.Fatalf("%v: failover did not rescue: %v", shedErr, err)
+		_, err = f.Solve(context.Background(), req)
+		if !errors.Is(err, scripted) || StatusFor(err) != status {
+			t.Fatalf("home shard failed with %v: Solve returned %v (status %d), want status %d",
+				scripted, err, StatusFor(err), status)
 		}
-		if resp.Shard != 1-home {
-			t.Fatalf("%v: answered by shard %d, want failover shard %d", shedErr, resp.Shard, 1-home)
+		if workers[home].solves != 1 || workers[1-home].solves != 0 {
+			t.Fatalf("%v: solves home/other = %d/%d, want 1/0 (no failover)",
+				scripted, workers[home].solves, workers[1-home].solves)
 		}
-		if workers[home].solves != 1 || workers[1-home].solves != 1 {
-			t.Fatalf("%v: solves = %d/%d, want home tried then failover", shedErr, workers[home].solves, workers[1-home].solves)
+		if st := f.Stats(context.Background()); st.Fleet.Errors != 1 || st.Fleet.Failovers != 0 {
+			t.Fatalf("%v: errors/failovers = %d/%d, want 1/0", scripted, st.Fleet.Errors, st.Fleet.Failovers)
 		}
-		st := f.Stats(context.Background())
-		if st.Fleet.Failovers != 1 {
-			t.Fatalf("%v: failovers = %d, want 1", shedErr, st.Fleet.Failovers)
-		}
-	}
-
-	// Hard errors (bad spec) propagate without failover.
-	f, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	home, err := f.HomeShard(req.Request)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workers := []*errWorker{{}, {}}
-	workers[home].err = fmt.Errorf("scripted: %w", core.ErrBadSpec)
-	f.workers = []Worker{workers[0], workers[1]}
-	if _, err := f.Solve(context.Background(), req); !errors.Is(err, core.ErrBadSpec) {
-		t.Fatalf("hard error: got %v, want ErrBadSpec", err)
-	}
-	if workers[1-home].solves != 0 {
-		t.Fatal("hard error failed over; it must propagate")
-	}
-
-	// All shards shedding is a terminal overload.
-	f2, err := New(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shed := fmt.Errorf("scripted: %w", serve.ErrOverloaded)
-	f2.workers = []Worker{&errWorker{err: shed}, &errWorker{err: shed}}
-	if _, err := f2.Solve(context.Background(), req); !errors.Is(err, serve.ErrOverloaded) {
-		t.Fatalf("all-shed: got %v, want ErrOverloaded", err)
 	}
 }
 

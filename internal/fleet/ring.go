@@ -20,7 +20,6 @@ import (
 // workers.
 type ring struct {
 	points []ringPoint // sorted by hash
-	n      int         // worker count
 }
 
 // ringPoint is one virtual node: a position on the circle owned by a worker.
@@ -36,7 +35,7 @@ const vnodesPerWorker = 64
 
 // newRing builds the ring for n workers (n ≥ 1).
 func newRing(n int) *ring {
-	r := &ring{points: make([]ringPoint, 0, n*vnodesPerWorker), n: n}
+	r := &ring{points: make([]ringPoint, 0, n*vnodesPerWorker)}
 	for w := 0; w < n; w++ {
 		for v := 0; v < vnodesPerWorker; v++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(fmt.Sprintf("worker-%d/vnode-%d", w, v)), worker: w})
@@ -60,35 +59,13 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// lookup returns the home shard for a key label.
+// lookup returns the home shard for a key label: the worker owning the
+// first point at or clockwise of the key's hash.
 func (r *ring) lookup(key string) int {
-	return r.points[r.search(ringHash(key))].worker
-}
-
-// search finds the first point at or clockwise of h.
-func (r *ring) search(h uint64) int {
+	h := ringHash(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return i
-}
-
-// successors returns the key's home shard followed by the remaining shards
-// in clockwise-first-appearance order — the failover sequence: when the
-// home shard sheds (a full queue), the request walks this list so
-// a hot key's spillover lands on a stable second shard instead of a random
-// one.
-func (r *ring) successors(key string) []int {
-	out := make([]int, 0, r.n)
-	seen := make([]bool, r.n)
-	start := r.search(ringHash(key))
-	for i := 0; len(out) < r.n; i++ {
-		w := r.points[(start+i)%len(r.points)].worker
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
+	return r.points[i].worker
 }

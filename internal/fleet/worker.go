@@ -115,8 +115,8 @@ func frameRequest(req serve.Request, traceID uint64) api.FrameRequest {
 
 // Solve encodes the request as a binary frame, POSTs it to the worker's
 // /v1/solve, and decodes the reply. Remote error frames are mapped back to
-// the service's typed errors through wireErrors, so the router's failover
-// logic treats a remote shed exactly like a local one.
+// the service's typed errors through wireErrors, so a remote shed reaches
+// the router's caller as serve.ErrOverloaded exactly like a local one.
 func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
 	frame := api.AppendFrameRequest(nil, frameRequest(req, obs.TraceIDFromContext(ctx)))
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+api.V1Solve, bytes.NewReader(frame))
@@ -169,9 +169,8 @@ func (w *HTTPWorker) Solve(ctx context.Context, req serve.Request) (serve.Respon
 // Both directions read it: StatusFor (popserver, for a JSON error body or an
 // error frame) takes the first row the error matches, remoteError (an
 // HTTPWorker decoding an error frame) the first row carrying the frame's
-// status — so a typed error crosses the frame hop as itself, and the
-// router's failover and a caller's errors.Is see what a local worker would
-// have returned. A status appears once, with one exception: a malformed
+// status — so a typed error crosses the frame hop as itself, and a
+// caller's errors.Is sees what a local worker would have returned. A status appears once, with one exception: a malformed
 // frame is a bad request like any other, so api.ErrBadFrame shares 400 and
 // comes back as core.ErrBadSpec. Errors no row matches (session build
 // failures, core.ErrEigEstimate, a router's own ErrRemote) go out as 500

@@ -41,8 +41,8 @@ type RequestRecord struct {
 	// StartUnixNS is the admission wall time (UnixNano).
 	StartUnixNS int64 `json:"start_unix_ns"`
 	// RouterNS is wall time spent in a fleet router before the request
-	// reached a worker (hashing, cache lookup, singleflight coordination,
-	// dispatch). 0 for requests that never crossed a router.
+	// reached a worker (hashing, cache lookup, dispatch). 0 for requests
+	// that never crossed a router.
 	RouterNS int64 `json:"router_ns,omitempty"`
 	// AdmitNS is wall time spent in admission: validation, normalization,
 	// pool lookup and warm-up, up to the queue send.
@@ -71,8 +71,8 @@ type RequestRecord struct {
 	// never dispatched to a worker: single-process serving, cache hits,
 	// router-level rejections).
 	Shard int `json:"shard,omitempty"`
-	// Cache reports how a fleet router satisfied the request: "hit",
-	// "miss", "dedup" — "" when no router was involved.
+	// Cache reports how a fleet router satisfied the request: "hit" or
+	// "miss" — "" when no router was involved.
 	Cache string `json:"cache,omitempty"`
 	// VCompMean, VHaloMean, VReduceMean are the solve's per-rank mean
 	// virtual seconds in computation, boundary update, and global
@@ -416,7 +416,7 @@ type Attribution struct {
 	// TraceID and Key identify the request.
 	TraceID uint64
 	Key     string // see TraceID
-	// Router is fleet-router time (hash, cache, dedup, dispatch) in
+	// Router is fleet-router time (hash, cache, dispatch) in
 	// seconds; 0 when the request never crossed a router.
 	Router float64
 	// Admit, Queue, BatchWait, Compute, Halo, Reduce, Slack are the phase

@@ -230,9 +230,7 @@ func (p *keyPool) fill(batch *[]*request) {
 // a solve at its next convergence check.
 //
 // Every finished request — solved, errored, or expired — leaves a
-// RequestRecord in the flight recorder, and the two incident triggers
-// (fault beyond the retry, latency-SLO breach) dump the recorder with the
-// offending request's spans attached.
+// RequestRecord in the flight recorder.
 func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*request) {
 	m := &p.svc.m
 	m.batches.Inc()
@@ -278,14 +276,6 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 		}
 		rec.TotalNS = time.Since(r.start).Nanoseconds()
 		p.svc.flight.Note(rec)
-		// Incident triggers. The worker owns the session between solves, so
-		// reading its trace rings here cannot race the solve's workers.
-		if err != nil && errors.Is(err, core.ErrFaulted) {
-			p.dumpFlight("fault_recovery", rec, slot)
-		}
-		if p.svc.opts.LatencySLO > 0 && rec.TotalNS > p.svc.opts.LatencySLO.Nanoseconds() {
-			p.dumpFlight("slo_breach", rec, slot)
-		}
 		if err != nil {
 			m.errors.Inc()
 			r.resp <- result{err: err}
@@ -296,18 +286,6 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 		copy(xc, x)
 		r.resp <- result{resp: Response{Result: res, X: xc, TraceID: r.traceID}}
 	}
-}
-
-// dumpFlight fires one flight-recorder dump for the offending request,
-// attaching its rank-level spans when the session is traced.
-func (p *keyPool) dumpFlight(reason string, rec obs.RequestRecord, slot *sessionSlot) {
-	var events []obs.Event
-	if slot.tracer != nil {
-		events = slot.tracer.EventsFor(rec.TraceID)
-	}
-	// Dump errors (disk full, unwritable dir) must not fail the solve; the
-	// trigger count still advances inside Dump.
-	_, _ = p.svc.flight.Dump(reason, rec, events, p.svc.opts.Registry)
 }
 
 // retryBudget is how many times a worker re-runs one request whose

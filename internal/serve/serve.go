@@ -89,17 +89,6 @@ type Options struct {
 	// trees and Perfetto export (WritePerfetto). 0 (the default) disables
 	// rank-level tracing; request records still flow to the flight recorder.
 	TraceCapacity int
-	// FlightRing sizes the always-on flight recorder's ring of recent
-	// request records (0 = obs.DefaultFlightRing).
-	FlightRing int
-	// FlightDir is the directory flight-recorder incident dumps are written
-	// to when a trigger fires (fault beyond the retry, SLO breach). "" keeps
-	// the recorder purely in-memory: no files are written.
-	FlightDir string
-	// LatencySLO, when > 0, is the per-request latency objective; a request
-	// finishing slower triggers a flight-recorder dump with reason
-	// "slo_breach". 0 disables the SLO trigger.
-	LatencySLO time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -206,8 +195,8 @@ type Service struct {
 	sessCount atomic.Int64   // sessions built across all keys
 
 	// flight is the always-on black box: every finished request's span
-	// summary lands in its ring, and incident triggers dump it.
-	flight *obs.FlightRecorder
+	// summary lands in its ring of the last obs.DefaultFlightRing.
+	flight obs.FlightRecorder
 
 	// sessMu guards sess, the registry of built sessions in build order —
 	// the stable session indices Perfetto export and request records use.
@@ -290,7 +279,6 @@ func New(opts Options) *Service {
 				[]float64{1, 2, 4, 8, 16, 32}),
 		},
 	}
-	s.flight = obs.NewFlightRecorder(o.FlightRing, o.FlightDir)
 	return s
 }
 
@@ -468,7 +456,7 @@ func (s *Service) Grids() []string {
 func (s *Service) Registry() *obs.Registry { return s.opts.Registry }
 
 // Flight returns the service's flight recorder (always non-nil).
-func (s *Service) Flight() *obs.FlightRecorder { return s.flight }
+func (s *Service) Flight() *obs.FlightRecorder { return &s.flight }
 
 // WritePerfetto exports every session's rank-level spans plus the flight
 // recorder's request records as Chrome trace-event JSON (one Perfetto

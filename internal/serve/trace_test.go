@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -166,8 +162,7 @@ func TestTracingDoesNotPerturbSolutions(t *testing.T) {
 		return resp
 	}
 	plain := solve(Options{Solver: core.Options{Tol: 1e-10}})
-	traced := solve(Options{Solver: core.Options{Tol: 1e-10},
-		TraceCapacity: 1 << 12, FlightRing: 64, LatencySLO: time.Hour})
+	traced := solve(Options{Solver: core.Options{Tol: 1e-10}, TraceCapacity: 1 << 12})
 
 	if plain.Result.Iterations != traced.Result.Iterations {
 		t.Fatalf("iteration counts differ: %d vs %d",
@@ -182,105 +177,6 @@ func TestTracingDoesNotPerturbSolutions(t *testing.T) {
 			t.Fatalf("solution differs bitwise at %d: %x vs %x",
 				i, math.Float64bits(plain.X[i]), math.Float64bits(traced.X[i]))
 		}
-	}
-}
-
-// readFlightDump loads and decodes one incident dump file.
-func readFlightDump(t *testing.T, path string) obs.FlightDump {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump obs.FlightDump
-	if err := json.Unmarshal(raw, &dump); err != nil {
-		t.Fatalf("%s is not a valid flight dump: %v", path, err)
-	}
-	return dump
-}
-
-// globDumps returns the flight dump files for one trigger reason.
-func globDumps(t *testing.T, dir, reason string) []string {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*-"+reason+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return files
-}
-
-// TestFlightDumpOnFaultRecovery: a request that faults beyond the retry
-// budget triggers a "fault_recovery" dump whose offending record and
-// rank-level spans carry that request's trace ID.
-func TestFlightDumpOnFaultRecovery(t *testing.T) {
-	dir := t.TempDir()
-	inj := faults.New(faults.Plan{Seed: 13, CrashProb: 0.95})
-	svc := tracedService(t, Options{
-		Injector:  inj,
-		FlightDir: dir,
-		Solver:    core.Options{Tol: 1e-8, MaxIters: 300, MaxRecoveries: 2},
-	})
-	id := obs.NewTraceID()
-	ctx := obs.ContextWithTraceID(context.Background(), id)
-	_, err := svc.Solve(ctx,
-		Request{Method: core.MethodChronGear, Precond: core.PrecondDiagonal, B: chaosRHS(t)})
-	if !errors.Is(err, core.ErrFaulted) {
-		t.Fatalf("crash storm returned %v, want ErrFaulted", err)
-	}
-
-	files := globDumps(t, dir, "fault_recovery")
-	if len(files) == 0 {
-		t.Fatal("no fault_recovery dump written")
-	}
-	dump := readFlightDump(t, files[0])
-	if dump.Reason != "fault_recovery" {
-		t.Errorf("reason: %q", dump.Reason)
-	}
-	if dump.Offending.TraceID != id {
-		t.Errorf("offending trace: got %d, want %d", dump.Offending.TraceID, id)
-	}
-	if dump.Offending.Error == "" {
-		t.Error("offending record carries no error")
-	}
-	if len(dump.Events) == 0 {
-		t.Fatal("dump has no rank-level spans for the offending request")
-	}
-	for _, e := range dump.Events {
-		if e.Trace != id {
-			t.Fatalf("dump span from foreign trace %d (want %d): %+v", e.Trace, id, e)
-		}
-	}
-	if len(dump.Recent) == 0 {
-		t.Error("dump has no recent-request ring")
-	}
-	if dump.Metrics == "" {
-		t.Error("dump has no metrics snapshot")
-	}
-}
-
-// TestFlightDumpOnSLOBreach: a latency objective of one nanosecond makes
-// every request a breach; the dump carries the measured total.
-func TestFlightDumpOnSLOBreach(t *testing.T) {
-	dir := t.TempDir()
-	svc := tracedService(t, Options{
-		LatencySLO: time.Nanosecond,
-		FlightDir:  dir,
-		Solver:     core.Options{Tol: 1e-10},
-	})
-	if _, err := svc.Solve(context.Background(),
-		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: chaosRHS(t)}); err != nil {
-		t.Fatal(err)
-	}
-	files := globDumps(t, dir, "slo_breach")
-	if len(files) == 0 {
-		t.Fatal("no slo_breach dump written")
-	}
-	dump := readFlightDump(t, files[0])
-	if dump.Offending.TotalNS <= 0 {
-		t.Errorf("breach dump total %dns, want > 0", dump.Offending.TotalNS)
-	}
-	if !dump.Offending.Converged {
-		t.Errorf("breach dump request did not converge: %+v", dump.Offending)
 	}
 }
 

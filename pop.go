@@ -99,8 +99,8 @@ type (
 	ServiceStats = serve.Stats
 
 	// Fleet is the sharded serving layer: N solve workers behind a router
-	// with consistent-hash sharding, singleflight deduplication, and a
-	// content-addressed result cache that replays completed solves bitwise.
+	// with consistent-hash sharding and a content-addressed result cache
+	// that replays completed solves bitwise.
 	Fleet = fleet.Fleet
 	// FleetOptions configures NewFleet.
 	FleetOptions = fleet.Options
@@ -116,13 +116,9 @@ type (
 	// MetricsRegistry is the metrics registry a Service reports into
 	// (counters, gauges, histograms with Prometheus text exposition).
 	MetricsRegistry = obs.Registry
-	// FlightRecorder is the always-on bounded ring of recent request span
-	// summaries a Service dumps on incidents (Service.Flight).
+	// FlightRecorder is the always-on ring of a Service's most recent
+	// request span summaries (Service.Flight).
 	FlightRecorder = obs.FlightRecorder
-	// FlightDump is the JSON document one flight-recorder incident file
-	// holds: trigger reason, offending request, its spans, the recent ring,
-	// and a metrics snapshot.
-	FlightDump = obs.FlightDump
 	// RequestRecord is one request's span summary: trace ID, per-phase wall
 	// durations, and the solve's virtual-time statistics.
 	RequestRecord = obs.RequestRecord
@@ -227,7 +223,7 @@ func NewService(opts ServiceOptions) *Service { return serve.New(opts) }
 
 // NewFleet starts a sharded solve fleet: N workers (in-process services,
 // or remote popservers when FleetOptions.Remotes is set) behind a router
-// with consistent-hash sharding, singleflight dedup, and a result cache.
+// with consistent-hash sharding and a result cache.
 // See cmd/popserver's -fleet and -routeto modes for the HTTP front end.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
 

@@ -173,8 +173,11 @@ echo "== doc coverage + examples =="
 # analysis + its harness, api, fleet, core, comm, decomp, grid, stencil)
 # must carry a doc comment, every command line, `popbench -exp` id,
 # -method / -solver / -precond spelling and BENCH_*.json that README,
-# ARCHITECTURE, SOLVERS, DESIGN and this script name must still exist, and
-# the runnable Example* functions must pass.
+# ARCHITECTURE, SOLVERS, DESIGN and this script name must still exist,
+# every alternative of this script's `go test -run` patterns and every
+# -fuzz name must match a test of the package its line names (go test
+# passes silently on a pattern that matches nothing), and the runnable
+# Example* functions must pass.
 go test -count=1 -run 'TestPublicSurfaceDocumented|TestDocsNameRealFlagsAndArtifacts|Example' .
 
 echo "== chaos / resilience gates (race) =="
@@ -202,12 +205,12 @@ go test -race -count=1 \
 echo "== request tracing gates (race) =="
 # End-to-end tracing invariants: one traced request's seven-phase
 # attribution sums to within 5% of measured latency, tracing leaves
-# solutions bitwise identical, incident triggers dump the flight recorder
-# with the offending request's spans, Perfetto export survives concurrent
-# load, span recording stays zero-alloc, and the Prometheus exposition
-# escapes hostile HELP/label content.
+# solutions bitwise identical, Perfetto export survives concurrent load,
+# the flight recorder's fixed ring keeps the newest records under
+# concurrent notes and reads, span recording stays zero-alloc, and the
+# Prometheus exposition escapes hostile HELP/label content.
 go test -race -count=1 \
-    -run 'TestTracedRequestAttribution|TestTracingDoesNotPerturbSolutions|TestFlightDump|TestPerfettoExportDuringLoad|TestTraceDroppedExported|TestQueueDepthMetrics' \
+    -run 'TestTracedRequestAttribution|TestTracingDoesNotPerturbSolutions|TestPerfettoExportDuringLoad|TestTraceDroppedExported|TestQueueDepthMetrics' \
     ./internal/serve/
 go test -race -count=1 \
     -run 'TestPerfettoRoundTrip|TestSpanRecordZeroAlloc|TestExportDroppedCounter|TestPrometheusEscapingConformance|TestConcurrentRegistryRegistration|TestFlight' \
@@ -299,10 +302,11 @@ go test -count=1 -run 'TestKeyCoversRequestScalars' ./internal/serve/
 
 echo "== fleet smoke run (router + 2 workers over the binary frame) =="
 # Two worker popservers, a router consistent-hashing onto them over the
-# compact binary frame, and the fleet guarantees end to end: /v1/solve in
-# both encodings, a bitwise cache replay on the identical repeat, enum
-# validation with self-repairing 400s, and /v1/stats
-# aggregation whose totals sum the workers' own counters.
+# compact binary frame (one dispatch per miss: no dedup, no failover), and
+# the fleet guarantees end to end: /v1/solve in both encodings, a bitwise
+# LRU-cache replay on the identical repeat, enum validation with
+# self-repairing 400s, and /v1/stats aggregation whose totals sum the
+# workers' own counters.
 w1=127.0.0.1:18421; w2=127.0.0.1:18422; router=127.0.0.1:18423
 "$tmp/popserver" -addr "$w1" > "$tmp/w1.log" 2>&1 &
 w1_pid=$!
