@@ -97,7 +97,12 @@ func main() {
 	fmt.Printf("converged=%v iterations=%d rel_residual=%.3g max_error=%.3g\n",
 		res.Converged, res.Iterations, res.RelResidual, maxErr)
 	if res.EigSteps > 0 {
-		fmt.Printf("lanczos: %d steps, interval [%.4g, %.4g]\n", res.EigSteps, res.Nu, res.Mu)
+		fmt.Printf("lanczos: %d steps, interval [%.4g, %.4g]", res.EigSteps, res.Nu, res.Mu)
+		if eb := res.Trace.EigBounds; len(eb) > 0 {
+			// The relative Ritz residuals the adaptive estimate stopped on.
+			fmt.Printf(", ritz residuals ν %.2g μ %.2g", eb[len(eb)-1].NuRes, eb[len(eb)-1].MuRes)
+		}
+		fmt.Println()
 	}
 	if *machine != "" {
 		sum := res.Stats.MeanCounters()

@@ -163,7 +163,15 @@ var chaosClasses = map[faults.Class]struct {
 		},
 	},
 	faults.RankCrash: {
-		plan:   func(Method) faults.Plan { return faults.Plan{Seed: 9, CrashProb: 0.01} },
+		// P-CSI on its converged Lanczos interval needs ~120 iterations here,
+		// few enough that seed 9 at 0.01 draws no crash before it converges;
+		// it gets the higher rate so its row still restores from a crash.
+		plan: func(m Method) faults.Plan {
+			if m == MethodPCSI {
+				return faults.Plan{Seed: 9, CrashProb: 0.03}
+			}
+			return faults.Plan{Seed: 9, CrashProb: 0.01}
+		},
 		maxRec: 200,
 		check: func(t *testing.T, m Method, res Result) {
 			if res.Recovery.Restores == 0 {

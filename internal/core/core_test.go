@@ -192,6 +192,36 @@ func TestUnpreconditionedCSIIsImpractical(t *testing.T) {
 	}
 }
 
+// P-CSI's slow-convergence guard widens ν when a mode sits below the
+// interval, and only then. A ν 20× above the converged one misses the
+// spectrum's low end: the guard must widen it and the solve converge. A ν
+// 10× below it brackets the spectrum at κ ≈ 4,500, where the interval
+// promises less than 0.8 per check: the guard must leave it alone and the
+// solve converge at the interval's rate. A fixed 0.8 threshold widened that
+// interval six times and ran out of 4,000 iterations.
+func TestPCSIWidensOnlyAnIntervalThatMissesTheSpectrum(t *testing.T) {
+	f := testFixture(t)
+	for _, c := range []struct {
+		scale float64
+		widen bool
+	}{{20, true}, {0.1, false}} {
+		s := f.session(t, Options{Precond: PrecondDiagonal, MaxIters: 4000})
+		nu, _, _, err := s.EstimateEigenvalues(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Nu = nu * c.scale
+		res, _, err := s.Solve(MethodPCSI, f.b, make([]float64, f.g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if widened := len(res.Trace.Intervals) > 0; !res.Converged || widened != c.widen {
+			t.Errorf("ν × %g: converged=%v after %d iterations with interval events %+v, want widened=%v",
+				c.scale, res.Converged, res.Iterations, res.Trace.Intervals, c.widen)
+		}
+	}
+}
+
 func TestPCSINeedsMoreIterationsThanChronGear(t *testing.T) {
 	// §3: K_pcsi > K_cg for the same tolerance.
 	f := testFixture(t)
@@ -347,16 +377,15 @@ func TestLanczosBracketsSpectrum(t *testing.T) {
 		}
 		lamMin = shift - powerIter(sh, nil, 600)
 	}
-	// μ must bracket λ_max (divergence otherwise). ν is deliberately snug:
-	// Lanczos approaches λ_min from above and the default safety factor
-	// keeps it near the estimate, so ν may land somewhat above the true
-	// λ_min — P-CSI's slow-convergence guard widens adaptively. Require ν
-	// in a sane band around λ_min rather than a strict bracket.
+	// μ must bracket λ_max (divergence otherwise). The estimate stops on
+	// converged Ritz pairs, so ν = 0.85·θ_min with θ_min just above λ_min:
+	// ν must sit in [0.8λ_min, λ_min]. A step-to-step stop left ν at ~2λ_min
+	// here, outside the band.
 	if mu < lamMax {
 		t.Fatalf("Lanczos μ=%g below λ_max=%g", mu, lamMax)
 	}
-	if nu < lamMin/20 || nu > 2*lamMin {
-		t.Fatalf("Lanczos ν=%g far from λ_min=%g", nu, lamMin)
+	if nu < 0.8*lamMin || nu > lamMin {
+		t.Fatalf("Lanczos ν=%g outside [0.8, 1]·λ_min=%g", nu, lamMin)
 	}
 	if mu > lamMax*3 {
 		t.Fatalf("Lanczos μ=%g too loose for λ_max=%g", mu, lamMax)
@@ -383,6 +412,32 @@ func powerIter(m *linalg.Dense, v0 []float64, iters int) float64 {
 		}
 	}
 	return lam
+}
+
+// The adaptive estimate stops on converged extreme Ritz pairs: without the
+// safety factors, its ν and μ must be within 5% of the Ritz values a forced
+// eigMaxSteps run converges to, from the same start (the default probe). A
+// step-to-step change test stops while θ_min is still creeping down the
+// spectrum's low tail, 2–4× above its converged value.
+func TestLanczosStopsAtConvergedRitzValue(t *testing.T) {
+	f := testFixture(t)
+	for _, pc := range []PrecondType{PrecondDiagonal, PrecondEVP, PrecondBlockLU} {
+		s := f.session(t, Options{Precond: pc})
+		nu, mu, steps, err := s.EstimateEigenvalues(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nu, mu = nu/s.Opts.EigSafetyLow, mu/s.Opts.EigSafetyHigh
+		nuInf, muInf, _, err := s.EstimateEigenvalues(nil, eigMaxSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nuInf, muInf = nuInf/s.Opts.EigSafetyLow, muInf/s.Opts.EigSafetyHigh
+		if math.Abs(nu/nuInf-1) > 0.05 || math.Abs(mu/muInf-1) > 0.05 {
+			t.Errorf("%v: adaptive stop at %d steps gave θ ∈ [%g, %g], %d steps converge to [%g, %g] (ν at %.3g×)",
+				pc, steps, nu, mu, eigMaxSteps, nuInf, muInf, nu/nuInf)
+		}
+	}
 }
 
 func TestForcedLanczosSteps(t *testing.T) {

@@ -23,6 +23,7 @@ type pcsi struct {
 	// guards are driven by the reduced residual alone.
 	nu, mu, gamma, inv4a2 float64
 	omega                 float64 // the iterated function ω_k
+	since                 int     // iterations run on the interval since ω₀
 	prevRn                float64
 	widenings, slowChecks int
 	raises                int
@@ -47,7 +48,7 @@ func (c *pcsi) setInterval(nu, mu float64) {
 	beta := (mu + nu) / (mu - nu)
 	c.gamma = beta / alpha // spectrum centre
 	c.inv4a2 = 1 / (4 * alpha * alpha)
-	c.omega = 2 / c.gamma
+	c.omega, c.since = 2/c.gamma, 0
 }
 
 // begin is Algorithm 2's initialization: Δx₀ = γ⁻¹M⁻¹r₀, x₁ = x₀ + Δx₀,
@@ -76,6 +77,7 @@ func (c *pcsi) step(l *loop, omega, coef float64) [][]float64 {
 func (c *pcsi) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
 	if st == 0 {
 		l.k++
+		c.since++
 		c.omega = 1 / (c.gamma - c.inv4a2*c.omega)
 		return c.step(l, c.omega, c.gamma*c.omega-1), false, 0
 	}
@@ -111,7 +113,17 @@ func (c *pcsi) observe(l *loop, g []float64, rn float64) verdict {
 	// recurrence (bounded: each restart discards Chebyshev momentum).
 	// Well-estimated intervals (the paper's diagonal and EVP
 	// configurations) contract ~0.1–0.3 per check and never trigger this.
-	if rn > 0.8*c.prevRn {
+	// An ill-conditioned interval cannot contract 0.8 per check even when
+	// it brackets the spectrum: its Chebyshev bound promises T_{k−c}(β)/T_k(β)
+	// for the check ending k iterations into the interval (c = CheckEvery,
+	// β = (μ+ν)/(μ−ν)), ≈ 1 for the first ~√κ/2 iterations and σ^c after
+	// (σ = (√κ−1)/(√κ+1)). A check is slow when it contracts worse than 0.8
+	// and worse than the square root of that promise, so the guard does not
+	// widen an interval that is already right. The square root stays above
+	// 0.8 past an interval's first few checks only when κ exceeds ≈ 2,000.
+	a, k, ce := math.Acosh((c.mu+c.nu)/(c.mu-c.nu)), float64(c.since), float64(l.s.Opts.CheckEvery)
+	promise := (math.Exp(-ce*a) + math.Exp(-(2*k-ce)*a)) / (1 + math.Exp(-2*k*a))
+	if rn > max(0.8, math.Sqrt(promise))*c.prevRn {
 		c.slowChecks++
 	} else {
 		c.slowChecks = 0
@@ -133,7 +145,7 @@ func (c *pcsi) advance(l *loop, g []float64) {}
 // recurrence must not see it.
 func (c *pcsi) restart(l *loop, st int) [][]float64 {
 	zeroFields(c.dx)
-	c.omega = 2 / c.gamma
+	c.omega, c.since = 2/c.gamma, 0
 	c.prevRn, c.slowChecks = math.Inf(1), 0
 	return nil
 }

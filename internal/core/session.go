@@ -80,7 +80,7 @@ func (o Options) withDefaults() Options {
 		o.EigSafetyLow = 0.85
 	}
 	if o.EigSafetyHigh == 0 {
-		o.EigSafetyHigh = 1.1
+		o.EigSafetyHigh = 1.05
 	}
 	if o.MaxRecoveries == 0 {
 		o.MaxRecoveries = 8

@@ -22,11 +22,15 @@ type ResidualPoint struct {
 }
 
 // EigBound is one Lanczos step's extreme Ritz-value estimate of the
-// spectrum of M⁻¹A.
+// spectrum of M⁻¹A, with the relative Ritz residuals β_{k+1}|s_k|/θ the
+// adaptive estimate stops on. The residuals need the next step's ρ, so they
+// are 0 on the last step of a run that ended on its step count.
 type EigBound struct {
-	Step int     `json:"step"` // Lanczos step number
-	Nu   float64 `json:"nu"`   // smallest Ritz value so far
-	Mu   float64 `json:"mu"`   // largest Ritz value so far
+	Step  int     `json:"step"`   // Lanczos step number
+	Nu    float64 `json:"nu"`     // smallest Ritz value so far
+	Mu    float64 `json:"mu"`     // largest Ritz value so far
+	NuRes float64 `json:"nu_res"` // relative residual of the ν Ritz pair
+	MuRes float64 `json:"mu_res"` // relative residual of the μ Ritz pair
 }
 
 // IntervalEvent records one adaptive widening of P-CSI's Chebyshev

