@@ -1,6 +1,6 @@
 // Command poplint is the repo's static-analysis multichecker: it enforces
-// the SPMD lockstep, determinism, hot-path allocation, context-flow, and
-// typed-error invariants (see internal/analysis and DESIGN.md §10).
+// the determinism, hot-path allocation, context-flow and typed-error
+// invariants (see internal/analysis and DESIGN.md §10).
 //
 // It runs two ways:
 //

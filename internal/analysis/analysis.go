@@ -1,18 +1,13 @@
 // Package analysis is poplint: a go/analysis suite that statically enforces
-// the SPMD, determinism, and hot-path invariants the solver's correctness
-// and performance results rest on (DESIGN.md §10).
+// the determinism, hot-path and error-handling invariants the solver's
+// correctness and performance results rest on (DESIGN.md §10).
 //
-// The paper's barotropic solvers are SPMD rank programs whose global
-// reductions and halo exchanges must be reached in the same order by every
-// rank, whose floating-point accumulations must be bitwise reproducible run
-// to run, and whose steady-state iteration paths must not allocate. PRs 2–4
-// made those properties hold and guard them with runtime tests (golden
-// traces, allocation gates, lockstep fault verdicts); the analyzers here
-// enforce them over every code path at build time:
+// The paper's barotropic solvers are SPMD programs whose floating-point
+// accumulations must be bitwise reproducible run to run and whose
+// steady-state iteration paths must not allocate. Runtime tests (golden
+// traces, allocation gates) hold those properties on the paths they run; the
+// analyzers here enforce them over every code path at build time:
 //
-//   - [CollectiveLockstep]: a collective (AllReduce, Exchange, Barrier, …)
-//     reachable only under a branch conditioned on rank-local state is a
-//     divergence/deadlock hazard.
 //   - [Determinism]: no wall-clock time, no math/rand, no map-order- or
 //     goroutine-spawn-order-dependent float accumulation in the numerics
 //     packages.
@@ -25,12 +20,15 @@
 //     with %w or use the typed Err*/*Error values so errors.Is/As matching
 //     cannot silently rot.
 //
-// These are the invariants only a static check holds: the first three were
+// These are the invariants only a static check holds: the first two were
 // each shown to be the only tripwire for a seeded defect, the last two are
 // generic lints no test could express (EXPERIMENTS.md, "Relegation (b)").
-// The protocol invariants — ladder membership, reduction
-// widths, wire-field parity — are enforced where they live instead (DESIGN.md
-// §14). There is no suppression directive: a false positive is fixed in the
+// SPMD lockstep — every shard reaching the same collectives in the same
+// order — is held at run time instead: a collective inside a per-rank pass
+// panics, and a shard that skips one stalls the run with a diagnostic naming
+// every shard's wait site (DESIGN.md §14.1). So are the protocol invariants —
+// ladder membership, reduction widths, wire-field parity (DESIGN.md §14).
+// There is no suppression directive: a false positive is fixed in the
 // analyzer, where the next reader will see it.
 //
 // The multichecker binary lives in cmd/poplint and runs standalone
@@ -44,7 +42,6 @@ import "golang.org/x/tools/go/analysis"
 // list covers every analyzer the package defines.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		CollectiveLockstep,
 		Determinism,
 		HotPathAlloc,
 		CtxFlow,

@@ -36,7 +36,7 @@ var CtxFlow = &analysis.Analyzer{
 }
 
 func runCtxFlow(pass *analysis.Pass) (any, error) {
-	if pass.Pkg.Name() == "main" || !libraryScope(pass) {
+	if pass.Pkg.Name() == "main" || isTestPkgPath(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

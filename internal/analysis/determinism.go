@@ -109,7 +109,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 				}
 			}
 		case *ast.CallExpr:
-			if name := rankMethodName(pass.TypesInfo, x); collectiveMethods[name] {
+			if name := collectiveName(pass.TypesInfo, x); name != "" {
 				pass.Reportf(rng.Pos(), "map-range body reaches collective %s: map iteration order is randomized, so ranks would issue collectives in differing orders", name)
 				return false
 			}

@@ -12,11 +12,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestDeterminismOutOfScope checks the analyzer ignores packages outside the
-// deterministic-numerics set: the same violations under an unscoped path
-// produce no diagnostics. The lockstep testdata package imports nothing
-// nondeterministic, so reuse it as the out-of-scope probe.
+// deterministic-numerics set: the fixture's serve package makes the same
+// kinds of violation as its stencil package, under an unscoped path, and
+// draws no diagnostic.
 func TestDeterminismOutOfScope(t *testing.T) {
-	if msgs := analyzertest.Diagnostics(t, "testdata/collectivelockstep", poplint.Determinism, "lockstep"); len(msgs) != 0 {
+	if msgs := analyzertest.Diagnostics(t, "testdata/determinism", poplint.Determinism, "repro/internal/serve"); len(msgs) != 0 {
 		t.Fatalf("determinism fired outside its scope: %q", msgs)
 	}
 }

@@ -24,25 +24,6 @@ var collectiveMethods = map[string]bool{
 	"ExchangeMulti": true,
 }
 
-// lockstepRankMethods are comm.Rank methods whose results are documented to
-// be identical on every rank of the collective (they are derived from the
-// reduction sequence alone), so branching on them is divergence-safe.
-var lockstepRankMethods = map[string]bool{
-	"ReduceFailed": true,
-	"ReduceSeq":    true,
-}
-
-// isRankType reports whether t is comm.Rank or *comm.Rank.
-func isRankType(t types.Type) bool { return isCommType(t, "Rank") }
-
-// isShardType reports whether t is comm.Shard or *comm.Shard.
-func isShardType(t types.Type) bool { return isCommType(t, "Shard") }
-
-// isHandleType reports whether t is one of the two handles a program gets
-// from the runtime — a rank or a shard — whose own fields are rank-local
-// (or shard-local) data and whose collectives must run in lockstep.
-func isHandleType(t types.Type) bool { return isRankType(t) || isShardType(t) }
-
 // isCommType reports whether t is comm.<name> or a pointer to it.
 func isCommType(t types.Type, name string) bool {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -68,18 +49,18 @@ func isPkgFunc(f *types.Func, path, name string) bool {
 	return f != nil && f.Name() == name && f.Pkg() != nil && f.Pkg().Path() == path
 }
 
-// rankMethodName returns the method name when call is a method call on
-// comm.Rank or comm.Shard (or a pointer to either), else "".
-func rankMethodName(info *types.Info, call *ast.CallExpr) string {
+// collectiveName returns the method name when call is one of the
+// collectives on comm.Rank or comm.Shard (or a pointer to either), else "".
+func collectiveName(info *types.Info, call *ast.CallExpr) string {
 	f := calleeFunc(info, call)
-	if f == nil {
+	if f == nil || !collectiveMethods[f.Name()] {
 		return ""
 	}
 	sig, ok := f.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	if !isHandleType(sig.Recv().Type()) {
+	if recv := sig.Recv().Type(); !isCommType(recv, "Rank") && !isCommType(recv, "Shard") {
 		return ""
 	}
 	return f.Name()

@@ -171,8 +171,8 @@ func buildPlans(w *World, p int) [][2]phasePlan {
 
 // Exchange refreshes the halos of one distributed field for every rank of
 // the shard: fields[i] is the field set of Ranks[i], fields[i][j] the padded
-// local array of its block j. Collective: every shard must call Exchange in
-// the same program order.
+// local array of its block j. Collective: every shard must call Exchange,
+// outside its Shard.Each passes, in the same program order.
 //
 //pop:hotpath
 func (sh *Shard) Exchange(fields [][][]float64) {
@@ -212,6 +212,9 @@ func (sh *Shard) ExchangeMulti(levels [][][][]float64) {
 //
 //pop:hotpath
 func (sh *Shard) exchange() {
+	if sh.cur >= 0 {
+		collectiveInPass(sh.ID, sh.Ranks[sh.cur].ID, "Exchange")
+	}
 	plans := sh.w.plans
 	nlv := len(sh.Ranks[0].levels)
 	for _, rk := range sh.Ranks {

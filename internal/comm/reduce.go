@@ -16,10 +16,11 @@ import (
 // AllReduce sums the shard's payloads element-wise across all ranks of the
 // world and returns the global result; vals[i] is the payload of Ranks[i].
 // It also synchronizes virtual clocks: every rank leaves at max(entry
-// clocks) + ReduceTime. Collective: every shard must call it the same number
-// of times with payloads of one width — a payload whose width differs from
-// the one the reduction was folded at panics (on the run's caller) instead of
-// returning sums over misaligned deposits.
+// clocks) + ReduceTime. Collective: every shard must call it, outside its
+// Shard.Each passes, the same number of times with payloads of one width —
+// a payload whose width differs from the one the reduction was folded at
+// panics (on the run's caller) instead of returning sums over misaligned
+// deposits.
 //
 // The returned slice is a persistent reduction workspace shared read-only
 // by all ranks: it stays valid until the shard's next collective call, then
@@ -54,6 +55,9 @@ import (
 //
 //pop:hotpath
 func (sh *Shard) AllReduce(vals [][]float64) []float64 {
+	if sh.cur >= 0 {
+		collectiveInPass(sh.ID, sh.Ranks[sh.cur].ID, "AllReduce")
+	}
 	w := sh.w
 	p := w.NRank
 	if len(vals) != len(sh.Ranks) {
@@ -172,6 +176,14 @@ func widthMismatch(rank, n, folded int) {
 func payloadCount(shard, got, want int) {
 	panic(fmt.Sprintf("comm: shard %d passes %d per-rank arguments to a collective, it has %d ranks",
 		shard, got, want))
+}
+
+// collectiveInPass reports a shard collective called inside a Shard.Each
+// pass, where it would be entered once per rank instead of once per shard.
+// Kept out of the hot path because it formats.
+func collectiveInPass(shard, rank int, collective string) {
+	panic(fmt.Sprintf("comm: shard %d calls %s inside a Shard.Each pass (rank %d): a collective runs once per shard, between passes",
+		shard, collective, rank))
 }
 
 // AllReduce is the per-rank form of Shard.AllReduce for World.Run programs:

@@ -47,7 +47,8 @@ import (
 // window. Mutex critical sections in shard programs contain no collective
 // calls, so a running worker never blocks on a lock held by a waiting one.
 //
-// Failure. A lockstep violation — a shard that skips a collective the others
+// Failure. A collective called inside a per-rank pass (Shard.Each) panics at
+// once. A lockstep violation — a shard that skips a collective the others
 // entered — leaves workers waiting on a flag nobody will publish. The
 // executor keeps its own count: when every worker is parked or finished and
 // at least one is parked, RunShards panics on its caller naming each waiting
@@ -104,9 +105,10 @@ type Shard struct {
 
 // Each is a per-rank pass over the shard, for use as a range-over-func
 // sequence: `for i, r := range sh.Each { … }` visits every rank in rank order.
-// A pass holds rank-local work only — a collective inside it would be
-// entered once per rank. A panic inside the loop body is reported on
-// RunShards' caller naming the rank it was running for.
+// A pass holds rank-local work only — a Shard collective called inside it
+// panics, naming the shard, the rank and the collective. A panic inside the
+// loop body is reported on RunShards' caller naming the rank it was running
+// for.
 func (sh *Shard) Each(yield func(int, *Rank) bool) {
 	for i, r := range sh.Ranks {
 		sh.cur = i

@@ -5,6 +5,7 @@ import (
 	"math"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -313,6 +314,19 @@ func TestLockstepViolationFailsFast(t *testing.T) {
 		}
 		return vals
 	}
+	// The aborted run must leave the world usable, as above.
+	usable := func(label string) {
+		t.Helper()
+		st := w.RunShards(func(sh *Shard) {
+			sh.Exchange(shardFields(sh))
+			if got := sh.AllReduce(payloads(sh, 1))[0]; got != float64(p) {
+				panic("wrong sum after an aborted run")
+			}
+		})
+		if st.Sum.Reductions != int64(p) {
+			t.Fatalf("%s: %d reductions after an aborted run, want %d", label, st.Sum.Reductions, p)
+		}
+	}
 	want := regexp.MustCompile(fmt.Sprintf(`shard [1-9]\d*: allreduce #1, \d+/%d ranks arrived`, p))
 	for _, threads := range []int{2, p} {
 		w.SetThreads(threads)
@@ -326,15 +340,35 @@ func TestLockstepViolationFailsFast(t *testing.T) {
 		if !strings.Contains(msg, "stalled") || !want.MatchString(msg) {
 			t.Fatalf("shard program, threads %d: diagnostic %q lacks %q", threads, msg, want)
 		}
-		st := w.RunShards(func(sh *Shard) {
-			sh.Exchange(shardFields(sh))
-			if got := sh.AllReduce(payloads(sh, 1))[0]; got != float64(p) {
-				panic("wrong sum after an aborted run")
+		usable(fmt.Sprintf("shard program, threads %d", threads))
+	}
+	// The pass-guard rows: a shard collective called inside a per-rank pass
+	// would be entered once per rank. It panics at once, naming the shard,
+	// the rank whose pass called it (its shard's first) and the collective.
+	guard := regexp.MustCompile(`shard (\d+) calls (\w+) inside a Shard\.Each pass \(rank (\d+)\)`)
+	for _, collective := range []string{"AllReduce", "Exchange"} {
+		for _, threads := range []int{1, 2} {
+			w.SetThreads(threads)
+			msg := shardsExpectingPanic(t, w, func(sh *Shard) {
+				for range sh.Each {
+					if collective == "AllReduce" {
+						sh.AllReduce(payloads(sh, 1))
+					} else {
+						sh.Exchange(shardFields(sh))
+					}
+				}
+			})
+			label := fmt.Sprintf("%s in a pass, threads %d", collective, threads)
+			m := guard.FindStringSubmatch(msg)
+			if m == nil || m[2] != collective {
+				t.Fatalf("%s: panic %q does not name the shard, the rank and %s", label, msg, collective)
 			}
-		})
-		if st.Sum.Reductions != int64(p) {
-			t.Fatalf("shard program, threads %d: %d reductions after an aborted run, want %d",
-				threads, st.Sum.Reductions, p)
+			shard, _ := strconv.Atoi(m[1])
+			rank, _ := strconv.Atoi(m[3])
+			if w.ranks[rank].Shard() != shard || (rank > 0 && w.ranks[rank-1].Shard() == shard) {
+				t.Fatalf("%s: %q names rank %d, not shard %d's first rank", label, m[0], rank, shard)
+			}
+			usable(label)
 		}
 	}
 }

@@ -45,6 +45,11 @@ func (c *chronGear) observe(l *loop, g []float64, rn float64) verdict { return p
 
 func (c *chronGear) advance(l *loop, g []float64) {
 	rho, delta := g[0], g[1]
+	if rho == 0 {
+		// r vanished exactly (a one-cell ocean does it in one step): x is
+		// the solution, and β and α would be 0/0.
+		return
+	}
 	beta := rho / c.rhoPrev
 	sigma := delta - beta*beta*c.sigmaPrev
 	alpha := rho / sigma

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,40 +103,126 @@ var allSolvers = map[string]Method{
 	"sstep":     MethodSStep,
 }
 
+// hostileMasks are hand-drawn geometries for the dense-reference table, on a
+// 20×16 grid cut into 5×4 blocks: block seams at x = 5, 10, 15 and
+// y = 4, 8, 12, with the four-block corner (10, 8) in the middle. Each is a
+// shape the friendly synthetic continents do not produce.
+var hostileMasks = []struct {
+	name  string
+	ocean func(i, j int) bool
+}{
+	// One rank holding one wet cell with no wet corner: A is its mass term.
+	{"single-cell", func(i, j int) bool { return i == 7 && j == 6 }},
+	// An open basin whose block (1, 1) is all land, so the decomposition
+	// drops it and four ranks border a hole.
+	{"land-block", func(i, j int) bool { return i < 5 || i >= 10 || j < 4 || j >= 8 }},
+	// A two-cell wall on the x = 10 seam, crossed by a one-cell strait at
+	// j = 6. The strait's two cells have no wet corner, so they couple to
+	// nothing and the basins either side are disconnected: A splits at the
+	// seam, with a mass-term row on each side of it.
+	{"seam-strait", func(i, j int) bool { return (i != 9 && i != 10) || j == 6 }},
+	// A 2×2 island centred on the four-block corner: each of the four
+	// blocks owns one of its cells, in the corner of every other's halo.
+	{"corner-island", func(i, j int) bool { return (i != 9 && i != 10) || (j != 7 && j != 8) }},
+}
+
+// withMask returns a copy of g with mask ocean: g's metrics, g's depth on
+// cells g already had wet and 1000 m on the rest, and the corner depths
+// rederived (HU is the shallowest of four wet cells, 0 beside any land).
+func withMask(g *grid.Grid, ocean func(i, j int) bool) *grid.Grid {
+	h := *g
+	h.Mask = make([]bool, g.N())
+	h.HT = make([]float64, g.N())
+	h.HU = make([]float64, g.N())
+	for j := range g.Ny {
+		for i := range g.Nx {
+			if k := g.Idx(i, j); ocean(i, j) {
+				h.Mask[k], h.HT[k] = true, cmp.Or(g.HT[k], 1000)
+			}
+		}
+	}
+	for j := range g.Ny {
+		for i := range g.Nx {
+			if h.IsOcean(i, j) && h.IsOcean(i+1, j) && h.IsOcean(i, j+1) && h.IsOcean(i+1, j+1) {
+				h.HU[h.Idx(i, j)] = min(h.HT[h.Idx(i, j)], h.HT[h.Idx(i+1, j)],
+					h.HT[h.Idx(i, j+1)], h.HT[h.Idx(i+1, j+1)])
+			}
+		}
+	}
+	return &h
+}
+
+// TestSolversMatchDenseReference is the answer oracle: every row of the
+// methods table × preconditioner × worker shards ∈ {1, 4} (× s ∈ {1, 4, 8}
+// for s-step) must reproduce the dense LU solution, on the friendly 40×32
+// synthetic grid and on each hostile mask. The threads-4 rows run every
+// collective of the driver and the recurrences across four shards.
 func TestSolversMatchDenseReference(t *testing.T) {
+	type geometry struct {
+		name   string
+		g      *grid.Grid
+		bx, by int
+	}
 	spec := grid.TestSpec()
 	spec.Nx, spec.Ny = 40, 32
-	f := newFixture(t, grid.Generate(spec), 10, 8, 20000)
-	want := f.denseReference(t)
-	x0 := make([]float64, f.g.N())
-	for name, m := range allSolvers {
-		for _, pc := range []PrecondType{PrecondIdentity, PrecondDiagonal, PrecondEVP, PrecondBlockLU} {
-			if (name == "pcsi" || name == "sstep") && pc == PrecondIdentity {
-				// Plain CSI on the raw operator is impractical: the
-				// unpreconditioned spectrum's lower edge is clustered and
-				// Lanczos cannot bracket it in few steps (this is why Hu
-				// 2013 and the paper always pair CSI with at least
-				// diagonal scaling). Covered by its own test below. The
-				// s-step Chebyshev basis leans on the same Lanczos interval
-				// and inherits the restriction.
-				continue
-			}
-			s := f.session(t, Options{Precond: pc, Tol: 1e-12})
-			res, x, err := s.Solve(m, f.b, x0)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, pc, err)
-			}
-			if !res.Converged {
-				t.Fatalf("%s/%s: did not converge in %d iterations (rel res %g)",
-					name, pc, res.Iterations, res.RelResidual)
-			}
-			if e := maxOceanErr(f.g, x, want); e > 1e-9 {
-				t.Fatalf("%s/%s: solution error %g", name, pc, e)
-			}
-			// Land rows must be exact identity: x = b.
-			for k, m := range f.g.Mask {
-				if !m && x[k] != f.b[k] {
-					t.Fatalf("%s/%s: land row %d not identity", name, pc, k)
+	geoms := []geometry{{"friendly", grid.Generate(spec), 10, 8}}
+	spec.Nx, spec.Ny = 20, 16
+	base := grid.Generate(spec)
+	for _, h := range hostileMasks {
+		geoms = append(geoms, geometry{h.name, withMask(base, h.ocean), 5, 4})
+	}
+	for _, geom := range geoms {
+		if err := geom.g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		f := newFixture(t, geom.g, geom.bx, geom.by, 20000)
+		want := f.denseReference(t)
+		x0 := make([]float64, f.g.N())
+		for i, spec := range methods {
+			m := Method(i)
+			for _, pc := range precondSpellings {
+				if spec.diverged != "" && pc.value == PrecondIdentity {
+					// Plain CSI on the raw operator is impractical: the
+					// unpreconditioned spectrum's lower edge is clustered and
+					// Lanczos cannot bracket it in few steps (this is why Hu
+					// 2013 and the paper always pair CSI with at least
+					// diagonal scaling). Covered by its own test below. The
+					// s-step Chebyshev basis leans on the same Lanczos interval
+					// and inherits the restriction.
+					continue
+				}
+				ss := []int{DefaultSStep}
+				if m == MethodSStep {
+					ss = []int{1, 4, 8}
+				}
+				for _, threads := range []int{1, 4} {
+					for _, sstep := range ss {
+						name := fmt.Sprintf("%s/%v-%v/threads%d", geom.name, m, pc.value, threads)
+						if m == MethodSStep {
+							name += fmt.Sprintf("/s%d", sstep)
+						}
+						t.Run(name, func(t *testing.T) {
+							f.w.SetThreads(threads)
+							s := f.session(t, Options{Precond: pc.value, Tol: 1e-12, SStep: sstep})
+							res, x, err := s.Solve(m, f.b, x0)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !res.Converged {
+								t.Fatalf("did not converge in %d iterations (rel res %g)",
+									res.Iterations, res.RelResidual)
+							}
+							if e := maxOceanErr(f.g, x, want); e > 1e-9 {
+								t.Fatalf("solution error %g", e)
+							}
+							// Land rows must be exact identity: x = b.
+							for k, wet := range f.g.Mask {
+								if !wet && x[k] != f.b[k] {
+									t.Fatalf("land row %d not identity", k)
+								}
+							}
+						})
+					}
 				}
 			}
 		}

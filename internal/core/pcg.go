@@ -48,11 +48,15 @@ func (c *pcg) observe(l *loop, g []float64, rn float64) verdict { return proceed
 func (c *pcg) advance(l *loop, g []float64) {
 	if !c.half {
 		c.rho = g[0]
-		if c.fresh {
+		switch {
+		case c.rho == 0:
+			// r vanished exactly (a one-cell ocean does it in one step): x is
+			// the solution, and β here and α below would be 0/0.
+		case c.fresh:
 			for i := range c.pp {
 				copy(c.pp[i], c.rp[i])
 			}
-		} else {
+		default:
 			beta := c.rho / c.rhoPrev
 			for i, loc := range l.rs.locs {
 				xpay(loc, c.pp[i], c.rp[i], beta)
@@ -62,12 +66,15 @@ func (c *pcg) advance(l *loop, g []float64) {
 		c.rhoPrev, c.fresh, c.half = c.rho, false, true
 		return
 	}
+	c.half = false
+	if c.rho == 0 {
+		return
+	}
 	alpha := c.rho / g[0]
 	for i, loc := range l.rs.locs {
 		axpy2(loc, l.x[i], c.pp[i], alpha, l.rr[i], c.zz[i], -alpha) // x += αp, r −= αz
 		l.r.AddFlops(2 * int64(loc.InteriorLen()))
 	}
-	c.half = false
 }
 
 func (c *pcg) restart(l *loop, st int) [][]float64 {

@@ -35,7 +35,7 @@ import "strconv"
 //
 // All dense arithmetic runs on *reduced* values, so it is bit-identical on
 // every rank by construction — no rank-local verdict ever steers a
-// collective (the collectivelockstep contract).
+// collective.
 
 // MaxSStep is the largest supported s-step block size, and every boundary
 // (NewSession, the api parser, the frame decoder, the serve key normalizer)
@@ -265,9 +265,19 @@ func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
 	if c.fromV {
 		copy(c.wFac, gm)
 		if !cholFactor(c.wFac, sv) {
-			// Even the fresh basis is degenerate (r at rounding level or
-			// non-finite) — no further progress is possible.
-			return stop
+			// Even the fresh basis is degenerate: the Krylov space ran out
+			// before the block did (a one-cell ocean's is one-dimensional),
+			// or r is at rounding level. Take the basis' first column alone —
+			// a preconditioned steepest-descent step — and restart the next
+			// block from P = V. With no first column either (r' = 0 or
+			// non-finite) no further progress is possible.
+			if !(gm[0] > 0) {
+				return stop
+			}
+			clear(c.avec)
+			c.avec[0] = c.mvec[0] / gm[0]
+			c.force = true
+			return proceed
 		}
 		copy(c.wPrev, gm)
 	}

@@ -15,9 +15,8 @@ import (
 // the golden traces pin). The stages are rank-local: halo exchanges are the
 // driver's, between a recurrence's stages.
 //
-// Every helper takes the whole *comm.Rank handle, which is the
-// collectivelockstep analyzer's trusted-helper idiom: the helper's own body
-// is analyzed instead of its results being treated as rank-local taint.
+// Every helper takes the whole *comm.Rank handle and runs inside a per-rank
+// pass, where no collective may be called (comm panics if one is).
 //
 // The s-step recurrence adds two stages with no single-vector counterpart:
 // the Chebyshev basis build (sstep.go) and the Gram-system assembly, whose

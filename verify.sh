@@ -67,84 +67,67 @@ internal/core/precond.go|func (p *diagPrecond) Apply(
 EOF_LOOPS
 
 echo "== poplint static analysis =="
-# The `collectivelockstep`, `determinism`, `hotpathalloc`, `ctxflow` and
-# `typederr` analyzers — SPMD lockstep with interprocedural taint, no clocks
-# or unordered sums in the numerics, no allocation in a hot path, contexts
-# threaded, errors typed: the five invariants only a static check holds
-# (DESIGN.md §10) — must run clean: go vet exits nonzero on any diagnostic.
+# The `determinism`, `hotpathalloc`, `ctxflow` and `typederr` analyzers — no
+# clocks or unordered sums in the numerics, no allocation in a hot path,
+# contexts threaded, errors typed: the four invariants only a static check
+# holds (DESIGN.md §10) — must run clean: go vet exits nonzero on any
+# diagnostic. SPMD lockstep is the shard runtime's to hold (DESIGN.md §14.2).
 poplint_tmp=$(mktemp -d)
 go build -o "$poplint_tmp/poplint" ./cmd/poplint
 go vet -vettool="$poplint_tmp/poplint" ./...
 rm -rf "$poplint_tmp"
 
-echo "== poplint analyzer suite (race) =="
-# The five analyzers' own tests — a violation+clean fixture each, the
-# interprocedural lockstep testdata and the harness — with the test cache
-# defeated so the gate always runs.
-go test -race -count=1 ./internal/analysis/...
-
 echo "== go test -race =="
+# Every test of the tree under the race detector, once. Besides the unit
+# tests this is where the named gates run, each under -race:
+# - the analyzers' own tests (a violation+clean fixture each, the harness);
+# - the zero-allocation steady state of the comm collectives
+#   (TestSteadyStateCommAllocFree, TestExchangeMultiBufferReuse) and bitwise
+#   residual histories across warm and cold arenas;
+# - the shard executor (the executor_gates below) and the chaos, worker-shard
+#   and s-step gates: fault injection bitwise invisible when off, every
+#   {method} x {fault class} cell recovering on the ladder, solutions bitwise
+#   identical across threads 1/2/4/8, the ceil(iters/s)+1 reduction bound;
+# - the answer oracle: every methods row x preconditioner x threads {1, 4}
+#   (x s {1, 4, 8}) against a dense LU solve on the friendly grid and four
+#   hostile masks (TestSolversMatchDenseReference);
+# - the serve, tracing and flight-recorder gates, the wire hops field by
+#   field (DESIGN.md §14.1), doc coverage and the runnable examples.
+# The allocation gate of the solvers and the fingerprints are counted in the
+# non-race build, at GOMAXPROCS=1 below.
 go test -race ./...
 
-echo "== zero-allocation steady state (comm + core) =="
-# The allocation-discipline gate: pooled halo buffers, reduction workspaces
-# and solver arenas must keep the steady-state iteration allocation-free and
-# bitwise deterministic. -count=1 defeats the test cache so the gate always
-# executes.
-go test -race -count=1 \
-    -run 'TestExchangeMultiBufferReuse|TestSteadyStateCommAllocFree' \
-    ./internal/comm/
-go test -race -count=1 \
-    -run 'TestSteadyStateSolverAllocFree|TestPCSIResidualHistoryBitwiseDeterministic' \
-    ./internal/core/
-
-echo "== shard executor gates (race) =="
+echo "== shard executor gates on one scheduler thread (race) =="
 # The rank runtime itself: Exchange/ExchangeMulti/AllReduce looped over
-# NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5} x GOMAXPROCS {1,2},
-# bitwise equal to Threads=1 and to a sequential reduction tree — which
-# holds the shard exchange's direct copies (Threads=1: every halo edge) to
-# its mailboxes (Threads=NRank: every edge) — and the same with halo drops
-# and corruptions injected, against a sequential model; a skipped
-# collective, a level-count mismatch, ranks entering one reduction with
-# different payload widths or a panicking rank must fail fast on the run's
-# caller instead of hanging or summing misaligned deposits — each of the
-# three fail-fast tests with a World.Run row and a shard-program row (a
-# shard skipping a collective, leaving before an exchange, panicking in a
-# per-rank pass). Once more with the whole process on one scheduler thread,
-# where a lost wake-up or a worker that never yields — a shard waiting on
-# another shard's reduction or mailbox must park and be woken, not spin —
-# would show as a hang; and the serve overload burst must still shed there.
+# NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5}, bitwise equal to
+# Threads=1 and to a sequential reduction tree, with halo drops and
+# corruptions injected against a sequential model; a skipped collective, a
+# collective inside a per-rank pass, a level-count mismatch, ranks entering
+# one reduction with different payload widths or a panicking rank must fail
+# fast on the run's caller instead of hanging or summing misaligned deposits.
+# The race step above ran them at the host's GOMAXPROCS; here the whole
+# process is on one scheduler thread, where a lost wake-up or a worker that
+# never yields — a shard waiting on another shard's reduction or mailbox must
+# park and be woken, not spin — would show as a hang.
 executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
-go test -race -count=1 -run "$executor_gates" ./internal/comm/
 GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
-go test -race -count=1 -run 'TestChaosAcrossThreads' ./internal/core/
 # Every solve is a shard program whose workers park and wake on each other's
-# reductions and seam mailboxes: the fingerprints, the allocation gate and
-# the cross-thread bitwise gate on one scheduler thread, where a lost
-# wake-up would hang.
+# reductions and seam mailboxes: the fingerprints, the solvers' allocation
+# gate (a warm iteration allocates nothing, for every methods row x
+# preconditioner) and the cross-thread bitwise gate on one scheduler thread,
+# where a lost wake-up would hang; and the serve overload burst must still
+# shed there.
 GOMAXPROCS=1 go test -count=1 -run 'TestSolveFingerprints|TestSteadyStateSolverAllocFree|TestFloat64BitwiseAcrossThreads' ./internal/core/
 GOMAXPROCS=1 go test -count=1 -run 'TestOverloadShedsNeverBlocks' ./internal/serve/
 
-echo "== worker-shard gate (race) =="
-# Hardware-parallelism invariant: solutions and residual histories are
-# bitwise identical across worker-shard counts (threads 1/2/4/8), under the
-# race detector.
-go test -race -count=1 -run 'TestFloat64BitwiseAcrossThreads' ./internal/core/
-# The executor end to end: a -threads 1 and a -threads 4 popsolve
-# run must print identical numerics (iterations, residual, error digits).
+echo "== the executor end to end =="
+# A -threads 1 and a -threads 4 popsolve run must print identical numerics
+# (iterations, residual, error digits), for ChronGear and for the sharded
+# s-step scheduler.
 shard1=$(go run ./cmd/popsolve -grid test -method chrongear -precond evp -cores 12 -threads 1 | grep '^converged=')
 shard4=$(go run ./cmd/popsolve -grid test -method chrongear -precond evp -cores 12 -threads 4 | grep '^converged=')
 [ "$shard1" = "$shard4" ] || {
     echo "popsolve numerics differ across -threads:"; echo "  1: $shard1"; echo "  4: $shard4"; exit 1; }
-
-echo "== s-step solver gates (race) =="
-# The communication-avoiding s-step solver: RMSZ convergence equivalence
-# with fp64 ChronGear for every preconditioner × s, the ceil(iters/s)+1
-# reduction bound counted from the communicator, and fp64 bitwise
-# determinism across worker shards and warm-arena repeats.
-go test -race -count=1 -run 'TestSStep' ./internal/core/
-# The sharded s-step scheduler end to end: -threads 1 and -threads 4 runs
-# must print identical numerics, like the ChronGear gate above.
 ss1=$(go run ./cmd/popsolve -grid test -method sstep -precond evp -cores 12 -threads 1 | grep '^converged=')
 ss4=$(go run ./cmd/popsolve -grid test -method sstep -precond evp -cores 12 -threads 4 | grep '^converged=')
 [ "$ss1" = "$ss4" ] || {
@@ -176,54 +159,6 @@ echo "== wire-surface fuzz smoke (10s per target) =="
 go test -run=NONE -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/api/
 go test -run=NONE -fuzz=FuzzParseMethod -fuzztime=10s ./internal/core/
 go test -run=NONE -fuzz=FuzzParsePrecond -fuzztime=10s ./internal/core/
-
-echo "== doc coverage + examples =="
-# Every exported identifier of the public surface (pop, serve, faults, obs,
-# analysis + its harness, api, fleet, core, comm, decomp, grid, stencil)
-# must carry a doc comment, every command line, `popbench -exp` id,
-# -method / -solver / -precond spelling and BENCH_*.json that README,
-# ARCHITECTURE, SOLVERS, DESIGN and this script name must still exist,
-# every alternative of this script's `go test -run` patterns and every
-# -fuzz name must match a test of the package its line names (go test
-# passes silently on a pattern that matches nothing), and the runnable
-# Example* functions must pass.
-go test -count=1 -run 'TestPublicSurfaceDocumented|TestDocsNameRealFlagsAndArtifacts|Example' .
-
-echo "== chaos / resilience gates (race) =="
-# Fault injection must be bitwise invisible when disabled for every method,
-# all 20 cells of the {four methods} x {five fault classes} table must
-# recover to the true-residual tolerance on the check ladder alone, the
-# degraded-mode ladder must engage and hold every row of the methods table
-# to its rungs (TestLadderCoversMethodsTable), and the serve layer must
-# retry a faulted request once, surface one that faults again as a typed
-# ErrFaulted, and hand a request's s-step block size to its session — all
-# under the race detector.
-go test -race -count=1 \
-    -run 'TestInjectorDisabledBitwiseIdentical|Recovery$|TestRecoveryBudgetExhaustionFaults|TestLadder|TestChaosRunsDeterministic' \
-    ./internal/core/
-go test -race -count=1 -run 'TestServe' ./internal/serve/
-
-echo "== serve concurrency gates (race) =="
-# The serving-layer invariants: pooled concurrent solves stay bitwise
-# identical to serial, a full queue sheds with ErrOverloaded instead of
-# blocking, expired requests are skipped, and Close drains gracefully.
-go test -race -count=1 \
-    -run 'TestPooledSolvesBitwiseIdenticalToSerial|TestOverloadShedsNeverBlocks|TestBatchingCoalesces|TestDeadlineExpiryMidSolve|TestExpiredInQueueSkipped|TestGracefulDrain' \
-    ./internal/serve/
-
-echo "== request tracing gates (race) =="
-# End-to-end tracing invariants: one traced request's seven-phase
-# attribution sums to within 5% of measured latency, tracing leaves
-# solutions bitwise identical, Perfetto export survives concurrent load,
-# the flight recorder's fixed ring keeps the newest records under
-# concurrent notes and reads, span recording stays zero-alloc, and the
-# Prometheus exposition escapes hostile HELP/label content.
-go test -race -count=1 \
-    -run 'TestTracedRequestAttribution|TestTracingDoesNotPerturbSolutions|TestPerfettoExportDuringLoad|TestTraceDroppedExported|TestQueueDepthMetrics' \
-    ./internal/serve/
-go test -race -count=1 \
-    -run 'TestPerfettoRoundTrip|TestSpanRecordZeroAlloc|TestExportDroppedCounter|TestPrometheusEscapingConformance|TestConcurrentRegistryRegistration|TestFlight' \
-    ./internal/obs/
 
 echo "== popsolve telemetry smoke run =="
 tmp=$(mktemp -d)
@@ -298,16 +233,6 @@ done
 if kill -0 "$server_pid" 2>/dev/null; then
     echo "popserver did not exit after SIGTERM"; exit 1
 fi
-
-echo "== wire hops, field by field =="
-# A request field crosses five hops — JSON -> frame (Parse), the frame codec,
-# frame -> serve (popserver's dispatch), serve -> frame (HTTPWorker), and the
-# pool and cache keys. One reflective test per hop enumerates the struct's
-# fields, so a field a hop forgot fails by name (DESIGN.md §14.1).
-go test -count=1 -run 'TestParseCarriesEveryField|TestFrameRequestRoundTrip|TestHashSolve' ./internal/api/
-go test -count=1 -run 'TestServeRequestCarriesEveryFrameField' ./cmd/popserver/
-go test -count=1 -run 'TestFrameRequestCarriesEveryServeField|TestCacheKeyCoversEveryServeField' ./internal/fleet/
-go test -count=1 -run 'TestKeyCoversRequestScalars' ./internal/serve/
 
 echo "== fleet smoke run (router + 2 workers over the binary frame) =="
 # Two worker popservers, a router consistent-hashing onto them over the
