@@ -17,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/api"
-	"repro/internal/fleet"
 	"repro/internal/grid"
 )
 
@@ -26,7 +25,7 @@ import (
 type handler struct {
 	svc *pop.Service
 	flt *pop.Fleet
-	// reg is the router's metrics registry in fleet modes (worker registries
+	// reg is the router's metrics registry in a fleet (worker registries
 	// are private; /metrics exposes the fleet_* counters).
 	reg      *pop.MetricsRegistry
 	draining atomic.Bool
@@ -52,7 +51,7 @@ func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
 	isFrame := strings.HasPrefix(r.Header.Get("Content-Type"), api.ContentTypeFrame)
 	if h.draining.Load() {
 		err := fmt.Errorf("draining: %w", pop.ErrServiceClosed)
-		h.writeError(w, isFrame, fleet.StatusFor(err), err)
+		h.writeError(w, isFrame, statusFor(err), err)
 		return
 	}
 	if r.ContentLength > maxBody {
@@ -89,12 +88,12 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 		freq.B, err = h.syntheticRHS(freq.Grid, req.RHS)
 	}
 	if err != nil {
-		h.writeError(w, false, fleet.StatusFor(err), err)
+		h.writeError(w, false, statusFor(err), err)
 		return
 	}
 	resp, err := h.dispatch(r.Context(), freq)
 	if err != nil {
-		h.writeError(w, false, fleet.StatusFor(err), err)
+		h.writeError(w, false, statusFor(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -104,12 +103,12 @@ func (h *handler) solveJSON(w http.ResponseWriter, r *http.Request, body []byte)
 func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte) {
 	freq, err := api.DecodeFrameRequest(body)
 	if err != nil {
-		h.writeError(w, true, fleet.StatusFor(err), err)
+		h.writeError(w, true, statusFor(err), err)
 		return
 	}
 	resp, err := h.dispatch(r.Context(), freq)
 	if err != nil {
-		h.writeError(w, true, fleet.StatusFor(err), err)
+		h.writeError(w, true, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", api.ContentTypeFrame)
@@ -117,6 +116,36 @@ func (h *handler) solveFrame(w http.ResponseWriter, r *http.Request, body []byte
 	if _, err := w.Write(api.AppendFrameResponse(nil, resp)); err != nil {
 		log.Printf("popserver: frame write: %v", err)
 	}
+}
+
+// wireErrors is the error → HTTP-status table of the /v1 surface: statusFor
+// takes the first row the error matches, for a JSON error body or an error
+// frame alike. A malformed frame is a bad request like any other, so
+// api.ErrBadFrame shares 400 with pop.ErrBadSpec. Errors no row matches
+// (session build failures, a failed eigenvalue estimate) go out as 500.
+var wireErrors = []struct {
+	target error
+	status int
+}{
+	{pop.ErrOverloaded, http.StatusTooManyRequests}, // queue full: retry later or elsewhere
+	{pop.ErrBadSpec, http.StatusBadRequest},
+	{api.ErrBadFrame, http.StatusBadRequest},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout},
+	{context.Canceled, 499},                               // client closed request
+	{pop.ErrServiceClosed, http.StatusServiceUnavailable}, // draining: try another instance
+	{pop.ErrNotConverged, http.StatusUnprocessableEntity},
+	{pop.ErrFaulted, http.StatusBadGateway}, // the solve's virtual machine failed, not the server
+}
+
+// statusFor maps an error from the solve path onto the HTTP status of its
+// error reply (see wireErrors); an error no row matches is a 500.
+func statusFor(err error) int {
+	for _, row := range wireErrors {
+		if errors.Is(err, row.target) {
+			return row.status
+		}
+	}
+	return http.StatusInternalServerError
 }
 
 // serveRequest is the frame → serve hop: everything of a wire request that
@@ -224,7 +253,7 @@ func (h *handler) healthV1(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, api.HealthResponse{Status: status})
 }
 
-// stats answers GET V1Stats. Fleet modes aggregate: router counters, one
+// stats answers GET V1Stats. A fleet aggregates: router counters, one
 // row per worker, summed totals. Single mode reports itself as one worker.
 func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	var resp api.StatsResponse
@@ -233,7 +262,7 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	} else {
 		c := h.svc.Snapshot()
 		resp.Grids = h.svc.Grids()
-		resp.Workers = []api.WorkerStats{{Worker: 0, Addr: "local", Healthy: true, Counters: c}}
+		resp.Workers = []api.WorkerStats{{Worker: 0, Counters: c}}
 		resp.Totals = c
 	}
 	resp.GoVersion = runtime.Version()
@@ -244,7 +273,7 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // metrics serves the Prometheus text exposition: the service registry in
-// single mode, the router's fleet_* registry in fleet modes.
+// single mode, the router's fleet_* registry in a fleet.
 func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	reg := h.reg
@@ -257,7 +286,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // writePerfetto renders the Perfetto export: all sessions' rank spans plus
-// request records, merged fleet-wide in fleet modes.
+// request records, merged fleet-wide in a fleet.
 func (h *handler) writePerfetto(w io.Writer) error {
 	if h.flt != nil {
 		return h.flt.WritePerfetto(w)
@@ -274,8 +303,8 @@ func (h *handler) trace(w http.ResponseWriter, r *http.Request) {
 }
 
 // flight serves the flight-recorder snapshot: a JSON object whose one key,
-// "recent", holds the ring's request records, oldest first (fleet modes
-// merge the router's and every local worker's rings).
+// "recent", holds the ring's request records, oldest first (a fleet merges
+// the router's and every worker's rings).
 func (h *handler) flight(w http.ResponseWriter, r *http.Request) {
 	var recs []pop.RequestRecord
 	if h.flt != nil {

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -115,6 +118,75 @@ func TestBodyLimitFitsLargestFrame(t *testing.T) {
 		h.solve(rec, req)
 		if rec.Code != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s body of %d bytes: status %d, want 413", contentType, maxBody+1, rec.Code)
+		}
+	}
+}
+
+// TestTypedErrorsLeaveWithTheirStatus sends every typed error the solve path
+// returns out the way the solve handler does — statusFor, then writeError —
+// in both encodings: a JSON ErrorBody and an error frame must each carry
+// the error's status and message, and every wireErrors row must be some
+// case's status. A draining server's live 503 ties the table to solve.
+func TestTypedErrorsLeaveWithTheirStatus(t *testing.T) {
+	cases := []struct {
+		name   string
+		err    error // as the service or the fleet returns it
+		status int
+	}{
+		{"overloaded", pop.ErrOverloaded, http.StatusTooManyRequests},
+		{"closed", fmt.Errorf("draining: %w", pop.ErrServiceClosed), http.StatusServiceUnavailable},
+		{"bad spec", fmt.Errorf("serve: rhs length 3, want 3072: %w", pop.ErrBadSpec), http.StatusBadRequest},
+		{"field error", &api.FieldError{Field: "method", Value: "warp", Accepted: []string{"chrongear"}}, http.StatusBadRequest},
+		{"bad frame", fmt.Errorf("truncated: %w", api.ErrBadFrame), http.StatusBadRequest},
+		{"not converged", &pop.NotConvergedError{Solver: "pcsi", Iterations: 9}, http.StatusUnprocessableEntity},
+		{"faulted", &pop.FaultedError{Solver: "pcsi", Restores: 200}, http.StatusBadGateway},
+		{"deadline", fmt.Errorf("serve: expired in queue: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{"cancelled", fmt.Errorf("serve: request abandoned: %w", context.Canceled), 499},
+		{"untyped", errors.New("core: eigenvalue estimate failed"), http.StatusInternalServerError},
+	}
+	h := &handler{}
+	covered := map[int]bool{}
+	for _, tc := range cases {
+		covered[tc.status] = true
+		if got := statusFor(tc.err); got != tc.status {
+			t.Errorf("%s: statusFor = %d, want %d", tc.name, got, tc.status)
+			continue
+		}
+		rec := httptest.NewRecorder()
+		h.writeError(rec, false, statusFor(tc.err), tc.err)
+		var body api.ErrorBody
+		if rec.Code != tc.status || rec.Header().Get("Content-Type") != api.ContentTypeJSON {
+			t.Errorf("%s JSON: status %d %q, want %d %q", tc.name, rec.Code, rec.Header().Get("Content-Type"), tc.status, api.ContentTypeJSON)
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error != tc.err.Error() {
+			t.Errorf("%s JSON: body %s (%v), want error %q", tc.name, rec.Body, err, tc.err.Error())
+		}
+		var fe *api.FieldError
+		if errors.As(tc.err, &fe) && (body.Field != fe.Field || !reflect.DeepEqual(body.Accepted, fe.Accepted)) {
+			t.Errorf("%s JSON: field %q accepted %v, want %q %v", tc.name, body.Field, body.Accepted, fe.Field, fe.Accepted)
+		}
+
+		rec = httptest.NewRecorder()
+		h.writeError(rec, true, statusFor(tc.err), tc.err)
+		status, msg, err := api.DecodeFrameError(rec.Body.Bytes())
+		if rec.Code != tc.status || err != nil || status != tc.status || msg != tc.err.Error() {
+			t.Errorf("%s frame: HTTP %d, frame status %d message %q (%v), want %d %q",
+				tc.name, rec.Code, status, msg, err, tc.status, tc.err.Error())
+		}
+	}
+	for _, row := range wireErrors {
+		if !covered[row.status] {
+			t.Errorf("wireErrors row %v (status %d) has no case", row.target, row.status)
+		}
+	}
+
+	h.draining.Store(true)
+	for _, contentType := range []string{api.ContentTypeJSON, api.ContentTypeFrame} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(nil))
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		h.solve(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s request while draining: status %d, want 503", contentType, rec.Code)
 		}
 	}
 }

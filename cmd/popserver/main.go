@@ -1,10 +1,8 @@
 // Command popserver exposes the concurrent solve service over HTTP — as a
-// single-process server, an in-process sharded fleet, or a router over
-// remote workers.
+// single service or as an in-process sharded fleet.
 //
 //	popserver -addr :8080 -sessions 2 -queue 64          # single service
-//	popserver -addr :8080 -fleet 4                       # 4-shard local fleet
-//	popserver -addr :8080 -routeto http://a:8081,http://b:8081
+//	popserver -addr :8080 -fleet 4                       # 4-shard fleet
 //	popserver -probe http://localhost:8080 -frame        # one-shot client
 //
 // The HTTP surface is versioned under /v1:
@@ -16,13 +14,13 @@
 //	GET  /v1/stats     fleet-wide counter aggregation (api.StatsResponse):
 //	                   router counters, per-worker rows, summed totals
 //	GET  /metrics      Prometheus text exposition (single: serve_* metrics;
-//	                   fleet modes: the router's fleet_* metrics — worker
+//	                   fleet: the router's fleet_* metrics — worker
 //	                   counters are aggregated under /v1/stats)
-//	GET  /debug/trace  Perfetto trace export (fleet modes merge every local
+//	GET  /debug/trace  Perfetto trace export (a fleet merges every
 //	                   worker's session tracks, re-homed per worker)
 //	GET  /debug/flight flight-recorder ring: {"recent":[request records]}
 //
-// In fleet modes, requests are consistent-hashed on their session-pool key
+// In a fleet, requests are consistent-hashed on their session-pool key
 // so each shard keeps its own warm sessions, and completed solves replay
 // bitwise from a content-addressed LRU cache ("cache":"hit" in the
 // response). A shard whose queue is full answers 429, as a single service
@@ -44,7 +42,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +65,6 @@ func main() {
 		traceout  = flag.String("traceout", "", "write a Perfetto trace export here on shutdown")
 
 		fleetN   = flag.Int("fleet", 0, "run an in-process fleet with this many worker shards (0 = single service)")
-		routeTo  = flag.String("routeto", "", "comma-separated remote worker base URLs; run as a router over them")
 		cacheCap = flag.Int("cache", 0, "fleet result-cache capacity in entries (0 = default 4096, negative = off)")
 
 		probe      = flag.String("probe", "", "client mode: send one solve to this base URL and exit (0 = converged)")
@@ -98,18 +94,6 @@ func main() {
 
 	h := &handler{}
 	switch {
-	case *routeTo != "":
-		reg := obs.NewRegistry()
-		flt, err := pop.NewFleet(pop.FleetOptions{
-			Remotes:       splitURLs(*routeTo),
-			CacheCapacity: *cacheCap,
-			Registry:      reg,
-		})
-		if err != nil {
-			log.Fatalf("popserver: %v", err)
-		}
-		h.flt, h.reg = flt, reg
-		log.Printf("popserver: routing to %d remote workers", len(splitURLs(*routeTo)))
 	case *fleetN > 0:
 		reg := obs.NewRegistry()
 		flt, err := pop.NewFleet(pop.FleetOptions{
@@ -166,15 +150,4 @@ func main() {
 		log.Fatalf("popserver: %v", err)
 	}
 	<-done
-}
-
-// splitURLs parses the -routeto list.
-func splitURLs(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, strings.TrimRight(u, "/"))
-		}
-	}
-	return out
 }

@@ -197,11 +197,6 @@ type FleetCounters struct {
 type WorkerStats struct {
 	// Worker is the worker's shard index on the ring.
 	Worker int `json:"worker"`
-	// Addr is the worker's base URL ("local" for in-process workers).
-	Addr string `json:"addr"`
-	// Healthy reports whether the worker's last stats fetch succeeded
-	// (always true for in-process workers).
-	Healthy bool `json:"healthy"`
 	// Counters is the worker's own counter snapshot.
 	Counters ServiceCounters `json:"counters"`
 }

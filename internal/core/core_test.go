@@ -152,77 +152,129 @@ func withMask(g *grid.Grid, ocean func(i, j int) bool) *grid.Grid {
 	return &h
 }
 
-// TestSolversMatchDenseReference is the answer oracle: every row of the
-// methods table × preconditioner × worker shards ∈ {1, 4} (× s ∈ {1, 4, 8}
-// for s-step) must reproduce the dense LU solution, on the friendly 40×32
-// synthetic grid and on each hostile mask. The threads-4 rows run every
-// collective of the driver and the recurrences across four shards.
-func TestSolversMatchDenseReference(t *testing.T) {
-	type geometry struct {
-		name   string
-		g      *grid.Grid
-		bx, by int
-	}
+// referenceGeometry is one grid of the answer oracle and the metamorphic
+// checks, with the blocking its dense-reference rows run on.
+type referenceGeometry struct {
+	name   string
+	g      *grid.Grid
+	bx, by int
+}
+
+// referenceGeometries is the friendly 40×32 synthetic grid in 10×8 blocks
+// and each of the hostileMasks on a 20×16 grid in 5×4 blocks.
+func referenceGeometries(t *testing.T) []referenceGeometry {
+	t.Helper()
 	spec := grid.TestSpec()
 	spec.Nx, spec.Ny = 40, 32
-	geoms := []geometry{{"friendly", grid.Generate(spec), 10, 8}}
-	spec.Nx, spec.Ny = 20, 16
-	base := grid.Generate(spec)
+	geoms := []referenceGeometry{{"friendly", grid.Generate(spec), 10, 8}}
+	base := hostileBase()
 	for _, h := range hostileMasks {
-		geoms = append(geoms, geometry{h.name, withMask(base, h.ocean), 5, 4})
+		geoms = append(geoms, referenceGeometry{h.name, withMask(base, h.ocean), 5, 4})
 	}
 	for _, geom := range geoms {
 		if err := geom.g.Validate(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return geoms
+}
+
+// hostileBase is the 20×16 synthetic grid whose metrics the hostile masks
+// (and FuzzDenseReference's) are drawn over.
+func hostileBase() *grid.Grid {
+	spec := grid.TestSpec()
+	spec.Nx, spec.Ny = 20, 16
+	return grid.Generate(spec)
+}
+
+// solverRow is one (method, preconditioner) pair of solverRows.
+type solverRow struct {
+	m  Method
+	pc PrecondType
+}
+
+// solverRows lists every methods row × preconditioner the oracles hold to
+// an answer: all of them except the Chebyshev methods without a
+// preconditioner. Plain CSI on the raw operator is impractical: the
+// unpreconditioned spectrum's lower edge is clustered and Lanczos cannot
+// bracket it in few steps (this is why Hu 2013 and the paper always pair
+// CSI with at least diagonal scaling; TestUnpreconditionedCSIIsImpractical
+// pins it). The s-step Chebyshev basis leans on the same Lanczos interval and inherits
+// the restriction.
+func solverRows() []solverRow {
+	var rows []solverRow
+	for i, spec := range methods {
+		for _, pc := range precondSpellings {
+			if spec.diverged == "" || pc.value != PrecondIdentity {
+				rows = append(rows, solverRow{Method(i), pc.value})
+			}
+		}
+	}
+	return rows
+}
+
+// maxEVPGrowth is the largest marching growth among the EVP tiles s
+// accepted (0 when s has no EVP preconditioner).
+func maxEVPGrowth(s *Session) float64 {
+	var g float64
+	for _, rs := range s.perRank {
+		for _, pre := range rs.pre {
+			if p, ok := pre.(*evpPrecond); ok {
+				g = max(g, p.maxGrowth)
+			}
+		}
+	}
+	return g
+}
+
+// TestSolversMatchDenseReference is the answer oracle: every row of the
+// methods table × preconditioner × worker shards ∈ {1, 4} (× s ∈ {1, 4, 8}
+// for s-step) must reproduce the dense LU solution, on the friendly 40×32
+// synthetic grid and on each hostile mask. The threads-4 rows run every
+// collective of the driver and the recurrences across four shards. EVP
+// rows also hold every tile the preconditioner kept to the marching-growth
+// bound.
+func TestSolversMatchDenseReference(t *testing.T) {
+	for _, geom := range referenceGeometries(t) {
 		f := newFixture(t, geom.g, geom.bx, geom.by, 20000)
 		want := f.denseReference(t)
 		x0 := make([]float64, f.g.N())
-		for i, spec := range methods {
-			m := Method(i)
-			for _, pc := range precondSpellings {
-				if spec.diverged != "" && pc.value == PrecondIdentity {
-					// Plain CSI on the raw operator is impractical: the
-					// unpreconditioned spectrum's lower edge is clustered and
-					// Lanczos cannot bracket it in few steps (this is why Hu
-					// 2013 and the paper always pair CSI with at least
-					// diagonal scaling). Covered by its own test below. The
-					// s-step Chebyshev basis leans on the same Lanczos interval
-					// and inherits the restriction.
-					continue
-				}
-				ss := []int{DefaultSStep}
-				if m == MethodSStep {
-					ss = []int{1, 4, 8}
-				}
-				for _, threads := range []int{1, 4} {
-					for _, sstep := range ss {
-						name := fmt.Sprintf("%s/%v-%v/threads%d", geom.name, m, pc.value, threads)
-						if m == MethodSStep {
-							name += fmt.Sprintf("/s%d", sstep)
-						}
-						t.Run(name, func(t *testing.T) {
-							f.w.SetThreads(threads)
-							s := f.session(t, Options{Precond: pc.value, Tol: 1e-12, SStep: sstep})
-							res, x, err := s.Solve(m, f.b, x0)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !res.Converged {
-								t.Fatalf("did not converge in %d iterations (rel res %g)",
-									res.Iterations, res.RelResidual)
-							}
-							if e := maxOceanErr(f.g, x, want); e > 1e-9 {
-								t.Fatalf("solution error %g", e)
-							}
-							// Land rows must be exact identity: x = b.
-							for k, wet := range f.g.Mask {
-								if !wet && x[k] != f.b[k] {
-									t.Fatalf("land row %d not identity", k)
-								}
-							}
-						})
+		for _, row := range solverRows() {
+			m, pc := row.m, row.pc
+			ss := []int{DefaultSStep}
+			if m == MethodSStep {
+				ss = []int{1, 4, 8}
+			}
+			for _, threads := range []int{1, 4} {
+				for _, sstep := range ss {
+					name := fmt.Sprintf("%s/%v-%v/threads%d", geom.name, m, pc, threads)
+					if m == MethodSStep {
+						name += fmt.Sprintf("/s%d", sstep)
 					}
+					t.Run(name, func(t *testing.T) {
+						f.w.SetThreads(threads)
+						s := f.session(t, Options{Precond: pc, Tol: 1e-12, SStep: sstep})
+						res, x, err := s.Solve(m, f.b, x0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !res.Converged {
+							t.Fatalf("did not converge in %d iterations (rel res %g)",
+								res.Iterations, res.RelResidual)
+						}
+						if e := maxOceanErr(f.g, x, want); e > 1e-9 {
+							t.Fatalf("solution error %g", e)
+						}
+						// Land rows must be exact identity: x = b.
+						for k, wet := range f.g.Mask {
+							if !wet && x[k] != f.b[k] {
+								t.Fatalf("land row %d not identity", k)
+							}
+						}
+						if g := maxEVPGrowth(s); pc == PrecondEVP && (g <= 0 || g > maxMarchGrowth) {
+							t.Fatalf("largest accepted EVP marching growth %g, want in (0, %g]", g, float64(maxMarchGrowth))
+						}
+					})
 				}
 			}
 		}
@@ -372,27 +424,175 @@ func TestSolveDeterministic(t *testing.T) {
 	}
 }
 
+// rankLayouts are the blockings TestRankCountInvariance and the symmetry
+// checks run a reference geometry on: the whole grid as one block, the
+// geometry's own blocking, and one a cell narrower each way, whose seams
+// cut the hostile shapes elsewhere.
+func rankLayouts(geom referenceGeometry) [][2]int {
+	return [][2]int{{geom.g.Nx, geom.g.Ny}, {geom.bx, geom.by}, {geom.bx - 1, geom.by - 1}}
+}
+
+// TestRankCountInvariance: the same problem on different rank counts
+// (including serial) must give the same answer to solver tolerance, for
+// every methods row × preconditioner on every reference geometry.
 func TestRankCountInvariance(t *testing.T) {
-	// The same problem on different rank counts (including serial) must give
-	// the same answer to solver tolerance.
-	g := grid.Generate(grid.TestSpec())
-	var ref []float64
-	for _, blocking := range [][2]int{{64, 48}, {16, 12}, {8, 8}} {
-		f := newFixture(t, g, blocking[0], blocking[1], 20000)
-		s := f.session(t, Options{Precond: PrecondDiagonal})
-		res, x, err := s.Solve(MethodChronGear, f.b, make([]float64, g.N()))
-		if err != nil {
-			t.Fatal(err)
+	if raceEnabled {
+		t.Skip("255 solves of pure arithmetic: ~13 s under the race detector, which TestSolversMatchDenseReference's threads-4 rows already bring to the same rows; verify.sh runs this at GOMAXPROCS=1 without it")
+	}
+	for _, geom := range referenceGeometries(t) {
+		var fixtures []*fixture
+		for _, blocking := range rankLayouts(geom) {
+			f := newFixture(t, geom.g, blocking[0], blocking[1], 20000)
+			f.w.SetThreads(4)
+			fixtures = append(fixtures, f)
 		}
-		if !res.Converged {
-			t.Fatalf("blocking %v did not converge", blocking)
+		for _, row := range solverRows() {
+			t.Run(fmt.Sprintf("%s/%v-%v", geom.name, row.m, row.pc), func(t *testing.T) {
+				var ref []float64
+				for _, f := range fixtures {
+					s := f.session(t, Options{Precond: row.pc, Tol: 1e-12})
+					res, x, err := s.Solve(row.m, f.b, make([]float64, f.g.N()))
+					if err != nil {
+						t.Fatalf("%d ranks: %v", f.d.NRanks, err)
+					}
+					if !res.Converged {
+						t.Fatalf("%d ranks did not converge", f.d.NRanks)
+					}
+					if ref == nil {
+						ref = append([]float64(nil), x...)
+						continue
+					}
+					if e := maxOceanErr(f.g, x, ref); e > 1e-8 {
+						t.Fatalf("%d ranks: deviation %g from the serial answer", f.d.NRanks, e)
+					}
+				}
+			})
 		}
-		if ref == nil {
-			ref = x
-			continue
+	}
+}
+
+// applyBlockwise applies a per-block operator to the global field x the
+// way a solve does, block by block on s's rank layout: scatter x with its
+// halo, apply(rank state, block index on the rank, dst, src), gather the
+// interior.
+func applyBlockwise(s *Session, x []float64, apply func(rs *rankState, i int, dst, src []float64)) []float64 {
+	y := make([]float64, len(x))
+	for rid, ids := range s.D.ByRank {
+		for i, id := range ids {
+			b := &s.D.Blocks[id]
+			src := s.D.Scatter(x, b)
+			dst := make([]float64, len(src))
+			apply(s.perRank[rid], i, dst, src)
+			s.D.GatherInto(y, dst, b)
 		}
-		if e := maxOceanErr(g, x, ref); e > 1e-8 {
-			t.Fatalf("blocking %v: deviation %g from serial reference", blocking, e)
+	}
+	return y
+}
+
+// oceanNoise is a standard normal field on ocean points, zero on land.
+func oceanNoise(g *grid.Grid, rng *rand.Rand) []float64 {
+	v := make([]float64, g.N())
+	for k, wet := range g.Mask {
+		if wet {
+			v[k] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// TestMetamorphicRelations holds three relations that need no reference
+// answer, on every reference geometry:
+//   - spd: on every rank layout, ⟨Ax,y⟩ = ⟨x,Ay⟩ for the blockwise
+//     operator, and each preconditioner's M⁻¹ is symmetric with
+//     ⟨M⁻¹x,x⟩ > 0;
+//   - linear: the answer is linear in the right-hand side,
+//     solve(αb₁+βb₂) = α·solve(b₁) + β·solve(b₂);
+//   - warm: a solve started from the converged x reaches the cold start's
+//     fixed point.
+//
+// The solves run every solverRows pair at threads 4 on the geometry's own
+// blocking, to tolerance 1e-12; both solve relations hold to 1e-10 (the
+// largest seen is 9e-13).
+func TestMetamorphicRelations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("~400 solves and operator applies of pure arithmetic: ~19 s under the race detector, which TestSolversMatchDenseReference's threads-4 rows already bring to the same rows; verify.sh runs this at GOMAXPROCS=1 without it")
+	}
+	const alpha, beta = 0.3, -1.7
+	for _, geom := range referenceGeometries(t) {
+		rng := rand.New(rand.NewSource(7))
+		x, y := oceanNoise(geom.g, rng), oceanNoise(geom.g, rng)
+		for _, blocking := range rankLayouts(geom) {
+			f := newFixture(t, geom.g, blocking[0], blocking[1], 20000)
+			for _, pc := range precondSpellings {
+				t.Run(fmt.Sprintf("%s/%dx%d/%v/spd", geom.name, blocking[0], blocking[1], pc.value), func(t *testing.T) {
+					s := f.session(t, Options{Precond: pc.value})
+					if err := s.Setup(); err != nil {
+						t.Fatal(err)
+					}
+					symmetric := func(what string, op func([]float64) []float64, tol float64) {
+						ox, oy := op(x), op(y)
+						if d := math.Abs(f.op.MaskedDot(ox, y)-f.op.MaskedDot(x, oy)) / (f.op.MaskedNorm2(ox) * f.op.MaskedNorm2(y)); d > tol {
+							t.Errorf("%s: |⟨Ox,y⟩ − ⟨x,Oy⟩| / ‖Ox‖‖y‖ = %.3g, want ≤ %g", what, d, tol)
+						}
+						for _, v := range [][]float64{x, y} {
+							if q := f.op.MaskedDot(op(v), v); !(q > 0) {
+								t.Errorf("%s: ⟨Ov,v⟩ = %g, want > 0", what, q)
+							}
+						}
+					}
+					symmetric("A", func(v []float64) []float64 {
+						return applyBlockwise(s, v, func(rs *rankState, i int, dst, src []float64) { rs.locs[i].Apply(dst, src) })
+					}, 1e-14)
+					// EVP's M⁻¹ is symmetric only to its marching round-off,
+					// which grows like G²·ε for marching growth G: 1.1e-9 at
+					// G = 6.6e3 on land-block's single 20×16 block, under 1e-12
+					// on every 5×4 or 4×3 layout.
+					g := maxEVPGrowth(s)
+					symmetric("M⁻¹", func(v []float64) []float64 {
+						return applyBlockwise(s, v, func(rs *rankState, i int, dst, src []float64) { rs.pre[i].Apply(dst, src) })
+					}, max(1e-13, g*g*0x1p-52))
+				})
+			}
+		}
+
+		f := newFixture(t, geom.g, geom.bx, geom.by, 20000)
+		f.w.SetThreads(4)
+		b2 := oceanNoise(f.g, rng)
+		mix := make([]float64, f.g.N())
+		for k := range mix {
+			mix[k] = alpha*f.b[k] + beta*b2[k]
+		}
+		for _, row := range solverRows() {
+			name := fmt.Sprintf("%s/%v-%v", geom.name, row.m, row.pc)
+			s := f.session(t, Options{Precond: row.pc, Tol: 1e-12})
+			solve := func(t *testing.T, b, x0 []float64) []float64 {
+				t.Helper()
+				res, x, err := s.Solve(row.m, b, x0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Converged {
+					t.Fatalf("did not converge in %d iterations (rel res %g)", res.Iterations, res.RelResidual)
+				}
+				return append([]float64(nil), x...) // the session reuses its solution buffer
+			}
+			zero := make([]float64, f.g.N())
+			t.Run(name+"/linear", func(t *testing.T) {
+				x1, x2, got := solve(t, f.b, zero), solve(t, b2, zero), solve(t, mix, zero)
+				want := make([]float64, len(got))
+				for k := range want {
+					want[k] = alpha*x1[k] + beta*x2[k]
+				}
+				if e := maxOceanErr(f.g, got, want); e > 1e-10 {
+					t.Fatalf("solve(αb₁+βb₂) differs from α·solve(b₁)+β·solve(b₂) by %g", e)
+				}
+			})
+			t.Run(name+"/warm", func(t *testing.T) {
+				cold := solve(t, f.b, zero)
+				if e := maxOceanErr(f.g, solve(t, f.b, cold), cold); e > 1e-10 {
+					t.Fatalf("warm start from the converged answer moved it by %g", e)
+				}
+			})
 		}
 	}
 }

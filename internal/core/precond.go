@@ -162,6 +162,7 @@ type evpPrecond struct {
 	tiles                  []evpTile
 	psi, x                 []float64 // extended-domain scratch (max sub-block)
 	applyFlops, setupFlops int64
+	maxGrowth              float64 // largest marching growth among the tiles kept
 }
 
 // maxMarchGrowth bounds the acceptable EVP marching amplification: growth G
@@ -169,7 +170,8 @@ type evpPrecond struct {
 // (ChronGear) stagnates once the residual reaches that error level — with
 // POP's 1e−13 relative tolerance the bound must keep G·ε ≈ 1e−12, i.e.
 // G ≲ 1e4. (P-CSI tolerates far larger G; this bound serves the weaker
-// link.) Tiles that march hotter are split adaptively.
+// link.) Tiles that march hotter are split adaptively; one already 2×2 or
+// smaller is kept whatever its growth, and maxGrowth records it.
 const maxMarchGrowth = 1e4
 
 // evpFillDepth is the artificial depth (m) given to land cells inside EVP
@@ -209,10 +211,12 @@ func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Loca
 		var sol *evp.BlockSolver
 		pk, err := evp.Pack(win, false)
 		if err == nil {
-			if pk.Growth() > maxMarchGrowth && (sb.nx > 2 || sb.ny > 2) {
+			growth := pk.Growth()
+			if growth > maxMarchGrowth && (sb.nx > 2 || sb.ny > 2) {
 				queue = append(queue, splitSub(sb)...)
 				continue
 			}
+			p.maxGrowth = max(p.maxGrowth, growth)
 			sol, err = pk.Solver()
 		}
 		if err != nil {

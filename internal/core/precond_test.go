@@ -103,3 +103,30 @@ func TestEVPApplyTileKinds(t *testing.T) {
 		}
 	}
 }
+
+// newEVPPrecond records the largest marching growth among the tiles it
+// keeps. At τ = 20000 s on the 20×16 grid every kept tile marches at or
+// under maxMarchGrowth. At τ = 100 s the mass term dominates the operator
+// and tiles of 2×2 and smaller, which cannot be split further, march with
+// growth up to 1.2e7: they are kept, and the recorded growth shows it.
+func TestEVPRecordsTheLargestKeptGrowth(t *testing.T) {
+	g := hostileBase()
+	d, err := decomp.New(g, g.Nx, g.Ny, decomp.DefaultHalo) // the whole grid as one block
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := &d.Blocks[d.OceanBlocks[0]]
+	for _, c := range []struct{ tau, lo, hi float64 }{
+		{20000, 1, maxMarchGrowth},
+		{100, 1e6, 1e8},
+	} {
+		op := stencil.Assemble(g, stencil.PhiFromTimeStep(c.tau))
+		p, err := newEVPPrecond(g, op.Phi, blk, d.LocalOperator(op, blk), 8)
+		if err != nil {
+			t.Fatalf("τ = %g: %v", c.tau, err)
+		}
+		if p.maxGrowth < c.lo || p.maxGrowth > c.hi {
+			t.Errorf("τ = %g: largest kept growth %.3g, want in [%g, %g]", c.tau, p.maxGrowth, c.lo, c.hi)
+		}
+	}
+}

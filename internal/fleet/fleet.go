@@ -1,17 +1,13 @@
-// Package fleet is the sharded serving layer: N solve workers behind a
-// router that consistent-hashes requests onto shards and replays completed
-// solves from a content-addressed result cache.
+// Package fleet is the sharded serving layer: N in-process solve workers
+// behind a router that consistent-hashes requests onto shards and replays
+// completed solves from a content-addressed result cache.
 //
-// The paper's diagnosis — a barotropic solver stops scaling when one
-// execution context saturates — has a serving-layer analog: one popserver
-// process tops out when its session pools and GOMAXPROCS are spent.
-// The fleet multiplies that ceiling the way the paper multiplies ranks:
-// shard the keyspace so each worker keeps its own warm session pools
-// (consistent hashing on the canonical pool key, so "csi" and "pcsi/none"
-// land together exactly as they share a pool), and exploit determinism —
-// the property every layer of this repo defends — to make completed solves
-// reusable: identical inputs produce bitwise-identical outputs, so a cache
-// hit IS the solve.
+// Each worker keeps its own warm session pools (consistent hashing on the
+// canonical pool key, so "csi" and "pcsi/none" land together exactly as
+// they share a pool), and the router exploits determinism — the property
+// every layer of this repo defends — to make completed solves reusable:
+// identical inputs produce bitwise-identical outputs, so a cache hit IS the
+// solve.
 //
 // Two layers answer a request, cheapest first:
 //
@@ -22,10 +18,8 @@
 //     full queue) comes back as serve.ErrOverloaded, as it would from a
 //     single service.
 //
-// Workers are serve.Services — each with its own queues, batching, request
-// retry and flight recorder — either in-process
-// (LocalWorker) or remote popservers spoken to in the compact binary frame
-// (HTTPWorker).
+// Workers are serve.Services in this process, each with its own queues,
+// batching, request retry and flight recorder.
 package fleet
 
 import (
@@ -43,13 +37,9 @@ import (
 
 // Options configures a Fleet.
 type Options struct {
-	// Workers is the local worker count (ignored when Remotes is set);
-	// default 2.
+	// Workers is the worker count; default 2.
 	Workers int
-	// Remotes lists remote popserver base URLs; when non-empty the fleet
-	// routes to them instead of building local workers.
-	Remotes []string
-	// Worker configures each local worker's serve.Service. The Registry
+	// Worker configures each worker's serve.Service. The Registry
 	// field is ignored: every worker gets a private registry, because obs
 	// counters dedupe by name and shared registries would silently merge
 	// worker counters.
@@ -88,7 +78,7 @@ type Response struct {
 // Fleet is the router. Create with New, submit with Solve from any number
 // of goroutines, stop with Close.
 type Fleet struct {
-	workers []Worker
+	workers []*serve.Service
 	ring    *ring
 	cache   *resultCache
 	flight  obs.FlightRecorder
@@ -104,24 +94,17 @@ type fleetMetrics struct {
 	routerLat *obs.Histogram
 }
 
-// New builds a fleet: local workers (Options.Workers services with private
-// registries) or remote ones (Options.Remotes), the hash ring over them,
-// and the result cache.
+// New builds a fleet: Options.Workers services with private registries,
+// the hash ring over them, and the result cache.
 func New(opts Options) (*Fleet, error) {
-	if len(opts.Remotes) == 0 && opts.Workers == 0 {
+	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
-	var workers []Worker
-	if len(opts.Remotes) > 0 {
-		for _, base := range opts.Remotes {
-			workers = append(workers, NewHTTPWorker(base, nil))
-		}
-	} else {
-		for i := 0; i < opts.Workers; i++ {
-			wo := opts.Worker
-			wo.Registry = nil // private per worker — see Options.Worker
-			workers = append(workers, NewLocalWorker(serve.New(wo)))
-		}
+	workers := make([]*serve.Service, opts.Workers)
+	for i := range workers {
+		wo := opts.Worker
+		wo.Registry = nil // private per worker — see Options.Worker
+		workers[i] = serve.New(wo)
 	}
 
 	capacity := opts.CacheCapacity
@@ -241,9 +224,7 @@ func (f *Fleet) noteRouterRecord(traceID uint64, key serve.Key, start time.Time,
 // Stats assembles the fleet-wide /v1/stats view: router counters, one row
 // per worker, and the summed totals.
 func (f *Fleet) Stats(ctx context.Context) api.StatsResponse {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	_ = ctx // every counter is an in-process snapshot: nothing to wait on
 	cs := f.cache.stats()
 	fc := &api.FleetCounters{
 		Requests:       f.m.requests.Value(),
@@ -256,15 +237,9 @@ func (f *Fleet) Stats(ctx context.Context) api.StatsResponse {
 	out := api.StatsResponse{Fleet: fc}
 	gridSet := make(map[string]bool)
 	for i, w := range f.workers {
-		row := api.WorkerStats{Worker: i, Addr: w.Addr(), Healthy: true}
-		counters, grids, err := w.Counters(ctx)
-		if err != nil {
-			row.Healthy = false
-		} else {
-			row.Counters = counters
-			for _, g := range grids {
-				gridSet[g] = true
-			}
+		row := api.WorkerStats{Worker: i, Counters: w.Snapshot()}
+		for _, g := range w.Grids() {
+			gridSet[g] = true
 		}
 		out.Workers = append(out.Workers, row)
 		out.Totals.Add(row.Counters)
@@ -281,16 +256,11 @@ func (f *Fleet) Stats(ctx context.Context) api.StatsResponse {
 func (f *Fleet) Flight() *obs.FlightRecorder { return &f.flight }
 
 // FlightRecords merges the fleet's flight-recorder view: the router's own
-// records plus every local worker's, with worker records stamped with their
-// shard. Remote workers keep their recorders in their own processes.
+// records plus every worker's, with worker records stamped with their shard.
 func (f *Fleet) FlightRecords() []obs.RequestRecord {
 	recs := append([]obs.RequestRecord(nil), f.flight.Recent()...)
-	for i, wk := range f.workers {
-		lw, ok := wk.(*LocalWorker)
-		if !ok {
-			continue
-		}
-		for _, rec := range lw.Service().Flight().Recent() {
+	for i, w := range f.workers {
+		for _, rec := range w.Flight().Recent() {
 			if rec.Shard < 0 {
 				rec.Shard = i
 			}
@@ -304,21 +274,16 @@ func (f *Fleet) FlightRecords() []obs.RequestRecord {
 // export: worker i's session s renders as PID i*stride + s + 1.
 const workerPIDStride = 1000
 
-// WritePerfetto merges every local worker's rank-level tracks and request
-// records with the router's own records into one fleet-wide Chrome trace:
-// worker i's tracks are re-homed to PID i*workerPIDStride + session and
-// prefixed "worker i", and worker records get their shard stamped so
-// poptrace's shard rollup works across the fleet. Remote workers keep
-// their traces on their own processes and contribute nothing here.
+// WritePerfetto merges every worker's rank-level tracks and request records
+// with the router's own records into one fleet-wide Chrome trace: worker
+// i's tracks are re-homed to PID i*workerPIDStride + session and prefixed
+// "worker i", and worker records get their shard stamped so poptrace's
+// shard rollup works across the fleet.
 func (f *Fleet) WritePerfetto(w io.Writer) error {
 	var tracks []obs.Track
 	var dropped int64
 	for i, wk := range f.workers {
-		lw, ok := wk.(*LocalWorker)
-		if !ok {
-			continue
-		}
-		ts, d := lw.Service().ExportTracks()
+		ts, d := wk.ExportTracks()
 		dropped += d
 		for _, t := range ts {
 			t.PID = i*workerPIDStride + t.PID
@@ -328,10 +293,6 @@ func (f *Fleet) WritePerfetto(w io.Writer) error {
 	}
 	return obs.WritePerfetto(w, tracks, f.FlightRecords(), dropped)
 }
-
-// Workers returns the fleet's workers in shard order (read-only; exposed
-// for stats endpoints and trace export).
-func (f *Fleet) Workers() []Worker { return f.workers }
 
 // HomeShard returns the shard a request's canonical key routes to —
 // useful for tests and for stamping responses.
@@ -343,8 +304,7 @@ func (f *Fleet) HomeShard(req serve.Request) (int, error) {
 	return f.ring.lookup(key.String()), nil
 }
 
-// Close drains every worker. Local workers finish queued solves; remote
-// workers are left running (their processes own their lifecycle).
+// Close drains every worker: each finishes its queued solves.
 func (f *Fleet) Close(ctx context.Context) error {
 	var firstErr error
 	for _, w := range f.workers {

@@ -339,64 +339,79 @@ func TestRingProperties(t *testing.T) {
 	}
 }
 
-// errWorker is a scripted Worker for dispatch tests.
-type errWorker struct {
-	err    error
-	solves int
-}
-
-func (w *errWorker) Solve(ctx context.Context, req serve.Request) (serve.Response, error) {
-	_ = ctx
-	w.solves++
-	if w.err != nil {
-		return serve.Response{}, w.err
-	}
-	return serve.Response{Result: core.Result{Converged: true, Solver: "scripted"}, X: []float64{1}}, nil
-}
-
-func (w *errWorker) Counters(ctx context.Context) (api.ServiceCounters, []string, error) {
-	_ = ctx
-	return api.ServiceCounters{Solves: int64(w.solves)}, nil, nil
-}
-
-func (w *errWorker) Addr() string { return "scripted" }
-
-func (w *errWorker) Close(ctx context.Context) error {
-	_ = ctx
-	return nil
-}
-
-// TestFleetFailoverOnShed checks the router does not fail over: a shed
-// home shard (a full queue) answers serve.ErrOverloaded — 429 on the wire,
-// what an overloaded single service returns — and the other shard is never
-// called. Hard errors propagate the same way.
+// TestFleetFailoverOnShed checks the router does not fail over: when the
+// home shard sheds part of a burst (a full queue) those requests answer
+// serve.ErrOverloaded — what an overloaded single service returns — and the
+// other shard never sees a request. Hard errors propagate the same way.
 func TestFleetFailoverOnShed(t *testing.T) {
-	req := Request{Request: serve.Request{Grid: grid.PresetTest, Method: core.MethodPCSI, Precond: core.PrecondEVP, B: []float64{1}}}
-	for scripted, status := range map[error]int{serve.ErrOverloaded: 429, core.ErrBadSpec: 400} {
-		f, err := New(Options{Workers: 2})
-		if err != nil {
+	// Unpreconditioned solves of an ill-conditioned operator (huge Tau) run
+	// out their 500 iterations on one session behind a 2-deep queue: the
+	// worker cannot outrun a burst (as in serve's TestOverloadShedsNeverBlocks).
+	f, err := New(Options{Workers: 2, Worker: serve.Options{
+		MaxSessionsPerKey: 1, MaxQueue: 2, MaxBatch: 1, Tau: 200000, Threads: 1,
+		Solver: core.Options{Tol: 1e-12, MaxIters: 500}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeFleet(t, f)
+	req := Request{Request: serve.Request{Grid: grid.PresetTest, Method: core.MethodChronGear,
+		Precond: core.PrecondIdentity, B: fleetRHS(t, 1)[0]}, NoCache: true}
+	home, err := f.HomeShard(req.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shed, failed int64 // failed is what the router must book as errors
+	// Warm the pool so the burst is not staggered by the session build.
+	if _, err := f.Solve(context.Background(), req); err != nil {
+		if !errors.Is(err, core.ErrNotConverged) {
 			t.Fatal(err)
 		}
-		home, err := f.HomeShard(req.Request)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers := []*errWorker{{}, {}}
-		workers[home].err = fmt.Errorf("scripted: %w", scripted)
-		f.workers = []Worker{workers[0], workers[1]}
+		failed++
+	}
 
-		_, err = f.Solve(context.Background(), req)
-		if !errors.Is(err, scripted) || StatusFor(err) != status {
-			t.Fatalf("home shard failed with %v: Solve returned %v (status %d), want status %d",
-				scripted, err, StatusFor(err), status)
-		}
-		if workers[home].solves != 1 || workers[1-home].solves != 0 {
-			t.Fatalf("%v: solves home/other = %d/%d, want 1/0 (no failover)",
-				scripted, workers[home].solves, workers[1-home].solves)
-		}
-		if st := f.Stats(context.Background()); st.Fleet.Errors != 1 || st.Fleet.Failovers != 0 {
-			t.Fatalf("%v: errors/failovers = %d/%d, want 1/0", scripted, st.Fleet.Errors, st.Fleet.Failovers)
-		}
+	const callers = 30
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	start := make(chan struct{})
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, err := f.Solve(context.Background(), req)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				failed++
+			}
+			switch {
+			case err == nil || errors.Is(err, core.ErrNotConverged):
+			case errors.Is(err, serve.ErrOverloaded):
+				shed++
+			default:
+				t.Errorf("unexpected error: %v", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if shed == 0 {
+		t.Fatal("no request was shed through a 2-deep queue with 30 callers")
+	}
+
+	// A hard error from the home shard: an RHS of the wrong length.
+	bad := req
+	bad.B = []float64{1}
+	if _, err := f.Solve(context.Background(), bad); !errors.Is(err, core.ErrBadSpec) {
+		t.Fatalf("a one-point RHS: Solve returned %v, want ErrBadSpec", err)
+	}
+	failed++
+
+	if n := f.workers[1-home].Snapshot().Requests; n != 0 {
+		t.Fatalf("the other shard saw %d requests, want 0 (no failover)", n)
+	}
+	if st := f.Stats(context.Background()); st.Fleet.Errors != failed || st.Fleet.Failovers != 0 {
+		t.Fatalf("errors/failovers = %d/%d, want %d/0", st.Fleet.Errors, st.Fleet.Failovers, failed)
 	}
 }
 
@@ -438,9 +453,6 @@ func TestFleetStatsAggregation(t *testing.T) {
 	}
 	var sum api.ServiceCounters
 	for _, w := range st.Workers {
-		if !w.Healthy {
-			t.Fatalf("worker %d unhealthy", w.Worker)
-		}
 		sum.Add(w.Counters)
 	}
 	if sum != st.Totals {
@@ -451,5 +463,39 @@ func TestFleetStatsAggregation(t *testing.T) {
 	}
 	if len(st.Grids) != 1 || st.Grids[0] != grid.PresetTest {
 		t.Fatalf("grids = %v", st.Grids)
+	}
+}
+
+// hopRequest has no zero-valued field, so a key that drops one shows.
+var hopRequest = serve.Request{Grid: "test", Method: core.MethodSStep, Precond: core.PrecondEVP,
+	SStep: 8, B: []float64{1, 2}, X0: []float64{3, 4}}
+
+// TestCacheKeyCoversEveryServeField: changing any one field of a request
+// changes the result-cache key it is stored under — the hop where a field
+// the key forgot would replay another solve's bits.
+func TestCacheKeyCoversEveryServeField(t *testing.T) {
+	f, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(context.Background())
+	other := serve.Request{Grid: "1deg", Method: core.MethodPCG, Precond: core.PrecondDiagonal,
+		SStep: 4, B: []float64{1, 3}, X0: []float64{3, 5}}
+	_, base, err := f.cacheKey(hopRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < reflect.TypeOf(hopRequest).NumField(); i++ {
+		name := reflect.TypeOf(hopRequest).Field(i).Name
+		req := hopRequest
+		reflect.ValueOf(&req).Elem().Field(i).Set(reflect.ValueOf(other).Field(i))
+		if reflect.DeepEqual(req, hopRequest) {
+			t.Errorf("serve.Request.%s: the perturbed fixture does not differ", name)
+		}
+		if _, key, err := f.cacheKey(req); err != nil {
+			t.Errorf("%s perturbed: %v", name, err)
+		} else if key == base {
+			t.Errorf("the cache key ignores serve.Request.%s", name)
+		}
 	}
 }

@@ -109,9 +109,6 @@ type (
 	// FleetResponse is one completed Fleet solve (worker response plus
 	// cache disposition and shard).
 	FleetResponse = fleet.Response
-	// FleetWorker is one solve shard behind a Fleet router (in-process or
-	// remote over the binary frame protocol).
-	FleetWorker = fleet.Worker
 
 	// MetricsRegistry is the metrics registry a Service reports into
 	// (counters, gauges, histograms with Prometheus text exposition).
@@ -221,15 +218,10 @@ func ParsePrecond(s string) (Precond, error) { return core.ParsePrecond(s) }
 // goroutines; Close drains it. See cmd/popserver for the HTTP front end.
 func NewService(opts ServiceOptions) *Service { return serve.New(opts) }
 
-// NewFleet starts a sharded solve fleet: N workers (in-process services,
-// or remote popservers when FleetOptions.Remotes is set) behind a router
-// with consistent-hash sharding and a result cache.
-// See cmd/popserver's -fleet and -routeto modes for the HTTP front end.
+// NewFleet starts a sharded solve fleet: N in-process services behind a
+// router with consistent-hash sharding and a result cache.
+// See cmd/popserver's -fleet mode for the HTTP front end.
 func NewFleet(opts FleetOptions) (*Fleet, error) { return fleet.New(opts) }
-
-// NewLocalFleetWorker wraps an in-process Service as a Fleet worker. Build
-// each worker's Service with its own private metrics registry.
-func NewLocalFleetWorker(svc *Service) FleetWorker { return fleet.NewLocalWorker(svc) }
 
 // NewTraceID allocates a fresh request trace ID (monotone, deterministic —
 // never derived from time or randomness).
