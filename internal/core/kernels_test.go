@@ -11,11 +11,29 @@ import (
 )
 
 // axpy is the retired single-vector update dst += a·x, kept as the naive
-// indexed reference the fused kernels are held to.
+// indexed reference the fused kernels are held to: ocean points only, as
+// every interior sweep.
 func axpy(loc *stencil.Local, dst, x []float64, a float64) {
 	for j := loc.H; j < loc.NyP-loc.H; j++ {
 		for i := loc.H; i < loc.NxP-loc.H; i++ {
-			dst[j*loc.NxP+i] += a * x[j*loc.NxP+i]
+			if k := j*loc.NxP + i; loc.Mask[k] {
+				dst[k] += a * x[k]
+			}
+		}
+	}
+}
+
+// landSentinel marks the land and halo entries a kernel must leave alone.
+const landSentinel = -12345.0
+
+// seedSentinel writes landSentinel into every land and halo entry of fs.
+func seedSentinel(l *stencil.Local, fs ...[]float64) {
+	for _, f := range fs {
+		for k := range f {
+			i, j := k%l.NxP, k/l.NxP
+			if !l.Mask[k] || i < l.H || i >= l.NxP-l.H || j < l.H || j >= l.NyP-l.H {
+				f[k] = landSentinel
+			}
 		}
 	}
 }
@@ -42,6 +60,7 @@ func randomLocal(rng *rand.Rand, nxi, nyi, h, nfields int) (*stencil.Local, [][]
 	for k := range l.Mask {
 		l.Mask[k] = rng.Intn(3) != 0
 	}
+	l.InitRuns()
 	fields := make([][]float64, nfields)
 	for i := range fields {
 		fields[i] = fill()
@@ -59,8 +78,9 @@ func sameBits(a, b []float64) int {
 }
 
 // residual against the naive indexed nine-term sum, bit for bit, over every
-// interior shape up to 20×20 and both halo widths; halo cells of r stay
-// untouched and nothing outside ring 1 is read.
+// interior shape up to 20×20 and both halo widths, at ocean points; land
+// and halo cells of r keep their sentinel and nothing outside ring 1 is
+// read.
 func TestResidualMatchesNaiveNinePoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for h := 1; h <= 2; h++ {
@@ -68,11 +88,15 @@ func TestResidualMatchesNaiveNinePoint(t *testing.T) {
 			for nxi := 1; nxi <= 20; nxi++ {
 				l, f := randomLocal(rng, nxi, nyi, h, 3)
 				x, b, r := f[0], f[1], f[2]
+				seedSentinel(l, r)
 				want := append([]float64(nil), r...)
 				nx := l.NxP
 				for j := h; j < l.NyP-h; j++ {
 					for i := h; i < nx-h; i++ {
 						k := j*nx + i
+						if !l.Mask[k] {
+							continue
+						}
 						want[k] = b[k] - (l.AC[k]*x[k] +
 							l.AN[k]*x[k+nx] + l.AN[k-nx]*x[k-nx] +
 							l.AE[k]*x[k+1] + l.AE[k-1]*x[k-1] +
@@ -89,16 +113,32 @@ func TestResidualMatchesNaiveNinePoint(t *testing.T) {
 	}
 }
 
-// fusedUpdate and axpy2 replaced separate xpay/axpy sweeps; each fused pass
-// must produce the bits the sweeps did, on the interior only.
+// fusedUpdate and axpy2 replaced separate xpay/axpy sweeps, and
+// fusedUpdatePrecond fuses fusedUpdate with the pointwise preconditioner
+// and the two masked dots behind it; each fused pass must produce the bits
+// the sweeps did, at ocean points only: every field's land and halo cells
+// keep their sentinel.
 func TestFusedUpdateMatchesXpayThenAxpy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const beta, a1, a2 = 0.37, 0.81, -0.81
 	for _, shape := range [][3]int{{12, 13, 2}, {1, 1, 1}, {7, 3, 2}, {46, 55, 2}} {
 		l, f := randomLocal(rng, shape[0], shape[1], shape[2], 6)
+		seedSentinel(l, f...)
 		want := make([][]float64, len(f))
 		for i := range f {
 			want[i] = append([]float64(nil), f[i]...)
+		}
+		// xpay itself against the naive indexed update.
+		for j := l.H; j < l.NyP-l.H; j++ {
+			for i := l.H; i < l.NxP-l.H; i++ {
+				if k := j*l.NxP + i; l.Mask[k] {
+					want[0][k] = want[1][k] + beta*want[0][k]
+				}
+			}
+		}
+		xpay(l, f[0], f[1], beta)
+		if k := sameBits(f[0], want[0]); k >= 0 {
+			t.Fatalf("xpay %v: entry %d: %v, want %v", shape, k, f[0][k], want[0][k])
 		}
 		xpay(l, want[0], want[1], beta)
 		xpay(l, want[3], want[4], beta)
@@ -118,22 +158,51 @@ func TestFusedUpdateMatchesXpayThenAxpy(t *testing.T) {
 				t.Fatalf("axpy2 %v: field %d entry %d: %v, want %v", shape, i, k, f[i][k], want[i][k])
 			}
 		}
+		// ChronGear's pass: s, r', x, p, z, r = f[0..5].
+		p := newDiagPrecond(l)
+		fusedUpdate(l, want[0], want[1], want[2], want[3], want[4], want[5], beta, a1, -a1)
+		p.Apply(want[1], want[5])
+		wantRho, wantRn2 := l.MaskedDotInterior(want[5], want[1]), l.MaskedDotInterior(want[5], want[5])
+		rho, rn2 := fusedUpdatePrecond(l, f[0], f[1], f[2], f[3], f[4], f[5], p.inv, beta, a1)
+		for i := range f {
+			if k := sameBits(f[i], want[i]); k >= 0 {
+				t.Fatalf("fusedUpdatePrecond %v: field %d entry %d: %v, want %v", shape, i, k, f[i][k], want[i][k])
+			}
+		}
+		if sameBits([]float64{rho, rn2}, []float64{wantRho, wantRn2}) >= 0 {
+			t.Fatalf("fusedUpdatePrecond %v: ρ %v, ‖r‖² %v; want %v, %v", shape, rho, rn2, wantRho, wantRn2)
+		}
 	}
 }
 
+// The pointwise preconditioners against the indexed divide (diagonal) and
+// the copy (identity) at ocean points; land and halo cells of dst keep
+// their sentinel.
 func TestDiagPrecondMatchesIndexedDivide(t *testing.T) {
 	l, f := randomLocal(rand.New(rand.NewSource(9)), 12, 13, 2, 2)
-	p := newDiagPrecond(l)
-	want := append([]float64(nil), f[0]...)
-	for j := l.H; j < l.NyP-l.H; j++ {
-		for i := l.H; i < l.NxP-l.H; i++ {
-			k := j*l.NxP + i
-			want[k] = f[1][k] * (1 / l.AC[k])
+	seedSentinel(l, f[0])
+	for _, identity := range []bool{false, true} {
+		p := newDiagPrecond(l)
+		if identity {
+			p = newIdentityPrecond(l)
 		}
-	}
-	p.Apply(f[0], f[1])
-	if k := sameBits(f[0], want); k >= 0 {
-		t.Fatalf("entry %d: %v, want %v", k, f[0][k], want[k])
+		want := append([]float64(nil), f[0]...)
+		for j := l.H; j < l.NyP-l.H; j++ {
+			for i := l.H; i < l.NxP-l.H; i++ {
+				k := j*l.NxP + i
+				switch {
+				case !l.Mask[k]:
+				case identity:
+					want[k] = f[1][k]
+				default:
+					want[k] = f[1][k] * (1 / l.AC[k])
+				}
+			}
+		}
+		p.Apply(f[0], f[1])
+		if k := sameBits(f[0], want); k >= 0 {
+			t.Fatalf("identity=%v: entry %d: %v, want %v", identity, k, f[0][k], want[k])
+		}
 	}
 }
 
@@ -144,6 +213,9 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 		"residual":    func() { residual(l, f[0], f[1], f[2]) },
 		"fusedUpdate": func() { fusedUpdate(l, f[0], f[1], f[2], f[3], f[4], f[5], 0.5, 0.25, -0.25) },
 		"axpy2":       func() { axpy2(l, f[0], f[1], 0.5, f[2], f[3], -0.5) },
+		"fusedUpdatePrecond": func() {
+			fusedUpdatePrecond(l, f[0], f[1], f[2], f[3], f[4], f[5], p.inv, 0.5, 0.25)
+		},
 		"diagPrecond": func() { p.Apply(f[0], f[1]) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {

@@ -54,8 +54,9 @@ func (p PrecondType) Valid() bool {
 }
 
 // Preconditioner applies M⁻¹ to the interior of one block's padded array.
-// Implementations never read or write halo entries and behave as the
-// identity on land rows.
+// Implementations never read or write halo entries and keep the land
+// invariant (solvers.go): they leave dst's land entries alone or copy
+// src's there.
 type Preconditioner interface {
 	// Apply computes dst = M⁻¹·src on the interior; dst halo is untouched.
 	Apply(dst, src []float64)
@@ -65,24 +66,14 @@ type Preconditioner interface {
 	SetupFlops() int64
 }
 
-// identityPrecond copies the interior.
-type identityPrecond struct{ loc *stencil.Local }
-
-//pop:hotpath
-func (p *identityPrecond) Apply(dst, src []float64) {
-	nx := p.loc.NxP
-	h := p.loc.H
-	for j := h; j < p.loc.NyP-h; j++ {
-		copy(dst[j*nx+h:(j+1)*nx-h], src[j*nx+h:(j+1)*nx-h])
-	}
-}
-func (p *identityPrecond) ApplyFlops() int64 { return 0 }
-func (p *identityPrecond) SetupFlops() int64 { return 0 }
-
-// diagPrecond divides by the operator diagonal (land rows have AC = 1).
+// diagPrecond is a pointwise M⁻¹: it multiplies the ocean points by inv —
+// 1/AC for POP's diagonal preconditioner, ones for the identity (x·1 = x
+// bit for bit). Being pointwise, ChronGear fuses it into its update
+// (fusedUpdatePrecond).
 type diagPrecond struct {
-	loc *stencil.Local
-	inv []float64 // 1/AC, padded layout
+	loc   *stencil.Local
+	inv   []float64 // padded layout
+	flops int64     // apply and setup charge: T_p = n²θ, 0 for the identity
 }
 
 func newDiagPrecond(loc *stencil.Local) *diagPrecond {
@@ -92,16 +83,22 @@ func newDiagPrecond(loc *stencil.Local) *diagPrecond {
 			inv[k] = 1 / v
 		}
 	}
+	return &diagPrecond{loc: loc, inv: inv, flops: int64(loc.InteriorLen())}
+}
+
+// newIdentityPrecond is M = I (no preconditioning).
+func newIdentityPrecond(loc *stencil.Local) *diagPrecond {
+	inv := make([]float64, len(loc.AC))
+	for k := range inv {
+		inv[k] = 1
+	}
 	return &diagPrecond{loc: loc, inv: inv}
 }
 
 //pop:hotpath
 func (p *diagPrecond) Apply(dst, src []float64) {
-	nx := p.loc.NxP
-	h := p.loc.H
-	for j := h; j < p.loc.NyP-h; j++ {
-		lo := j*nx + h
-		n := nx - 2*h
+	for _, run := range p.loc.Runs {
+		lo, n := run.Start, run.Len
 		dr, sr, ir := dst[lo:][:n], src[lo:][:n], p.inv[lo:][:n]
 		for i := range dr {
 			dr[i] = sr[i] * ir[i]
@@ -109,9 +106,8 @@ func (p *diagPrecond) Apply(dst, src []float64) {
 	}
 }
 
-// ApplyFlops follows the paper's T_p = n²θ accounting for the diagonal.
-func (p *diagPrecond) ApplyFlops() int64 { return int64(p.loc.InteriorLen()) }
-func (p *diagPrecond) SetupFlops() int64 { return int64(p.loc.InteriorLen()) }
+func (p *diagPrecond) ApplyFlops() int64 { return p.flops }
+func (p *diagPrecond) SetupFlops() int64 { return p.flops }
 
 // subBlock is one tile of a block-Jacobi partition of a block interior.
 type subBlock struct {
@@ -382,9 +378,17 @@ func (p *bluPrecond) Apply(dst, src []float64) {
 			copy(buf[j*sb.nx:(j+1)*sb.nx], src[lbase:lbase+sb.nx])
 		}
 		p.lus[si].Solve(buf)
+		// Masked scatter, as EVP's: the LU's land entries are src's +0 only
+		// while the block is finite, and one NaN in it turns them all NaN.
 		for j := 0; j < sb.ny; j++ {
 			lbase := (sb.y0+h+j)*nxp + sb.x0 + h
-			copy(dst[lbase:lbase+sb.nx], buf[j*sb.nx:(j+1)*sb.nx])
+			br := buf[j*sb.nx:][:sb.nx]
+			sr := src[lbase:][:sb.nx]
+			dr := dst[lbase:][:sb.nx]
+			mr := loc.Mask[lbase:][:sb.nx]
+			for i := range dr {
+				dr[i] = pick(mr[i], br[i], sr[i])
+			}
 		}
 	}
 }

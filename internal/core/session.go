@@ -268,7 +268,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 		var err error
 		switch s.Opts.Precond {
 		case PrecondIdentity:
-			pre = &identityPrecond{loc: loc}
+			pre = newIdentityPrecond(loc)
 		case PrecondDiagonal:
 			pre = newDiagPrecond(loc)
 		case PrecondEVP:
@@ -282,7 +282,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 			if firstErr == nil {
 				firstErr = err
 			}
-			pre = &identityPrecond{loc: loc}
+			pre = newIdentityPrecond(loc)
 		}
 		r.AddFlops(pre.SetupFlops())
 		rs.pre = append(rs.pre, pre)

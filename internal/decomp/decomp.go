@@ -290,6 +290,7 @@ func (d *Decomposition) LocalOperator(op *stencil.Operator, b *Block) *stencil.L
 			l.Mask[kl] = op.Mask[kg]
 		}
 	}
+	l.InitRuns()
 	return l
 }
 

@@ -274,18 +274,29 @@ func TestLocalOperatorMatchesGlobalApply(t *testing.T) {
 	}
 	yGlobal := make([]float64, g.N())
 	op.Apply(yGlobal, x)
+	// Local.Apply writes ocean points only: every land entry keeps the
+	// sentinel it was seeded with, and the ocean ones match the global
+	// Apply.
+	const sentinel = -12345.0
 	yFromBlocks := make([]float64, g.N())
-	// Land blocks: global Apply gives y=x on land; replicate.
-	copy(yFromBlocks, x)
 	for id := range d.Blocks {
 		b := &d.Blocks[id]
 		loc := d.LocalOperator(op, b)
 		xl := d.Scatter(x, b)
 		yl := make([]float64, len(xl))
+		for k := range yl {
+			yl[k] = sentinel
+		}
 		loc.Apply(yl, xl)
 		d.GatherInto(yFromBlocks, yl, b)
 	}
 	for k := range yGlobal {
+		if !g.Mask[k] {
+			if yFromBlocks[k] != sentinel {
+				t.Fatalf("land point %d written: %v", k, yFromBlocks[k])
+			}
+			continue
+		}
 		if math.Abs(yGlobal[k]-yFromBlocks[k]) > 1e-12*(math.Abs(yGlobal[k])+1) {
 			t.Fatalf("blocked apply mismatch at %d: %v vs %v", k, yGlobal[k], yFromBlocks[k])
 		}

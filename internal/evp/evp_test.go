@@ -228,6 +228,7 @@ func TestRejectsZeroCornerCoefficient(t *testing.T) {
 				AC: make([]float64, 100), AN: make([]float64, 100),
 				AE: make([]float64, 100), ANE: make([]float64, 100),
 				Mask: make([]bool, 100)}
+			l.InitRuns()
 			for j := 0; j < 10; j++ {
 				for i := 0; i < 10; i++ {
 					gi, gj := x-1+i, y-1+j

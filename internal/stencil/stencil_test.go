@@ -226,14 +226,36 @@ func TestLocalApplyMatchesGlobal(t *testing.T) {
 			xl[kl] = x[kg]
 		}
 	}
+	loc.InitRuns()
 	yg := make([]float64, g.N())
 	op.Apply(yg, x)
+	// Local.Apply writes ocean points only: land and halo keep the sentinel.
+	const sentinel = -12345.0
 	yl := make([]float64, nxp*nyp)
+	for k := range yl {
+		yl[k] = sentinel
+	}
 	loc.Apply(yl, xl)
+	land := 0
+	for k, wet := range loc.Mask {
+		i, j := k%nxp, k/nxp
+		if (!wet || i < h || i >= nxp-h || j < h || j >= nyp-h) && yl[k] != sentinel {
+			t.Fatalf("land or halo cell (%d,%d) written: %v", i, j, yl[k])
+		}
+		if !wet {
+			land++
+		}
+	}
+	if land == 0 {
+		t.Fatal("window has no land: the sentinel check exercised nothing")
+	}
 	for j := h; j < nyp-h; j++ {
 		for i := h; i < nxp-h; i++ {
 			kg := g.Idx(x0-h+i, y0-h+j)
 			kl := j*nxp + i
+			if !loc.Mask[kl] {
+				continue
+			}
 			if math.Abs(yl[kl]-yg[kg]) > 1e-12*(math.Abs(yg[kg])+1) {
 				t.Fatalf("local/global mismatch at local (%d,%d): %v vs %v", i, j, yl[kl], yg[kg])
 			}

@@ -103,5 +103,6 @@ func AssembleWindowFilled(g *grid.Grid, phi float64, x0, y0, nx, ny int, fill fl
 			l.ANE[k] += di
 		}
 	}
+	l.InitRuns()
 	return l
 }

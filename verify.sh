@@ -33,11 +33,13 @@ adapter=$(grep -n 'W\.Run(' internal/core/*.go internal/baroclinic/*.go | grep -
     echo "solve paths must not use the World.Run adapter:"; echo "$adapter"; exit 1; }
 
 echo "== bounds-check-free inner loops (check_bce) =="
-# The row-window idiom of the per-iteration kernels — the nine-point stencil
-# (Apply, ApplyAndMaskedDot, residual), the fused vector updates, the
-# diagonal preconditioner, the EVP march — exists so the prove pass can drop
-# every bounds check from the loop over a row. The slicing that sets a row
-# up keeps its checks; the loop itself — the function's first row loop
+# The window idiom of the per-iteration kernels — the nine-point stencil
+# (Apply, ApplyAndMaskedDot, residual), the masked dot, the vector updates
+# (ChronGear's fused with its pointwise preconditioner and dots), the
+# Chebyshev steps, the diagonal preconditioner over a block's wet runs, the
+# EVP march over a tile's rows — exists so the prove pass can drop every
+# bounds check from the loop over a run or row. The slicing that sets one
+# up keeps its checks; the loop itself — the function's first such loop
 # (`for i := range`, or the stencil's `for e := 2;`) to the brace that
 # closes it — must have none.
 bce=$(go build -gcflags=-d=ssa/check_bce ./internal/evp ./internal/stencil ./internal/core 2>&1)
@@ -64,6 +66,12 @@ internal/core/solvers.go|func residual(
 internal/core/solvers.go|func fusedUpdate(
 internal/core/solvers.go|func axpy2(
 internal/core/precond.go|func (p *diagPrecond) Apply(
+internal/stencil/local.go|func (l *Local) MaskedDotInterior(
+internal/core/solvers.go|func xpay(
+internal/core/solvers.go|func chebStep(
+internal/core/solvers.go|func chebBasisFirst(
+internal/core/solvers.go|func chebBasisNext(
+internal/core/solvers.go|func fusedUpdatePrecond(
 EOF_LOOPS
 
 echo "== poplint static analysis =="
@@ -95,8 +103,9 @@ echo "== go test -race =="
 #   and TestMetamorphicRelations, run at GOMAXPROCS=1 below);
 # - the serve, tracing and flight-recorder gates, the wire hops field by
 #   field (DESIGN.md §14.1), doc coverage and the runnable examples.
-# The allocation gate of the solvers, the fingerprints and the oracle's
-# relations run in the non-race build, at GOMAXPROCS=1 below.
+# The allocation gate of the solvers, the fingerprints, the oracle's
+# relations and the model's perturbation persistence run in the non-race
+# build, at GOMAXPROCS=1 below.
 go test -race ./...
 
 echo "== shard executor gates on one scheduler thread (race) =="
@@ -122,6 +131,9 @@ GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 # and the serve overload burst must still shed there.
 GOMAXPROCS=1 go test -count=1 -run 'TestSolveFingerprints|TestSteadyStateSolverAllocFree|TestFloat64BitwiseAcrossThreads|TestRankCountInvariance|TestMetamorphicRelations' ./internal/core/
 GOMAXPROCS=1 go test -count=1 -run 'TestOverloadShedsNeverBlocks' ./internal/serve/
+# The twin-trajectory persistence check (1,100 model steps, skipped under
+# -race above) on one scheduler thread.
+GOMAXPROCS=1 go test -count=1 -run 'TestPerturbationsPersist' ./internal/model/
 
 echo "== the executor end to end =="
 # A -threads 1 and a -threads 4 popsolve run must print identical numerics
