@@ -93,7 +93,7 @@ func benchGridOp(b *testing.B) (*Grid, *Operator) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return g, AssembleOperator(g, 1920)
+	return g, AssembleOperator(g, g.Tau())
 }
 
 func BenchmarkModelStep(b *testing.B) {

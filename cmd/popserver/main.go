@@ -53,9 +53,8 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		cores     = flag.Int("cores", 0, "virtual ranks per session (0 = one per block)")
+		cores     = flag.Int("cores", 0, "virtual ranks per session (0 = one block covering the whole grid, on one rank)")
 		threads   = flag.Int("threads", 0, "worker shards per session: max ranks running concurrently (0 = GOMAXPROCS)")
-		tau       = flag.Float64("tau", 1920, "barotropic time step (s)")
 		sessions  = flag.Int("sessions", 2, "max warmed sessions per (grid,method,precond) key")
 		queue     = flag.Int("queue", 64, "per-key queue bound before shedding")
 		batch     = flag.Int("batch", 8, "max requests coalesced per session checkout")
@@ -85,7 +84,6 @@ func main() {
 	workerOpts := pop.ServiceOptions{
 		Cores:             *cores,
 		Threads:           *threads,
-		Tau:               *tau,
 		MaxSessionsPerKey: *sessions,
 		MaxQueue:          *queue,
 		MaxBatch:          *batch,

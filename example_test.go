@@ -12,7 +12,7 @@ import (
 // ocean point: b = A·1. Solving it exercises the full distributed pipeline
 // with a known answer.
 func exampleRHS(g *pop.Grid) []float64 {
-	op := pop.AssembleOperator(g, 1920)
+	op := pop.AssembleOperator(g, g.Tau())
 	ones := make([]float64, g.N())
 	for k, m := range g.Mask {
 		if m {

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("grid %q: %d×%d, %.0f%% ocean\n", g.Name, g.Nx, g.Ny, 100*g.OceanFraction())
 
 	// Manufacture a right-hand side with a known solution.
-	op := pop.AssembleOperator(g, 1920)
+	op := pop.AssembleOperator(g, g.Tau())
 	xTrue := make([]float64, g.N())
 	for k, ocean := range g.Mask {
 		if ocean {

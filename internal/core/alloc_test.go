@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -38,8 +39,8 @@ func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType,
 	x0 := make([]float64, f.g.N())
 	run := func(s *Session) func() {
 		return func() {
-			if _, _, err := s.Solve(m, f.b, x0); err != nil {
-				t.Fatal(err)
+			if _, _, err := s.Solve(m, f.b, x0); !errors.Is(err, ErrNotConverged) {
+				t.Fatalf("fixed-length solve: got %v, want ErrNotConverged", err)
 			}
 		}
 	}
@@ -91,8 +92,8 @@ func TestSteadyStateSolverAllocFree(t *testing.T) {
 func residualHistory(t *testing.T, s *Session, b []float64) []uint64 {
 	t.Helper()
 	res, _, err := s.Solve(MethodPCSI, b, make([]float64, len(b)))
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, ErrNotConverged) { // capped on purpose
+		t.Fatalf("capped solve: got %v, want ErrNotConverged", err)
 	}
 	hist := make([]uint64, 0, len(res.Trace.Residuals))
 	for _, rp := range res.Trace.Residuals {

@@ -26,8 +26,8 @@ func trueRelResidual(f *fixture, x []float64) float64 {
 func chaosSolve(t *testing.T, s *Session, m Method, b []float64) (Result, []float64, []uint64) {
 	t.Helper()
 	res, x, err := s.SolveContext(context.Background(), m, b, nil)
-	if err != nil {
-		t.Fatalf("%v solve: %v", m, err)
+	if !errors.Is(err, ErrNotConverged) { // capped on purpose
+		t.Fatalf("%v solve: got %v, want ErrNotConverged", m, err)
 	}
 	hist := make([]uint64, 0, len(res.Trace.Residuals))
 	for _, rp := range res.Trace.Residuals {
@@ -351,12 +351,6 @@ func TestLadderCoversMethodsTable(t *testing.T) {
 			if reEig := s.EigenStats != nil; reEig != (spec.diverged != "") {
 				t.Errorf("%v: Lanczos re-ran = %v, but its methods row says leans-on-interval = %v",
 					m, reEig, spec.diverged != "")
-			}
-			if m == MethodChronGear {
-				if err != nil {
-					t.Errorf("chrongear is the last rung, got %v", err)
-				}
-				return
 			}
 			var nc *NotConvergedError
 			if !errors.As(err, &nc) || nc.Solver != "chrongear" {

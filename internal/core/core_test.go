@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -321,11 +322,11 @@ func TestUnpreconditionedCSIIsImpractical(t *testing.T) {
 	f := testFixture(t)
 	s := f.session(t, Options{Precond: PrecondIdentity, MaxIters: 300})
 	res, _, err := s.Solve(MethodPCSI, f.b, make([]float64, f.g.N()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
+	if err == nil {
 		t.Skip("unpreconditioned CSI converged quickly; grid too easy to demonstrate")
+	}
+	if !errors.Is(err, ErrNotConverged) {
+		t.Fatal(err)
 	}
 	if res.RelResidual < 1e-12 {
 		t.Fatalf("expected slow convergence, residual %g", res.RelResidual)

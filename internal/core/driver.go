@@ -272,14 +272,13 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 	case res.Converged:
 		return res, sr.out, nil
 	}
+	// Every other exit stopped short of Tol: MaxIters, a NaN, divergence,
+	// the drift watch's stop or a recurrence's dead end.
 	nc := &NotConvergedError{Solver: spec.name, Iterations: res.Iterations, RelResidual: res.RelResidual}
-	switch {
-	case spec.diverged != "" && (math.IsNaN(res.RelResidual) || res.RelResidual > 1e6):
+	if spec.diverged != "" && (math.IsNaN(res.RelResidual) || res.RelResidual > 1e6) {
 		return res, sr.out, fmt.Errorf("core: %s [%g, %g] may not bracket the spectrum: %w", spec.diverged, s.Nu, s.Mu, nc)
-	case math.IsNaN(res.RelResidual):
-		return res, sr.out, nc
 	}
-	return res, sr.out, nil // ran out of iterations: Converged=false says so
+	return res, sr.out, nc
 }
 
 // driver returns shard sh's driver for solve sr, built on the shard's first

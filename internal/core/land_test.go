@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -109,12 +110,13 @@ func TestChronGearFusedNoStaleState(t *testing.T) {
 				if first == nil {
 					first = make([]float64, len(f.b))
 				}
-				if _, _, err := s.SolveResilient(context.Background(), MethodChronGear, first, nil); err != nil {
+				// Both solves stop on MaxIters, except the zero right-hand side.
+				if _, _, err := s.SolveResilient(context.Background(), MethodChronGear, first, nil); err != nil && !errors.Is(err, ErrNotConverged) {
 					t.Fatal(err)
 				}
 				res, x, err := s.SolveResilient(context.Background(), MethodChronGear, f.b, nil)
-				if err != nil {
-					t.Fatal(err)
+				if !errors.Is(err, ErrNotConverged) {
+					t.Fatalf("capped solve: got %v, want ErrNotConverged", err)
 				}
 				return res, append([]float64(nil), x...)
 			}

@@ -48,8 +48,8 @@ const (
 
 // SolveResilient is SolveContext plus the degraded-mode ladder. A clean
 // solve returns as-is. Context cancellation passes through untouched. When
-// the solve surrenders (ErrFaulted) or fails to converge under an active
-// injector, it descends the ladder:
+// the solve surrenders (ErrFaulted) or stops short of its tolerance
+// (ErrNotConverged) under an active injector, it descends the ladder:
 //
 //  1. for the methods that lean on the Lanczos interval — every row of the
 //     methods table whose diverged text is set: re-estimate the eigenvalue
@@ -65,7 +65,7 @@ const (
 // and counted on the injector; request-level retry lives in internal/serve.
 func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64) (Result, []float64, error) {
 	res, x, err := s.SolveContext(ctx, m, b, x0)
-	if err == nil && res.Converged {
+	if err == nil {
 		return res, x, nil
 	}
 	inj := s.W.Faults
@@ -75,10 +75,9 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 	if ctx != nil && ctx.Err() != nil {
 		return res, x, err // cancellation is not a fault
 	}
-	// Only solver failures descend the ladder: ErrFaulted, divergence
-	// (NotConvergedError), or a quiet non-convergence. Specification errors
-	// and the like pass through.
-	if err != nil && !errors.Is(err, ErrFaulted) && !errors.Is(err, ErrNotConverged) {
+	// Only solver failures descend the ladder: ErrFaulted and
+	// ErrNotConverged. Specification errors and the like pass through.
+	if !errors.Is(err, ErrFaulted) && !errors.Is(err, ErrNotConverged) {
 		return res, x, err
 	}
 
@@ -86,7 +85,7 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 		// Rung 1: re-estimate the Chebyshev interval and retry.
 		if _, _, _, eerr := s.EstimateEigenvalues(nil, 0); eerr == nil {
 			res2, x2, err2 := s.SolveContext(ctx, m, b, x0)
-			if err2 == nil && res2.Converged {
+			if err2 == nil {
 				res2.Recovery.Degraded = "re-eig"
 				inj.Recovered("re-eig")
 				return res2, x2, nil
@@ -100,14 +99,9 @@ func (s *Session) SolveResilient(ctx context.Context, m Method, b, x0 []float64)
 	if m != MethodChronGear {
 		// Rung 2: ChronGear degraded mode.
 		res3, x3, err3 := s.SolveContext(ctx, MethodChronGear, b, x0)
-		if err3 == nil && res3.Converged {
+		if err3 == nil {
 			res3.Recovery.Degraded = "chrongear"
 			inj.Recovered("chrongear")
-			return res3, x3, nil
-		}
-		if err3 == nil {
-			err3 = &NotConvergedError{Solver: "chrongear",
-				Iterations: res3.Iterations, RelResidual: res3.RelResidual}
 		}
 		return res3, x3, err3
 	}

@@ -28,7 +28,8 @@ type Options struct {
 	// Tol is the relative convergence tolerance: ‖r‖ ≤ Tol·‖b‖ over ocean
 	// points. POP's default corresponds to 1e−13.
 	Tol float64
-	// MaxIters caps solver iterations (default 2000).
+	// MaxIters caps solver iterations (default 2000); a solve that reaches
+	// it short of Tol returns a *NotConvergedError.
 	MaxIters int
 	// CheckEvery is the convergence-check interval in iterations; the
 	// paper uses 10 for all solvers (§5.2).

@@ -36,7 +36,7 @@ func (c *Config) ablationSession(g *grid.Grid, op *stencil.Operator, bx, by int,
 // anyway); P-CSI trades a few overshoot iterations for fewer reductions.
 func (c *Config) CheckFreq(res string) (*Table, error) {
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(c.tauFor(res)))
+	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	targets := c.CoreTargets(res)
 	target := targets[len(targets)-1]
@@ -80,7 +80,7 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 // reductions stay out of the solve's count.
 func (c *Config) SStepAblation(res string) (*Table, error) {
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(c.tauFor(res)))
+	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	targets := c.CoreTargets(res)
 	bx, by, cores, err := decomp.ChooseBlocking(g, targets[len(targets)-1], 3, 2)

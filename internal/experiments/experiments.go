@@ -17,15 +17,6 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// Paper-matching workload constants.
-const (
-	// DtCount01 is the paper's 0.1° barotropic step count per simulated
-	// day (§5.2: dt_count = 500).
-	DtCount01 = 500
-	// DtCount1 is the 1° steps per day (POP's gx1 half-hour class step).
-	DtCount1 = 45
-)
-
 // SolverConfig names one solver/preconditioner combination.
 type SolverConfig struct {
 	Solver  string // "chrongear", "pcg", or "pcsi"
@@ -150,14 +141,6 @@ func (c *Config) CoreTargets(res string) []int {
 		return out
 	}
 	return t
-}
-
-// DtCount returns the barotropic solves per simulated day at a resolution.
-func (c *Config) DtCount(res string) int {
-	if res == "1deg" {
-		return DtCount1
-	}
-	return DtCount01
 }
 
 // Table is a printable result table.

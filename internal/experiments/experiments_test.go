@@ -25,6 +25,7 @@ func tinyConfig() *Config {
 	tenth := grid.TestSpec()
 	tenth.Nx, tenth.Ny = 90, 60
 	tenth.Name = "tiny-0.1deg"
+	tenth.DtCount = grid.TenthDegreeSpec().DtCount // the 0.1° step, as the figures price it
 	c.grids["0.1deg"] = grid.Generate(tenth)
 	return c
 }

@@ -15,7 +15,7 @@ func (c *Config) percentFigure(title string, sc SolverConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt := c.DtCount("0.1deg")
+	dt := c.gridFor("0.1deg").DtCount
 	t := &Table{
 		Title:  title,
 		Header: []string{"cores", "barotropic_s/day", "baroclinic_s/day", "barotropic_%", "baroclinic_%"},
@@ -67,7 +67,7 @@ func (c *Config) Fig02() (*Table, error) {
 		return nil, err
 	}
 	sc := SolverConfig{"chrongear", core.PrecondDiagonal}
-	dt := float64(c.DtCount("0.1deg"))
+	dt := float64(c.gridFor("0.1deg").DtCount)
 	t := &Table{
 		Title:  "Fig 2: ChronGear+diagonal component times, 0.1deg, one sim day",
 		Header: []string{"cores", "global_reduction_s", "halo_update_s", "computation_s"},
@@ -94,7 +94,7 @@ func (c *Config) scalingFigure(title, res string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt := c.DtCount(res)
+	dt := c.gridFor(res).DtCount
 	t := &Table{Title: title,
 		Header: []string{"cores", "cg+diag_s/day", "cg+evp_s/day", "pcsi+diag_s/day", "pcsi+evp_s/day"}}
 	for _, cores := range coresAxis(ms) {
@@ -124,7 +124,7 @@ func (c *Config) Fig08() (*Table, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dt := c.DtCount("0.1deg")
+	dt := c.gridFor("0.1deg").DtCount
 	right := &Table{
 		Title:  "Fig 8 (right): core simulation rate (sim years / wall day), 0.1deg, " + c.Machine.Name,
 		Header: []string{"cores", "cg+diag", "cg+evp", "pcsi+diag", "pcsi+evp"},
@@ -153,7 +153,7 @@ func (c *Config) Fig10() (*Table, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dt := float64(c.DtCount("0.1deg"))
+	dt := float64(c.gridFor("0.1deg").DtCount)
 	mk := func(title string, pick func(*Measurement) float64) *Table {
 		t := &Table{Title: title,
 			Header: []string{"cores", "cg+diag", "cg+evp", "pcsi+diag", "pcsi+evp"}}
@@ -180,7 +180,7 @@ func (c *Config) Tab01() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dt := c.DtCount("1deg")
+	dt := c.gridFor("1deg").DtCount
 	base := SolverConfig{"chrongear", core.PrecondDiagonal}
 	newConfigs := []SolverConfig{
 		{"chrongear", core.PrecondEVP},
@@ -230,12 +230,12 @@ func (c *Config) Fig11(seeds int) (*Table, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dt := c.DtCount("0.1deg")
 	// Additional seeded reruns for the two ChronGear configurations only
 	// (the numerics repeat identically; only the priced contention noise
 	// differs, which is the §5.3 observation being reproduced).
 	g := c.gridFor("0.1deg")
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(c.tauFor("0.1deg")))
+	dt := g.DtCount
+	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	axis := coresAxis(ms)
 	for ri, cores := range axis {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -65,11 +66,6 @@ func syntheticRHS(g *grid.Grid, op *stencil.Operator) []float64 {
 	return b
 }
 
-// tauFor returns the barotropic time step at a resolution.
-func (c *Config) tauFor(res string) float64 {
-	return 86400 / float64(c.DtCount(res))
-}
-
 // measure runs one solver configuration at one core-count target on the
 // config's machine.
 func (c *Config) measure(res string, g *grid.Grid, op *stencil.Operator, b []float64,
@@ -126,7 +122,7 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 	var iters int
 	for s := 0; s < solves; s++ {
 		res2, _, err := sess.Solve(method, b, x0)
-		if err != nil {
+		if err != nil && !errors.Is(err, core.ErrNotConverged) { // Converged records a short solve
 			return Measurement{}, err
 		}
 		iters += res2.Iterations
@@ -157,7 +153,7 @@ func (c *Config) Sweep(res string) ([]Measurement, error) {
 		return ms, nil
 	}
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(c.tauFor(res)))
+	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	var out []Measurement
 	for _, target := range c.CoreTargets(res) {

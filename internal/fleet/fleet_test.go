@@ -49,7 +49,7 @@ func directSolve(t *testing.T, method core.Method, precond core.PrecondType, tol
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(1920))
+	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	d, err := decomp.New(g, g.Nx, g.Ny, decomp.DefaultHalo)
 	if err != nil {
 		t.Fatal(err)

@@ -24,6 +24,11 @@ type Spec struct {
 	MinDepth      float64 // minimum wet depth after shelf shaping (m)
 
 	Seed int64 // continent/bathymetry noise seed
+
+	// DtCount is the barotropic steps per simulated day (POP's dt_count):
+	// the preset's step τ = 86400 / DtCount enters the operator's mass
+	// term. 0 leaves the grid without a step of its own.
+	DtCount int
 }
 
 // Generate builds the synthetic grid described by s. Generation is fully
@@ -33,7 +38,7 @@ type Spec struct {
 func Generate(s Spec) *Grid {
 	g := &Grid{
 		Name: s.Name,
-		Nx:   s.Nx, Ny: s.Ny,
+		Nx:   s.Nx, Ny: s.Ny, DtCount: s.DtCount,
 		Mask:  make([]bool, s.Nx*s.Ny),
 		HT:    make([]float64, s.Nx*s.Ny),
 		TAREA: make([]float64, s.Nx*s.Ny),

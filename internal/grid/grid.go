@@ -31,6 +31,9 @@ type Grid struct {
 	Name string
 	// Nx and Ny are the T-point dimensions.
 	Nx, Ny int
+	// DtCount is the barotropic steps per simulated day the grid is run
+	// at (POP's dt_count; see Tau); 0 = no step of its own.
+	DtCount int
 
 	// T-point fields, length Nx*Ny, index j*Nx+i.
 	Mask  []bool    // true = ocean
@@ -50,6 +53,15 @@ type Grid struct {
 // Idx flattens (i,j) to the storage index. Callers are expected to keep
 // 0 ≤ i < Nx and 0 ≤ j < Ny.
 func (g *Grid) Idx(i, j int) int { return j*g.Nx + i }
+
+// Tau returns the grid's barotropic time step τ = 86400 / DtCount in
+// seconds, or 0 when the grid has no step of its own.
+func (g *Grid) Tau() float64 {
+	if g.DtCount <= 0 {
+		return 0
+	}
+	return 86400 / float64(g.DtCount)
+}
 
 // N returns the total number of grid points, land included.
 func (g *Grid) N() int { return g.Nx * g.Ny }

@@ -8,9 +8,9 @@ import "fmt"
 
 const presetSeed = 20151115 // SC '15 conference date; fixed for determinism
 
-func baseSpec(name string, nx, ny int) Spec {
+func baseSpec(name string, nx, ny, dtCount int) Spec {
 	return Spec{
-		Name: name, Nx: nx, Ny: ny,
+		Name: name, Nx: nx, Ny: ny, DtCount: dtCount,
 		LatMin: -79, LatMax: 89,
 		MinCosLat:     0.15,
 		OceanFraction: 0.68, // close to the real POP grids' wet fraction
@@ -20,20 +20,29 @@ func baseSpec(name string, nx, ny int) Spec {
 	}
 }
 
+// The presets' barotropic steps per simulated day (Spec.DtCount).
+const (
+	// dtCountOneDegree is POP's gx1 half-hour class step: τ = 1,920 s.
+	dtCountOneDegree = 45
+	// dtCountTenthDegree is the paper's 0.1° step (§5.2: dt_count = 500,
+	// τ = 172.8 s).
+	dtCountTenthDegree = 500
+)
+
 // OneDegreeSpec is the paper's 1° grid: 320×384 T-points.
-func OneDegreeSpec() Spec { return baseSpec("gx1-synthetic", 320, 384) }
+func OneDegreeSpec() Spec { return baseSpec("gx1-synthetic", 320, 384, dtCountOneDegree) }
 
 // TenthDegreeSpec is the paper's 0.1° grid: 3600×2400 T-points.
-func TenthDegreeSpec() Spec { return baseSpec("tx0.1-synthetic", 3600, 2400) }
+func TenthDegreeSpec() Spec { return baseSpec("tx0.1-synthetic", 3600, 2400, dtCountTenthDegree) }
 
 // QuarterScaleTenthSpec keeps the 0.1° grid's 3:2 aspect ratio and geography
 // at 1/16 the point count (900×600); used where full 0.1° solves would be
 // too slow (e.g. -short benchmarks).
-func QuarterScaleTenthSpec() Spec { return baseSpec("tx0.4-synthetic", 900, 600) }
+func QuarterScaleTenthSpec() Spec { return baseSpec("tx0.4-synthetic", 900, 600, dtCountTenthDegree) }
 
 // TestSpec is a small grid for unit tests: same geography machinery at
-// 64×48.
-func TestSpec() Spec { return baseSpec("test-synthetic", 64, 48) }
+// 64×48, run at the 1° step.
+func TestSpec() Spec { return baseSpec("test-synthetic", 64, 48, dtCountOneDegree) }
 
 // Preset names accepted by ByName — the same identifiers the pop façade,
 // the CLI flags, and the solve service's JSON requests use.

@@ -375,10 +375,6 @@ func (m *Model) Step() error {
 	if err != nil {
 		return fmt.Errorf("model step %d: %w", m.StepCount, err)
 	}
-	if !res.Converged {
-		return fmt.Errorf("model step %d: %s did not converge (%d iterations, rel res %g)",
-			m.StepCount, res.Solver, res.Iterations, res.RelResidual)
-	}
 	copy(m.Eta, eta)
 	m.IterHistory = append(m.IterHistory, res.Iterations)
 	m.TotalSolveStats.Add(res.Stats.Sum)

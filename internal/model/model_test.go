@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -227,6 +228,21 @@ func TestBadSolverName(t *testing.T) {
 	}
 	if err := m.Step(); err == nil {
 		t.Fatal("accepted unknown solver name")
+	}
+}
+
+// A step whose solve stops short of its tolerance fails with the solver's
+// own *NotConvergedError.
+func TestStepSurfacesNotConverged(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SolverOpts.MaxIters = 2
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nc *core.NotConvergedError
+	if err := m.Step(); !errors.As(err, &nc) || nc.Iterations != 2 {
+		t.Fatalf("capped step: got %v, want a *NotConvergedError after 2 iterations", err)
 	}
 }
 

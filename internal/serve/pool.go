@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -52,7 +53,7 @@ func (s *Service) gridFor(name string) (*gridEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w: %w", err, core.ErrBadSpec)
 	}
-	ge := &gridEntry{g: g, op: stencil.Assemble(g, stencil.PhiFromTimeStep(s.opts.Tau))}
+	ge := &gridEntry{g: g, op: stencil.Assemble(g, stencil.PhiFromTimeStep(cmp.Or(s.opts.Tau, g.Tau())))}
 	s.grids[name] = ge
 	return ge, nil
 }
@@ -260,10 +261,6 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 		rec.BatchWaitNS = solveStart.Sub(r.dequeued).Nanoseconds()
 		res, x, err := p.solveOnce(sess, r)
 		rec.SolveNS = time.Since(solveStart).Nanoseconds()
-		if err == nil && !res.Converged {
-			err = &core.NotConvergedError{
-				Solver: res.Solver, Iterations: res.Iterations, RelResidual: res.RelResidual}
-		}
 		rec.Iterations = res.Iterations
 		rec.Converged = res.Converged
 		mc := res.Stats.MeanCounters()

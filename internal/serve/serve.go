@@ -48,10 +48,11 @@ var (
 // Options configures a Service. The zero value serves the default grid set
 // with modest pooling; all limits have working defaults.
 type Options struct {
-	// Cores is the virtual rank count per session (0 = one rank per block).
+	// Cores is the virtual rank count per session (0 = one block covering
+	// the whole grid, on one rank).
 	Cores int
 	// Tau is the barotropic time step for the operator's mass term
-	// (default 1920 s).
+	// (0 = each grid's own step, grid.Grid.Tau).
 	Tau float64
 	// MachineName prices virtual time ("" = free, the serving default).
 	MachineName string
@@ -92,9 +93,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Tau == 0 {
-		o.Tau = 1920
-	}
 	if o.MaxSessionsPerKey == 0 {
 		o.MaxSessionsPerKey = 2
 	}

@@ -18,6 +18,7 @@
 package pop
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -289,10 +290,11 @@ type SolverSpec struct {
 	// Precond selects the preconditioner; zero value PrecondDiagonal.
 	Precond Precond
 	// Tau is the barotropic time step used for the operator's mass term
-	// (default 1920 s, the 1° class step).
+	// (0 = the grid's own step, Grid.Tau).
 	Tau float64
-	// Cores is the virtual rank count (0 = one rank per available block;
-	// otherwise the nearest 3:2-aspect blocking is chosen).
+	// Cores is the virtual rank count (0 = one block covering the whole
+	// grid, on one rank; otherwise the nearest 3:2-aspect blocking is
+	// chosen).
 	Cores int
 	// Threads caps how many virtual ranks execute concurrently on real
 	// cores: ranks are sharded into Threads contiguous groups, each driven
@@ -317,7 +319,8 @@ type SolverSpec struct {
 // Solver bundles an operator, decomposition, communicator, and session.
 type Solver struct {
 	// Spec is the configuration NewSolver was given, after normalization
-	// (defaulted Tau, MethodCSI rewritten to MethodPCSI + PrecondIdentity).
+	// (Tau 0 resolved to the grid's step, MethodCSI rewritten to
+	// MethodPCSI + PrecondIdentity).
 	Spec SolverSpec
 	// G is the grid the solver was built over.
 	G *Grid
@@ -338,8 +341,8 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pop: nil grid: %w", ErrBadSpec)
 	}
-	if spec.Tau == 0 {
-		spec.Tau = 1920
+	if spec.Tau = cmp.Or(spec.Tau, g.Tau()); spec.Tau == 0 {
+		return nil, fmt.Errorf("pop: grid %q has no barotropic step and SolverSpec.Tau is 0: %w", g.Name, ErrBadSpec)
 	}
 	if !spec.Method.Valid() {
 		return nil, fmt.Errorf("pop: unknown method %v: %w", spec.Method, ErrBadSpec)

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/model"
 )
 
@@ -27,7 +30,7 @@ func TestSolverFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := AssembleOperator(g, 1920)
+	op := AssembleOperator(g, g.Tau())
 	// b = A·ones over ocean.
 	ones := make([]float64, g.N())
 	for k, m := range g.Mask {
@@ -171,5 +174,131 @@ func TestExperimentNames(t *testing.T) {
 	}
 	if found != len(want) {
 		t.Fatalf("registry missing expected experiments: %v", names)
+	}
+}
+
+// TestCappedSolveOneContract holds the one failure contract: a solve
+// capped at MaxIters short of Tol ends in a *NotConvergedError, whose
+// Iterations is the solve's own, through every front end — Solver.Solve,
+// SolveResilient with no injector, a Service and a Fleet — for every
+// method.
+func TestCappedSolveOneContract(t *testing.T) {
+	g, err := NewGrid(GridTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, g.N())
+	AssembleOperator(g, g.Tau()).Apply(b, g.HT) // any nonzero right-hand side
+	for k, ocean := range g.Mask {
+		if !ocean {
+			b[k] = 0
+		}
+	}
+	opts := SolverOptions{MaxIters: 3}
+	worker := ServiceOptions{Cores: 4, Threads: 1, Solver: opts}
+	svc := NewService(worker)
+	defer svc.Close(context.Background())
+	flt, err := NewFleet(FleetOptions{Workers: 1, Worker: worker, CacheCapacity: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flt.Close(context.Background())
+	for _, name := range core.MethodNames() {
+		m, err := ParseMethod(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSolver(g, SolverSpec{Method: m, Cores: 4, Threads: 1, Options: opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _, err := s.Solve(b, nil)
+			want := res.Iterations
+			check := func(front string, err error, iters int) {
+				t.Helper()
+				var nc *NotConvergedError
+				if !errors.As(err, &nc) || nc.Iterations != want || iters != want {
+					t.Errorf("%s: got %v after %d iterations, want a *NotConvergedError after %d", front, err, iters, want)
+				}
+			}
+			check("Solver.Solve", err, want)
+			res, _, err = s.SolveResilient(context.Background(), b, nil)
+			check("SolveResilient", err, res.Iterations)
+			req := ServeRequest{Grid: GridTest, Method: m, Precond: PrecondDiagonal, B: b}
+			_, err = svc.Solve(context.Background(), req)
+			check("Service.Solve", err, want)
+			_, err = flt.Solve(context.Background(), FleetRequest{Request: req})
+			check("Fleet.Solve", err, want)
+		})
+	}
+}
+
+// TestSolverDefaultStepIsTheGrids: SolverSpec.Tau = 0 assembles the
+// operator at the grid's own step, 86400 / DtCount, and a grid with no
+// step of its own needs an explicit Tau.
+func TestSolverDefaultStepIsTheGrids(t *testing.T) {
+	for _, name := range grid.PresetNames() {
+		if name == GridTenthDegree {
+			continue // below
+		}
+		g, err := NewGrid(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSolver(g, SolverSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := AssembleOperator(g, 86400/float64(g.DtCount)); !reflect.DeepEqual(s.Op, want) {
+			t.Errorf("%s: NewSolver's default operator is not the one at 86400/%d s", name, g.DtCount)
+		}
+		if s.Spec.Tau != g.Tau() {
+			t.Errorf("%s: Spec.Tau = %g, want the grid's %g", name, s.Spec.Tau, g.Tau())
+		}
+	}
+	// The full 0.1° grid costs gigabytes to build a solver on; its step is
+	// its Spec's, which Generate copies.
+	if got, want := grid.TenthDegreeSpec().DtCount, grid.QuarterScaleTenthSpec().DtCount; got != want || want != 500 {
+		t.Errorf("0.1deg dt_count %d, 0.1deg-scaled %d; want 500 both", got, want)
+	}
+	flat := NewFlatBasin(8, 8, 1000, 1e4, 1e4)
+	if _, err := NewSolver(flat, SolverSpec{}); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("a grid with no step and no Tau: got %v, want ErrBadSpec", err)
+	}
+	if _, err := NewSolver(flat, SolverSpec{Tau: 600}); err != nil {
+		t.Errorf("a grid with no step and an explicit Tau: %v", err)
+	}
+}
+
+// TestTenthScaledPCSIConvergesAtItsStep is the paper's method on the scaled
+// 0.1° grid at 200 cores with nothing but the grid's own step: P-CSI+EVP
+// converges in ≈ 80 iterations (at the 1° step it ran out of 2,000).
+func TestTenthScaledPCSIConvergesAtItsStep(t *testing.T) {
+	g, err := NewGrid(GridTenthDegreeScaled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSolver(g, SolverSpec{Method: MethodPCSI, Precond: PrecondEVP, Cores: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// popsolve's right-hand side: b = A·x for a smooth x.
+	x := make([]float64, g.N())
+	for k, ocean := range g.Mask {
+		if ocean {
+			x[k] = math.Sin(2*g.TLon[k]*math.Pi/180) * math.Cos(3*g.TLat[k]*math.Pi/180)
+		}
+	}
+	b := make([]float64, g.N())
+	s.Op.Apply(b, x)
+	for k, ocean := range g.Mask {
+		if !ocean {
+			b[k] = 0
+		}
+	}
+	res, _, err := s.Solve(b, nil)
+	if err != nil || res.Iterations > 200 {
+		t.Fatalf("P-CSI+EVP at the grid's step: %v after %d iterations, want convergence in ≤ 200", err, res.Iterations)
 	}
 }

@@ -165,6 +165,29 @@ echo "$pcsi" | grep -q 'converged=true'
 [ "$(echo "$pcsi" | sed 's/.*iterations=\([0-9]*\).*/\1/')" -le 400 ] || {
     echo "P-CSI+EVP at 1deg/48 took more than 400 iterations: $pcsi"; exit 1; }
 
+echo "== the step belongs to the grid =="
+# P-CSI+EVP on the scaled 0.1 degree grid at 200 cores, with no step given,
+# runs at the grid's own step (dt_count 500, 172.8 s) and converges in about
+# 80 iterations. At the 1 degree step it ran out its 2000.
+tenth=$(go run ./cmd/popsolve -grid 0.1deg-scaled -method pcsi -precond evp -cores 200 | grep '^converged=')
+echo "$tenth" | grep -q 'converged=true'
+[ "$(echo "$tenth" | sed 's/.*iterations=\([0-9]*\).*/\1/')" -le 200 ] || {
+    echo "P-CSI+EVP at 0.1deg-scaled/200 took more than 200 iterations: $tenth"; exit 1; }
+
+echo "== one failure contract =="
+# A solve that stops short of its tolerance prints its summary and exits
+# non-zero with the *NotConvergedError text.
+capped=$(go run ./cmd/popsolve -grid test -tol 1e-300 2>&1 >/dev/null) && {
+    echo "popsolve -tol 1e-300 exited 0"; exit 1; }
+echo "$capped" | grep -q 'did not converge after 2000 iterations' || {
+    echo "popsolve -tol 1e-300 did not report its NotConvergedError: $capped"; exit 1; }
+
+echo "== answer-oracle fuzz (30s) =="
+# FuzzDenseReference draws 20x16 masks: every methods row must match dense
+# LU within 1e-9 or end in a typed error, and since every stop short of Tol
+# is a *NotConvergedError the contract holds on the s-step plateaus too.
+go test -run=NONE -fuzz=FuzzDenseReference -fuzztime=30s ./internal/core/
+
 echo "== wire-surface fuzz smoke (10s per target) =="
 # Short-budget native fuzzing of the two places network bytes meet
 # hand-written parsing: the binary frame decoders (totality + byte-level
