@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/grid"
-	"repro/internal/model"
 	"repro/internal/perfmodel"
 )
 
@@ -101,7 +100,7 @@ func BenchmarkModelStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := NewModel(ModelConfig{Grid: g, Solver: model.SolverChronGear,
+	m, err := NewModel(ModelConfig{Grid: g, Method: MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal}})
 	if err != nil {
 		b.Fatal(err)

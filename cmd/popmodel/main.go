@@ -17,7 +17,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -40,13 +39,15 @@ func main() {
 	g, err := pop.NewGrid(*gridName)
 	fatalIf(err)
 
+	method, err := core.ParseMethod(*solver)
+	fatalIf(err)
 	pc, err := core.ParsePrecond(*precond)
 	fatalIf(err)
 
 	m, err := pop.NewModel(pop.ModelConfig{
 		Grid:       g,
 		Dt:         *dt,
-		Solver:     model.SolverName(*solver),
+		Method:     method,
 		SolverOpts: core.Options{Precond: pc, SStep: *sstep},
 		Threads:    *threads,
 	})
@@ -60,8 +61,9 @@ func main() {
 
 	stepsPerReport := int(*every * 86400 / *dt)
 	totalSteps := int(*days * 86400 / *dt)
+	// The pair the model runs (core.Canonical: csi is pcsi+none), not the flags.
 	fmt.Printf("grid %s (%d×%d), dt=%.0fs, %d steps, solver %s+%s\n",
-		g.Name, g.Nx, g.Ny, *dt, totalSteps, *solver, *precond)
+		g.Name, g.Nx, g.Ny, *dt, totalSteps, m.Cfg.Method, m.Cfg.SolverOpts.Precond)
 
 	for done := 0; done < totalSteps; {
 		n := stepsPerReport
@@ -92,7 +94,7 @@ func main() {
 		if d := tracer.Dropped(); d > 0 {
 			fmt.Fprintf(os.Stderr, "popmodel: trace ring dropped %d events (oldest lost)\n", d)
 		}
-		tracks := tracer.Tracks(fmt.Sprintf("popmodel %s/%s/%s", g.Name, *solver, *precond), 1)
+		tracks := tracer.Tracks(fmt.Sprintf("popmodel %s/%s/%s", g.Name, m.Cfg.Method, m.Cfg.SolverOpts.Precond), 1)
 		fatalIf(obs.WriteFile(*traceOut, func(w io.Writer) error {
 			return obs.WritePerfetto(w, tracks, nil, tracer.Dropped())
 		}))

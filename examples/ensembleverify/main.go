@@ -11,7 +11,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/model"
 )
 
 const (
@@ -25,7 +24,7 @@ func main() {
 	spec.Nx, spec.Ny = 48, 36
 	base, err := pop.NewModel(pop.ModelConfig{
 		Grid:       grid.Generate(spec),
-		Solver:     model.SolverChronGear,
+		Method:     core.MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal, Tol: 1e-13},
 	})
 	if err != nil {
@@ -36,8 +35,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(solver model.SolverName, opts core.Options, perturbSeed int64) []float64 {
-		m, err := base.Fork(solver, opts)
+	run := func(method core.Method, opts core.Options, perturbSeed int64) []float64 {
+		m, err := base.Fork(method, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +64,7 @@ func main() {
 	var memberFields [][]float64
 	fmt.Printf("running %d perturbed ensemble members...\n", members)
 	for mem := 1; mem <= members; mem++ {
-		f := run(model.SolverChronGear, defaultOpts, int64(mem))
+		f := run(core.MethodChronGear, defaultOpts, int64(mem))
 		ens.Add(f)
 		memberFields = append(memberFields, f)
 	}
@@ -87,16 +86,16 @@ func main() {
 
 	cases := []struct {
 		name   string
-		solver model.SolverName
+		method core.Method
 		opts   core.Options
 	}{
-		{"new solver: P-CSI+EVP (tol 1e-13)", model.SolverPCSI, core.Options{Precond: core.PrecondEVP, Tol: 1e-13}},
-		{"sloppy solver: ChronGear tol 1e-6", model.SolverChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-6}},
+		{"new solver: P-CSI+EVP (tol 1e-13)", core.MethodPCSI, core.Options{Precond: core.PrecondEVP, Tol: 1e-13}},
+		{"sloppy solver: ChronGear tol 1e-6", core.MethodChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-6}},
 	}
-	ref := run(model.SolverChronGear, defaultOpts, 0)
+	ref := run(core.MethodChronGear, defaultOpts, 0)
 	fmt.Println("case                                   RMSE vs ref     RMSZ     verdict")
 	for _, cs := range cases {
-		f := run(cs.solver, cs.opts, 0)
+		f := run(cs.method, cs.opts, 0)
 		rmse := pop.RMSE(f, ref, mask)
 		z, err := ens.RMSZ(f)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 func main() {
@@ -24,7 +23,7 @@ func main() {
 		Grid:       g,
 		Dt:         2400,
 		NZ:         5,
-		Solver:     model.SolverPCSI,
+		Method:     core.MethodPCSI,
 		SolverOpts: core.Options{Precond: core.PrecondEVP},
 	})
 	if err != nil {

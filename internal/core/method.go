@@ -24,9 +24,9 @@ const (
 	// (Algorithm 2): no reductions outside convergence checks.
 	MethodPCSI
 	// MethodCSI is the plain Stiefel iteration of Hu et al. 2013 — P-CSI
-	// run with identity preconditioning. Construction-time code (pop's
-	// NewSolver, the solve service) maps it to MethodPCSI plus
-	// PrecondIdentity; the methods table gives it MethodPCSI's row.
+	// run with identity preconditioning. Canonical maps it to MethodPCSI
+	// plus PrecondIdentity at construction time; the methods table gives it
+	// MethodPCSI's row.
 	MethodCSI
 	// MethodSStep is the communication-avoiding s-step PCG with a Chebyshev
 	// basis (sstep.go): Options.SStep matrix-vector products batched between
@@ -153,6 +153,25 @@ func parseSpelling[T comparable](table []enumSpelling[T], s, kind string) (T, er
 	}
 	var zero T
 	return zero, fmt.Errorf("core: unknown %s %q: %w", kind, s, ErrBadSpec)
+}
+
+// Canonical validates a (method, preconditioner) selection and returns the
+// pair a session runs: MethodCSI becomes MethodPCSI with PrecondIdentity,
+// every other valid pair is returned unchanged, and an out-of-range value of
+// either matches ErrBadSpec. pop.NewSolver, the solve service and the ocean
+// model all resolve their selection here, so "csi" names one solver at
+// every front end.
+func Canonical(m Method, p PrecondType) (Method, PrecondType, error) {
+	if !m.Valid() {
+		return 0, 0, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
+	}
+	if !p.Valid() {
+		return 0, 0, fmt.Errorf("core: unknown preconditioner %v: %w", p, ErrBadSpec)
+	}
+	if m == MethodCSI {
+		return MethodPCSI, PrecondIdentity, nil
+	}
+	return m, p, nil
 }
 
 // MethodNames lists the spellings ParseMethod accepts ("" selects the

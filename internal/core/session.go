@@ -186,14 +186,15 @@ func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *
 // BuildSession assembles everything under a session on g and returns
 // NewSession over it: the blocking nearest to cores virtual ranks at 3:2
 // aspect (cores 0 = the whole grid as one block), one block per rank, the
-// machineName cost model ("" = free), and a world of threads worker shards
+// machine's cost model (nil = free), and a world of threads worker shards
 // with inj and tracer attached (either may be nil — a nil injector leaves
 // every communication path bitwise identical, and sessions never share a
 // tracer: its rings are single-writer per rank and every session has a
-// rank 0). The realized rank count is Session.W.NRank. pop.NewSolver and the
-// serve pool both build through here, so a served solve runs on a world
-// constructed exactly like a CLI solve's.
-func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machineName string,
+// rank 0). The realized rank count is Session.W.NRank. It is the one place
+// a decomposition, a world and a session are built: pop.NewSolver, the
+// serve pool, the ocean model and the experiments all build through here,
+// so each runs on a world constructed exactly like a CLI solve's.
+func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machine *perfmodel.Machine,
 	inj *faults.Injector, tracer *obs.Tracer, opts Options) (*Session, error) {
 	bx, by := g.Nx, g.Ny
 	if cores > 0 {
@@ -207,11 +208,7 @@ func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machin
 		return nil, err
 	}
 	d.AssignOnePerRank()
-	machine, err := perfmodel.ByName(machineName)
-	if err != nil {
-		return nil, err
-	}
-	var cost comm.CostModel
+	var cost comm.CostModel // a nil *Machine must stay a nil interface
 	if machine != nil {
 		cost = machine
 	}

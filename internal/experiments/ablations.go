@@ -4,28 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 )
-
-// ablationSession builds a session on a fresh bx×by decomposition, one block
-// per rank, priced on the config's machine.
-func (c *Config) ablationSession(g *grid.Grid, op *stencil.Operator, bx, by int, opts core.Options) (*core.Session, error) {
-	d, err := decomp.New(g, bx, by, decomp.DefaultHalo)
-	if err != nil {
-		return nil, err
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, c.Machine)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSession(g, op, d, w, opts)
-}
 
 // CheckFreq is the §5.2 side-note made measurable: "because P-CSI
 // iterations are relatively inexpensive (compared to performing the POP
@@ -39,21 +21,13 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	targets := c.CoreTargets(res)
-	target := targets[len(targets)-1]
-	bx, by, cores, err := decomp.ChooseBlocking(g, target, 3, 2)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title: fmt.Sprintf("Ablation: convergence-check interval, %s @ %d cores, %s",
-			res, cores, c.Machine.Name),
-		Header: []string{"check_every", "cg_iters", "cg_s/solve", "pcsi_iters", "pcsi_s/solve"},
-	}
+	t := &Table{Header: []string{"check_every", "cg_iters", "cg_s/solve", "pcsi_iters", "pcsi_s/solve"}}
+	var cores int
 	for _, every := range []int{1, 5, 10, 20, 50} {
 		row := []string{fmt.Sprint(every)}
 		for _, method := range []core.Method{core.MethodChronGear, core.MethodPCSI} {
-			sess, err := c.ablationSession(g, op, bx, by, core.Options{
-				Precond: core.PrecondEVP, CheckEvery: every})
+			sess, err := core.BuildSession(g, op, targets[len(targets)-1], 0, c.Machine, nil, nil,
+				core.Options{Precond: core.PrecondEVP, CheckEvery: every})
 			if err != nil {
 				return nil, err
 			}
@@ -61,11 +35,13 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			cores = sess.W.NRank
 			row = append(row, fmt.Sprint(res2.Iterations), fmt.Sprintf("%.4g", res2.Stats.MaxClock))
 		}
 		t.Rows = append(t.Rows, row)
 		c.logf("checkfreq %d done", every)
 	}
+	t.Title = fmt.Sprintf("Ablation: convergence-check interval, %s @ %d cores, %s", res, cores, c.Machine.Name)
 	return t, nil
 }
 
@@ -83,16 +59,9 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
 	targets := c.CoreTargets(res)
-	bx, by, cores, err := decomp.ChooseBlocking(g, targets[len(targets)-1], 3, 2)
-	if err != nil {
-		return nil, err
-	}
 	n2 := float64(g.Nx) * float64(g.Ny)
-	t := &Table{
-		Title: fmt.Sprintf("Ablation: s-step reduction crossover, %s @ %d cores, evp, %s",
-			res, cores, c.Machine.Name),
-		Header: []string{"solver", "s", "iters", "converged", "reductions/rank", "s/solve", "eq_s/solve"},
-	}
+	t := &Table{Header: []string{"solver", "s", "iters", "converged", "reductions/rank", "s/solve", "eq_s/solve"}}
+	var cores int
 	for _, row := range []struct {
 		method core.Method
 		s      int
@@ -100,10 +69,12 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 		{core.MethodChronGear, 0}, {core.MethodPCSI, 0},
 		{core.MethodSStep, 1}, {core.MethodSStep, 2}, {core.MethodSStep, 4}, {core.MethodSStep, 8},
 	} {
-		sess, err := c.ablationSession(g, op, bx, by, core.Options{Precond: core.PrecondEVP, SStep: row.s})
+		sess, err := core.BuildSession(g, op, targets[len(targets)-1], 0, c.Machine, nil, nil,
+			core.Options{Precond: core.PrecondEVP, SStep: row.s})
 		if err != nil {
 			return nil, err
 		}
+		cores = sess.W.NRank
 		if _, _, _, err := sess.EstimateEigenvalues(nil, 0); err != nil {
 			return nil, err
 		}
@@ -128,6 +99,7 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 		})
 		c.logf("sstep %s s=%s done", row.method, sCol)
 	}
+	t.Title = fmt.Sprintf("Ablation: s-step reduction crossover, %s @ %d cores, evp, %s", res, cores, c.Machine.Name)
 	return t, nil
 }
 
@@ -154,13 +126,13 @@ func (c *Config) EqCheck(res string) (*Table, error) {
 	for _, m := range ms {
 		var eq float64
 		switch {
-		case m.Config.Solver == "chrongear" && m.Config.Precond == core.PrecondDiagonal:
+		case m.Config.Solver == core.MethodChronGear && m.Config.Precond == core.PrecondDiagonal:
 			eq = perfmodel.EqChronGearDiag(ideal, n2, m.Cores, float64(m.Iterations))
-		case m.Config.Solver == "chrongear" && m.Config.Precond == core.PrecondEVP:
+		case m.Config.Solver == core.MethodChronGear && m.Config.Precond == core.PrecondEVP:
 			eq = perfmodel.EqChronGearEVP(ideal, n2, m.Cores, float64(m.Iterations))
-		case m.Config.Solver == "pcsi" && m.Config.Precond == core.PrecondDiagonal:
+		case m.Config.Solver == core.MethodPCSI && m.Config.Precond == core.PrecondDiagonal:
 			eq = perfmodel.EqPCSIDiag(ideal, n2, m.Cores, float64(m.Iterations))
-		case m.Config.Solver == "pcsi" && m.Config.Precond == core.PrecondEVP:
+		case m.Config.Solver == core.MethodPCSI && m.Config.Precond == core.PrecondEVP:
 			eq = perfmodel.EqPCSIEVP(ideal, n2, m.Cores, float64(m.Iterations))
 		default:
 			continue

@@ -19,20 +19,20 @@ import (
 
 // SolverConfig names one solver/preconditioner combination.
 type SolverConfig struct {
-	Solver  string // "chrongear", "pcg", or "pcsi"
+	Solver  core.Method // ChronGear, PCG or P-CSI
 	Precond core.PrecondType
 }
 
 func (sc SolverConfig) String() string {
-	return sc.Solver + "+" + sc.Precond.String()
+	return sc.Solver.String() + "+" + sc.Precond.String()
 }
 
 // PaperConfigs are the four combinations of Figures 7, 8, 10 and 11.
 var PaperConfigs = []SolverConfig{
-	{"chrongear", core.PrecondDiagonal},
-	{"chrongear", core.PrecondEVP},
-	{"pcsi", core.PrecondDiagonal},
-	{"pcsi", core.PrecondEVP},
+	{core.MethodChronGear, core.PrecondDiagonal},
+	{core.MethodChronGear, core.PrecondEVP},
+	{core.MethodPCSI, core.PrecondDiagonal},
+	{core.MethodPCSI, core.PrecondEVP},
 }
 
 // Config carries shared experiment state; create with NewConfig.

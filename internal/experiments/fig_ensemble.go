@@ -40,7 +40,7 @@ func (c *Config) ensBase() (*model.Model, error) {
 	cfg := model.Config{
 		Grid:       grid.Generate(spec),
 		NZ:         5,
-		Solver:     model.SolverChronGear,
+		Method:     core.MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal, Tol: 1e-13},
 	}
 	m, err := model.New(cfg)
@@ -75,9 +75,9 @@ func temp3DMask(m *model.Model) []bool {
 
 // runMonthly forks base into a model with the given solver options, runs
 // `months` scaled months, and returns the monthly 3-D temperature fields.
-func (c *Config) runMonthly(base *model.Model, solver model.SolverName, opts core.Options,
+func (c *Config) runMonthly(base *model.Model, method core.Method, opts core.Options,
 	perturb float64, seed int64, months, monthSteps int) ([][]float64, error) {
-	m, err := base.Fork(solver, opts)
+	m, err := base.Fork(method, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func (c *Config) Fig12() (*Table, error) {
 		return nil, err
 	}
 	_, _, monthSteps, _, _, months := c.ensScale()
-	ref, err := c.runMonthly(base, model.SolverChronGear,
+	ref, err := c.runMonthly(base, core.MethodChronGear,
 		core.Options{Precond: core.PrecondDiagonal, Tol: 1e-16}, 0, 0, months, monthSteps)
 	if err != nil {
 		return nil, err
@@ -124,7 +124,7 @@ func (c *Config) Fig12() (*Table, error) {
 	cases := make([][][]float64, len(Fig12Tolerances))
 	for i, tol := range Fig12Tolerances {
 		c.logf("fig12: tolerance %.0e", tol)
-		cases[i], err = c.runMonthly(base, model.SolverChronGear,
+		cases[i], err = c.runMonthly(base, core.MethodChronGear,
 			core.Options{Precond: core.PrecondDiagonal, Tol: tol}, 0, 0, months, monthSteps)
 		if err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func (c *Config) Fig12() (*Table, error) {
 // Fig13Case is one "new case" evaluated against the ensemble.
 type Fig13Case struct {
 	Name   string
-	Solver model.SolverName
+	Solver core.Method
 	Opts   core.Options
 }
 
@@ -151,11 +151,11 @@ type Fig13Case struct {
 // tolerances plus the new P-CSI+EVP solver whose acceptance the method
 // gates.
 var Fig13Cases = []Fig13Case{
-	{"cg tol=1e-10", model.SolverChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-10}},
-	{"cg tol=1e-11", model.SolverChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-11}},
-	{"cg tol=1e-13", model.SolverChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-13}},
-	{"cg tol=1e-15", model.SolverChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-15}},
-	{"pcsi+evp 1e-13", model.SolverPCSI, core.Options{Precond: core.PrecondEVP, Tol: 1e-13}},
+	{"cg tol=1e-10", core.MethodChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-10}},
+	{"cg tol=1e-11", core.MethodChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-11}},
+	{"cg tol=1e-13", core.MethodChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-13}},
+	{"cg tol=1e-15", core.MethodChronGear, core.Options{Precond: core.PrecondDiagonal, Tol: 1e-15}},
+	{"pcsi+evp 1e-13", core.MethodPCSI, core.Options{Precond: core.PrecondEVP, Tol: 1e-13}},
 }
 
 // Fig13 is Figure 13: the monthly RMSZ of each case against a 40-member
@@ -177,7 +177,7 @@ func (c *Config) Fig13() (*Table, error) {
 	memberMonths := make([][][]float64, members) // [member][month][]
 	for mem := 0; mem < members; mem++ {
 		c.logf("fig13: member %d/%d", mem+1, members)
-		memberMonths[mem], err = c.runMonthly(base, model.SolverChronGear, defaultOpts,
+		memberMonths[mem], err = c.runMonthly(base, core.MethodChronGear, defaultOpts,
 			1e-14, int64(mem+1), months, monthSteps)
 		if err != nil {
 			return nil, err

@@ -48,14 +48,14 @@ func (c *Config) percentFigure(title string, sc SolverConfig) (*Table, error) {
 // baroclinic mode, growing from ~5% at 470 cores to ~50% at 16,875.
 func (c *Config) Fig01() (*Table, error) {
 	return c.percentFigure("Fig 1: % of 0.1deg POP time, ChronGear+diagonal",
-		SolverConfig{"chrongear", core.PrecondDiagonal})
+		SolverConfig{core.MethodChronGear, core.PrecondDiagonal})
 }
 
 // Fig09 is Figure 9: the same percentages with P-CSI + block-EVP, dropping
 // the barotropic share to ~16% at scale.
 func (c *Config) Fig09() (*Table, error) {
 	return c.percentFigure("Fig 9: % of 0.1deg POP time, P-CSI+EVP",
-		SolverConfig{"pcsi", core.PrecondEVP})
+		SolverConfig{core.MethodPCSI, core.PrecondEVP})
 }
 
 // Fig02 is Figure 2: per-day global-reduction and halo-update times of the
@@ -66,7 +66,7 @@ func (c *Config) Fig02() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := SolverConfig{"chrongear", core.PrecondDiagonal}
+	sc := SolverConfig{core.MethodChronGear, core.PrecondDiagonal}
 	dt := float64(c.gridFor("0.1deg").DtCount)
 	t := &Table{
 		Title:  "Fig 2: ChronGear+diagonal component times, 0.1deg, one sim day",
@@ -181,12 +181,7 @@ func (c *Config) Tab01() (*Table, error) {
 		return nil, err
 	}
 	dt := c.gridFor("1deg").DtCount
-	base := SolverConfig{"chrongear", core.PrecondDiagonal}
-	newConfigs := []SolverConfig{
-		{"chrongear", core.PrecondEVP},
-		{"pcsi", core.PrecondDiagonal},
-		{"pcsi", core.PrecondEVP},
-	}
+	base, newConfigs := PaperConfigs[0], PaperConfigs[1:] // ChronGear+diagonal, then the new three
 	t := &Table{
 		Title:  "Table 1: % improvement of total 1deg POP time vs ChronGear+diagonal",
 		Header: []string{"cores", "ChronGear+EVP", "P-CSI+Diagonal", "P-CSI+EVP"},
@@ -245,7 +240,7 @@ func (c *Config) Fig11(seeds int) (*Table, *Table, error) {
 			continue
 		}
 		for ci, sc := range PaperConfigs {
-			if sc.Solver != "chrongear" {
+			if sc.Solver != core.MethodChronGear {
 				continue
 			}
 			times := []float64{find(ms, sc, cores).DayTime(dt)}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/stencil"
 )
 
@@ -19,25 +17,13 @@ func (c *Config) Fig03() (*Table, error) {
 	g := c.gridFor("1deg")
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
-	bx, by, _, err := decomp.ChooseBlocking(g, c.CoreTargets("1deg")[2], 3, 2)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Fig 3: Lanczos steps vs P-CSI iterations, 1deg, diagonal",
 		Header: []string{"lanczos_steps", "nu", "mu", "pcsi_iterations", "converged"},
 	}
 	run := func(steps int) (core.Result, float64, float64, int, error) {
-		d, err := decomp.New(g, bx, by, decomp.DefaultHalo)
-		if err != nil {
-			return core.Result{}, 0, 0, 0, err
-		}
-		d.AssignOnePerRank()
-		w, err := comm.NewWorld(d, c.Machine)
-		if err != nil {
-			return core.Result{}, 0, 0, 0, err
-		}
-		sess, err := core.NewSession(g, op, d, w, core.Options{Precond: core.PrecondDiagonal})
+		sess, err := core.BuildSession(g, op, c.CoreTargets("1deg")[2], 0, c.Machine, nil, nil,
+			core.Options{Precond: core.PrecondDiagonal})
 		if err != nil {
 			return core.Result{}, 0, 0, 0, err
 		}
@@ -84,7 +70,8 @@ func (c *Config) Fig06() (*Table, error) {
 		Title:  "Fig 6: average iterations per solve",
 		Header: []string{"config", "1deg", "0.1deg"},
 	}
-	configs := append([]SolverConfig{{"pcg", core.PrecondDiagonal}}, PaperConfigs...)
+	pcg := SolverConfig{core.MethodPCG, core.PrecondDiagonal}
+	configs := append([]SolverConfig{pcg}, PaperConfigs...)
 	cols := make(map[SolverConfig][2]int)
 	for resIdx, res := range []string{"1deg", "0.1deg"} {
 		target := c.CoreTargets(res)[1]
@@ -102,13 +89,13 @@ func (c *Config) Fig06() (*Table, error) {
 		g := c.gridFor(res)
 		op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 		b := syntheticRHS(g, op)
-		m, err := c.measure(res, g, op, b, target, SolverConfig{"pcg", core.PrecondDiagonal})
+		m, err := c.measure(res, g, op, b, target, pcg)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s pcg: %w", res, err)
 		}
-		v := cols[SolverConfig{"pcg", core.PrecondDiagonal}]
+		v := cols[pcg]
 		v[resIdx] = m.Iterations
-		cols[SolverConfig{"pcg", core.PrecondDiagonal}] = v
+		cols[pcg] = v
 	}
 	for _, sc := range configs {
 		v := cols[sc]
@@ -123,7 +110,7 @@ func (c *Config) EVPSetupCost(res string, target int) (*Table, error) {
 	g := c.gridFor(res)
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
 	b := syntheticRHS(g, op)
-	m, err := c.measure(res, g, op, b, target, SolverConfig{"pcsi", core.PrecondEVP})
+	m, err := c.measure(res, g, op, b, target, SolverConfig{core.MethodPCSI, core.PrecondEVP})
 	if err != nil {
 		return nil, err
 	}

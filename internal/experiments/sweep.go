@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/grid"
+	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 )
 
@@ -76,26 +77,9 @@ func (c *Config) measure(res string, g *grid.Grid, op *stencil.Operator, b []flo
 // measureOn runs one solver configuration at one core-count target and
 // returns the data point. The same grid/operator/RHS are shared by the
 // caller across configurations.
-func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op *stencil.Operator, b []float64,
+func (c *Config) measureOn(machine *perfmodel.Machine, res string, g *grid.Grid, op *stencil.Operator, b []float64,
 	target int, sc SolverConfig) (Measurement, error) {
-	method, err := core.ParseMethod(sc.Solver)
-	if err != nil {
-		return Measurement{}, err
-	}
-	bx, by, cores, err := decomp.ChooseBlocking(g, target, 3, 2)
-	if err != nil {
-		return Measurement{}, err
-	}
-	d, err := decomp.New(g, bx, by, decomp.DefaultHalo)
-	if err != nil {
-		return Measurement{}, err
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, machine)
-	if err != nil {
-		return Measurement{}, err
-	}
-	sess, err := core.NewSession(g, op, d, w, core.Options{Precond: sc.Precond})
+	sess, err := core.BuildSession(g, op, target, 0, machine, nil, nil, core.Options{Precond: sc.Precond})
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -103,10 +87,10 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 		return Measurement{}, err
 	}
 	m := Measurement{
-		Res: res, Config: sc, Cores: cores, BlockNx: bx, BlockNy: by,
+		Res: res, Config: sc, Cores: sess.W.NRank, BlockNx: sess.D.BlockNx, BlockNy: sess.D.BlockNy,
 		SetupTime: sess.SetupStats.MaxClock,
 	}
-	if sc.Solver == "pcsi" {
+	if sc.Solver == core.MethodPCSI {
 		if _, _, steps, err := sess.EstimateEigenvalues(nil, 0); err != nil {
 			return Measurement{}, err
 		} else {
@@ -121,7 +105,7 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 	x0 := make([]float64, g.N())
 	var iters int
 	for s := 0; s < solves; s++ {
-		res2, _, err := sess.Solve(method, b, x0)
+		res2, _, err := sess.Solve(sc.Solver, b, x0)
 		if err != nil && !errors.Is(err, core.ErrNotConverged) { // Converged records a short solve
 			return Measurement{}, err
 		}
@@ -140,7 +124,7 @@ func (c *Config) measureOn(machine comm.CostModel, res string, g *grid.Grid, op 
 	m.HaloTime *= inv
 	m.ReduceTime *= inv
 	c.logf("%s %s cores=%d block=%dx%d iters=%d solve=%.4gs (comp %.4g, halo %.4g, reduce %.4g)",
-		res, sc, cores, bx, by, m.Iterations, m.SolveTime, m.CompTime, m.HaloTime, m.ReduceTime)
+		res, sc, m.Cores, m.BlockNx, m.BlockNy, m.Iterations, m.SolveTime, m.CompTime, m.HaloTime, m.ReduceTime)
 	c.recorded = append(c.recorded, m)
 	return m, nil
 }

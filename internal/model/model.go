@@ -37,20 +37,8 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/stencil"
-)
-
-// SolverName picks the barotropic solver for the model: any spelling
-// core.ParseMethod accepts.
-type SolverName string
-
-const (
-	SolverChronGear SolverName = "chrongear"
-	SolverPCG       SolverName = "pcg"
-	SolverPCSI      SolverName = "pcsi"
-	SolverSStep     SolverName = "sstep"
 )
 
 // Config describes a model run.
@@ -86,12 +74,16 @@ type Config struct {
 	// thermal expansion of a ~3000 m column is α·H ≈ 0.6–0.8 m/K).
 	StericCoef float64
 
-	// Solver configuration.
-	Solver     SolverName
+	// Solver configuration. New resolves Method and SolverOpts.Precond
+	// with core.Canonical (MethodCSI runs as MethodPCSI + PrecondIdentity)
+	// and stores the pair it runs; the zero values are ChronGear with
+	// diagonal preconditioning, POP's production solver.
+	Method     core.Method
 	SolverOpts core.Options
-	BlockNx    int // decomposition block size; default: single block
-	BlockNy    int
-	Cost       comm.CostModel // nil = free (numerics only)
+	// Cores is the virtual rank count core.BuildSession decomposes the
+	// grid over (0 = one block covering the whole grid). Solves are priced
+	// on no machine: the model measures numerics, not time.
+	Cores int
 	// Threads caps concurrent rank execution on real cores
 	// (comm.World.SetThreads): 0 = GOMAXPROCS. Trajectories are bitwise
 	// identical across settings.
@@ -128,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.StericCoef == 0 {
 		c.StericCoef = 0.5
 	}
-	if c.Solver == "" {
-		c.Solver = SolverChronGear
-	}
 	return c
 }
 
@@ -165,32 +154,21 @@ type Model struct {
 	TotalSolveStats comm.Counters
 }
 
-// New builds a model, its operator, decomposition, communicator, and solver
-// session.
+// New builds a model, its operator and its solver session
+// (core.BuildSession). An unknown method or preconditioner matches
+// core.ErrBadSpec here, before any step runs.
 func New(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	g := cfg.Grid
 	if g == nil {
-		return nil, fmt.Errorf("model: nil grid")
+		return nil, fmt.Errorf("model: nil grid: %w", core.ErrBadSpec)
 	}
-	if cfg.BlockNx == 0 {
-		cfg.BlockNx = g.Nx
-	}
-	if cfg.BlockNy == 0 {
-		cfg.BlockNy = g.Ny
+	var err error
+	if cfg.Method, cfg.SolverOpts.Precond, err = core.Canonical(cfg.Method, cfg.SolverOpts.Precond); err != nil {
+		return nil, err
 	}
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(cfg.Dt))
-	d, err := decomp.New(g, cfg.BlockNx, cfg.BlockNy, decomp.DefaultHalo)
-	if err != nil {
-		return nil, err
-	}
-	d.AssignOnePerRank()
-	w, err := comm.NewWorld(d, cfg.Cost)
-	if err != nil {
-		return nil, err
-	}
-	w.SetThreads(cfg.Threads)
-	sess, err := core.NewSession(g, op, d, w, cfg.SolverOpts)
+	sess, err := core.BuildSession(g, op, cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -265,9 +243,9 @@ func (m *Model) PerturbTemperature(amp float64, seed int64) {
 // Fork deep-copies the model state into a fresh model that may use a
 // different solver configuration — how ensemble members and solver-
 // comparison runs branch from one spun-up state.
-func (m *Model) Fork(solver SolverName, opts core.Options) (*Model, error) {
+func (m *Model) Fork(method core.Method, opts core.Options) (*Model, error) {
 	cfg := m.Cfg
-	cfg.Solver = solver
+	cfg.Method = method
 	cfg.SolverOpts = opts
 	cfg.TempPerturb = 0
 	nm, err := New(cfg)
@@ -303,7 +281,6 @@ func (m *Model) dy(k int) float64 { return m.G.DYU[k] }
 func (m *Model) Step() error {
 	g := m.G
 	cfg := m.Cfg
-	n := g.N()
 	tau := cfg.Dt
 
 	// 0. Steric height from the depth-mean temperature anomaly (the
@@ -367,11 +344,7 @@ func (m *Model) Step() error {
 	}
 
 	// 3. Implicit free-surface solve.
-	method, err := core.ParseMethod(string(cfg.Solver))
-	if err != nil {
-		return fmt.Errorf("model: %w", err)
-	}
-	res, eta, err := m.Sess.Solve(method, m.psi, m.Eta)
+	res, eta, err := m.Sess.Solve(cfg.Method, m.psi, m.Eta)
 	if err != nil {
 		return fmt.Errorf("model step %d: %w", m.StepCount, err)
 	}
@@ -423,7 +396,6 @@ func (m *Model) Step() error {
 	}
 
 	m.StepCount++
-	_ = n
 	return nil
 }
 

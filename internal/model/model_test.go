@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ func smallConfig() Config {
 		Grid:       grid.Generate(spec),
 		Dt:         2400,
 		NZ:         3,
-		Solver:     SolverChronGear,
+		Method:     core.MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal},
 	}
 }
@@ -115,7 +116,7 @@ func TestSolverChoiceAgreesClosely(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgB := smallConfig()
-	cfgB.Solver = SolverPCSI
+	cfgB.Method = core.MethodPCSI
 	cfgB.SolverOpts = core.Options{Precond: core.PrecondEVP}
 	mB, err := New(cfgB)
 	if err != nil {
@@ -181,11 +182,11 @@ func TestPerturbationsPersist(t *testing.T) {
 	if err := base.Run(300); err != nil {
 		t.Fatal(err)
 	}
-	a, err := base.Fork(base.Cfg.Solver, base.Cfg.SolverOpts)
+	a, err := base.Fork(base.Cfg.Method, base.Cfg.SolverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := base.Fork(base.Cfg.Solver, base.Cfg.SolverOpts)
+	b, err := base.Fork(base.Cfg.Method, base.Cfg.SolverOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +220,39 @@ func TestPerturbationsPersist(t *testing.T) {
 	}
 }
 
+// An unknown method is a construction-time error, never a failed first step.
 func TestBadSolverName(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Solver = "magic"
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg.Method = core.Method(99)
+	if _, err := New(cfg); !errors.Is(err, core.ErrBadSpec) {
+		t.Fatalf("New with method 99: err = %v, want ErrBadSpec", err)
 	}
-	if err := m.Step(); err == nil {
-		t.Fatal("accepted unknown solver name")
+}
+
+// MethodCSI is plain CSI in the model exactly as in pop.NewSolver: P-CSI with
+// identity preconditioning, whatever preconditioner the options carry — so
+// its steps take the iterations of an explicit pcsi+none model.
+func TestCSIRunsUnpreconditioned(t *testing.T) {
+	run := func(method core.Method, precond core.PrecondType) *Model {
+		cfg := smallConfig()
+		cfg.Method = method
+		cfg.SolverOpts.Precond = precond
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Run(5); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	csi := run(core.MethodCSI, core.PrecondDiagonal)
+	if csi.Cfg.Method != core.MethodPCSI || csi.Sess.Opts.Precond != core.PrecondIdentity {
+		t.Fatalf("csi runs %v+%v, want pcsi+none", csi.Cfg.Method, csi.Sess.Opts.Precond)
+	}
+	want := run(core.MethodPCSI, core.PrecondIdentity).IterHistory
+	if !slices.Equal(csi.IterHistory, want) {
+		t.Fatalf("csi iterations per step %v, want pcsi+none's %v", csi.IterHistory, want)
 	}
 }
 
@@ -259,10 +284,13 @@ func TestDistributedModelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgB := smallConfig()
-	cfgB.BlockNx, cfgB.BlockNy = 12, 12
+	cfgB.Cores = 12
 	mB, err := New(cfgB)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if mB.Sess.W.NRank <= 1 {
+		t.Fatalf("Cores 12 realized %d rank(s), want a distributed run", mB.Sess.W.NRank)
 	}
 	if err := mA.Run(10); err != nil {
 		t.Fatal(err)

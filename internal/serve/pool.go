@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 )
 
@@ -127,7 +128,11 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 	if o.TraceCapacity > 0 {
 		tracer = obs.NewTracer(o.TraceCapacity)
 	}
-	sess, err := core.BuildSession(ge.g, ge.op, o.Cores, o.Threads, o.MachineName, o.Injector, tracer, opts)
+	machine, err := perfmodel.ByName(o.MachineName)
+	if err != nil {
+		return nil, nil, err
+	}
+	sess, err := core.BuildSession(ge.g, ge.op, o.Cores, o.Threads, machine, o.Injector, tracer, opts)
 	if err != nil {
 		return nil, nil, err
 	}

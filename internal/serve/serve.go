@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -280,22 +281,13 @@ func New(opts Options) *Service {
 	return s
 }
 
-// normalize validates the request's algorithm selection and folds the
-// MethodCSI alias into its canonical key.
+// normalize validates the request's algorithm selection and folds it into
+// its canonical key (core.Canonical).
 func normalize(req *Request) (Key, error) {
-	if !req.Method.Valid() {
-		return Key{}, fmt.Errorf("serve: unknown method %v: %w", req.Method, core.ErrBadSpec)
-	}
-	if !req.Precond.Valid() {
-		return Key{}, fmt.Errorf("serve: unknown preconditioner %v: %w", req.Precond, core.ErrBadSpec)
-	}
-	k := Key{Grid: req.Grid, Method: req.Method, Precond: req.Precond}
-	if k.Grid == "" {
-		k.Grid = grid.PresetTest
-	}
-	if k.Method == core.MethodCSI {
-		k.Method = core.MethodPCSI
-		k.Precond = core.PrecondIdentity
+	k := Key{Grid: cmp.Or(req.Grid, grid.PresetTest)}
+	var err error
+	if k.Method, k.Precond, err = core.Canonical(req.Method, req.Precond); err != nil {
+		return Key{}, err
 	}
 	if k.Method == core.MethodSStep {
 		k.SStep = req.SStep

@@ -344,21 +344,19 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	if spec.Tau = cmp.Or(spec.Tau, g.Tau()); spec.Tau == 0 {
 		return nil, fmt.Errorf("pop: grid %q has no barotropic step and SolverSpec.Tau is 0: %w", g.Name, ErrBadSpec)
 	}
-	if !spec.Method.Valid() {
-		return nil, fmt.Errorf("pop: unknown method %v: %w", spec.Method, ErrBadSpec)
+	var err error
+	if spec.Method, spec.Precond, err = core.Canonical(spec.Method, spec.Precond); err != nil {
+		return nil, err
 	}
-	if !spec.Precond.Valid() {
-		return nil, fmt.Errorf("pop: unknown preconditioner %v: %w", spec.Precond, ErrBadSpec)
-	}
-	if spec.Method == MethodCSI {
-		spec.Method = MethodPCSI
-		spec.Precond = PrecondIdentity
+	machine, err := perfmodel.ByName(spec.MachineName)
+	if err != nil {
+		return nil, err
 	}
 	opts := spec.Options
 	opts.Precond = spec.Precond
 
 	op := stencil.Assemble(g, stencil.PhiFromTimeStep(spec.Tau))
-	sess, err := core.BuildSession(g, op, spec.Cores, spec.Threads, spec.MachineName, spec.Faults, nil, opts)
+	sess, err := core.BuildSession(g, op, spec.Cores, spec.Threads, machine, spec.Faults, nil, opts)
 	if err != nil {
 		return nil, err
 	}

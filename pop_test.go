@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/model"
+	"repro/internal/serve"
 )
 
 func TestNewGridPresets(t *testing.T) {
@@ -118,6 +118,78 @@ func TestCSIMethodMapsToUnpreconditioned(t *testing.T) {
 	}
 }
 
+// TestFrontEndsAgree holds the three front ends that name a solver —
+// NewSolver, the solve service's request normalization and the ocean model —
+// to one canonical (method, preconditioner) and one ErrBadSpec contract, for
+// every method and preconditioner plus the first out-of-range value of each;
+// and NewSolver, a served solve and the model to one decomposition at equal
+// Cores. All three resolve through core.Canonical and build through
+// core.BuildSession, so a front end that forks either fails here.
+func TestFrontEndsAgree(t *testing.T) {
+	g, err := NewGrid(GridTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := Method(0); ; m++ {
+		for p := Precond(0); ; p++ {
+			s, errS := NewSolver(g, SolverSpec{Method: m, Precond: p})
+			k, errK := serve.NormalizeRequest(serve.Request{Grid: GridTest, Method: m, Precond: p})
+			mod, errM := NewModel(ModelConfig{Grid: g, Method: m, SolverOpts: core.Options{Precond: p}})
+			bad := !m.Valid() || !p.Valid()
+			for name, err := range map[string]error{"NewSolver": errS, "NormalizeRequest": errK, "model.New": errM} {
+				if errors.Is(err, ErrBadSpec) != bad || (!bad && err != nil) {
+					t.Errorf("%v+%v: %s err = %v, want ErrBadSpec %v", m, p, name, err, bad)
+				}
+			}
+			if !bad && errS == nil && errK == nil && errM == nil {
+				want := [2]any{s.Spec.Method, s.Spec.Precond}
+				if (want != [2]any{k.Method, k.Precond}) || (want != [2]any{mod.Cfg.Method, mod.Sess.Opts.Precond}) {
+					t.Errorf("%v+%v: NewSolver runs %v, NormalizeRequest %v+%v, model.New %v+%v",
+						m, p, want, k.Method, k.Precond, mod.Cfg.Method, mod.Sess.Opts.Precond)
+				}
+			}
+			if !p.Valid() {
+				break
+			}
+		}
+		if !m.Valid() {
+			break
+		}
+	}
+
+	b := make([]float64, g.N())
+	for k, ocean := range g.Mask {
+		if ocean {
+			b[k] = 1
+		}
+	}
+	for _, cores := range []int{0, 12} {
+		s, err := NewSolver(g, SolverSpec{Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := NewModel(ModelConfig{Grid: g, Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := serve.New(serve.Options{Cores: cores})
+		resp, err := svc.Solve(context.Background(), serve.Request{Grid: GridTest, B: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		sd, md := s.Session.D, mod.Sess.D
+		if sd.BlockNx != md.BlockNx || sd.BlockNy != md.BlockNy || s.Cores != mod.Sess.W.NRank ||
+			len(resp.Result.Stats.PerRank) != s.Cores {
+			t.Errorf("Cores %d: NewSolver %d×%d on %d ranks, model.New %d×%d on %d, served solve on %d",
+				cores, sd.BlockNx, sd.BlockNy, s.Cores, md.BlockNx, md.BlockNy, mod.Sess.W.NRank,
+				len(resp.Result.Stats.PerRank))
+		}
+	}
+}
+
 func TestSolveContextCancellation(t *testing.T) {
 	g, _ := NewGrid(GridTest)
 	s, err := NewSolver(g, SolverSpec{})
@@ -142,7 +214,7 @@ func TestSolveContextCancellation(t *testing.T) {
 
 func TestModelFacade(t *testing.T) {
 	g, _ := NewGrid(GridTest)
-	m, err := NewModel(ModelConfig{Grid: g, Solver: model.SolverChronGear})
+	m, err := NewModel(ModelConfig{Grid: g, Method: MethodChronGear})
 	if err != nil {
 		t.Fatal(err)
 	}

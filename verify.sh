@@ -182,6 +182,14 @@ capped=$(go run ./cmd/popsolve -grid test -tol 1e-300 2>&1 >/dev/null) && {
 echo "$capped" | grep -q 'did not converge after 2000 iterations' || {
     echo "popsolve -tol 1e-300 did not report its NotConvergedError: $capped"; exit 1; }
 
+echo "== csi is one solver at every front end =="
+# popmodel resolves its flags through core.Canonical, as popsolve and the
+# server do, and its header names the pair it runs: -solver csi is P-CSI
+# with no preconditioner, not P-CSI with the default diagonal one.
+csi=$(go run ./cmd/popmodel -grid test -days 0.25 -solver csi)
+echo "$csi" | grep -q 'steps, solver pcsi+none$' || {
+    echo "popmodel -solver csi does not run pcsi+none: $csi"; exit 1; }
+
 echo "== answer-oracle fuzz (30s) =="
 # FuzzDenseReference draws 20x16 masks: every methods row must match dense
 # LU within 1e-9 or end in a typed error, and since every stop short of Tol
