@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -29,7 +30,7 @@ func testWorld(t *testing.T, bx, by int, cost CostModel) (*grid.Grid, *decomp.De
 
 func TestNewWorldRequiresAssignment(t *testing.T) {
 	g := grid.Generate(grid.TestSpec())
-	d, _ := decomp.New(g, 8, 8, 2)
+	d, _ := decomp.New(g, 8, 8, decomp.DefaultHalo)
 	if _, err := NewWorld(d, nil); err == nil {
 		t.Fatal("accepted unassigned decomposition")
 	}
@@ -193,7 +194,8 @@ func TestHaloCounters(t *testing.T) {
 	d.AssignOnePerRank() // 2×2 blocks, each with 2 edge neighbours
 	w, _ := NewWorld(d, nil)
 	st := w.Run(func(r *Rank) {
-		fields := [][]float64{make([]float64, 12*12)}
+		nxp, nyp := d.PaddedDims(r.Blocks[0])
+		fields := [][]float64{make([]float64, nxp*nyp)}
 		r.Exchange(fields)
 	})
 	// Each block has an E or W neighbour and an N or S neighbour: 2 messages
@@ -201,8 +203,9 @@ func TestHaloCounters(t *testing.T) {
 	if st.Sum.HaloMsgs != 8 {
 		t.Fatalf("halo messages %d, want 8", st.Sum.HaloMsgs)
 	}
-	// E/W strips: 2 cols × 8 rows = 16 values; N/S strips: 2 rows × 12
-	// padded cols = 24 values. Per block 40 values = 320 bytes.
+	// Charged at POP's width 2, whatever the layout copies: E/W strips are
+	// 2 cols × 8 rows = 16 values, N/S strips 2 rows × 12 cols (8 + 2·2) =
+	// 24 values. Per block 40 values = 320 bytes.
 	if st.Sum.HaloBytes != 4*320 {
 		t.Fatalf("halo bytes %d, want %d", st.Sum.HaloBytes, 4*320)
 	}
@@ -229,6 +232,18 @@ func TestSingleRankNoMessages(t *testing.T) {
 	}
 }
 
+// interior is block b's padded copy of global with the halo zeroed: what a
+// rank holds before an exchange.
+func interior(d *decomp.Decomposition, global []float64, b *decomp.Block) []float64 {
+	full := d.Scatter(global, b)
+	nxp, nyp := d.PaddedDims(b)
+	f := make([]float64, len(full))
+	for j := d.Halo; j < nyp-d.Halo; j++ {
+		copy(f[j*nxp+d.Halo:(j+1)*nxp-d.Halo], full[j*nxp+d.Halo:(j+1)*nxp-d.Halo])
+	}
+	return f
+}
+
 // distributedApply computes y = A·x through the full distributed path:
 // scatter, exchange, local apply, gather.
 func distributedApply(d *decomp.Decomposition, w *World, op *stencil.Operator, x []float64) []float64 {
@@ -241,14 +256,8 @@ func distributedApply(d *decomp.Decomposition, w *World, op *stencil.Operator, x
 		ys := make([][]float64, len(r.Blocks))
 		for i, b := range r.Blocks {
 			locOps[i] = d.LocalOperator(op, b)
-			full := d.Scatter(x, b)
-			nxp, nyp := d.PaddedDims(b)
-			xi := make([]float64, len(full))
-			for j := d.Halo; j < nyp-d.Halo; j++ {
-				copy(xi[j*nxp+d.Halo:(j+1)*nxp-d.Halo], full[j*nxp+d.Halo:(j+1)*nxp-d.Halo])
-			}
-			xs[i] = xi
-			ys[i] = make([]float64, len(full))
+			xs[i] = interior(d, x, b)
+			ys[i] = make([]float64, len(xs[i]))
 		}
 		r.Exchange(xs)
 		for i := range r.Blocks {
@@ -335,58 +344,7 @@ func TestExchangeMultiAggregates(t *testing.T) {
 	d.AssignOnePerRank()
 	w, _ := NewWorld(d, nil)
 	const nz = 5
-	globals := make([][]float64, nz)
-	for l := range globals {
-		globals[l] = make([]float64, g.N())
-		for k := range globals[l] {
-			globals[l][k] = float64(l*10000 + k)
-		}
-	}
-	var mu sync.Mutex
-	bad := 0
-	st := w.Run(func(r *Rank) {
-		levels := make([][][]float64, nz)
-		for l := range levels {
-			levels[l] = make([][]float64, len(r.Blocks))
-			for i, b := range r.Blocks {
-				full := d.Scatter(globals[l], b)
-				nxp, nyp := d.PaddedDims(b)
-				f := make([]float64, len(full))
-				for j := d.Halo; j < nyp-d.Halo; j++ {
-					copy(f[j*nxp+d.Halo:(j+1)*nxp-d.Halo], full[j*nxp+d.Halo:(j+1)*nxp-d.Halo])
-				}
-				levels[l][i] = f
-			}
-		}
-		r.ExchangeMulti(levels)
-		for l := range levels {
-			for i, b := range r.Blocks {
-				want := d.Scatter(globals[l], b)
-				nxp, nyp := d.PaddedDims(b)
-				for j := 0; j < nyp; j++ {
-					gj := b.Y0 - d.Halo + j
-					if gj < 0 || gj >= g.Ny {
-						continue
-					}
-					for i2 := 0; i2 < nxp; i2++ {
-						gi := b.X0 - d.Halo + i2
-						if gi < 0 || gi >= g.Nx {
-							continue
-						}
-						if levels[l][i][j*nxp+i2] != want[j*nxp+i2] {
-							mu.Lock()
-							bad++
-							mu.Unlock()
-							return
-						}
-					}
-				}
-			}
-		}
-	})
-	if bad > 0 {
-		t.Fatalf("%d ranks saw multi-level halo mismatches", bad)
-	}
+	st := exchangeGlobals(t, "flat", d, w, levelGlobals(g, nz))
 	// Message count identical to a single-field exchange (aggregation!),
 	// bytes nz× larger: 8 messages of 320·nz bytes (see TestHaloCounters).
 	if st.Sum.HaloMsgs != 8 {
@@ -394,6 +352,161 @@ func TestExchangeMultiAggregates(t *testing.T) {
 	}
 	if st.Sum.HaloBytes != int64(4*320*nz) {
 		t.Fatalf("aggregated exchange moved %d bytes, want %d", st.Sum.HaloBytes, 4*320*nz)
+	}
+}
+
+// TestHaloChargeIsPOPWidth: the exchange copies the decomposition's ring,
+// but the virtual clock charges POP's width-2 strips (popHalo), so the
+// bytes and the clock do not follow the layout. On a grid with ragged edge
+// blocks and eliminated land blocks, at halo 1 and 2, one and three levels,
+// one block per rank and several, and threads 1, 2 and NRank: HaloBytes is
+// Σ 8·levels·(2·NyI for E/W, 2·(NxI+4) for N/S) over the received
+// cross-rank strips, computed from d.Blocks alone; ring 1 is filled
+// (exchangeGlobals); and a rank's counters under fixedCost are the same at
+// both halo widths.
+func TestHaloChargeIsPOPWidth(t *testing.T) {
+	g := grid.Generate(grid.TestSpec()) // 64×48
+	const bx, by = 10, 7                // edge blocks 4 wide and 6 tall
+	if g.Nx%bx == 0 || g.Ny%by == 0 {
+		t.Fatalf("%d×%d blocks tile the %d×%d grid evenly", bx, by, g.Nx, g.Ny)
+	}
+	for _, assign := range []int{0, 5} { // 0: one block per rank
+		for _, nlv := range []int{1, 3} {
+			globals := levelGlobals(g, nlv)
+			var counters [3][]Counters // threads index → per-rank counters at halo 1
+			for _, halo := range []int{1, 2} {
+				d, err := decomp.New(g, bx, by, halo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if assign == 0 {
+					d.AssignOnePerRank()
+				} else if err := d.Assign(assign); err != nil {
+					t.Fatal(err)
+				}
+				if d.LandRatio() == 0 {
+					t.Fatal("no land block: the grid no longer exercises eliminated neighbours")
+				}
+				var wantBytes, wantMsgs int64
+				for _, id := range d.OceanBlocks {
+					b := &d.Blocks[id]
+					for side, off := range sideOffsets {
+						nb := d.NeighborID(b, off[0], off[1])
+						if nb < 0 || d.Blocks[nb].Rank == b.Rank {
+							continue
+						}
+						words := 2 * b.NyI
+						if side == SideN || side == SideS {
+							words = 2 * (b.NxI + 4)
+						}
+						wantBytes += int64(8 * nlv * words)
+						wantMsgs++
+					}
+				}
+				for ti, threads := range []int{1, 2, d.NRanks} {
+					name := fmt.Sprintf("ranks%d/levels%d/halo%d/threads%d", d.NRanks, nlv, halo, threads)
+					w, err := NewWorld(d, fixedCost{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.SetThreads(threads)
+					st := exchangeGlobals(t, name, d, w, globals)
+					if st.Sum.HaloBytes != wantBytes || st.Sum.HaloMsgs != wantMsgs {
+						t.Fatalf("%s: %d messages of %d bytes, want %d of %d (POP's width-2 strips)",
+							name, st.Sum.HaloMsgs, st.Sum.HaloBytes, wantMsgs, wantBytes)
+					}
+					if halo == 1 {
+						counters[ti] = st.PerRank
+						continue
+					}
+					for rank, c := range st.PerRank {
+						if c != counters[ti][rank] {
+							t.Fatalf("%s rank %d: counters %+v, halo 1 gave %+v", name, rank, c, counters[ti][rank])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// levelGlobals is nz global fields whose every cell is distinct and
+// nonzero, so a halo cell the exchange left at zero shows.
+func levelGlobals(g *grid.Grid, nz int) [][]float64 {
+	globals := make([][]float64, nz)
+	for l := range globals {
+		globals[l] = make([]float64, g.N())
+		for k := range globals[l] {
+			globals[l][k] = float64(l*100000 + k + 1)
+		}
+	}
+	return globals
+}
+
+// exchangeGlobals runs one halo update of len(globals) levels on w —
+// Exchange for one, ExchangeMulti for several — from every block holding
+// its interior of globals[l] and a zero halo, then checks every block's
+// ring 1 (checkRingOne).
+func exchangeGlobals(t *testing.T, name string, d *decomp.Decomposition, w *World, globals [][]float64) Stats {
+	t.Helper()
+	fields := make([][][][]float64, d.NRanks) // rank → level → block
+	st := w.Run(func(r *Rank) {
+		levels := make([][][]float64, len(globals))
+		for l := range levels {
+			for _, b := range r.Blocks {
+				levels[l] = append(levels[l], interior(d, globals[l], b))
+			}
+		}
+		if len(levels) == 1 {
+			r.Exchange(levels[0])
+		} else {
+			r.ExchangeMulti(levels)
+		}
+		fields[r.ID] = levels
+	})
+	for rank, ids := range d.ByRank {
+		for l, blocks := range fields[rank] {
+			for bi, id := range ids {
+				checkRingOne(t, name, d, &d.Blocks[id], blocks[bi], l, globals[l])
+			}
+		}
+	}
+	return st
+}
+
+// checkRingOne asserts that every in-domain cell of block b's first halo
+// ring holds global's value when an ocean block owns it and the exchange
+// can reach it, and stays zero when its owner was eliminated as land. A
+// corner cell arrives in two hops, through the N/S neighbour's E/W halo,
+// so with that neighbour eliminated it stays unreached — as in POP, and
+// the nine-point coefficient coupling it is zero there (a dry U-point).
+func checkRingOne(t *testing.T, name string, d *decomp.Decomposition, b *decomp.Block, f []float64,
+	l int, global []float64) {
+	t.Helper()
+	g, h := d.G, d.Halo
+	nxp, _ := d.PaddedDims(b)
+	for dj := -1; dj <= b.NyI; dj++ {
+		for di := -1; di <= b.NxI; di++ {
+			ringI, ringJ := di < 0 || di == b.NxI, dj < 0 || dj == b.NyI
+			if !ringI && !ringJ {
+				continue
+			}
+			gi, gj := b.X0+di, b.Y0+dj
+			if gi < 0 || gi >= g.Nx || gj < 0 || gj >= g.Ny {
+				continue
+			}
+			ob := &d.Blocks[(gj/d.BlockNy)*d.MX+gi/d.BlockNx]
+			if ringI && ringJ && d.NeighborID(b, 0, ob.BJ-b.BJ) < 0 {
+				continue
+			}
+			want := global[gj*g.Nx+gi]
+			if ob.Land {
+				want = 0
+			}
+			if got := f[(dj+h)*nxp+di+h]; got != want {
+				t.Fatalf("%s block %d level %d: ring-1 cell (%d,%d) = %v, want %v", name, b.ID, l, gi, gj, got, want)
+			}
+		}
 	}
 }
 

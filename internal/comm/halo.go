@@ -70,14 +70,15 @@ type edge struct {
 // the same worker. A strip's rectangle inside a block's padded array — offset
 // of its first element, row width, row count, row stride — is resolved here
 // once, so the exchange touches neither the decomp.Block nor stripRect per
-// message.
+// message. chargeLen is the strip's length at POP's halo width, the words
+// the virtual clock prices per level.
 type planEdge struct {
-	bi, side, stripLen       int
-	off, width, rows, stride int
-	e                        *edge
-	from                     *Rank
-	fromBI, fromOff          int
-	fromStride               int
+	bi, side, stripLen, chargeLen int
+	off, width, rows, stride      int
+	e                             *edge
+	from                          *Rank
+	fromBI, fromOff               int
+	fromStride                    int
 }
 
 // localEdge is a same-rank neighbour pair: the halo on side `side` of block
@@ -97,6 +98,15 @@ type phasePlan struct {
 	locals []localEdge
 	recvs  []planEdge
 }
+
+// popHalo is the halo width POP sends and the cost model prices (paper
+// §2.2). POP pads two rings so that a preconditioner spanning blocks plus
+// the matvec need one boundary update per iteration. Every preconditioner
+// here is block-local and every kernel reaches one cell, so blocks pad
+// decomp.DefaultHalo = 1 ring and the exchange copies that one; it charges
+// strips popHalo wide, so the priced clock does not depend on how many
+// rings the layout pads (DESIGN §12.6).
+const popHalo = 2
 
 // phaseSides lists the two receiving sides of each exchange phase.
 var phaseSides = [2][2]int{
@@ -151,6 +161,8 @@ func buildPlans(w *World, p int) [][2]phasePlan {
 					pe := planEdge{bi: i, side: side, stride: b.NxI + 2*h}
 					pe.off, pe.width, pe.rows = stripRect(b.NxI, b.NyI, h, side, true)
 					pe.stripLen = pe.width * pe.rows
+					_, cw, cr := stripRect(b.NxI, b.NyI, popHalo, side, true)
+					pe.chargeLen = cw * cr
 					if pe.e = edges[haloKey{id, side}]; pe.e == nil {
 						pe.from, pe.fromBI = w.ranks[nbb.Rank], w.blockPos[nb]
 						pe.fromOff, _, _ = stripRect(nbb.NxI, nbb.NyI, h, opposite(side), false)
@@ -278,7 +290,8 @@ func (sh *Shard) send(rk *Rank, pe *planEdge, phase int) {
 // receive executes one phase plan for rank rk: same-rank copies (free in the
 // cost model: intra-node), then every cross-rank strip in plan order, priced
 // and counted as the message it stands for whether it came through a mailbox
-// or straight from a sibling's field.
+// or straight from a sibling's field. A strip is charged at POP's width
+// (chargeLen), whatever the layout copies.
 //
 //pop:hotpath
 func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
@@ -343,9 +356,8 @@ func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
 		switch {
 		case drop:
 		case corrupt && ei == 0:
-			// Poison the whole strip, every level, so the NaN reaches ring-1
-			// cells the stencil actually reads regardless of side and halo
-			// depth.
+			// Poison the whole strip, every level: it is ring 1, the cells
+			// the stencil reads (and every ring, at a wider halo).
 			for _, fields := range levels {
 				fillRows(fields[pe.bi][pe.off:], pe.stride, pe.width, pe.rows, math.NaN())
 			}
@@ -366,7 +378,7 @@ func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
 		if clock > arrival {
 			arrival = clock
 		}
-		bytes := int64(need) * 8 // float64 payload
+		bytes := int64(len(levels)*pe.chargeLen) * 8 // float64 payload at POP's width
 		rk.ctr.HaloMsgs++
 		rk.ctr.HaloBytes += bytes
 		phaseBytes += bytes
@@ -410,9 +422,9 @@ func stripRect(nxi, nyi, h, side int, halo bool) (off, width, rows int) {
 
 // copyRows copies `rows` runs of `width` elements from src to dst, the runs
 // srcStride and dstStride apart. An N/S strip is contiguous on both sides
-// and moves as one block; an E/W strip row is h (typically two) elements,
-// where memmove's call overhead — or even setting a slice up per row — is
-// the whole cost, so those move with a plain indexed loop. Kept out of
+// and moves as one block; an E/W strip row is h (one at the default)
+// elements, where memmove's call overhead — or even setting a slice up per
+// row — is the whole cost, so those move with a plain indexed loop. Kept out of
 // line: inlined into the exchange loop, whose registers are all spoken for,
 // the two loops spill (measured at +17% on a 676-rank halo round).
 //

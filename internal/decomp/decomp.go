@@ -4,9 +4,9 @@
 // assigned to ranks along a space-filling curve for locality — the strategy
 // POP inherits from Dennis's inverse SFC partitioning (paper §7).
 //
-// Each rank owns one or more blocks, padded with a halo of width 2 (the POP
-// default, which lets a non-diagonal preconditioner plus the matvec get by
-// with one boundary update per solver iteration).
+// Each rank owns one or more blocks, padded with a halo of width
+// DefaultHalo (why one ring where POP keeps two, and how the clock still
+// charges POP's two: internal/comm's popHalo).
 package decomp
 
 import (
@@ -18,8 +18,9 @@ import (
 	"repro/internal/stencil"
 )
 
-// DefaultHalo is POP's halo width.
-const DefaultHalo = 2
+// DefaultHalo is the halo width every session uses: the nine-point
+// stencil's reach.
+const DefaultHalo = 1
 
 // Block is one rectangular tile of the global domain.
 type Block struct {

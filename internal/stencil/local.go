@@ -1,9 +1,9 @@
 package stencil
 
 // Local is the restriction of a nine-point Operator to one decomposition
-// block, stored with a halo of width H on all four sides (POP keeps width-2
-// halos so a non-diagonal preconditioner plus the matvec still need only one
-// boundary update per iteration — paper §2.2).
+// block, stored with a halo of width H on all four sides. Every kernel here
+// reads the first ring only, the stencil's reach (decomp.DefaultHalo; why
+// not POP's two rings: internal/comm's popHalo).
 //
 // Arrays are padded: dimensions (NxI+2H)×(NyI+2H) where NxI×NyI is the
 // interior (owned) region. Index (i,j) with 0 ≤ i < NxP is flattened

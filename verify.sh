@@ -165,6 +165,23 @@ echo "$pcsi" | grep -q 'converged=true'
 [ "$(echo "$pcsi" | sed 's/.*iterations=\([0-9]*\).*/\1/')" -le 400 ] || {
     echo "P-CSI+EVP at 1deg/48 took more than 400 iterations: $pcsi"; exit 1; }
 
+echo "== the priced clock =="
+# The unchanged benchmark at seed 1 on both 1 degree workloads: iterations,
+# reductions, halo messages, halo KB and the priced (virtual) clock are
+# exact. The exchange copies the stencil's one-cell ring but charges POP's
+# width-2 strips, so the halo KB and the clock must not follow the layout.
+priced() { # <workload> <iters> <reductions> <halo msgs> <halo KB> <virtual ms>
+    out=$(go run ./benchmark -workload "$1" -seed 1 -seconds 1 -trace 1)
+    got=$(echo "$out" | awk '
+        $1 == "core.iters_per_solve" { a = $2 } $1 == "comm.reductions_per_solve" { b = $2 }
+        $1 == "comm.halo_msgs_per_solve" { c = $2 } $1 == "comm.halo_kb_per_solve" { d = $2 }
+        $1 == "perfmodel.virtual_ms" { e = $2 } END { print a, b, c, d, e }')
+    [ "$got" = "$2 $3 $4 $5 $6" ] || {
+        echo "$1 seed 1: iters/reductions/halo msgs/halo KB/virtual ms = $got, want $2 $3 $4 $5 $6"; exit 1; }
+}
+priced cg_diag_1deg_r768 320 321 805120 181190 18.8165
+priced pcsi_evp_1deg_r48 320 33 44940 40004.6 35.9471
+
 echo "== the step belongs to the grid =="
 # P-CSI+EVP on the scaled 0.1 degree grid at 200 cores, with no step given,
 # runs at the grid's own step (dt_count 500, 172.8 s) and converges in about
