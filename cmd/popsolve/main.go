@@ -66,7 +66,7 @@ func main() {
 	}
 
 	// Solve A·x = b for a known smooth x so the error is checkable.
-	op := solver.Op
+	op := pop.AssembleOperator(g, solver.Spec.Tau)
 	xTrue := make([]float64, g.N())
 	for k, ocean := range g.Mask {
 		if ocean {

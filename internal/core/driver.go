@@ -735,12 +735,17 @@ func (l *loop) item(it item, st int) (halo [][]float64, n int) {
 	return nil, 0
 }
 
-// start is the rank's first work of a solve: scatter x₀ and b, bind the
-// recurrence, and r₀ = b − A·x₀ (halos valid from the scatter) with the
-// local ‖b‖². It reports whether ‖b‖² is reduced on its own now.
+// start is the rank's first work of a solve: scatter x₀ (or zero x for a
+// nil x₀) and b, bind the recurrence, and r₀ = b − A·x₀ (halos valid from
+// the scatter) with the local ‖b‖². It reports whether ‖b‖² is reduced on
+// its own now.
 func (l *loop) start() bool {
 	s, r, sr := l.s, l.r, l.sr
-	l.x = s.scatterMasked(r, "x", sr.x0)
+	if sr.x0 == nil {
+		l.x = s.zeroField(r, "x")
+	} else {
+		l.x = s.scatterMasked(r, "x", sr.x0)
+	}
 	l.b = s.scatterMasked(r, "b", sr.b)
 	l.rr = s.field(r, "r")
 	if sr.resilient {

@@ -215,7 +215,7 @@ func (s *Session) eigenProbe() []float64 {
 		return s.probeBuf
 	}
 	probe := make([]float64, s.G.N())
-	for k, ocean := range s.Op.Mask {
+	for k, ocean := range s.G.Mask {
 		if ocean {
 			x := uint64(k) + 0x9E3779B97F4A7C15
 			x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

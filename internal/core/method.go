@@ -223,9 +223,7 @@ func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (
 	if len(b) != s.G.N() {
 		return Result{}, nil, fmt.Errorf("core: rhs length %d, want %d: %w", len(b), s.G.N(), ErrBadSpec)
 	}
-	if x0 == nil {
-		x0 = s.zeroX0()
-	} else if len(x0) != s.G.N() {
+	if x0 != nil && len(x0) != s.G.N() {
 		return Result{}, nil, fmt.Errorf("core: x0 length %d, want %d: %w", len(x0), s.G.N(), ErrBadSpec)
 	}
 	s.W.SetTraceID(obs.TraceIDFromContext(ctx))

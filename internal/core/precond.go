@@ -172,7 +172,7 @@ const maxMarchGrowth = 1e4
 
 // evpFillDepth is the artificial depth (m) given to land cells inside EVP
 // blocks so marching has wet corners everywhere (see
-// stencil.AssembleWindowFilled); it must be ≤ the grid's minimum wet depth.
+// stencil.AssembleWindow); it must be ≤ the grid's minimum wet depth.
 const evpFillDepth = 50
 
 func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Local,
@@ -201,7 +201,7 @@ func newEVPPrecond(g *grid.Grid, phi float64, b *decomp.Block, loc *stencil.Loca
 			p.tiles = append(p.tiles, evpTile{subBlock: sb})
 			continue
 		}
-		win := stencil.AssembleWindowFilled(g, phi, b.X0+sb.x0, b.Y0+sb.y0, sb.nx, sb.ny, evpFillDepth)
+		win := stencil.AssembleWindow(g, phi, b.X0+sb.x0, b.Y0+sb.y0, sb.nx, sb.ny, evpFillDepth)
 		// The tile is packed once: the growth check and the solver it then
 		// gets share the march records.
 		var sol *evp.BlockSolver

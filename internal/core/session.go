@@ -89,15 +89,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Session binds an operator, a decomposition, and a communicator into a
+// Session binds a grid, a decomposition, and a communicator into a
 // reusable distributed solver: local operators, preconditioners, and field
-// buffers persist across solves (as they do across time steps in POP).
+// buffers persist across solves (as they do across time steps in POP). It
+// holds no whole-grid operator: each block's is assembled from the grid.
 type Session struct {
 	G    *grid.Grid            // grid the session solves on
-	Op   *stencil.Operator     // assembled barotropic operator
 	D    *decomp.Decomposition // block-to-rank ownership map
 	W    *comm.World           // virtual-rank communicator
 	Opts Options               // normalized options (defaults applied)
+	Phi  float64               // the operator's mass coefficient (stencil.PhiFromTimeStep)
 
 	perRank []*rankState
 	ready   bool
@@ -123,19 +124,6 @@ type Session struct {
 	// time-stepper copies into its own Eta immediately) must copy.
 	outBuf   []float64
 	probeBuf []float64
-	// zeroBuf is the shared all-zeros initial guess SolveContext substitutes
-	// for a nil x0. Solvers only scatter *from* the guess, so one read-only
-	// buffer serves every solve without a per-request allocation.
-	zeroBuf []float64
-}
-
-// zeroX0 returns the session-owned all-zeros initial guess (allocated on
-// first use, never written afterwards).
-func (s *Session) zeroX0() []float64 {
-	if s.zeroBuf == nil {
-		s.zeroBuf = make([]float64, s.G.N())
-	}
-	return s.zeroBuf
 }
 
 // solveOut returns the session-owned global solution buffer, allocating it
@@ -157,17 +145,29 @@ type rankState struct {
 	loop   loop // the rank's Krylov driver state (driver.go)
 }
 
-// NewSession validates the configuration and prepares a session. The
+// NewSession validates the configuration and prepares a session that
+// solves op's system. It reads op's mass coefficient and dimensions and
+// keeps nothing of it: the blocks assemble their operators from g. The
 // decomposition must already be assigned to ranks and the world built on it.
 func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *comm.World, opts Options) (*Session, error) {
-	if g == nil || op == nil || d == nil || w == nil {
+	if op == nil {
 		return nil, fmt.Errorf("core: nil session component: %w", ErrBadSpec)
 	}
-	if op.Nx != g.Nx || op.Ny != g.Ny {
+	if g != nil && (op.Nx != g.Nx || op.Ny != g.Ny) {
 		return nil, fmt.Errorf("core: operator %d×%d does not match grid %d×%d: %w", op.Nx, op.Ny, g.Nx, g.Ny, ErrBadSpec)
+	}
+	return newSession(g, op.Phi, d, w, opts)
+}
+
+func newSession(g *grid.Grid, phi float64, d *decomp.Decomposition, w *comm.World, opts Options) (*Session, error) {
+	if g == nil || d == nil || w == nil {
+		return nil, fmt.Errorf("core: nil session component: %w", ErrBadSpec)
 	}
 	if w.D != d {
 		return nil, fmt.Errorf("core: world built on a different decomposition: %w", ErrBadSpec)
+	}
+	if d.Halo != 1 {
+		return nil, fmt.Errorf("core: halo %d, but block operators pad by one cell: %w", d.Halo, ErrBadSpec)
 	}
 	o := opts.withDefaults()
 	if o.Tol <= 0 || o.Tol >= 1 {
@@ -179,13 +179,13 @@ func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *
 	if o.SStep < 1 || o.SStep > MaxSStep {
 		return nil, fmt.Errorf("core: s-step block size %d out of 1..%d: %w", o.SStep, MaxSStep, ErrBadSpec)
 	}
-	return &Session{G: g, Op: op, D: d, W: w, Opts: o,
+	return &Session{G: g, D: d, W: w, Opts: o, Phi: phi,
 		perRank: make([]*rankState, d.NRanks)}, nil
 }
 
-// BuildSession assembles everything under a session on g and returns
-// NewSession over it: the blocking nearest to cores virtual ranks at 3:2
-// aspect (cores 0 = the whole grid as one block), one block per rank, the
+// BuildSession assembles everything under a session solving g's operator
+// with mass coefficient phi: the blocking nearest to cores virtual ranks at
+// 3:2 aspect (cores 0 = the whole grid as one block), one block per rank, the
 // machine's cost model (nil = free), and a world of threads worker shards
 // with inj and tracer attached (either may be nil — a nil injector leaves
 // every communication path bitwise identical, and sessions never share a
@@ -194,7 +194,7 @@ func NewSession(g *grid.Grid, op *stencil.Operator, d *decomp.Decomposition, w *
 // a decomposition, a world and a session are built: pop.NewSolver, the
 // serve pool, the ocean model and the experiments all build through here,
 // so each runs on a world constructed exactly like a CLI solve's.
-func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machine *perfmodel.Machine,
+func BuildSession(g *grid.Grid, phi float64, cores, threads int, machine *perfmodel.Machine,
 	inj *faults.Injector, tracer *obs.Tracer, opts Options) (*Session, error) {
 	bx, by := g.Nx, g.Ny
 	if cores > 0 {
@@ -221,7 +221,7 @@ func BuildSession(g *grid.Grid, op *stencil.Operator, cores, threads int, machin
 	// Attached before any Run, so setup and Lanczos spans are captured too
 	// (with trace ID 0 — not tied to any request).
 	w.Tracer = tracer
-	return NewSession(g, op, d, w, opts)
+	return newSession(g, phi, d, w, opts)
 }
 
 // Setup builds per-rank local operators and preconditioners, charging the
@@ -260,7 +260,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 	rs := &rankState{fields: make(map[string][][]float64)}
 	var firstErr error
 	for _, b := range r.Blocks {
-		loc := s.D.LocalOperator(s.Op, b)
+		loc := stencil.AssembleWindow(s.G, s.Phi, b.X0, b.Y0, b.NxI, b.NyI, 0)
 		rs.locs = append(rs.locs, loc)
 		var pre Preconditioner
 		var err error
@@ -270,7 +270,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 		case PrecondDiagonal:
 			pre = newDiagPrecond(loc)
 		case PrecondEVP:
-			pre, err = newEVPPrecond(s.G, s.Op.Phi, b, loc, s.Opts.EVPBlockSize)
+			pre, err = newEVPPrecond(s.G, s.Phi, b, loc, s.Opts.EVPBlockSize)
 		case PrecondBlockLU:
 			pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
 		default:
@@ -348,7 +348,7 @@ func zeroFields(fields ...[][]float64) {
 // blocks eliminated from the decomposition (solvers iterate only on the
 // ocean subspace).
 func (s *Session) restoreLand(x, b []float64) {
-	for k, m := range s.Op.Mask {
+	for k, m := range s.G.Mask {
 		if !m {
 			x[k] = b[k]
 		}

@@ -12,7 +12,6 @@ package decomp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/stencil"
@@ -157,12 +156,14 @@ func (d *Decomposition) NeighborID(b *Block, di, dj int) int {
 // Counting uses a one-pass prefix sum of the ocean mask, so evaluating a
 // candidate costs O(blocks), and only a window of candidates around the
 // analytic estimate c ≈ √(wet·N/(ax·ay·target)) is scanned — on the 0.1°
-// grid this is the difference between sub-second and tens of minutes.
+// grid this is the difference between sub-second and tens of minutes. The
+// prefix is built on every call and dropped with it: one O(N) pass, where
+// a cache keyed by grid would keep every grid ever blocked alive.
 func ChooseBlocking(g *grid.Grid, targetCores, ax, ay int) (bx, by, cores int, err error) {
 	if targetCores <= 0 {
 		return 0, 0, 0, fmt.Errorf("decomp: non-positive target core count %d", targetCores)
 	}
-	pre := maskPrefixFor(g)
+	pre := newMaskPrefix(g)
 	cMax := min(g.Nx/ax, g.Ny/ay)
 	if cMax < 1 {
 		return 0, 0, 0, fmt.Errorf("decomp: no feasible %d:%d blocking for %d×%d grid", ax, ay, g.Nx, g.Ny)
@@ -235,23 +236,6 @@ func (p *maskPrefix) oceanBlocks(g *grid.Grid, bx, by int) int {
 		}
 	}
 	return n
-}
-
-// per-grid prefix cache: grids are immutable after generation and few.
-var (
-	prefixMu    sync.Mutex
-	prefixCache = map[*grid.Grid]*maskPrefix{}
-)
-
-func maskPrefixFor(g *grid.Grid) *maskPrefix {
-	prefixMu.Lock()
-	defer prefixMu.Unlock()
-	if p, ok := prefixCache[g]; ok {
-		return p
-	}
-	p := newMaskPrefix(g)
-	prefixCache[g] = p
-	return p
 }
 
 // PaddedDims returns the padded (halo-included) dimensions of block b.

@@ -57,7 +57,7 @@ type Packed struct {
 	p         [][9]float64 // (nx−2)·(ny−2) march records
 }
 
-// Pack splits the halo-1 window loc (see stencil.AssembleWindowFilled) into
+// Pack splits the halo-1 window loc (see stencil.AssembleWindow) into
 // march records. When simplified is true the N/S/E/W couplings are zeroed
 // (the five-coefficient variant of §4.3). It fails on a degenerate window or
 // a zero north-east coefficient.

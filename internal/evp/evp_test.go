@@ -46,7 +46,7 @@ func testWindow(t *testing.T, nx, ny int) *stencil.Local {
 	g := grid.Generate(grid.TestSpec())
 	phi := stencil.PhiFromTimeStep(1800)
 	// A window over a mixed land/ocean area exercises the filling.
-	return stencil.AssembleWindowFilled(g, phi, 20, 14, nx, ny, 50)
+	return stencil.AssembleWindow(g, phi, 20, 14, nx, ny, 50)
 }
 
 // solveVsDense holds Solve to dense LU of the same block: every interior
@@ -128,7 +128,7 @@ func TestSolveMatchesDense(t *testing.T) {
 				for ny := 1; ny <= 8; ny++ {
 					for nx := 1; nx <= 8; nx++ {
 						// A window over a mixed land/ocean area exercises the filling.
-						loc := stencil.AssembleWindowFilled(w.g, phi, w.x0, w.y0, nx, ny, 50)
+						loc := stencil.AssembleWindow(w.g, phi, w.x0, w.y0, nx, ny, 50)
 						growth, err := MarchGrowth(loc, simplified)
 						if err != nil {
 							t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSolveFlatBasin(t *testing.T) {
 		n   int
 		tol float64
 	}{{10, 1e-5}, {12, 1e-4}} {
-		loc := stencil.AssembleWindowFilled(g, stencil.PhiFromTimeStep(600), 8, 8, c.n, c.n, 50)
+		loc := stencil.AssembleWindow(g, stencil.PhiFromTimeStep(600), 8, 8, c.n, c.n, 50)
 		solveVsDense(t, loc, false, c.tol)
 	}
 }
@@ -157,7 +157,7 @@ func TestTwelveByTwelveRoundOff(t *testing.T) {
 	// grid — verify the residual of the EVP solution is small relative to
 	// the input on a comparable isotropic basin.
 	g := grid.NewFlatBasin(32, 32, 3000, 1e4, 1.1e4)
-	loc := stencil.AssembleWindowFilled(g, stencil.PhiFromTimeStep(600), 8, 8, 12, 12, 50)
+	loc := stencil.AssembleWindow(g, stencil.PhiFromTimeStep(600), 8, 8, 12, 12, 50)
 	s, err := NewBlockSolver(loc, false)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestTwelveByTwelveRoundOff(t *testing.T) {
 
 func TestRejectsOversizedBlocks(t *testing.T) {
 	g := grid.NewFlatBasin(64, 64, 2000, 1e4, 1e4)
-	loc := stencil.AssembleWindowFilled(g, stencil.PhiFromTimeStep(600), 4, 4, 40, 40, 50)
+	loc := stencil.AssembleWindow(g, stencil.PhiFromTimeStep(600), 4, 4, 40, 40, 50)
 	if _, err := NewBlockSolver(loc, false); err == nil {
 		t.Fatal("accepted a 40×40 block; marching would be unstable")
 	}
@@ -255,7 +255,7 @@ func TestMarchGrowthExplodesWithSize(t *testing.T) {
 	g := grid.NewFlatBasin(64, 64, 2000, 1e4, 1e4)
 	phi := stencil.PhiFromTimeStep(600)
 	growth := func(n int) float64 {
-		loc := stencil.AssembleWindowFilled(g, phi, 4, 4, n, n, 50)
+		loc := stencil.AssembleWindow(g, phi, 4, 4, n, n, 50)
 		v, err := MarchGrowth(loc, false)
 		if err != nil {
 			t.Fatal(err)

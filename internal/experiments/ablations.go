@@ -18,15 +18,14 @@ import (
 // anyway); P-CSI trades a few overshoot iterations for fewer reductions.
 func (c *Config) CheckFreq(res string) (*Table, error) {
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
+	b := syntheticRHS(g)
 	targets := c.CoreTargets(res)
 	t := &Table{Header: []string{"check_every", "cg_iters", "cg_s/solve", "pcsi_iters", "pcsi_s/solve"}}
 	var cores int
 	for _, every := range []int{1, 5, 10, 20, 50} {
 		row := []string{fmt.Sprint(every)}
 		for _, method := range []core.Method{core.MethodChronGear, core.MethodPCSI} {
-			sess, err := core.BuildSession(g, op, targets[len(targets)-1], 0, c.Machine, nil, nil,
+			sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil, nil,
 				core.Options{Precond: core.PrecondEVP, CheckEvery: every})
 			if err != nil {
 				return nil, err
@@ -56,8 +55,7 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 // reductions stay out of the solve's count.
 func (c *Config) SStepAblation(res string) (*Table, error) {
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
+	b := syntheticRHS(g)
 	targets := c.CoreTargets(res)
 	n2 := float64(g.Nx) * float64(g.Ny)
 	t := &Table{Header: []string{"solver", "s", "iters", "converged", "reductions/rank", "s/solve", "eq_s/solve"}}
@@ -69,7 +67,7 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 		{core.MethodChronGear, 0}, {core.MethodPCSI, 0},
 		{core.MethodSStep, 1}, {core.MethodSStep, 2}, {core.MethodSStep, 4}, {core.MethodSStep, 8},
 	} {
-		sess, err := core.BuildSession(g, op, targets[len(targets)-1], 0, c.Machine, nil, nil,
+		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil, nil,
 			core.Options{Precond: core.PrecondEVP, SStep: row.s})
 		if err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/stencil"
 )
 
 // percentFigure builds the Fig. 1 / Fig. 9 style table: the share of total
@@ -230,8 +229,7 @@ func (c *Config) Fig11(seeds int) (*Table, *Table, error) {
 	// differs, which is the §5.3 observation being reproduced).
 	g := c.gridFor("0.1deg")
 	dt := g.DtCount
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
+	b := syntheticRHS(g)
 	axis := coresAxis(ms)
 	for ri, cores := range axis {
 		// Contention variability only matters at scale; rerun seeds for the
@@ -245,7 +243,7 @@ func (c *Config) Fig11(seeds int) (*Table, *Table, error) {
 			}
 			times := []float64{find(ms, sc, cores).DayTime(dt)}
 			for s := 1; s < seeds; s++ {
-				m, err := c.measureOn(c.Machine.WithSeed(uint64(s)), "0.1deg", g, op, b, cores, sc)
+				m, err := c.measureOn(c.Machine.WithSeed(uint64(s)), "0.1deg", g, b, cores, sc)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -15,14 +15,13 @@ import (
 // which is why the ε = 0.15 stopping tolerance is enough.
 func (c *Config) Fig03() (*Table, error) {
 	g := c.gridFor("1deg")
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
+	b := syntheticRHS(g)
 	t := &Table{
 		Title:  "Fig 3: Lanczos steps vs P-CSI iterations, 1deg, diagonal",
 		Header: []string{"lanczos_steps", "nu", "mu", "pcsi_iterations", "converged"},
 	}
 	run := func(steps int) (core.Result, float64, float64, int, error) {
-		sess, err := core.BuildSession(g, op, c.CoreTargets("1deg")[2], 0, c.Machine, nil, nil,
+		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), c.CoreTargets("1deg")[2], 0, c.Machine, nil, nil,
 			core.Options{Precond: core.PrecondDiagonal})
 		if err != nil {
 			return core.Result{}, 0, 0, 0, err
@@ -87,9 +86,8 @@ func (c *Config) Fig06() (*Table, error) {
 			cols[sc] = v
 		}
 		g := c.gridFor(res)
-		op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-		b := syntheticRHS(g, op)
-		m, err := c.measure(res, g, op, b, target, pcg)
+		b := syntheticRHS(g)
+		m, err := c.measure(res, g, b, target, pcg)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s pcg: %w", res, err)
 		}
@@ -108,9 +106,8 @@ func (c *Config) Fig06() (*Table, error) {
 // than one solver call (an extra supporting table, not a numbered figure).
 func (c *Config) EVPSetupCost(res string, target int) (*Table, error) {
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
-	m, err := c.measure(res, g, op, b, target, SolverConfig{core.MethodPCSI, core.PrecondEVP})
+	b := syntheticRHS(g)
+	m, err := c.measure(res, g, b, target, SolverConfig{core.MethodPCSI, core.PrecondEVP})
 	if err != nil {
 		return nil, err
 	}

@@ -44,8 +44,9 @@ func (m *Measurement) DayTime(dtCount int) float64 {
 
 // syntheticRHS builds a reproducible right-hand side b = A·x_true from a
 // smooth large-scale SSH-like field — in range space, masked, and with the
-// multi-scale structure a real ψ has.
-func syntheticRHS(g *grid.Grid, op *stencil.Operator) []float64 {
+// multi-scale structure a real ψ has. A is the operator at the grid's own
+// step, assembled here and dropped: sessions keep no whole-grid operator.
+func syntheticRHS(g *grid.Grid) []float64 {
 	x := make([]float64, g.N())
 	for k, ocean := range g.Mask {
 		if !ocean {
@@ -58,7 +59,7 @@ func syntheticRHS(g *grid.Grid, op *stencil.Operator) []float64 {
 			0.1*math.Sin(11*lon)*math.Sin(7*lat+0.5)
 	}
 	b := make([]float64, g.N())
-	op.Apply(b, x)
+	stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau())).Apply(b, x)
 	for k, ocean := range g.Mask {
 		if !ocean {
 			b[k] = 0
@@ -69,17 +70,17 @@ func syntheticRHS(g *grid.Grid, op *stencil.Operator) []float64 {
 
 // measure runs one solver configuration at one core-count target on the
 // config's machine.
-func (c *Config) measure(res string, g *grid.Grid, op *stencil.Operator, b []float64,
+func (c *Config) measure(res string, g *grid.Grid, b []float64,
 	target int, sc SolverConfig) (Measurement, error) {
-	return c.measureOn(c.Machine, res, g, op, b, target, sc)
+	return c.measureOn(c.Machine, res, g, b, target, sc)
 }
 
 // measureOn runs one solver configuration at one core-count target and
-// returns the data point. The same grid/operator/RHS are shared by the
-// caller across configurations.
-func (c *Config) measureOn(machine *perfmodel.Machine, res string, g *grid.Grid, op *stencil.Operator, b []float64,
+// returns the data point, solving at the grid's own step. The same grid and
+// RHS are shared by the caller across configurations.
+func (c *Config) measureOn(machine *perfmodel.Machine, res string, g *grid.Grid, b []float64,
 	target int, sc SolverConfig) (Measurement, error) {
-	sess, err := core.BuildSession(g, op, target, 0, machine, nil, nil, core.Options{Precond: sc.Precond})
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), target, 0, machine, nil, nil, core.Options{Precond: sc.Precond})
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -137,12 +138,11 @@ func (c *Config) Sweep(res string) ([]Measurement, error) {
 		return ms, nil
 	}
 	g := c.gridFor(res)
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(g.Tau()))
-	b := syntheticRHS(g, op)
+	b := syntheticRHS(g)
 	var out []Measurement
 	for _, target := range c.CoreTargets(res) {
 		for _, sc := range PaperConfigs {
-			m, err := c.measure(res, g, op, b, target, sc)
+			m, err := c.measure(res, g, b, target, sc)
 			if err != nil {
 				return nil, fmt.Errorf("sweep %s %s @%d: %w", res, sc, target, err)
 			}

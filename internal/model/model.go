@@ -127,7 +127,6 @@ func (c Config) withDefaults() Config {
 type Model struct {
 	Cfg  Config
 	G    *grid.Grid
-	Op   *stencil.Operator
 	Sess *core.Session
 
 	// Prognostic state (global arrays; land/dry = 0). η and temperature
@@ -154,9 +153,9 @@ type Model struct {
 	TotalSolveStats comm.Counters
 }
 
-// New builds a model, its operator and its solver session
-// (core.BuildSession). An unknown method or preconditioner matches
-// core.ErrBadSpec here, before any step runs.
+// New builds a model and its solver session (core.BuildSession). An
+// unknown method or preconditioner matches core.ErrBadSpec here, before any
+// step runs.
 func New(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	g := cfg.Grid
@@ -167,15 +166,14 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Method, cfg.SolverOpts.Precond, err = core.Canonical(cfg.Method, cfg.SolverOpts.Precond); err != nil {
 		return nil, err
 	}
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(cfg.Dt))
-	sess, err := core.BuildSession(g, op, cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(cfg.Dt), cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
 	if err != nil {
 		return nil, err
 	}
 
 	n := g.N()
 	m := &Model{
-		Cfg: cfg, G: g, Op: op, Sess: sess,
+		Cfg: cfg, G: g, Sess: sess,
 		Eta:   make([]float64, n),
 		U:     make([]float64, n),
 		V:     make([]float64, n),

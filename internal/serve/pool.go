@@ -37,11 +37,11 @@ type result struct {
 	err  error
 }
 
-// gridEntry caches what sessions on one grid share: the grid itself and the
-// assembled operator (both read-only during solves).
+// gridEntry caches what sessions on one grid share: the grid itself
+// (read-only during solves) and the operator's mass coefficient.
 type gridEntry struct {
-	g  *grid.Grid
-	op *stencil.Operator
+	g   *grid.Grid
+	phi float64
 }
 
 func (s *Service) gridFor(name string) (*gridEntry, error) {
@@ -54,7 +54,7 @@ func (s *Service) gridFor(name string) (*gridEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w: %w", err, core.ErrBadSpec)
 	}
-	ge := &gridEntry{g: g, op: stencil.Assemble(g, stencil.PhiFromTimeStep(cmp.Or(s.opts.Tau, g.Tau())))}
+	ge := &gridEntry{g: g, phi: stencil.PhiFromTimeStep(cmp.Or(s.opts.Tau, g.Tau()))}
 	s.grids[name] = ge
 	return ge, nil
 }
@@ -132,7 +132,7 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sess, err := core.BuildSession(ge.g, ge.op, o.Cores, o.Threads, machine, o.Injector, tracer, opts)
+	sess, err := core.BuildSession(ge.g, ge.phi, o.Cores, o.Threads, machine, o.Injector, tracer, opts)
 	if err != nil {
 		return nil, nil, err
 	}

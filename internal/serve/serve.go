@@ -1,6 +1,6 @@
 // Package serve is the concurrent solve service: a pool of warmed-up solver
-// sessions (operator assembled, preconditioner factored, eigenvalue bounds
-// cached) serving Solve requests from many goroutines at once.
+// sessions (block operators assembled, preconditioner factored, eigenvalue
+// bounds cached) serving Solve requests from many goroutines at once.
 //
 // A core.Session is deliberately not safe for concurrent use — its field
 // arenas and output buffer are reused across solves — so the service owns

@@ -58,60 +58,21 @@ func Assemble(g *grid.Grid, phi float64) *Operator {
 		panic(fmt.Sprintf("stencil: non-positive mass coefficient %g", phi))
 	}
 	n := g.N()
-	op := &Operator{
+	// A Local without padding or mask: the operator shares the grid's.
+	l := &Local{
+		NxP: g.Nx, NyP: g.Ny,
+		AC:  make([]float64, n),
+		AN:  make([]float64, n),
+		AE:  make([]float64, n),
+		ANE: make([]float64, n),
+	}
+	assemble(l, g, phi, 0, 0, 0)
+	return &Operator{
 		Nx: g.Nx, Ny: g.Ny,
-		AC:   make([]float64, n),
-		AN:   make([]float64, n),
-		AE:   make([]float64, n),
-		ANE:  make([]float64, n),
+		AC: l.AC, AN: l.AN, AE: l.AE, ANE: l.ANE,
 		Mask: g.Mask,
 		Phi:  phi,
 	}
-	// Mass term and land identity rows.
-	for k := 0; k < n; k++ {
-		if g.Mask[k] {
-			op.AC[k] = phi * g.TAREA[k]
-		} else {
-			op.AC[k] = 1
-		}
-	}
-	// Corner elements. Corner (i,j) is NE of T(i,j) and couples T-points
-	// (i,j), (i+1,j), (i,j+1), (i+1,j+1). Element values per wet corner:
-	//   diag        += w·(kx+ky)
-	//   E-W, N-S... see package comment.
-	for j := 0; j < g.Ny-1; j++ {
-		for i := 0; i < g.Nx-1; i++ {
-			k := g.Idx(i, j)
-			h := g.HU[k]
-			if h == 0 {
-				continue // dry corner: no contribution
-			}
-			w := h * g.UAREA[k]
-			dx, dy := g.DXU[k], g.DYU[k]
-			kx := 1 / (4 * dx * dx)
-			ky := 1 / (4 * dy * dy)
-			diag := w * (kx + ky)
-			ew := w * (ky - kx) // sign: coupling value added to AE
-			ns := w * (kx - ky)
-			di := -w * (kx + ky) // both diagonals of the element
-
-			kE := g.Idx(i+1, j)
-			kN := g.Idx(i, j+1)
-			kNE := g.Idx(i+1, j+1)
-			op.AC[k] += diag
-			op.AC[kE] += diag
-			op.AC[kN] += diag
-			op.AC[kNE] += diag
-			op.AE[k] += ew  // (i,j)↔(i+1,j)
-			op.AE[kN] += ew // (i,j+1)↔(i+1,j+1)
-			op.AN[k] += ns  // (i,j)↔(i,j+1)
-			op.AN[kE] += ns // (i+1,j)↔(i+1,j+1)
-			op.ANE[k] += di // (i,j)↔(i+1,j+1); the (i+1,j)↔(i,j+1)
-			// anti-diagonal is the same value and is read back via the
-			// ANE(i,j−1) convention in Apply.
-		}
-	}
-	return op
 }
 
 // Diagonal returns the operator diagonal (aliasing nothing; a fresh slice).

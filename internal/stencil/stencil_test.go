@@ -277,7 +277,7 @@ func TestAssembleWindowFilledMatchesTrueOperatorAwayFromLand(t *testing.T) {
 	phi := PhiFromTimeStep(1800)
 	op := Assemble(g, phi)
 	const x0, y0, w, h = 12, 10, 12, 10
-	win := AssembleWindowFilled(g, phi, x0, y0, w, h, 50)
+	win := AssembleWindow(g, phi, x0, y0, w, h, 50)
 	for j := 1; j <= h; j++ {
 		for i := 1; i <= w; i++ {
 			gi, gj := x0-1+i, y0-1+j
@@ -313,7 +313,7 @@ func TestAssembleWindowFilledAllWet(t *testing.T) {
 	// Window chosen over a coastline (found dynamically).
 	for y := 2; y < g.Ny-12; y += 6 {
 		for x := 2; x < g.Nx-12; x += 6 {
-			win := AssembleWindowFilled(g, phi, x, y, 8, 8, 50)
+			win := AssembleWindow(g, phi, x, y, 8, 8, 50)
 			for j := 1; j <= 8; j++ {
 				for i := 1; i <= 8; i++ {
 					if win.Row(i, j)[8] == 0 {
@@ -327,7 +327,7 @@ func TestAssembleWindowFilledAllWet(t *testing.T) {
 
 func TestWindowFilledSymmetric(t *testing.T) {
 	g := grid.Generate(grid.TestSpec())
-	win := AssembleWindowFilled(g, PhiFromTimeStep(1800), 20, 14, 10, 8, 50)
+	win := AssembleWindow(g, PhiFromTimeStep(1800), 20, 14, 10, 8, 50)
 	for j := 1; j < win.NyP-1; j++ {
 		for i := 1; i < win.NxP-1; i++ {
 			row := win.Row(i, j)

@@ -16,22 +16,27 @@ func (l *Local) Row(i, j int) [9]float64 {
 	}
 }
 
-// AssembleWindowFilled builds the nine-point operator on the window
-// [x0, x0+nx) × [y0, y0+ny) of grid g — padded with a one-point ring — as if
-// every grid point were ocean with depth at least fill: land depths are
-// raised to fill and out-of-range metric/depth lookups clamp to the nearest
-// in-range point.
+// AssembleWindow builds the nine-point operator on the window
+// [x0, x0+nx) × [y0, y0+ny) of grid g, padded with a one-point ring.
 //
-// This is the operator the block-EVP preconditioner marches on. Marching
-// requires a nonzero north-east corner coefficient at every point, which the
-// true operator cannot provide near coastlines (dry corners zero the
-// coupling). Filling restores wet corners everywhere while leaving the
-// operator identical to the true one wherever all involved cells are ocean
-// deeper than fill, so the preconditioner stays a close SPD approximation of
-// the true block (the application layer masks land points back to identity
-// rows). fill must be positive and at most the grid's minimum wet depth for
-// the "identical away from land" property to hold exactly.
-func AssembleWindowFilled(g *grid.Grid, phi float64, x0, y0, nx, ny int, fill float64) *Local {
+// With fill = 0 it is the true operator restricted to the window: every
+// padded point inside the domain carries the coefficients Assemble gives it
+// (land rows are identity rows), and points outside the domain are zero and
+// dry. It is what a session's block operators are, so no whole-grid
+// operator has to exist to slice them from.
+//
+// With fill > 0 it is the window the block-EVP preconditioner marches on:
+// every point is ocean with depth at least fill — land depths are raised to
+// fill and out-of-range metric/depth lookups clamp to the nearest in-range
+// point. Marching requires a nonzero north-east corner coefficient at every
+// point, which the true operator cannot provide near coastlines (dry corners
+// zero the coupling). Filling restores wet corners everywhere while leaving
+// the operator identical to the true one wherever all involved cells are
+// ocean deeper than fill, so the preconditioner stays a close SPD
+// approximation of the true block (the application layer masks land points
+// back to identity rows). fill must be at most the grid's minimum wet depth
+// for the "identical away from land" property to hold exactly.
+func AssembleWindow(g *grid.Grid, phi float64, x0, y0, nx, ny int, fill float64) *Local {
 	nxp, nyp := nx+2, ny+2
 	l := &Local{
 		NxP: nxp, NyP: nyp, H: 1,
@@ -41,68 +46,111 @@ func AssembleWindowFilled(g *grid.Grid, phi float64, x0, y0, nx, ny int, fill fl
 		ANE:  make([]float64, nxp*nyp),
 		Mask: make([]bool, nxp*nyp),
 	}
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
+	assemble(l, g, phi, x0-1, y0-1, fill)
+	l.InitRuns()
+	return l
+}
+
+// AssembleWindowFilled is AssembleWindow under its earlier name, kept for
+// the benchmark's EVP probe.
+func AssembleWindowFilled(g *grid.Grid, phi float64, x0, y0, nx, ny int, fill float64) *Local {
+	return AssembleWindow(g, phi, x0, y0, nx, ny, fill)
+}
+
+// assemble adds the operator into l's NxP×NyP arrays, whose index (0,0) is
+// grid point (ox, oy): the mass term, then every corner element in
+// row-major order, so a coefficient sums its terms in the same order
+// whatever array it lands in, and a window at fill 0 is the whole grid's
+// slice bit for bit. Corner (ci,cj) is the north-east corner of array
+// point (ci,cj). A nil l.Mask is left alone (Assemble shares the grid's).
+func assemble(l *Local, g *grid.Grid, phi float64, ox, oy int, fill float64) {
+	nxp, nyp := l.NxP, l.NyP
+	filled := fill > 0
+	clamp := func(v, hi int) int { return max(0, min(v, hi)) }
 	ht := func(gi, gj int) float64 {
-		h := g.HT[g.Idx(clamp(gi, 0, g.Nx-1), clamp(gj, 0, g.Ny-1))]
-		if h < fill {
-			return fill
-		}
-		return h
+		return max(g.HT[g.Idx(clamp(gi, g.Nx-1), clamp(gj, g.Ny-1))], fill)
 	}
-	// Mass term everywhere (the filled grid has no land rows).
 	for j := 0; j < nyp; j++ {
-		gj := clamp(y0-1+j, 0, g.Ny-1)
 		for i := 0; i < nxp; i++ {
-			gi := clamp(x0-1+i, 0, g.Nx-1)
-			k := j*nxp + i
-			l.AC[k] = phi * g.TAREA[g.Idx(gi, gj)]
-			l.Mask[k] = true
+			gi, gj, k := ox+i, oy+j, j*nxp+i
+			if filled { // the filled window has no land rows
+				l.AC[k] = phi * g.TAREA[g.Idx(clamp(gi, g.Nx-1), clamp(gj, g.Ny-1))]
+				l.Mask[k] = true
+				continue
+			}
+			if gi < 0 || gj < 0 || gi >= g.Nx || gj >= g.Ny {
+				continue
+			}
+			kg := g.Idx(gi, gj)
+			if !g.Mask[kg] {
+				l.AC[k] = 1 // identity land row
+				continue
+			}
+			l.AC[k] = phi * g.TAREA[kg]
+			if l.Mask != nil {
+				l.Mask[k] = true
+			}
 		}
 	}
-	// Corner elements over corners (i,j) .. one ring beyond the window so
-	// the padded ring gets its couplings too. Corner local index (i,j) is
-	// the NE corner of padded point (i,j).
-	for j := 0; j < nyp-1; j++ {
-		gj := y0 - 1 + j
-		for i := 0; i < nxp-1; i++ {
-			gi := x0 - 1 + i
-			h := ht(gi, gj)
-			for _, d := range [3][2]int{{1, 0}, {0, 1}, {1, 1}} {
-				if hh := ht(gi+d[0], gj+d[1]); hh < h {
-					h = hh
+	// The filled window is closed at its padded ring, so it takes the
+	// corners inside the array. The true operator also takes the corners
+	// one ring out, so that its ring points get every coupling too; only
+	// the domain's corners contribute.
+	c0, c1, d1 := 0, nxp-1, nyp-1
+	if !filled {
+		c0, c1, d1 = -1, nxp, nyp
+	}
+	at := func(i, j int) int {
+		if i < 0 || j < 0 || i >= nxp || j >= nyp {
+			return -1
+		}
+		return j*nxp + i
+	}
+	for cj := c0; cj < d1; cj++ {
+		for ci := c0; ci < c1; ci++ {
+			gi, gj := ox+ci, oy+cj
+			var h float64
+			var km int
+			if filled {
+				h = min(ht(gi, gj), ht(gi+1, gj), ht(gi, gj+1), ht(gi+1, gj+1))
+				km = g.Idx(clamp(gi, g.Nx-1), clamp(gj, g.Ny-1))
+			} else {
+				if gi < 0 || gj < 0 || gi >= g.Nx-1 || gj >= g.Ny-1 {
+					continue
+				}
+				km = g.Idx(gi, gj)
+				if h = g.HU[km]; h == 0 {
+					continue // dry corner: no contribution
 				}
 			}
-			km := g.Idx(clamp(gi, 0, g.Nx-1), clamp(gj, 0, g.Ny-1))
-			dx, dy := g.DXU[km], g.DYU[km]
 			w := h * g.UAREA[km]
+			dx, dy := g.DXU[km], g.DYU[km]
 			kx := 1 / (4 * dx * dx)
 			ky := 1 / (4 * dy * dy)
 			diag := w * (kx + ky)
-			ew := w * (ky - kx)
-			ns := w * (kx - ky)
+			ew := w * (ky - kx) // (i,j)↔(i+1,j) and (i,j+1)↔(i+1,j+1)
+			ns := w * (kx - ky) // (i,j)↔(i,j+1) and (i+1,j)↔(i+1,j+1)
 			di := -w * (kx + ky)
-
-			k := j*nxp + i
-			kE, kN, kNE := k+1, k+nxp, k+nxp+1
-			l.AC[k] += diag
-			l.AC[kE] += diag
-			l.AC[kN] += diag
-			l.AC[kNE] += diag
-			l.AE[k] += ew
-			l.AE[kN] += ew
-			l.AN[k] += ns
-			l.AN[kE] += ns
-			l.ANE[k] += di
+			// Both diagonals of the element: ANE(i,j) is (i,j)↔(i+1,j+1),
+			// and the (i+1,j)↔(i,j+1) anti-diagonal is the same value, read
+			// back via the ANE(i,j−1) convention in Apply.
+			if k := at(ci, cj); k >= 0 {
+				l.AC[k] += diag
+				l.AE[k] += ew
+				l.AN[k] += ns
+				l.ANE[k] += di
+			}
+			if k := at(ci+1, cj); k >= 0 {
+				l.AC[k] += diag
+				l.AN[k] += ns
+			}
+			if k := at(ci, cj+1); k >= 0 {
+				l.AC[k] += diag
+				l.AE[k] += ew
+			}
+			if k := at(ci+1, cj+1); k >= 0 {
+				l.AC[k] += diag
+			}
 		}
 	}
-	l.InitRuns()
-	return l
 }

@@ -316,7 +316,7 @@ type SolverSpec struct {
 	Faults *FaultInjector
 }
 
-// Solver bundles an operator, decomposition, communicator, and session.
+// Solver bundles a grid, decomposition, communicator, and session.
 type Solver struct {
 	// Spec is the configuration NewSolver was given, after normalization
 	// (Tau 0 resolved to the grid's step, MethodCSI rewritten to
@@ -324,8 +324,6 @@ type Solver struct {
 	Spec SolverSpec
 	// G is the grid the solver was built over.
 	G *Grid
-	// Op is the assembled nine-point operator.
-	Op *Operator
 	// Session is the underlying distributed solver session; it exposes the
 	// lower-level solve entry points and the solve arenas.
 	Session *core.Session
@@ -355,12 +353,11 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	opts := spec.Options
 	opts.Precond = spec.Precond
 
-	op := stencil.Assemble(g, stencil.PhiFromTimeStep(spec.Tau))
-	sess, err := core.BuildSession(g, op, spec.Cores, spec.Threads, machine, spec.Faults, nil, opts)
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(spec.Tau), spec.Cores, spec.Threads, machine, spec.Faults, nil, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{Spec: spec, G: g, Op: op, Session: sess, Cores: sess.W.NRank}, nil
+	return &Solver{Spec: spec, G: g, Session: sess, Cores: sess.W.NRank}, nil
 }
 
 // Solve runs the configured method on right-hand side b with initial guess

@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
-	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -23,6 +24,38 @@ func TestNewGridPresets(t *testing.T) {
 	if _, err := NewGrid("nope"); err == nil {
 		t.Fatal("unknown preset accepted")
 	}
+}
+
+// TestDroppedSolverReleasesItsGrid: a solver that has blocked its grid and
+// solved on it keeps nothing process-wide, so dropping it frees the grid.
+// Nothing in the set-up or solve path may cache by grid.
+func TestDroppedSolverReleasesItsGrid(t *testing.T) {
+	done := make(chan struct{})
+	func() {
+		g, err := NewGrid(GridTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(g, func(*Grid) { close(done) })
+		s, err := NewSolver(g, SolverSpec{Method: MethodPCSI, Precond: PrecondEVP, Cores: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, g.N())
+		AssembleOperator(g, g.Tau()).Apply(b, g.HT)
+		if _, _, err := s.Solve(b, nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-done:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the grid is still reachable after its solver was dropped")
 }
 
 func TestSolverFacadeEndToEnd(t *testing.T) {
@@ -306,9 +339,10 @@ func TestCappedSolveOneContract(t *testing.T) {
 	}
 }
 
-// TestSolverDefaultStepIsTheGrids: SolverSpec.Tau = 0 assembles the
-// operator at the grid's own step, 86400 / DtCount, and a grid with no
-// step of its own needs an explicit Tau.
+// TestSolverDefaultStepIsTheGrids: SolverSpec.Tau = 0 solves the operator
+// at the grid's own step, 86400 / DtCount — the session's blocks assemble
+// with that step's φ — and a grid with no step of its own needs an explicit
+// Tau.
 func TestSolverDefaultStepIsTheGrids(t *testing.T) {
 	for _, name := range grid.PresetNames() {
 		if name == GridTenthDegree {
@@ -322,8 +356,8 @@ func TestSolverDefaultStepIsTheGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := AssembleOperator(g, 86400/float64(g.DtCount)); !reflect.DeepEqual(s.Op, want) {
-			t.Errorf("%s: NewSolver's default operator is not the one at 86400/%d s", name, g.DtCount)
+		if want := AssembleOperator(g, 86400/float64(g.DtCount)).Phi; s.Session.Phi != want {
+			t.Errorf("%s: NewSolver's default φ %g is not the one at 86400/%d s, %g", name, s.Session.Phi, g.DtCount, want)
 		}
 		if s.Spec.Tau != g.Tau() {
 			t.Errorf("%s: Spec.Tau = %g, want the grid's %g", name, s.Spec.Tau, g.Tau())
@@ -363,7 +397,7 @@ func TestTenthScaledPCSIConvergesAtItsStep(t *testing.T) {
 		}
 	}
 	b := make([]float64, g.N())
-	s.Op.Apply(b, x)
+	AssembleOperator(g, s.Spec.Tau).Apply(b, x)
 	for k, ocean := range g.Mask {
 		if !ocean {
 			b[k] = 0

@@ -182,6 +182,15 @@ priced() { # <workload> <iters> <reductions> <halo msgs> <halo KB> <virtual ms>
 priced cg_diag_1deg_r768 320 321 805120 181190 18.8165
 priced pcsi_evp_1deg_r48 320 33 44940 40004.6 35.9471
 
+echo "== the retained heap =="
+# What a 1 degree solver keeps once set up: the unchanged benchmark's live
+# heap at seed 1, untraced, is 51.5 MB (72.8 MB when a blocking cache pinned
+# every grid it saw and the session kept the whole-grid operator). A pinned
+# grid or a retained global array crosses the 2 MB margin.
+heap=$(go run ./benchmark -workload cg_diag_1deg_r768 -seed 1 -seconds 1 | awk '$1 == "live_heap_mb" { print $2 }')
+awk -v h="$heap" 'BEGIN { exit !(h > 0 && h <= 53.5) }' || {
+    echo "cg_diag_1deg_r768 seed 1 retains $heap MB of live heap, want at most 53.5"; exit 1; }
+
 echo "== the step belongs to the grid =="
 # P-CSI+EVP on the scaled 0.1 degree grid at 200 cores, with no step given,
 # runs at the grid's own step (dt_count 500, 172.8 s) and converges in about
