@@ -258,6 +258,14 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 		s.drivers = make([]*driver, p)
 	}
 	st := s.W.RunShards(func(sh *comm.Shard) { s.driver(sh, sr).run() })
+	// The drivers outlive the solve; its run (the caller's b, x0 and ctx)
+	// must not.
+	for _, d := range s.drivers {
+		d.sr = nil
+		for _, l := range d.ls {
+			l.sr = nil
+		}
+	}
 
 	res := sr.res
 	res.Stats = st
@@ -744,9 +752,9 @@ func (l *loop) start() bool {
 	if sr.x0 == nil {
 		l.x = s.zeroField(r, "x")
 	} else {
-		l.x = s.scatterMasked(r, "x", sr.x0)
+		l.x = s.scatterMasked(r, s.field(r, "x"), sr.x0)
 	}
-	l.b = s.scatterMasked(r, "b", sr.b)
+	l.b = s.scatterMasked(r, s.field(r, "b"), sr.b)
 	l.rr = s.field(r, "r")
 	if sr.resilient {
 		l.ck = s.field(r, "ckpt")

@@ -46,9 +46,6 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	if err := s.Setup(); err != nil {
 		return 0, 0, 0, err
 	}
-	if b == nil {
-		b = s.eigenProbe()
-	}
 	forced := maxSteps > 0
 	if !forced {
 		maxSteps = eigMaxSteps
@@ -60,7 +57,9 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	var eigTrace []EigBound // appended by shard 0 only
 
 	st := s.W.RunShards(func(sh *comm.Shard) {
-		// Per rank: the CG vectors, and the payload of the reduction in flight.
+		// Per rank: the CG vectors, and the payload of the reduction in
+		// flight. The vectors live for this run only: the session keeps
+		// none of them.
 		type lanczosRank struct{ xs, bs, rr, rp, zz, pp [][]float64 }
 		lr := make([]lanczosRank, len(sh.Ranks))
 		pay := make([][]float64, len(sh.Ranks))
@@ -68,12 +67,13 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 		for i, r := range sh.Each {
 			rs := s.state(r)
 			e := &lr[i]
-			e.xs = s.zeroField(r, "eig.x")
-			e.bs = s.scatterMasked(r, "eig.b", b)
-			e.rr = s.field(r, "eig.r")
-			e.rp = s.field(r, "eig.rp")
-			e.zz = s.field(r, "eig.z")
-			e.pp = s.zeroField(r, "eig.p")
+			e.xs, e.bs, e.rr = s.newField(r), s.newField(r), s.newField(r)
+			e.rp, e.zz, e.pp = s.newField(r), s.newField(r), s.newField(r)
+			if b == nil {
+				s.probeInto(r, e.bs)
+			} else {
+				s.scatterMasked(r, e.bs, b)
+			}
 			halo[i] = e.pp
 			var bn2 float64
 			for j := range r.Blocks {
@@ -206,24 +206,31 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	return s.Nu, s.Mu, s.EigSteps, nil
 }
 
-// eigenProbe builds (once per session, then reuses) a deterministic
-// pseudo-random masked vector whose spectral content covers every ocean
-// mode. The probe depends only on the mask, which is fixed for the life of
-// the session, so the cached copy is exact.
-func (s *Session) eigenProbe() []float64 {
-	if s.probeBuf != nil {
-		return s.probeBuf
-	}
-	probe := make([]float64, s.G.N())
-	for k, ocean := range s.G.Mask {
-		if ocean {
-			x := uint64(k) + 0x9E3779B97F4A7C15
-			x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-			x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-			x ^= x >> 31
-			probe[k] = float64(x>>11)/(1<<53) - 0.5
+// probeInto writes the Lanczos probe into the rank's per-block field set
+// f: a deterministic pseudo-random vector whose spectral content covers
+// every ocean mode. Each padded entry at ocean point k (ring included) is the
+// splitmix64 hash of k mapped to [−0.5, 0.5); land and out-of-domain entries
+// are zero. It is what scatterMasked makes of the whole-grid probe, written
+// without building it.
+func (s *Session) probeInto(r *comm.Rank, f [][]float64) {
+	h, nx := s.D.Halo, s.D.Nx
+	for i, b := range r.Blocks {
+		nxp, _ := s.D.PaddedDims(b)
+		for idx, ocean := range s.state(r).locs[i].Mask {
+			f[i][idx] = 0
+			if ocean { // an ocean entry is inside the domain
+				pi, pj := idx%nxp, idx/nxp
+				f[i][idx] = probeValue((b.Y0-h+pj)*nx + b.X0 - h + pi)
+			}
 		}
 	}
-	s.probeBuf = probe
-	return probe
+}
+
+// probeValue is the probe's entry at global point k.
+func probeValue(k int) float64 {
+	x := uint64(k) + 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	x ^= x >> 31
+	return float64(x>>11)/(1<<53) - 0.5
 }

@@ -220,11 +220,11 @@ func (s *Session) SolveContext(ctx context.Context, m Method, b, x0 []float64) (
 	if !m.Valid() {
 		return Result{}, nil, fmt.Errorf("core: unknown method %v: %w", m, ErrBadSpec)
 	}
-	if len(b) != s.G.N() {
-		return Result{}, nil, fmt.Errorf("core: rhs length %d, want %d: %w", len(b), s.G.N(), ErrBadSpec)
+	if len(b) != s.N() {
+		return Result{}, nil, fmt.Errorf("core: rhs length %d, want %d: %w", len(b), s.N(), ErrBadSpec)
 	}
-	if x0 != nil && len(x0) != s.G.N() {
-		return Result{}, nil, fmt.Errorf("core: x0 length %d, want %d: %w", len(x0), s.G.N(), ErrBadSpec)
+	if x0 != nil && len(x0) != s.N() {
+		return Result{}, nil, fmt.Errorf("core: x0 length %d, want %d: %w", len(x0), s.N(), ErrBadSpec)
 	}
 	s.W.SetTraceID(obs.TraceIDFromContext(ctx))
 	res, x, err := s.solve(ctx, m, b, x0)

@@ -92,13 +92,21 @@ func (o Options) withDefaults() Options {
 // Session binds a grid, a decomposition, and a communicator into a
 // reusable distributed solver: local operators, preconditioners, and field
 // buffers persist across solves (as they do across time steps in POP). It
-// holds no whole-grid operator: each block's is assembled from the grid.
+// holds no whole-grid operator: each block's is assembled from the grid,
+// and once Setup has built every block the session lets the grid go. A
+// set-up session keeps per-block state, the ocean mask and its output
+// buffer.
 type Session struct {
-	G    *grid.Grid            // grid the session solves on
 	D    *decomp.Decomposition // block-to-rank ownership map
 	W    *comm.World           // virtual-rank communicator
 	Opts Options               // normalized options (defaults applied)
 	Phi  float64               // the operator's mass coefficient (stencil.PhiFromTimeStep)
+
+	// g is the grid the blocks are assembled from, kept until Setup
+	// succeeds (so a failed Setup can be retried) and nil after. mask is the
+	// grid's ocean mask (its array, shared), all the solves read of it.
+	g    *grid.Grid
+	mask []bool
 
 	perRank []*rankState
 	ready   bool
@@ -117,21 +125,24 @@ type Session struct {
 	// EstimateEigenvalues run (copied into P-CSI Result traces).
 	EigTrace []EigBound
 
-	// Workspace arena, sized lazily on first use and reused across solves:
-	// outBuf backs every solver's returned solution vector, probeBuf the
-	// Lanczos probe. A Result's solution slice therefore stays valid only
-	// until the session's next solve — callers keeping it longer (the model
-	// time-stepper copies into its own Eta immediately) must copy.
-	outBuf   []float64
-	probeBuf []float64
+	// outBuf backs every solver's returned solution vector, allocated on
+	// first use and reused across solves. A Result's solution slice
+	// therefore stays valid only until the session's next solve — callers
+	// keeping it longer (the model time-stepper copies into its own Eta
+	// immediately) must copy.
+	outBuf []float64
 }
+
+// N returns the number of grid points the session solves over: the length
+// of every right-hand side, initial guess and solution.
+func (s *Session) N() int { return len(s.mask) }
 
 // solveOut returns the session-owned global solution buffer, allocating it
 // on first use. Every entry is overwritten by each solve (ocean points by
 // the gather, land points by restoreLand), so no zeroing is needed.
 func (s *Session) solveOut() []float64 {
 	if s.outBuf == nil {
-		s.outBuf = make([]float64, s.G.N())
+		s.outBuf = make([]float64, s.N())
 	}
 	return s.outBuf
 }
@@ -179,7 +190,7 @@ func newSession(g *grid.Grid, phi float64, d *decomp.Decomposition, w *comm.Worl
 	if o.SStep < 1 || o.SStep > MaxSStep {
 		return nil, fmt.Errorf("core: s-step block size %d out of 1..%d: %w", o.SStep, MaxSStep, ErrBadSpec)
 	}
-	return &Session{G: g, D: d, W: w, Opts: o, Phi: phi,
+	return &Session{D: d, W: w, Opts: o, Phi: phi, g: g, mask: g.Mask,
 		perRank: make([]*rankState, d.NRanks)}, nil
 }
 
@@ -225,9 +236,11 @@ func BuildSession(g *grid.Grid, phi float64, cores, threads int, machine *perfmo
 }
 
 // Setup builds per-rank local operators and preconditioners, charging the
-// preprocessing flops to the virtual clock. It is idempotent; solvers call
-// it lazily, but experiments call it explicitly to time it (the paper
-// reports EVP setup cost < one solver call at 512 cores, §4.3).
+// preprocessing flops to the virtual clock, and on success drops the
+// session's reference to the grid: nothing after it reads more than the
+// mask. It is idempotent; solvers call it lazily, but experiments call it
+// explicitly to time it (the paper reports EVP setup cost < one solver call
+// at 512 cores, §4.3).
 func (s *Session) Setup() error {
 	if s.ready {
 		return nil
@@ -250,6 +263,7 @@ func (s *Session) Setup() error {
 	}
 	s.SetupStats = &st
 	s.ready = true
+	s.g = nil
 	return nil
 }
 
@@ -260,7 +274,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 	rs := &rankState{fields: make(map[string][][]float64)}
 	var firstErr error
 	for _, b := range r.Blocks {
-		loc := stencil.AssembleWindow(s.G, s.Phi, b.X0, b.Y0, b.NxI, b.NyI, 0)
+		loc := stencil.AssembleWindow(s.g, s.Phi, b.X0, b.Y0, b.NxI, b.NyI, 0)
 		rs.locs = append(rs.locs, loc)
 		var pre Preconditioner
 		var err error
@@ -270,7 +284,7 @@ func (s *Session) setupRank(r *comm.Rank) error {
 		case PrecondDiagonal:
 			pre = newDiagPrecond(loc)
 		case PrecondEVP:
-			pre, err = newEVPPrecond(s.G, s.Phi, b, loc, s.Opts.EVPBlockSize)
+			pre, err = newEVPPrecond(s.g, s.Phi, b, loc, s.Opts.EVPBlockSize)
 		case PrecondBlockLU:
 			pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
 		default:
@@ -295,26 +309,32 @@ func (s *Session) state(r *comm.Rank) *rankState {
 }
 
 // field returns (allocating on first use) the named per-block padded field
-// set for this rank.
+// set for this rank, kept for the session's life.
 func (s *Session) field(r *comm.Rank, name string) [][]float64 {
 	rs := s.state(r)
 	f, ok := rs.fields[name]
 	if !ok {
-		f = make([][]float64, len(r.Blocks))
-		for i, b := range r.Blocks {
-			nxp, nyp := s.D.PaddedDims(b)
-			f[i] = make([]float64, nxp*nyp)
-		}
+		f = s.newField(r)
 		rs.fields[name] = f
 	}
 	return f
 }
 
-// scatterMasked copies a global field into the named per-block field,
-// zeroing land points (solvers run on the ocean-invariant subspace; land
-// rows are restored at gather time).
-func (s *Session) scatterMasked(r *comm.Rank, name string, global []float64) [][]float64 {
-	f := s.field(r, name)
+// newField allocates a zeroed per-block padded field set for this rank that
+// the session does not keep.
+func (s *Session) newField(r *comm.Rank) [][]float64 {
+	f := make([][]float64, len(r.Blocks))
+	for i, b := range r.Blocks {
+		nxp, nyp := s.D.PaddedDims(b)
+		f[i] = make([]float64, nxp*nyp)
+	}
+	return f
+}
+
+// scatterMasked copies a global field into the rank's per-block field set
+// f and returns f, zeroing land points (solvers run on the ocean-invariant
+// subspace; land rows are restored at gather time).
+func (s *Session) scatterMasked(r *comm.Rank, f [][]float64, global []float64) [][]float64 {
 	for i, b := range r.Blocks {
 		s.D.ScatterInto(f[i], global, b)
 		loc := s.state(r).locs[i]
@@ -348,7 +368,7 @@ func zeroFields(fields ...[][]float64) {
 // blocks eliminated from the decomposition (solvers iterate only on the
 // ocean subspace).
 func (s *Session) restoreLand(x, b []float64) {
-	for k, m := range s.G.Mask {
+	for k, m := range s.mask {
 		if !m {
 			x[k] = b[k]
 		}

@@ -34,8 +34,10 @@ type Block struct {
 
 // Decomposition is a block layout of a grid plus the block→rank assignment.
 type Decomposition struct {
-	// G is the grid being decomposed.
-	G                *grid.Grid
+	// Nx and Ny are the decomposed grid's T-point dimensions: the global
+	// field layout Scatter and Gather index. The decomposition keeps no
+	// reference to the grid itself.
+	Nx, Ny           int
 	BlockNx, BlockNy int // nominal block dimensions
 	MX, MY           int // block-grid dimensions
 	// Halo is the ghost-cell width around each block.
@@ -61,7 +63,7 @@ func New(g *grid.Grid, bx, by, halo int) (*Decomposition, error) {
 		return nil, fmt.Errorf("decomp: block size %d×%d smaller than halo %d", bx, by, halo)
 	}
 	d := &Decomposition{
-		G:       g,
+		Nx: g.Nx, Ny: g.Ny,
 		BlockNx: bx, BlockNy: by,
 		MX:   (g.Nx + bx - 1) / bx,
 		MY:   (g.Ny + by - 1) / by,
@@ -296,11 +298,10 @@ func (d *Decomposition) Scatter(global []float64, b *Block) []float64 {
 func (d *Decomposition) ScatterInto(dst, global []float64, b *Block) {
 	h := d.Halo
 	nxp, nyp := d.PaddedDims(b)
-	g := d.G
 	for j := 0; j < nyp; j++ {
 		row := dst[j*nxp : (j+1)*nxp]
 		gj := b.Y0 - h + j
-		if gj < 0 || gj >= g.Ny {
+		if gj < 0 || gj >= d.Ny {
 			for i := range row {
 				row[i] = 0
 			}
@@ -312,13 +313,13 @@ func (d *Decomposition) ScatterInto(dst, global []float64, b *Block) {
 			lo = h - b.X0
 		}
 		hi := nxp
-		if b.X0-h+nxp > g.Nx {
-			hi = g.Nx - b.X0 + h
+		if b.X0-h+nxp > d.Nx {
+			hi = d.Nx - b.X0 + h
 		}
 		for i := 0; i < lo; i++ {
 			row[i] = 0
 		}
-		copy(row[lo:hi], global[gj*g.Nx+b.X0-h+lo:gj*g.Nx+b.X0-h+hi])
+		copy(row[lo:hi], global[gj*d.Nx+b.X0-h+lo:gj*d.Nx+b.X0-h+hi])
 		for i := hi; i < nxp; i++ {
 			row[i] = 0
 		}
@@ -330,11 +331,10 @@ func (d *Decomposition) ScatterInto(dst, global []float64, b *Block) {
 func (d *Decomposition) GatherInto(global, local []float64, b *Block) {
 	h := d.Halo
 	nxp, _ := d.PaddedDims(b)
-	g := d.G
 	for j := 0; j < b.NyI; j++ {
 		gj := b.Y0 + j
 		for i := 0; i < b.NxI; i++ {
-			global[gj*g.Nx+b.X0+i] = local[(j+h)*nxp+i+h]
+			global[gj*d.Nx+b.X0+i] = local[(j+h)*nxp+i+h]
 		}
 	}
 }

@@ -91,7 +91,7 @@ func (p *keyPool) ensureBuilt() error {
 		p.buildErr = err
 		return err
 	}
-	p.gridN = sess.G.N()
+	p.gridN = sess.N()
 	if !p.startWorker(sess, slot) {
 		// The service closed while we were building; terminal, so stick.
 		p.buildErr = ErrClosed

@@ -316,14 +316,15 @@ type SolverSpec struct {
 	Faults *FaultInjector
 }
 
-// Solver bundles a grid, decomposition, communicator, and session.
+// Solver bundles a decomposition, communicator, and session built over a
+// grid. It keeps no reference to the grid, and its session lets go of it
+// once set up (by the first solve or estimate, or Session.Setup): from then
+// on the solver holds per-block state, the ocean mask and its output buffer.
 type Solver struct {
 	// Spec is the configuration NewSolver was given, after normalization
 	// (Tau 0 resolved to the grid's step, MethodCSI rewritten to
 	// MethodPCSI + PrecondIdentity).
 	Spec SolverSpec
-	// G is the grid the solver was built over.
-	G *Grid
 	// Session is the underlying distributed solver session; it exposes the
 	// lower-level solve entry points and the solve arenas.
 	Session *core.Session
@@ -357,7 +358,7 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Solver{Spec: spec, G: g, Session: sess, Cores: sess.W.NRank}, nil
+	return &Solver{Spec: spec, Session: sess, Cores: sess.W.NRank}, nil
 }
 
 // Solve runs the configured method on right-hand side b with initial guess

@@ -58,6 +58,70 @@ func TestDroppedSolverReleasesItsGrid(t *testing.T) {
 	t.Fatal("the grid is still reachable after its solver was dropped")
 }
 
+// TestSetUpSolverReleasesItsGrid: a solver that has solved once keeps
+// nothing of its grid but the mask, so the grid is collected while the
+// solver lives, and the solver's next solve is bit for bit a fresh solver's
+// on a fresh grid.
+func TestSetUpSolverReleasesItsGrid(t *testing.T) {
+	spec := SolverSpec{Method: MethodPCSI, Precond: PrecondEVP, Cores: 12}
+	build := func() (*Grid, *Solver, []float64) {
+		g, err := NewGrid(GridTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSolver(g, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make([]float64, g.N())
+		AssembleOperator(g, g.Tau()).Apply(b, g.HT)
+		return g, s, b
+	}
+	solve := func(s *Solver, b []float64) (Result, []float64) {
+		res, x, err := s.Solve(b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, append([]float64(nil), x...)
+	}
+
+	g, s, b := build()
+	collected := make(chan struct{})
+	runtime.SetFinalizer(g, func(*Grid) { close(collected) })
+	solve(s, b)
+	g = nil
+	released := false
+	for range 50 {
+		runtime.GC()
+		select {
+		case <-collected:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+		if released {
+			break
+		}
+	}
+	runtime.KeepAlive(s)
+	if !released {
+		t.Fatal("the solver still reaches its grid after its first solve")
+	}
+
+	got, gotX := solve(s, b)
+	_, fresh, freshB := build()
+	want, wantX := solve(fresh, freshB)
+	if got.Iterations != want.Iterations || got.EigSteps != want.EigSteps ||
+		math.Float64bits(got.RelResidual) != math.Float64bits(want.RelResidual) {
+		t.Fatalf("after release: %d its (%d Lanczos steps), rel %v; fresh solver: %d (%d), %v",
+			got.Iterations, got.EigSteps, got.RelResidual, want.Iterations, want.EigSteps, want.RelResidual)
+	}
+	for k := range wantX {
+		if math.Float64bits(gotX[k]) != math.Float64bits(wantX[k]) {
+			t.Fatalf("after release the solution bit-differs at %d: %v vs %v", k, gotX[k], wantX[k])
+		}
+	}
+}
+
 func TestSolverFacadeEndToEnd(t *testing.T) {
 	g, err := NewGrid(GridTest)
 	if err != nil {
