@@ -4,9 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"repro/internal/core"
 )
+
+// littleEndian reports whether a float64's memory is its little-endian bit
+// pattern, so HashSolve can write vectors without re-encoding them.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // CacheKey is the content hash that keys the fleet's completed-solve
 // cache: SHA-256 over a canonical, length-prefixed encoding of everything
@@ -42,21 +47,19 @@ func HashSolve(grid string, method core.Method, precond core.PrecondType, precis
 		binary.LittleEndian.PutUint64(scratch[:], v)
 		h.Write(scratch[:])
 	}
-	// Vectors are most of the bytes (3,072 words per request on the test
-	// grid), so they are encoded a chunk at a time: one Write per 128 words
-	// instead of one per word.
-	var chunk [128 * 8]byte
+	// A vector is hashed as its own memory: on a little-endian host those
+	// bytes are the words' little-endian IEEE bits, the layout the key has
+	// always had.
 	writeVec := func(v []float64) {
 		binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v)))
 		h.Write(scratch[:4])
-		for len(v) > 0 {
-			n := min(len(v), len(chunk)/8)
-			for i, f := range v[:n] {
-				binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(f))
+		if !littleEndian {
+			for _, f := range v {
+				writeU64(math.Float64bits(f))
 			}
-			h.Write(chunk[:8*n])
-			v = v[n:]
+			return
 		}
+		h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v)))
 	}
 
 	writeStr("popfleet/v2") // domain separator, bumped on any layout change

@@ -164,7 +164,7 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 	}
 
 	if f.cache.cap > 0 && !req.NoCache {
-		if res, x, ok := f.cache.get(hash); ok {
+		if res, x, ok := f.cache.get(hash, req.B); ok {
 			f.m.hits.Inc()
 			f.m.routerLat.Observe(time.Since(start).Seconds())
 			f.noteRouterRecord(traceID, key, start, "hit", "")
@@ -184,7 +184,7 @@ func (f *Fleet) Solve(ctx context.Context, req Request) (Response, error) {
 		return Response{Shard: -1}, err
 	}
 	f.m.misses.Inc()
-	f.cache.put(hash, resp.Result, resp.X)
+	f.cache.put(hash, resp.Result, resp.X, req.B)
 	return Response{Response: resp, Cache: "miss", Shard: shard}, nil
 }
 

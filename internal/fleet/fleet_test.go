@@ -265,22 +265,23 @@ func TestFleetConcurrentIdenticalRequests(t *testing.T) {
 func TestCacheLRUDeterministic(t *testing.T) {
 	c := newResultCache(3)
 	keys := make([]api.CacheKey, 4)
+	rhs := func(i int) []float64 { return []float64{-1 - float64(i)} } // key i's b
 	for i := range keys {
-		keys[i] = api.HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{float64(i)}, nil)
+		keys[i] = api.HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, rhs(i), nil)
 		if i < 3 {
-			c.put(keys[i], core.Result{Iterations: i}, []float64{float64(i)})
+			c.put(keys[i], core.Result{Iterations: i}, []float64{float64(i)}, rhs(i))
 		}
 	}
 	// Touch key0 so key1 is now the LRU tail.
-	if _, _, ok := c.get(keys[0]); !ok {
+	if _, _, ok := c.get(keys[0], rhs(0)); !ok {
 		t.Fatal("key0 missed")
 	}
-	c.put(keys[3], core.Result{Iterations: 3}, []float64{3})
-	if _, _, ok := c.get(keys[1]); ok {
+	c.put(keys[3], core.Result{Iterations: 3}, []float64{3}, rhs(3))
+	if _, _, ok := c.get(keys[1], rhs(1)); ok {
 		t.Fatal("LRU evicted the wrong entry: key1 should be gone")
 	}
 	for _, i := range []int{0, 2, 3} {
-		if res, x, ok := c.get(keys[i]); !ok || res.Iterations != i || x[0] != float64(i) {
+		if res, x, ok := c.get(keys[i], rhs(i)); !ok || res.Iterations != i || x[0] != float64(i) {
 			t.Fatalf("key%d: ok=%v res=%+v x=%v", i, ok, res, x)
 		}
 	}
@@ -293,10 +294,10 @@ func TestCacheLRUDeterministic(t *testing.T) {
 	// ratio is 0, not capacity/(capacity+1).
 	for round := 0; round < 3; round++ {
 		for i, k := range keys {
-			if _, _, ok := c.get(k); ok && round > 0 {
+			if _, _, ok := c.get(k, rhs(i)); ok && round > 0 {
 				t.Fatalf("round %d: key%d hit while cycling 4 keys through 3 entries", round, i)
 			}
-			c.put(k, core.Result{Iterations: i}, []float64{float64(i)})
+			c.put(k, core.Result{Iterations: i}, []float64{float64(i)}, rhs(i))
 		}
 	}
 }

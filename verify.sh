@@ -316,8 +316,9 @@ echo "== fleet smoke run (popserver -fleet 2) =="
 # One popserver routing onto two in-process worker shards (one dispatch per
 # miss: no dedup, no failover), and the fleet guarantees end to end:
 # /v1/solve in both encodings, a bitwise LRU-cache replay on the identical
-# repeat, enum validation with self-repairing 400s, and /v1/stats
-# aggregation whose totals sum the workers' own counters.
+# repeat (x compared bit for bit), enum validation with self-repairing
+# 400s, and /v1/stats aggregation whose totals sum the workers' own
+# counters.
 router=127.0.0.1:18423
 "$tmp/popserver" -addr "$router" -fleet 2 > "$tmp/router.log" 2>&1 &
 router_pid=$!
@@ -351,6 +352,27 @@ curl -fs -X POST "http://$router/v1/solve" \
     > "$tmp/fleet2.json"
 grep -q '"converged":true' "$tmp/fleet2.json"
 grep -q '"cache":"hit"' "$tmp/fleet2.json"
+# The replay is bitwise: an explicit b, nonzero everywhere so the answer's
+# land points (x = b there) are nonzero too, solved once and replayed once,
+# with x compared as the IEEE bits of Go's round-trip JSON floats.
+python3 - "http://$router/v1/solve" <<'EOF'
+import json, struct, sys, urllib.request
+def solve(body):
+    req = urllib.request.Request(sys.argv[1], data=json.dumps(body).encode(),
+                                 headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(req) as r:
+        return json.load(r)
+base = {"grid": "test", "method": "pcsi", "precond": "evp", "return_x": True}
+n = len(solve(dict(base, rhs="smooth"))["x"])
+b = [1 + (k % 13) / 16 for k in range(n)]
+miss, hit = solve(dict(base, b=b)), solve(dict(base, b=b))
+assert miss["converged"] and miss["cache"] == "miss", miss["cache"]
+assert hit["cache"] == "hit", hit["cache"]
+land = sum(1 for xk, bk in zip(miss["x"], b) if xk == bk)
+assert 0 < land < n, land
+bits = lambda x: struct.pack("<%dd" % len(x), *x)
+assert len(hit["x"]) == n and bits(hit["x"]) == bits(miss["x"])
+EOF
 # /v1/stats: the router's totals row must sum the worker rows exactly, and
 # the fleet counters must have seen our hit and misses.
 curl -fs "http://$router/v1/stats" > "$tmp/fleetstats.json"
