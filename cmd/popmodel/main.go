@@ -3,6 +3,9 @@
 //
 //	popmodel -grid test -days 30 -solver pcsi -precond evp
 //
+// The model steps at the grid's own τ = 86400 / dt_count (1,920 s at 1° and
+// on the test grid, 172.8 s at 0.1°), so a day is dt_count steps.
+//
 // -trace writes every step's per-rank solver events as one Perfetto file
 // (ui.perfetto.dev, poptrace), a run_begin marker opening each solve.
 package main
@@ -24,11 +27,10 @@ func main() {
 	var (
 		gridName  = flag.String("grid", "test", "grid preset: test, 1deg, 0.1deg-scaled")
 		days      = flag.Float64("days", 10, "simulated days")
-		dt        = flag.Float64("dt", 2400, "time step (s)")
 		solver    = flag.String("solver", "chrongear", "barotropic solver: "+strings.Join(core.MethodNames(), ", "))
 		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		sstep     = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
-		every     = flag.Float64("report", 1, "report interval (days)")
+		every     = flag.Float64("report", 1, "report interval (days; at least one step)")
 		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
 		traceOut  = flag.String("trace", "", "write the run's Perfetto trace (ui.perfetto.dev, poptrace) to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
@@ -46,7 +48,6 @@ func main() {
 
 	m, err := pop.NewModel(pop.ModelConfig{
 		Grid:       g,
-		Dt:         *dt,
 		Method:     method,
 		SolverOpts: core.Options{Precond: pc, SStep: *sstep},
 		Threads:    *threads,
@@ -59,11 +60,12 @@ func main() {
 		m.Sess.W.Tracer = tracer
 	}
 
-	stepsPerReport := int(*every * 86400 / *dt)
-	totalSteps := int(*days * 86400 / *dt)
+	// A report interval shorter than one step reports every step.
+	stepsPerReport := max(int(*every*float64(g.DtCount)), 1)
+	totalSteps := int(*days * float64(g.DtCount))
 	// The pair the model runs (core.Canonical: csi is pcsi+none), not the flags.
-	fmt.Printf("grid %s (%d×%d), dt=%.0fs, %d steps, solver %s+%s\n",
-		g.Name, g.Nx, g.Ny, *dt, totalSteps, m.Cfg.Method, m.Cfg.SolverOpts.Precond)
+	fmt.Printf("grid %s (%d×%d), dt=%gs, %d steps, solver %s+%s\n",
+		g.Name, g.Nx, g.Ny, g.Tau(), totalSteps, m.Cfg.Method, m.Cfg.SolverOpts.Precond)
 
 	for done := 0; done < totalSteps; {
 		n := stepsPerReport
@@ -81,7 +83,7 @@ func main() {
 		}
 		iters := m.IterHistory[len(m.IterHistory)-1]
 		fmt.Printf("day %6.2f  KE=%.4e  ssh=[%+.3f,%+.3f] m  mean_ssh=%+.2e  iters=%d\n",
-			float64(done)**dt/86400, m.KineticEnergy(), etaMin, etaMax, m.MeanSSH(), iters)
+			float64(done)/float64(g.DtCount), m.KineticEnergy(), etaMin, etaMax, m.MeanSSH(), iters)
 	}
 
 	var iterSum int

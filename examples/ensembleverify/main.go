@@ -53,7 +53,7 @@ func main() {
 		return out
 	}
 
-	mask := make([]bool, 0, 5*base.G.N())
+	mask := make([]bool, 0, len(base.Temp)*base.G.N())
 	for range base.Temp {
 		mask = append(mask, base.G.Mask...)
 	}
@@ -82,7 +82,11 @@ func main() {
 			hi = z
 		}
 	}
-	fmt.Printf("ensemble envelope: RMSZ in [%.2f, %.2f]\n\n", lo, hi)
+	// The verdict rule: a case is rejected when its RMSZ exceeds twice the
+	// largest member RMSZ. A case between the envelope's top and that limit
+	// passes without sitting inside the envelope.
+	limit := 2 * hi
+	fmt.Printf("ensemble envelope: RMSZ in [%.2f, %.2f]; rule: reject RMSZ > 2 × %.2f = %.2f\n\n", lo, hi, hi, limit)
 
 	cases := []struct {
 		name   string
@@ -101,9 +105,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		verdict := "CONSISTENT (inside envelope)"
-		if z > 2*hi {
-			verdict = "REJECTED (outside envelope)"
+		verdict := fmt.Sprintf("CONSISTENT (RMSZ ≤ %.2f)", limit)
+		if z > limit {
+			verdict = fmt.Sprintf("REJECTED (RMSZ > %.2f)", limit)
 		}
 		fmt.Printf("%-38s %.3e    %8.2f  %s\n", cs.name, rmse, z, verdict)
 	}

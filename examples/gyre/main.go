@@ -21,8 +21,6 @@ func main() {
 	}
 	m, err := pop.NewModel(pop.ModelConfig{
 		Grid:       g,
-		Dt:         2400,
-		NZ:         5,
 		Method:     core.MethodPCSI,
 		SolverOpts: core.Options{Precond: core.PrecondEVP},
 	})
@@ -31,7 +29,7 @@ func main() {
 	}
 
 	const daysTotal, reportEvery = 30, 5
-	stepsPerDay := int(86400 / m.Cfg.Dt)
+	stepsPerDay := g.DtCount
 	fmt.Println("day   KE            max|u| m/s  ssh range m        solver iters")
 	for day := 0; day < daysTotal; day += reportEvery {
 		if err := m.Run(reportEvery * stepsPerDay); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/faults"
@@ -250,9 +251,16 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 			return Result{}, nil, fmt.Errorf("core: invalid Chebyshev interval [%g, %g]: %w", s.Nu, s.Mu, ErrBadSpec)
 		}
 		sr.res.Nu, sr.res.Mu, sr.res.EigSteps = s.Nu, s.Mu, s.EigSteps
-		sr.trace.EigBounds = s.EigTrace
+		sr.trace.EigBounds = slices.Clone(s.EigTrace)
 	}
-	sr.trace.Residuals = make([]ResidualPoint, 0, o.MaxIters/sr.sh.span+1)
+	// Checks record into the session's history buffer, sized for MaxIters
+	// once, so no check allocates; the Result gets an exact-length copy
+	// (one slot for a solve that made no check, so every solve allocates
+	// its history once).
+	if n := o.MaxIters/sr.sh.span + 1; cap(s.resBuf) < n {
+		s.resBuf = make([]ResidualPoint, 0, n)
+	}
+	sr.trace.Residuals = s.resBuf[:0]
 
 	if p := s.W.EffectiveThreads(); len(s.drivers) != p {
 		s.drivers = make([]*driver, p)
@@ -267,6 +275,10 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 		}
 	}
 
+	hist := sr.trace.Residuals
+	s.resBuf = hist[:0]
+	sr.trace.Residuals = make([]ResidualPoint, len(hist), max(len(hist), 1))
+	copy(sr.trace.Residuals, hist)
 	res := sr.res
 	res.Stats = st
 	res.Trace = sr.trace

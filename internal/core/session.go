@@ -122,8 +122,11 @@ type Session struct {
 	EigSteps   int         // Lanczos steps the estimate took
 	EigenStats *comm.Stats // communication counters of the estimation run
 	// EigTrace is the per-step bound evolution of the last
-	// EstimateEigenvalues run (copied into P-CSI Result traces).
+	// EstimateEigenvalues run (copied into P-CSI and s-step Result traces).
 	EigTrace []EigBound
+	// resBuf is the residual history a solve records into, kept across
+	// solves; each Result gets its own exact-length copy.
+	resBuf []ResidualPoint
 
 	// outBuf backs every solver's returned solution vector, allocated on
 	// first use and reused across solves. A Result's solution slice

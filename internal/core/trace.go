@@ -47,8 +47,10 @@ type IntervalEvent struct {
 type SolveTrace struct {
 	// Residuals holds every convergence check, in iteration order.
 	Residuals []ResidualPoint `json:"residuals"`
-	// EigBounds is the Lanczos eigenvalue-bound evolution (P-CSI only;
-	// empty when the session reused earlier estimates).
+	// EigBounds is the Lanczos eigenvalue-bound evolution of the estimate
+	// the solve started from: the session's last one, which an earlier
+	// solve may have made (P-CSI and s-step; empty for the others). Each
+	// Result holds its own copy.
 	EigBounds []EigBound `json:"eig_bounds,omitempty"`
 	// Intervals lists the Chebyshev-interval adaptations (P-CSI only).
 	Intervals []IntervalEvent `json:"intervals,omitempty"`

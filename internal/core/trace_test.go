@@ -225,3 +225,35 @@ func TestSolveTraceWithoutTracer(t *testing.T) {
 		t.Fatal("SolveTrace missing with tracing disabled")
 	}
 }
+
+// Each Result owns its trace. Writing one solve's eigenvalue bounds leaves
+// the next solve on the same session reporting the bounds its estimate
+// made, and a residual history holds exactly the checks it records, not a
+// buffer sized for MaxIters.
+func TestResultOwnsItsTrace(t *testing.T) {
+	f := testFixture(t)
+	for _, m := range []Method{MethodPCSI, MethodSStep} {
+		s := f.session(t, Options{Precond: PrecondDiagonal, Tol: 1e-10})
+		first, _, err := s.Solve(m, f.b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first.Trace.EigBounds) == 0 {
+			t.Fatalf("%v: no eigenvalue bounds in the trace", m)
+		}
+		nu := first.Trace.EigBounds[0].Nu
+		first.Trace.EigBounds[0].Nu = -1
+		second, _, err := s.Solve(m, f.b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := second.Trace.EigBounds[0].Nu; got != nu {
+			t.Errorf("%v: second solve's first ν %v after a write to the first's trace, want %v", m, got, nu)
+		}
+		for _, res := range []Result{first, second} {
+			if r := res.Trace.Residuals; len(r) == 0 || cap(r) != len(r) {
+				t.Errorf("%v: residual history len %d cap %d, want an exact nonempty history", m, len(r), cap(r))
+			}
+		}
+	}
+}

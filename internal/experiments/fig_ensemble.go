@@ -17,7 +17,7 @@ import (
 // of magnitude while tight tolerances stay inside (Fig. 13).
 const (
 	ensNx, ensNy  = 96, 72
-	ensMonthSteps = 240 // one scaled "month" of Δt=2400 s steps
+	ensMonthSteps = 240 // one scaled "month" of the test grid's 1,920 s steps
 	ensSpinup     = 600
 	ensMembers    = 40
 	ensMonths     = 12
@@ -39,7 +39,6 @@ func (c *Config) ensBase() (*model.Model, error) {
 	spec.Name = fmt.Sprintf("ens-%dx%d", nx, ny)
 	cfg := model.Config{
 		Grid:       grid.Generate(spec),
-		NZ:         5,
 		Method:     core.MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal, Tol: 1e-13},
 	}

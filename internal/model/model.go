@@ -41,38 +41,11 @@ import (
 	"repro/internal/stencil"
 )
 
-// Config describes a model run.
+// Config describes a model run: the grid, which sets the time step
+// (Grid.Tau(), POP's 86400 / dt_count), and the solver of the implicit
+// free-surface step.
 type Config struct {
 	Grid *grid.Grid
-	Dt   float64 // time step (s); default 2400
-
-	NZ int // temperature layers; default 5
-
-	// Physics parameters. The defaults give an energetic multi-gyre
-	// circulation that is weakly damped: on coarse test grids the
-	// attractor is steady (barotropic chaos needs resolved boundary
-	// currents), so trajectory differences decay only on the slow
-	// dissipative timescale while solver-tolerance round-off is
-	// re-injected every time step — which is exactly the contrast the §6
-	// ensemble methodology measures.
-	WindStress float64 // peak zonal wind stress (N/m²); default 0.25
-	Drag       float64 // linear bottom drag (1/s); default 5e-7
-	Viscosity  float64 // lateral viscosity (m²/s); default 1.5e3
-	Kappa      float64 // tracer diffusivity (m²/s); default 3e2
-	RestoreTau float64 // surface temperature restoring time (s); default 30 days
-	// F0, when nonzero, replaces the spherical Coriolis profile with a
-	// constant (f-plane). With β = 0 the multi-gyre jets lose their
-	// planetary stabilization and go barotropically unstable at moderate
-	// speeds — the cheap route to the chaotic variability the §6 ensemble
-	// experiments require on laptop-size grids.
-	F0 float64
-	// StericCoef couples temperature back into the momentum equation as a
-	// steric sea-surface height, −g∇(StericCoef·(T̄−T̄₀)) — the reduced
-	// stand-in for baroclinic pressure gradients that makes temperature an
-	// *active* tracer, so the O(1e−14) perturbations of §6's ensembles can
-	// grow through the flow's chaos. Default 0.5 m/K (the depth-integrated
-	// thermal expansion of a ~3000 m column is α·H ≈ 0.6–0.8 m/K).
-	StericCoef float64
 
 	// Solver configuration. New resolves Method and SolverOpts.Precond
 	// with core.Canonical (MethodCSI runs as MethodPCSI + PrecondIdentity)
@@ -88,40 +61,31 @@ type Config struct {
 	// (comm.World.SetThreads): 0 = GOMAXPROCS. Trajectories are bitwise
 	// identical across settings.
 	Threads int
-
-	// TempPerturb adds a random perturbation of this amplitude (K) to the
-	// surface layer at initialization — the paper uses O(1e−14).
-	TempPerturb float64
-	PerturbSeed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Dt == 0 {
-		c.Dt = 2400
-	}
-	if c.NZ == 0 {
-		c.NZ = 5
-	}
-	if c.WindStress == 0 {
-		c.WindStress = 0.25
-	}
-	if c.Drag == 0 {
-		c.Drag = 5e-7
-	}
-	if c.Viscosity == 0 {
-		c.Viscosity = 1.5e3
-	}
-	if c.Kappa == 0 {
-		c.Kappa = 3e2
-	}
-	if c.RestoreTau == 0 {
-		c.RestoreTau = 30 * 86400
-	}
-	if c.StericCoef == 0 {
-		c.StericCoef = 0.5
-	}
-	return c
-}
+// nz is the number of temperature layers.
+const nz = 5
+
+// Physics parameters. They give an energetic multi-gyre circulation that is
+// weakly damped: on coarse test grids the attractor is steady (barotropic
+// chaos needs resolved boundary currents), so trajectory differences decay
+// only on the slow dissipative timescale while solver-tolerance round-off is
+// re-injected every time step — which is exactly the contrast the §6
+// ensemble methodology measures.
+const (
+	windStress = 0.25       // peak zonal wind stress (N/m²)
+	drag       = 5e-7       // linear bottom drag (1/s)
+	viscosity  = 1.5e3      // lateral viscosity (m²/s)
+	kappa      = 3e2        // tracer diffusivity (m²/s)
+	restoreTau = 30 * 86400 // surface temperature restoring time (s)
+	// stericCoef couples temperature back into the momentum equation as a
+	// steric sea-surface height, −g∇(stericCoef·(T̄−T̄₀)) — the reduced
+	// stand-in for baroclinic pressure gradients that makes temperature an
+	// *active* tracer, so the O(1e−14) perturbations of §6's ensembles can
+	// grow through the flow's chaos. 0.5 m/K (the depth-integrated thermal
+	// expansion of a ~3000 m column is α·H ≈ 0.6–0.8 m/K).
+	stericCoef = 0.5
+)
 
 // Model is a running ocean simulation.
 type Model struct {
@@ -153,20 +117,22 @@ type Model struct {
 	TotalSolveStats comm.Counters
 }
 
-// New builds a model and its solver session (core.BuildSession). An
-// unknown method or preconditioner matches core.ErrBadSpec here, before any
-// step runs.
+// New builds a model and its solver session (core.BuildSession). A nil
+// grid, a grid with no step of its own, or an unknown method or
+// preconditioner matches core.ErrBadSpec here, before any step runs.
 func New(cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
 	g := cfg.Grid
 	if g == nil {
 		return nil, fmt.Errorf("model: nil grid: %w", core.ErrBadSpec)
+	}
+	if g.Tau() == 0 {
+		return nil, fmt.Errorf("model: grid %q has no barotropic step: %w", g.Name, core.ErrBadSpec)
 	}
 	var err error
 	if cfg.Method, cfg.SolverOpts.Precond, err = core.Canonical(cfg.Method, cfg.SolverOpts.Precond); err != nil {
 		return nil, err
 	}
-	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(cfg.Dt), cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -186,18 +152,14 @@ func New(cfg Config) (*Model, error) {
 	const omega = 7.292e-5
 	for j := 0; j < g.Ny; j++ {
 		lat := g.TLat[g.Idx(0, j)] * math.Pi / 180
-		if cfg.F0 != 0 {
-			m.fRow[j] = cfg.F0
-		} else {
-			m.fRow[j] = 2 * omega * math.Sin(lat)
-		}
+		m.fRow[j] = 2 * omega * math.Sin(lat)
 		// Multi-gyre zonal wind: alternating bands as in classic
 		// double-gyre setups, tapered at the poles.
 		yHat := float64(j) / float64(g.Ny-1)
-		m.windRow[j] = -cfg.WindStress * math.Cos(4*math.Pi*yHat) * math.Cos(lat)
+		m.windRow[j] = -windStress * math.Cos(4*math.Pi*yHat) * math.Cos(lat)
 	}
-	m.Temp = make([][]float64, cfg.NZ)
-	m.layerScale = make([]float64, cfg.NZ)
+	m.Temp = make([][]float64, nz)
+	m.layerScale = make([]float64, nz)
 	for l := range m.Temp {
 		m.Temp[l] = make([]float64, n)
 		m.layerScale[l] = 1 / (1 + float64(l)) // velocity decays with depth
@@ -211,9 +173,6 @@ func New(cfg Config) (*Model, error) {
 		if g.Mask[k] {
 			m.stericRef[k] = m.meanTemp(k)
 		}
-	}
-	if cfg.TempPerturb != 0 {
-		m.PerturbTemperature(cfg.TempPerturb, cfg.PerturbSeed)
 	}
 	return m, nil
 }
@@ -245,7 +204,6 @@ func (m *Model) Fork(method core.Method, opts core.Options) (*Model, error) {
 	cfg := m.Cfg
 	cfg.Method = method
 	cfg.SolverOpts = opts
-	cfg.TempPerturb = 0
 	nm, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -274,18 +232,17 @@ func (m *Model) restingTemp(layer, k int) float64 {
 func (m *Model) dx(k int) float64 { return m.G.DXU[k] }
 func (m *Model) dy(k int) float64 { return m.G.DYU[k] }
 
-// Step advances the model one time step; the implicit free-surface solve
-// runs on the configured solver.
+// Step advances the model one time step of the grid's τ; the implicit
+// free-surface solve runs on the configured solver.
 func (m *Model) Step() error {
 	g := m.G
-	cfg := m.Cfg
-	tau := cfg.Dt
+	tau := g.Tau()
 
 	// 0. Steric height from the depth-mean temperature anomaly (the
 	// temperature→momentum feedback).
 	for k, ocean := range g.Mask {
 		if ocean {
-			m.steric[k] = cfg.StericCoef * (m.meanTemp(k) - m.stericRef[k])
+			m.steric[k] = stericCoef * (m.meanTemp(k) - m.stericRef[k])
 		} else {
 			m.steric[k] = 0
 		}
@@ -318,9 +275,9 @@ func (m *Model) Step() error {
 			wind := m.windRow[j] / (1025 * g.HU[k])
 			// Steric pressure gradient (explicit: T evolves slowly).
 			sx, sy := m.gradCorner(m.steric, k)
-			du := tau * (-au + cfg.Viscosity*lu + wind - gg*sx)
-			dv := tau * (-av + cfg.Viscosity*lv - gg*sy)
-			damp := 1 / (1 + tau*cfg.Drag)
+			du := tau * (-au + viscosity*lu + wind - gg*sx)
+			dv := tau * (-av + viscosity*lv - gg*sy)
+			damp := 1 / (1 + tau*drag)
 			m.uStar[k] = (ur + du) * damp
 			m.vStar[k] = (vr + dv) * damp
 		}
@@ -342,7 +299,7 @@ func (m *Model) Step() error {
 	}
 
 	// 3. Implicit free-surface solve.
-	res, eta, err := m.Sess.Solve(cfg.Method, m.psi, m.Eta)
+	res, eta, err := m.Sess.Solve(m.Cfg.Method, m.psi, m.Eta)
 	if err != nil {
 		return fmt.Errorf("model step %d: %w", m.StepCount, err)
 	}
@@ -364,7 +321,7 @@ func (m *Model) Step() error {
 	// 5. Temperature layers: upwind advection by the scaled barotropic
 	// flow (averaged to T-points), diffusion, surface restoring, weak
 	// vertical exchange.
-	for l := 0; l < cfg.NZ; l++ {
+	for l := 0; l < nz; l++ {
 		T := m.Temp[l]
 		scale := m.layerScale[l]
 		copy(m.tmp, T)
@@ -377,12 +334,12 @@ func (m *Model) Step() error {
 				ut, vt := m.velocityAtT(i, j)
 				u, v := ut*scale, vt*scale
 				adv := m.upwind(m.tmp, k, i, j, u, v)
-				dif := cfg.Kappa * m.lap(m.tmp, k, i, j)
+				dif := kappa * m.lap(m.tmp, k, i, j)
 				dT := tau * (-adv + dif)
 				if l == 0 {
-					dT += tau / cfg.RestoreTau * (m.restingTemp(0, k) - m.tmp[k])
+					dT += tau / restoreTau * (m.restingTemp(0, k) - m.tmp[k])
 				}
-				if l+1 < cfg.NZ {
+				if l+1 < nz {
 					dT += tau * 1e-7 * (m.Temp[l+1][k] - m.tmp[k])
 				}
 				if l > 0 {
@@ -522,7 +479,7 @@ func (m *Model) upwind(q []float64, k, i, j int, u, v float64) float64 {
 // diffusive — it laminarizes the gyres and kills the chaos the ensemble
 // methodology needs), falling back to upwind against coasts. Centred
 // advection under forward Euler is stabilized by the explicit viscosity
-// (stable for ν ≳ u²τ/2, amply satisfied by the defaults).
+// (stable for ν ≳ u²τ/2, amply satisfied by the constants).
 func (m *Model) advectCorner(q []float64, k, i, j int, u, v float64) float64 {
 	g := m.G
 	var ax, ay float64

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/stencil"
 )
 
 func smallConfig() Config {
@@ -17,8 +19,6 @@ func smallConfig() Config {
 	spec.Name = "model-test"
 	return Config{
 		Grid:       grid.Generate(spec),
-		Dt:         2400,
-		NZ:         3,
 		Method:     core.MethodChronGear,
 		SolverOpts: core.Options{Precond: core.PrecondDiagonal},
 	}
@@ -144,17 +144,16 @@ func TestSolverChoiceAgreesClosely(t *testing.T) {
 
 func TestPerturbationSeedsDiffer(t *testing.T) {
 	cfg := smallConfig()
-	cfg.TempPerturb = 1e-14
-	cfg.PerturbSeed = 1
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.PerturbSeed = 2
 	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.PerturbTemperature(1e-14, 1)
+	b.PerturbTemperature(1e-14, 2)
 	diff := 0
 	for k := range a.Temp[0] {
 		if a.Temp[0][k] != b.Temp[0][k] {
@@ -277,6 +276,30 @@ func TestNilGrid(t *testing.T) {
 	}
 }
 
+// The model steps at its grid's τ = 86400 / DtCount, as every solver front
+// end does: its operator's φ is the one at that step, on a 1° and a 0.1°
+// step alike, and a grid with no step of its own is a bad spec.
+func TestModelStepIsTheGrids(t *testing.T) {
+	tenth := grid.QuarterScaleTenthSpec()
+	tenth.Nx, tenth.Ny, tenth.Name = 48, 32, "model-test-tenth"
+	for _, g := range []*grid.Grid{smallConfig().Grid, grid.Generate(tenth)} {
+		cfg := smallConfig()
+		cfg.Grid = g
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := stencil.PhiFromTimeStep(g.Tau()); m.Sess.Phi != want || g.Tau() != 86400/float64(g.DtCount) {
+			t.Errorf("%s: model φ %g, want %g at the grid's τ = 86400/%d s", g.Name, m.Sess.Phi, want, g.DtCount)
+		}
+	}
+	cfg := smallConfig()
+	cfg.Grid = grid.NewFlatBasin(8, 8, 1000, 1e4, 1e4)
+	if _, err := New(cfg); !errors.Is(err, core.ErrBadSpec) {
+		t.Fatalf("a grid with no step: err = %v, want ErrBadSpec", err)
+	}
+}
+
 func TestDistributedModelMatchesSerial(t *testing.T) {
 	cfgA := smallConfig()
 	mA, err := New(cfgA)
@@ -361,14 +384,28 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	other := smallConfig()
-	other.NZ = 4
-	m2, err := New(other)
+	// The layer count is the model's constant, but a checkpoint file comes
+	// from outside the process: a 4-layer file is rejected, whether its
+	// header says so or claims the model's count.
+	n := m.G.N()
+	m2, err := New(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Restore(&buf); err == nil {
-		t.Fatal("restore accepted a checkpoint with a different layer count")
+	for _, header := range []int{4, nz} {
+		four := checkpoint{GridName: m.G.Name, Nx: m.G.Nx, Ny: m.G.Ny, NZ: header,
+			Eta: make([]float64, n), U: make([]float64, n), V: make([]float64, n),
+			Temp: make([][]float64, 4), StericRef: make([]float64, n)}
+		for l := range four.Temp {
+			four.Temp[l] = make([]float64, n)
+		}
+		var fourBuf bytes.Buffer
+		if err := gob.NewEncoder(&fourBuf).Encode(&four); err != nil {
+			t.Fatal(err)
+		}
+		if err := m2.Restore(&fourBuf); err == nil {
+			t.Fatalf("restore accepted a 4-layer checkpoint whose header says %d", header)
+		}
 	}
 	spec := grid.TestSpec()
 	spec.Nx, spec.Ny = 32, 24

@@ -7,8 +7,9 @@ import (
 )
 
 // checkpoint is the serialized prognostic state. Configuration (grid,
-// physics, solver) is not stored: a restart resumes on an identically
-// configured model, which the header fields verify.
+// solver) is not stored: a restart resumes on an identically configured
+// model, which the header fields verify. NZ stays in the header because the
+// file comes from outside the process.
 type checkpoint struct {
 	GridName  string
 	Nx, Ny    int
@@ -25,7 +26,7 @@ func (m *Model) Save(w io.Writer) error {
 	cp := checkpoint{
 		GridName: m.G.Name,
 		Nx:       m.G.Nx, Ny: m.G.Ny,
-		NZ:        m.Cfg.NZ,
+		NZ:        nz,
 		StepCount: m.StepCount,
 		Eta:       m.Eta, U: m.U, V: m.V,
 		Temp:      m.Temp,
@@ -38,7 +39,8 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Restore loads a checkpoint written by Save into this model. The model
-// must have been built on the same grid and layer count.
+// must have been built on the same grid, and the checkpoint must hold the
+// model's nz layers.
 func (m *Model) Restore(r io.Reader) error {
 	var cp checkpoint
 	if err := gob.NewDecoder(r).Decode(&cp); err != nil {
@@ -48,8 +50,8 @@ func (m *Model) Restore(r io.Reader) error {
 		return fmt.Errorf("model: checkpoint is for grid %q (%d×%d), model has %q (%d×%d)",
 			cp.GridName, cp.Nx, cp.Ny, m.G.Name, m.G.Nx, m.G.Ny)
 	}
-	if cp.NZ != m.Cfg.NZ {
-		return fmt.Errorf("model: checkpoint has %d layers, model has %d", cp.NZ, m.Cfg.NZ)
+	if cp.NZ != nz || len(cp.Temp) != nz {
+		return fmt.Errorf("model: checkpoint has %d layers (%d stored), model has %d", cp.NZ, len(cp.Temp), nz)
 	}
 	if len(cp.Eta) != m.G.N() || len(cp.U) != m.G.N() || len(cp.V) != m.G.N() {
 		return fmt.Errorf("model: checkpoint field lengths inconsistent with grid")

@@ -222,6 +222,16 @@ csi=$(go run ./cmd/popmodel -grid test -days 0.25 -solver csi)
 echo "$csi" | grep -q 'steps, solver pcsi+none$' || {
     echo "popmodel -solver csi does not run pcsi+none: $csi"; exit 1; }
 
+echo "== the model steps at its grid's step =="
+# popmodel has no step of its own: one day on the test grid (dt_count 45) is
+# 45 steps of 1,920 s, and a report interval shorter than one step reports
+# every step.
+day=$(go run ./cmd/popmodel -grid test -days 1)
+echo "$day" | grep -q 'dt=1920s, 45 steps' || {
+    echo "popmodel -grid test -days 1 does not step at the grid's 1,920 s: $day"; exit 1; }
+go run ./cmd/popmodel -grid test -days 0.1 -report 0.01 >/dev/null || {
+    echo "popmodel -report shorter than one step failed"; exit 1; }
+
 echo "== answer-oracle fuzz (30s) =="
 # FuzzDenseReference draws 20x16 masks: every methods row must match dense
 # LU within 1e-9 or end in a typed error, and since every stop short of Tol
