@@ -134,7 +134,6 @@ var wireErrors = []struct {
 	{context.Canceled, 499},                               // client closed request
 	{pop.ErrServiceClosed, http.StatusServiceUnavailable}, // draining: try another instance
 	{pop.ErrNotConverged, http.StatusUnprocessableEntity},
-	{pop.ErrFaulted, http.StatusBadGateway}, // the solve's virtual machine failed, not the server
 }
 
 // statusFor maps an error from the solve path onto the HTTP status of its

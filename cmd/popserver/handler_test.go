@@ -139,7 +139,6 @@ func TestTypedErrorsLeaveWithTheirStatus(t *testing.T) {
 		{"field error", &api.FieldError{Field: "method", Value: "warp", Accepted: []string{"chrongear"}}, http.StatusBadRequest},
 		{"bad frame", fmt.Errorf("truncated: %w", api.ErrBadFrame), http.StatusBadRequest},
 		{"not converged", &pop.NotConvergedError{Solver: "pcsi", Iterations: 9}, http.StatusUnprocessableEntity},
-		{"faulted", &pop.FaultedError{Solver: "pcsi", Restores: 200}, http.StatusBadGateway},
 		{"deadline", fmt.Errorf("serve: expired in queue: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{"cancelled", fmt.Errorf("serve: request abandoned: %w", context.Canceled), 499},
 		{"untyped", errors.New("core: eigenvalue estimate failed"), http.StatusInternalServerError},

@@ -22,7 +22,7 @@ import (
 // internal packages whose types it re-exports wholesale through aliases, so
 // their godoc IS the public godoc.
 var docPackages = []string{
-	".", "internal/serve", "internal/faults", "internal/obs",
+	".", "internal/serve", "internal/obs",
 	"internal/analysis", "internal/analysis/analyzertest",
 	"internal/api", "internal/fleet", "internal/core",
 	"internal/comm", "internal/decomp", "internal/grid", "internal/stencil",

@@ -148,35 +148,3 @@ func ExampleSolver_SolveContext() {
 	// Output:
 	// cancelled: true
 }
-
-// Fault injection: a deterministic injector wired into the solver makes
-// reductions fail on a seeded schedule; SolveResilient retries them and
-// still converges to the same tolerance.
-func ExampleSolver_SolveResilient() {
-	g, err := pop.NewGrid(pop.GridTest)
-	if err != nil {
-		fmt.Println("grid:", err)
-		return
-	}
-	inj := pop.NewFaultInjector(pop.FaultPlan{Seed: 7, ReduceFailProb: 0.2})
-	s, err := pop.NewSolver(g, pop.SolverSpec{
-		Method:  pop.MethodPCSI,
-		Precond: pop.PrecondEVP,
-		Cores:   4,
-		Faults:  inj,
-	})
-	if err != nil {
-		fmt.Println("solver:", err)
-		return
-	}
-	res, _, err := s.SolveResilient(context.Background(), exampleRHS(g), nil)
-	if err != nil {
-		fmt.Println("solve:", err)
-		return
-	}
-	fmt.Println("converged:", res.Converged)
-	fmt.Println("reductions retried:", res.Recovery.ReduceRetries > 0)
-	// Output:
-	// converged: true
-	// reductions retried: true
-}

@@ -11,14 +11,12 @@ import (
 
 // determinismScope is the set of packages whose numerics must be bitwise
 // reproducible run to run: the solver core, the communication substrate,
-// the stencil kernels, the EVP preconditioner factorization, and the fault
-// injector (whose schedule is a pure function of (seed, class, rank, seq)).
+// the stencil kernels and the EVP preconditioner factorization.
 var determinismScope = []string{
 	"repro/internal/core",
 	"repro/internal/comm",
 	"repro/internal/stencil",
 	"repro/internal/evp",
-	"repro/internal/faults",
 }
 
 // Determinism reports nondeterminism sources in the numerics packages:
@@ -29,7 +27,7 @@ var determinismScope = []string{
 // The repo's golden traces assert bitwise-identical residual histories at
 // any rank count, and the paper's scaling analysis depends on runs being
 // reproducible (DESIGN.md §2, §9): every stochastic input — OS-noise
-// jitter, network contention, fault schedules — is drawn from seeded
+// jitter, network contention — is drawn from seeded
 // counter hashes keyed on (rank, seq), never from wall clocks or global
 // RNGs. Map iteration order and goroutine scheduling are the two ways Go
 // silently reorders float additions; both are forbidden wherever the sums

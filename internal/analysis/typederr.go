@@ -12,9 +12,8 @@ import (
 
 // typedErrScope is the error-contract surface: the public facade, the
 // serving layer, the wire API, the fleet router, and the solver core —
-// the packages whose errors PR 3–4
-// taught callers to match with errors.Is/As (ErrBadSpec, ErrOverloaded,
-// *NotConvergedError, *FaultedError, …).
+// the packages whose errors callers match with errors.Is/As (ErrBadSpec,
+// ErrOverloaded, *NotConvergedError, …).
 var typedErrScope = []string{
 	"repro",
 	"repro/internal/serve",
@@ -28,11 +27,11 @@ var typedErrScope = []string{
 // function body (an unmatchable one-off; sentinels belong at package
 // level).
 //
-// The serving layer maps solver errors to HTTP statuses, the resilience
-// ladder decides whether to descend on errors.Is(err, ErrFaulted), and the
-// circuit breaker counts errors.As(err, *FaultedError) — every one of
-// those silently rots if an error along the chain is created without
-// wrapping. This analyzer pins the convention the codebase already
+// The HTTP handler maps solver errors to statuses with errors.Is
+// (ErrBadSpec → 400, ErrOverloaded → 429, ErrNotConverged → 422), and
+// callers read a failed solve's iterations and residual through
+// errors.As(err, *NotConvergedError) — either silently rots if an error
+// along the chain is created without wrapping. This analyzer pins the convention the codebase already
 // follows: every fmt.Errorf carries %w (wrapping either the underlying
 // cause or a typed sentinel), and errors.New appears only in package-level
 // sentinel declarations.

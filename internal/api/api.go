@@ -145,12 +145,10 @@ type ServiceCounters struct {
 	Errors int64 `json:"errors"`
 	// Sessions counts sessions built across all keys.
 	Sessions int64 `json:"sessions"`
-	// Retried counts request re-runs after a faulted resilient solve.
+	// Retried is always 0: a solve has no fault left to retry, so the
+	// service runs each request once. A vestige pinned by
+	// `benchmark/probes_serving.go:110`, like FleetCounters.Deduped.
 	Retried int64 `json:"retried"`
-	// Faulted counts requests whose solve faulted beyond the retry budget.
-	Faulted int64 `json:"faulted"`
-	// Recovered counts requests rescued by a retry after a faulted solve.
-	Recovered int64 `json:"recovered"`
 }
 
 // Add accumulates o into c field by field (the fleet's /v1/stats
@@ -164,8 +162,6 @@ func (c *ServiceCounters) Add(o ServiceCounters) {
 	c.Errors += o.Errors
 	c.Sessions += o.Sessions
 	c.Retried += o.Retried
-	c.Faulted += o.Faulted
-	c.Recovered += o.Recovered
 }
 
 // FleetCounters is the router-level slice of a fleet's /v1/stats: what the

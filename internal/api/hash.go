@@ -21,7 +21,7 @@ type CacheKey [sha256.Size]byte
 // HashSolve computes the cache key for one solve: grid preset, method,
 // preconditioner, s-step block size, the effective tolerance, the RHS bits
 // and (when present) the initial-guess bits. Two requests share a key
-// exactly when a fault-free solve of one is bitwise substitutable for the
+// exactly when a solve of one is bitwise substitutable for the
 // other — the deterministic-solver invariant the cache's replay guarantee
 // rests on. Float64 values are hashed by their IEEE bit patterns, so -0 ≠
 // +0 and equal-looking decimals that differ in the last ulp get distinct

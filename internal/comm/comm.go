@@ -19,8 +19,8 @@
 //     The real algorithms run and real event counts are priced, which is
 //     how this repo regenerates the paper's Yellowstone/Edison scaling
 //     figures on a single machine (see DESIGN.md §2). A shard collective
-//     still prices, counts, draws faults for and traces every rank of the
-//     shard separately, in the arithmetic of a per-rank collective.
+//     still prices, counts and traces every rank of the shard separately,
+//     in the arithmetic of a per-rank collective.
 //
 // Reductions synchronize virtual clocks exactly like MPI_Allreduce
 // synchronizes real ones: the reduced payload carries the maximum entry
@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/decomp"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -119,25 +118,9 @@ type World struct {
 	// then costs a single nil check and allocates nothing.
 	Tracer *obs.Tracer
 
-	// Faults, when non-nil and its plan is active, is consulted by the
-	// reduction and halo-exchange paths to inject deterministic faults
-	// (straggler delays, dropped/corrupted halo strips, failed reductions).
-	// Nil or an inactive plan leaves every communication path bitwise
-	// identical to a world without injection: the hooks reduce to one
-	// pointer/branch check per phase.
-	Faults *faults.Injector
-
 	// traceID is the request-scoped trace ID stamped onto every rank trace
 	// at run entry (see SetTraceID).
 	traceID uint64
-
-	// faultEpoch counts runs on this world. Each run salts its fault-draw
-	// sequence numbers with the epoch (see RunShards), so successive
-	// solves on one session draw disjoint slices of the injector's schedule
-	// instead of replaying the first solve's verdicts forever. Cost-model
-	// draw keys are deliberately NOT salted: with the injector disabled,
-	// every run of a program remains bitwise identical to the previous one.
-	faultEpoch int64
 
 	// threads is the worker knob (see SetThreads; 0 = GOMAXPROCS) and ex the
 	// cached shard executor for the current effective count (sched.go).
@@ -257,7 +240,6 @@ type Rank struct {
 	clock     float64
 	reduceSeq int64
 	flopSeq   int64
-	haloSeq   int64 // exchange-phase sequence number (fault-draw site key)
 	// levels is what the rank passed to the halo exchange in flight, and
 	// sendClock its clock at the current phase's sends: what a sibling of the
 	// same shard copies and is charged from (halo.go).
@@ -265,11 +247,7 @@ type Rank struct {
 	sendClock float64
 	// entry is the rank's clock entering the reduction in flight.
 	entry float64
-	// faultBase is the run's fault-draw salt (World.faultEpoch << 32 at run
-	// entry): added to the per-site sequence numbers for injector draws
-	// only, never for cost-model draws.
-	faultBase int64
-	trace     *obs.RankTrace // nil when the World has no tracer
+	trace *obs.RankTrace // nil when the World has no tracer
 
 	// The shard and worker this rank runs on.
 	shard int
@@ -285,10 +263,6 @@ type Rank struct {
 	vals   []float64
 	out    []float64
 	multis [][][]float64
-
-	// reduceFailed is set by a reduction the fault injector failed;
-	// resilient callers poll it via ReduceFailed and retry.
-	reduceFailed bool
 
 	// multi is Exchange's scratch for wrapping a single field set as a
 	// one-level call without allocating the wrapper.
@@ -332,30 +306,6 @@ func (r *Rank) AddFlops(n int64) {
 		r.trace.Add(obs.Event{Name: obs.EvCompute, T0: t0, T1: r.clock,
 			Value: float64(n), Iter: -1, Straggler: -1})
 	}
-}
-
-// ReduceSeq returns the rank's fault-draw key for the current collective:
-// the run's epoch salt plus how many reductions this rank has entered. The
-// salt makes the key distinct across solves on the same World, so
-// per-check fault decisions (e.g. rank crashes) draw fresh verdicts every
-// solve instead of replaying the first solve's schedule.
-func (r *Rank) ReduceSeq() int64 { return r.faultBase + r.reduceSeq }
-
-// ReduceFailed reports whether the injector failed the rank's most recent
-// AllReduce. The verdict is identical on every rank of the collective (it is
-// keyed on the reduction's sequence number alone), so resilient callers can
-// branch on it without an extra agreement round.
-func (r *Rank) ReduceFailed() bool { return r.reduceFailed }
-
-// AddDelay advances the rank's virtual clock by dt seconds, charged to the
-// reduction phase — the backoff a resilient solver pays between reduction
-// retries. No-op for dt ≤ 0.
-func (r *Rank) AddDelay(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	r.ctr.TReduce += dt
-	r.clock += dt
 }
 
 // Stats is the aggregate result of one run (RunShards or Run).
@@ -439,17 +389,11 @@ func (w *World) TraceID() uint64 { return w.traceID }
 // GOMAXPROCS), each over a contiguous shard of ranks (see sched.go).
 // Solutions and virtual clocks are bitwise identical for every thread count.
 func (w *World) RunShards(program func(*Shard)) Stats {
-	// Fault-draw salt for this run (see World.faultEpoch). The shift leaves
-	// 2³² per-run sequence numbers before epochs could collide — far beyond
-	// any solve's site count.
-	base := w.faultEpoch << 32
-	w.faultEpoch++
 	p := w.EffectiveThreads()
 	ex := w.executor(p)
 	for rid, rk := range w.ranks {
 		shard := w.shardOf(rid, p)
-		*rk = Rank{ID: rid, World: w, Blocks: rk.Blocks, faultBase: base,
-			shard: shard, wk: &ex.workers[shard]}
+		*rk = Rank{ID: rid, World: w, Blocks: rk.Blocks, shard: shard, wk: &ex.workers[shard]}
 		if w.Tracer.Enabled() {
 			rk.trace = w.Tracer.Rank(rid)
 			rk.trace.SetTraceID(w.traceID)

@@ -2,10 +2,8 @@ package comm
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -300,28 +298,6 @@ func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
 	levels := rk.levels
 	entry := rk.clock
 
-	// Fault injection, halo classes. One draw per (rank, phase sequence):
-	// "drop" discards everything this rank receives this phase (its halos go
-	// stale), "corrupt" NaN-poisons the first received strip. The sequence
-	// number advances regardless so schedules stay aligned across plans.
-	haloSeq := rk.faultBase + rk.haloSeq
-	rk.haloSeq++
-	var drop, corrupt bool
-	if w.Faults.Enabled() {
-		drop = w.Faults.DropHalo(rk.ID, haloSeq)
-		if !drop {
-			corrupt = w.Faults.CorruptHalo(rk.ID, haloSeq)
-		}
-		if (drop || corrupt) && rk.trace != nil {
-			class := faults.HaloDrop
-			if corrupt {
-				class = faults.HaloCorrupt
-			}
-			rk.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: entry,
-				Value: float64(haloSeq), Aux: float64(class), Iter: -1, Straggler: -1})
-		}
-	}
-
 	for _, le := range plan.locals {
 		dst := rk.Blocks[le.dstBI]
 		src := rk.Blocks[le.srcBI]
@@ -353,25 +329,15 @@ func (sh *Shard) receive(rk *Rank, plan *phasePlan, phase int) {
 				levelMismatch(rk.ID, len(levels), e.src, len(data)/pe.stripLen)
 			}
 		}
-		switch {
-		case drop:
-		case corrupt && ei == 0:
-			// Poison the whole strip, every level: it is ring 1, the cells
-			// the stencil reads (and every ring, at a wider halo).
-			for _, fields := range levels {
-				fillRows(fields[pe.bi][pe.off:], pe.stride, pe.width, pe.rows, math.NaN())
-			}
-		case e == nil:
+		if e == nil {
 			for li, fields := range levels {
 				copyRows(fields[pe.bi][pe.off:], pe.stride,
 					pe.from.levels[li][pe.fromBI][pe.fromOff:], pe.fromStride, pe.width, pe.rows)
 			}
-		default:
+		} else {
 			for li, fields := range levels {
 				copyRows(fields[pe.bi][pe.off:], pe.stride, data[li*pe.stripLen:], pe.width, pe.width, pe.rows)
 			}
-		}
-		if e != nil {
 			e.consumed.Store(k + 1)
 			sh.wk.notify(e.src)
 		}
@@ -438,15 +404,6 @@ func copyRows(dst []float64, dstStride int, src []float64, srcStride, width, row
 	for d, s, end := 0, 0, rows*dstStride; d < end; d, s = d+dstStride, s+srcStride {
 		for i := 0; i < width; i++ {
 			dst[d+i] = src[s+i]
-		}
-	}
-}
-
-// fillRows stores v into `rows` runs of `width` elements, stride apart.
-func fillRows(dst []float64, stride, width, rows int, v float64) {
-	for d, end := 0, rows*stride; d < end; d += stride {
-		for i := 0; i < width; i++ {
-			dst[d+i] = v
 		}
 	}
 }

@@ -2,36 +2,30 @@ package comm
 
 import (
 	"fmt"
-	"math"
 	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/decomp"
-	"repro/internal/faults"
 	"repro/internal/grid"
 	"repro/internal/obs"
 )
 
-// faultedFill is the value a rank writes into cell k of a block's level l
-// before a round's exchange — halo cells included, so a strip a drop left
-// stale is told from the neighbour's data it should have become.
-func faultedFill(blockID, l, k, round int) float64 {
+// exchangeFill is the value a rank writes into cell k of a block's level l
+// before a round's exchange — halo cells included, so a strip that was not
+// delivered is told from the neighbour's data it should have become.
+func exchangeFill(blockID, l, k, round int) float64 {
 	return float64(blockID*1000+k) + float64(l)*0.5 + float64(round)*0.125
 }
 
-// faultedLevels is how many levels a round exchanges (ExchangeMulti on odd
+// exchangeLevels is how many levels a round exchanges (ExchangeMulti on odd
 // rounds).
-func faultedLevels(round int) int { return 1 + round%2 }
+func exchangeLevels(round int) int { return 1 + round%2 }
 
-// referenceFaultedExchange is a sequential model of `rounds` faulted halo
-// updates: per phase every strip is read from a snapshot taken before the
-// phase, same-rank copies always land, and a rank's verdict — drawn from a
-// private injector, verdicts are pure hashes of (seed, class, rank, phase
-// sequence) — drops all of its cross-rank strips or NaN-fills the first of
-// them. It returns every rank's fields after each round.
-func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds int) [][][][][]float64 {
-	probe := faults.New(plan)
+// referenceExchange is a sequential model of `rounds` halo updates: per
+// phase every strip is read from a snapshot taken before the phase. It
+// returns every rank's fields after each round.
+func referenceExchange(d *decomp.Decomposition, rounds int) [][][][][]float64 {
 	h := d.Halo
 	pos := make(map[int]int) // block ID → index in its rank's block list
 	for _, ids := range d.ByRank {
@@ -41,7 +35,7 @@ func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds 
 	}
 	out := make([][][][][]float64, rounds) // round → rank → level → block → cell
 	for round := range out {
-		nlv := faultedLevels(round)
+		nlv := exchangeLevels(round)
 		cur := make([][][][]float64, d.NRanks)
 		for rank, ids := range d.ByRank {
 			cur[rank] = make([][][]float64, nlv)
@@ -50,7 +44,7 @@ func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds 
 					nxp, nyp := d.PaddedDims(&d.Blocks[id])
 					f := make([]float64, nxp*nyp)
 					for k := range f {
-						f[k] = faultedFill(id, l, k, round)
+						f[k] = exchangeFill(id, l, k, round)
 					}
 					cur[rank][l] = append(cur[rank][l], f)
 				}
@@ -66,11 +60,7 @@ func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds 
 					}
 				}
 			}
-			seq := int64(2*round + phase)
 			for rank, ids := range d.ByRank {
-				drop := probe.DropHalo(rank, seq)
-				corrupt := !drop && probe.CorruptHalo(rank, seq)
-				first := true
 				for i, id := range ids {
 					b := &d.Blocks[id]
 					for _, side := range phaseSides[phase] {
@@ -79,25 +69,8 @@ func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds 
 							continue
 						}
 						src := &d.Blocks[nb]
-						poison := src.Rank != rank && corrupt && first
-						if src.Rank != rank {
-							first = false
-							if drop {
-								continue
-							}
-						}
 						for l := 0; l < nlv; l++ {
-							dst := cur[rank][l][i]
-							if !poison {
-								copyStrip(dst, b.NxI, b.NyI, snap[src.Rank][l][pos[nb]], src.NxI, src.NyI, h, side)
-								continue
-							}
-							off, width, rows := stripRect(b.NxI, b.NyI, h, side, true)
-							for row := 0; row < rows; row++ {
-								for c := 0; c < width; c++ {
-									dst[off+row*(b.NxI+2*h)+c] = math.NaN()
-								}
-							}
+							copyStrip(cur[rank][l][i], b.NxI, b.NyI, snap[src.Rank][l][pos[nb]], src.NxI, src.NyI, h, side)
 						}
 					}
 				}
@@ -108,30 +81,24 @@ func referenceFaultedExchange(d *decomp.Decomposition, plan faults.Plan, rounds 
 	return out
 }
 
-// TestFaultedExchangeAcrossThreads: dropped and corrupted halo phases land
-// identically whether an edge is a direct copy (Threads = 1: all of them), a
-// mailbox (Threads = NRank: all of them) or a mix — field bits with every NaN
-// in place equal to the sequential model, and per-rank counters, clocks,
-// injection counts and trace events equal across the three.
-func TestFaultedExchangeAcrossThreads(t *testing.T) {
+// TestHaloExchangeAcrossThreads: halo phases land identically whether an
+// edge is a direct copy (Threads = 1: all of them), a mailbox (Threads =
+// NRank: all of them) or a mix — field bits equal to the sequential model,
+// and per-rank counters, clocks and trace events equal across the three.
+func TestHaloExchangeAcrossThreads(t *testing.T) {
 	const rounds = 12
-	plan := faults.Plan{Seed: 5, HaloDropProb: 0.08, HaloCorruptProb: 0.08}
 	type outcome struct {
-		stats    Stats
-		injected map[string]int64
-		events   []obs.Event
+		stats  Stats
+		events []obs.Event
 	}
 	for _, nrank := range []int{7, 64} {
 		d, _ := stressWorld(t, nrank)
-		want := referenceFaultedExchange(d, plan, rounds)
+		want := referenceExchange(d, rounds)
 		var ref outcome
 		for _, threads := range []int{1, 2, nrank} {
 			name := fmt.Sprintf("nrank%d/threads%d", nrank, threads)
-			// A world per thread count: fault draws are salted with the
-			// world's run count.
 			d, w := stressWorld(t, nrank)
 			w.SetThreads(threads)
-			w.Faults = faults.New(plan)
 			w.Tracer = obs.NewTracer(0)
 			got := make([][][][][]float64, rounds)
 			for round := range got {
@@ -140,13 +107,13 @@ func TestFaultedExchangeAcrossThreads(t *testing.T) {
 			st := w.Run(func(r *Rank) {
 				for round := 0; round < rounds; round++ {
 					r.AddFlops(int64(100 + (r.ID*31+round*17)%400))
-					levels := make([][][]float64, faultedLevels(round))
+					levels := make([][][]float64, exchangeLevels(round))
 					for l := range levels {
 						for _, b := range r.Blocks {
 							nxp, nyp := d.PaddedDims(b)
 							f := make([]float64, nxp*nyp)
 							for k := range f {
-								f[k] = faultedFill(b.ID, l, k, round)
+								f[k] = exchangeFill(b.ID, l, k, round)
 							}
 							levels[l] = append(levels[l], f)
 						}
@@ -174,15 +141,10 @@ func TestFaultedExchangeAcrossThreads(t *testing.T) {
 					}
 				}
 			}
-			out := outcome{stats: st, injected: w.Faults.Injected()}
+			out := outcome{stats: st}
 			for _, e := range w.Tracer.Events() {
 				if e.Name != obs.EvRunBegin { // carries the shard
 					out.events = append(out.events, e)
-				}
-			}
-			for _, class := range []faults.Class{faults.HaloDrop, faults.HaloCorrupt} {
-				if out.injected[class.String()] == 0 {
-					t.Fatalf("%s: no %v injected in %d rounds — the test exercised nothing", name, class, rounds)
 				}
 			}
 			if threads == 1 {
@@ -196,11 +158,6 @@ func TestFaultedExchangeAcrossThreads(t *testing.T) {
 				if !sameCounters(out.stats.PerRank[rank], ref.stats.PerRank[rank]) {
 					t.Fatalf("%s rank %d: counters %+v, Threads=1 gave %+v", name, rank,
 						out.stats.PerRank[rank], ref.stats.PerRank[rank])
-				}
-			}
-			for class, n := range ref.injected {
-				if out.injected[class] != n {
-					t.Fatalf("%s: %d %s injected, Threads=1 injected %d", name, out.injected[class], class, n)
 				}
 			}
 			if len(out.events) != len(ref.events) {

@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -65,21 +64,6 @@ func (sh *Shard) AllReduce(vals [][]float64) []float64 {
 	}
 	n := len(vals[0])
 	for i, r := range sh.Ranks {
-		// Fault injection, straggler class: delay this rank's entry. The
-		// delay lands on the clock *before* the entry snapshot, so it
-		// propagates into the reduction's max-entry clock and every other rank
-		// waits for it — the amplification mechanism of the paper's §5.2
-		// jitter analysis.
-		if w.Faults.Enabled() {
-			if d := w.Faults.StragglerDelay(r.ID, r.faultBase+r.reduceSeq); d > 0 {
-				r.ctr.TComp += d
-				r.clock += d
-				if r.trace != nil {
-					r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: r.clock,
-						Value: d, Aux: float64(faults.Straggler), Iter: -1, Straggler: -1})
-				}
-			}
-		}
 		r.entry = r.clock
 		r.reduceSeq++
 		r.ctr.Reductions++
@@ -118,20 +102,6 @@ func (sh *Shard) AllReduce(vals [][]float64) []float64 {
 			r.trace.Add(obs.Event{Name: obs.EvReduce, T0: r.entry, T1: newClock,
 				Value: float64(n), Straggler: int(result[n+1]), Wait: result[n] - r.entry,
 				Iter: -1})
-		}
-		// Fault injection, reduce-fail class: the collective "failed" — every
-		// rank draws the identical verdict from seq alone, sets its flag, and
-		// resilient callers re-enter the reduction in lockstep. The reduced
-		// values are still returned (callers that don't check the flag behave
-		// exactly as before).
-		r.reduceFailed = false
-		if w.Faults.Enabled() && w.Faults.FailReduce(r.ID, r.faultBase+seq) {
-			r.reduceFailed = true
-			if r.trace != nil {
-				r.trace.Add(obs.Event{Name: obs.EvFault, Point: true, T0: newClock,
-					Value: float64(seq), Aux: float64(faults.ReduceFail), Iter: -1,
-					Straggler: -1})
-			}
 		}
 	}
 	return result[:n]

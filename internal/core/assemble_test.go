@@ -32,7 +32,7 @@ func TestBlockOperatorsAreTheGlobalOnesSliced(t *testing.T) {
 		phi := stencil.PhiFromTimeStep(g.Tau())
 		op := stencil.Assemble(g, phi)
 		for _, cores := range c.cores {
-			s, err := BuildSession(g, phi, cores, 0, nil, nil, nil, Options{})
+			s, err := BuildSession(g, phi, cores, 0, nil, nil, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestEVPTilesKeepTheirBits(t *testing.T) {
 	const want uint64 = 0xf8ad77782bc63fe5
 	g := grid.OneDegree()
 	phi := stencil.PhiFromTimeStep(1920)
-	s, err := BuildSession(g, phi, 48, 0, nil, nil, nil, Options{Precond: PrecondEVP})
+	s, err := BuildSession(g, phi, 48, 0, nil, nil, Options{Precond: PrecondEVP})
 	if err != nil {
 		t.Fatal(err)
 	}

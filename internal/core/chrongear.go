@@ -7,7 +7,7 @@ package core
 // checking costs no communication. Halos are refreshed on the
 // preconditioned residual, which keeps one halo update per iteration for
 // any preconditioner — and means x's own halos go stale, which is why the
-// driver confirms a resilient solve's convergence on fresh ones.
+// driver refreshes them before it recomputes b − A·x (qRecompute).
 //
 // With a pointwise preconditioner (diagonal or identity) the advance also
 // computes the next step's r' = M⁻¹r, ρ and ‖r‖² in its pass over the block

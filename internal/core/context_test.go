@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -189,6 +191,47 @@ func TestNotConvergedErrorMatching(t *testing.T) {
 	var nc *NotConvergedError
 	if !errors.As(err, &nc) || nc.Iterations != 42 {
 		t.Errorf("errors.As failed or lost fields: %+v", nc)
+	}
+}
+
+// cappedSolves runs every method on the core fixture with opts, each capped
+// by MaxIters, and holds what a capped solve reports to the x it returns:
+// Result.RelResidual and the error's are ‖b − A·x‖/‖b‖ of that x (to the
+// rounding of a different summation order), never a stale check's or 0.
+func cappedSolves(t *testing.T, opts Options) {
+	t.Helper()
+	for _, m := range []Method{MethodChronGear, MethodPCG, MethodPCSI, MethodSStep} {
+		f := testFixture(t)
+		s := f.session(t, opts)
+		res, x, err := s.Solve(m, f.b, nil)
+		var nc *NotConvergedError
+		if !errors.As(err, &nc) || res.Converged || res.Iterations < opts.MaxIters {
+			t.Fatalf("%v: %d iterations, converged=%v, err %v; want a *NotConvergedError at MaxIters %d",
+				m, res.Iterations, res.Converged, err, opts.MaxIters)
+		}
+		want := trueRelResidual(f, x)
+		if math.Abs(res.RelResidual-want) > 1e-12*want || nc.RelResidual != res.RelResidual {
+			t.Errorf("%v after %d iterations: RelResidual %v (error %v), ‖b − A·x‖/‖b‖ of the returned x %v",
+				m, res.Iterations, res.RelResidual, nc.RelResidual, want)
+		}
+		if strings.Contains(err.Error(), "relative residual 0)") {
+			t.Errorf("%v: %q", m, err)
+		}
+	}
+}
+
+// A solve capped before its first convergence check reports the residual of
+// its answer, not 0.
+func TestCappedBeforeFirstCheckReportsItsResidual(t *testing.T) {
+	cappedSolves(t, Options{Precond: PrecondDiagonal, Tol: 1e-300, MaxIters: 2, CheckEvery: 10})
+}
+
+// A solve capped one iteration past a check reports the residual of its
+// answer, not the check's; so does one capped at a check (there P-CSI's
+// check already measured its answer, and the driver reuses it).
+func TestCappedBetweenChecksReportsItsResidual(t *testing.T) {
+	for _, maxIters := range []int{51, 50} {
+		cappedSolves(t, Options{Precond: PrecondDiagonal, Tol: 1e-300, MaxIters: maxIters, CheckEvery: 10})
 	}
 }
 

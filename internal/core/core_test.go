@@ -63,6 +63,17 @@ func (f *fixture) session(t *testing.T, opts Options) *Session {
 	return s
 }
 
+// trueRelResidual computes ‖b − Ax‖/‖b‖ with the global operator — an
+// oracle independent of everything the distributed solve touched.
+func trueRelResidual(f *fixture, x []float64) float64 {
+	y := make([]float64, f.g.N())
+	f.op.Apply(y, x)
+	for k := range y {
+		y[k] = f.b[k] - y[k]
+	}
+	return f.op.MaskedNorm2(y) / f.op.MaskedNorm2(f.b)
+}
+
 // denseReference solves the full system directly (small grids only).
 func (f *fixture) denseReference(t *testing.T) []float64 {
 	t.Helper()

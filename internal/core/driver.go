@@ -7,29 +7,26 @@ import (
 	"slices"
 
 	"repro/internal/comm"
-	"repro/internal/faults"
-	"repro/internal/obs"
 )
 
 // The Krylov driver. The paper's Algorithms 1 and 2 differ only in the body
 // of an iteration; everything around that body is written once, here:
 // scatter, r₀ = b − A·x₀, ‖b‖ and the zero right-hand-side exit, the
-// [‖r‖², cancel, crash] tail that rides a step's reduction on a check, the
-// retry of a failed reduction, the residual trace, the NaN exit, the
-// convergence verdict and its fresh-halo confirmation, checkpoint and
-// lockstep rollback, residual replacement, gather, and the one mapping of
-// how a solve ended onto ctx / *FaultedError / *NotConvergedError. A method
-// is a recurrence — the hooks below — plus one row of the methods table
-// (method.go); the driver never asks which method it is running.
+// [‖r‖², cancel] tail that rides a step's reduction on a check, the
+// residual trace, the NaN exit, the convergence verdict, residual
+// replacement, the true residual of a solve that ran out of iterations,
+// gather, and the one mapping of how a solve ended onto ctx /
+// *NotConvergedError. A method is a recurrence — the hooks below — plus one
+// row of the methods table (method.go); the driver never asks which method
+// it is running.
 //
 // The driver runs once per worker shard (comm.World.RunShards) and owns
 // every collective of the solve. Between two collectives it makes one pass
 // over the shard's ranks (loop.resume), in which each rank does exactly the
 // work it has up to the next collective: the per-rank items the driver
-// queued (an advance, a checkpoint, a residual recomputation, …), then its
-// step — the recurrence's local stages, split at their halo exchanges —
-// continuing straight into the next step when one ends with nothing to
-// reduce. So ChronGear's advance(k) runs fused with iteration k+1's
+// queued (an advance, a residual recomputation, …), then its step — the
+// recurrence's local stages, split at their halo exchanges — continuing
+// straight into the next step when one ends with nothing to reduce. So ChronGear's advance(k) runs fused with iteration k+1's
 // preconditioner and dots, and P-CSI's residual with the next Stiefel step,
 // in one sweep over the shard's data, just as a rank program ran them.
 //
@@ -39,17 +36,14 @@ import (
 //	         stage by stage around the step's halo exchanges
 //	reduce   the sums, plus the tail when the step carries a check
 //	         (skipped when there is nothing to reduce: P-CSI between checks)
-//	check    crash / convergence / NaN / tripwire / drift watch / the
-//	         recurrence's own observe → one verdict
+//	check    convergence / NaN / cancel / drift watch / the recurrence's
+//	         own observe → one verdict
 //	advance  the recurrence consumes the reduced sums
 //
 // Every decision of the check ladder is a function of reduced values, so
 // the driver makes it once per shard and every shard makes the same one:
-// the collectives behind it (confirmation, rollback, replacement) are
-// entered in lockstep. Its resilient half — retry, checkpoint,
-// confirmation, rollback, tripwire — runs only under an active fault
-// injector (resilient.go); without one a solve is bitwise what it was
-// before fault injection existed.
+// the collectives behind it (replacement, the capped solve's residual) are
+// entered in lockstep.
 
 // recurrence is one method's iteration body: per-rank hooks, each taking the
 // rank's loop for the rank handle, the shared fields (l.x, l.b, l.rr) and
@@ -79,9 +73,8 @@ type recurrence interface {
 	// advance consumes the reduced sums g and finishes the step.
 	advance(l *loop, g []float64)
 	// restart is called when the step in flight is discarded and l.rr has
-	// just been recomputed from l.x (rollback, failed confirmation,
-	// replacement): drop directions and scalars so the next step starts the
-	// way the first one did.
+	// just been recomputed from l.x (replacement): drop directions and
+	// scalars so the next step starts the way the first one did.
 	restart(l *loop, st int) [][]float64
 }
 
@@ -91,8 +84,9 @@ type shape struct {
 	span  int // iterations between convergence checks
 	// rides: ‖b‖² rides the first step's reduction instead of paying its own.
 	rides bool
-	// recursive: the residual is maintained by recursion, so under fault
-	// injection it can go quietly stale — the cgStallChecks tripwire applies.
+	// recursive: a check reduces a residual maintained by recursion, not
+	// b − A·x of the iterate the solve returns, so a solve that runs out of
+	// iterations recomputes it (driver.capped).
 	recursive bool
 	// drift: the recursion drifts from b − A·x near the round-off floor; the
 	// drift watch answers with one residual replacement and stops the solve
@@ -102,14 +96,12 @@ type shape struct {
 }
 
 // verdict is what a convergence check decides about the step that carried
-// it, weakest first; when several guards speak the strongest wins.
+// it; the recurrence's guards speak only when the drift watch said proceed.
 type verdict int
 
 const (
-	proceed verdict = iota // advance; checkpoint the iterate in resilient mode
-	hold                   // advance, but do not checkpoint this iterate
+	proceed verdict = iota // advance
 	replace                // recompute r = b − A·x on fresh halos, restart the recurrence
-	restore                // roll every rank back to the checkpoint, then as replace
 	stop                   // no further progress is possible
 )
 
@@ -126,19 +118,16 @@ const (
 // solveRun is the state of one solve that every shard shares. Shard 0 alone
 // writes the outcome fields; they are read after RunShards returns.
 type solveRun struct {
-	ctx       context.Context
-	m         Method
-	spec      *methodSpec
-	sh        shape
-	b, x0     []float64
-	out       []float64
-	inj       *faults.Injector
-	resilient bool
+	ctx   context.Context
+	m     Method
+	spec  *methodSpec
+	sh    shape
+	b, x0 []float64
+	out   []float64
 
 	res       Result
 	trace     *SolveTrace
 	cancelled bool
-	faulted   bool
 }
 
 // loop is one rank's share of a solve: its fields, its recurrence, and where
@@ -154,12 +143,10 @@ type loop struct {
 	rec  recurrence
 
 	x, b, rr [][]float64 // iterate, right-hand side, residual
-	ck       [][]float64 // checkpoint of x (resilient mode)
 	pay      []float64   // reduction payload
 
-	k       int     // iterations so far
-	bn2     float64 // local ‖b‖², until it has been reduced
-	crashed bool    // the fault injector crashed this rank at this check
+	k   int     // iterations so far
+	bn2 float64 // local ‖b‖², until it has been reduced
 
 	// What the last pass ended on (resume): the cursor into the driver's
 	// queue and the step's next stage, and the collective asked for — an
@@ -170,25 +157,21 @@ type loop struct {
 	check       bool
 }
 
-// Per-rank work the driver queues for the next pass, run on every rank in
-// queue order (loop.item).
-const (
-	qInit       = iota // scatter, bind, r₀ = b − A·x₀ and the local ‖b‖²
-	qBegin             // the recurrence's begin
-	qCheckpoint        // ck = x (arg 1: record the iteration)
-	qResidual          // the check's residual point on the traces
-	qZeroX             // x = 0: a zero right-hand side's exact answer (arg 1: a crashed rank's lost iterate)
-	qRestore           // x = ck
-	qRecompute         // r = b − A·x on fresh halos
-	qConfirm           // ⟨r, r⟩ for the confirmation reduction
-	qRestart           // the recurrence's restart
-	qRecovered         // a recovery point event (arg: its kind)
-	qAdvance           // the recurrence consumes the reduced sums
-	qGather            // the rank's blocks of x into the solution
-)
+// item is one piece of per-rank work the driver queues for the next pass,
+// run on every rank in queue order (loop.item).
+type item int
 
-// item is one queued piece of per-rank work.
-type item struct{ kind, arg int }
+const (
+	qInit      item = iota // scatter, bind, r₀ = b − A·x₀ and the local ‖b‖²
+	qBegin                 // the recurrence's begin
+	qResidual              // the check's residual point on the traces
+	qZeroX                 // x = 0: a zero right-hand side's exact answer
+	qRecompute             // r = b − A·x on fresh halos
+	qNorm                  // ⟨r, r⟩, and the local ‖b‖² while it rides, for a capped solve
+	qRestart               // the recurrence's restart
+	qAdvance               // the recurrence consumes the reduced sums
+	qGather                // the rank's blocks of x into the solution
+)
 
 // driver is one shard's Krylov driver: its ranks' loops, the shard-level
 // state of the check ladder (every field a function of reduced values, so
@@ -209,14 +192,12 @@ type driver struct {
 	st       int  // and then the step in flight at stage st
 	stepping bool // a drained queue continues into the step
 	rel      float64
+	checked  int // the iteration of the last check (-1: none yet)
 
 	bnorm, target float64
 	pending       bool // ‖b‖² rides and has not been reduced yet
-	restores      int
 
-	best  float64 // tripwire: best reduced ‖r‖ so far, and checks since
-	stall int
-	drift struct { // drift watch: the same, in iterations near the floor
+	drift struct { // drift watch: best reduced ‖r‖ near the floor, iterations since
 		best     float64
 		stall    int
 		replaced bool
@@ -237,9 +218,7 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 	}
 	o := s.Opts
 	sr := &solveRun{ctx: ctx, m: m, spec: spec, sh: spec.shape(o), b: b, x0: x0, out: s.solveOut(),
-		inj: s.W.Faults, trace: &SolveTrace{},
-		res: Result{Solver: spec.name, Precond: o.Precond}}
-	sr.resilient = sr.inj.Enabled() && o.MaxRecoveries >= 0
+		trace: &SolveTrace{}, res: Result{Solver: spec.name, Precond: o.Precond}}
 	if spec.diverged != "" {
 		// The method leans on the Lanczos estimate of spec(M⁻¹A).
 		if s.Mu == 0 {
@@ -286,9 +265,6 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 	switch {
 	case sr.cancelled:
 		return res, sr.out, ctxSolveErr(ctx, spec.name, res.Iterations)
-	case sr.faulted:
-		return res, sr.out, &FaultedError{Solver: spec.name, Iterations: res.Iterations,
-			Restores: res.Recovery.Restores, ReduceRetries: res.Recovery.ReduceRetries}
 	case res.Converged:
 		return res, sr.out, nil
 	}
@@ -316,7 +292,7 @@ func (s *Session) driver(sh *comm.Shard, sr *solveRun) *driver {
 		l.s, l.r, l.rs, l.d, l.sr = s, r, rs, d, sr
 		d.ls[i] = l
 	}
-	if n := sr.sh.width + 4; len(d.g) < n {
+	if n := sr.sh.width + 3; len(d.g) < n {
 		d.g = make([]float64, n)
 	}
 	return d
@@ -325,23 +301,20 @@ func (s *Session) driver(sh *comm.Shard, sr *solveRun) *driver {
 // run is the shard program of a solve.
 func (d *driver) run() {
 	sr := d.sr
-	d.q = append(d.q[:0], item{kind: qInit})
+	d.q = append(d.q[:0], qInit)
 	d.qi, d.qst, d.st, d.stepping = 0, 0, 0, false
-	d.restores, d.pending = 0, sr.sh.rides
-	d.rearm()
-	if !sr.sh.rides && !d.reduceRetry(d.collect()) { // ‖b‖² on its own
-		return
+	d.checked, d.pending = -1, sr.sh.rides
+	d.drift.best, d.drift.stall, d.drift.replaced = math.Inf(1), 0, false
+	if !sr.sh.rides {
+		d.reduce(d.collect()) // ‖b‖² on its own
 	}
 	converged := true // x = 0 solves a zero right-hand side exactly
 	if sr.sh.rides || d.setNorm(d.g[0]) {
-		d.push(item{kind: qBegin})
-		if sr.resilient {
-			d.push(item{kind: qCheckpoint}) // the initial checkpoint
-		}
+		d.push(qBegin)
 		converged = d.iterate()
 	}
 	d.stepping = false
-	d.push(item{kind: qGather})
+	d.push(qGather)
 	d.collect()
 	if d.lead() {
 		sr.res.Iterations = d.ls[0].k
@@ -389,26 +362,24 @@ func (d *driver) setNorm(bn2 float64) bool {
 		d.sr.res.BNorm = d.bnorm
 	}
 	if d.bnorm == 0 {
-		d.push(item{kind: qZeroX})
+		d.push(qZeroX)
 	}
 	return d.bnorm != 0
 }
 
 // iterate is the one iteration loop; it reports whether the solve converged.
 func (d *driver) iterate() bool {
-	sr, sh, o := d.sr, d.sr.sh, d.s.Opts
+	sr, sh := d.sr, d.sr.sh
 	w := sh.width
 	d.stepping = true
 	for {
 		n := d.collect()
 		if n == 0 {
-			return false // out of iterations
+			return d.capped() // out of iterations
 		}
-		if !d.reduceRetry(n) {
-			return false
-		}
+		d.reduce(n)
 		if !d.ls[0].check {
-			d.push(item{kind: qAdvance})
+			d.push(qAdvance)
 			continue
 		}
 
@@ -420,93 +391,66 @@ func (d *driver) iterate() bool {
 				return true
 			}
 		}
-		d.rel = rn / d.bnorm
+		d.rel, d.checked = rn/d.bnorm, d.ls[0].k
 		if d.lead() {
 			sr.res.RelResidual = d.rel
 		}
-		d.push(item{kind: qResidual})
+		d.push(qResidual)
 
-		v := proceed
 		switch {
-		case sr.resilient && g[w+2] != 0:
-			// A rank crashed this interval and its iterate is lost. The crash
-			// preempts a simultaneous convergence verdict: roll back first
-			// and re-prove convergence from the restored state.
-			d.push(item{kind: qZeroX, arg: 1})
-			v = restore
 		case rn <= d.target:
-			if !sr.resilient {
-				return true
-			}
-			// Confirm on fresh halos before trusting the verdict: a dropped
-			// halo leaves a stale residual that can fake it.
-			d.push(item{kind: qRecompute}, item{kind: qConfirm})
-			if !d.reduceRetry(d.collect()) {
-				return false
-			}
-			crn := math.Sqrt(d.g[0])
-			if crn <= d.target {
-				if d.lead() {
-					sr.res.RelResidual = crn / d.bnorm
-				}
-				return true
-			}
-			if !math.IsNaN(crn) {
-				// False convergence: l.rr was just recomputed, carry on from
-				// the current iterate.
-				d.push(item{kind: qRestart})
-				d.rearm()
-				d.recovered(recKindReconverge)
-				continue
-			}
-			v = restore
-		case math.IsNaN(rn): // reduced, so every shard leaves or rolls back here
-			if !sr.resilient {
-				return false
-			}
-			v = restore
-		case sr.resilient && sh.recursive:
-			v = d.tripwire(rn)
-		}
-		if cancelled { // some rank saw ctx done — all shards stop here
+			return true
+		case math.IsNaN(rn): // reduced, so every shard leaves here
+			return false
+		case cancelled: // some rank saw ctx done — all shards stop here
 			if d.lead() {
 				sr.cancelled = true
 			}
 			return false
 		}
-		if v <= hold && sh.drift {
-			v = max(v, d.driftWatch(rn))
+		v := proceed
+		if sh.drift {
+			v = d.driftWatch(rn)
 		}
-		if v <= hold {
-			v = max(v, d.observe(rn))
-		}
-		if v == stop && sr.resilient {
-			v = restore // under an injector a dead end is a fault to recover from
+		if v == proceed {
+			v = d.observe(rn)
 		}
 		switch v {
 		case stop:
 			return false
-		case restore:
-			if d.restores++; d.restores > o.MaxRecoveries {
-				d.surrender()
-				return false
-			}
-			d.push(item{kind: qRestore})
-			d.rearm()
-			d.recovered(recKindRestore)
-			fallthrough
 		case replace:
 			// Discard the step in flight and restart the recurrence from an
 			// honestly recomputed residual.
-			d.push(item{kind: qRecompute}, item{kind: qRestart})
+			d.push(qRecompute, qRestart)
 			continue
-		case proceed:
-			if sr.resilient {
-				d.push(item{kind: qCheckpoint, arg: 1}) // free in the cost model: a node-local copy
-			}
 		}
-		d.push(item{kind: qAdvance})
+		d.push(qAdvance)
 	}
+}
+
+// capped ends a solve that ran out of iterations, so that it reports the
+// relative residual of the x it returns. The last check's is that only when
+// the method recomputes its residual from x and the check came at the last
+// iteration (P-CSI with MaxIters a multiple of CheckEvery); otherwise — a
+// recursive residual, iterations after the check, or no check at all — one
+// halo exchange and one reduction recompute it, with ‖b‖² in the same
+// reduction while it still rides.
+func (d *driver) capped() bool {
+	if !d.sr.sh.recursive && d.checked == d.ls[0].k {
+		return false
+	}
+	d.push(qRecompute, qNorm)
+	d.reduce(d.collect())
+	if d.pending {
+		d.pending = false
+		if !d.setNorm(d.g[1]) {
+			return true
+		}
+	}
+	if d.lead() {
+		d.sr.res.RelResidual = math.Sqrt(d.g[0]) / d.bnorm
+	}
+	return false
 }
 
 // observe runs the recurrence's guards on every rank — each updates its own
@@ -522,68 +466,14 @@ func (d *driver) observe(rn float64) verdict {
 	return v
 }
 
-// reduceRetry is the one way a running solve enters a global reduction, of
-// the ranks' pay[:n]; the result lands in d.g (a copy — the communicator's
-// buffer is valid only until the next collective). In resilient mode a
-// reduction the injector failed — a verdict every rank shares — is
-// re-entered after a bounded exponential backoff on the virtual clock, up to
-// reduceRetryLimit times; past that the solve surrenders and reduceRetry
-// reports false.
-func (d *driver) reduceRetry(n int) bool {
-	sh, sr := d.sh, d.sr
+// reduce is the one way a running solve enters a global reduction, of the
+// ranks' pay[:n]; the result lands in d.g (a copy — the communicator's
+// buffer is valid only until the next collective).
+func (d *driver) reduce(n int) {
 	for i, l := range d.ls {
 		d.pays[i] = l.pay[:n]
 	}
-	g := sh.AllReduce(d.pays)
-	retries := 0
-	for ; sr.resilient && sh.Ranks[0].ReduceFailed() && retries < reduceRetryLimit; retries++ {
-		for _, r := range sh.Each {
-			r.AddDelay(reduceBackoffBase * float64(int64(2)<<retries))
-		}
-		g = sh.AllReduce(d.pays)
-	}
-	if d.lead() {
-		sr.res.Recovery.ReduceRetries += retries
-	}
-	if sr.resilient && sh.Ranks[0].ReduceFailed() {
-		d.surrender()
-		return false
-	}
-	if retries > 0 {
-		for _, r := range sh.Each {
-			traceRecover(r, recKindReduceRetry, -1)
-		}
-		if d.lead() {
-			sr.inj.Recovered("reduce-retry")
-		}
-	}
-	copy(d.g, g)
-	return true
-}
-
-// rearm resets the tripwire and the drift watch: new solve, rollback, failed
-// confirmation — not a replacement, which the watch must remember.
-func (d *driver) rearm() {
-	d.best, d.stall = math.Inf(1), 0
-	d.drift.best, d.drift.stall, d.drift.replaced = math.Inf(1), 0, false
-}
-
-// tripwire is resilient mode's silent-corruption guard: a dropped halo
-// leaves a recursive residual quietly inconsistent with b − A·x, so the
-// reduced norm stops improving without ever reaching the convergence
-// verdict (where confirm would catch it). A stalled check is not
-// checkpointed — the recursion may have walked x away since the last
-// improvement — and cgStallChecks of them in a row roll back.
-func (d *driver) tripwire(rn float64) verdict {
-	if rn < 0.999*d.best {
-		d.best, d.stall = rn, 0
-		return proceed
-	}
-	d.stall++
-	if d.stall >= cgStallChecks {
-		return restore
-	}
-	return hold
+	copy(d.g, d.sh.AllReduce(d.pays))
 }
 
 // driftWatch answers recursive-residual drift with residual replacement
@@ -610,32 +500,6 @@ func (d *driver) driftWatch(rn float64) verdict {
 	}
 	dw.replaced, dw.stall = true, 0
 	return replace
-}
-
-// recovered records one recovery action of the check ladder: a point event
-// on every rank's trace (queued, so it lands after the work before it) and
-// one count.
-func (d *driver) recovered(kind int) {
-	d.push(item{kind: qRecovered, arg: kind})
-	if !d.lead() {
-		return
-	}
-	rec := &d.sr.res.Recovery
-	switch kind {
-	case recKindRestore:
-		rec.Restores++
-		d.sr.inj.Recovered("restore")
-	case recKindReconverge:
-		rec.Reconverges++
-		d.sr.inj.Recovered("reconverge")
-	}
-}
-
-// surrender marks the solve as faulted beyond its recovery budget.
-func (d *driver) surrender() {
-	if d.lead() {
-		d.sr.faulted = true
-	}
 }
 
 // resume runs the rank from the driver's cursor to its next collective:
@@ -693,14 +557,6 @@ func (l *loop) tail(check bool, rn2 float64) int {
 	}
 	l.pay[n], l.pay[n+1] = rn2, cancelFlag(sr.ctx)
 	n += 2
-	if sr.resilient {
-		l.crashed = sr.inj.CrashRank(l.r.ID, l.r.ReduceSeq())
-		l.pay[n] = 0
-		if l.crashed {
-			l.pay[n] = 1
-		}
-		n++
-	}
 	if sh.rides {
 		l.pay[n] = 0
 		if l.d.pending {
@@ -715,38 +571,31 @@ func (l *loop) tail(check bool, rn2 float64) int {
 // the field set to exchange before the next stage, or the width of the
 // reduction it asks for, or neither when it is done.
 func (l *loop) item(it item, st int) (halo [][]float64, n int) {
-	switch it.kind {
+	switch it {
 	case qInit:
 		if l.start() {
 			return nil, 1
 		}
 	case qBegin:
 		return l.rec.begin(l, st), 0
-	case qCheckpoint:
-		copyFields(l.ck, l.x)
-		if it.arg == 1 && l.r.ID == 0 {
-			l.sr.res.Recovery.CheckpointIter = l.k
-		}
 	case qResidual:
 		traceResidual(l.r, l.sr.trace, l.k, l.d.rel)
 	case qZeroX:
-		if it.arg == 0 || l.crashed {
-			zeroFields(l.x)
-		}
-	case qRestore:
-		copyFields(l.x, l.ck)
+		zeroFields(l.x)
 	case qRecompute:
 		if st == 0 {
 			return l.x, 0
 		}
 		l.residual()
-	case qConfirm:
+	case qNorm:
 		l.pay[0] = stageDot(l.r, l.rs, l.rr, l.rr)
-		return nil, 1
+		if !l.d.pending {
+			return nil, 1
+		}
+		l.pay[1] = l.bn2
+		return nil, 2
 	case qRestart:
 		return l.rec.restart(l, st), 0
-	case qRecovered:
-		traceRecover(l.r, it.arg, l.k)
 	case qAdvance:
 		l.rec.advance(l, l.d.g[:l.sr.sh.width])
 	case qGather:
@@ -768,15 +617,12 @@ func (l *loop) start() bool {
 	}
 	l.b = s.scatterMasked(r, s.field(r, "b"), sr.b)
 	l.rr = s.field(r, "r")
-	if sr.resilient {
-		l.ck = s.field(r, "ckpt")
-	}
 	if l.recs[sr.m] == nil {
 		l.recs[sr.m] = sr.spec.new()
 	}
 	l.rec = l.recs[sr.m]
 	l.rec.bind(l)
-	if n := sr.sh.width + 4; len(l.pay) < n {
+	if n := sr.sh.width + 3; len(l.pay) < n {
 		l.pay = make([]float64, n)
 	}
 	l.k = 0
@@ -793,14 +639,6 @@ func (l *loop) residual() {
 	for i, loc := range l.rs.locs {
 		residual(loc, l.rr[i], l.b[i], l.x[i])
 		l.r.AddFlops(9 * int64(loc.InteriorLen()))
-	}
-}
-
-// traceRecover emits one recovery point event on the rank's trace.
-func traceRecover(r *comm.Rank, kind, iter int) {
-	if rt := r.Trace(); rt != nil {
-		rt.Add(obs.Event{Name: obs.EvRecover, Point: true, T0: r.Clock(),
-			Value: float64(kind), Iter: iter, Straggler: -1})
 	}
 }
 
@@ -832,11 +670,4 @@ func cancelFlag(ctx context.Context) float64 {
 // context.DeadlineExceeded.
 func ctxSolveErr(ctx context.Context, solver string, iter int) error {
 	return fmt.Errorf("core: %s solve cancelled at iteration %d: %w", solver, iter, context.Cause(ctx))
-}
-
-// copyFields copies a per-block field set (checkpoint save and restore).
-func copyFields(dst, src [][]float64) {
-	for i := range src {
-		copy(dst[i], src[i])
-	}
 }

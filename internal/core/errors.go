@@ -28,13 +28,6 @@ var (
 	// no interval [ν, μ] to iterate on. Distinct from ErrBadSpec (the inputs
 	// were plausible) and from ErrNotConverged (no solve was attempted).
 	ErrEigEstimate = errors.New("eigenvalue estimation produced no bounds")
-
-	// ErrFaulted marks solves that injected (or real) faults pushed beyond
-	// the resilience machinery's recovery budget: a reduction that kept
-	// failing past the bounded retry limit, or more checkpoint rollbacks
-	// than Options.MaxRecoveries allows. Concrete errors carry a
-	// *FaultedError with the recovery counts at the point of surrender.
-	ErrFaulted = errors.New("solver faulted beyond recovery")
 )
 
 // NotConvergedError reports a solve that stopped short of its tolerance,
@@ -44,7 +37,7 @@ var (
 type NotConvergedError struct {
 	Solver      string  // method name ("pcsi", "chrongear", ...)
 	Iterations  int     // iterations executed before giving up
-	RelResidual float64 // ‖r‖/‖b‖ at the last convergence check
+	RelResidual float64 // Result.RelResidual: of the returned x when MaxIters ended the solve
 }
 
 // Error renders the non-convergence diagnostic.
@@ -55,22 +48,3 @@ func (e *NotConvergedError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrNotConverged) match.
 func (e *NotConvergedError) Unwrap() error { return ErrNotConverged }
-
-// FaultedError reports a solve abandoned because faults exhausted the
-// recovery budget, carrying how much recovery was attempted before giving
-// up. It matches errors.Is(err, ErrFaulted).
-type FaultedError struct {
-	Solver        string // method name ("pcsi", "chrongear", ...)
-	Iterations    int    // iterations executed before surrender
-	Restores      int    // checkpoint rollbacks performed
-	ReduceRetries int    // failed-reduction retries performed
-}
-
-// Error renders the fault-surrender diagnostic.
-func (e *FaultedError) Error() string {
-	return fmt.Sprintf("core: %s faulted beyond recovery at iteration %d (%d restores, %d reduce retries)",
-		e.Solver, e.Iterations, e.Restores, e.ReduceRetries)
-}
-
-// Unwrap makes errors.Is(err, ErrFaulted) match.
-func (e *FaultedError) Unwrap() error { return ErrFaulted }

@@ -36,15 +36,13 @@ const (
 )
 
 // methodSpec is one row of the methods table: everything the Krylov driver
-// (driver.go) and the degraded-mode ladder (resilient.go) need to know about
-// a method, as data. Adding a method is a recurrence, a constant, a row here
+// (driver.go) needs to know about a method, as data. Adding a method is a recurrence, a constant, a row here
 // and a spelling in methodSpellings.
 type methodSpec struct {
 	name string // Result.Solver and error texts
 	// diverged is set for the methods that lean on the session's Lanczos
-	// estimate [ν, μ] (the driver estimates it when absent, SolveResilient
-	// re-estimates it as its first rung): how the error of a diverged solve
-	// introduces the interval it blames.
+	// estimate [ν, μ] (the driver estimates it when absent): how the error
+	// of a diverged solve introduces the interval it blames.
 	diverged string
 	shape    func(Options) shape // what the driver must know about a step
 	new      func() recurrence   // one per rank, made on the rank's first solve

@@ -12,9 +12,9 @@ import "math"
 // one-time solver initialization). With PrecondIdentity this is the plain
 // CSI solver of Hu et al. 2013.
 //
-// The residual is recomputed from x every iteration, not recursed, so
-// neither the silent-corruption tripwire nor the drift watch applies; what
-// P-CSI guards instead is its interval (observe).
+// The residual is recomputed from x every iteration, not recursed, so the
+// drift watch does not apply; what P-CSI guards instead is its interval
+// (observe).
 type pcsi struct {
 	rp, dx [][]float64 // r' = M⁻¹r and the update direction Δx
 
@@ -30,14 +30,10 @@ type pcsi struct {
 }
 
 func (c *pcsi) bind(l *loop) {
-	c.rp = l.field("csi.rp")
-	// dx starts from zero: the recurrence's first update multiplies the
-	// previous dx by 0, and a non-finite leftover from an earlier faulted
-	// solve on this session would otherwise survive the product.
-	c.dx = l.zeroField("csi.dx")
+	c.rp, c.dx = l.field("csi.rp"), l.field("csi.dx")
 	c.widenings, c.raises = 0, 0
 	c.setInterval(l.s.Nu, l.s.Mu)
-	c.prevRn, c.slowChecks = math.Inf(1), 0
+	c.restart(l, 0)
 }
 
 // setInterval derives the Chebyshev parameters from [ν, μ] and puts the
@@ -103,7 +99,7 @@ func (c *pcsi) observe(l *loop, g []float64, rn float64) verdict {
 		c.setInterval(c.nu, c.mu*1.5)
 		c.prevRn = rn
 		traceInterval(l.r, l.sr.trace, l.k, "raise-mu", c.nu, c.mu)
-		return hold
+		return proceed
 	}
 	// Slow-convergence guard: the Lanczos ν approaches λ_min from above,
 	// and a mode below the Chebyshev interval contracts only at
@@ -140,9 +136,10 @@ func (c *pcsi) observe(l *loop, g []float64, rn float64) verdict {
 
 func (c *pcsi) advance(l *loop, g []float64) {}
 
-// restart puts the recurrence back at ω₀ on the current interval. The
-// update direction may carry the NaN that tripped a rollback; the restarted
-// recurrence must not see it.
+// restart puts the recurrence back at ω₀ on the current interval. Δx starts
+// from zero: the first update multiplies the previous Δx by 0, and a
+// non-finite leftover from an earlier solve that ended on a NaN would
+// otherwise survive the product.
 func (c *pcsi) restart(l *loop, st int) [][]float64 {
 	zeroFields(c.dx)
 	c.omega, c.since = 2/c.gamma, 0

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/faults"
 	"repro/internal/grid"
 )
 
@@ -95,12 +93,11 @@ func awaitCollected(t *testing.T, done <-chan struct{}, what string) {
 	t.Fatalf("%s was never collected: something still reaches it", what)
 }
 
-// setUpOn builds the test fixture's session on g, with inj attached, and
-// sets it up; the fixture, which holds g, is dropped on return.
-func setUpOn(t *testing.T, g *grid.Grid, inj *faults.Injector, opts Options) *Session {
+// setUpOn builds the test fixture's session on g and sets it up; the
+// fixture, which holds g, is dropped on return.
+func setUpOn(t *testing.T, g *grid.Grid, opts Options) *Session {
 	t.Helper()
 	f := newFixture(t, g, 16, 12, 20000)
-	f.w.Faults = inj
 	s := f.session(t, opts)
 	if err := s.Setup(); err != nil {
 		t.Fatal(err)
@@ -189,48 +186,44 @@ func TestProbeIsTheScatteredGlobalHash(t *testing.T) {
 	}
 }
 
-// The ladder's first rung re-estimates the Chebyshev interval, and the
-// estimate reads nothing of the grid: on a session whose grid has been
-// collected, a diverging P-CSI recovers exactly as it does on one whose grid
-// is still alive — same rung, same interval, same iterations and bits.
-func TestLadderReEstimatesWithoutItsGrid(t *testing.T) {
-	opts := Options{Precond: PrecondEVP, Tol: 1e-10, MaxIters: 3000}
-	plan := faults.Plan{Seed: 1, HaloDropProb: 1e-12} // active, ~never fires
-	ladder := func(s *Session, b []float64) (Result, []float64) {
+// The Lanczos estimate reads nothing of the grid: on a set-up session whose
+// grid has been collected it returns the interval, step count and bound
+// history that a session whose grid is still alive returns, bit for bit.
+func TestEstimateEigenvaluesWithoutItsGrid(t *testing.T) {
+	opts := Options{Precond: PrecondEVP, Tol: 1e-10}
+	type estimate struct {
+		nu, mu float64
+		steps  int
+		bounds []EigBound
+	}
+	estimateOn := func(s *Session) estimate {
 		t.Helper()
-		s.Nu, s.Mu = 1e-9, 2e-9 // nonsense interval: P-CSI will diverge
-		res, x, err := s.SolveResilient(context.Background(), MethodPCSI, b, nil)
-		if err != nil || !res.Converged || res.Recovery.Degraded != "re-eig" {
-			t.Fatalf("ladder: err=%v converged=%v degraded=%q, want re-eig", err, res.Converged, res.Recovery.Degraded)
+		nu, mu, steps, err := s.EstimateEigenvalues(nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return res, slices.Clone(x)
+		return estimate{nu, mu, steps, slices.Clone(s.EigTrace)}
 	}
 
 	f := testFixture(t)
-	want, wantX := ladder(setUpOn(t, f.g, faults.New(plan), opts), f.b)
+	want := estimateOn(setUpOn(t, f.g, opts))
 
 	g := grid.Generate(grid.TestSpec())
 	collected := make(chan struct{})
 	runtime.SetFinalizer(g, func(*grid.Grid) { close(collected) })
-	s := setUpOn(t, g, faults.New(plan), opts)
+	s := setUpOn(t, g, opts)
 	g = nil
 	awaitCollected(t, collected, "the session's grid")
-	got, gotX := ladder(s, f.b)
+	got := estimateOn(s)
 
-	if got.Iterations != want.Iterations || got.EigSteps != want.EigSteps ||
-		math.Float64bits(got.Nu) != math.Float64bits(want.Nu) ||
-		math.Float64bits(got.Mu) != math.Float64bits(want.Mu) ||
-		math.Float64bits(got.RelResidual) != math.Float64bits(want.RelResidual) {
-		t.Fatalf("without its grid: %d its, %d Lanczos steps, [%v, %v], rel %v; with it: %d, %d, [%v, %v], %v",
-			got.Iterations, got.EigSteps, got.Nu, got.Mu, got.RelResidual,
-			want.Iterations, want.EigSteps, want.Nu, want.Mu, want.RelResidual)
+	if math.Float64bits(got.nu) != math.Float64bits(want.nu) || math.Float64bits(got.mu) != math.Float64bits(want.mu) ||
+		got.steps != want.steps || len(got.bounds) != len(want.bounds) {
+		t.Fatalf("without its grid: [%v, %v] in %d steps (%d bounds); with it: [%v, %v] in %d (%d)",
+			got.nu, got.mu, got.steps, len(got.bounds), want.nu, want.mu, want.steps, len(want.bounds))
 	}
-	for k := range wantX {
-		if math.Float64bits(gotX[k]) != math.Float64bits(wantX[k]) {
-			t.Fatalf("without its grid the solution bit-differs at %d: %v vs %v", k, gotX[k], wantX[k])
+	for i, b := range want.bounds {
+		if got.bounds[i] != b {
+			t.Fatalf("bound %d without its grid %+v, with it %+v", i, got.bounds[i], b)
 		}
-	}
-	if trueRelResidual(f, gotX) > 1e-10 {
-		t.Fatal("re-eig result misses the tolerance")
 	}
 }

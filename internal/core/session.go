@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/decomp"
-	"repro/internal/faults"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
@@ -51,14 +50,6 @@ type Options struct {
 	// √(ν_true/ν)); P-CSI's slow-convergence and divergence guards widen
 	// the interval adaptively when a mode leaks outside.
 	EigSafetyLow, EigSafetyHigh float64
-
-	// MaxRecoveries bounds the checkpoint rollbacks (crash or NaN-tripwire
-	// restores) one resilient solve may perform before surrendering with
-	// ErrFaulted. Default 8; negative disables the resilience machinery
-	// entirely even when the world carries an active fault injector. It
-	// only takes effect when the session's World has an active
-	// faults.Injector — without one, solves run the plain algorithm.
-	MaxRecoveries int
 }
 
 func (o Options) withDefaults() Options {
@@ -82,9 +73,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EigSafetyHigh == 0 {
 		o.EigSafetyHigh = 1.05
-	}
-	if o.MaxRecoveries == 0 {
-		o.MaxRecoveries = 8
 	}
 	return o
 }
@@ -201,15 +189,14 @@ func newSession(g *grid.Grid, phi float64, d *decomp.Decomposition, w *comm.Worl
 // with mass coefficient phi: the blocking nearest to cores virtual ranks at
 // 3:2 aspect (cores 0 = the whole grid as one block), one block per rank, the
 // machine's cost model (nil = free), and a world of threads worker shards
-// with inj and tracer attached (either may be nil — a nil injector leaves
-// every communication path bitwise identical, and sessions never share a
-// tracer: its rings are single-writer per rank and every session has a
-// rank 0). The realized rank count is Session.W.NRank. It is the one place
-// a decomposition, a world and a session are built: pop.NewSolver, the
-// serve pool, the ocean model and the experiments all build through here,
-// so each runs on a world constructed exactly like a CLI solve's.
+// with tracer attached (nil = untraced; sessions never share a tracer: its
+// rings are single-writer per rank and every session has a rank 0). The
+// realized rank count is Session.W.NRank. It is the one place a
+// decomposition, a world and a session are built: pop.NewSolver, the serve
+// pool, the ocean model and the experiments all build through here, so each
+// runs on a world constructed exactly like a CLI solve's.
 func BuildSession(g *grid.Grid, phi float64, cores, threads int, machine *perfmodel.Machine,
-	inj *faults.Injector, tracer *obs.Tracer, opts Options) (*Session, error) {
+	tracer *obs.Tracer, opts Options) (*Session, error) {
 	bx, by := g.Nx, g.Ny
 	if cores > 0 {
 		var err error
@@ -230,7 +217,6 @@ func BuildSession(g *grid.Grid, phi float64, cores, threads int, machine *perfmo
 	if err != nil {
 		return nil, err
 	}
-	w.Faults = inj
 	w.SetThreads(threads)
 	// Attached before any Run, so setup and Lanczos spans are captured too
 	// (with trace ID 0 — not tied to any request).
@@ -384,7 +370,7 @@ type Result struct {
 	Precond     PrecondType // preconditioner the solve used
 	Iterations  int         // iterations executed
 	Converged   bool        // whether the tolerance was met
-	RelResidual float64     // ‖r‖/‖b‖ at the last convergence check
+	RelResidual float64     // ‖r‖/‖b‖ at the last check; of the returned x when MaxIters ended the solve
 	BNorm       float64     // ‖b‖ over ocean points
 	Stats       comm.Stats  // per-rank communication/compute counters
 	// P-CSI extras.
@@ -395,36 +381,8 @@ type Result struct {
 	// interval-widening events). Always recorded — appends happen only at
 	// convergence checks, so the cost is negligible.
 	Trace *SolveTrace
-	// Recovery summarizes what the resilience machinery did during this
-	// solve. All-zero for fault-free runs (and always for worlds without an
-	// active injector).
-	Recovery RecoveryInfo
 	// TraceID is the request-scoped trace ID the solve ran under (0 when the
 	// solve was not serving a traced request); every rank-level span the
 	// solve emitted carries the same ID.
 	TraceID uint64
-}
-
-// RecoveryInfo counts the recovery actions one solve performed. Populated
-// only when the session's World carries an active fault injector and
-// Options.MaxRecoveries ≥ 0.
-type RecoveryInfo struct {
-	// ReduceRetries is how many failed global reductions were re-entered
-	// (each retry pays a bounded virtual-clock backoff).
-	ReduceRetries int
-	// Restores is how many times the iteration state was rolled back to the
-	// last checkpoint (rank crash, NaN, stalled recursive residual, or a
-	// recurrence's dead end).
-	Restores int
-	// Reconverges counts convergence confirmations that failed — the check
-	// reduction said "converged" but a fresh-halo residual disagreed (stale
-	// or corrupted halos), so the solve reset its recurrence and continued.
-	Reconverges int
-	// CheckpointIter is the iteration of the last checkpoint taken (0 when
-	// only the initial state was checkpointed).
-	CheckpointIter int
-	// Degraded names the fallback rung that produced the result: "" (none),
-	// "re-eig" (retried with re-estimated eigenvalue bounds), or
-	// "chrongear" (fell back to the ChronGear solver).
-	Degraded string
 }

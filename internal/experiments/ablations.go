@@ -25,7 +25,7 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 	for _, every := range []int{1, 5, 10, 20, 50} {
 		row := []string{fmt.Sprint(every)}
 		for _, method := range []core.Method{core.MethodChronGear, core.MethodPCSI} {
-			sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil, nil,
+			sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil,
 				core.Options{Precond: core.PrecondEVP, CheckEvery: every})
 			if err != nil {
 				return nil, err
@@ -67,7 +67,7 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 		{core.MethodChronGear, 0}, {core.MethodPCSI, 0},
 		{core.MethodSStep, 1}, {core.MethodSStep, 2}, {core.MethodSStep, 4}, {core.MethodSStep, 8},
 	} {
-		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil, nil,
+		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil,
 			core.Options{Precond: core.PrecondEVP, SStep: row.s})
 		if err != nil {
 			return nil, err

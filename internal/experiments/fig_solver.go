@@ -21,7 +21,7 @@ func (c *Config) Fig03() (*Table, error) {
 		Header: []string{"lanczos_steps", "nu", "mu", "pcsi_iterations", "converged"},
 	}
 	run := func(steps int) (core.Result, float64, float64, int, error) {
-		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), c.CoreTargets("1deg")[2], 0, c.Machine, nil, nil,
+		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), c.CoreTargets("1deg")[2], 0, c.Machine, nil,
 			core.Options{Precond: core.PrecondDiagonal})
 		if err != nil {
 			return core.Result{}, 0, 0, 0, err

@@ -80,7 +80,7 @@ func (c *Config) measure(res string, g *grid.Grid, b []float64,
 // RHS are shared by the caller across configurations.
 func (c *Config) measureOn(machine *perfmodel.Machine, res string, g *grid.Grid, b []float64,
 	target int, sc SolverConfig) (Measurement, error) {
-	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), target, 0, machine, nil, nil, core.Options{Precond: sc.Precond})
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), target, 0, machine, nil, core.Options{Precond: sc.Precond})
 	if err != nil {
 		return Measurement{}, err
 	}

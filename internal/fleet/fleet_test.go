@@ -101,8 +101,8 @@ func bitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestFleetBitwiseIdenticalToDirectCore is the golden gate: a fault-free
-// solve through the full fleet stack (router → ring → worker → pooled
+// TestFleetBitwiseIdenticalToDirectCore is the golden gate: a solve
+// through the full fleet stack (router → ring → worker → pooled
 // session) must produce the same solution bits, iteration count and
 // residual as a bare core.Session solving the same request — and a cache
 // hit must replay exactly those bits again.

@@ -132,7 +132,7 @@ func New(cfg Config) (*Model, error) {
 	if cfg.Method, cfg.SolverOpts.Precond, err = core.Canonical(cfg.Method, cfg.SolverOpts.Precond); err != nil {
 		return nil, err
 	}
-	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), cfg.Cores, cfg.Threads, nil, nil, nil, cfg.SolverOpts)
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), cfg.Cores, cfg.Threads, nil, nil, cfg.SolverOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -32,15 +32,6 @@ const (
 	// EvIntervalRaise is P-CSI's divergence guard raising μ; Value/Aux are
 	// the new ν/μ.
 	EvIntervalRaise = "interval_raise"
-	// EvFault is a point event marking one injected fault on the emitting
-	// rank: Aux encodes the fault class (faults.Class ordinal), Value the
-	// straggler delay in seconds (stragglers) or the collective/phase
-	// sequence number (other classes).
-	EvFault = "fault_inject"
-	// EvRecover is a point event marking one recovery action: Iter is the
-	// solver iteration it happened at, Value encodes the recovery kind
-	// ordinal (see internal/core: reduce-retry=0, restore=1, reconverge=2).
-	EvRecover = "fault_recover"
 	// EvRunBegin marks the start of one run (comm.World.RunShards) on a rank. Every run
 	// restarts the virtual clock at zero, so timestamps are monotone
 	// non-decreasing per rank *within* a run segment; consumers must treat

@@ -3,7 +3,6 @@ package serve
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -132,7 +131,7 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sess, err := core.BuildSession(ge.g, ge.phi, o.Cores, o.Threads, machine, o.Injector, tracer, opts)
+	sess, err := core.BuildSession(ge.g, ge.phi, o.Cores, o.Threads, machine, tracer, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -290,33 +289,10 @@ func (p *keyPool) runBatch(sess *core.Session, slot *sessionSlot, batch []*reque
 	}
 }
 
-// retryBudget is how many times a worker re-runs one request whose
-// resilient solve still faulted beyond recovery. Only an injected fault can
-// make a solve fault, and one fresh run already draws a disjoint slice of
-// the fault schedule, so transient storms clear.
-const retryBudget = 1
-
-// solveOnce runs one request on the session, resiliently: with an injector
-// wired in that means checkpoints, retried reductions and the degraded-mode
-// ladder, without one SolveResilient is a plain SolveContext. A solve that
-// still faults beyond recovery is re-run up to retryBudget times. The
-// request's context carries its trace ID, which every attempt's rank-level
-// spans adopt.
+// solveOnce runs one request on the session. The request's context carries
+// its trace ID, which the solve's rank-level spans adopt.
 func (p *keyPool) solveOnce(sess *core.Session, r *request) (core.Result, []float64, error) {
-	m := &p.svc.m
-	res, x, err := sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
-	m.solves.Inc()
-	for attempt := 0; attempt < retryBudget && errors.Is(err, core.ErrFaulted); attempt++ {
-		m.retried.Inc()
-		res, x, err = sess.SolveResilient(r.ctx, r.key.Method, r.req.B, r.req.X0)
-		m.solves.Inc()
-		if err == nil {
-			m.recovered.Inc()
-			p.svc.opts.Injector.Recovered("request-retry")
-		}
-	}
-	if errors.Is(err, core.ErrFaulted) {
-		m.faulted.Inc()
-	}
+	res, x, err := sess.SolveContext(r.ctx, r.key.Method, r.req.B, r.req.X0)
+	p.svc.m.solves.Inc()
 	return res, x, err
 }

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/grid"
 	"repro/internal/obs"
 )
@@ -78,13 +77,6 @@ type Options struct {
 
 	// Registry receives the serve_* metrics; nil creates a private one.
 	Registry *obs.Registry
-
-	// Injector, when non-nil, is wired into every session's communication
-	// world: solves run under deterministic fault injection, which is what
-	// arms core.Session.SolveResilient's ladder and the one request retry
-	// (retryBudget). Nil (the default) leaves the solve path bitwise
-	// identical to a service that never heard of fault injection.
-	Injector *faults.Injector
 
 	// TraceCapacity, when > 0, attaches a tracer to every session's world
 	// retaining this many events per rank, enabling request-scoped span
@@ -159,8 +151,8 @@ type Request struct {
 // Response is one completed solve. X is the caller's copy of the solution —
 // unlike core.Session solves, it is not invalidated by later requests.
 type Response struct {
-	// Result summarizes the solve (iterations, convergence, recovery
-	// counts, virtual-time statistics).
+	// Result summarizes the solve (iterations, convergence, virtual-time
+	// statistics).
 	Result core.Result
 	// X is the solution vector (length = grid N).
 	X []float64
@@ -234,9 +226,6 @@ type metrics struct {
 	solves     *obs.Counter
 	batches    *obs.Counter
 	errors     *obs.Counter
-	retried    *obs.Counter
-	faulted    *obs.Counter
-	recovered  *obs.Counter
 	sessions   *obs.Gauge
 	queueMax   *obs.Gauge
 	queueDepth *obs.Gauge
@@ -256,16 +245,13 @@ func New(opts Options) *Service {
 		pools: make(map[Key]*keyPool),
 		grids: make(map[string]*gridEntry),
 		m: metrics{
-			requests:  r.Counter("serve_requests_total", "solve admissions attempted"),
-			shed:      r.Counter("serve_shed_total", "requests shed with ErrOverloaded"),
-			expired:   r.Counter("serve_expired_total", "requests expired in queue before solving"),
-			solves:    r.Counter("serve_solves_total", "solves executed"),
-			batches:   r.Counter("serve_batches_total", "session checkouts (batches)"),
-			errors:    r.Counter("serve_errors_total", "solves returning an error"),
-			retried:   r.Counter("serve_retried_total", "request re-runs after a faulted solve"),
-			faulted:   r.Counter("serve_faulted_total", "requests faulted beyond the retry budget"),
-			recovered: r.Counter("serve_recovered_total", "requests rescued by a retry"),
-			sessions:  r.Gauge("serve_sessions", "warmed sessions across all keys"),
+			requests: r.Counter("serve_requests_total", "solve admissions attempted"),
+			shed:     r.Counter("serve_shed_total", "requests shed with ErrOverloaded"),
+			expired:  r.Counter("serve_expired_total", "requests expired in queue before solving"),
+			solves:   r.Counter("serve_solves_total", "solves executed"),
+			batches:  r.Counter("serve_batches_total", "session checkouts (batches)"),
+			errors:   r.Counter("serve_errors_total", "solves returning an error"),
+			sessions: r.Gauge("serve_sessions", "warmed sessions across all keys"),
 			queueMax: r.Gauge("serve_queue_depth_peak",
 				"deepest queue observed at admission since service start; high-water mark only, never resets or decays"),
 			queueDepth: r.Gauge("serve_queue_depth",
@@ -416,16 +402,13 @@ func (s *Service) pool(key Key) (*keyPool, error) {
 // Snapshot returns the current counter values.
 func (s *Service) Snapshot() Stats {
 	return Stats{
-		Requests:  s.m.requests.Value(),
-		Shed:      s.m.shed.Value(),
-		Expired:   s.m.expired.Value(),
-		Solves:    s.m.solves.Value(),
-		Batches:   s.m.batches.Value(),
-		Errors:    s.m.errors.Value(),
-		Sessions:  int64(s.m.sessions.Value()),
-		Retried:   s.m.retried.Value(),
-		Faulted:   s.m.faulted.Value(),
-		Recovered: s.m.recovered.Value(),
+		Requests: s.m.requests.Value(),
+		Shed:     s.m.shed.Value(),
+		Expired:  s.m.expired.Value(),
+		Solves:   s.m.solves.Value(),
+		Batches:  s.m.batches.Value(),
+		Errors:   s.m.errors.Value(),
+		Sessions: int64(s.m.sessions.Value()),
 	}
 }
 

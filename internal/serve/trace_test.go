@@ -11,8 +11,42 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/obs"
 )
+
+// gridRHS builds one deterministic right-hand side on the test grid.
+func gridRHS(t *testing.T) []float64 {
+	t.Helper()
+	g, err := grid.ByName(grid.PresetTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, g.N())
+	for k, ocean := range g.Mask {
+		if ocean {
+			x := uint64(k)*2654435761 + 0x9E3779B9
+			x ^= x >> 13
+			b[k] = float64(x%1000)/500 - 1
+		}
+	}
+	return b
+}
+
+// newService builds a service with the given options, closed when the test
+// ends.
+func newService(t *testing.T, opts Options) *Service {
+	t.Helper()
+	s := New(opts)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return s
+}
 
 // tracedService builds a traced service on the test grid with a priced
 // machine model, so solves carry nonzero virtual compute/halo/reduce splits.
@@ -21,7 +55,7 @@ func tracedService(t *testing.T, opts Options) *Service {
 	if opts.TraceCapacity == 0 {
 		opts.TraceCapacity = 1 << 14
 	}
-	return chaosService(t, opts.Injector, opts)
+	return newService(t, opts)
 }
 
 // TestTracedRequestAttribution is the tracing acceptance test: one traced
@@ -34,7 +68,7 @@ func TestTracedRequestAttribution(t *testing.T) {
 		MachineName: "yellowstone",
 		Solver:      core.Options{Tol: 1e-10},
 	})
-	b := chaosRHS(t)
+	b := gridRHS(t)
 	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: b}
 
 	// Warm the pool so the measured requests pay steady-state latency only.
@@ -151,10 +185,10 @@ func TestTracedRequestAttribution(t *testing.T) {
 // recorder must leave the solve bitwise identical — the golden-trace
 // guarantee with instrumentation on.
 func TestTracingDoesNotPerturbSolutions(t *testing.T) {
-	b := chaosRHS(t)
+	b := gridRHS(t)
 	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: b}
 	solve := func(opts Options) Response {
-		svc := chaosService(t, nil, opts)
+		svc := newService(t, opts)
 		resp, err := svc.Solve(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +222,7 @@ func TestPerfettoExportDuringLoad(t *testing.T) {
 		TraceCapacity: 1 << 10,
 		Solver:        core.Options{Tol: 1e-8},
 	})
-	b := chaosRHS(t)
+	b := gridRHS(t)
 	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: b}
 	if _, err := svc.Solve(context.Background(), req); err != nil {
 		t.Fatal(err)
@@ -232,9 +266,9 @@ func TestPerfettoExportDuringLoad(t *testing.T) {
 // TestQueueDepthMetrics: the current-depth gauge and the peak gauge are both
 // exposed, and the peak's help string documents its no-reset semantics.
 func TestQueueDepthMetrics(t *testing.T) {
-	svc := chaosService(t, nil, Options{Solver: core.Options{Tol: 1e-8}})
+	svc := newService(t, Options{Solver: core.Options{Tol: 1e-8}})
 	if _, err := svc.Solve(context.Background(),
-		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: chaosRHS(t)}); err != nil {
+		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: gridRHS(t)}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -258,9 +292,9 @@ func TestQueueDepthMetrics(t *testing.T) {
 // the histogram with at least the latency its own flight record measured
 // (admission included), not the queue-to-response remainder.
 func TestLatencyCoversAdmission(t *testing.T) {
-	svc := chaosService(t, nil, Options{Solver: core.Options{Tol: 1e-8}})
+	svc := newService(t, Options{Solver: core.Options{Tol: 1e-8}})
 	if _, err := svc.Solve(context.Background(),
-		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: chaosRHS(t)}); err != nil {
+		Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: gridRHS(t)}); err != nil {
 		t.Fatal(err)
 	}
 	rec := svc.Flight().Recent()[0]
@@ -281,7 +315,7 @@ func TestTraceDroppedExported(t *testing.T) {
 		TraceCapacity: 8, // deliberately tiny: guaranteed wraparound
 		Solver:        core.Options{Tol: 1e-8},
 	})
-	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: chaosRHS(t)}
+	req := Request{Method: core.MethodPCSI, Precond: core.PrecondEVP, B: gridRHS(t)}
 	for i := 0; i < 3; i++ {
 		if _, err := svc.Solve(context.Background(), req); err != nil {
 			t.Fatal(err)

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/grid"
 	"repro/internal/model"
@@ -67,25 +66,6 @@ type (
 	// a solve that stopped short of its tolerance; match with
 	// errors.As(err, &nc) or errors.Is(err, ErrNotConverged).
 	NotConvergedError = core.NotConvergedError
-
-	// FaultPlan configures deterministic fault injection: seeded per-class
-	// probabilities for stragglers, dropped/corrupted halos, failed
-	// reductions and rank crashes. The zero value injects nothing.
-	FaultPlan = faults.Plan
-	// FaultInjector draws the deterministic fault schedule a plan describes
-	// and counts injections and recoveries. Wire one into a SolverSpec or
-	// ServiceOptions; nil means no injection, bit for bit.
-	FaultInjector = faults.Injector
-	// FaultClass enumerates the injectable fault classes (see the Fault*
-	// constants).
-	FaultClass = faults.Class
-	// RecoveryInfo counts the recovery actions one resilient solve performed
-	// (checkpoint restores, reduction retries, recurrence restarts).
-	RecoveryInfo = core.RecoveryInfo
-	// FaultedError carries the recovery totals of a solve that faulted
-	// beyond its recovery budget; match with errors.As(err, &fe) or
-	// errors.Is(err, ErrFaulted).
-	FaultedError = core.FaultedError
 
 	// Service is the concurrent solve front end: a pool of warmed-up
 	// sessions served by batching workers behind bounded queues.
@@ -182,30 +162,7 @@ var (
 	ErrOverloaded = serve.ErrOverloaded
 	// ErrServiceClosed marks Service requests rejected during drain.
 	ErrServiceClosed = serve.ErrClosed
-	// ErrFaulted marks solves that failed beyond their recovery budget
-	// under fault injection; concrete errors carry a *FaultedError.
-	ErrFaulted = core.ErrFaulted
 )
-
-// Injectable fault classes, in FaultPlan field order.
-const (
-	// FaultStraggler delays one rank's entry into a global reduction.
-	FaultStraggler = faults.Straggler
-	// FaultHaloDrop discards a rank's received halo strips for one phase.
-	FaultHaloDrop = faults.HaloDrop
-	// FaultHaloCorrupt NaN-poisons a received halo message.
-	FaultHaloCorrupt = faults.HaloCorrupt
-	// FaultReduceFail fails one global reduction on every rank at once.
-	FaultReduceFail = faults.ReduceFail
-	// FaultRankCrash loses one rank's solver state at a convergence check.
-	FaultRankCrash = faults.RankCrash
-)
-
-// NewFaultInjector builds a deterministic injector for the plan. Equal plans
-// replay equal fault schedules for equal operation sequences; injection and
-// recovery counts are readable via the injector's Injected and Recoveries
-// methods.
-func NewFaultInjector(plan FaultPlan) *FaultInjector { return faults.New(plan) }
 
 // ParseMethod maps a method name ("chrongear", "pcg", "pcsi", "csi",
 // "sstep"; "" = chrongear) to its Method; unknown names match ErrBadSpec.
@@ -309,11 +266,6 @@ type SolverSpec struct {
 	// size, Lanczos controls); zero values take defaults. Options.Precond
 	// is overwritten from Precond.
 	Options SolverOptions
-	// Faults, when non-nil, wires deterministic fault injection into the
-	// solver's communication world. Solves should then go through
-	// SolveResilient; a nil injector leaves every solve bitwise identical
-	// to a build without fault injection.
-	Faults *FaultInjector
 }
 
 // Solver bundles a decomposition, communicator, and session built over a
@@ -354,7 +306,7 @@ func NewSolver(g *Grid, spec SolverSpec) (*Solver, error) {
 	opts := spec.Options
 	opts.Precond = spec.Precond
 
-	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(spec.Tau), spec.Cores, spec.Threads, machine, spec.Faults, nil, opts)
+	sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(spec.Tau), spec.Cores, spec.Threads, machine, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -376,18 +328,6 @@ func (s *Solver) Solve(b, x0 []float64) (Result, []float64, error) {
 // valid until the next solve on this solver.
 func (s *Solver) SolveContext(ctx context.Context, b, x0 []float64) (Result, []float64, error) {
 	return s.Session.SolveContext(ctx, s.Spec.Method, b, x0)
-}
-
-// SolveResilient is SolveContext under fault injection: solves of every
-// method checkpoint at clean convergence checks, retry failed reductions,
-// roll back on crashes and corruption tripwires, and descend a
-// degraded-mode ladder (re-estimated eigenvalue bounds for the methods that
-// use them, then ChronGear) before giving up.
-// A solve that still fails beyond Options.MaxRecoveries returns an error
-// matching ErrFaulted; Result.Recovery counts what the machinery did.
-// Without an active injector this is exactly SolveContext.
-func (s *Solver) SolveResilient(ctx context.Context, b, x0 []float64) (Result, []float64, error) {
-	return s.Session.SolveResilient(ctx, s.Spec.Method, b, x0)
 }
 
 // EstimateEigenvalues exposes the Lanczos bounds estimation (P-CSI setup).

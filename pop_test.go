@@ -349,8 +349,7 @@ func TestExperimentNames(t *testing.T) {
 // TestCappedSolveOneContract holds the one failure contract: a solve
 // capped at MaxIters short of Tol ends in a *NotConvergedError, whose
 // Iterations is the solve's own, through every front end — Solver.Solve,
-// SolveResilient with no injector, a Service and a Fleet — for every
-// method.
+// a Service and a Fleet — for every method.
 func TestCappedSolveOneContract(t *testing.T) {
 	g, err := NewGrid(GridTest)
 	if err != nil {
@@ -392,8 +391,6 @@ func TestCappedSolveOneContract(t *testing.T) {
 				}
 			}
 			check("Solver.Solve", err, want)
-			res, _, err = s.SolveResilient(context.Background(), b, nil)
-			check("SolveResilient", err, res.Iterations)
 			req := ServeRequest{Grid: GridTest, Method: m, Precond: PrecondDiagonal, B: b}
 			_, err = svc.Solve(context.Background(), req)
 			check("Service.Solve", err, want)

@@ -92,10 +92,10 @@ echo "== go test -race =="
 # - the zero-allocation steady state of the comm collectives
 #   (TestSteadyStateCommAllocFree, TestExchangeMultiBufferReuse) and bitwise
 #   residual histories across warm and cold arenas;
-# - the shard executor (the executor_gates below) and the chaos, worker-shard
-#   and s-step gates: fault injection bitwise invisible when off, every
-#   {method} x {fault class} cell recovering on the ladder, solutions bitwise
-#   identical across threads 1/2/4/8, the ceil(iters/s)+1 reduction bound;
+# - the shard executor (the executor_gates below) and the worker-shard and
+#   s-step gates: solutions bitwise identical across threads 1/2/4/8, the
+#   ceil(iters/s)+1 reduction bound, a capped solve reporting the residual
+#   of the x it returns;
 # - the answer oracle: every methods row x preconditioner x threads {1, 4}
 #   (x s {1, 4, 8}) against a dense LU solve on the friendly grid and four
 #   hostile masks (TestSolversMatchDenseReference), FuzzDenseReference's
@@ -111,8 +111,8 @@ go test -race ./...
 echo "== shard executor gates on one scheduler thread (race) =="
 # The rank runtime itself: Exchange/ExchangeMulti/AllReduce looped over
 # NRank {2,7,64,676} x Threads {1,2,3,NRank,NRank+5}, bitwise equal to
-# Threads=1 and to a sequential reduction tree, with halo drops and
-# corruptions injected against a sequential model; a skipped collective, a
+# Threads=1 and to a sequential reduction tree, halo field bits against a
+# sequential model of the exchange; a skipped collective, a
 # collective inside a per-rank pass, a level-count mismatch, ranks entering
 # one reduction with different payload widths or a panicking rank must fail
 # fast on the run's caller instead of hanging or summing misaligned deposits.
@@ -120,7 +120,7 @@ echo "== shard executor gates on one scheduler thread (race) =="
 # process is on one scheduler thread, where a lost wake-up or a worker that
 # never yields — a shard waiting on another shard's reduction or mailbox must
 # park and be woken, not spin — would show as a hang.
-executor_gates='TestExecutorStress|TestFaultedExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
+executor_gates='TestExecutorStress|TestHaloExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
 GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
 # Every solve is a shard program whose workers park and wake on each other's
 # reductions and seam mailboxes: the fingerprints, the solvers' allocation
