@@ -12,7 +12,6 @@ package pop
 
 import (
 	"io"
-	"math"
 	"sync"
 	"testing"
 
@@ -114,49 +113,4 @@ func BenchmarkModelStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Ablation: EVP sub-block size vs iterations and per-solve virtual cost —
-// the design-choice study DESIGN.md calls out (the paper fixes ≤12×12).
-func BenchmarkAblationEVPBlockSize(b *testing.B) {
-	g, op := benchGridOp(b)
-	rhs := make([]float64, g.N())
-	xTrue := make([]float64, g.N())
-	for k, ocean := range g.Mask {
-		if ocean {
-			xTrue[k] = math.Cos(float64(k) / 17)
-		}
-	}
-	op.Apply(rhs, xTrue)
-	for k, ocean := range g.Mask {
-		if !ocean {
-			rhs[k] = 0
-		}
-	}
-	for _, size := range []int{4, 8, 12} {
-		b.Run(sizeName(size), func(b *testing.B) {
-			s, err := NewSolver(g, SolverSpec{Method: MethodPCSI, Precond: PrecondEVP, Cores: 12,
-				MachineName: "ideal", Options: SolverOptions{EVPBlockSize: size}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var iters int
-			var virtual float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, _, err := s.Solve(rhs, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = res.Iterations
-				virtual = res.Stats.MaxClock
-			}
-			b.ReportMetric(float64(iters), "iters")
-			b.ReportMetric(virtual*1e3, "virtual-ms")
-		})
-	}
-}
-
-func sizeName(n int) string {
-	return string(rune('0'+n/10)) + string(rune('0'+n%10)) + "x" + string(rune('0'+n/10)) + string(rune('0'+n%10))
 }

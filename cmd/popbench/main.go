@@ -3,7 +3,7 @@
 // Usage:
 //
 //	popbench -exp fig8 -machine yellowstone        # one experiment, full scale
-//	popbench -exp sstep                            # s-step crossover at 1°, 676 ranks
+//	popbench -exp sstep                            # s-step reduction saving at 1°, 676 ranks
 //	popbench -exp all -quick                       # everything, reduced scale
 //	popbench -list                                 # available experiment ids
 //

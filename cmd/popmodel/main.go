@@ -29,7 +29,6 @@ func main() {
 		days      = flag.Float64("days", 10, "simulated days")
 		solver    = flag.String("solver", "chrongear", "barotropic solver: "+strings.Join(core.MethodNames(), ", "))
 		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
-		sstep     = flag.Int("sstep", 0, "s-step block size for -solver sstep (0 = default 4)")
 		every     = flag.Float64("report", 1, "report interval (days; at least one step)")
 		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
 		traceOut  = flag.String("trace", "", "write the run's Perfetto trace (ui.perfetto.dev, poptrace) to this file")
@@ -49,7 +48,7 @@ func main() {
 	m, err := pop.NewModel(pop.ModelConfig{
 		Grid:       g,
 		Method:     method,
-		SolverOpts: core.Options{Precond: pc, SStep: *sstep},
+		SolverOpts: core.Options{Precond: pc},
 		Threads:    *threads,
 	})
 	fatalIf(err)

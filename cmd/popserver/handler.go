@@ -155,7 +155,6 @@ func serveRequest(freq api.FrameRequest) pop.ServeRequest {
 		Grid:    freq.Grid,
 		Method:  freq.Method,
 		Precond: freq.Precond,
-		SStep:   freq.SStep,
 		B:       freq.B,
 		X0:      freq.X0,
 	}

@@ -29,7 +29,7 @@ func TestServeRequestCarriesEveryFrameField(t *testing.T) {
 		"ReturnX":   "decides whether the response carries X",
 		"NoCache":   "is a router directive (pop.FleetRequest.NoCache)",
 	}
-	freq := api.FrameRequest{Grid: "1deg", Method: pop.MethodSStep, Precond: pop.PrecondEVP, SStep: 8,
+	freq := api.FrameRequest{Grid: "1deg", Method: pop.MethodSStep, Precond: pop.PrecondEVP,
 		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true, NoCache: true, TraceID: 77}
 	sreq := reflect.ValueOf(serveRequest(freq))
 	fv := reflect.ValueOf(freq)

@@ -66,17 +66,16 @@ func main() {
 		fleetN   = flag.Int("fleet", 0, "run an in-process fleet with this many worker shards (0 = single service)")
 		cacheCap = flag.Int("cache", 0, "fleet result-cache capacity in entries (0 = default 4096, negative = off)")
 
-		probe      = flag.String("probe", "", "client mode: send one solve to this base URL and exit (0 = converged)")
-		frame      = flag.Bool("frame", false, "probe mode: speak the binary frame instead of JSON")
-		probeGrid  = flag.String("grid", "test", "probe mode: grid preset")
-		probeMeth  = flag.String("method", "chrongear", "probe mode: solver method")
-		probePrec  = flag.String("precond", "diagonal", "probe mode: preconditioner")
-		probeSStep = flag.Int("sstep", 0, "probe mode: s-step block size for -method sstep (0 = server default)")
+		probe     = flag.String("probe", "", "client mode: send one solve to this base URL and exit (0 = converged)")
+		frame     = flag.Bool("frame", false, "probe mode: speak the binary frame instead of JSON")
+		probeGrid = flag.String("grid", "test", "probe mode: grid preset")
+		probeMeth = flag.String("method", "chrongear", "probe mode: solver method")
+		probePrec = flag.String("precond", "diagonal", "probe mode: preconditioner")
 	)
 	flag.Parse()
 
 	if *probe != "" {
-		os.Exit(runProbe(*probe, *frame, *probeGrid, *probeMeth, *probePrec, *probeSStep))
+		os.Exit(runProbe(*probe, *frame, *probeGrid, *probeMeth, *probePrec))
 	}
 
 	obs.ServePprof(*pprofAddr)

@@ -32,9 +32,8 @@ func main() {
 		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		cores     = flag.Int("cores", 0, "virtual core count (0 = single rank)")
 		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
-		sstep     = flag.Int("sstep", 0, "s-step block size for -method sstep (0 = default 4; matvecs per global reduction)")
 		machine   = flag.String("machine", "yellowstone", "machine model: yellowstone, edison, ideal, or empty")
-		tol       = flag.Float64("tol", 1e-13, "relative convergence tolerance")
+		tol       = flag.Float64("tol", core.DefaultTol, "relative convergence tolerance")
 		traceOut  = flag.String("trace", "", "write the solve's Perfetto trace (ui.perfetto.dev, poptrace) to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)
@@ -52,7 +51,7 @@ func main() {
 	solver, err := pop.NewSolver(g, pop.SolverSpec{
 		Method: m, Precond: pc, Cores: *cores, Threads: *threads,
 		MachineName: *machine,
-		Options:     pop.SolverOptions{Tol: *tol, SStep: *sstep},
+		Options:     pop.SolverOptions{Tol: *tol},
 	})
 	fatalIf(err)
 	fmt.Printf("solver %s+%s on %d virtual cores (%d worker shards)\n",

@@ -51,10 +51,6 @@ type SolveRequest struct {
 	// Precond names the preconditioner ("" = "diagonal"); see
 	// AcceptedPreconds.
 	Precond string `json:"precond,omitempty"`
-	// SStep is the communication-avoiding block size for the "sstep"
-	// method (0 = server default of 4; valid 1..8). Ignored for other
-	// methods.
-	SStep int `json:"sstep,omitempty"`
 	// B is the explicit right-hand side (length = grid N); mutually
 	// exclusive with RHS.
 	B []float64 `json:"b,omitempty"`

@@ -58,7 +58,7 @@ func zeroFields(v any) []string {
 // exception: generator names are resolved to an explicit B by the server
 // (popserver's syntheticRHS) and never reach a frame.
 func TestParseCarriesEveryField(t *testing.T) {
-	full := SolveRequest{Grid: "1deg", Method: "sstep", Precond: "blocklu", SStep: 8,
+	full := SolveRequest{Grid: "1deg", Method: "sstep", Precond: "blocklu",
 		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
 		TraceID: 77, NoCache: true}
 	if z := zeroFields(full); !reflect.DeepEqual(z, []string{"RHS"}) {
@@ -66,7 +66,7 @@ func TestParseCarriesEveryField(t *testing.T) {
 	}
 	// JSON and the binary frame continue as one typed request: everything a
 	// frame carries arrives from a JSON body too.
-	want := FrameRequest{Grid: "1deg", Method: core.MethodSStep, Precond: core.PrecondBlockLU, SStep: 8,
+	want := FrameRequest{Grid: "1deg", Method: core.MethodSStep, Precond: core.PrecondBlockLU,
 		B: []float64{1, 2}, X0: []float64{3, 4}, TimeoutMS: 1234, ReturnX: true,
 		TraceID: 77, NoCache: true}
 	if got, err := full.Parse(); err != nil || !reflect.DeepEqual(got, want) {
@@ -110,8 +110,6 @@ func TestParseBadEnumListsAccepted(t *testing.T) {
 		{SolveRequest{Method: "gmres"}, "method", acceptedMethods},
 		{SolveRequest{Method: "pipecg"}, "method", acceptedMethods},
 		{SolveRequest{Precond: "ilu"}, "precond", acceptedPreconds},
-		{SolveRequest{SStep: core.MaxSStep + 1}, "sstep", acceptedSSteps},
-		{SolveRequest{SStep: -1}, "sstep", acceptedSSteps},
 	}
 	for _, tc := range cases {
 		_, err := tc.req.Parse()
@@ -151,7 +149,6 @@ func TestFrameRequestRoundTrip(t *testing.T) {
 		Grid:      "test",
 		Method:    core.MethodPCSI,
 		Precond:   core.PrecondEVP,
-		SStep:     8,
 		B:         []float64{1.5, -2.25, math.Pi, 0, math.Copysign(0, -1)},
 		X0:        []float64{0.5, 0.25, 0, 1, 2},
 		TimeoutMS: 1234,
@@ -248,11 +245,11 @@ func TestFrameRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 
-	// Version 4 is the only schema: the retired v1–v3 bytes and anything
+	// Version 5 is the only schema: the retired v1–v4 bytes and anything
 	// newer are structural damage, not a compatibility path. (v3 numbered
 	// the method byte with one more method, so its pcsi byte would read as
-	// csi.)
-	for _, ver := range []byte{0, 1, 2, 3, FrameVersion + 1, 9} {
+	// csi; v4 carried an s-step byte before the flags.)
+	for _, ver := range []byte{0, 1, 2, 3, 4, FrameVersion + 1, 9} {
 		bad = append([]byte(nil), good...)
 		bad[4] = ver
 		if _, err := DecodeFrameRequest(bad); !errors.Is(err, ErrBadFrame) {
@@ -289,8 +286,7 @@ func TestHashSolveDeterminismAndSensitivity(t *testing.T) {
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-10, b, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, []float64{1, 2, 4}, nil),
 		HashSolve("test", core.MethodPCSI, core.PrecondEVP, core.Float64, 0, 1e-13, b, []float64{0, 0, 1}),
-		HashSolve("test", core.MethodSStep, core.PrecondEVP, core.Float64, 4, 1e-13, b, nil),
-		HashSolve("test", core.MethodSStep, core.PrecondEVP, core.Float64, 8, 1e-13, b, nil),
+		HashSolve("test", core.MethodSStep, core.PrecondEVP, core.Float64, 0, 1e-13, b, nil),
 	}
 	seen := map[CacheKey]bool{base: true}
 	for i, v := range variants {

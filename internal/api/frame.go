@@ -13,14 +13,14 @@ import (
 //
 //	offset size field
 //	0      4    magic "POPF"
-//	4      1    version (4; decoders accept no other)
+//	4      1    version (5; decoders accept no other)
 //	5      1    kind (FrameSolveRequest | FrameSolveResponse | FrameError)
 //	6      …    kind-specific payload
 //
 // Solve-request payload:
 //
-//	u8 method, u8 precond, u8 sstep (0 = default), u8 flags
-//	(bit0 return_x, bit1 has_x0, bit2 no_cache), u32 timeout_ms,
+//	u8 method, u8 precond, u8 flags (bit0 return_x, bit1 has_x0,
+//	bit2 no_cache), u32 timeout_ms,
 //	u64 trace_id, u16 len(grid) + grid bytes,
 //	u32 len(b) + b as raw float64,
 //	[if has_x0] u32 len(x0) + x0 as raw float64
@@ -48,7 +48,7 @@ const FrameMagic = "POPF"
 
 // FrameVersion is the frame schema version: written by every encoder and
 // the only one the decoders accept (any other is ErrBadFrame).
-const FrameVersion = 4
+const FrameVersion = 5
 
 // Frame kinds (byte 5).
 const (
@@ -97,8 +97,6 @@ type FrameRequest struct {
 	NoCache bool
 	// TraceID is the request-scoped trace ID (0 = assign fresh).
 	TraceID uint64
-	// SStep is the s-step block size for Method sstep (0 = default).
-	SStep int
 }
 
 // AppendFrameRequest appends the frame encoding of r to dst and returns
@@ -115,7 +113,7 @@ func AppendFrameRequest(dst []byte, r FrameRequest) []byte {
 	if r.NoCache {
 		flags |= 1 << 2
 	}
-	dst = append(dst, byte(r.Method), byte(r.Precond), byte(r.SStep), flags)
+	dst = append(dst, byte(r.Method), byte(r.Precond), flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(r.TimeoutMS))
 	dst = binary.LittleEndian.AppendUint64(dst, r.TraceID)
 	dst = appendString16(dst, r.Grid)
@@ -127,7 +125,7 @@ func AppendFrameRequest(dst []byte, r FrameRequest) []byte {
 }
 
 // DecodeFrameRequest parses a solve-request frame. Enum bytes are
-// validated (an out-of-range method/precond/sstep is a *FieldError,
+// validated (an out-of-range method/precond is a *FieldError,
 // exactly like the JSON path), structural damage matches ErrBadFrame.
 func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 	p, err := newParser(raw, FrameSolveRequest)
@@ -135,7 +133,7 @@ func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 		return FrameRequest{}, err
 	}
 	var r FrameRequest
-	m, pc, sstep, flags := p.byte(), p.byte(), p.byte(), p.byte()
+	m, pc, flags := p.byte(), p.byte(), p.byte()
 	r.TimeoutMS = int(p.uint32())
 	r.TraceID = p.uint64()
 	r.Grid = p.string16()
@@ -154,10 +152,6 @@ func DecodeFrameRequest(raw []byte) (FrameRequest, error) {
 	if !r.Precond.Valid() {
 		return FrameRequest{}, &FieldError{Field: "precond", Value: fmt.Sprintf("%d", pc), Accepted: acceptedPreconds}
 	}
-	if int(sstep) > core.MaxSStep {
-		return FrameRequest{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", sstep), Accepted: acceptedSSteps}
-	}
-	r.SStep = int(sstep)
 	r.ReturnX = flags&(1<<0) != 0
 	r.NoCache = flags&(1<<2) != 0
 	return r, nil

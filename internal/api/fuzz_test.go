@@ -15,7 +15,7 @@ import (
 // structurally damaged fragments.
 func frameFuzzSeeds() [][]byte {
 	req := AppendFrameRequest(nil, FrameRequest{
-		Grid: "test", Method: core.MethodPCSI, Precond: core.PrecondEVP, SStep: 8,
+		Grid: "test", Method: core.MethodPCSI, Precond: core.PrecondEVP,
 		B:         []float64{1.5, -2.25, math.Pi, 0, math.Copysign(0, -1)},
 		X0:        []float64{0.5, 0.25, 0, 1, 2},
 		TimeoutMS: 1234, ReturnX: true, NoCache: true, TraceID: 0xDEADBEEFCAFE,

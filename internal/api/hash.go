@@ -19,21 +19,20 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 type CacheKey [sha256.Size]byte
 
 // HashSolve computes the cache key for one solve: grid preset, method,
-// preconditioner, s-step block size, the effective tolerance, the RHS bits
+// preconditioner, the effective tolerance, the RHS bits
 // and (when present) the initial-guess bits. Two requests share a key
 // exactly when a solve of one is bitwise substitutable for the
 // other — the deterministic-solver invariant the cache's replay guarantee
 // rests on. Float64 values are hashed by their IEEE bit patterns, so -0 ≠
 // +0 and equal-looking decimals that differ in the last ulp get distinct
 // keys: the cache never conflates solves the solver itself would
-// distinguish. Callers pass the normalized sstep (the serve layer's
-// default-applied value, 0 for non-sstep methods) so the same logical solve
-// always hashes identically.
+// distinguish.
 //
-// The precision parameter and the word it hashes are a vestige pinned by
-// benchmark/ (benchmark/probes_serving.go:26, benchmark/bench_test.go:152
-// call this signature and compare the keys): the only value is
-// core.Float64, and the parameter goes with the next benchmark PR.
+// The precision and sstep parameters and the words they hash are vestiges
+// pinned by benchmark/ (benchmark/probes_serving.go:26,
+// benchmark/bench_test.go:152 call this signature and compare the keys):
+// callers pass core.Float64 and 0 (the s-step block size is the constant
+// core.SStepBlock), and both parameters go with the next benchmark PR.
 func HashSolve(grid string, method core.Method, precond core.PrecondType, precision core.Precision, sstep int, tol float64, b, x0 []float64) CacheKey {
 	h := sha256.New()
 	var scratch [8]byte

@@ -12,7 +12,7 @@ import (
 // hashSolvePerWord is the key's byte stream written the plain way, one
 // Write per field and per vector word: the layout HashSolve must reproduce
 // however it batches its writes.
-func hashSolvePerWord(grid string, method core.Method, precond core.PrecondType, sstep int, tol float64, b, x0 []float64) CacheKey {
+func hashSolvePerWord(grid string, method core.Method, precond core.PrecondType, tol float64, b, x0 []float64) CacheKey {
 	h := sha256.New()
 	u32 := func(v int) { h.Write(binary.LittleEndian.AppendUint32(nil, uint32(v))) }
 	u64 := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
@@ -28,7 +28,7 @@ func hashSolvePerWord(grid string, method core.Method, precond core.PrecondType,
 	u64(uint64(method))
 	u64(uint64(precond))
 	u64(uint64(core.Float64))
-	u64(uint64(sstep))
+	u64(0) // the pinned sstep word
 	u64(math.Float64bits(tol))
 	vec(b)
 	vec(x0)
@@ -51,8 +51,8 @@ func TestHashSolveMatchesPerWordEncoding(t *testing.T) {
 			x0[i] = -b[n-1-i]
 		}
 		for _, guess := range [][]float64{nil, x0} {
-			got := HashSolve("test", core.MethodSStep, core.PrecondEVP, core.Float64, 4, 1e-13, b, guess)
-			want := hashSolvePerWord("test", core.MethodSStep, core.PrecondEVP, 4, 1e-13, b, guess)
+			got := HashSolve("test", core.MethodSStep, core.PrecondEVP, core.Float64, 0, 1e-13, b, guess)
+			want := hashSolvePerWord("test", core.MethodSStep, core.PrecondEVP, 1e-13, b, guess)
 			if got != want {
 				t.Fatalf("n=%d guess=%v: key %x, per-word encoding gives %x", n, guess != nil, got[:8], want[:8])
 			}

@@ -7,17 +7,14 @@ import (
 )
 
 // Accepted enum spellings, surfaced verbatim in 400 bodies so a rejected
-// request tells the client how to fix itself. All three lists derive from
-// core — the spelling tables behind the core parsers and core.MaxSStep —
-// so the JSON FieldError bodies here and the frame validation in frame.go
-// (which share these vars) can never drift from what the parsers accept.
-// Order is the tables' order: the default spelling comes first.
+// request tells the client how to fix itself. Both lists derive from the
+// spelling tables behind the core parsers, so the JSON FieldError bodies
+// here and the frame validation in frame.go (which share these vars) can
+// never drift from what the parsers accept. Order is the tables' order: the
+// default spelling comes first.
 var (
 	acceptedMethods  = core.MethodNames()
 	acceptedPreconds = core.PrecondNames()
-	// acceptedSSteps documents the numeric range for the 400 body (the
-	// field is an int, not an enum, so these are range descriptions).
-	acceptedSSteps = []string{"0 (default)", fmt.Sprintf("1..%d", core.MaxSStep)}
 )
 
 // AcceptedMethods lists the method names ParseMethod accepts ("" defaults
@@ -32,8 +29,7 @@ func AcceptedPreconds() []string { return append([]string(nil), acceptedPreconds
 // It wraps core.ErrBadSpec (so errors.Is keeps matching the typed-error
 // contract) and carries the accepted spellings for the 400 body.
 type FieldError struct {
-	// Field is the wire name of the failing field ("method", "precond",
-	// "sstep").
+	// Field is the wire name of the failing field ("method", "precond").
 	Field string
 	// Value is the rejected input.
 	Value string
@@ -77,9 +73,6 @@ func (r *SolveRequest) Parse() (FrameRequest, error) {
 	if err != nil {
 		return FrameRequest{}, &FieldError{Field: "precond", Value: r.Precond, Accepted: acceptedPreconds}
 	}
-	if r.SStep < 0 || r.SStep > core.MaxSStep {
-		return FrameRequest{}, &FieldError{Field: "sstep", Value: fmt.Sprintf("%d", r.SStep), Accepted: acceptedSSteps}
-	}
 	if r.RHS != "" && len(r.B) > 0 {
 		return FrameRequest{}, fmt.Errorf(`api: "b" and "rhs" are mutually exclusive: %w`, core.ErrBadSpec)
 	}
@@ -87,7 +80,6 @@ func (r *SolveRequest) Parse() (FrameRequest, error) {
 		Grid:      r.Grid,
 		Method:    method,
 		Precond:   precond,
-		SStep:     r.SStep,
 		B:         r.B,
 		X0:        r.X0,
 		TimeoutMS: r.TimeoutMS,

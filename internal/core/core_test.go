@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -166,14 +165,11 @@ func withMask(g *grid.Grid, ocean func(i, j int) bool) *grid.Grid {
 }
 
 // referenceGeometry is one grid of the answer oracle and the metamorphic
-// checks, with the blocking its dense-reference rows run on. plateaus names
-// the dense-reference rows ("sstep-evp/s8") that stop short of Tol on it
-// with a *NotConvergedError: s-step plateaus, still open.
+// checks, with the blocking its dense-reference rows run on.
 type referenceGeometry struct {
-	name     string
-	g        *grid.Grid
-	bx, by   int
-	plateaus []string
+	name   string
+	g      *grid.Grid
+	bx, by int
 }
 
 // referenceGeometries is the friendly 40×32 synthetic grid in 10×8 blocks,
@@ -185,13 +181,13 @@ func referenceGeometries(t *testing.T) []referenceGeometry {
 	t.Helper()
 	spec := grid.TestSpec()
 	spec.Nx, spec.Ny = 40, 32
-	geoms := []referenceGeometry{{"friendly", grid.Generate(spec), 10, 8, nil}}
+	geoms := []referenceGeometry{{"friendly", grid.Generate(spec), 10, 8}}
 	base := hostileBase()
 	for _, h := range hostileMasks {
-		geoms = append(geoms, referenceGeometry{h.name, withMask(base, h.ocean), 5, 4, nil})
+		geoms = append(geoms, referenceGeometry{h.name, withMask(base, h.ocean), 5, 4})
 	}
-	geoms = append(geoms, referenceGeometry{"thin-columns", base, 1, 4, nil},
-		referenceGeometry{"thin-rows", base, 5, 1, []string{"sstep-evp/s8"}})
+	geoms = append(geoms, referenceGeometry{"thin-columns", base, 1, 4},
+		referenceGeometry{"thin-rows", base, 5, 1})
 	for _, geom := range geoms {
 		if err := geom.g.Validate(); err != nil {
 			t.Fatal(err)
@@ -249,15 +245,12 @@ func maxEVPGrowth(s *Session) float64 {
 }
 
 // TestSolversMatchDenseReference is the answer oracle: every row of the
-// methods table × preconditioner × worker shards ∈ {1, 4} (× s ∈ {1, 4, 8}
-// for s-step) must reproduce the dense LU solution, on the friendly 40×32
-// synthetic grid and on each hostile mask. The threads-4 rows run every
-// collective of the driver and the recurrences across four shards. EVP
-// rows also hold every tile the preconditioner kept to the marching-growth
-// bound. A row a geometry lists in plateaus must instead end in
-// ErrNotConverged, on an answer still within 1e-9 of dense LU — FuzzDenseReference's
-// contract, pinned per row so that a new stop, or a listed row that starts
-// converging, fails.
+// methods table × preconditioner × worker shards ∈ {1, 4} must converge to
+// the dense LU solution on the friendly 40×32 synthetic grid and on each
+// hostile mask (s-step rows are named by their block size). The threads-4
+// rows run every collective of the driver and the recurrences across four
+// shards. EVP rows also hold every tile the preconditioner kept to the
+// marching-growth bound.
 func TestSolversMatchDenseReference(t *testing.T) {
 	for _, geom := range referenceGeometries(t) {
 		f := newFixture(t, geom.g, geom.bx, geom.by, 20000)
@@ -265,47 +258,34 @@ func TestSolversMatchDenseReference(t *testing.T) {
 		x0 := make([]float64, f.g.N())
 		for _, row := range solverRows() {
 			m, pc := row.m, row.pc
-			ss := []int{DefaultSStep}
-			if m == MethodSStep {
-				ss = []int{1, 4, 8}
-			}
 			for _, threads := range []int{1, 4} {
-				for _, sstep := range ss {
-					key := fmt.Sprintf("%v-%v", m, pc)
-					name := fmt.Sprintf("%s/%s/threads%d", geom.name, key, threads)
-					if m == MethodSStep {
-						key += fmt.Sprintf("/s%d", sstep)
-						name += fmt.Sprintf("/s%d", sstep)
-					}
-					t.Run(name, func(t *testing.T) {
-						f.w.SetThreads(threads)
-						s := f.session(t, Options{Precond: pc, Tol: 1e-12, SStep: sstep})
-						res, x, err := s.Solve(m, f.b, x0)
-						if slices.Contains(geom.plateaus, key) {
-							if !errors.Is(err, ErrNotConverged) {
-								t.Fatalf("listed as a plateau, ended with %v (converged=%v after %d iterations)",
-									err, res.Converged, res.Iterations)
-							}
-						} else if err != nil {
-							t.Fatal(err)
-						} else if !res.Converged {
-							t.Fatalf("did not converge in %d iterations (rel res %g)",
-								res.Iterations, res.RelResidual)
-						}
-						if e := maxOceanErr(f.g, x, want); e > 1e-9 {
-							t.Fatalf("solution error %g", e)
-						}
-						// Land rows must be exact identity: x = b.
-						for k, wet := range f.g.Mask {
-							if !wet && x[k] != f.b[k] {
-								t.Fatalf("land row %d not identity", k)
-							}
-						}
-						if g := maxEVPGrowth(s); pc == PrecondEVP && (g <= 0 || g > maxMarchGrowth) {
-							t.Fatalf("largest accepted EVP marching growth %g, want in (0, %g]", g, float64(maxMarchGrowth))
-						}
-					})
+				name := fmt.Sprintf("%s/%v-%v/threads%d", geom.name, m, pc, threads)
+				if m == MethodSStep {
+					name += fmt.Sprintf("/s%d", SStepBlock)
 				}
+				t.Run(name, func(t *testing.T) {
+					f.w.SetThreads(threads)
+					s := f.session(t, Options{Precond: pc, Tol: 1e-12})
+					res, x, err := s.Solve(m, f.b, x0)
+					if err != nil {
+						t.Fatal(err)
+					} else if !res.Converged {
+						t.Fatalf("did not converge in %d iterations (rel res %g)",
+							res.Iterations, res.RelResidual)
+					}
+					if e := maxOceanErr(f.g, x, want); e > 1e-9 {
+						t.Fatalf("solution error %g", e)
+					}
+					// Land rows must be exact identity: x = b.
+					for k, wet := range f.g.Mask {
+						if !wet && x[k] != f.b[k] {
+							t.Fatalf("land row %d not identity", k)
+						}
+					}
+					if g := maxEVPGrowth(s); pc == PrecondEVP && (g <= 0 || g > maxMarchGrowth) {
+						t.Fatalf("largest accepted EVP marching growth %g, want in (0, %g]", g, float64(maxMarchGrowth))
+					}
+				})
 			}
 		}
 	}
@@ -745,12 +725,12 @@ func TestLanczosStopsAtConvergedRitzValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nu, mu = nu/s.Opts.EigSafetyLow, mu/s.Opts.EigSafetyHigh
+		nu, mu = nu/eigSafetyLow, mu/eigSafetyHigh
 		nuInf, muInf, _, err := s.EstimateEigenvalues(nil, eigMaxSteps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nuInf, muInf = nuInf/s.Opts.EigSafetyLow, muInf/s.Opts.EigSafetyHigh
+		nuInf, muInf = nuInf/eigSafetyLow, muInf/eigSafetyHigh
 		if math.Abs(nu/nuInf-1) > 0.05 || math.Abs(mu/muInf-1) > 0.05 {
 			t.Errorf("%v: adaptive stop at %d steps gave θ ∈ [%g, %g], %d steps converge to [%g, %g] (ν at %.3g×)",
 				pc, steps, nu, mu, eigMaxSteps, nuInf, muInf, nu/nuInf)
@@ -932,6 +912,18 @@ func TestChebStepMatchesUpdateThenAxpy(t *testing.T) {
 	for k := range x {
 		if math.Float64bits(x[k]) != math.Float64bits(wantX[k]) || math.Float64bits(dx[k]) != math.Float64bits(wantDx[k]) {
 			t.Fatalf("entry %d: x %v want %v, dx %v want %v", k, x[k], wantX[k], dx[k], wantDx[k])
+		}
+	}
+}
+
+// TestNegativeLimitsRejected: a negative MaxIters or CheckEvery is a bad
+// spec at NewSession, not a solve that stops "after 0 iterations" or a
+// P-CSI that quietly checks on another interval.
+func TestNegativeLimitsRejected(t *testing.T) {
+	f := testFixture(t)
+	for _, o := range []Options{{MaxIters: -1}, {CheckEvery: -3}, {MaxIters: -1, CheckEvery: -3}} {
+		if _, err := NewSession(f.g, f.op, f.d, f.w, o); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%+v: got %v, want ErrBadSpec", o, err)
 		}
 	}
 }

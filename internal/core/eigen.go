@@ -17,6 +17,17 @@ const (
 	eigMaxSteps = 200
 )
 
+// Safety factors widening the estimated spectrum [ν, μ]: Lanczos
+// approaches λ_min from above and λ_max from below, and Chebyshev
+// iteration wants the true spectrum inside the interval. They are
+// deliberately snug (a loose ν inflates the iteration count by
+// √(ν_true/ν)); P-CSI's slow-convergence and divergence guards widen the
+// interval adaptively when a mode leaks outside.
+const (
+	eigSafetyLow  = 0.85
+	eigSafetyHigh = 1.05
+)
+
 // EstimateEigenvalues estimates the extreme eigenvalues of M⁻¹A — the
 // bounds P-CSI's Chebyshev interval needs — with the Lanczos process
 // realized through preconditioned CG (the classic CG–Lanczos connection:
@@ -198,8 +209,8 @@ func (s *Session) EstimateEigenvalues(b []float64, maxSteps int) (nu, mu float64
 	if nSteps == 0 {
 		return 0, 0, 0, fmt.Errorf("core: Lanczos produced no steps: %w", ErrEigEstimate)
 	}
-	s.Nu = lastNu * s.Opts.EigSafetyLow
-	s.Mu = lastMu * s.Opts.EigSafetyHigh
+	s.Nu = lastNu * eigSafetyLow
+	s.Mu = lastMu * eigSafetyHigh
 	s.EigSteps = nSteps
 	s.EigenStats = &st
 	s.EigTrace = eigTrace

@@ -29,7 +29,7 @@ const (
 	// MethodPCSI's row.
 	MethodCSI
 	// MethodSStep is the communication-avoiding s-step PCG with a Chebyshev
-	// basis (sstep.go): Options.SStep matrix-vector products batched between
+	// basis (sstep.go): SStepBlock matrix-vector products batched between
 	// single fused global reductions — at most ceil(iters/s)+1 reductions per
 	// converged solve.
 	MethodSStep

@@ -18,14 +18,8 @@ type Options struct {
 	// Precond selects the preconditioner (default PrecondIdentity).
 	Precond PrecondType
 
-	// EVPBlockSize is the block-Jacobi sub-block side (both EVP and
-	// block-LU). The paper quotes 12×12 as the stable EVP limit on its
-	// near-isotropic grids; the synthetic grids here are more anisotropic,
-	// so the default is 8.
-	EVPBlockSize int
-
 	// Tol is the relative convergence tolerance: ‖r‖ ≤ Tol·‖b‖ over ocean
-	// points. POP's default corresponds to 1e−13.
+	// points (default DefaultTol).
 	Tol float64
 	// MaxIters caps solver iterations (default 2000); a solve that reaches
 	// it short of Tol returns a *NotConvergedError.
@@ -33,46 +27,27 @@ type Options struct {
 	// CheckEvery is the convergence-check interval in iterations; the
 	// paper uses 10 for all solvers (§5.2).
 	CheckEvery int
-
-	// SStep is the communication-avoiding block size of the s-step solver
-	// (MethodSStep): s matrix-vector products are batched between global
-	// reductions, so a converged solve performs at most ceil(iters/s)+1
-	// reductions instead of ~iters. Ignored by every other method. Default
-	// 4; valid range 1..MaxSStep. Raising s trades reduction latency for
-	// O(s) extra flops per iteration and a worse-conditioned basis — see
-	// SOLVERS.md for the crossover guidance.
-	SStep int
-
-	// Safety factors widening the estimated spectrum [ν, μ]: Lanczos
-	// approaches λ_min from above and λ_max from below, and Chebyshev
-	// iteration wants the true spectrum inside the interval. The defaults
-	// are deliberately snug (a loose ν inflates the iteration count by
-	// √(ν_true/ν)); P-CSI's slow-convergence and divergence guards widen
-	// the interval adaptively when a mode leaks outside.
-	EigSafetyLow, EigSafetyHigh float64
 }
 
+// DefaultTol is the tolerance a zero Options.Tol selects: POP's 1e−13. It
+// is the one definition the fleet's cache keys share, so a key can never
+// name a solve at another tolerance than the one its worker ran.
+const DefaultTol = 1e-13
+
+// evpBlockSize is the block-Jacobi sub-block side of both EVP and block-LU.
+// The paper quotes 12×12 as the stable EVP limit on its near-isotropic
+// grids; the synthetic grids here are more anisotropic, so it is 8.
+const evpBlockSize = 8
+
 func (o Options) withDefaults() Options {
-	if o.EVPBlockSize == 0 {
-		o.EVPBlockSize = 8
-	}
 	if o.Tol == 0 {
-		o.Tol = 1e-13
+		o.Tol = DefaultTol
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 2000
 	}
 	if o.CheckEvery == 0 {
 		o.CheckEvery = 10
-	}
-	if o.SStep == 0 {
-		o.SStep = DefaultSStep
-	}
-	if o.EigSafetyLow == 0 {
-		o.EigSafetyLow = 0.85
-	}
-	if o.EigSafetyHigh == 0 {
-		o.EigSafetyHigh = 1.05
 	}
 	return o
 }
@@ -178,8 +153,11 @@ func newSession(g *grid.Grid, phi float64, d *decomp.Decomposition, w *comm.Worl
 	if !o.Precond.Valid() {
 		return nil, fmt.Errorf("core: unknown preconditioner %v: %w", o.Precond, ErrBadSpec)
 	}
-	if o.SStep < 1 || o.SStep > MaxSStep {
-		return nil, fmt.Errorf("core: s-step block size %d out of 1..%d: %w", o.SStep, MaxSStep, ErrBadSpec)
+	if o.MaxIters < 0 {
+		return nil, fmt.Errorf("core: MaxIters %d negative: %w", o.MaxIters, ErrBadSpec)
+	}
+	if o.CheckEvery < 0 {
+		return nil, fmt.Errorf("core: CheckEvery %d negative: %w", o.CheckEvery, ErrBadSpec)
 	}
 	return &Session{D: d, W: w, Opts: o, Phi: phi, g: g, mask: g.Mask,
 		perRank: make([]*rankState, d.NRanks)}, nil
@@ -273,9 +251,9 @@ func (s *Session) setupRank(r *comm.Rank) error {
 		case PrecondDiagonal:
 			pre = newDiagPrecond(loc)
 		case PrecondEVP:
-			pre, err = newEVPPrecond(s.g, s.Phi, b, loc, s.Opts.EVPBlockSize)
+			pre, err = newEVPPrecond(s.g, s.Phi, b, loc, evpBlockSize)
 		case PrecondBlockLU:
-			pre, err = newBLUPrecond(b, loc, s.Opts.EVPBlockSize)
+			pre, err = newBLUPrecond(b, loc, evpBlockSize)
 		default:
 			err = fmt.Errorf("core: unknown preconditioner %v: %w", s.Opts.Precond, ErrBadSpec)
 		}

@@ -19,7 +19,7 @@ import "strconv"
 // floating point by s ≈ 4; the basis here is the scaled-and-shifted
 // Chebyshev recurrence over the session's Lanczos spectrum estimate [ν, μ]
 // (the same estimate P-CSI irons its iteration with), which keeps the Gram
-// matrix well-conditioned through MaxSStep. Basis-degeneracy is still
+// matrix well-conditioned at s = SStepBlock. Basis-degeneracy is still
 // detected — a Cholesky pivot loss in the Gram factorization — and answered
 // by restarting the block recurrence (dropping the previous direction
 // block), never by dividing through a bad pivot.
@@ -37,19 +37,18 @@ import "strconv"
 // every rank by construction — no rank-local verdict ever steers a
 // collective.
 
-// MaxSStep is the largest supported s-step block size, and every boundary
-// (NewSession, the api parser, the frame decoder, the serve key normalizer)
-// rejects a larger one with ErrBadSpec. Eight is the largest s whose
-// Chebyshev-basis Gram solve still reaches POP's 1e-13 here with both the
-// diagonal and EVP preconditioners; at s = 16 the Gram matrix loses the
-// digits (D'Ambra et al., 2603.09790) and the solve stalls at 1e-11 to
-// 1e-9, so it is refused rather than accepted and left to fail.
-const MaxSStep = 8
-
-// DefaultSStep is the block size a zero Options.SStep selects — the one
-// definition the serve pool's key normalizer shares, so a pool label can
-// never disagree with the session it names.
-const DefaultSStep = 4
+// SStepBlock is the s-step block size s: matrix-vector products batched
+// between global reductions, so a converged solve performs at most
+// ceil(iters/s)+1 reductions. Four is the cheapest s priced on Yellowstone
+// at 1° on 676 ranks, or within 2% of it: popbench -exp sstep (EVP) prices
+// s = 1/2/4/8 at 11.18/6.77/5.363/5.350 ms per solve; popsolve's smooth
+// right-hand side prices s = 8 1.1% under s = 4 with the diagonal
+// preconditioner and 8% over it with EVP (176 iterations against 156). The
+// closed forms (perfmodel.EqSStepDiag/EVP) put s = 4 within 2% of the
+// cheapest s wherever s-step beats ChronGear, while the Chebyshev-basis
+// Gram solve loses digits as s grows (D'Ambra et al., 2603.09790): s = 8
+// plateaued on thin blocks that s = 4 solves.
+const SStepBlock = 4
 
 // sstepBasisTop places the top of the Chebyshev basis interval relative to
 // the largest Ritz value (bind).
@@ -57,10 +56,10 @@ const sstepBasisTop = 0.95
 
 // Per-direction field names, precomputed so the solve loop never builds a
 // string (the session field map is keyed by name).
-var sstepVName, sstepQName, sstepPName, sstepAName [MaxSStep]string
+var sstepVName, sstepQName, sstepPName, sstepAName [SStepBlock]string
 
 func init() {
-	for j := 0; j < MaxSStep; j++ {
+	for j := range SStepBlock {
 		sstepVName[j] = "sstep.v" + strconv.Itoa(j)
 		sstepQName[j] = "sstep.q" + strconv.Itoa(j)
 		sstepPName[j] = "sstep.p" + strconv.Itoa(j)
@@ -68,7 +67,7 @@ func init() {
 	}
 }
 
-// sstep is the s-step recurrence: blocks of Options.SStep Chebyshev-basis
+// sstep is the s-step recurrence: blocks of SStepBlock Chebyshev-basis
 // matrix-vector products between single fused global reductions. Its step
 // is a block of s iterations and every step carries a check, on the block's
 // *entering* residual — the check rides the block's one mandatory
@@ -78,34 +77,39 @@ func init() {
 //
 // The block recurrence's attainable accuracy is bounded by the basis
 // conditioning: in finite precision the recursive residual drifts from
-// b − A·x and can plateau above the target (seen at s=8 with the diagonal
-// preconditioner on warm-started model steps). The driver's drift watch
-// answers with one residual replacement (s+1 halo'd matvecs, zero extra
-// reductions, and k still advances so the ceil(iters/s)+1 reduction bound
-// holds), and when even the replaced residual cannot improve the solve
-// gives up rather than spinning to MaxIters.
+// b − A·x and can plateau above the target (TestSStepReplacementRescuesDrift
+// pins one such plateau). The driver's drift watch answers with one
+// residual replacement (s+1 halo'd matvecs, zero extra reductions, and k
+// still advances so the ceil(iters/s)+1 reduction bound holds), and when
+// even the replaced residual cannot improve the solve gives up rather than
+// spinning to MaxIters.
 type sstep struct {
-	s                            int
 	gamma, invDelta, twoInvDelta float64 // Chebyshev basis: centre γ, half-width δ of [ν, μ]
-	offC, offM                   int     // payload layout, see sstepShape
 
 	ww [][]float64
 	// Direction-block field groups. vv/qq double as the basis (V, Q=AV)
 	// during the build and as the *next* P/AP during the update — the
 	// update writes P = V + P_prev·B into the vv slots, then the slices
 	// swap, so no block-sized copies happen anywhere in the loop.
-	vv, qq, pp, aps [][][]float64
+	vv, qq, pp, aps [SStepBlock][][]float64
 
 	first bool // no previous direction block yet
 	force bool // the next block must restart the recurrence (P = V)
 	fromV bool // this block restarts it: P = V (decided in observe, applied in advance)
 
-	// Dense rank-local scratch for the (s×s) Gram arithmetic; tiny
-	// (≤ MaxSStep² doubles each) and identical on every rank because it is
-	// computed from reduced values only.
-	gm, cm, bm, um, tm, wPrev, wFac []float64 // G, C, B, W_prev·B, W_new, W_prev and its factor
-	mvec, avec, col                 []float64
+	// Dense rank-local scratch for the (s×s) Gram arithmetic; tiny and
+	// identical on every rank because it is computed from reduced values
+	// only.
+	gm, cm, bm, um, tm, wPrev, wFac [SStepBlock * SStepBlock]float64 // G, C, B, W_prev·B, W_new, W_prev and its factor
+	mvec, avec, col                 [SStepBlock]float64
 }
+
+// sstepOffC and sstepOffM are offC and offM of the fused reduction's
+// layout (sstepShape).
+const (
+	sstepOffC = SStepBlock * (SStepBlock + 1) / 2
+	sstepOffM = sstepOffC + SStepBlock*SStepBlock
+)
 
 // sstepShape lays out the block's fused reduction:
 //
@@ -114,38 +118,26 @@ type sstep struct {
 //	[offM : offM+s)    m[i] = ⟨v_i, r⟩
 //
 // followed by the driver's tail.
-func sstepShape(o Options) shape {
-	sv := o.SStep
-	return shape{width: sv*(sv+1)/2 + sv*sv + sv, span: sv,
+func sstepShape(Options) shape {
+	return shape{width: sstepOffM + SStepBlock, span: SStepBlock,
 		rides: true, recursive: true, drift: true}
 }
 
 func (c *sstep) bind(l *loop) {
-	sv := l.s.Opts.SStep
-	if c.s != sv { // first bind on this rank: the session's s never changes
-		c.s = sv
-		c.offC = sv * (sv + 1) / 2
-		c.offM = c.offC + sv*sv
-		group := func() [][][]float64 { return make([][][]float64, sv) }
-		c.vv, c.qq, c.pp, c.aps = group(), group(), group(), group()
-		mat := func() []float64 { return make([]float64, sv*sv) }
-		c.gm, c.cm, c.bm, c.um, c.tm, c.wPrev, c.wFac = mat(), mat(), mat(), mat(), mat(), mat(), mat()
-		c.mvec, c.avec, c.col = make([]float64, sv), make([]float64, sv), make([]float64, sv)
-	}
-	// The basis is scaled on [ν, 0.95·θ_max], where θ_max = μ/EigSafetyHigh
+	// The basis is scaled on [ν, 0.95·θ_max], where θ_max = μ/eigSafetyHigh
 	// is the largest Ritz value: unlike P-CSI's iteration, the basis does not
 	// need an interval that brackets the spectrum. A mode at the interval's
 	// end has T_j = 1 in every column, so with a converged θ_max under μ the
-	// top modes make the columns nearly dependent and the s = 8 Gram system
-	// loses the last digits; 5% inside, T_8 at λ_max is ≈ 17 and the columns
+	// top modes make the columns nearly dependent and an s = 8 Gram system
+	// lost the last digits; 5% inside, T_8 at λ_max is ≈ 17 and the columns
 	// separate. Measured on 12 right-hand sides (test grid, diagonal, s = 8)
 	// the bracketing μ took 40–272 iterations, 0.95·θ_max 40–80.
-	mu := sstepBasisTop * l.s.Mu / l.s.Opts.EigSafetyHigh
+	mu := sstepBasisTop * l.s.Mu / eigSafetyHigh
 	c.gamma = (mu + l.s.Nu) / 2
 	delta := (mu - l.s.Nu) / 2
 	c.invDelta, c.twoInvDelta = 1/delta, 2/delta
 	c.ww = l.field("sstep.w")
-	for j := 0; j < sv; j++ {
+	for j := range SStepBlock {
 		c.vv[j] = l.field(sstepVName[j])
 		c.qq[j] = l.field(sstepQName[j])
 		c.pp[j] = l.field(sstepPName[j])
@@ -161,8 +153,9 @@ func (c *sstep) begin(l *loop, st int) [][]float64 { return nil }
 // each matvec, stage j+1 computing q_j = A·v_j), zero reductions — and then
 // packs every inner product of the block into the one payload.
 func (c *sstep) local(l *loop, st int, p []float64) ([][]float64, bool, float64) {
-	r, rs, sv := l.r, l.rs, c.s
-	vv, qq := c.vv, c.qq
+	const sv = SStepBlock
+	r, rs := l.r, l.rs
+	vv, qq := &c.vv, &c.qq
 	if st == 0 {
 		stagePrecond(r, rs, vv[0], l.rr)
 		return vv[0], false, 0
@@ -193,16 +186,16 @@ func (c *sstep) local(l *loop, st int, p []float64) ([][]float64, bool, float64)
 		}
 	}
 	if c.first {
-		clear(p[c.offC:c.offM])
+		clear(p[sstepOffC:sstepOffM])
 	} else {
 		for i := 0; i < sv; i++ {
 			for j := 0; j < sv; j++ {
-				p[c.offC+i*sv+j] = stageDot(r, rs, c.aps[i], vv[j])
+				p[sstepOffC+i*sv+j] = stageDot(r, rs, c.aps[i], vv[j])
 			}
 		}
 	}
 	for i := 0; i < sv; i++ {
-		p[c.offM+i] = stageDot(r, rs, vv[i], l.rr)
+		p[sstepOffM+i] = stageDot(r, rs, vv[i], l.rr)
 	}
 	return nil, true, stageDot(r, rs, l.rr, l.rr)
 }
@@ -212,8 +205,8 @@ func (c *sstep) local(l *loop, st int, p []float64) ([][]float64, bool, float64)
 // previous direction block has degenerated — restart the recurrence (P = V,
 // W = G) rather than divide through it.
 func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
-	sv := c.s
-	gm, cm, bm, um, tm := c.gm, c.cm, c.bm, c.um, c.tm
+	const sv = SStepBlock
+	gm, cm, bm, um, tm := &c.gm, &c.cm, &c.bm, &c.um, &c.tm
 	idx := 0
 	for i := 0; i < sv; i++ {
 		for j := i; j < sv; j++ {
@@ -222,8 +215,8 @@ func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
 			idx++
 		}
 	}
-	copy(cm, g[c.offC:c.offM])
-	copy(c.mvec, g[c.offM:])
+	copy(cm[:], g[sstepOffC:sstepOffM])
+	copy(c.mvec[:], g[sstepOffM:])
 
 	c.fromV = c.first || c.force
 	c.force = false
@@ -232,7 +225,7 @@ func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
 			for i := 0; i < sv; i++ {
 				c.col[i] = cm[i*sv+j]
 			}
-			cholSolve(c.wFac, sv, c.col)
+			cholSolve(c.wFac[:], sv, c.col[:])
 			for i := 0; i < sv; i++ {
 				bm[i*sv+j] = -c.col[i]
 			}
@@ -255,16 +248,16 @@ func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
 				tm[i*sv+j] = v
 			}
 		}
-		copy(c.wFac, tm)
-		if cholFactor(c.wFac, sv) {
-			copy(c.wPrev, tm)
+		c.wFac = *tm
+		if cholFactor(c.wFac[:], sv) {
+			c.wPrev = *tm
 		} else {
 			c.fromV = true
 		}
 	}
 	if c.fromV {
-		copy(c.wFac, gm)
-		if !cholFactor(c.wFac, sv) {
+		c.wFac = *gm
+		if !cholFactor(c.wFac[:], sv) {
 			// Even the fresh basis is degenerate: the Krylov space ran out
 			// before the block did (a one-cell ocean's is one-dimensional),
 			// or r is at rounding level. Take the basis' first column alone —
@@ -274,20 +267,19 @@ func (c *sstep) observe(l *loop, g []float64, rn float64) verdict {
 			if !(gm[0] > 0) {
 				return stop
 			}
-			clear(c.avec)
-			c.avec[0] = c.mvec[0] / gm[0]
+			c.avec = [SStepBlock]float64{c.mvec[0] / gm[0]}
 			c.force = true
 			return proceed
 		}
-		copy(c.wPrev, gm)
+		c.wPrev = *gm
 	}
-	copy(c.avec, c.mvec) // a = W⁻¹·m
-	cholSolve(c.wFac, sv, c.avec)
+	c.avec = c.mvec // a = W⁻¹·m
+	cholSolve(c.wFac[:], sv, c.avec[:])
 	return proceed
 }
 
 func (c *sstep) advance(l *loop, g []float64) {
-	sv := c.s
+	const sv = SStepBlock
 	if !c.fromV {
 		for j := 0; j < sv; j++ { // P = V + P_prev·B into the vv slots
 			for i := 0; i < sv; i++ {
@@ -299,7 +291,7 @@ func (c *sstep) advance(l *loop, g []float64) {
 			}
 		}
 	}
-	c.pp, c.vv = c.vv, c.pp // P = V (+ P_prev·B), AP = Q: slice-header swaps, no copy
+	c.pp, c.vv = c.vv, c.pp // P = V (+ P_prev·B), AP = Q: slice-header swaps, no field copy
 	c.aps, c.qq = c.qq, c.aps
 	for j := 0; j < sv; j++ { // x += P·a, r −= (A·P)·a
 		for blk, loc := range l.rs.locs {
@@ -316,6 +308,6 @@ func (c *sstep) advance(l *loop, g []float64) {
 // holds — and makes the next block start from P = V.
 func (c *sstep) restart(l *loop, st int) [][]float64 {
 	c.force = true
-	l.k += c.s
+	l.k += SStepBlock
 	return nil
 }

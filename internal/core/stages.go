@@ -112,7 +112,7 @@ func (s *Session) gatherSolution(r *comm.Rank, out []float64, xs [][]float64) {
 }
 
 // Small dense symmetric-positive-definite helpers for the s-step Gram
-// systems (order ≤ MaxSStep, so n² ≤ 64 doubles — rank-local arithmetic on
+// systems (order SStepBlock, so n² = 16 doubles — rank-local arithmetic on
 // reduced values, identical on every rank by construction).
 
 // gramPivotFloor is the smallest share of its diagonal a Cholesky pivot of a

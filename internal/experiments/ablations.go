@@ -45,8 +45,8 @@ func (c *Config) CheckFreq(res string) (*Table, error) {
 }
 
 // SStepAblation measures the communication-avoiding s-step solver's
-// reduction crossover at the resolution's top core count with EVP:
-// ChronGear and P-CSI against s-step at s ∈ {1, 2, 4, 8}, each row giving
+// reduction saving at the resolution's top core count with EVP: ChronGear
+// and P-CSI against s-step at s = core.SStepBlock, each row giving
 // iterations, global reductions per rank, priced seconds per solve and the
 // closed form (Eqs. 5–6 and their s-step analogue) at the measured K. An
 // s-step solve does at most ceil(K/s)+1 reductions; whether that beats
@@ -60,15 +60,9 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 	n2 := float64(g.Nx) * float64(g.Ny)
 	t := &Table{Header: []string{"solver", "s", "iters", "converged", "reductions/rank", "s/solve", "eq_s/solve"}}
 	var cores int
-	for _, row := range []struct {
-		method core.Method
-		s      int
-	}{
-		{core.MethodChronGear, 0}, {core.MethodPCSI, 0},
-		{core.MethodSStep, 1}, {core.MethodSStep, 2}, {core.MethodSStep, 4}, {core.MethodSStep, 8},
-	} {
+	for _, method := range []core.Method{core.MethodChronGear, core.MethodPCSI, core.MethodSStep} {
 		sess, err := core.BuildSession(g, stencil.PhiFromTimeStep(g.Tau()), targets[len(targets)-1], 0, c.Machine, nil,
-			core.Options{Precond: core.PrecondEVP, SStep: row.s})
+			core.Options{Precond: core.PrecondEVP})
 		if err != nil {
 			return nil, err
 		}
@@ -76,28 +70,28 @@ func (c *Config) SStepAblation(res string) (*Table, error) {
 		if _, _, _, err := sess.EstimateEigenvalues(nil, 0); err != nil {
 			return nil, err
 		}
-		r, _, err := sess.Solve(row.method, b, nil)
+		r, _, err := sess.Solve(method, b, nil)
 		if err != nil && !errors.Is(err, core.ErrNotConverged) {
 			return nil, err
 		}
 		k := float64(r.Iterations)
 		eq, sCol := 0.0, "-"
-		switch row.method {
+		switch method {
 		case core.MethodChronGear:
 			eq = perfmodel.EqChronGearEVP(c.Machine, n2, cores, k)
 		case core.MethodPCSI:
 			eq = perfmodel.EqPCSIEVP(c.Machine, n2, cores, k)
 		default:
-			eq, sCol = perfmodel.EqSStepEVP(c.Machine, n2, cores, k, row.s), fmt.Sprint(row.s)
+			eq, sCol = perfmodel.EqSStepEVP(c.Machine, n2, cores, k, core.SStepBlock), fmt.Sprint(core.SStepBlock)
 		}
 		t.Rows = append(t.Rows, []string{
-			row.method.String(), sCol, fmt.Sprint(r.Iterations), fmt.Sprint(r.Converged),
+			method.String(), sCol, fmt.Sprint(r.Iterations), fmt.Sprint(r.Converged),
 			fmt.Sprint(r.Stats.Sum.Reductions / int64(len(r.Stats.PerRank))),
 			fmt.Sprintf("%.4g", r.Stats.MaxClock), fmt.Sprintf("%.4g", eq),
 		})
-		c.logf("sstep %s s=%s done", row.method, sCol)
+		c.logf("sstep %s done", method)
 	}
-	t.Title = fmt.Sprintf("Ablation: s-step reduction crossover, %s @ %d cores, evp, %s", res, cores, c.Machine.Name)
+	t.Title = fmt.Sprintf("Ablation: s-step reduction saving, %s @ %d cores, evp, %s", res, cores, c.Machine.Name)
 	return t, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/perfmodel"
 )
@@ -228,7 +229,7 @@ func TestSStepAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
+	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
 	reductions := map[string]float64{}
@@ -246,8 +247,8 @@ func TestSStepAblation(t *testing.T) {
 			t.Fatalf("s=%s: %g reductions per rank for %g iterations, bound %g", row[1], reductions[label], k, bound)
 		}
 	}
-	if reductions["sstep8"] >= reductions["chrongear-"] {
-		t.Fatalf("s=8 (%g reductions) should undercut ChronGear (%g)", reductions["sstep8"], reductions["chrongear-"])
+	if s := "sstep" + strconv.Itoa(core.SStepBlock); reductions[s] >= reductions["chrongear-"] {
+		t.Fatalf("s-step (%g reductions) should undercut ChronGear (%g)", reductions[s], reductions["chrongear-"])
 	}
 }
 

@@ -11,15 +11,15 @@
 //
 // Two layers answer a request, cheapest first:
 //
-//  1. The result cache (content hash of grid, method, precond, s-step
-//     block size, tolerance, RHS bits, x0 bits) replays a finished solve
-//     bitwise. It is an LRU bounded by Options.CacheCapacity.
+//  1. The result cache (content hash of grid, method, precond, tolerance,
+//     RHS bits, x0 bits) replays a finished solve bitwise. It is an LRU
+//     bounded by Options.CacheCapacity.
 //  2. The ring routes the miss to its home shard, exactly once: a shed (a
 //     full queue) comes back as serve.ErrOverloaded, as it would from a
 //     single service.
 //
 // Workers are serve.Services in this process, each with its own queues,
-// batching, request retry and flight recorder.
+// batching and flight recorder.
 package fleet
 
 import (
@@ -116,7 +116,7 @@ func New(opts Options) (*Fleet, error) {
 	}
 	tol := opts.Worker.Solver.Tol
 	if tol == 0 {
-		tol = 1e-13 // core.Options default; keep the hash honest about it
+		tol = core.DefaultTol // the tolerance the workers' sessions default to
 	}
 
 	r := opts.Registry
@@ -196,8 +196,9 @@ func (f *Fleet) cacheKey(req serve.Request) (serve.Key, api.CacheKey, error) {
 	if err != nil {
 		return serve.Key{}, api.CacheKey{}, err
 	}
-	// core.Float64: HashSolve's vestigial argument, pinned by benchmark/.
-	return key, api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, key.SStep, f.tol, req.B, req.X0), nil
+	// core.Float64 and 0 (precision, sstep): HashSolve's vestigial
+	// arguments, pinned by benchmark/.
+	return key, api.HashSolve(key.Grid, key.Method, key.Precond, core.Float64, 0, f.tol, req.B, req.X0), nil
 }
 
 // noteRouterRecord files a flight record for a request the router answered

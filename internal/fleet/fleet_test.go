@@ -469,7 +469,7 @@ func TestFleetStatsAggregation(t *testing.T) {
 
 // hopRequest has no zero-valued field, so a key that drops one shows.
 var hopRequest = serve.Request{Grid: "test", Method: core.MethodSStep, Precond: core.PrecondEVP,
-	SStep: 8, B: []float64{1, 2}, X0: []float64{3, 4}}
+	B: []float64{1, 2}, X0: []float64{3, 4}}
 
 // TestCacheKeyCoversEveryServeField: changing any one field of a request
 // changes the result-cache key it is stored under — the hop where a field
@@ -481,7 +481,7 @@ func TestCacheKeyCoversEveryServeField(t *testing.T) {
 	}
 	defer f.Close(context.Background())
 	other := serve.Request{Grid: "1deg", Method: core.MethodPCG, Precond: core.PrecondDiagonal,
-		SStep: 4, B: []float64{1, 3}, X0: []float64{3, 5}}
+		B: []float64{1, 3}, X0: []float64{3, 5}}
 	_, base, err := f.cacheKey(hopRequest)
 	if err != nil {
 		t.Fatal(err)

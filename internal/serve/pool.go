@@ -119,9 +119,6 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 	o := p.svc.opts
 	opts := o.Solver
 	opts.Precond = p.key.Precond
-	if p.key.SStep > 0 {
-		opts.SStep = p.key.SStep
-	}
 
 	var tracer *obs.Tracer
 	if o.TraceCapacity > 0 {

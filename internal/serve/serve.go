@@ -111,22 +111,11 @@ type Key struct {
 	Method core.Method
 	// Precond is the normalized preconditioner.
 	Precond core.PrecondType
-	// SStep is the s-step block size, set only for MethodSStep (normalize
-	// zeroes it for every other method and defaults it to
-	// core.DefaultSStep for sstep) — sessions with different block sizes
-	// have different field arenas and different numerics, so they never
-	// share a pool.
-	SStep int
 }
 
-// String renders the key for metric labels: "test/pcsi/evp". s-step keys
-// append an "s4"-style segment so the other methods' labels stay stable.
+// String renders the key for metric labels: "test/pcsi/evp".
 func (k Key) String() string {
-	s := k.Grid + "/" + k.Method.String() + "/" + k.Precond.String()
-	if k.Method == core.MethodSStep {
-		s += fmt.Sprintf("/s%d", k.SStep)
-	}
-	return s
+	return k.Grid + "/" + k.Method.String() + "/" + k.Precond.String()
 }
 
 // Request is one solve submission.
@@ -139,10 +128,6 @@ type Request struct {
 	// Precond selects the preconditioner; the zero value is diagonal,
 	// POP's default.
 	Precond core.PrecondType
-	// SStep is the s-step block size for MethodSStep requests (0 =
-	// core.DefaultSStep; valid 1..core.MaxSStep). Ignored — and normalized
-	// to 0 in the session key — for every other method.
-	SStep int
 	// B is the right-hand side (length = grid N). X0 is the initial guess
 	// (nil = zero).
 	B, X0 []float64
@@ -274,15 +259,6 @@ func normalize(req *Request) (Key, error) {
 	var err error
 	if k.Method, k.Precond, err = core.Canonical(req.Method, req.Precond); err != nil {
 		return Key{}, err
-	}
-	if k.Method == core.MethodSStep {
-		k.SStep = req.SStep
-		if k.SStep == 0 {
-			k.SStep = core.DefaultSStep
-		}
-		if k.SStep < 1 || k.SStep > core.MaxSStep {
-			return Key{}, fmt.Errorf("serve: s-step block size %d out of 1..%d: %w", k.SStep, core.MaxSStep, core.ErrBadSpec)
-		}
 	}
 	return k, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -372,8 +371,7 @@ func TestCSIAliasSharesPool(t *testing.T) {
 }
 
 // TestKeyLabels pins the metric-label spelling of normalized pool keys:
-// three segments, the csi alias folded, and an s-step segment carrying the
-// block size core's own default would give the session.
+// three segments and the csi alias folded.
 func TestKeyLabels(t *testing.T) {
 	for _, c := range []struct {
 		req  serve.Request
@@ -381,7 +379,7 @@ func TestKeyLabels(t *testing.T) {
 	}{
 		{serve.Request{Method: core.MethodPCSI, Precond: core.PrecondEVP}, "test/pcsi/evp"},
 		{serve.Request{Method: core.MethodCSI}, "test/pcsi/none"},
-		{serve.Request{Method: core.MethodSStep}, "test/sstep/diagonal/s" + strconv.Itoa(core.DefaultSStep)},
+		{serve.Request{Method: core.MethodSStep}, "test/sstep/diagonal"},
 	} {
 		k, err := serve.NormalizeRequest(c.req)
 		if err != nil {
@@ -399,9 +397,9 @@ func TestKeyLabels(t *testing.T) {
 // sessions. The two vectors are what a pool's sessions are reused across.
 func TestKeyCoversRequestScalars(t *testing.T) {
 	base := serve.Request{Grid: "test", Method: core.MethodSStep, Precond: core.PrecondEVP,
-		SStep: 8, B: []float64{1}, X0: []float64{2}}
+		B: []float64{1}, X0: []float64{2}}
 	other := serve.Request{Grid: "1deg", Method: core.MethodPCG, Precond: core.PrecondDiagonal,
-		SStep: 4, B: []float64{3}, X0: []float64{4}}
+		B: []float64{3}, X0: []float64{4}}
 	vectors := map[string]bool{"B": true, "X0": true}
 	want, err := serve.NormalizeRequest(base)
 	if err != nil {
@@ -423,34 +421,24 @@ func TestKeyCoversRequestScalars(t *testing.T) {
 	}
 }
 
-// TestServeSStepReachesSession: the block size a request asks for is the one
-// its session solves with. The same right-hand side served with s = 2 and
-// s = 8 lands in two pools, and each solve's reduction count — from the
-// communicator's own counters — honours its own ceil(iters/s)+1 bound and
-// differs from the other's.
+// TestServeSStepReachesSession: a served s-step request runs the block
+// recurrence. Its reduction count — from the communicator's own counters —
+// honours the ceil(iters/s)+1 bound at s = core.SStepBlock, which a request
+// that ran a per-iteration method (one reduction per iteration) would not.
 func TestServeSStepReachesSession(t *testing.T) {
 	rhs := testRHS(t, 1)
 	s := serve.New(serve.Options{MaxSessionsPerKey: 1, Solver: core.Options{Tol: 1e-10}})
 	defer closeQuietly(t, s)
 
-	reductions := map[int]int64{}
-	for _, sv := range []int{2, 8} {
-		resp, err := s.Solve(context.Background(), serve.Request{Grid: grid.PresetTest,
-			Method: core.MethodSStep, Precond: core.PrecondEVP, SStep: sv, B: rhs[0]})
-		if err != nil || !resp.Result.Converged {
-			t.Fatalf("s=%d: err %v, converged %v", sv, err, resp.Result.Converged)
-		}
-		n, iters := resp.Result.Stats.PerRank[0].Reductions, resp.Result.Iterations
-		if bound := int64((iters+sv-1)/sv) + 1; n > bound {
-			t.Errorf("s=%d: %d reductions for %d iterations, bound ceil(%d/%d)+1 = %d — the session ran another block size",
-				sv, n, iters, iters, sv, bound)
-		}
-		reductions[sv] = n
+	resp, err := s.Solve(context.Background(), serve.Request{Grid: grid.PresetTest,
+		Method: core.MethodSStep, Precond: core.PrecondEVP, B: rhs[0]})
+	if err != nil || !resp.Result.Converged {
+		t.Fatalf("err %v, converged %v", err, resp.Result.Converged)
 	}
-	if reductions[2] == reductions[8] {
-		t.Errorf("s=2 and s=8 both took %d reductions: the block size did not reach the session", reductions[2])
-	}
-	if n := s.Snapshot().Sessions; n != 2 {
-		t.Errorf("s=2 and s=8 built %d sessions, want one pool each", n)
+	const sv = core.SStepBlock
+	n, iters := resp.Result.Stats.PerRank[0].Reductions, resp.Result.Iterations
+	if bound := int64((iters+sv-1)/sv) + 1; n > bound {
+		t.Errorf("%d reductions for %d iterations, bound ceil(%d/%d)+1 = %d — the session did not run s-step",
+			n, iters, iters, sv, bound)
 	}
 }

@@ -123,9 +123,9 @@ const (
 	// preconditioning (NewSolver normalizes it to exactly that).
 	MethodCSI = core.MethodCSI
 	// MethodSStep is the communication-avoiding s-step PCG with a Chebyshev
-	// basis: SolverOptions.SStep matrix-vector products batched between
-	// single fused global reductions — at most ceil(iters/s)+1 reductions
-	// per converged solve. See SOLVERS.md for when to raise s.
+	// basis: s = 4 matrix-vector products batched between single fused
+	// global reductions — at most ceil(iters/s)+1 reductions per converged
+	// solve. SOLVERS.md says why s is 4.
 	MethodSStep = core.MethodSStep
 )
 
