@@ -30,7 +30,7 @@ func main() {
 		solver    = flag.String("solver", "chrongear", "barotropic solver: "+strings.Join(core.MethodNames(), ", "))
 		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		every     = flag.Float64("report", 1, "report interval (days; at least one step)")
-		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
+		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = the processors no other solve holds)")
 		traceOut  = flag.String("trace", "", "write the run's Perfetto trace (ui.perfetto.dev, poptrace) to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	)

@@ -54,7 +54,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		cores     = flag.Int("cores", 0, "virtual ranks per session (0 = one block covering the whole grid, on one rank)")
-		threads   = flag.Int("threads", 0, "worker shards per session: max ranks running concurrently (0 = GOMAXPROCS)")
+		threads   = flag.Int("threads", 0, "worker shards per session: max ranks running concurrently (0 = per solve, the processors no other solve holds)")
 		sessions  = flag.Int("sessions", 2, "max warmed sessions per (grid,method,precond) key")
 		queue     = flag.Int("queue", 64, "per-key queue bound before shedding")
 		batch     = flag.Int("batch", 8, "max requests coalesced per session checkout")

@@ -31,7 +31,7 @@ func main() {
 		method    = flag.String("method", "chrongear", "solver: "+strings.Join(core.MethodNames(), ", "))
 		precond   = flag.String("precond", "diagonal", "preconditioner: "+strings.Join(core.PrecondNames(), ", "))
 		cores     = flag.Int("cores", 0, "virtual core count (0 = single rank)")
-		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = GOMAXPROCS)")
+		threads   = flag.Int("threads", 0, "worker shards: max virtual ranks running concurrently (0 = the processors no other solve holds)")
 		machine   = flag.String("machine", "yellowstone", "machine model: yellowstone, edison, ideal, or empty")
 		tol       = flag.Float64("tol", core.DefaultTol, "relative convergence tolerance")
 		traceOut  = flag.String("trace", "", "write the solve's Perfetto trace (ui.perfetto.dev, poptrace) to this file")

@@ -122,10 +122,10 @@ type World struct {
 	// at run entry (see SetTraceID).
 	traceID uint64
 
-	// threads is the worker knob (see SetThreads; 0 = GOMAXPROCS) and ex the
-	// cached shard executor for the current effective count (sched.go).
+	// threads is the worker knob (see SetThreads; 0 = the default) and
+	// exs[p] the cached shard executor for p workers (sched.go).
 	threads int
-	ex      *executor
+	exs     map[int]*executor
 
 	// ranks is the rank table, built once: a run resets the per-run fields and
 	// keeps ID, World and Blocks.
@@ -133,13 +133,9 @@ type World struct {
 
 	// Steady-state workspaces, sized once from the decomposition so the
 	// per-iteration communication paths allocate nothing (see halo.go and
-	// reduce.go for the ownership protocols):
-	//
-	//   plans[rank][phase] is the rank's precomputed halo-exchange plan for
-	//   the E/W (0) and N/S (1) phases — send, local-copy, and receive edge
-	//   lists with their mailboxes, replacing the per-call neighbour search
-	//   and per-message allocations. Built with the executor: which edges
-	//   need a mailbox depends on the worker count.
+	// reduce.go for the ownership protocols; the halo plans live on each
+	// executor, since which edges need a mailbox depends on the worker
+	// count):
 	//
 	//   blockPos[blockID] is the block's index within its owning rank's
 	//   Blocks slice (−1 for unowned), replacing a linear scan per edge.
@@ -149,7 +145,6 @@ type World struct {
 	//   length its last reduction was folded at; reduceArrived counts the
 	//   ranks deposited in the current reduction and reduceDone the
 	//   reductions completed this run (see Shard.AllReduce).
-	plans         [][2]phasePlan
 	blockPos      []int
 	reducePart    [][]float64
 	reduceRoot    [2][]float64
@@ -196,7 +191,7 @@ func NewWorld(d *decomp.Decomposition, cost CostModel) (*World, error) {
 	if cost == nil {
 		cost = FreeModel{}
 	}
-	w := &World{D: d, Cost: cost, NRank: d.NRanks}
+	w := &World{D: d, Cost: cost, NRank: d.NRanks, exs: make(map[int]*executor)}
 	w.reducePart = make([][]float64, w.NRank)
 	w.blockPos = make([]int, len(d.Blocks))
 	for i := range w.blockPos {
@@ -385,11 +380,18 @@ func (w *World) TraceID() uint64 { return w.traceID }
 // a panic in any shard's program, stops the run and panics on RunShards'
 // caller with a diagnostic.
 //
-// Hardware mapping: one worker per effective thread (SetThreads, default
-// GOMAXPROCS), each over a contiguous shard of ranks (see sched.go).
-// Solutions and virtual clocks are bitwise identical for every thread count.
+// Hardware mapping: one worker per thread, each over a contiguous shard of
+// ranks (see sched.go). An explicit SetThreads n runs min(n, NRank)
+// workers; by default the run claims the processors no other
+// default-threaded run holds at its entry — all of them when it runs alone,
+// at least one — and gives them back when it returns or panics. Solutions
+// and virtual clocks are bitwise identical for every thread count.
 func (w *World) RunShards(program func(*Shard)) Stats {
 	p := w.EffectiveThreads()
+	if w.threads <= 0 {
+		p = claim(p)
+		defer release(p)
+	}
 	ex := w.executor(p)
 	for rid, rk := range w.ranks {
 		shard := w.shardOf(rid, p)

@@ -225,7 +225,7 @@ func (sh *Shard) exchange() {
 	if sh.cur >= 0 {
 		collectiveInPass(sh.ID, sh.Ranks[sh.cur].ID, "Exchange")
 	}
-	plans := sh.w.plans
+	plans := sh.wk.ex.plans
 	nlv := len(sh.Ranks[0].levels)
 	for _, rk := range sh.Ranks {
 		if len(rk.levels) != nlv {

@@ -14,8 +14,9 @@ import (
 // Shard executor: how virtual ranks get onto real hardware.
 //
 // Ranks are loop iterations. World.RunShards splits the ranks into P
-// contiguous shards (P = the Threads knob, default GOMAXPROCS) and runs one
-// worker per shard; the worker runs the shard program once, as plain code.
+// contiguous shards and runs one worker per shard; the worker runs the shard
+// program once, as plain code. P is the Threads knob when it is set; by
+// default it is the processors no other default-threaded run holds (claim).
 // A shard program is bulk-synchronous, the way the paper's solvers are: a
 // per-rank pass over the shard (Shard.Each) does the rank-local work between
 // two collectives, then one call of a Shard collective (Exchange,
@@ -89,7 +90,7 @@ type waitSite struct {
 // receives. Its collectives take one payload or field set per rank, indexed
 // like Ranks.
 type Shard struct {
-	// ID is the shard's index in [0, EffectiveThreads()).
+	// ID is the shard's index in [0, P) for the run's P workers.
 	ID int
 	// Ranks lists the shard's ranks in rank order.
 	Ranks []*Rank
@@ -135,11 +136,13 @@ type worker struct {
 	coroutines bool
 }
 
-// executor is one World's set of workers, cached across runs and rebuilt
-// only when the effective thread count changes.
+// executor is one World's set of workers for one worker count, cached
+// across runs, with the halo plans of that count: which edges are mailboxes
+// depends on which ranks share a worker (halo.go).
 type executor struct {
 	w       *World
 	workers []worker
+	plans   [][2]phasePlan // plans[rank][phase]: see buildPlans
 	wg      sync.WaitGroup
 	aborted atomic.Bool
 
@@ -150,18 +153,23 @@ type executor struct {
 }
 
 // SetThreads sets the worker count for subsequent runs: at most n virtual
-// ranks execute concurrently. n ≤ 0 restores the default (GOMAXPROCS at run
-// entry); values above NRank are clamped to one rank per worker. Must not be
-// called while a run is in flight. Solutions are bitwise identical across
-// all settings; only wall-clock and cache behavior change.
+// ranks execute concurrently. n > 0 runs exactly min(n, NRank) workers;
+// n ≤ 0 restores the default, under which each run takes the processors no
+// other default-threaded run holds at its entry (claim), at least one and at
+// most GOMAXPROCS. Must not be called while a run is in flight. Solutions
+// are bitwise identical across all settings; only wall-clock and cache
+// behavior change.
 func (w *World) SetThreads(n int) { w.threads = n }
 
-// Threads returns the configured worker knob (0 = auto/GOMAXPROCS).
+// Threads returns the configured worker knob (0 = the default: the idle
+// processors at each run's entry).
 func (w *World) Threads() int { return w.threads }
 
 // EffectiveThreads resolves the knob against the machine and the rank
-// count: the worker count the next run will actually use (Threads, defaulted
-// to GOMAXPROCS, clamped to [1, NRank]).
+// count: the most workers a run may take (Threads, defaulted to GOMAXPROCS,
+// clamped to [1, NRank]). An explicit Threads run takes exactly this many; a
+// default-threaded one takes fewer while other default-threaded runs hold
+// processors (claim).
 func (w *World) EffectiveThreads() int {
 	p := w.threads
 	if p <= 0 {
@@ -176,22 +184,45 @@ func (w *World) EffectiveThreads() int {
 	return p
 }
 
-// Shard returns the worker shard this rank executes on: rank·P/NRank for P
-// effective threads.
+// held counts the workers default-threaded runs hold, process-wide. The
+// paper runs one MPI rank per core, so a collective never waits on a
+// descheduled peer; concurrent solves that each start GOMAXPROCS workers
+// would instead spin-yield on shared processors at every collective.
+var held atomic.Int64
+
+// claim takes workers for a default-threaded run that may use up to want:
+// as many as the processors no other such run holds, at least one. It never
+// blocks; a run that finds every processor held runs on one worker. The
+// caller gives them back (release) when the run ends, however it ends.
+func claim(want int) int {
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		h := held.Load()
+		n := min(int64(want), max(1, procs-h))
+		if held.CompareAndSwap(h, h+n) {
+			return int(n)
+		}
+	}
+}
+
+// release gives back the n workers a claim took.
+func release(n int) { held.Add(-int64(n)) }
+
+// Shard returns the worker shard this rank executes on: rank·P/NRank for
+// the P workers of the current (or last) run.
 func (r *Rank) Shard() int { return r.shard }
 
 // shardOf is the worker shard rank rid runs on when there are p workers:
 // contiguous runs of ranks, shard s owning [s·NRank/p, (s+1)·NRank/p).
 func (w *World) shardOf(rid, p int) int { return rid * p / w.NRank }
 
-// executor returns the cached executor for p workers. Building one decides
-// which halo edges are direct copies and which are mailboxes (two ranks on
-// one worker or not), so the exchange plans are built with it.
+// executor returns the cached executor for p workers, building it (and its
+// halo plans) on the first run at that count.
 func (w *World) executor(p int) *executor {
-	if w.ex != nil && len(w.ex.workers) == p {
-		return w.ex
+	if ex := w.exs[p]; ex != nil {
+		return ex
 	}
-	ex := &executor{w: w, workers: make([]worker, p)}
+	ex := &executor{w: w, workers: make([]worker, p), plans: buildPlans(w, p)}
 	lo := 0
 	for s := range ex.workers {
 		hi := lo
@@ -203,7 +234,7 @@ func (w *World) executor(p int) *executor {
 		wk.sh = Shard{ID: s, Ranks: w.ranks[lo:hi], w: w, wk: wk, cur: -1}
 		lo = hi
 	}
-	w.ex, w.plans = ex, buildPlans(w, p)
+	w.exs[p] = ex
 	return ex
 }
 
@@ -221,7 +252,7 @@ func (ex *executor) run(program func(*Shard)) {
 	ex.wg.Wait()
 	if ex.failure != nil {
 		// Only a run that completes leaves the mailboxes balanced.
-		ex.w.plans = buildPlans(ex.w, len(ex.workers))
+		ex.plans = buildPlans(ex.w, len(ex.workers))
 		panic(ex.failure)
 	}
 }

@@ -161,6 +161,32 @@ func sameCounters(a, b Counters) bool {
 		sameBits(a.THalo, b.THalo) && sameBits(a.TReduce, b.TReduce)
 }
 
+// stressDiff describes the first way got differs from ref — ranks that
+// disagree, a reduced value, the completion clock or a rank's counters, all
+// bitwise — or returns "" when they are the same run.
+func stressDiff(got, ref stressResult) string {
+	if !got.agree {
+		return "ranks disagree on reduced values"
+	}
+	for round := range ref.reduced {
+		for i := range ref.reduced[round] {
+			if !sameBits(got.reduced[round][i], ref.reduced[round][i]) {
+				return fmt.Sprintf("round %d element %d reduced to %x, want %x", round, i,
+					got.reduced[round][i], ref.reduced[round][i])
+			}
+		}
+	}
+	if !sameBits(got.stats.MaxClock, ref.stats.MaxClock) {
+		return fmt.Sprintf("MaxClock %v, want %v", got.stats.MaxClock, ref.stats.MaxClock)
+	}
+	for rank := range ref.stats.PerRank {
+		if !sameCounters(got.stats.PerRank[rank], ref.stats.PerRank[rank]) {
+			return fmt.Sprintf("rank %d counters %+v, want %+v", rank, got.stats.PerRank[rank], ref.stats.PerRank[rank])
+		}
+	}
+	return ""
+}
+
 // TestExecutorStress drives the coroutine executor across rank counts,
 // worker counts (fewer than, equal to and beyond the ranks) and scheduler
 // widths, and holds every configuration bitwise to the Threads=1 run and to
@@ -199,25 +225,8 @@ func TestExecutorStress(t *testing.T) {
 				w.SetThreads(threads)
 				got := runStress(d, w, rounds)
 				runtime.GOMAXPROCS(prev)
-				if !got.agree {
-					t.Fatalf("%s: ranks disagree on reduced values", name)
-				}
-				for round := range ref.reduced {
-					for i := range ref.reduced[round] {
-						if !sameBits(got.reduced[round][i], ref.reduced[round][i]) {
-							t.Fatalf("%s round %d element %d: %x, Threads=1 gave %x", name, round, i,
-								got.reduced[round][i], ref.reduced[round][i])
-						}
-					}
-				}
-				if !sameBits(got.stats.MaxClock, ref.stats.MaxClock) {
-					t.Fatalf("%s: MaxClock %v, Threads=1 gave %v", name, got.stats.MaxClock, ref.stats.MaxClock)
-				}
-				for rank := range ref.stats.PerRank {
-					if !sameCounters(got.stats.PerRank[rank], ref.stats.PerRank[rank]) {
-						t.Fatalf("%s rank %d: counters %+v, Threads=1 gave %+v", name, rank,
-							got.stats.PerRank[rank], ref.stats.PerRank[rank])
-					}
+				if diff := stressDiff(got, ref); diff != "" {
+					t.Fatalf("%s: %s, against Threads=1", name, diff)
 				}
 			}
 		}

@@ -24,8 +24,10 @@ func minAllocs(f func()) float64 {
 // warm session. Differencing the two isolates the steady-state iteration
 // body — halo exchange, matvec, preconditioner, reduction, convergence check
 // — from per-solve costs (the run's workers, scatters, the Result/trace
-// records), which the short solve's count gives.
-func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType, short, long int) (perIter, perSolve float64) {
+// records), which the short solve's count gives. With threads listed, a
+// measured call makes one solve per entry, setting the world's Threads to
+// it first, and both counts are per solve.
+func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType, short, long int, threads ...int) (perIter, perSolve float64) {
 	t.Helper()
 	mk := func(iters int) *Session {
 		s, err := NewSession(f.g, f.op, f.d, f.w, Options{
@@ -37,10 +39,16 @@ func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType,
 	}
 	sShort, sLong := mk(short), mk(long)
 	x0 := make([]float64, f.g.N())
+	solves := max(len(threads), 1)
 	run := func(s *Session) func() {
 		return func() {
-			if _, _, err := s.Solve(m, f.b, x0); !errors.Is(err, ErrNotConverged) {
-				t.Fatalf("fixed-length solve: got %v, want ErrNotConverged", err)
+			for i := range solves {
+				if len(threads) > 0 {
+					f.w.SetThreads(threads[i])
+				}
+				if _, _, err := s.Solve(m, f.b, x0); !errors.Is(err, ErrNotConverged) {
+					t.Fatalf("fixed-length solve: got %v, want ErrNotConverged", err)
+				}
 			}
 		}
 	}
@@ -51,7 +59,7 @@ func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType,
 
 	a := minAllocs(run(sShort))
 	b := minAllocs(run(sLong))
-	return (b - a) / float64(long-short), a
+	return (b - a) / float64(solves*(long-short)), a / float64(solves)
 }
 
 // TestSteadyStateSolverAllocFree asserts the acceptance criterion of the
@@ -60,7 +68,11 @@ func allocsPerIteration(t *testing.T, f *fixture, m Method, precond PrecondType,
 // preconditioner, on a multi-rank virtual run. And a warm solve's fixed
 // allocations do not grow with the rank count: the fixture's ranks cost at
 // most a few objects more than four ranks do (a rank is loop iterations of
-// its shard, not a coroutine to start).
+// its shard, not a coroutine to start). A warm session whose runs move
+// between worker counts — a default-threaded solve takes the processors
+// other solves leave idle — keeps an executor, its halo plans and the shard
+// drivers per count: alternating Threads 1 and 2 between solves allocates
+// nothing per iteration and no more per solve than either count alone.
 func TestSteadyStateSolverAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts of ~1,600 warm solves: ~85 s under the race detector, which counts the same objects; verify.sh runs this at GOMAXPROCS=1 without it")
@@ -84,6 +96,21 @@ func TestSteadyStateSolverAllocFree(t *testing.T) {
 				}
 			})
 		}
+	}
+	for _, m := range []Method{MethodChronGear, MethodPCSI} {
+		t.Run(fmt.Sprintf("threads-1-2-%v", m), func(t *testing.T) {
+			defer f.w.SetThreads(0)
+			per, alt := allocsPerIteration(t, f, m, PrecondEVP, 1, 51, 1, 2)
+			if per > 0 {
+				t.Fatalf("%.3f allocations per steady-state iteration alternating Threads 1 and 2, want 0", per)
+			}
+			_, one := allocsPerIteration(t, f, m, PrecondEVP, 1, 51, 1)
+			_, two := allocsPerIteration(t, f, m, PrecondEVP, 1, 51, 2)
+			if 2*alt > one+two {
+				t.Fatalf("%v allocations per warm solve alternating Threads 1 and 2, %v at 1 and %v at 2: a switch rebuilds",
+					alt, one, two)
+			}
+		})
 	}
 }
 

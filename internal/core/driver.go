@@ -176,7 +176,8 @@ const (
 // driver is one shard's Krylov driver: its ranks' loops, the shard-level
 // state of the check ladder (every field a function of reduced values, so
 // identical on every shard) and the queue of per-rank work for the next
-// pass. Kept on the Session per shard and reused across solves.
+// pass. Kept in the state of the shard's first rank and reused across
+// solves (Session.driver).
 type driver struct {
 	s  *Session
 	sh *comm.Shard
@@ -241,18 +242,16 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 	}
 	sr.trace.Residuals = s.resBuf[:0]
 
-	if p := s.W.EffectiveThreads(); len(s.drivers) != p {
-		s.drivers = make([]*driver, p)
-	}
-	st := s.W.RunShards(func(sh *comm.Shard) { s.driver(sh, sr).run() })
-	// The drivers outlive the solve; its run (the caller's b, x0 and ctx)
-	// must not.
-	for _, d := range s.drivers {
+	st := s.W.RunShards(func(sh *comm.Shard) {
+		d := s.driver(sh, sr)
+		d.run()
+		// The driver outlives the solve; its run (the caller's b, x0 and
+		// ctx) must not.
 		d.sr = nil
 		for _, l := range d.ls {
 			l.sr = nil
 		}
-	}
+	})
 
 	hist := sr.trace.Residuals
 	s.resBuf = hist[:0]
@@ -277,13 +276,24 @@ func (s *Session) solve(ctx context.Context, m Method, b, x0 []float64) (Result,
 	return res, sr.out, nc
 }
 
-// driver returns shard sh's driver for solve sr, built on the shard's first
-// solve (and again when the thread count reshapes the shards).
+// driver returns shard sh's driver for solve sr, built on the first solve
+// that runs this shard. A shard is a contiguous run of ranks, named by its
+// first rank and its length: the first rank's state keeps one driver per
+// length it has led, so a session whose runs move between worker counts
+// builds each count's drivers once. Only the worker running the shard
+// touches its first rank's state.
 func (s *Session) driver(sh *comm.Shard, sr *solveRun) *driver {
-	d := s.drivers[sh.ID]
-	if n := len(sh.Ranks); d == nil || len(d.ls) != n || d.ls[0] != &s.state(sh.Ranks[0]).loop {
+	lead, n := s.state(sh.Ranks[0]), len(sh.Ranks)
+	var d *driver
+	for _, c := range lead.drivers {
+		if len(c.ls) == n {
+			d = c
+			break
+		}
+	}
+	if d == nil {
 		d = &driver{s: s, ls: make([]*loop, n), pays: make([][]float64, n), halos: make([][][]float64, n)}
-		s.drivers[sh.ID] = d
+		lead.drivers = append(lead.drivers, d)
 	}
 	d.sh, d.sr = sh, sr
 	for i, r := range sh.Each {

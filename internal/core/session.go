@@ -73,9 +73,6 @@ type Session struct {
 
 	perRank []*rankState
 	ready   bool
-	// drivers[shard] is the shard's Krylov driver (driver.go), kept across
-	// solves.
-	drivers []*driver
 
 	// SetupStats records the preconditioner preprocessing run.
 	SetupStats *comm.Stats
@@ -120,6 +117,9 @@ type rankState struct {
 	pre    []Preconditioner
 	fields map[string][][]float64
 	loop   loop // the rank's Krylov driver state (driver.go)
+	// drivers are the Krylov drivers of the shards this rank is the first
+	// rank of, one per shard length (Session.driver).
+	drivers []*driver
 }
 
 // NewSession validates the configuration and prepares a session that

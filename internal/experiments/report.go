@@ -17,14 +17,16 @@ type Hardware struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// NumCPU is the machine's logical CPU count.
 	NumCPU int `json:"num_cpu"`
-	// WorkerShards is the effective worker-shard count sessions ran with:
-	// at most this many virtual ranks execute concurrently on real cores.
+	// WorkerShards is the most worker shards a session's run may take: at
+	// most this many virtual ranks execute concurrently on real cores.
+	// With the default knob a run takes fewer while other runs of the
+	// process hold processors (comm.World.EffectiveThreads).
 	WorkerShards int `json:"worker_shards"`
 }
 
 // DetectHardware snapshots the execution context. threads is the
-// configured worker-shard knob; 0 resolves to GOMAXPROCS, mirroring
-// comm.World.SetThreads.
+// configured worker-shard knob; 0 resolves to GOMAXPROCS, the most a
+// default-threaded run may take (comm.World.SetThreads).
 func DetectHardware(threads int) Hardware {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)

@@ -58,8 +58,9 @@ type Config struct {
 	// on no machine: the model measures numerics, not time.
 	Cores int
 	// Threads caps concurrent rank execution on real cores
-	// (comm.World.SetThreads): 0 = GOMAXPROCS. Trajectories are bitwise
-	// identical across settings.
+	// (comm.World.SetThreads): 0 = per solve, the processors no other
+	// default-threaded solve holds. Trajectories are bitwise identical
+	// across settings.
 	Threads int
 }
 

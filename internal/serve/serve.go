@@ -57,9 +57,11 @@ type Options struct {
 	// MachineName prices virtual time ("" = free, the serving default).
 	MachineName string
 	// Threads caps how many virtual ranks per session run concurrently on
-	// real cores (comm.World.SetThreads): 0 = GOMAXPROCS at build time.
-	// Solves stay bitwise identical across settings; only wall-clock and
-	// scheduling pressure change.
+	// real cores (comm.World.SetThreads). 0 resolves per solve: the
+	// processors no other default-threaded solve holds, so concurrent
+	// sessions share the cores instead of each starting GOMAXPROCS
+	// workers. Solves stay bitwise identical across settings; only
+	// wall-clock and scheduling pressure change.
 	Threads int
 	// Solver carries the remaining solver knobs (tolerance, EVP block
 	// size, Lanczos controls). Precond is overwritten per request.

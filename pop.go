@@ -255,10 +255,12 @@ type SolverSpec struct {
 	Cores int
 	// Threads caps how many virtual ranks execute concurrently on real
 	// cores: ranks are sharded into Threads contiguous groups, each driven
-	// by one worker that runs its ranks one at a time (0 = GOMAXPROCS;
-	// values above the rank count mean one rank per worker). Solutions are
-	// bitwise identical across all settings — only wall-clock and cache
-	// behavior change.
+	// by one worker that runs its ranks one at a time (values above the
+	// rank count mean one rank per worker). 0 resolves per solve to the
+	// processors no other default-threaded solve of the process holds: all
+	// GOMAXPROCS when it runs alone, at least one. Solutions are bitwise
+	// identical across all settings — only wall-clock and cache behavior
+	// change.
 	Threads int
 	// MachineName prices virtual time ("" = free).
 	MachineName string

@@ -122,6 +122,14 @@ echo "== shard executor gates on one scheduler thread (race) =="
 # park and be woken, not spin — would show as a hang.
 executor_gates='TestExecutorStress|TestHaloExchangeAcrossThreads|TestHaloClocksReadSenderEntry|TestExchangeMultiLevelCountMismatch|TestAllReduceWidthMismatch|TestLockstepViolationFailsFast|TestHaloStallNamesEdge|TestRankPanicFailsFast'
 GOMAXPROCS=1 go test -race -count=1 -run "$executor_gates" ./internal/comm/
+# Concurrent default-threaded runs share the processors: each claims those
+# no other holds, at least one, and gives them back however it ends. On one
+# and on two scheduler threads, a lost release shows as a count left held,
+# a double claim as more workers held than the processors plus one per run,
+# and every run must be bitwise the same run made alone.
+for procs in 1 2; do
+    GOMAXPROCS=$procs go test -race -count=1 -run 'TestConcurrentRunsShareProcessors' ./internal/comm/
+done
 # Every solve is a shard program whose workers park and wake on each other's
 # reductions and seam mailboxes: the fingerprints, the solvers' allocation
 # gate (a warm iteration allocates nothing, for every methods row x
