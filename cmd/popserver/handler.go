@@ -23,11 +23,8 @@ import (
 // handler serves the HTTP surface over either a single solve service or a
 // fleet router — exactly one of svc/flt is non-nil.
 type handler struct {
-	svc *pop.Service
-	flt *pop.Fleet
-	// reg is the router's metrics registry in a fleet (worker registries
-	// are private; /metrics exposes the fleet_* counters).
-	reg      *pop.MetricsRegistry
+	svc      *pop.Service
+	flt      *pop.Fleet
 	draining atomic.Bool
 
 	rhsMu    sync.Mutex
@@ -270,15 +267,17 @@ func (h *handler) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// metrics serves the Prometheus text exposition: the service registry in
-// single mode, the router's fleet_* registry in a fleet.
+// metrics serves the Prometheus text exposition: the service's serve_*
+// metrics in single mode, the router's fleet_* metrics in a fleet.
 func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	reg := h.reg
-	if h.flt == nil {
-		reg = h.svc.Registry()
+	var err error
+	if h.flt != nil {
+		err = h.flt.WritePrometheus(w)
+	} else {
+		err = h.svc.WritePrometheus(w)
 	}
-	if err := reg.WritePrometheus(w); err != nil {
+	if err != nil {
 		log.Printf("popserver: metrics write: %v", err)
 	}
 }

@@ -189,3 +189,43 @@ func TestTypedErrorsLeaveWithTheirStatus(t *testing.T) {
 		}
 	}
 }
+
+// GET /metrics serves the service's serve_* series in single mode and the
+// router's fleet_* series in a fleet, each counting the solve just made.
+func TestMetricsEndpointPerMode(t *testing.T) {
+	flt, err := pop.NewFleet(pop.FleetOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode      string
+		h         *handler
+		want, not []string
+	}{
+		{"single", &handler{svc: pop.NewService(pop.ServiceOptions{})},
+			[]string{"# TYPE serve_latency_seconds histogram\n", "\nserve_solves_total 1\n"}, []string{"fleet_"}},
+		{"fleet", &handler{flt: flt},
+			[]string{"# TYPE fleet_router_seconds histogram\n", "\nfleet_requests_total 1\n"}, []string{"serve_"}},
+	} {
+		defer tc.h.close(context.Background())
+		rec := httptest.NewRecorder()
+		tc.h.solve(rec, httptest.NewRequest(http.MethodPost, "/v1/solve",
+			strings.NewReader(`{"grid":"test","method":"pcsi","precond":"evp","rhs":"smooth"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s solve: status %d: %s", tc.mode, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		tc.h.metrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		body := rec.Body.String()
+		for _, s := range tc.want {
+			if !strings.Contains(body, s) {
+				t.Errorf("%s /metrics lacks %q:\n%s", tc.mode, s, body)
+			}
+		}
+		for _, s := range tc.not {
+			if strings.Contains(body, s) {
+				t.Errorf("%s /metrics carries %q series:\n%s", tc.mode, s, body)
+			}
+		}
+	}
+}

@@ -92,17 +92,15 @@ func main() {
 	h := &handler{}
 	switch {
 	case *fleetN > 0:
-		reg := obs.NewRegistry()
 		flt, err := pop.NewFleet(pop.FleetOptions{
 			Workers:       *fleetN,
 			Worker:        workerOpts,
 			CacheCapacity: *cacheCap,
-			Registry:      reg,
 		})
 		if err != nil {
 			log.Fatalf("popserver: %v", err)
 		}
-		h.flt, h.reg = flt, reg
+		h.flt = flt
 		log.Printf("popserver: in-process fleet with %d worker shards", *fleetN)
 	default:
 		h.svc = pop.NewService(workerOpts)

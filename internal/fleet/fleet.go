@@ -39,19 +39,12 @@ import (
 type Options struct {
 	// Workers is the worker count; default 2.
 	Workers int
-	// Worker configures each worker's serve.Service. The Registry
-	// field is ignored: every worker gets a private registry, because obs
-	// counters dedupe by name and shared registries would silently merge
-	// worker counters.
+	// Worker configures each worker's serve.Service.
 	Worker serve.Options
 
 	// CacheCapacity bounds the result cache (entries); 0 = 4096, negative
 	// disables caching.
 	CacheCapacity int
-
-	// Registry receives the fleet_* router metrics; nil creates a private
-	// one. Worker metrics live in each worker's own registry.
-	Registry *obs.Registry
 }
 
 // Request is one fleet solve submission: a serve request plus router
@@ -86,25 +79,22 @@ type Fleet struct {
 	m       fleetMetrics
 }
 
+// fleetMetrics are the router's series: atomic adds and Observe calls on
+// the request path, read by WritePrometheus at scrape.
 type fleetMetrics struct {
-	requests  *obs.Counter
-	hits      *obs.Counter
-	misses    *obs.Counter
-	errors    *obs.Counter
-	routerLat *obs.Histogram
+	requests, hits, misses, errors obs.Counter
+	routerLat                      *obs.Histogram
 }
 
-// New builds a fleet: Options.Workers services with private registries,
-// the hash ring over them, and the result cache.
+// New builds a fleet: Options.Workers services, the hash ring over them,
+// and the result cache.
 func New(opts Options) (*Fleet, error) {
 	if opts.Workers == 0 {
 		opts.Workers = 2
 	}
 	workers := make([]*serve.Service, opts.Workers)
 	for i := range workers {
-		wo := opts.Worker
-		wo.Registry = nil // private per worker — see Options.Worker
-		workers[i] = serve.New(wo)
+		workers[i] = serve.New(opts.Worker)
 	}
 
 	capacity := opts.CacheCapacity
@@ -119,25 +109,31 @@ func New(opts Options) (*Fleet, error) {
 		tol = core.DefaultTol // the tolerance the workers' sessions default to
 	}
 
-	r := opts.Registry
-	if r == nil {
-		r = obs.NewRegistry()
-	}
-	f := &Fleet{
+	return &Fleet{
 		workers: workers,
 		ring:    newRing(len(workers)),
 		cache:   newResultCache(capacity),
 		tol:     tol,
-		m: fleetMetrics{
-			requests: r.Counter("fleet_requests_total", "requests entering the router"),
-			hits:     r.Counter("fleet_cache_hits_total", "requests answered from the result cache"),
-			misses:   r.Counter("fleet_cache_misses_total", "requests dispatched to a worker"),
-			errors:   r.Counter("fleet_errors_total", "requests leaving the router with an error"),
-			routerLat: r.Histogram("fleet_router_seconds", "router time before dispatch or cache reply",
-				[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1}),
-		},
-	}
-	return f, nil
+		m:       fleetMetrics{routerLat: obs.NewHistogram([]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1})},
+	}, nil
+}
+
+// WritePrometheus renders the router's fleet_* metrics as Prometheus text,
+// in name order. Worker counters are aggregated by Stats instead.
+func (f *Fleet) WritePrometheus(w io.Writer) error {
+	m := &f.m
+	return obs.WritePrometheus(w, []obs.Series{
+		{Name: "fleet_cache_hits_total", Type: "counter", Value: float64(m.hits.Value()),
+			Help: "requests answered from the result cache"},
+		{Name: "fleet_cache_misses_total", Type: "counter", Value: float64(m.misses.Value()),
+			Help: "requests dispatched to a worker"},
+		{Name: "fleet_errors_total", Type: "counter", Value: float64(m.errors.Value()),
+			Help: "requests leaving the router with an error"},
+		{Name: "fleet_requests_total", Type: "counter", Value: float64(m.requests.Value()),
+			Help: "requests entering the router"},
+		{Name: "fleet_router_seconds", Type: "histogram", Hist: m.routerLat,
+			Help: "router time before dispatch or cache reply"},
+	})
 }
 
 // Solve routes one request: the cache, then the home shard the ring names.

@@ -8,8 +8,7 @@ import "sync"
 // carries it as the trace's request records, so a post-hoc diagnosis of
 // recent traffic never depends on having had verbose tracing enabled.
 //
-// The zero value is an empty recorder ready for use. A nil *FlightRecorder
-// is a valid disabled recorder: every method is a nil-safe no-op.
+// The zero value is an empty recorder ready for use.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	ring  [DefaultFlightRing]RequestRecord
@@ -24,9 +23,6 @@ const DefaultFlightRing = 256
 // Note records one finished request's span summary into the ring,
 // overwriting the oldest when full. Safe for concurrent use.
 func (f *FlightRecorder) Note(rec RequestRecord) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	f.ring[f.next] = rec
 	f.next++
@@ -39,9 +35,6 @@ func (f *FlightRecorder) Note(rec RequestRecord) {
 
 // Recent returns the retained request records, oldest first.
 func (f *FlightRecorder) Recent() []RequestRecord {
-	if f == nil {
-		return nil
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := f.total

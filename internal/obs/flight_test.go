@@ -37,15 +37,6 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 }
 
-// TestFlightNilSafe: a nil recorder is the documented disabled state.
-func TestFlightNilSafe(t *testing.T) {
-	var f *obs.FlightRecorder
-	f.Note(obs.RequestRecord{})
-	if f.Recent() != nil {
-		t.Error("nil Recent() must be nil")
-	}
-}
-
 // TestFlightRecorderInMemory exercises the in-memory ring the way the
 // serving layer does — many workers noting records while exports read it —
 // and relies on -race to catch unsynchronized access.

@@ -1,5 +1,5 @@
-// Package obs is the observability layer: a metrics registry (counters,
-// gauges, fixed-bucket histograms) with Prometheus-style text exposition,
+// Package obs is the observability layer: counters, gauges and
+// fixed-bucket histograms rendered as Prometheus text from fixed tables,
 // plus a low-overhead ring-buffered tracer that the virtual-rank runtime
 // feeds with per-phase events (compute, halo exchange, global reduction)
 // carrying virtual-clock timestamps. Those events leave a process one way —
@@ -21,8 +21,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -41,14 +39,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a float64 metric that can go up and down. Safe for concurrent
-// use.
+// Gauge is a float64 high-water mark: SetMax is its only writer. A value
+// that can fall is read at scrape instead (Series.Value). Safe for
+// concurrent use.
 type Gauge struct {
 	bits atomic.Uint64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetMax raises the gauge to v if v is larger — a high-water mark that
 // concurrent callers can never lower.
@@ -105,187 +101,37 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // BucketCount returns the count in bucket i (i == len(bounds) is +Inf).
 func (h *Histogram) BucketCount(i int) int64 { return h.counts[i].Load() }
 
-// Registry holds named metrics. Metric names may carry Prometheus-style
-// labels inline ('pop_phase_seconds{phase="comp"}'); exposition splits the
-// base name off for HELP/TYPE lines. Get-or-create accessors are safe for
-// concurrent use; a name registered as one kind must not be re-registered as
-// another.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	help     map[string]string // base name → help text
+// Series is one entry of a fixed exposition table, built when /metrics is
+// scraped.
+type Series struct {
+	// Name is the metric's constant name, without labels.
+	Name string
+	// Help is its constant one-line description.
+	Help string
+	// Type is the Prometheus type: "counter", "gauge" or "histogram".
+	Type string
+	// Value is a counter's or gauge's value, read as the table is built;
+	// a counter renders as an integer.
+	Value float64
+	// Hist is a histogram's source; nil for a counter or gauge.
+	Hist *Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		help:     make(map[string]string),
-	}
-}
-
-// baseName strips an inline label set from a metric name.
-func baseName(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-		r.setHelp(name, help)
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-		r.setHelp(name, help)
-	}
-	return g
-}
-
-// Histogram returns (creating if needed) the named histogram; bounds are
-// only used on first creation.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds)
-		r.hists[name] = h
-		r.setHelp(name, help)
-	}
-	return h
-}
-
-func (r *Registry) setHelp(name, help string) {
-	if help != "" {
-		r.help[baseName(name)] = help
-	}
-}
-
-// splitLabels separates 'base{labels}' into base and the inner label string
-// (without braces); labels is "" when absent.
-func splitLabels(name string) (base, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return name, ""
-	}
-	return name[:i], strings.TrimSuffix(name[i+1:], "}")
-}
-
-// escapeHelp escapes a HELP line for the Prometheus text format: backslash
-// becomes \\ and newline becomes \n (the only two escapes the format
-// defines for HELP).
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-// sanitizeLabels re-escapes a rendered inline label set for the Prometheus
-// text format. Inside quoted label values, raw newlines become \n and
-// backslashes not already starting a format-valid escape (\\, \", \n) are
-// doubled; values that were built with %q (already escaped) pass through
-// unchanged, so the function is idempotent.
-func sanitizeLabels(labels string) string {
-	if !strings.ContainsAny(labels, "\\\n") {
-		return labels
-	}
-	var sb strings.Builder
-	sb.Grow(len(labels) + 4)
-	inQuote := false
-	for i := 0; i < len(labels); i++ {
-		c := labels[i]
-		switch {
-		case c == '"':
-			inQuote = !inQuote
-			sb.WriteByte(c)
-		case inQuote && c == '\\':
-			if i+1 < len(labels) && (labels[i+1] == '\\' || labels[i+1] == '"' || labels[i+1] == 'n') {
-				sb.WriteByte(c)
-				i++
-				sb.WriteByte(labels[i])
-			} else {
-				sb.WriteString(`\\`)
-			}
-		case inQuote && c == '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	return sb.String()
-}
-
-// sanitizeName applies sanitizeLabels to a metric name's inline label set.
-func sanitizeName(name string) string {
-	base, labels := splitLabels(name)
-	if labels == "" {
-		return base
-	}
-	return base + "{" + sanitizeLabels(labels) + "}"
-}
-
-// WritePrometheus renders every metric in the Prometheus text exposition
-// format, sorted by name.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	typeOf := make(map[string]string)
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-		typeOf[baseName(n)] = "counter"
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-		typeOf[baseName(n)] = "gauge"
-	}
-	for n := range r.hists {
-		names = append(names, n)
-		typeOf[baseName(n)] = "histogram"
-	}
-	sort.Strings(names)
-	headerDone := make(map[string]bool)
-	for _, n := range names {
-		base := baseName(n)
-		if !headerDone[base] {
-			headerDone[base] = true
-			if h := r.help[base]; h != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", base, escapeHelp(h)); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, typeOf[base]); err != nil {
-				return err
-			}
+// WritePrometheus renders the table in the Prometheus text exposition
+// format, in table order.
+func WritePrometheus(w io.Writer, table []Series) error {
+	for _, s := range table {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.Name, s.Help, s.Name, s.Type); err != nil {
+			return err
 		}
 		var err error
 		switch {
-		case r.counters[n] != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", sanitizeName(n), r.counters[n].Value())
-		case r.gauges[n] != nil:
-			_, err = fmt.Fprintf(w, "%s %g\n", sanitizeName(n), r.gauges[n].Value())
+		case s.Hist != nil:
+			err = writePromHistogram(w, s.Name, s.Hist)
+		case s.Type == "counter":
+			_, err = fmt.Fprintf(w, "%s %d\n", s.Name, int64(s.Value))
 		default:
-			err = writePromHistogram(w, n, r.hists[n])
+			_, err = fmt.Fprintf(w, "%s %g\n", s.Name, s.Value)
 		}
 		if err != nil {
 			return err
@@ -296,32 +142,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writePromHistogram emits the _bucket/_sum/_count series for one histogram.
 func writePromHistogram(w io.Writer, name string, h *Histogram) error {
-	base, labels := splitLabels(name)
-	labels = sanitizeLabels(labels)
-	withLe := func(le string) string {
-		if labels == "" {
-			return fmt.Sprintf("%s_bucket{le=%q}", base, le)
-		}
-		return fmt.Sprintf("%s_bucket{%s,le=%q}", base, labels, le)
-	}
 	cum := int64(0)
 	for i, b := range h.bounds {
 		cum += h.BucketCount(i)
-		if _, err := fmt.Fprintf(w, "%s %d\n", withLe(fmt.Sprintf("%g", b)), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum); err != nil {
 			return err
 		}
 	}
 	cum += h.BucketCount(len(h.bounds))
-	if _, err := fmt.Fprintf(w, "%s %d\n", withLe("+Inf"), cum); err != nil {
-		return err
-	}
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", base, suffix, h.Sum()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", base, suffix, h.Count())
+	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
+		name, cum, name, h.Sum(), name, h.Count())
 	return err
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -38,13 +36,11 @@ func TestHistogramUnsortedBoundsAreSorted(t *testing.T) {
 	}
 }
 
-// Counters, gauges and histograms must be safe under concurrent writers —
-// run with -race.
+// Counters and histograms must be safe under concurrent writers — run
+// with -race (TestGaugeSetMaxConcurrent covers the gauge).
 func TestConcurrentMetricUpdates(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_total", "")
-	g := r.Gauge("test_gauge", "")
-	h := r.Histogram("test_hist", "", []float64{0.25, 0.5, 0.75})
+	var c Counter
+	h := NewHistogram([]float64{0.25, 0.5, 0.75})
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -53,7 +49,6 @@ func TestConcurrentMetricUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i%4) / 4)
 			}
 		}(w)
@@ -90,38 +85,6 @@ func TestGaugeSetMaxConcurrent(t *testing.T) {
 	g.SetMax(3)
 	if got, want := g.Value(), float64(workers*per-1); got != want {
 		t.Errorf("a smaller SetMax lowered the gauge to %g", got)
-	}
-}
-
-func TestRegistryExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("pop_reductions_total", "global reductions").Add(42)
-	r.Gauge(`pop_phase_seconds{phase="comp"}`, "per-phase virtual seconds").Set(1.5)
-	r.Gauge(`pop_phase_seconds{phase="halo"}`, "per-phase virtual seconds").Set(0.5)
-	h := r.Histogram("pop_reduce_wait_seconds", "reduction waits", []float64{1e-6, 1e-3})
-	h.Observe(5e-4)
-
-	var prom bytes.Buffer
-	if err := r.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	text := prom.String()
-	for _, want := range []string{
-		"# TYPE pop_reductions_total counter",
-		"pop_reductions_total 42",
-		"# TYPE pop_phase_seconds gauge",
-		`pop_phase_seconds{phase="comp"} 1.5`,
-		`pop_reduce_wait_seconds_bucket{le="0.001"} 1`,
-		`pop_reduce_wait_seconds_bucket{le="+Inf"} 1`,
-		"pop_reduce_wait_seconds_count 1",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, text)
-		}
-	}
-	// The TYPE header for a labeled family must appear exactly once.
-	if n := strings.Count(text, "# TYPE pop_phase_seconds gauge"); n != 1 {
-		t.Errorf("pop_phase_seconds TYPE line appears %d times", n)
 	}
 }
 

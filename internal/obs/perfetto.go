@@ -275,7 +275,7 @@ func WritePerfetto(w io.Writer, tracks []Track, reqs []RequestRecord, dropped in
 				ts = last // clamp: monotone per track even if a ring wrapped mid-run
 			}
 			args := rankArgsOf(&e)
-			if e.IsPoint() {
+			if e.Point {
 				if err := emit(chromeEvent{Name: e.Name, Ph: "i", Ts: ts,
 					PID: tr.PID, TID: tr.TID, S: "t", Args: args}); err != nil {
 					return err

@@ -283,48 +283,6 @@ func TestTraceIDStamping(t *testing.T) {
 	}
 }
 
-// TestExportDroppedCounter: ring wraparound surfaces in the registry as the
-// monotone obs_trace_dropped_total counter, equal to Dropped() after each
-// export (repeated exports add only the delta).
-func TestExportDroppedCounter(t *testing.T) {
-	tr := obs.NewTracer(4)
-	rt := tr.Rank(0)
-	for i := 0; i < 10; i++ {
-		rt.Add(obs.Event{Name: obs.EvCompute, Iter: -1, Straggler: -1})
-	}
-	reg := obs.NewRegistry()
-	tr.ExportDropped(reg)
-	c := reg.Counter("obs_trace_dropped_total", "")
-	if got, want := c.Value(), tr.Dropped(); got != want || want != 6 {
-		t.Fatalf("after first export: counter %d, Dropped %d, want 6", got, want)
-	}
-	tr.ExportDropped(reg) // no new drops: counter must not double
-	if got := c.Value(); got != 6 {
-		t.Fatalf("re-export doubled the counter: %d", got)
-	}
-	for i := 0; i < 3; i++ {
-		rt.Add(obs.Event{Name: obs.EvCompute, Iter: -1, Straggler: -1})
-	}
-	tr.ExportDropped(reg)
-	if got := c.Value(); got != 9 {
-		t.Fatalf("delta export: got %d, want 9", got)
-	}
-
-	// The exposition names the series.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "obs_trace_dropped_total 9") {
-		t.Errorf("exposition missing drop counter:\n%s", sb.String())
-	}
-
-	// Nil tracer and nil registry are no-ops.
-	var nilT *obs.Tracer
-	nilT.ExportDropped(reg)
-	tr.ExportDropped(nil)
-}
-
 // TestSpanRecordZeroAlloc pins the span-record hot path at zero
 // allocations: one Add — including the Rank/Trace stamping — must not
 // allocate, or per-iteration tracing would pressure the GC at solve rates.

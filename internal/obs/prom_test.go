@@ -1,130 +1,43 @@
 package obs_test
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestPrometheusEscapingConformance checks the text-exposition hardening:
-// HELP text and label values containing backslashes or newlines must render
-// with the format's escapes (\\ and \n) so one hostile grid name or error
-// string cannot corrupt the whole scrape.
-func TestPrometheusEscapingConformance(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Counter("esc_total", "path C:\\pop\nsecond line").Inc()
-	// A hand-built label set with a raw backslash and a raw newline in the
-	// value — exactly what a careless caller would produce.
-	reg.Gauge("esc_gauge{path=\"C:\\temp\nx\"}", "g").Set(1)
-	// A %q-built label value is already escaped and must pass through
-	// unchanged (idempotency of sanitization).
-	quoted := fmt.Sprintf("esc_quoted{err=%q}", "a\\b\nc")
-	reg.Counter(quoted, "q").Inc()
-	reg.Histogram("esc_hist{key=\"a\\z\"}", "h", []float64{1}).Observe(0.5)
-
+// TestWritePrometheus: a table renders in table order, one HELP and TYPE
+// header per series, a counter as an integer, a gauge with %g, and a
+// histogram as cumulative buckets closed by +Inf, then _sum and _count.
+func TestWritePrometheus(t *testing.T) {
+	h := obs.NewHistogram([]float64{1e-6, 1e-3})
+	h.Observe(5e-4)
+	h.Observe(2)
 	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	err := obs.WritePrometheus(&sb, []obs.Series{
+		{Name: "pop_reductions_total", Help: "global reductions", Type: "counter", Value: 1e7},
+		{Name: "pop_reduce_wait_seconds", Help: "reduction waits", Type: "histogram", Hist: h},
+		{Name: "pop_phase_seconds", Help: "virtual seconds", Type: "gauge", Value: 1.5},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-
-	if !strings.Contains(out, `# HELP esc_total path C:\\pop\nsecond line`) {
-		t.Errorf("HELP not escaped:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_gauge{path="C:\\temp\nx"} 1`) {
-		t.Errorf("raw label value not escaped:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_quoted{err="a\\b\nc"} 1`) {
-		t.Errorf("%%q-built label value was re-escaped:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_hist_bucket{key="a\\z",le="1"} 1`) {
-		t.Errorf("histogram label value not escaped:\n%s", out)
-	}
-	if !strings.Contains(out, `esc_hist_sum{key="a\\z"} 0.5`) {
-		t.Errorf("histogram sum label not escaped:\n%s", out)
-	}
-
-	// Conformance: every emitted line is 'name value', '# HELP …', or
-	// '# TYPE …' — no line may be a fragment produced by an unescaped
-	// newline inside a value.
-	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Errorf("malformed exposition line %q", line)
-			continue
-		}
-		if !strings.HasPrefix(fields[0], "esc_") {
-			t.Errorf("sample line %q does not start with a metric name", line)
-		}
-	}
-}
-
-// TestSanitizeIdempotent: sanitizing twice changes nothing — the state
-// machine must recognize its own output as already escaped.
-func TestSanitizeIdempotent(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Gauge("idem{v=\"a\\b\n\\\"c\\\\d\"}", "").Set(2)
-	render := func() string {
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	first := render()
-	if second := render(); second != first {
-		t.Errorf("repeated exposition differs:\nfirst:\n%s\nsecond:\n%s", first, second)
-	}
-	if strings.Contains(first, "\n\\") && !strings.Contains(first, `\n`) {
-		t.Errorf("raw newline survived sanitization:\n%s", first)
-	}
-}
-
-// TestConcurrentRegistryRegistration hammers get-or-create registration of
-// overlapping names from many goroutines while exposition runs — the
-// registry's documented concurrency contract, checked under -race.
-func TestConcurrentRegistryRegistration(t *testing.T) {
-	reg := obs.NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				reg.Counter(fmt.Sprintf("cc_total{k=\"%d\"}", i%7), "shared counter").Inc()
-				reg.Gauge("cg", "shared gauge").Set(float64(w))
-				reg.Histogram("ch", "shared histogram", []float64{1, 2, 4}).Observe(float64(i % 5))
-			}
-		}(w)
-	}
-	for e := 0; e < 2; e++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				var sb strings.Builder
-				if err := reg.WritePrometheus(&sb); err != nil {
-					t.Errorf("exposition during registration: %v", err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	var total int64
-	for i := 0; i < 7; i++ {
-		total += reg.Counter(fmt.Sprintf("cc_total{k=\"%d\"}", i), "").Value()
-	}
-	if total != 8*100 {
-		t.Errorf("counter increments lost: got %d, want 800", total)
-	}
-	if got := reg.Histogram("ch", "", nil).Count(); got != 8*100 {
-		t.Errorf("histogram observations lost: got %d, want 800", got)
+	want := `# HELP pop_reductions_total global reductions
+# TYPE pop_reductions_total counter
+pop_reductions_total 10000000
+# HELP pop_reduce_wait_seconds reduction waits
+# TYPE pop_reduce_wait_seconds histogram
+pop_reduce_wait_seconds_bucket{le="1e-06"} 0
+pop_reduce_wait_seconds_bucket{le="0.001"} 1
+pop_reduce_wait_seconds_bucket{le="+Inf"} 2
+pop_reduce_wait_seconds_sum 2.0005
+pop_reduce_wait_seconds_count 2
+# HELP pop_phase_seconds virtual seconds
+# TYPE pop_phase_seconds gauge
+pop_phase_seconds 1.5
+`
+	if got := sb.String(); got != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -76,9 +76,6 @@ type Event struct {
 	Trace uint64
 }
 
-// IsPoint reports whether the event is an instantaneous marker.
-func (e *Event) IsPoint() bool { return e.Point }
-
 // RankTrace is one rank's ring buffer. It is written by exactly one
 // goroutine (the worker running the rank's shard) — the runtime hands each
 // rank its own buffer — so writes need no synchronization; reading happens
@@ -146,10 +143,9 @@ func (rt *RankTrace) Events() []Event {
 // per-rank hook pointers nil, so a disabled tracer costs one pointer
 // comparison per instrumentation site and allocates nothing.
 type Tracer struct {
-	mu              sync.Mutex
-	cap             int
-	ranks           map[int]*RankTrace
-	droppedExported int64 // drop total already published via ExportDropped
+	mu    sync.Mutex
+	cap   int
+	ranks map[int]*RankTrace
 }
 
 // DefaultCapacity is the per-rank ring size when NewTracer is given ≤ 0.
@@ -212,35 +208,11 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.droppedLocked()
-}
-
-func (t *Tracer) droppedLocked() int64 {
 	var d int64
 	for _, rt := range t.ranks {
 		d += rt.Dropped()
 	}
 	return d
-}
-
-// ExportDropped publishes the tracer's ring-drop total into reg's
-// obs_trace_dropped_total counter: the delta since the tracer's previous
-// export is added, so repeated exports keep the counter monotone and equal
-// to Dropped(). A nil tracer or registry is a no-op. Callers poll it at
-// natural scrape points (stats snapshots, trace exports) rather than on the
-// record hot path.
-func (t *Tracer) ExportDropped(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.droppedLocked()
-	if delta := d - t.droppedExported; delta > 0 {
-		reg.Counter("obs_trace_dropped_total",
-			"trace events lost to ring-buffer wraparound (truncated traces)").Add(delta)
-		t.droppedExported = d
-	}
 }
 
 // EventsFor returns every retained event stamped with the given trace ID,

@@ -141,8 +141,7 @@ func (p *keyPool) build() (*core.Session, *sessionSlot, error) {
 		}
 	}
 	slot := p.svc.registerSession(p.key, tracer, sess.W.NRank)
-	n := p.svc.sessCount.Add(1)
-	p.svc.m.sessions.Set(float64(n))
+	p.svc.sessCount.Add(1)
 	return sess, slot, nil
 }
 
@@ -197,7 +196,6 @@ func (p *keyPool) worker(sess *core.Session, slot *sessionSlot) {
 		first.dequeued = time.Now()
 		batch = append(batch[:0], first)
 		p.fill(&batch)
-		p.svc.m.queueDepth.Set(float64(len(p.queue)))
 		// slot.mu serializes the batch against Perfetto export (the rank
 		// rings are single-writer and unsynchronized).
 		slot.mu.Lock()

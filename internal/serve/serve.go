@@ -63,8 +63,8 @@ type Options struct {
 	// workers. Solves stay bitwise identical across settings; only
 	// wall-clock and scheduling pressure change.
 	Threads int
-	// Solver carries the remaining solver knobs (tolerance, EVP block
-	// size, Lanczos controls). Precond is overwritten per request.
+	// Solver carries the remaining solver knobs (Precond, Tol, MaxIters,
+	// CheckEvery). Precond is overwritten per request.
 	Solver core.Options
 
 	// MaxSessionsPerKey bounds warmed sessions (= worker goroutines) per
@@ -76,9 +76,6 @@ type Options struct {
 	// MaxBatch caps how many requests one worker coalesces into a single
 	// session checkout. Default 8.
 	MaxBatch int
-
-	// Registry receives the serve_* metrics; nil creates a private one.
-	Registry *obs.Registry
 
 	// TraceCapacity, when > 0, attaches a tracer to every session's world
 	// retaining this many events per rank, enabling request-scoped span
@@ -96,9 +93,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 8
-	}
-	if o.Registry == nil {
-		o.Registry = obs.NewRegistry()
 	}
 	return o
 }
@@ -206,52 +200,81 @@ func (s *Service) registerSession(key Key, tr *obs.Tracer, ranks int) *sessionSl
 	return sl
 }
 
+// metrics are the service's series: atomic adds and Observe calls on the
+// request path, read by WritePrometheus at scrape.
 type metrics struct {
-	requests   *obs.Counter
-	shed       *obs.Counter
-	expired    *obs.Counter
-	solves     *obs.Counter
-	batches    *obs.Counter
-	errors     *obs.Counter
-	sessions   *obs.Gauge
-	queueMax   *obs.Gauge
-	queueDepth *obs.Gauge
-	latency    *obs.Histogram
-	queueWait  *obs.Histogram
-	batchSize  *obs.Histogram
+	requests, shed, expired, solves, batches, errors obs.Counter
+
+	queueMax obs.Gauge // high-water mark of one key's queue at admission
+	// traceDropped is the trace rings' drop total at the latest
+	// ExportTracks; SetMax keeps it monotone under concurrent exports.
+	traceDropped obs.Gauge
+
+	latency, queueWait, batchSize *obs.Histogram
 }
 
 // New builds a Service. No sessions are warmed until the first request for
 // each key arrives (warm-up is synchronous on that first request, so
 // configuration errors surface at the caller).
 func New(opts Options) *Service {
-	o := opts.withDefaults()
-	r := o.Registry
-	s := &Service{
-		opts:  o,
+	return &Service{
+		opts:  opts.withDefaults(),
 		pools: make(map[Key]*keyPool),
 		grids: make(map[string]*gridEntry),
 		m: metrics{
-			requests: r.Counter("serve_requests_total", "solve admissions attempted"),
-			shed:     r.Counter("serve_shed_total", "requests shed with ErrOverloaded"),
-			expired:  r.Counter("serve_expired_total", "requests expired in queue before solving"),
-			solves:   r.Counter("serve_solves_total", "solves executed"),
-			batches:  r.Counter("serve_batches_total", "session checkouts (batches)"),
-			errors:   r.Counter("serve_errors_total", "solves returning an error"),
-			sessions: r.Gauge("serve_sessions", "warmed sessions across all keys"),
-			queueMax: r.Gauge("serve_queue_depth_peak",
-				"deepest queue observed at admission since service start; high-water mark only, never resets or decays"),
-			queueDepth: r.Gauge("serve_queue_depth",
-				"current queue depth, sampled at enqueue and dequeue"),
-			latency: r.Histogram("serve_latency_seconds", "request latency (admission to response)",
-				[]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10}),
-			queueWait: r.Histogram("serve_queue_wait_seconds", "time between admission and solve start",
-				[]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),
-			batchSize: r.Histogram("serve_batch_size", "requests coalesced per session checkout",
-				[]float64{1, 2, 4, 8, 16, 32}),
+			latency:   obs.NewHistogram([]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3, 10}),
+			queueWait: obs.NewHistogram([]float64{1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}),
+			batchSize: obs.NewHistogram([]float64{1, 2, 4, 8, 16, 32}),
 		},
 	}
-	return s
+}
+
+// WritePrometheus renders the service's metrics as Prometheus text, in
+// name order. The queue depth and session count are read here, from the
+// pools and the build count, rather than kept in gauges a racing writer
+// could leave stale.
+func (s *Service) WritePrometheus(w io.Writer) error {
+	m := &s.m
+	return obs.WritePrometheus(w, []obs.Series{
+		{Name: "obs_trace_dropped_total", Type: "counter", Value: m.traceDropped.Value(),
+			Help: "trace events lost to ring-buffer wraparound (truncated traces)"},
+		{Name: "serve_batch_size", Type: "histogram", Hist: m.batchSize,
+			Help: "requests coalesced per session checkout"},
+		{Name: "serve_batches_total", Type: "counter", Value: float64(m.batches.Value()),
+			Help: "session checkouts (batches)"},
+		{Name: "serve_errors_total", Type: "counter", Value: float64(m.errors.Value()),
+			Help: "solves returning an error"},
+		{Name: "serve_expired_total", Type: "counter", Value: float64(m.expired.Value()),
+			Help: "requests expired in queue before solving"},
+		{Name: "serve_latency_seconds", Type: "histogram", Hist: m.latency,
+			Help: "request latency (admission to response)"},
+		{Name: "serve_queue_depth", Type: "gauge", Value: float64(s.queued()),
+			Help: "requests waiting in every key's queue, read at scrape"},
+		{Name: "serve_queue_depth_peak", Type: "gauge", Value: m.queueMax.Value(),
+			Help: "deepest queue observed at admission since service start; high-water mark only, never resets or decays"},
+		{Name: "serve_queue_wait_seconds", Type: "histogram", Hist: m.queueWait,
+			Help: "time between admission and solve start"},
+		{Name: "serve_requests_total", Type: "counter", Value: float64(m.requests.Value()),
+			Help: "solve admissions attempted"},
+		{Name: "serve_sessions", Type: "gauge", Value: float64(s.sessCount.Load()),
+			Help: "warmed sessions across all keys"},
+		{Name: "serve_shed_total", Type: "counter", Value: float64(m.shed.Value()),
+			Help: "requests shed with ErrOverloaded"},
+		{Name: "serve_solves_total", Type: "counter", Value: float64(m.solves.Value()),
+			Help: "solves executed"},
+	})
+}
+
+// queued is the service's backlog: the requests waiting in every key's
+// queue.
+func (s *Service) queued() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, p := range s.pools {
+		n += len(p.queue)
+	}
+	return n
 }
 
 // normalize validates the request's algorithm selection and folds it into
@@ -330,7 +353,6 @@ func (s *Service) Solve(ctx context.Context, req Request) (Response, error) {
 	}
 	depth := len(p.queue)
 	s.mu.RUnlock()
-	s.m.queueDepth.Set(float64(depth))
 	s.m.queueMax.SetMax(float64(depth))
 	// A backlog deeper than one batch means the current workers are
 	// saturated; warm another session if the key has headroom.
@@ -386,7 +408,7 @@ func (s *Service) Snapshot() Stats {
 		Solves:   s.m.solves.Value(),
 		Batches:  s.m.batches.Value(),
 		Errors:   s.m.errors.Value(),
-		Sessions: int64(s.m.sessions.Value()),
+		Sessions: s.sessCount.Load(),
 	}
 }
 
@@ -403,9 +425,6 @@ func (s *Service) Grids() []string {
 	return names
 }
 
-// Registry returns the metrics registry the service reports into.
-func (s *Service) Registry() *obs.Registry { return s.opts.Registry }
-
 // Flight returns the service's flight recorder (always non-nil).
 func (s *Service) Flight() *obs.FlightRecorder { return &s.flight }
 
@@ -414,7 +433,7 @@ func (s *Service) Flight() *obs.FlightRecorder { return &s.flight }
 // process per session, one thread per rank, the serve layer on its own
 // process). It briefly serializes against each session's worker — export
 // waits for in-flight batches so the single-writer rings are quiescent when
-// read — and publishes ring-drop totals into obs_trace_dropped_total.
+// read — and updates obs_trace_dropped_total (see ExportTracks).
 // Sessions built without tracing (Options.TraceCapacity == 0) contribute
 // only request records.
 func (s *Service) WritePerfetto(w io.Writer) error {
@@ -424,10 +443,11 @@ func (s *Service) WritePerfetto(w io.Writer) error {
 
 // ExportTracks snapshots every traced session's rank-level spans as Perfetto
 // tracks (PID = session index + 1, as WritePerfetto renders them) and
-// returns them with the total ring-drop count. It serializes against each
-// session's worker exactly like WritePerfetto. The fleet layer uses it to
-// merge worker tracks — rewriting PIDs and process names per worker — into
-// one fleet-wide trace.
+// returns them with the total ring-drop count, which /metrics reports as
+// obs_trace_dropped_total. It serializes against each session's worker
+// exactly like WritePerfetto. The fleet layer uses it to merge worker
+// tracks — rewriting PIDs and process names per worker — into one
+// fleet-wide trace.
 func (s *Service) ExportTracks() ([]obs.Track, int64) {
 	s.sessMu.Lock()
 	slots := append([]*sessionSlot(nil), s.sess...)
@@ -439,11 +459,11 @@ func (s *Service) ExportTracks() ([]obs.Track, int64) {
 			continue
 		}
 		sl.mu.Lock()
-		sl.tracer.ExportDropped(s.opts.Registry)
 		dropped += sl.tracer.Dropped()
 		tracks = append(tracks, sl.tracer.Tracks(fmt.Sprintf("session %d %s", sl.idx, sl.key), sl.idx+1)...)
 		sl.mu.Unlock()
 	}
+	s.m.traceDropped.SetMax(float64(dropped))
 	return tracks, dropped
 }
 

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -272,7 +274,7 @@ func TestQueueDepthMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := svc.Registry().WritePrometheus(&buf); err != nil {
+	if err := svc.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -333,10 +335,10 @@ func TestTraceDroppedExported(t *testing.T) {
 		t.Fatal("tiny ring reported no drops")
 	}
 	var sb bytes.Buffer
-	if err := svc.Registry().WritePrometheus(&sb); err != nil {
+	if err := svc.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(sb.Bytes(), []byte("obs_trace_dropped_total")) {
-		t.Errorf("exposition missing obs_trace_dropped_total:\n%s", sb.String())
+	if want := fmt.Sprintf("\nobs_trace_dropped_total %d\n", pt.Dropped); !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want[1:], sb.String())
 	}
 }

@@ -91,9 +91,6 @@ type (
 	// cache disposition and shard).
 	FleetResponse = fleet.Response
 
-	// MetricsRegistry is the metrics registry a Service reports into
-	// (counters, gauges, histograms with Prometheus text exposition).
-	MetricsRegistry = obs.Registry
 	// FlightRecorder is the always-on ring of a Service's most recent
 	// request span summaries (Service.Flight).
 	FlightRecorder = obs.FlightRecorder
@@ -264,9 +261,9 @@ type SolverSpec struct {
 	Threads int
 	// MachineName prices virtual time ("" = free).
 	MachineName string
-	// Options exposes the remaining solver knobs (tolerance, EVP block
-	// size, Lanczos controls); zero values take defaults. Options.Precond
-	// is overwritten from Precond.
+	// Options exposes the remaining solver knobs (Precond, Tol, MaxIters,
+	// CheckEvery); zero values take defaults. Options.Precond is
+	// overwritten from Precond.
 	Options SolverOptions
 }
 

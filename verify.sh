@@ -301,8 +301,11 @@ grep -q '"converged":true' "$tmp/solve.json"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/v1/solve" \
     -d '{"method":"warp","rhs":"smooth"}')
 [ "$code" = 400 ] || { echo "bad method gave $code, want 400"; exit 1; }
-curl -fs "http://$addr/metrics" | grep -q '^serve_solves_total'
-curl -fs "http://$addr/metrics" | grep -q '^serve_queue_depth '
+curl -fs "http://$addr/metrics" > "$tmp/metrics.txt"
+grep -q '^serve_solves_total' "$tmp/metrics.txt"
+grep -q '^serve_queue_depth ' "$tmp/metrics.txt"
+grep -q '^# TYPE serve_latency_seconds histogram$' "$tmp/metrics.txt"
+grep -q '^serve_latency_seconds_bucket{le="+Inf"} ' "$tmp/metrics.txt"
 # The live Perfetto export parses and carries the solve's request record.
 curl -fs "http://$addr/debug/trace" > "$tmp/server-trace.json"
 python3 -c 'import json,sys; t=json.load(open(sys.argv[1])); assert t["popRequests"], "no request records"' \
@@ -408,7 +411,9 @@ for field in ("requests", "solves", "sessions", "errors"):
 assert sum(w["counters"]["solves"] for w in s["workers"]) >= 1
 EOF
 # The router serves its fleet_* metrics (hit count asserted above).
-curl -fs "http://$router/metrics" | grep -q '^fleet_cache_hits_total '
+curl -fs "http://$router/metrics" > "$tmp/fleetmetrics.txt"
+grep -q '^fleet_cache_hits_total ' "$tmp/fleetmetrics.txt"
+grep -q '^# TYPE fleet_router_seconds histogram$' "$tmp/fleetmetrics.txt"
 kill -TERM "$router_pid" 2>/dev/null || true
 for _ in $(seq 1 50); do
     kill -0 "$router_pid" 2>/dev/null || break
